@@ -67,7 +67,15 @@ class BudgetState:
 
 
 class BudgetManager:
-    """Tracks budgets for all capped ads and retires exhausted ones."""
+    """Tracks budgets for all capped ads and retires exhausted ones.
+
+    The books *are* two dense float64 arrays, ``budget`` and ``spent``,
+    indexed by slot: capped ads are interned to slots 1, 2, … in
+    registration order (not by ``ad_id`` — launched campaigns carry ids
+    in the 800,000s) and slot 0 is shared by every uncapped ad, never
+    spends, and so paces at 1.0. Scalar accessors, :meth:`charge` and
+    :meth:`pacing_block` all work on these arrays.
+    """
 
     def __init__(
         self,
@@ -81,58 +89,76 @@ class BudgetManager:
             raise ConfigError("campaign_end must be after campaign_start")
         self._corpus = corpus
         self._pacing_enabled = pacing_enabled
-        self._states: dict[int, BudgetState] = {}
-        # Ads with any spend: the only ads whose pacing multiplier can
-        # differ from 1.0 — lets the vectorized block path skip the
-        # per-ad schedule math entirely until charging starts.
-        self._spenders: set[int] = set()
+        self._campaign_start = campaign_start
+        self._campaign_end = campaign_end
+        # ad id -> slot, in slot order (slot i + 1 is the i-th key).
+        self._slots: dict[int, int] = {}
+        # Unregistered slots hold budget 1, spent 0: never exhausted.
+        self._budget = np.ones(16)
+        self._spent = np.zeros(16)
         for ad in corpus.all_ads():
-            if ad.budget is not None:
-                self._states[ad.ad_id] = BudgetState(
-                    budget=ad.budget,
-                    campaign_start=campaign_start,
-                    campaign_end=campaign_end,
-                )
-        corpus.subscribe(
-            on_add=lambda ad: self._register(ad, campaign_start, campaign_end)
-        )
+            self._register(ad)
+        corpus.subscribe(on_add=self._register)
 
-    def _register(self, ad, campaign_start: float, campaign_end: float) -> None:
-        if ad.budget is not None and ad.ad_id not in self._states:
-            self._states[ad.ad_id] = BudgetState(
-                budget=ad.budget,
-                campaign_start=campaign_start,
-                campaign_end=campaign_end,
-            )
+    def _register(self, ad) -> None:
+        if ad.budget is None or ad.ad_id in self._slots:
+            return
+        slot = len(self._slots) + 1
+        if slot == self._budget.shape[0]:
+            self._budget = np.pad(self._budget, (0, slot), constant_values=1.0)
+            self._spent = np.pad(self._spent, (0, slot))
+        self._slots[ad.ad_id] = slot
+        self._budget[slot] = ad.budget
+
+    def slot_of(self, ad_id: int) -> int:
+        """The ad's slot for :meth:`pacing_block` (0 for uncapped ads);
+        it never changes."""
+        return self._slots.get(ad_id, 0)
 
     def state(self, ad_id: int) -> BudgetState | None:
-        """Budget state, or None for uncapped ads."""
-        return self._states.get(ad_id)
+        """A snapshot of the ad's books, or None for uncapped ads."""
+        slot = self._slots.get(ad_id)
+        if slot is None:
+            return None
+        return BudgetState(
+            budget=self._budget.item(slot),
+            campaign_start=self._campaign_start,
+            campaign_end=self._campaign_end,
+            spent=self._spent.item(slot),
+        )
+
+    def states(self) -> dict[int, BudgetState]:
+        """Snapshots of every capped ad's books, in registration order."""
+        return {ad_id: self.state(ad_id) for ad_id in self._slots}
 
     def pacing_multiplier(self, ad_id: int, timestamp: float) -> float:
         """Bid-term multiplier; 1.0 for uncapped ads or with pacing off."""
-        state = self._states.get(ad_id)
+        state = self.state(ad_id)
         if state is None:
             return 1.0
         if not self._pacing_enabled:
             return 0.0 if state.exhausted else 1.0
         return state.pacing_multiplier(timestamp)
 
-    def pacing_block(self, ad_ids, timestamp: float):
-        """Per-ad pacing multipliers for a candidate block.
+    def pacing_block(self, slots: np.ndarray, timestamp: float) -> np.ndarray:
+        """:meth:`pacing_multiplier` for a block of slots, loop-free.
 
-        An ad's multiplier can only deviate from 1.0 once it has spent
-        (both the schedule throttle and the exhaustion zero require spend
-        > 0), so only ads in the spender set are evaluated individually.
-        ``ad_ids`` is any integer sequence; returns a float64 array.
+        Same arithmetic per element as :class:`BudgetState`, so values
+        are bit-identical. ``spent > expected`` implies ``spent > 0``
+        (expected is never negative): never-charged slots skip the divide.
         """
-        multipliers = np.ones(len(ad_ids), dtype=np.float64)
-        spenders = self._spenders
-        if spenders:
-            for i, ad_id in enumerate(ad_ids):
-                ad_id = int(ad_id)
-                if ad_id in spenders:
-                    multipliers[i] = self.pacing_multiplier(ad_id, timestamp)
+        spent = self._spent[slots]
+        multipliers = np.ones(spent.shape[0])
+        if not spent.any():  # uncharged serving: nothing to pace
+            return multipliers
+        budget = self._budget[slots]
+        if self._pacing_enabled:
+            span = self._campaign_end - self._campaign_start
+            fraction = (timestamp - self._campaign_start) / span
+            expected = budget * min(1.0, max(0.0, fraction))
+            np.divide(expected, spent, out=multipliers, where=spent > expected)
+            np.maximum(multipliers, 0.1, out=multipliers)
+        multipliers[spent >= budget] = 0.0
         return multipliers
 
     def charge(self, ad_id: int, price: float) -> bool:
@@ -145,35 +171,35 @@ class BudgetManager:
         """
         if price < 0.0:
             raise BudgetError(f"price cannot be negative: {price}")
-        state = self._states.get(ad_id)
-        if state is None:
+        slot = self._slots.get(ad_id)
+        if slot is None:
             return False
-        if state.exhausted:
+        budget = self._budget.item(slot)
+        spent = self._spent.item(slot)
+        if spent >= budget:
             raise BudgetError(f"ad {ad_id} is already exhausted")
-        state.spent += min(price, state.remaining)
-        if state.spent > 0.0:
-            self._spenders.add(ad_id)
-        if state.exhausted:
+        spent += min(price, budget - spent)
+        self._spent[slot] = spent
+        if spent >= budget:
             self._corpus.retire(ad_id)
             return True
         return False
 
     def restore_spend(self, ad_id: int, spent: float) -> None:
-        """Set an ad's spend directly (checkpoint restore), keeping the
-        spender fast-path set consistent."""
-        state = self._states.get(ad_id)
-        if state is None:
+        """Set an ad's spend directly (checkpoint restore)."""
+        slot = self._slots.get(ad_id)
+        if slot is None:
             raise BudgetError(f"ad {ad_id} has no budget to restore into")
-        state.spent = spent
-        if spent > 0.0:
-            self._spenders.add(ad_id)
-        else:
-            self._spenders.discard(ad_id)
+        self._spent[slot] = spent
 
     def total_spend(self) -> float:
-        return sum(state.spent for state in self._states.values())
+        # Python's left-to-right sum in registration order, not ndarray.sum:
+        # pairwise summation would round differently from the ledger's.
+        return sum(self._spent[1 : len(self._slots) + 1].tolist())
 
     def exhausted_ids(self) -> list[int]:
+        size = len(self._slots) + 1
+        exhausted = self._spent[1:size] >= self._budget[1:size]
         return sorted(
-            ad_id for ad_id, state in self._states.items() if state.exhausted
+            ad_id for ad_id, done in zip(self._slots, exhausted.tolist()) if done
         )

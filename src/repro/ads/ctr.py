@@ -15,17 +15,11 @@ clickers can double their effective bid and duds fade toward zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from repro.errors import ConfigError
 
 QUALITY_CAP = 2.0
-
-
-@dataclass
-class _AdClickStats:
-    impressions: float = 0.0
-    clicks: float = 0.0
 
 
 class CtrEstimator:
@@ -57,52 +51,72 @@ class CtrEstimator:
         self.prior_ctr = prior_ctr
         self.prior_strength = prior_strength
         self.discount = discount
-        self._stats: dict[int, _AdClickStats] = {}
+        # The evidence *is* two dense float64 arrays indexed by slot; ads
+        # are interned on first mention (not by ad id: launched campaigns
+        # carry ids in the 800,000s). An empty slot holds zeros, which is
+        # exactly the prior mean, so interning changes no estimate.
+        self._slots: dict[int, int] = {}
+        self._impressions = np.zeros(16)
+        self._clicks = np.zeros(16)
         self._total_impressions = 0.0
         self._total_clicks = 0.0
 
     # -- observation ----------------------------------------------------
 
-    def _stats_for(self, ad_id: int) -> _AdClickStats:
-        stats = self._stats.get(ad_id)
-        if stats is None:
-            stats = _AdClickStats()
-            self._stats[ad_id] = stats
-        return stats
+    def slot_of(self, ad_id: int) -> int:
+        """The ad's slot for :meth:`quality_block`, interned on first
+        request; it never changes."""
+        slot = self._slots.get(ad_id)
+        if slot is None:
+            slot = self._slots[ad_id] = len(self._slots)
+            if slot == self._impressions.shape[0]:
+                self._impressions = np.pad(self._impressions, (0, slot))
+                self._clicks = np.pad(self._clicks, (0, slot))
+        return slot
 
     def record_impression(self, ad_id: int) -> None:
         """Fold one served impression into the posterior."""
-        stats = self._stats_for(ad_id)
+        slot = self.slot_of(ad_id)
         if self.discount < 1.0:
-            stats.impressions *= self.discount
-            stats.clicks *= self.discount
-        stats.impressions += 1.0
+            self._impressions[slot] *= self.discount
+            self._clicks[slot] *= self.discount
+        self._impressions[slot] += 1.0
         self._total_impressions += 1.0
 
     def record_click(self, ad_id: int) -> None:
         """Fold one click on a previously-served impression."""
-        stats = self._stats_for(ad_id)
-        stats.clicks += 1.0
+        self._clicks[self.slot_of(ad_id)] += 1.0
         self._total_clicks += 1.0
+
+    def restore(self, ad_id: int, impressions: float, clicks: float) -> None:
+        """Set an ad's evidence directly (checkpoint restore); the
+        corpus-wide totals move by the difference."""
+        slot = self.slot_of(ad_id)
+        self._total_impressions += impressions - self._impressions.item(slot)
+        self._total_clicks += clicks - self._clicks.item(slot)
+        self._impressions[slot] = impressions
+        self._clicks[slot] = clicks
 
     # -- estimates --------------------------------------------------------
 
     def impressions_of(self, ad_id: int) -> float:
-        stats = self._stats.get(ad_id)
-        return stats.impressions if stats else 0.0
+        slot = self._slots.get(ad_id)
+        return self._impressions.item(slot) if slot is not None else 0.0
 
     def clicks_of(self, ad_id: int) -> float:
-        stats = self._stats.get(ad_id)
-        return stats.clicks if stats else 0.0
+        slot = self._slots.get(ad_id)
+        return self._clicks.item(slot) if slot is not None else 0.0
 
     def estimate(self, ad_id: int) -> float:
         """Posterior-mean CTR for an ad (the prior mean when unseen)."""
         alpha = self.prior_ctr * self.prior_strength
         beta = (1.0 - self.prior_ctr) * self.prior_strength
-        stats = self._stats.get(ad_id)
-        if stats is None:
+        slot = self._slots.get(ad_id)
+        if slot is None:
             return alpha / (alpha + beta)
-        return (alpha + stats.clicks) / (alpha + beta + stats.impressions)
+        return (alpha + self._clicks.item(slot)) / (
+            alpha + beta + self._impressions.item(slot)
+        )
 
     def global_ctr(self) -> float:
         """Observed corpus-wide CTR (prior mean with no traffic)."""
@@ -119,5 +133,20 @@ class CtrEstimator:
         """
         return min(QUALITY_CAP, self.estimate(ad_id) / self.prior_ctr)
 
+    def quality_block(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`quality_multiplier` for a block of slots, loop-free
+        (same arithmetic per element, so values are bit-identical)."""
+        alpha = self.prior_ctr * self.prior_strength
+        beta = (1.0 - self.prior_ctr) * self.prior_strength
+        estimate = (alpha + self._clicks[slots]) / (
+            alpha + beta + self._impressions[slots]
+        )
+        return np.minimum(QUALITY_CAP, estimate / self.prior_ctr)
+
     def observed_ads(self) -> list[int]:
-        return sorted(self._stats)
+        """Ads with any recorded evidence, ascending."""
+        size = len(self._slots)
+        seen = (self._impressions[:size] > 0.0) | (self._clicks[:size] > 0.0)
+        return sorted(
+            ad_id for ad_id, hit in zip(self._slots, seen.tolist()) if hit
+        )

@@ -73,7 +73,11 @@ class StaticRowCache:
     circles are one ``searchsorted`` gather away. That lets
     :meth:`targeting_block` evaluate the geo/time predicate and the
     proximity score for a whole candidate block with one vectorized
-    haversine instead of per-ad Python calls. Synced lazily: a compaction
+    haversine instead of per-ad Python calls. Next to the bids it keeps
+    each row's slot in the budget manager's and the CTR estimator's
+    dense state arrays, so the dynamic half of the bid term is a gather
+    (:meth:`ScoringModel._bid_block`); a slot belongs to an ad for life,
+    so the maps never go stale between syncs. Synced lazily: a compaction
     (generation bump) resets the arrays, appended rows extend them.
     """
 
@@ -82,7 +86,9 @@ class StaticRowCache:
         self._compact = compact
         self._generation = -1
         self._synced_rows = 0
-        self._bids = np.zeros(0, dtype=np.float64)
+        self.bids = np.zeros(0, dtype=np.float64)
+        self.pacing_slots = np.zeros(0, dtype=np.int64)
+        self.quality_slots = np.zeros(0, dtype=np.int64)
         self._untargeted = np.zeros(0, dtype=bool)
         self._geo_targeted = np.zeros(0, dtype=bool)
         self._time_targeted = np.zeros(0, dtype=bool)
@@ -110,12 +116,16 @@ class StaticRowCache:
         ] = {}
         self._full_time: tuple[float, int, np.ndarray] | None = None
 
-    def sync(self) -> None:
+    def sync(self, budget: BudgetManager | None, ctr: CtrEstimator | None) -> None:
+        """Extend the row arrays to the mirror's row space; new rows look
+        their slots up in the scoring model's ``budget`` / ``ctr``."""
         compact = self._compact
         if self._generation != compact.generation:
             self._generation = compact.generation
             self._synced_rows = 0
-            self._bids = np.zeros(compact.num_rows, dtype=np.float64)
+            self.bids = np.zeros(compact.num_rows, dtype=np.float64)
+            self.pacing_slots = np.zeros(compact.num_rows, dtype=np.int64)
+            self.quality_slots = np.zeros(compact.num_rows, dtype=np.int64)
             self._untargeted = np.zeros(compact.num_rows, dtype=bool)
             self._geo_targeted = np.zeros(compact.num_rows, dtype=bool)
             self._time_targeted = np.zeros(compact.num_rows, dtype=bool)
@@ -130,8 +140,12 @@ class StaticRowCache:
         if self._synced_rows >= num_rows:
             return
         self._version += 1
-        if self._bids.shape[0] < num_rows:
-            self._bids = _grown(self._bids, num_rows, np.float64)
+        if self.bids.shape[0] < num_rows:
+            self.bids = _grown(self.bids, num_rows, np.float64)
+            self.pacing_slots = _grown(self.pacing_slots, num_rows, np.int64)
+            self.quality_slots = _grown(
+                self.quality_slots, num_rows, np.int64
+            )
             self._untargeted = _grown(self._untargeted, num_rows, bool)
             self._geo_targeted = _grown(self._geo_targeted, num_rows, bool)
             self._time_targeted = _grown(self._time_targeted, num_rows, bool)
@@ -140,7 +154,11 @@ class StaticRowCache:
         ad_ids = compact.ad_ids
         for row in range(self._synced_rows, num_rows):
             ad = corpus.get(int(ad_ids[row]))
-            self._bids[row] = ad.bid
+            self.bids[row] = ad.bid
+            if budget is not None:
+                self.pacing_slots[row] = budget.slot_of(ad.ad_id)
+            if ctr is not None:
+                self.quality_slots[row] = ctr.slot_of(ad.ad_id)
             spec = ad.targeting
             self._untargeted[row] = spec.is_untargeted
             self._specs[row] = spec
@@ -198,13 +216,6 @@ class StaticRowCache:
             (rec[2] for rec in windows), dtype=np.float64, count=len(windows)
         )
         self._flat_dirty = False
-
-    def bids(self, rows: np.ndarray) -> np.ndarray:
-        return self._bids[rows]
-
-    def bids_full(self) -> np.ndarray:
-        """Raw bids for every synced row (a view — do not mutate)."""
-        return self._bids[: self._synced_rows]
 
     def untargeted(self, rows: np.ndarray) -> np.ndarray:
         return self._untargeted[rows]
@@ -476,44 +487,26 @@ class ScoringModel:
     def _bid_block(
         self,
         cache: StaticRowCache,
-        rows: np.ndarray,
-        ad_ids: np.ndarray,
         timestamp: float,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`bid_score` over a row block (same op order)."""
+        """Vectorized :meth:`bid_score` over a row block (same op order);
+        ``rows=None`` is every synced row."""
+        if rows is None:
+            rows = slice(None)
+        bid = cache.bids[rows]
         max_bid = self._corpus.max_bid
         if max_bid <= 0.0:
-            return np.zeros(rows.shape[0], dtype=np.float64)
-        bid = cache.bids(rows) / max_bid
+            return np.zeros(bid.shape[0], dtype=np.float64)
+        bid = bid / max_bid
         if self._budget_manager is not None:
-            bid = bid * self._budget_manager.pacing_block(ad_ids, timestamp)
-        if self._ctr_estimator is not None:
-            quality = self._ctr_estimator.quality_multiplier
-            bid = bid * np.fromiter(
-                (quality(int(ad_id)) / QUALITY_CAP for ad_id in ad_ids),
-                dtype=np.float64,
-                count=rows.shape[0],
+            bid = bid * self._budget_manager.pacing_block(
+                cache.pacing_slots[rows], timestamp
             )
-        return bid
-
-    def _bid_block_full(
-        self, cache: StaticRowCache, ad_ids: np.ndarray, timestamp: float
-    ) -> np.ndarray:
-        """:meth:`_bid_block` over every synced row (``ad_ids`` is the
-        compact mirror's full id array)."""
-        size = ad_ids.shape[0]
-        max_bid = self._corpus.max_bid
-        if max_bid <= 0.0:
-            return np.zeros(size, dtype=np.float64)
-        bid = cache.bids_full() / max_bid
-        if self._budget_manager is not None:
-            bid = bid * self._budget_manager.pacing_block(ad_ids, timestamp)
         if self._ctr_estimator is not None:
-            quality = self._ctr_estimator.quality_multiplier
-            bid = bid * np.fromiter(
-                (quality(int(ad_id)) / QUALITY_CAP for ad_id in ad_ids),
-                dtype=np.float64,
-                count=size,
+            bid = bid * (
+                self._ctr_estimator.quality_block(cache.quality_slots[rows])
+                / QUALITY_CAP
             )
         return bid
 
@@ -536,7 +529,7 @@ class ScoringModel:
         operation order — as the scalar path, so scores agree to float32
         storage precision.
         """
-        cache.sync()
+        cache.sync(self._budget_manager, self._ctr_estimator)
         keep = (content > 0.0) | (affinity > 0.0)
         targeted_ok, proximity = cache.targeting_block(rows, location, timestamp)
         keep &= targeted_ok
@@ -557,7 +550,7 @@ class ScoringModel:
         static = (
             weights.beta * affinity
             + weights.gamma * proximity
-            + weights.delta * self._bid_block(cache, rows, ad_ids, timestamp)
+            + weights.delta * self._bid_block(cache, timestamp, rows)
         )
         return ScoredBlock(
             ad_ids=ad_ids,
@@ -572,12 +565,11 @@ class ScoringModel:
         """Delta-weighted full-row bid term, shared across a fan-out.
 
         The bid is the only user-independent static, so one row vector
-        serves every follower of an event.
+        serves every follower of an event. ``ad_ids`` is unused (the
+        cache maps rows to state slots itself); callers pass it anyway.
         """
-        cache.sync()
-        return self.weights.delta * self._bid_block_full(
-            cache, ad_ids, timestamp
-        )
+        cache.sync(self._budget_manager, self._ctr_estimator)
+        return self.weights.delta * self._bid_block(cache, timestamp)
 
     def fanout_scores(
         self,
@@ -620,10 +612,10 @@ class ScoringModel:
         def block(
             rows: np.ndarray, ad_ids: np.ndarray
         ) -> tuple[np.ndarray, np.ndarray]:
-            cache.sync()
+            cache.sync(self._budget_manager, self._ctr_estimator)
             keep, proximity = cache.targeting_block(rows, location, timestamp)
             static = weights.gamma * proximity + weights.delta * self._bid_block(
-                cache, rows, ad_ids, timestamp
+                cache, timestamp, rows
             )
             return keep, static
 

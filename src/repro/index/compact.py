@@ -32,7 +32,6 @@ under sliding-window churn.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -91,13 +90,6 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
-# Per-index shared mirrors: every VectorSearcher over the same index must
-# reuse one mirror (exact_slate constructs a searcher per probe).
-_SHARED: "weakref.WeakKeyDictionary[AdInvertedIndex, CompactIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 class CompactIndex:
     """Array-backed mirror of one :class:`AdInvertedIndex`."""
 
@@ -147,12 +139,16 @@ class CompactIndex:
 
     @classmethod
     def shared(cls, index: AdInvertedIndex) -> "CompactIndex":
-        """The per-index shared mirror (created on first request)."""
-        mirror = _SHARED.get(index)
-        if mirror is None:
-            mirror = cls(index)
-            _SHARED[index] = mirror
-        return mirror
+        """The per-index shared mirror (created on first request).
+
+        Every VectorSearcher over the same index must reuse one mirror
+        (exact_slate constructs a searcher per probe). The index owns it,
+        so the pair dies together; a module-level registry keyed weakly by
+        the index would pin both, because the mirror references its key.
+        """
+        if index.compact_mirror is None:
+            index.compact_mirror = cls(index)
+        return index.compact_mirror
 
     # -- read side -----------------------------------------------------------
 

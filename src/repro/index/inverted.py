@@ -32,6 +32,9 @@ class AdInvertedIndex:
             "Callable[[int, Mapping[str, float]], None] | None",
             "Callable[[int, Mapping[str, float]], None] | None",
         ]] = []
+        # The shared compact mirror (CompactIndex.shared), owned here so
+        # it lives exactly as long as this index.
+        self.compact_mirror = None
 
     @classmethod
     def from_corpus(cls, corpus: AdCorpus, *, subscribe: bool = True) -> "AdInvertedIndex":

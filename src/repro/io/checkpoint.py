@@ -89,7 +89,7 @@ def engine_state_dict(engine: AdEngine) -> dict[str, Any]:
 
     budgets = {
         str(ad_id): state.spent
-        for ad_id, state in engine.budget._states.items()
+        for ad_id, state in engine.budget.states().items()
         if state.spent > 0.0
     }
 
@@ -214,12 +214,7 @@ def apply_engine_state(
                 "checkpoint carries CTR state but ctr_feedback is disabled"
             )
         for ad_id_str, (impressions, clicks) in payload["ctr"].items():
-            ad_id = int(ad_id_str)
-            stats = engine.ctr._stats_for(ad_id)
-            stats.impressions = impressions
-            stats.clicks = clicks
-            engine.ctr._total_impressions += impressions
-            engine.ctr._total_clicks += clicks
+            engine.ctr.restore(int(ad_id_str), impressions, clicks)
 
     if include_stats:
         saved = payload["stats"]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ads.ctr import QUALITY_CAP, CtrEstimator
@@ -100,6 +101,79 @@ class TestEstimates:
         for _ in range(min(clicks, impressions)):
             estimator.record_click(1)
         assert 0.0 < estimator.estimate(1) < 1.0
+
+
+# Seed-corpus ids, scenario-range launch ids (slot maps must be interned,
+# not ad_id-indexed) and one id that is never mentioned.
+CTR_IDS = list(range(30)) + [800_000 + i for i in range(10)]
+UNSEEN_ID = 999_999
+
+ctr_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["impression", "click", "restore", "intern"]),
+        st.sampled_from(CTR_IDS),
+        st.floats(0.0, 400.0, allow_nan=False),
+        st.floats(0.0, 1.0, allow_nan=False),
+    ),
+    max_size=80,
+)
+
+
+class TestQualityBlock:
+    """``quality_block`` is the scalar ``quality_multiplier`` elementwise,
+    bit for bit, whatever happened to the evidence before."""
+
+    @staticmethod
+    def assert_block_is_scalar(estimator: CtrEstimator) -> None:
+        ids = CTR_IDS + [UNSEEN_ID]
+        known = set(estimator.observed_ads())
+        # Asking for a slot interns the ad; that must not count as
+        # evidence or move any estimate.
+        before = [estimator.quality_multiplier(ad_id) for ad_id in ids]
+        slots = np.array([estimator.slot_of(ad_id) for ad_id in ids])
+        block = estimator.quality_block(slots)
+        assert block.dtype == np.float64
+        assert block.tolist() == before
+        assert block.tolist() == [estimator.quality_multiplier(i) for i in ids]
+        assert set(estimator.observed_ads()) == known
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=ctr_ops, discount=st.sampled_from([1.0, 0.9, 0.5]))
+    def test_any_interleaving(self, ops, discount):
+        estimator = CtrEstimator(
+            prior_ctr=0.05, prior_strength=4.0, discount=discount
+        )
+        for op, ad_id, impressions, click_share in ops:
+            if op == "impression":
+                estimator.record_impression(ad_id)
+            elif op == "click":
+                estimator.record_click(ad_id)
+            elif op == "restore":
+                estimator.restore(ad_id, impressions, impressions * click_share)
+            else:
+                estimator.slot_of(ad_id)
+            self.assert_block_is_scalar(estimator)
+
+    def test_block_covers_prior_penalty_and_cap(self):
+        estimator = CtrEstimator(prior_ctr=0.05, prior_strength=4.0)
+        estimator.restore(1, 200.0, 0.0)    # ignored: sinks below 1
+        estimator.restore(2, 50.0, 50.0)    # always clicked: capped
+        slots = np.array([estimator.slot_of(i) for i in (0, 1, 2)])
+        unseen, ignored, loved = estimator.quality_block(slots).tolist()
+        assert unseen == estimator.quality_multiplier(0) == pytest.approx(1.0)
+        assert ignored < 0.1
+        assert loved == QUALITY_CAP
+
+    def test_restore_replaces_evidence_and_keeps_totals(self):
+        estimator = CtrEstimator()
+        estimator.record_impression(5)
+        estimator.record_impression(6)
+        estimator.record_click(6)
+        estimator.restore(5, 10.0, 4.0)
+        assert estimator.impressions_of(5) == 10.0
+        assert estimator.clicks_of(5) == 4.0
+        assert estimator.global_ctr() == pytest.approx(5.0 / 11.0)
+        assert estimator.observed_ads() == [5, 6]
 
 
 class TestClickSimulator:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.ads.ad import Ad
@@ -129,3 +132,98 @@ class TestProbeHelpers:
         assert accepts(0) and accepts(1) and accepts(2)
         rejects = scoring.targeting_filter(None, 20 * 3600.0)
         assert rejects(0) and not rejects(1) and not rejects(2)
+
+
+class TestBidBlockSeam:
+    """``_bid_block`` against the scalar ``bid_score``, elementwise and
+    bit for bit, on engines whose books, evidence and row space have all
+    moved: charged CTR-fed serving, a mid-run launch (row append), enough
+    retirements for a compaction (generation bump, rows reassigned) and a
+    restore across topologies."""
+
+    @staticmethod
+    def assert_block_is_scalar(engine, now: float) -> np.ndarray:
+        scoring = engine.scoring
+        cache = engine.personalizer._static_cache
+        compact = engine.personalizer._compact
+        compact.maybe_compact()
+        cache.sync(engine.budget, engine.ctr)
+        ad_ids = compact.ad_ids.tolist()
+        rows = np.flatnonzero(compact.alive)[::3]
+        # One minute into the campaign day every spender is ahead of
+        # schedule (throttled); at stream time most are behind it.
+        for timestamp in (60.0, now):
+            full = scoring._bid_block(cache, timestamp)
+            assert full.tolist() == [
+                scoring.bid_score(ad_id, timestamp) for ad_id in ad_ids
+            ]
+            block = scoring._bid_block(cache, timestamp, rows)
+            assert block.tolist() == full[rows].tolist()
+        # Not vacuous: the dynamic half (pacing · quality / cap) took
+        # rewarded and penalised values, and throttling bit at 60 s.
+        normalized = cache.bids / engine.corpus.max_bid
+        dynamic = full / normalized
+        assert (dynamic > 0.5).any() and ((dynamic > 0.0) & (dynamic < 0.5)).any()
+        assert (scoring._bid_block(cache, 60.0) / normalized < dynamic).any()
+        return dynamic
+
+    def test_after_launch_compaction_and_cross_topology_restore(
+        self, tiny_workload
+    ):
+        from repro.cluster.sharded import ShardedEngine
+        from repro.core.config import EngineConfig
+        from repro.core.recommender import ContextAwareRecommender
+        from repro.io.checkpoint import apply_engine_state
+
+        config = EngineConfig(searcher="vector", ctr_feedback=True)
+        posts = tiny_workload.posts
+        cluster = ShardedEngine(tiny_workload, 2, config=config)
+        shards = cluster._shards
+
+        def replay(backend, start, stop):
+            for post in posts[start:stop]:
+                for result in backend.post(post.author_id, post.text, post.timestamp):
+                    for delivery in result.deliveries[:2]:
+                        if delivery.slate:
+                            backend.record_click(delivery.slate[0].ad_id)
+
+        replay(cluster, 0, 25)
+        cluster.launch_campaign(
+            Ad(
+                ad_id=800_001,
+                advertiser="late",
+                text="w00010 w00011",
+                terms={"w00010": 1.0, "w00011": 0.5},
+                bid=2.0,
+                budget=0.5,
+            ),
+            posts[25].timestamp,
+        )
+        replay(cluster, 25, 40)
+        generations = [s.personalizer._compact.generation for s in shards]
+        for shard in shards:
+            # An exhausted ad keeps its (dead) row until the next compaction
+            # and must read 0 there.
+            spender = next(
+                ad_id
+                for ad_id, state in shard.budget.states().items()
+                if state.spent > 0.0 and shard.corpus.is_active(ad_id)
+            )
+            assert shard.budget.charge(spender, 1e9) is True
+            assert (self.assert_block_is_scalar(shard, posts[40].timestamp) == 0.0).any()
+        for ad_id in tiny_workload.build_corpus().active_ids()[:70]:
+            cluster.end_campaign(ad_id, posts[40].timestamp)
+        replay(cluster, 40, 55)
+        now = posts[55].timestamp
+        for shard, generation in zip(shards, generations):
+            assert shard.personalizer._compact.generation > generation
+            assert 800_001 in shard.corpus
+            self.assert_block_is_scalar(shard, now)
+
+        payload = json.loads(json.dumps(cluster.state_dict()))
+        single = ContextAwareRecommender.from_workload(tiny_workload, config).engine
+        apply_engine_state(single, payload)
+        self.assert_block_is_scalar(single, now)  # cold caches, restored books
+        for post in posts[55:70]:
+            single.post(post.author_id, post.text, post.timestamp)
+        self.assert_block_is_scalar(single, posts[70].timestamp)

@@ -189,6 +189,44 @@ class TestRebuildPolicy:
         assert bool(compact.alive.all())
 
 
+class TestSharedMirrorLifetime:
+    def test_shared_is_one_mirror_per_index(self):
+        _, index, _ = build_pair()
+        assert CompactIndex.shared(index) is CompactIndex.shared(index)
+        _, other, _ = build_pair(seed=1)
+        assert CompactIndex.shared(other) is not CompactIndex.shared(index)
+
+    def test_dropped_engines_take_their_mirrors_along(self, tiny_workload):
+        """Building and dropping engines must leave the heap flat: the
+        shared mirror (and the index it mirrors) dies with its engine."""
+        import gc
+
+        from repro.core.config import EngineConfig
+        from repro.core.recommender import ContextAwareRecommender
+
+        def build_serve_drop():
+            engine = ContextAwareRecommender.from_workload(
+                tiny_workload, EngineConfig(searcher="vector")
+            ).engine
+            for post in tiny_workload.posts[:5]:
+                engine.post(post.author_id, post.text, post.timestamp)
+
+        def census():
+            gc.collect()
+            objects = gc.get_objects()
+            mirrors = sum(isinstance(obj, CompactIndex) for obj in objects)
+            return mirrors, len(objects)
+
+        build_serve_drop()  # one-time allocations (imports, interned ids)
+        mirrors_before, objects_before = census()
+        for _ in range(3):
+            build_serve_drop()
+        mirrors_after, objects_after = census()
+        assert mirrors_after == mirrors_before
+        # One leaked mirror is hundreds of objects; allow allocator noise.
+        assert objects_after - objects_before < 50
+
+
 class TestKernels:
     def test_gather_matches_brute_dots(self):
         rng = random.Random(7)

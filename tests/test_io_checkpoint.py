@@ -123,6 +123,43 @@ class TestRoundTrip:
         )
 
 
+class TestRestoreIntoWarmEngine:
+    def test_tail_matches_a_fresh_restore_byte_for_byte(self, tiny_workload):
+        """Restoring must not depend on what the target has cached: an
+        engine that already answered queries (row caches synced, every
+        ad's budget/CTR slot interned) continues exactly like a fresh one
+        restored from the same payload."""
+        import json
+
+        from repro.io.checkpoint import apply_engine_state, engine_state_dict
+
+        config = {"searcher": "vector", "ctr_feedback": True}
+        original = fresh_engine(tiny_workload, **config)
+        run_posts(original, tiny_workload, 0, 30)
+        for result_ad in (3, 3, 7):
+            original.record_click(result_ad)
+        payload = json.loads(json.dumps(engine_state_dict(original)))
+        assert payload["budgets"] and payload["ctr"]
+
+        fresh = fresh_engine(tiny_workload, **config)
+        warm = fresh_engine(tiny_workload, **config)
+        for post in tiny_workload.posts[:10]:
+            assert warm.slate_for_message(post.author_id, post.text, post.timestamp)
+        apply_engine_state(fresh, payload)
+        apply_engine_state(warm, payload)
+
+        def tail(engine):
+            outcomes = [
+                (d.user_id, [(s.ad_id, repr(s.score)) for s in d.slate])
+                for result in run_posts(engine, tiny_workload, 30, 60)
+                for d in result.deliveries
+            ]
+            return outcomes, json.dumps(engine_state_dict(engine), sort_keys=True)
+
+        assert tail(warm) == tail(fresh)
+        assert warm.ctr.global_ctr() == fresh.ctr.global_ctr()
+
+
 class TestLaunchedAds:
     def test_mid_stream_launches_survive_restore(self, tmp_path, tiny_workload):
         from repro.ads.ad import Ad

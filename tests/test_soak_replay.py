@@ -151,7 +151,7 @@ def audit_books(engine, qos, revenue_ledger: float) -> None:
             summary["revenue_shed_upper_bound"]
         )
     assert engine.stats.revenue == pytest.approx(revenue_ledger)
-    for ad_id, state in engine.budget._states.items():
+    for ad_id, state in engine.budget.states().items():
         assert state.spent <= state.budget + 1e-9, (
             f"campaign {ad_id} overspent: {state.spent} > {state.budget}"
         )
@@ -343,7 +343,7 @@ class TestSoakAdversarial:
         # one clone actually spent.
         scenario_spend = [
             state.spent
-            for ad_id, state in engine.budget._states.items()
+            for ad_id, state in engine.budget.states().items()
             if ad_id >= 800_000
         ]
         assert scenario_spend, "no scenario clone ever entered the books"
