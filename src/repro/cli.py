@@ -365,43 +365,60 @@ def _replay_live(
     return exit_code
 
 
-def _replay_workers(
+def _cluster_backend(args: argparse.Namespace) -> tuple[str, int]:
+    """The ``build_backend`` flavour ``--workers N`` / ``--shards N``
+    pick: the router over worker processes or over in-process shards."""
+    if args.workers and args.shards:
+        raise ConfigError("--workers and --shards pick different backends — drop one")
+    if args.workers:
+        return "procpool", args.workers
+    if args.shards:
+        return "sharded", args.shards
+    return "single", 0
+
+
+def _replay_cluster(
     args: argparse.Namespace,
     workload: Workload,
     config: EngineConfig,
     request_tracer=None,
 ) -> int:
-    """The ``replay --workers N`` path: drive the multiprocess backend.
+    """The ``replay --workers N`` / ``--shards N`` path: drive the
+    cluster router.
 
-    Each shard runs as a real worker process behind the router; the
-    stream is dispatched in post batches so IPC is paid per batch, not
-    per delivery. The live/SLO/QoS dashboards ride on the single-engine
-    simulator and are not available here (yet) — combining them raises.
-    ``--trace`` *is* supported: contexts ride inside the RPC frames, the
-    router drains worker segments at the end, and a worker crash
-    auto-dumps the flight recorder before the error surfaces.
+    The two flags pick the router's transport — real worker processes or
+    in-process shards — and nothing else; the stream is dispatched in
+    post batches so IPC is paid per batch, not per delivery. The
+    live/SLO/QoS dashboards ride on the single-engine simulator and are
+    not available here (yet) — combining them raises. ``--trace`` *is*
+    supported: contexts ride inside the events, the router drains shard
+    segments at the end, and a worker crash auto-dumps the flight
+    recorder before the error surfaces.
     """
+    from contextlib import ExitStack
     from time import perf_counter
 
-    from repro.cluster.procpool import ProcessShardedEngine
+    from repro.scenarios import build_backend
 
+    backend, num_shards = _cluster_backend(args)
     if args.live or args.slo or args.qos or args.metrics_out or args.prom_out:
         raise ConfigError(
-            "--workers drives the multiprocess backend; the --live/--slo/"
-            "--qos dashboards run on the in-process engine — drop one"
+            "--workers/--shards drive the cluster router; the --live/--slo/"
+            "--qos dashboards run on the single engine — drop one"
         )
     posts = workload.posts if args.limit is None else workload.posts[: args.limit]
     if not posts:
         raise ConfigError("no posts to replay (empty workload or --limit 0)")
     batch = max(args.batch, 1)
+    router_options = {"request_tracer": request_tracer}
+    if backend == "procpool" and request_tracer is not None:
+        router_options["flight_path"] = args.flight_out
     started = perf_counter()
-    with ProcessShardedEngine(
-        workload,
-        args.workers,
-        config=config,
-        request_tracer=request_tracer,
-        flight_path=args.flight_out if request_tracer is not None else None,
-    ) as engine:
+    with ExitStack() as stack:
+        engine = build_backend(
+            workload, config, backend=backend, num_shards=num_shards,
+            stack=stack, **router_options,
+        )
         for offset in range(0, len(posts), batch):
             engine.post_batch(posts[offset : offset + batch])
         elapsed = perf_counter() - started
@@ -409,14 +426,15 @@ def _replay_workers(
         imbalance = engine.load_imbalance()
         amplification = engine.amplification()
         if request_tracer is not None:
-            engine.drain_worker_traces()  # pull segments while workers live
+            # Pull shard segments while the shards are still reachable.
+            traces = engine.request_traces()
             if args.flight_out:
                 engine.dump_flight(args.flight_out, reason="signal")
     print(ascii_table(
         ["metric", "value"],
         [
             ["mode", args.mode],
-            ["workers", args.workers],
+            ["shards", num_shards],
             ["batch size", batch],
             ["posts", stats.posts],
             ["deliveries", stats.deliveries],
@@ -427,13 +445,11 @@ def _replay_workers(
             ["amplification", round(amplification, 3)],
             ["load imbalance", round(imbalance, 3)],
         ],
-        title="Replay summary (multiprocess backend)",
+        title=f"Replay summary ({backend} backend)",
     ))
     if request_tracer is not None:
         if args.trace_out:
-            count = _write_trace_export(
-                args.trace_out, list(request_tracer.retained)
-            )
+            count = _write_trace_export(args.trace_out, traces)
             print(f"wrote {count} trace segments to {args.trace_out}")
         if args.flight_out:
             print(f"wrote flight dump to {args.flight_out}")
@@ -493,14 +509,7 @@ def _replay_scenario(
     if args.record:
         count = write_trace(args.record, stream)
         print(f"recorded {count} events to {args.record}")
-    if args.workers and args.shards:
-        raise ConfigError("--workers and --shards pick different backends — drop one")
-    backend = "single"
-    num_shards = 0
-    if args.workers:
-        backend, num_shards = "procpool", args.workers
-    elif args.shards:
-        backend, num_shards = "sharded", args.shards
+    backend, num_shards = _cluster_backend(args)
     # Click-intent resolution reads the served slates off every result.
     config = replace(config, collect_deliveries=True)
     with ExitStack() as stack:
@@ -631,8 +640,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.scenario or args.replay_trace:
         return _replay_scenario(args, workload, config)
     request_tracer = _build_request_tracer(args)
-    if args.workers:
-        return _replay_workers(args, workload, config, request_tracer)
+    if args.workers or args.shards:
+        return _replay_cluster(args, workload, config, request_tracer)
     if args.live or args.slo or args.qos or args.metrics_out or args.prom_out:
         return _replay_live(args, workload, config, request_tracer)
     result = run_perf(
@@ -908,15 +917,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="run N user shards as real worker processes behind the "
-        "router (0 = in-process single engine); incompatible with the "
+        "router (0 = in-process single engine; --shards runs the same "
+        "router over in-process shards); incompatible with the "
         "--live/--slo/--qos dashboards",
     )
     replay.add_argument(
         "--batch",
         type=int,
         default=32,
-        help="posts per dispatch batch on the --workers path (IPC is "
-        "amortised per batch)",
+        help="posts per dispatch batch on the --workers/--shards path "
+        "(IPC is amortised per batch)",
     )
     replay.add_argument(
         "--live",
@@ -1067,9 +1077,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="drive the in-process sharded router with N shards on the "
-        "scenario path (0 = single engine; --workers picks the "
-        "multiprocess pool instead)",
+        help="drive the router over N in-process shards (0 = single "
+        "engine; --workers picks worker processes instead)",
     )
     replay.set_defaults(handler=_cmd_replay)
 

@@ -1,213 +1,66 @@
-"""True multiprocess shard workers behind the sharded-router API.
+"""The multiprocess deployment: every shard host is a worker process.
 
-:class:`ShardedEngine` simulates the user-sharded deployment in one
-process — it measures load balance and fan-out amplification but can
-never show wall-clock speedup. :class:`ProcessShardedEngine` is the real
-execution backend: each shard runs as a ``multiprocessing`` worker
-process owning a full :class:`~repro.core.engine.AdEngine` replica, and
-the router talks to it over the framed-pickle RPC layer
-(:mod:`repro.cluster.rpc`).
+:class:`ProcessShardedEngine` is the same :class:`~repro.cluster.router.Router`
+as the in-process :class:`~repro.cluster.sharded.ShardedEngine`, over a
+:class:`ProcessTransport`: each shard's
+:class:`~repro.cluster.host.ShardHost` runs in a ``multiprocessing``
+worker and is reached over the framed-pickle RPC layer
+(:mod:`repro.cluster.rpc`). This is the backend that can show wall-clock
+speedup: the router's fan-out puts every touched worker to work before
+the first reply is read, and ``post_batch`` ships each worker its whole
+slice in one frame, amortising IPC per batch rather than per delivery.
 
 The contract is *equivalence*: for identical seeds and config the
 process backend produces byte-identical slates, revenue and reconciled
 counters to the in-process router (and hence to a single engine), which
-the differential suite asserts. The pieces that make that hold:
+the differential suite asserts. Routing, ordering and vectorization are
+the router's and therefore shared; what this module adds is that
+workers bootstrap through the very ``ShardHost`` constructor the
+in-process transport calls, from a pickled
+:class:`~repro.cluster.host.WorkerBootstrap`.
 
-* **shared construction** — workers bootstrap through the same
-  ``build_shard_graph``/``build_shard_engine`` helpers the in-process
-  router uses, from a serialized :class:`~repro.core.config.EngineConfig`
-  plus a stream-stripped workload slice;
-* **router-side vectorization** — one vectorize per post at the router
-  (the workers share the workload's fitted vectorizer, so the router
-  vector is exactly what each shard would compute), shipped inside the
-  shard-portable :class:`~repro.core.pipeline.PostEvent`;
-* **batched dispatch** — ``post_batch`` sends each touched worker its
-  whole ``(position, event)`` slice in one frame, amortising IPC per
-  batch rather than per delivery;
-* **ordered merging** — requests fan out to all touched workers first
-  (that is the parallelism), then replies are collected in sorted shard
-  order and stitched back by position, reproducing the in-process
-  router's deterministic output order;
-* **mergeable telemetry** — workers return their
-  :class:`~repro.obs.tracer.RecordingTracer` /
-  :class:`~repro.obs.registry.MetricsRegistry` children over RPC and the
-  router merges them into the same cluster views ``ShardedEngine``
-  exposes.
-
-Failure semantics differ deliberately from the in-process router: there
-is no :class:`~repro.qos.faults.FaultInjector` here (passing one raises
-— this backend crashes for real). A worker that dies mid-dispatch
-surfaces as :class:`~repro.errors.WorkerCrashError` — a
+Failure is real here: a worker that dies mid-dispatch surfaces as
+:class:`~repro.errors.WorkerCrashError` — a
 :class:`~repro.errors.StreamError` subclass, so callers written against
 the router's failover contract see the same exception family instead of
-a hang — and :meth:`ProcessShardedEngine.close` always reaps children.
+a hang — and :meth:`ProcessTransport.close` always reaps children.
 
-QoS is the one semantic caveat: the in-process router shares a single
+QoS is the one semantic caveat: the in-process transport shares a single
 controller across shards (cluster-wide admission), while each worker
 process gets its own pickled copy of the prototype (per-shard
 admission). The parity suite therefore runs with ``qos=None``; QoS runs
-compare ledgers through :meth:`qos_summary`, not byte-for-byte.
+compare ledgers through :meth:`Router.qos_summary`, not byte-for-byte.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
+from repro.cluster.host import ShardHost, WorkerBootstrap
+from repro.cluster.router import Router
 from repro.cluster.rpc import Channel, ChannelClosed, channel_pair
-from repro.cluster.sharded import (
-    ShardStats,
-    build_shard_engine,
-    build_shard_graph,
-    build_shard_map,
-    hash_shard,
-    merge_cluster_stats,
-)
 from repro.core.config import EngineConfig
-from repro.core.engine import AdEngine, PostResult
-from repro.core.pipeline import PostEvent, TextVectorizeStage
-from repro.core.services import EngineStats
 from repro.datagen.workload import Workload
-from repro.errors import ConfigError, StreamError, WorkerCrashError
-from repro.geo.point import GeoPoint
-from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
-from repro.obs.trace import (
-    NOOP_REQUEST_TRACER,
-    NoopRequestTracer,
-    RequestTracer,
-    Span,
-    TraceContext,
-    TraceSegment,
-)
-from repro.obs.tracer import NoopTracer, StageStats, StageTracer
-from repro.stream.clock import SimClock
+from repro.errors import StreamError, WorkerCrashError
+from repro.obs.trace import NOOP_REQUEST_TRACER, Span, TraceContext
+from repro.obs.tracer import StageTracer
 
 if TYPE_CHECKING:
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.trace import NoopRequestTracer, RequestTracer
     from repro.qos.controller import QosController
+    from repro.qos.faults import FaultInjector
 
-__all__ = ["ProcessShardedEngine", "ShardHost", "WorkerBootstrap"]
-
-
-@dataclass
-class WorkerBootstrap:
-    """Everything one worker needs to build its shard engine.
-
-    ``workload`` is the stream-stripped slice (catalog, users, graph,
-    fitted vectorizer — no posts); the stream arrives over RPC. The
-    tracer/metrics children are spawned router-side so geometry checks
-    (relative error, window shape) happen before any process forks.
-    """
-
-    shard: int
-    num_shards: int
-    config: EngineConfig
-    workload: Workload
-    tracer: StageTracer | None = None
-    metrics: "MetricsRegistry | None" = None
-    qos: "QosController | None" = None
-    request_tracer: "RequestTracer | None" = None
-
-
-class ShardHost:
-    """The worker-side request handler: one engine, one op dispatch table.
-
-    Kept separate from the process loop so the protocol can be unit
-    tested in-process (and counted by coverage) without forking.
-    """
-
-    def __init__(self, bootstrap: WorkerBootstrap) -> None:
-        shard_map = build_shard_map(bootstrap.workload, bootstrap.num_shards)
-        self.shard = bootstrap.shard
-        if bootstrap.request_tracer is not None:
-            # The tracer crossed a process boundary: re-anchor its wall
-            # clock and span-id salt to *this* process before any segment
-            # is recorded (perf_counter origins and pids are per-process).
-            bootstrap.request_tracer.rebind(
-                process=f"worker{bootstrap.shard}"
-            )
-        self.engine: AdEngine = build_shard_engine(
-            bootstrap.workload,
-            build_shard_graph(bootstrap.workload, bootstrap.shard, shard_map),
-            config=bootstrap.config,
-            tracer=bootstrap.tracer,
-            metrics=bootstrap.metrics,
-            qos=bootstrap.qos,
-            request_tracer=bootstrap.request_tracer,
-        )
-
-    def handle(self, op: str, payload: Any) -> Any:
-        """Execute one request; the return value is the RPC reply."""
-        engine = self.engine
-        if op == "post_batch":
-            return [
-                (position, engine.post_event(event))
-                for position, event in payload
-            ]
-        if op == "checkin":
-            user_id, point, timestamp = payload
-            engine.checkin(user_id, point, timestamp)
-            return None
-        if op == "launch_campaign":
-            ad, timestamp = payload
-            engine.launch_campaign(ad, timestamp)
-            return None
-        if op == "end_campaign":
-            ad_id, timestamp = payload
-            engine.end_campaign(ad_id, timestamp)
-            return None
-        if op == "record_click":
-            if isinstance(payload, tuple):
-                ad_id, user_id, slot_index = payload
-                engine.record_click(
-                    ad_id, user_id=user_id, slot_index=slot_index
-                )
-            else:  # bare ad-id frames from older routers
-                engine.record_click(payload)
-            return None
-        if op == "learn_drain":
-            learner = engine.services.learner
-            return learner.drain_pending() if learner is not None else []
-        if op == "learn_sync":
-            learner = engine.services.learner
-            if learner is not None:
-                epoch, records = payload
-                learner.apply_sync(epoch, records)
-            return None
-        if op == "report":
-            tracer = engine.tracer
-            metrics = engine.metrics
-            qos = engine.qos
-            return {
-                "stats": engine.stats,
-                "probes": engine.candidate_gen.probes,
-                "searcher": engine.candidate_gen.kind,
-                "probe_depth_total": engine.candidate_gen.probe_depth_total,
-                "tracer": tracer if tracer.enabled else None,
-                "metrics": metrics if metrics.enabled else None,
-                "qos": qos.summary() if qos is not None else None,
-            }
-        if op == "trace_drain":
-            # Checkpoint-style trace merge: ship everything recorded since
-            # the last drain and reset, so each drain is an increment.
-            return engine.services.request_tracer.drain()
-        if op == "state":
-            from repro.io.checkpoint import engine_state_dict
-
-            return engine_state_dict(engine)
-        if op == "qos_state":
-            qos = engine.qos
-            return qos.state_dict() if qos is not None else None
-        if op == "restore":
-            from repro.io.checkpoint import apply_engine_state
-
-            apply_engine_state(engine, payload, include_stats=False)
-            return None
-        if op == "ping":
-            return "pong"
-        raise StreamError(f"unknown worker op: {op!r}")
+__all__ = [
+    "ProcessShardedEngine",
+    "ProcessTransport",
+    "ShardHost",
+    "WorkerBootstrap",
+    "serve",
+]
 
 
 def serve(channel: Channel) -> None:
@@ -282,147 +135,114 @@ class _Worker:
     inflight: "list[tuple[TraceContext, int]]" = field(default_factory=list)
 
 
-class ProcessShardedEngine:
-    """A router over ``num_shards`` worker *processes* — the same API as
-    :class:`~repro.cluster.sharded.ShardedEngine`, executed in parallel."""
+class ProcessTransport:
+    """One worker process per shard, one :class:`Channel` to each.
+
+    Owns the processes' whole life: spawn and bootstrap (concurrently —
+    engine construction is the expensive part), strict request/response
+    framing, marking a worker dead at the first read or write that
+    notices, and reaping on :meth:`close`. Every worker holds its own
+    pickled copy of the QoS prototype (per-shard admission).
+    """
 
     def __init__(
         self,
-        workload: Workload,
-        num_shards: int,
+        bootstraps: list[WorkerBootstrap],
         *,
-        config: EngineConfig | None = None,
-        tracer: StageTracer | None = None,
-        metrics: "MetricsRegistry | None" = None,
-        qos: "QosController | None" = None,
-        request_tracer: "RequestTracer | None" = None,
+        request_tracer: "RequestTracer | NoopRequestTracer" = NOOP_REQUEST_TRACER,
         flight_path=None,
-        faults=None,
         start_method: str | None = None,
         rpc_timeout_s: float | None = None,
     ) -> None:
-        """``qos`` is a *prototype*: each worker gets its own pickled copy
-        (per-shard admission — see the module docstring). ``faults`` is
-        rejected: fault injection is the in-process simulation's tool;
-        this backend crashes for real. ``rpc_timeout_s`` bounds every
-        blocking RPC read/write (a breach surfaces as
-        :class:`WorkerCrashError`); ``None`` trusts the workers.
-        ``request_tracer`` attaches distributed request tracing: contexts
-        mint at the router, ride the RPC frames into the workers, and
-        worker segments merge back via the ``trace_drain`` op.
-        ``flight_path`` arms the flight recorder: a worker crash
-        auto-dumps the router-side black box (including the in-flight
-        traced requests) there.
-        """
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
-        if faults is not None:
-            raise ConfigError(
-                "ProcessShardedEngine does not take a FaultInjector: "
-                "fault injection is router-side simulation; kill a worker "
-                "process to rehearse real failures"
-            )
-        self.num_shards = num_shards
-        self._workload = workload
-        self._config = config or EngineConfig()
-        self._shard_of = build_shard_map(workload, num_shards)
-        self._tracer = tracer or NoopTracer()
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        # Router-local telemetry children: vectorization happens here, so
-        # its spans live on the router and are merged into shard 0's view
-        # (where the in-process router books them) for report parity.
-        self._router_tracer = self._tracer.spawn()
-        self._router_metrics = self._metrics.spawn()
-        # The router's request tracer: route/crash segments live here, and
-        # worker drains are absorbed into it (checkpoint-style merge).
-        self._request_tracer = (
-            request_tracer if request_tracer is not None
-            else NOOP_REQUEST_TRACER
-        )
-        if self._request_tracer.enabled:
-            self._request_tracer.rebind(process="router")
+        """``request_tracer`` is the router's: a crash files error
+        segments for the dead worker's in-flight requests there, and
+        with ``flight_path`` set auto-dumps the black box.
+        ``rpc_timeout_s`` bounds every blocking RPC read/write (a breach
+        surfaces as :class:`WorkerCrashError`); ``None`` trusts the
+        workers."""
+        self._request_tracer = request_tracer
         self._flight_path = flight_path
-        self._flight_dumped: set[str] = set()
-        # Cumulative router-side wait for each worker's replies — the
-        # process-backend analog of the in-process router's per-shard
-        # dispatch busy time, and the skew gauge's input.
-        self._dispatch_seconds = [0.0] * num_shards
-        self._vectorize_stage = TextVectorizeStage(
-            workload.vectorizer, workload.tokenizer
-        )
-        self._clock = SimClock()
-        self._qos = qos
-        self._posts_routed = 0
-        self._shard_touches = 0
-        self._next_msg_id = 0
-        # Online-learning sync coordination (inert unless linucb is on).
-        # The router holds no learner of its own: epochs are computed from
-        # the config interval, folds happen worker-side via learn_* ops.
-        self._learn = self._config.personalize == "linucb"
-        self._learn_interval = self._config.linucb_sync_interval_s
-        self._learn_epoch = 0
-        self._baseline_stats: dict = {}
+        self._flight_dumped = False
+        self._has_qos = bootstraps[0].qos is not None
         self._closed = False
         self._workers: list[_Worker] = []
-
         method = start_method or (
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         ctx = multiprocessing.get_context(method)
-        # The stream never crosses the bootstrap: workers get the catalog
-        # slice only, posts arrive as PostEvents over RPC.
-        workload_slice = replace(
-            workload, posts=[], post_topics={}, checkins=[]
-        )
         try:
-            for shard in range(num_shards):
+            for bootstrap in bootstraps:
                 router_end, worker_end = channel_pair()
                 process = ctx.Process(
                     target=_worker_main,
                     args=(worker_end, router_end),
-                    name=f"repro-shard-{shard}",
+                    name=f"repro-shard-{bootstrap.shard}",
                     daemon=True,
                 )
                 process.start()
                 worker_end.close()  # the child owns its copy now
                 if rpc_timeout_s is not None:
                     router_end.settimeout(rpc_timeout_s)
-                self._workers.append(_Worker(shard, process, router_end))
-            # Send every bootstrap before collecting any ack: the workers
-            # build their engines (the expensive part) concurrently.
-            for worker in self._workers:
-                worker.channel.send(
-                    WorkerBootstrap(
-                        shard=worker.shard,
-                        num_shards=num_shards,
-                        config=self._config,
-                        workload=workload_slice,
-                        tracer=(
-                            self._tracer.spawn()
-                            if self._tracer.enabled
-                            else None
-                        ),
-                        metrics=(
-                            self._metrics.spawn()
-                            if self._metrics.enabled
-                            else None
-                        ),
-                        qos=qos,
-                        request_tracer=(
-                            self._request_tracer.spawn()
-                            if self._request_tracer.enabled
-                            else None
-                        ),
-                    )
+                self._workers.append(
+                    _Worker(bootstrap.shard, process, router_end)
                 )
+            # Send every bootstrap before collecting any ack: the workers
+            # build their engines concurrently.
+            for worker, bootstrap in zip(self._workers, bootstraps):
+                if bootstrap.request_tracer is not None:
+                    bootstrap.request_tracer.process = f"worker{worker.shard}"
+                worker.channel.send(bootstrap)
                 worker.pending += 1
             for worker in self._workers:
-                self._collect(worker)
+                self.collect(worker.shard)
         except BaseException:
             self.close()
             raise
 
-    # -- RPC plumbing ------------------------------------------------------
+    # -- the transport protocol ----------------------------------------------
+
+    def submit(self, shard: int, op: str, payload: Any = None) -> int:
+        worker = self._workers[shard]
+        self._require_alive(worker)
+        if op == "post_batch" and self._request_tracer.enabled:
+            worker.inflight = [
+                (event.trace, event.msg_id)
+                for _position, event in payload
+                if event.trace is not None
+            ]
+        try:
+            worker.channel.send((op, payload))
+        except ChannelClosed as exc:
+            raise self._crash(worker, exc) from exc
+        worker.pending += 1
+        return worker.channel.last_frame_bytes
+
+    def collect(self, shard: int) -> Any:
+        worker = self._workers[shard]
+        self._require_alive(worker)
+        try:
+            status, value = worker.channel.recv()
+        except ChannelClosed as exc:
+            raise self._crash(worker, exc) from exc
+        worker.pending -= 1
+        worker.inflight = []
+        if status == "err":
+            raise value
+        return value
+
+    def _call(self, shard: int, op: str) -> Any:
+        self.submit(shard, op)
+        return self.collect(shard)
+
+    def qos_summaries(self) -> list[dict | None]:
+        return [
+            self._call(worker.shard, "qos_summary") for worker in self._workers
+        ]
+
+    def qos_state(self) -> dict | None:
+        return self._call(0, "qos_state") if self._has_qos else None
+
+    # -- crash marking -------------------------------------------------------
 
     def _require_alive(self, worker: _Worker) -> None:
         if self._closed:
@@ -449,526 +269,47 @@ class ProcessShardedEngine:
         )
         worker.channel.close()
         request_tracer = self._request_tracer
-        if request_tracer.enabled and worker.inflight:
-            for context, msg_id in worker.inflight:
-                request_tracer.record_segment(
-                    context,
-                    "worker_crash",
-                    spans=[
-                        Span(
-                            0,
-                            "worker_crash",
-                            "error",
-                            attrs={
-                                "shard": worker.shard,
-                                "detail": worker.crash_detail,
-                            },
-                        )
-                    ],
-                    status="error",
-                    force_reason="crash",
-                    attrs={"msg_id": msg_id, "shard": worker.shard},
-                )
-            worker.inflight = []
-        if self._flight_path is not None and request_tracer.enabled:
-            self._auto_dump("worker_crash")
-        return WorkerCrashError(worker.shard, worker.crash_detail)
-
-    def _auto_dump(self, reason: str) -> None:
-        """One rate-limited flight dump per distinct reason, built from
-        router-side state only (safe to call mid-crash)."""
-        if reason in self._flight_dumped:
-            return
-        self._flight_dumped.add(reason)
-        from repro.obs.recorder import write_flight_dump
-
-        write_flight_dump(
-            self._flight_path,
-            self._request_tracer.flight_traces(),
-            reason=reason,
-            extra={"tracer": self._request_tracer.summary()},
-        )
-
-    def _dispatch(self, worker: _Worker, op: str, payload: Any) -> None:
-        """Send one request without waiting for its reply (the fan-out
-        half of every routed operation)."""
-        self._require_alive(worker)
-        if op == "post_batch" and self._request_tracer.enabled:
-            worker.inflight = [
-                (event.trace, event.msg_id)
-                for _position, event in payload
-                if event.trace is not None
-            ]
-        try:
-            worker.channel.send((op, payload))
-        except ChannelClosed as exc:
-            raise self._crash(worker, exc) from exc
-        worker.pending += 1
-
-    def _collect(self, worker: _Worker) -> Any:
-        """Receive one reply envelope (the ordered-merge half)."""
-        self._require_alive(worker)
-        started = perf_counter()
-        try:
-            envelope = worker.channel.recv()
-        except ChannelClosed as exc:
-            raise self._crash(worker, exc) from exc
-        self._dispatch_seconds[worker.shard] += perf_counter() - started
-        worker.pending -= 1
-        worker.inflight = []
-        status, value = envelope
-        if status == "err":
-            raise value
-        return value
-
-    def _call(self, worker: _Worker, op: str, payload: Any = None) -> Any:
-        self._dispatch(worker, op, payload)
-        return self._collect(worker)
-
-    def _broadcast(self, op: str, payload: Any = None) -> list:
-        """Fan a request to every live worker, collect in shard order."""
-        for worker in self._workers:
-            self._dispatch(worker, op, payload)
-        return [self._collect(worker) for worker in self._workers]
-
-    # -- routing (mirrors ShardedEngine exactly) ---------------------------
-
-    def shard_of(self, user_id: int) -> int:
-        shard = self._shard_of.get(user_id)
-        if shard is None:
-            shard = hash_shard(user_id, self.num_shards)
-            self._shard_of[user_id] = shard
-        return shard
-
-    def _route(self, author_id: int) -> list[int]:
-        followers = self._workload.graph.followers(author_id)
-        touched: set[int] = {self.shard_of(author_id)}
-        touched.update(self.shard_of(follower) for follower in followers)
-        return sorted(touched)
-
-    def _vectorize(self, text: str):
-        """Router-side vectorize with the same span bookkeeping the
-        pipeline's traced path emits (bucketed by the router watermark)."""
-        tracer = self._router_tracer
-        metrics = self._router_metrics
-        if not (tracer.enabled or metrics.enabled):
-            return self._vectorize_stage.vectorize(text)
-        started = perf_counter()
-        vec = self._vectorize_stage.vectorize(text)
-        elapsed = perf_counter() - started
-        if tracer.enabled:
-            tracer.record("vectorize", elapsed)
-        if metrics.enabled:
-            metrics.observe_stage("vectorize", elapsed, self._clock.now)
-        return vec
-
-    def _event_for(
-        self, author_id: int, text: str, timestamp: float
-    ) -> PostEvent:
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        event = PostEvent(
-            msg_id=msg_id,
-            author_id=author_id,
-            timestamp=timestamp,
-            message_vec=self._vectorize(text),
-            text=text,
-            # The router is the edge: contexts are minted here and ride
-            # inside the RPC frame into every worker the fan-out touches.
-            trace=(
-                self._request_tracer.mint(msg_id)
-                if self._request_tracer.enabled
-                else None
-            ),
-        )
-        self._clock.advance_to_at_least(timestamp)
-        return event
-
-    def _record_routes(
-        self,
-        routed: "list[tuple[PostEvent, list[int]]]",
-        frame_bytes: dict[int, int],
-        batch_sizes: dict[int, int],
-        started_perf: float,
-    ) -> None:
-        """One router ``route`` segment per *sampled* traced event: which
-        shards the fan-out touched, with one ``rpc`` span per hop carrying
-        the frame size and batch amortisation. Recorded after the collect
-        barrier, so the duration covers dispatch + worker service + merge.
-        """
-        request_tracer = self._request_tracer
-        duration = perf_counter() - started_perf
-        start_wall = started_perf + request_tracer.wall_anchor
-        for event, touched in routed:
-            context = event.trace
-            if context is None or not context.sampled:
-                continue
-            spans = [
-                Span(
-                    0,
-                    f"rpc_shard{shard}",
-                    "rpc",
-                    attrs={
-                        "shard": shard,
-                        "frame_bytes": frame_bytes.get(shard, 0),
-                        "batched": batch_sizes.get(shard, 1),
-                    },
-                )
-                for shard in touched
-            ]
+        for context, msg_id in worker.inflight:
             request_tracer.record_segment(
                 context,
-                "route",
-                spans=spans,
-                start=start_wall,
-                duration_s=duration,
-                attrs={"msg_id": event.msg_id, "shards": len(touched)},
+                "worker_crash",
+                spans=[
+                    Span(
+                        0,
+                        "worker_crash",
+                        "error",
+                        attrs={
+                            "shard": worker.shard,
+                            "detail": worker.crash_detail,
+                        },
+                    )
+                ],
+                status="error",
+                force_reason="crash",
+                attrs={"msg_id": msg_id, "shard": worker.shard},
             )
+        worker.inflight = []
+        if (
+            self._flight_path is not None
+            and request_tracer.enabled
+            and not self._flight_dumped
+        ):
+            # One dump per pool, built from router-side state only (safe
+            # to write mid-crash).
+            self._flight_dumped = True
+            from repro.obs.recorder import write_flight_dump
 
-    # -- the routed operations ---------------------------------------------
-
-    def _sync_learners(self, timestamp: float) -> None:
-        """One cluster-wide bandit fold at each epoch boundary.
-
-        Mirrors :meth:`ShardedEngine._sync_learners`: the router drains
-        every worker's pending update records, sorts the union canonically
-        and broadcasts the identical list back, so worker snapshots stay
-        bit-identical across shards and match the single-engine reference.
-        """
-        if not self._learn:
-            return
-        from repro.learn.linucb import sort_records
-
-        epoch = int(float(timestamp) // self._learn_interval)
-        if epoch <= self._learn_epoch:
-            return
-        pending: list = []
-        for batch in self._broadcast("learn_drain"):
-            pending.extend(batch)
-        records = sort_records(pending)
-        self._broadcast("learn_sync", (epoch, records))
-        self._learn_epoch = epoch
-
-    def _epoch_runs(self, posts: list) -> list[list]:
-        """Consecutive sub-batches with one sync epoch each."""
-        runs: list[list] = []
-        for post in posts:
-            epoch = int(float(post.timestamp) // self._learn_interval)
-            if runs and runs[-1][0] == epoch:
-                runs[-1][1].append(post)
-            else:
-                runs.append([epoch, [post]])
-        return [run for _epoch, run in runs]
-
-    def post(
-        self, author_id: int, text: str, timestamp: float
-    ) -> list[PostResult]:
-        """Route one post to every shard owning a follower; replies are
-        merged in sorted shard order — the in-process router's order."""
-        self._sync_learners(timestamp)
-        event = self._event_for(author_id, text, timestamp)
-        touched = self._route(author_id)
-        self._posts_routed += 1
-        self._shard_touches += len(touched)
-        tracing = self._request_tracer.enabled and event.trace is not None
-        if tracing:
-            route_started = perf_counter()
-        frame_bytes: dict[int, int] = {}
-        for shard in touched:
-            self._dispatch(self._workers[shard], "post_batch", [(0, event)])
-            if tracing:
-                frame_bytes[shard] = (
-                    self._workers[shard].channel.last_frame_bytes
-                )
-        results: list[PostResult] = []
-        for shard in touched:
-            replies = self._collect(self._workers[shard])
-            results.extend(result for _, result in replies)
-        if tracing:
-            self._record_routes(
-                [(event, touched)], frame_bytes, {}, route_started
+            write_flight_dump(
+                self._flight_path,
+                request_tracer.flight_traces(),
+                reason="worker_crash",
+                extra={"tracer": request_tracer.summary()},
             )
-        return results
+        return WorkerCrashError(worker.shard, worker.crash_detail)
 
-    def post_batch(self, posts: Iterable) -> list[list[PostResult]]:
-        """Route a timestamp-ordered batch: one frame per touched worker
-        carrying its whole ``(position, event)`` slice, workers run their
-        slices concurrently, replies merge by position in shard order.
-        With the bandit on, the batch is split at sync epoch boundaries so
-        a mid-batch fold happens at the same stream point as the single
-        engine's (which processes posts one by one)."""
-        if self._learn:
-            posts = list(posts)
-            results: list[list[PostResult]] = []
-            for run in self._epoch_runs(posts):
-                self._sync_learners(run[0].timestamp)
-                results.extend(self._post_batch_run(run))
-            return results
-        return self._post_batch_run(posts)
-
-    def _post_batch_run(self, posts: Iterable) -> list[list[PostResult]]:
-        routed: list[tuple[PostEvent, list[int]]] = []
-        by_shard: dict[int, list[tuple[int, PostEvent]]] = {}
-        for position, post in enumerate(posts):
-            event = self._event_for(post.author_id, post.text, post.timestamp)
-            touched = self._route(post.author_id)
-            self._posts_routed += 1
-            self._shard_touches += len(touched)
-            routed.append((event, touched))
-            for shard in touched:
-                by_shard.setdefault(shard, []).append((position, event))
-
-        results: list[list[PostResult]] = [[] for _ in routed]
-        tracing = self._request_tracer.enabled
-        if tracing:
-            route_started = perf_counter()
-        frame_bytes: dict[int, int] = {}
-        batch_sizes: dict[int, int] = {}
-        for shard, slice_ in sorted(by_shard.items()):
-            self._dispatch(self._workers[shard], "post_batch", slice_)
-            if tracing:
-                frame_bytes[shard] = (
-                    self._workers[shard].channel.last_frame_bytes
-                )
-                batch_sizes[shard] = len(slice_)
-        for shard, _ in sorted(by_shard.items()):
-            for position, result in self._collect(self._workers[shard]):
-                results[position].append(result)
-        if tracing:
-            self._record_routes(
-                routed, frame_bytes, batch_sizes, route_started
-            )
-        return results
-
-    def checkin(self, user_id: int, point: GeoPoint, timestamp: float) -> None:
-        self._clock.advance_to_at_least(timestamp)
-        self._broadcast("checkin", (user_id, point, timestamp))
-
-    def launch_campaign(self, ad, timestamp: float) -> None:
-        self._clock.advance_to_at_least(timestamp)
-        self._broadcast("launch_campaign", (ad, timestamp))
-
-    def end_campaign(self, ad_id: int, timestamp: float) -> None:
-        self._clock.advance_to_at_least(timestamp)
-        self._broadcast("end_campaign", (ad_id, timestamp))
-
-    def record_click(
-        self, ad_id: int, *, user_id: int | None = None,
-        slot_index: int | None = None,
-    ) -> None:
-        """Broadcast a click cluster-wide; only the clicking user's home
-        shard holds the serving context, so the bandit reward is recorded
-        exactly once no matter how many workers see the frame."""
-        self._broadcast("record_click", (ad_id, user_id, slot_index))
-
-    # -- reporting ---------------------------------------------------------
-
-    def _reports(self) -> list[dict]:
-        return self._broadcast("report")
-
-    def _shard_tracers(self) -> list[StageTracer]:
-        """Worker tracers with the router's vectorize spans merged into
-        shard 0's — matching where the in-process router books them."""
-        reports = self._reports()
-        tracers: list[StageTracer] = []
-        for worker, report in zip(self._workers, reports):
-            tracer = report["tracer"]
-            if tracer is None:
-                tracer = self._tracer.spawn()
-            if worker.shard == 0 and self._router_tracer.enabled:
-                tracer.merge(self._router_tracer)
-            tracers.append(tracer)
-        return tracers
-
-    @property
-    def tracer(self) -> StageTracer:
-        """Cluster-wide tracer view: caller's tracer + router vectorize
-        spans + every worker's spans, merged."""
-        merged = self._tracer.spawn()
-        if merged.enabled:
-            merged.merge(self._router_tracer)
-            for report in self._reports():
-                if report["tracer"] is not None:
-                    merged.merge(report["tracer"])
-        return merged
-
-    @property
-    def metrics(self) -> "MetricsRegistry | NullMetrics":
-        merged = self._metrics.spawn()
-        if merged.enabled:
-            merged.merge(self._router_metrics)
-            for report in self._reports():
-                if report["metrics"] is not None:
-                    merged.merge(report["metrics"])
-            from repro.obs.prometheus import export_cluster_gauges
-
-            # Router-side skew signals stamped post-merge (gauges add on
-            # merge, so only the ephemeral merged view carries them).
-            export_cluster_gauges(
-                merged,
-                dispatch_seconds=self.dispatch_seconds_by_shard(),
-                imbalance=self.load_imbalance(),
-            )
-        return merged
-
-    # -- distributed tracing -----------------------------------------------
-
-    def drain_worker_traces(self) -> int:
-        """Pull every live worker's recorded trace segments into the
-        router's tracer (checkpoint-style incremental merge); returns how
-        many segments arrived."""
-        request_tracer = self._request_tracer
-        if not request_tracer.enabled or self._closed:
-            return 0
-        drained = 0
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            payload = self._call(worker, "trace_drain")
-            drained += len(payload["retained"]) + len(payload["ring"])
-            request_tracer.absorb(payload)
-        return drained
-
-    @property
-    def request_tracer(self) -> "RequestTracer | NoopRequestTracer":
-        """The cluster-wide request-trace view: router route/crash
-        segments plus everything drained from the workers."""
-        if self._request_tracer.enabled:
-            try:
-                self.drain_worker_traces()
-            except StreamError:
-                # A dead worker must not make the surviving telemetry
-                # unreadable — the crash already recorded its segments.
-                pass
-        return self._request_tracer
-
-    def request_traces(self) -> "list[TraceSegment]":
-        """Every retained trace segment, cluster-wide."""
-        return list(self.request_tracer.retained)
-
-    def flight_traces(self) -> "list[TraceSegment]":
-        """The black-box view: retained plus last-N ring, cluster-wide."""
-        return self.request_tracer.flight_traces()
-
-    def dump_flight(self, path, *, reason: str = "signal"):
-        """Write the flight-recorder snapshot to ``path``. Unlike the
-        crash auto-dump this drains live workers first, so it is the
-        end-of-run / operator-signal entry point."""
-        from repro.obs.recorder import write_flight_dump
-
-        try:
-            qos = self.qos_summary()
-        except StreamError:
-            qos = None  # a dead worker must not block the dump
-        return write_flight_dump(
-            path,
-            self.flight_traces(),
-            reason=reason,
-            qos=qos,
-            extra={"tracer": self._request_tracer.summary()},
-        )
-
-    def dispatch_seconds_by_shard(self) -> list[float]:
-        """Cumulative router wait for each worker's replies — the process
-        backend's per-shard busy-time proxy (fan-out-then-collect means
-        shard 0's wait approximates its service time; later shards absorb
-        only their excess over the slowest earlier one)."""
-        return list(self._dispatch_seconds)
-
-    def metrics_by_shard(self) -> "list[MetricsRegistry | NullMetrics]":
-        registries: "list[MetricsRegistry | NullMetrics]" = []
-        for worker, report in zip(self._workers, self._reports()):
-            registry = report["metrics"]
-            if registry is None:
-                registry = self._metrics.spawn()
-            if worker.shard == 0 and self._router_metrics.enabled:
-                registry.merge(self._router_metrics)
-            registries.append(registry)
-        return registries
-
-    def stage_report(self) -> dict[str, StageStats]:
-        return self.tracer.snapshot()
-
-    def stage_report_by_shard(self) -> list[dict[str, StageStats]]:
-        return [tracer.snapshot() for tracer in self._shard_tracers()]
-
-    @property
-    def qos(self) -> "QosController | None":
-        """The QoS *prototype* the workers were cloned from (their live
-        per-shard state is reachable through :meth:`qos_summaries`)."""
-        return self._qos
-
-    def qos_summaries(self) -> list[dict | None]:
-        """Each worker's live controller summary (None when unattached)."""
-        return [report["qos"] for report in self._reports()]
-
-    def qos_summary(self) -> dict | None:
-        """Cluster ledger roll-up: counters summed across workers, the
-        rung reported at its worst (max index) — the shape the in-process
-        router's single shared controller produces for one cluster."""
-        summaries = [s for s in self.qos_summaries() if s is not None]
-        if not summaries:
-            return None
-        merged = dict(summaries[0])
-        for summary in summaries[1:]:
-            for key in ("intervals", "degrade_steps", "recover_steps",
-                        "attempted", "admitted", "shed",
-                        "revenue_shed_upper_bound"):
-                merged[key] += summary[key]
-            if summary["rung"] > merged["rung"]:
-                merged["rung"] = summary["rung"]
-                merged["rung_name"] = summary["rung_name"]
-        return merged
-
-    def amplification(self) -> float:
-        if self._posts_routed == 0:
-            return 0.0
-        return self._shard_touches / self._posts_routed
-
-    def stats_by_shard(self) -> list[ShardStats]:
-        owners: dict[int, int] = {}
-        for user_id, shard in self._shard_of.items():
-            owners[shard] = owners.get(shard, 0) + 1
-        tracers = self._shard_tracers()
-        reports = self._reports()
-        return [
-            ShardStats(
-                shard=worker.shard,
-                users=owners.get(worker.shard, 0),
-                deliveries=report["stats"].deliveries,
-                probes=report["probes"],
-                stages=tuple(tracers[worker.shard].snapshot().values()),
-                searcher=report.get("searcher", "ta"),
-                probe_depth_total=report.get("probe_depth_total", 0),
-            )
-            for worker, report in zip(self._workers, reports)
-        ]
-
-    def load_imbalance(self, *, stage: str | None = None) -> float:
-        if stage is None:
-            loads = [
-                float(report["stats"].deliveries) for report in self._reports()
-            ]
-        else:
-            loads = [
-                report[stage].total_seconds if stage in report else 0.0
-                for report in self.stage_report_by_shard()
-            ]
-        total = sum(loads)
-        if total == 0:
-            return 1.0
-        mean = total / len(loads)
-        return max(loads) / mean
-
-    def cluster_stats(self) -> EngineStats:
-        return merge_cluster_stats(
-            (report["stats"] for report in self._reports()),
-            posts_routed=self._posts_routed,
-            baseline=self._baseline_stats,
-        )
+    # -- process lifecycle ---------------------------------------------------
 
     def workers_alive(self) -> list[bool]:
-        """Liveness per shard (the crash test's probe)."""
         return [
             worker.alive and worker.process.is_alive()
             for worker in self._workers
@@ -976,63 +317,6 @@ class ProcessShardedEngine:
 
     def worker_pid(self, shard: int) -> int | None:
         return self._workers[shard].process.pid
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The cluster folded into one logical single-engine payload —
-        restorable into *any* backend at *any* shard count."""
-        from repro.io.checkpoint import merge_shard_states
-
-        states = self._broadcast("state")
-        qos_state = None
-        if self._qos is not None:
-            qos_state = self._call(self._workers[0], "qos_state")
-        return merge_shard_states(
-            states,
-            self.shard_of,
-            posts_routed=self._posts_routed + self._baseline_stats.get("posts", 0),
-            qos_state=qos_state,
-        )
-
-    def load_state(self, payload: dict) -> None:
-        """Broadcast a logical checkpoint into this fresh cluster (the
-        shard count may differ from the one that wrote it)."""
-        if self._posts_routed != 0:
-            raise ConfigError("restore target must be a fresh cluster")
-        learn = payload.get("learn")
-        if learn is None:
-            self._broadcast("restore", payload)
-        else:
-            # The snapshot replicates to every worker; the open epoch's
-            # pending records and click contexts go to each follower's
-            # home shard — where an uninterrupted run produced them.
-            from repro.learn.linucb import partition_learn_state
-
-            for worker in self._workers:
-                shard_payload = dict(payload)
-                shard_payload["learn"] = partition_learn_state(
-                    learn, worker.shard, self.shard_of
-                )
-                self._dispatch(worker, "restore", shard_payload)
-            for worker in self._workers:
-                self._collect(worker)
-            self._learn_epoch = int(learn["epoch"])
-        self._next_msg_id = payload["next_msg_id"]
-        self._baseline_stats = dict(payload["stats"])
-        self._clock.advance_to_at_least(payload["clock"])
-
-    def checkpoint(self, path) -> None:
-        from repro.io.checkpoint import save_state_dict
-
-        save_state_dict(path, self.state_dict())
-
-    def restore(self, path) -> None:
-        from repro.io.checkpoint import load_state_dict
-
-        self.load_state(load_state_dict(path))
-
-    # -- lifecycle ---------------------------------------------------------
 
     def close(self, *, timeout_s: float = 5.0) -> None:
         """Shut every worker down and reap it. Idempotent, and safe after
@@ -1060,11 +344,77 @@ class ProcessShardedEngine:
                 worker.process.join()
             worker.alive = False
 
-    def __enter__(self) -> "ProcessShardedEngine":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+class ProcessShardedEngine(Router):
+    """A :class:`Router` over ``num_shards`` worker *processes*."""
+
+    def __init__(
+        self,
+        workload: Workload,
+        num_shards: int,
+        *,
+        config: EngineConfig | None = None,
+        tracer: StageTracer | None = None,
+        metrics: "MetricsRegistry | None" = None,
+        qos: "QosController | None" = None,
+        request_tracer: "RequestTracer | None" = None,
+        flight_path=None,
+        faults: "FaultInjector | None" = None,
+        start_method: str | None = None,
+        rpc_timeout_s: float | None = None,
+    ) -> None:
+        """``qos`` is a *prototype*: each worker gets its own pickled copy
+        (per-shard admission — see the module docstring). ``faults`` is
+        the router's simulated fault plan, exactly as in-process; real
+        failures need no plan — kill a worker. ``request_tracer``
+        attaches distributed request tracing: contexts mint at the
+        router, ride the RPC frames into the workers, and worker segments
+        merge back via the ``trace_drain`` op. ``flight_path`` arms the
+        flight recorder: a worker crash auto-dumps the router-side black
+        box (including the in-flight traced requests) there.
+        ``start_method``/``rpc_timeout_s`` are :class:`ProcessTransport`'s.
+        """
+        super().__init__(
+            workload,
+            num_shards,
+            connect=lambda bootstraps: ProcessTransport(
+                bootstraps,
+                # Bound at call time: by then the router has rebound the
+                # caller's tracer (or settled on the shared noop).
+                request_tracer=self._request_tracer,
+                flight_path=flight_path,
+                start_method=start_method,
+                rpc_timeout_s=rpc_timeout_s,
+            ),
+            config=config,
+            tracer=tracer,
+            metrics=metrics,
+            faults=faults,
+            qos=qos,
+            request_tracer=request_tracer,
+        )
+
+    # Process-lifecycle surface. It exists only here: callers (the e2e
+    # harness's worker-CPU accounting, for one) take its presence to mean
+    # "this backend has worker processes".
+
+    def workers_alive(self) -> list[bool]:
+        """Liveness per shard (the crash test's probe)."""
+        return self.transport.workers_alive()
+
+    def worker_pid(self, shard: int) -> int | None:
+        return self.transport.worker_pid(shard)
+
+    def drain_worker_traces(self) -> int:
+        """Pull every live worker's recorded trace segments into the
+        router's tracer while the workers are still up; returns how many
+        segments arrived."""
+        return self._drain_traces()
+
+    def close(self, *, timeout_s: float = 5.0) -> None:
+        """Shut every worker down and reap it (see
+        :meth:`ProcessTransport.close`)."""
+        self.transport.close(timeout_s=timeout_s)
 
     def __del__(self) -> None:
         try:

@@ -1,826 +1,17 @@
-"""Single-process simulation of a user-sharded deployment.
-
-The scale-out architecture for feed ad matching partitions *users* across
-engine shards (each shard holds the full ad corpus — it is small relative
-to user state — plus the profiles/contexts of its own users). A post is
-routed to every shard owning at least one follower; each shard runs its
-own shared candidate probe and personalises only its residents.
+"""The in-process deployment: every shard host lives in the router's process.
 
 Running the shards in one process cannot show wall-clock speedup, but it
-measures exactly what determines real scalability:
-
-* **load balance** — deliveries per shard (skew wastes capacity);
-* **fan-out amplification** — how many shards each post touches (each
-  touched shard repeats the per-message probe, the scale-out tax on
-  computation sharing).
-
-Both are reported by :meth:`ShardedEngine.stats_by_shard` and exercised by
-experiment F15.
-
-With a :class:`~repro.qos.faults.FaultInjector` attached the router also
-rehearses the failure story: dispatch to a down shard retries with
-bounded stream-time backoff, then fails over to the deterministic
-fallback (the next up shard), which serves the stranded followers
-profile-less (it holds no profile state for them) without ingesting the
-event. The down shard's missed ingestions are buffered and replayed on
-recovery, so its author profiles reconverge with the no-fault timeline;
-duplicate dispatches (lost acks under at-least-once delivery) are
-suppressed by a router-side seen set.
+measures exactly what determines real scalability — load balance and
+fan-out amplification (:meth:`Router.stats_by_shard`, experiment F15) —
+and it is the bit-parity reference the multiprocess backend is held to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from time import perf_counter
-from typing import TYPE_CHECKING
+from repro.cluster.router import Router
 
-from collections.abc import Iterable
 
-from repro.core.config import EngineConfig
-from repro.core.engine import AdEngine, PostResult
-from repro.core.pipeline import PostEvent
-from repro.core.services import EngineStats
-from repro.datagen.workload import Workload
-from repro.errors import ConfigError, StreamError
-from repro.geo.point import GeoPoint
-from repro.graph.social import SocialGraph
-from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
-from repro.obs.trace import (
-    NOOP_REQUEST_TRACER,
-    NoopRequestTracer,
-    RequestTracer,
-    Span,
-    TraceSegment,
-)
-from repro.obs.tracer import NoopTracer, StageStats, StageTracer
-
-if TYPE_CHECKING:
-    from repro.qos.controller import QosController
-    from repro.qos.faults import FaultInjector
-
-
-def hash_shard(user_id: int, num_shards: int) -> int:
-    """Deterministic user → shard assignment (multiplicative hashing, so
-    consecutive ids spread instead of clustering)."""
-    return (user_id * 2654435761) % (2**32) % num_shards
-
-
-# -- shared shard construction ------------------------------------------------
-#
-# Both cluster backends — the in-process router below and the
-# multiprocess ``ProcessShardedEngine`` — build their shard engines
-# through these helpers, so a worker process bootstrapping from a
-# serialized workload constructs *exactly* the engine the simulation
-# would have built in-process. That shared construction path is what the
-# differential parity suite leans on.
-
-
-def build_shard_map(workload: Workload, num_shards: int) -> dict[int, int]:
-    """user id → home shard for every workload user."""
-    return {
-        user.user_id: hash_shard(user.user_id, num_shards)
-        for user in workload.users
-    }
-
-
-def build_shard_graph(
-    workload: Workload, shard: int, shard_map: dict[int, int]
-) -> SocialGraph:
-    """One shard's *filtered* graph: every user exists everywhere (any
-    author may post through any shard), but a follow edge lives only on
-    the follower's home shard — so a shard fans out strictly to its own
-    residents."""
-    graph = SocialGraph()
-    for user in workload.users:
-        graph.add_user(user.user_id)
-    for user in workload.users:
-        if shard_map[user.user_id] != shard:
-            continue
-        for followee in workload.graph.followees(user.user_id):
-            graph.follow(user.user_id, followee)
-    return graph
-
-
-def build_shard_engine(
-    workload: Workload,
-    graph: SocialGraph,
-    *,
-    config: EngineConfig,
-    tracer: StageTracer | None = None,
-    metrics: "MetricsRegistry | None" = None,
-    qos: "QosController | None" = None,
-    request_tracer: "RequestTracer | None" = None,
-) -> AdEngine:
-    """One shard replica: full corpus, filtered graph, every user
-    registered with their home location (cheap broadcast state)."""
-    engine = AdEngine(
-        corpus=workload.build_corpus(),
-        graph=graph,
-        vectorizer=workload.vectorizer,
-        tokenizer=workload.tokenizer,
-        config=config,
-        tracer=tracer,
-        metrics=metrics,
-        qos=qos,
-        request_tracer=request_tracer,
-    )
-    for user in workload.users:
-        engine.register_user(user.user_id, user.home)
-    if engine.services.learner is not None:
-        # Shard replicas never self-fold their bandit models: the router
-        # coordinates one cluster-wide fold per epoch boundary so every
-        # shard folds the identical record list (see _sync_learners).
-        engine.services.learner.auto_sync = False
-    return engine
-
-
-def merge_cluster_stats(
-    shard_stats: "Iterable[EngineStats]",
-    *,
-    posts_routed: int,
-    baseline: dict | None = None,
-) -> EngineStats:
-    """Fold per-shard :class:`EngineStats` into one cluster-level view.
-
-    Delivery-side counters are partitioned across shards and sum
-    losslessly; ``posts`` must come from the router (per-shard posts
-    double-count fan-out amplification); ``retired_ads`` is a broadcast
-    event every shard observes on its own corpus copy, so the max — not
-    the sum — is the logical count. ``baseline`` is a restored
-    checkpoint's ``stats`` payload: restored shards restart their own
-    counters from zero, and the baseline keeps cluster totals continuous.
-    """
-    merged = EngineStats(posts=posts_routed)
-    for stats in shard_stats:
-        merged.deliveries += stats.deliveries
-        merged.impressions += stats.impressions
-        merged.revenue += stats.revenue
-        merged.shared_probes += stats.shared_probes
-        merged.probe_depth_total += stats.probe_depth_total
-        merged.certified_deliveries += stats.certified_deliveries
-        merged.fallback_deliveries += stats.fallback_deliveries
-        merged.approximate_deliveries += stats.approximate_deliveries
-        merged.exact_deliveries += stats.exact_deliveries
-        merged.incremental_refreshes += stats.incremental_refreshes
-        merged.retired_ads = max(merged.retired_ads, stats.retired_ads)
-        merged.deliveries_shed += stats.deliveries_shed
-        merged.deliveries_degraded += stats.deliveries_degraded
-        merged.revenue_shed_upper_bound += stats.revenue_shed_upper_bound
-    if baseline:
-        merged.posts += baseline.get("posts", 0)
-        merged.deliveries += baseline.get("deliveries", 0)
-        merged.impressions += baseline.get("impressions", 0)
-        merged.revenue += baseline.get("revenue", 0.0)
-        merged.deliveries_shed += baseline.get("deliveries_shed", 0)
-        merged.deliveries_degraded += baseline.get("deliveries_degraded", 0)
-        merged.revenue_shed_upper_bound += baseline.get(
-            "revenue_shed_upper_bound", 0.0
-        )
-    return merged
-
-
-@dataclass(frozen=True, slots=True)
-class ShardStats:
-    """Per-shard load summary (``stages`` is empty unless the router was
-    built with a recording tracer — then it carries the shard's per-stage
-    latency roll-up)."""
-
-    shard: int
-    users: int
-    deliveries: int
-    probes: int
-    stages: tuple[StageStats, ...] = ()
-    # Which top-k searcher served the shard's probes, and the summed
-    # effective probe depth — the T3 attribution inputs.
-    searcher: str = "ta"
-    probe_depth_total: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class FailoverStats:
-    """Roll-up of the router's fault-handling activity (all zero without
-    an attached :class:`~repro.qos.faults.FaultInjector`)."""
-
-    retries: int = 0
-    failovers: int = 0
-    redirected_deliveries: int = 0
-    duplicates_suppressed: int = 0
-    reintegrated_events: int = 0
-    pending_reintegration: int = 0
-
-
-class ShardedEngine:
-    """A router over ``num_shards`` independent :class:`AdEngine` replicas."""
-
-    def __init__(
-        self,
-        workload: Workload,
-        num_shards: int,
-        *,
-        config: EngineConfig | None = None,
-        tracer: StageTracer | None = None,
-        metrics: "MetricsRegistry | None" = None,
-        faults: "FaultInjector | None" = None,
-        qos: "QosController | None" = None,
-        request_tracer: "RequestTracer | None" = None,
-        max_retries: int = 3,
-        backoff_s: float = 0.05,
-    ) -> None:
-        """``faults`` attaches a fault plan the router consults on every
-        dispatch; ``qos`` attaches one cluster-wide QoS controller shared
-        by every shard (admission then rate-limits the whole cluster).
-        ``max_retries``/``backoff_s`` bound the stream-time exponential
-        backoff a dispatch spends probing a down shard before failover.
-        """
-        if num_shards < 1:
-            raise ConfigError(f"num_shards must be >= 1, got {num_shards}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_s <= 0.0:
-            raise ConfigError(f"backoff_s must be positive, got {backoff_s}")
-        self.num_shards = num_shards
-        self._workload = workload
-        self._shard_of: dict[int, int] = {}
-        config = config or EngineConfig()
-        # One child tracer/registry per shard (spawned from the caller's,
-        # so the noop defaults stay shared noops); roll-ups merge children.
-        self._tracer = tracer or NoopTracer()
-        self._shard_tracers = [self._tracer.spawn() for _ in range(num_shards)]
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._shard_metrics = [self._metrics.spawn() for _ in range(num_shards)]
-        # One request-tracer child per shard, same pattern: the router
-        # keeps its own (dispatch/retry/failover segments), each shard
-        # records its post segments on its child.
-        self._request_tracer = (
-            request_tracer if request_tracer is not None
-            else NOOP_REQUEST_TRACER
-        )
-        self._shard_request_tracers = []
-        for shard in range(num_shards):
-            child = self._request_tracer.spawn()
-            if child.enabled:
-                # Label the shard's segments even in-process, so a
-                # reassembled trace reads router → shardN regardless of
-                # which cluster backend produced it.
-                child.process = f"shard{shard}"
-            self._shard_request_tracers.append(child)
-
-        self._shard_of = build_shard_map(workload, num_shards)
-
-        self._shards: list[AdEngine] = [
-            build_shard_engine(
-                workload,
-                build_shard_graph(workload, shard, self._shard_of),
-                config=config,
-                tracer=self._shard_tracers[shard],
-                metrics=(
-                    self._shard_metrics[shard]
-                    if self._metrics.enabled
-                    else None
-                ),
-                qos=qos,
-                request_tracer=(
-                    self._shard_request_tracers[shard]
-                    if self._request_tracer.enabled
-                    else None
-                ),
-            )
-            for shard in range(num_shards)
-        ]
-        self._posts_routed = 0
-        self._shard_touches = 0
-        self._next_msg_id = 0
-        # Fault handling state (inert when no injector is attached).
-        self._faults = faults
-        self._qos = qos
-        self._max_retries = max_retries
-        self._backoff_s = backoff_s
-        self._seen: set[tuple[int, int]] = set()  # (msg_id, home shard)
-        self._down_buffers: dict[int, list[PostEvent]] = {}
-        self._dispatch_seconds = [0.0] * num_shards
-        self._retries = 0
-        self._failovers = 0
-        self._redirected_deliveries = 0
-        self._duplicates_suppressed = 0
-        self._reintegrated_events = 0
-        # Stats carried over from a restored checkpoint: shards restart
-        # their counters from zero, the baseline keeps roll-ups continuous.
-        self._baseline_stats: dict = {}
-        # Online-learning sync coordination (inert unless linucb is on).
-        self._learn = self._shards[0].services.learner is not None
-        self._learn_epoch = 0
-
-    def shard_of(self, user_id: int) -> int:
-        shard = self._shard_of.get(user_id)
-        if shard is None:
-            shard = hash_shard(user_id, self.num_shards)
-            self._shard_of[user_id] = shard
-        return shard
-
-    # -- the routed operations ---------------------------------------------
-
-    def _route(self, author_id: int) -> list[int]:
-        """The shards one post touches: every follower's home shard, plus
-        the author's (their profile lives there and must stay current)."""
-        followers = self._workload.graph.followers(author_id)
-        touched: set[int] = {self.shard_of(author_id)}
-        touched.update(self.shard_of(follower) for follower in followers)
-        return sorted(touched)
-
-    def _event_for(self, author_id: int, text: str, timestamp: float) -> PostEvent:
-        """Vectorize once at the router; every touched shard reuses the
-        event (shards share the workload's fitted vectorizer, so the
-        router-side vector is exactly what each shard would compute)."""
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        return self._shards[0].make_event(
-            author_id, text, timestamp, msg_id=msg_id
-        )
-
-    # -- fault-aware dispatch ------------------------------------------------
-
-    def _reintegrate(self, now: float) -> None:
-        """Replay buffered ingestions on shards that have recovered, in
-        arrival order, before they take any new traffic — the recovered
-        shard's author profiles reconverge with the no-fault timeline."""
-        if not self._down_buffers:
-            return
-        for shard in sorted(self._down_buffers):
-            if self._faults.is_down(shard, now):
-                continue
-            engine = self._shards[shard]
-            events = self._down_buffers.pop(shard)
-            for event in events:
-                engine.ingest_event(event)
-            self._reintegrated_events += len(events)
-
-    def _resolve(self, home: int, now: float) -> tuple[int, bool]:
-        """The shard that will serve a dispatch aimed at ``home``: retry
-        the home shard with bounded stream-time exponential backoff, then
-        fail over to the deterministic fallback (the next up shard)."""
-        faults = self._faults
-        if not faults.is_down(home, now):
-            return home, False
-        delay = self._backoff_s
-        for _ in range(self._max_retries):
-            self._retries += 1
-            if not faults.is_down(home, now + delay):
-                return home, False
-            delay *= 2.0
-        for offset in range(1, self.num_shards):
-            candidate = (home + offset) % self.num_shards
-            if not faults.is_down(candidate, now):
-                self._failovers += 1
-                return candidate, True
-        raise StreamError(
-            f"no shard available at t={now}: all {self.num_shards} are down"
-        )
-
-    def _dispatch(self, event: PostEvent, home: int) -> PostResult | None:
-        """One fault-injected dispatch of ``event`` to ``home``'s fan-out.
-
-        Returns ``None`` for a suppressed duplicate. A redirected dispatch
-        does NOT ingest on the fallback shard (the home shard's buffered
-        replay is the only profile update, preserving post-recovery
-        parity) and serves profile-less candidates-only slates.
-        """
-        faults = self._faults
-        if faults is None:
-            return self._shards[home].post_event(event)
-        request_tracer = self._request_tracer
-        tracing = request_tracer.enabled and event.trace is not None
-        key = (event.msg_id, home)
-        if key in self._seen:
-            self._duplicates_suppressed += 1
-            if tracing:
-                # At-least-once redelivery caught by the seen set — one of
-                # the invisible paths tracing exists to make visible.
-                request_tracer.record_segment(
-                    event.trace,
-                    "dispatch",
-                    spans=[
-                        Span(
-                            0, "duplicate_suppressed", "duplicate",
-                            attrs={"home": home},
-                        )
-                    ],
-                    force_reason="duplicate",
-                    attrs={"home": home, "msg_id": event.msg_id},
-                )
-            return None
-        self._seen.add(key)
-        segment = (
-            request_tracer.start(event.trace, "dispatch") if tracing else None
-        )
-        retries_before = self._retries
-        self._reintegrate(event.timestamp)
-        target, redirected = self._resolve(home, event.timestamp)
-        if segment is not None:
-            tries = self._retries - retries_before
-            if tries:
-                segment.add_span(
-                    "retry",
-                    "retry",
-                    count=tries,
-                    attrs={"home": home, "backoff_s": self._backoff_s},
-                )
-                segment.flag("retry")
-            if redirected:
-                segment.add_span(
-                    "failover_redirect",
-                    "failover",
-                    attrs={"home": home, "target": target},
-                )
-                segment.flag("failover")
-            segment.set_attrs(
-                msg_id=event.msg_id, home=home, target=target
-            )
-        started = perf_counter()
-        if redirected:
-            self._down_buffers.setdefault(home, []).append(event)
-            followers = self._shards[home].graph.followers(event.author_id)
-            result = self._shards[target].deliver_event_to(
-                event, sorted(followers), ingest=False, candidates_only=True
-            )
-            self._redirected_deliveries += result.num_deliveries
-        else:
-            result = self._shards[target].post_event(event)
-        elapsed = perf_counter() - started
-        factor = faults.slowdown_factor(target, event.timestamp)
-        if factor > 1.0:
-            # Stretch the shard's service time in place: the slowdown has
-            # to show up as real busy-time skew for the imbalance and SLO
-            # telemetry to see it.
-            deadline = started + elapsed * factor
-            while perf_counter() < deadline:
-                pass
-            elapsed = perf_counter() - started
-        self._dispatch_seconds[target] += elapsed
-        if segment is not None:
-            request_tracer.finish(segment)
-        return result
-
-    def _sync_learners(self, timestamp: float) -> None:
-        """One cluster-wide bandit fold at each epoch boundary.
-
-        The router concatenates every shard's pending update records and
-        has each shard fold the identical canonically-sorted list, so the
-        serving snapshots stay bit-identical across shards — and identical
-        to the single-engine reference, which folds the same record
-        multiset in the same canonical order at the same stream point.
-        """
-        if not self._learn:
-            return
-        from repro.learn.linucb import sort_records
-
-        lead = self._shards[0].services.learner
-        epoch = lead.epoch_of(timestamp)
-        if epoch <= self._learn_epoch:
-            return
-        pending: list = []
-        for engine in self._shards:
-            pending.extend(engine.services.learner.drain_pending())
-        records = sort_records(pending)
-        for engine in self._shards:
-            engine.services.learner.apply_sync(epoch, records)
-        self._learn_epoch = epoch
-
-    def post(self, author_id: int, text: str, timestamp: float) -> list[PostResult]:
-        """Route one post to every shard owning a follower."""
-        self._sync_learners(timestamp)
-        event = self._event_for(author_id, text, timestamp)
-        touched = self._route(author_id)
-        self._posts_routed += 1
-        self._shard_touches += len(touched)
-        faults = self._faults
-        if faults is None:
-            return [self._shards[shard].post_event(event) for shard in touched]
-        results: list[PostResult] = []
-        duplicate = faults.should_duplicate(event.msg_id)
-        for shard in touched:
-            outcome = self._dispatch(event, shard)
-            if outcome is not None:
-                results.append(outcome)
-            if duplicate:  # lost ack: at-least-once delivery re-sends
-                echo = self._dispatch(event, shard)
-                if echo is not None:
-                    results.append(echo)
-        return results
-
-    def post_batch(self, posts: Iterable) -> list[list[PostResult]]:
-        """Route a timestamp-ordered batch of posts (objects with
-        ``author_id``/``text``/``timestamp``), grouped per shard.
-
-        Each post is vectorized once and routed; each touched shard then
-        consumes its events in arrival order through its own pipeline —
-        the per-shard batch entry point, one router pass per batch instead
-        of one per post. With the bandit on, the batch is split at sync
-        epoch boundaries so a mid-batch fold happens at the same stream
-        point as the single engine's (which processes posts one by one).
-        """
-        posts = list(posts)
-        if self._learn:
-            results: list[list[PostResult]] = []
-            for run in self._epoch_runs(posts):
-                self._sync_learners(run[0].timestamp)
-                results.extend(self._post_batch_run(run))
-            return results
-        return self._post_batch_run(posts)
-
-    def _epoch_runs(self, posts: list) -> list[list]:
-        """Consecutive sub-batches with one sync epoch each."""
-        lead = self._shards[0].services.learner
-        runs: list[list] = []
-        for post in posts:
-            epoch = lead.epoch_of(post.timestamp)
-            if runs and runs[-1][0] == epoch:
-                runs[-1][1].append(post)
-            else:
-                runs.append([epoch, [post]])
-        return [run for _epoch, run in runs]
-
-    def _post_batch_run(self, posts: Iterable) -> list[list[PostResult]]:
-        routed: list[tuple[PostEvent, list[int]]] = []
-        by_shard: dict[int, list[int]] = {}
-        for position, post in enumerate(posts):
-            event = self._event_for(post.author_id, post.text, post.timestamp)
-            touched = self._route(post.author_id)
-            self._posts_routed += 1
-            self._shard_touches += len(touched)
-            routed.append((event, touched))
-            for shard in touched:
-                by_shard.setdefault(shard, []).append(position)
-
-        results: list[list[PostResult]] = [[] for _ in routed]
-        faults = self._faults
-        for shard, positions in sorted(by_shard.items()):
-            engine = self._shards[shard]
-            for position in positions:
-                event = routed[position][0]
-                if faults is None:
-                    results[position].append(engine.post_event(event))
-                    continue
-                outcome = self._dispatch(event, shard)
-                if outcome is not None:
-                    results[position].append(outcome)
-                if faults.should_duplicate(event.msg_id):
-                    echo = self._dispatch(event, shard)
-                    if echo is not None:
-                        results[position].append(echo)
-        return results
-
-    def checkin(self, user_id: int, point: GeoPoint, timestamp: float) -> None:
-        for engine in self._shards:  # broadcast: location is shared state
-            engine.checkin(user_id, point, timestamp)
-
-    # -- campaign churn (broadcast: the catalog is replicated) -----------------
-
-    def launch_campaign(self, ad, timestamp: float) -> None:
-        """Add a new ad mid-stream on every shard (replicated catalog)."""
-        for engine in self._shards:
-            engine.launch_campaign(ad, timestamp)
-
-    def end_campaign(self, ad_id: int, timestamp: float) -> None:
-        """Deactivate a campaign on every shard (idempotent per shard)."""
-        for engine in self._shards:
-            engine.end_campaign(ad_id, timestamp)
-
-    def record_click(
-        self,
-        ad_id: int,
-        *,
-        user_id: int | None = None,
-        slot_index: int | None = None,
-    ) -> None:
-        """Report a click cluster-wide: CTR evidence steers scoring on
-        every shard, so clicks are broadcast state (impressions stay
-        partitioned — each shard records only the slates it served). The
-        LinUCB reward lands exactly once: only the follower's home shard
-        holds the exposure's serving context."""
-        for engine in self._shards:
-            engine.record_click(ad_id, user_id=user_id, slot_index=slot_index)
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The cluster's state folded into one *logical* single-engine
-        payload (see :func:`repro.io.checkpoint.merge_shard_states`) —
-        restorable into a single engine or a cluster of any shard count."""
-        from repro.io.checkpoint import engine_state_dict, merge_shard_states
-
-        return merge_shard_states(
-            [engine_state_dict(engine) for engine in self._shards],
-            self.shard_of,
-            posts_routed=self._posts_routed + self._baseline_stats.get("posts", 0),
-            qos_state=self._qos.state_dict() if self._qos is not None else None,
-        )
-
-    def load_state(self, payload: dict) -> None:
-        """Restore a logical checkpoint into this *freshly built* cluster.
-
-        The full payload is broadcast to every shard (non-resident
-        profile/context replicas are never read — personalisation happens
-        only on a user's home shard) with ``include_stats=False``; the
-        checkpoint totals become the router-side baseline instead, so
-        :meth:`cluster_stats` stays continuous across the restore.
-        """
-        if self._posts_routed != 0:
-            raise ConfigError("restore target must be a fresh cluster")
-        from repro.io.checkpoint import apply_engine_state
-        from repro.learn.linucb import partition_learn_state
-
-        learn = payload.get("learn")
-        for shard, engine in enumerate(self._shards):
-            shard_payload = payload
-            if learn is not None:
-                # The snapshot replicates to every shard; the open epoch's
-                # pending records and click contexts go to each follower's
-                # home shard — where an uninterrupted run produced them.
-                shard_payload = dict(payload)
-                shard_payload["learn"] = partition_learn_state(
-                    learn, shard, self.shard_of
-                )
-            apply_engine_state(engine, shard_payload, include_stats=False)
-        if learn is not None:
-            self._learn_epoch = int(learn["epoch"])
-        self._next_msg_id = payload["next_msg_id"]
-        self._baseline_stats = dict(payload["stats"])
-
-    def checkpoint(self, path) -> None:
-        """Write the logical cluster checkpoint as one JSON file."""
-        from repro.io.checkpoint import save_state_dict
-
-        save_state_dict(path, self.state_dict())
-
-    def restore(self, path) -> None:
-        """Load a checkpoint file written by any backend's ``checkpoint``."""
-        from repro.io.checkpoint import load_state_dict
-
-        self.load_state(load_state_dict(path))
-
-    def cluster_stats(self) -> EngineStats:
-        """Cluster-level :class:`EngineStats` roll-up (posts counted at
-        the router; delivery counters summed across shards; restored
-        baselines included)."""
-        return merge_cluster_stats(
-            (engine.stats for engine in self._shards),
-            posts_routed=self._posts_routed,
-            baseline=self._baseline_stats,
-        )
-
-    # -- reporting --------------------------------------------------------------
-
-    @property
-    def tracer(self) -> StageTracer:
-        """The cluster-wide tracer view: the caller's tracer with every
-        shard's spans merged in (router-side vectorization runs through
-        shard 0's pipeline, so its spans live on shard 0's child)."""
-        merged = self._tracer.spawn()
-        for shard_tracer in self._shard_tracers:
-            merged.merge(shard_tracer)
-        return merged
-
-    @property
-    def metrics(self) -> "MetricsRegistry | NullMetrics":
-        """The cluster-wide registry view: every shard's counters, gauges
-        and windowed histograms merged (lossless — same geometry), with
-        the router-side skew signals (per-shard dispatch busy time, load
-        imbalance) stamped on as gauges so they reach the Prometheus
-        exposition."""
-        merged = self._metrics.spawn()
-        for shard_metrics in self._shard_metrics:
-            merged.merge(shard_metrics)
-        if merged.enabled:
-            from repro.obs.prometheus import export_cluster_gauges
-
-            # Set on the freshly merged ephemeral view (gauges *add* on
-            # merge, so stamping post-merge avoids double counting).
-            export_cluster_gauges(
-                merged,
-                dispatch_seconds=self.dispatch_seconds_by_shard(),
-                imbalance=self.load_imbalance(),
-            )
-        return merged
-
-    @property
-    def request_tracer(self) -> "RequestTracer | NoopRequestTracer":
-        """The cluster-wide request-trace view: the router's dispatch
-        segments plus every shard's post segments, merged."""
-        merged = self._request_tracer.spawn()
-        merged.merge(self._request_tracer)
-        for child in self._shard_request_tracers:
-            merged.merge(child)
-        return merged
-
-    def request_traces(self) -> "list[TraceSegment]":
-        """Every retained trace segment, cluster-wide."""
-        return list(self.request_tracer.retained)
-
-    def flight_traces(self) -> "list[TraceSegment]":
-        """The black-box view: retained plus last-N ring, cluster-wide."""
-        return self.request_tracer.flight_traces()
-
-    def dump_flight(self, path, *, reason: str = "signal"):
-        """Write the flight-recorder snapshot (traces + registry snapshot
-        + QoS rung) to ``path``; returns the path written."""
-        from repro.obs.recorder import write_flight_dump
-
-        metrics = self.metrics
-        return write_flight_dump(
-            path,
-            self.flight_traces(),
-            reason=reason,
-            qos=self._qos.summary() if self._qos is not None else None,
-            registry_snapshot=(
-                metrics.snapshot().to_dict() if metrics.enabled else None
-            ),
-            extra={"tracer": self.request_tracer.summary()},
-        )
-
-    def metrics_by_shard(self) -> "list[MetricsRegistry | NullMetrics]":
-        return list(self._shard_metrics)
-
-    def stage_report(self) -> dict[str, StageStats]:
-        """Merged per-stage roll-up across all shards."""
-        return self.tracer.snapshot()
-
-    def stage_report_by_shard(self) -> list[dict[str, StageStats]]:
-        return [tracer.snapshot() for tracer in self._shard_tracers]
-
-    @property
-    def qos(self) -> "QosController | None":
-        """The cluster-wide QoS controller (shared by every shard)."""
-        return self._qos
-
-    def failover_stats(self) -> FailoverStats:
-        """Roll-up of retries, failovers, redirected deliveries, suppressed
-        duplicates and reintegration progress under fault injection."""
-        return FailoverStats(
-            retries=self._retries,
-            failovers=self._failovers,
-            redirected_deliveries=self._redirected_deliveries,
-            duplicates_suppressed=self._duplicates_suppressed,
-            reintegrated_events=self._reintegrated_events,
-            pending_reintegration=sum(
-                len(buffer) for buffer in self._down_buffers.values()
-            ),
-        )
-
-    def reintegrate_now(self, now: float) -> int:
-        """Force reintegration of any recovered shards at stream time
-        ``now`` (end-of-run flush when no further traffic will trigger
-        it); returns how many buffered events were replayed."""
-        if self._faults is None:
-            return 0
-        before = self._reintegrated_events
-        self._reintegrate(now)
-        return self._reintegrated_events - before
-
-    def dispatch_seconds_by_shard(self) -> list[float]:
-        """Per-shard wall time spent serving dispatches (slowdown faults
-        stretch it — the busy-time skew signal). All zero without faults."""
-        return list(self._dispatch_seconds)
-
-    def amplification(self) -> float:
-        """Mean number of shards touched per post (1.0 = free scale-out)."""
-        if self._posts_routed == 0:
-            return 0.0
-        return self._shard_touches / self._posts_routed
-
-    def stats_by_shard(self) -> list[ShardStats]:
-        owners: dict[int, int] = {}
-        for user_id, shard in self._shard_of.items():
-            owners[shard] = owners.get(shard, 0) + 1
-        return [
-            ShardStats(
-                shard=shard,
-                users=owners.get(shard, 0),
-                deliveries=engine.stats.deliveries,
-                probes=engine.candidate_gen.probes,
-                stages=tuple(self._shard_tracers[shard].snapshot().values()),
-                searcher=engine.candidate_gen.kind,
-                probe_depth_total=engine.candidate_gen.probe_depth_total,
-            )
-            for shard, engine in enumerate(self._shards)
-        ]
-
-    def load_imbalance(self, *, stage: str | None = None) -> float:
-        """max/mean load across shards (1.0 = perfectly balanced).
-
-        By default load is delivery *count*; with ``stage`` set (and a
-        recording tracer attached) it is busy *time* in that stage, which
-        exposes skew that equal delivery counts hide — e.g. a shard whose
-        residents have pathological fan-in spending longer per delivery.
-        """
-        if stage is None:
-            loads = [float(engine.stats.deliveries) for engine in self._shards]
-        else:
-            loads = [
-                report[stage].total_seconds if stage in report else 0.0
-                for report in self.stage_report_by_shard()
-            ]
-        total = sum(loads)
-        if total == 0:
-            return 1.0
-        mean = total / len(loads)
-        return max(loads) / mean
+class ShardedEngine(Router):
+    """A :class:`Router` over in-process shard hosts — the router's
+    default :class:`~repro.cluster.router.LocalTransport`. ``qos``
+    therefore attaches one cluster-wide controller shared by every shard."""

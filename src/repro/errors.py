@@ -26,6 +26,12 @@ class UnknownAdError(CorpusError, KeyError):
         super().__init__(f"unknown ad id: {ad_id!r}")
         self.ad_id = ad_id
 
+    def __reduce__(self):
+        # Exception pickling replays ``args`` — the formatted message —
+        # into ``__init__``; errors cross the worker RPC, so ship the
+        # constructor argument instead.
+        return type(self), (self.ad_id,)
+
 
 class UnknownUserError(ReproError, KeyError):
     """An operation referenced a user id that is not registered."""
@@ -33,6 +39,9 @@ class UnknownUserError(ReproError, KeyError):
     def __init__(self, user_id: int) -> None:
         super().__init__(f"unknown user id: {user_id!r}")
         self.user_id = user_id
+
+    def __reduce__(self):
+        return type(self), (self.user_id,)
 
 
 class BudgetError(ReproError):
@@ -59,6 +68,10 @@ class WorkerCrashError(StreamError):
     def __init__(self, shard: int, detail: str) -> None:
         super().__init__(f"shard {shard} worker crashed: {detail}")
         self.shard = shard
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.shard, self.detail)
 
 
 class EvaluationError(ReproError):

@@ -8,7 +8,7 @@ OVERLOADED:
 
 * **DEGRADED** — some per-stage windowed p99 exceeds its target, or the
   delivery rate dipped under the floor, or shard busy-time skew (via
-  :meth:`repro.cluster.sharded.ShardedEngine.load_imbalance`) exceeds its
+  :meth:`repro.cluster.router.Router.load_imbalance`) exceeds its
   bound — the system is serving but out of SLO.
 * **OVERLOADED** — a *hard* breach: p99 beyond ``overload_factor`` times
   its target or the delivery rate under ``floor / overload_factor`` — the

@@ -60,7 +60,7 @@ def export_cluster_gauges(
 
     The per-shard dispatch busy time and the max/mean load imbalance have
     existed since the failover/procpool PRs but never reached the scrape
-    endpoint; both cluster routers call this on their freshly merged
+    endpoint; the cluster router calls this on its freshly merged
     metrics view so ``render_prometheus`` picks them up as
     ``repro_load_imbalance`` and ``repro_dispatch_seconds_shard_<i>``.
     Gauges *add* on merge, which is why the stamp happens post-merge on

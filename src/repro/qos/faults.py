@@ -1,7 +1,6 @@
-"""Seeded fault injection for the sharded router.
+"""Seeded fault injection for the cluster router.
 
-A single-process shard simulation can still rehearse the cluster failure
-story: shards crash and recover, shards run slow, and at-least-once
+The router can rehearse the cluster failure story on either transport: shards crash and recover, shards run slow, and at-least-once
 dispatch duplicates events. :class:`FaultInjector` holds a deterministic
 fault plan — either written explicitly by a test or drawn from a seeded
 RNG via :meth:`FaultInjector.random_plan` — and the router consults it
@@ -9,7 +8,7 @@ at every dispatch:
 
 * :meth:`is_down` gates routing (down shards trigger bounded-backoff
   retries and deterministic failover — see
-  :class:`~repro.cluster.sharded.ShardedEngine`);
+  :class:`~repro.cluster.router.Router`);
 * :meth:`slowdown_factor` stretches a shard's dispatch wall time, the
   skew the busy-time imbalance telemetry is meant to expose;
 * :meth:`should_duplicate` marks events whose dispatch ack "was lost",
@@ -65,7 +64,7 @@ class ShardSlowdown:
 
 
 class FaultInjector:
-    """A deterministic fault plan the sharded router consults."""
+    """A deterministic fault plan the cluster router consults."""
 
     def __init__(
         self,

@@ -155,10 +155,12 @@ def build_backend(
     backend: str = "single",
     num_shards: int = 3,
     stack: ExitStack | None = None,
+    **router_options,
 ):
     """Construct one engine of the requested backend flavour. Pool
     engines register their shutdown with ``stack`` (required for
-    ``procpool``)."""
+    ``procpool``); ``router_options`` go to the cluster router's
+    constructor (``sharded``/``procpool`` only)."""
     if backend == "single":
         engine = AdEngine(
             corpus=workload.build_corpus(),
@@ -173,14 +175,18 @@ def build_backend(
     if backend == "sharded":
         from repro.cluster.sharded import ShardedEngine
 
-        return ShardedEngine(workload, num_shards, config=config)
+        return ShardedEngine(
+            workload, num_shards, config=config, **router_options
+        )
     if backend == "procpool":
         from repro.cluster.procpool import ProcessShardedEngine
 
         if stack is None:
             raise ConfigError("procpool backend needs an ExitStack to close")
         return stack.enter_context(
-            ProcessShardedEngine(workload, num_shards, config=config)
+            ProcessShardedEngine(
+                workload, num_shards, config=config, **router_options
+            )
         )
     raise ConfigError(f"unknown backend {backend!r}; known: {BACKENDS}")
 

@@ -58,3 +58,35 @@ def tiny_workload():
             seed=11,
         )
     )
+
+
+def router_factory(transport: str):
+    """A generator yielding ``make(workload, num_shards, **kwargs)`` —
+    a cluster router over the named transport — and closing every router
+    it built afterwards. Class-level ``router`` fixtures delegate here to
+    pin one transport (``yield from router_factory("process")``)."""
+    from repro.cluster import ProcessShardedEngine, ShardedEngine
+
+    engine_class = {"local": ShardedEngine, "process": ProcessShardedEngine}[
+        transport
+    ]
+    built = []
+
+    def make(workload, num_shards, **kwargs):
+        built.append(engine_class(workload, num_shards, **kwargs))
+        return built[-1]
+
+    make.transport = transport
+    try:
+        yield make
+    finally:
+        for engine in built:
+            engine.close()
+
+
+@pytest.fixture(params=["local", "process"])
+def router(request):
+    """The cluster router on each transport: a test that takes this
+    fixture runs the same assertions in-process and over worker
+    processes."""
+    yield from router_factory(request.param)

@@ -311,6 +311,36 @@ class TestTracing:
         assert "router" in processes
         assert any(p.startswith("worker") for p in processes)
 
+    @staticmethod
+    def _cluster_rows(out: str) -> list[str]:
+        """The summary rows that must not depend on the transport
+        (padding squeezed out: it follows the table's widest value)."""
+        wanted = ("posts ", "deliveries ", "impressions ", "revenue ")
+        return [
+            line.replace(" ", "")
+            for line in out.splitlines()
+            if line.startswith(wanted)
+        ]
+
+    def test_shards_and_workers_replay_the_same_cluster(self, capsys):
+        """--shards N and --workers N pick the router's transport and
+        nothing else; --shards used to be ignored off the scenario path."""
+        base = ["replay", *FAST, "--limit", "20"]
+        assert main(base + ["--shards", "2"]) == 0
+        local = capsys.readouterr().out
+        assert "Replay summary (sharded backend)" in local
+        assert main(base + ["--workers", "2", "--batch", "1"]) == 0
+        pool = capsys.readouterr().out
+        assert "Replay summary (procpool backend)" in pool
+        rows = self._cluster_rows(local)
+        assert len(rows) == 4
+        assert rows == self._cluster_rows(pool)
+
+    def test_shards_with_workers_is_rejected_off_the_scenario_path(self, capsys):
+        code = main(["replay", *FAST, "--shards", "2", "--workers", "2"])
+        assert code == 2
+        assert "drop one" in capsys.readouterr().err
+
     def test_traced_live_breach_dumps_flight(self, tmp_path, capsys):
         from repro.obs.recorder import read_flight_dump
 

@@ -218,6 +218,7 @@ class TestCrashSafety:
         """A dead worker must raise the failover family's error — never
         hang — and the engine must stay usable enough to shut down."""
         posts = tiny_workload.posts[:LIMIT]
+        before = set(multiprocessing.active_children())
         pool = ProcessShardedEngine(tiny_workload, 3, config=config_for())
         try:
             pool.post(posts[0].author_id, posts[0].text, posts[0].timestamp)
@@ -237,8 +238,8 @@ class TestCrashSafety:
                 pool.checkin(posts[0].author_id, GeoPoint(0.0, 0.0), 0.0)
         finally:
             pool.close()
-        assert all(
-            worker.process.exitcode is not None for worker in pool._workers
+        assert not (
+            set(multiprocessing.active_children()) - before
         ), "close() must reap every child, including the SIGKILLed one"
 
     def test_close_reaps_children_and_is_idempotent(self, tiny_workload):
@@ -256,14 +257,6 @@ class TestCrashSafety:
         assert not leaked, f"worker processes leaked: {leaked}"
         with pytest.raises(StreamError):
             pool.post(post.author_id, post.text, post.timestamp)
-
-    def test_fault_injector_is_rejected(self, tiny_workload):
-        from repro.qos import FaultInjector
-
-        with pytest.raises(ConfigError):
-            ProcessShardedEngine(
-                tiny_workload, 2, config=config_for(), faults=FaultInjector()
-            )
 
     def test_shard_count_validation(self, tiny_workload):
         with pytest.raises(ConfigError):
@@ -482,13 +475,11 @@ class TestWorkerProtocolInProcess:
         )
         ((_, result),) = host.handle("post_batch", [(0, event)])
         delivery = result.deliveries[0]
-        # Tuple click frames resolve against the serving context…
+        # Click frames resolve against the serving context.
         scored = delivery.slate[0]
         host.handle("record_click", (scored.ad_id, delivery.user_id, 0))
         pending = host.handle("learn_drain", None)
         assert any(rec[3] == 1 for rec in pending)  # the click made it in
-        # …and bare-int frames (legacy routers) stay accepted.
-        host.handle("record_click", scored.ad_id)
         # A broadcast fold advances the epoch and builds arms.
         host.handle("learn_sync", (7, sorted(pending, key=lambda r: r[:5])))
         assert learner.epoch == 7 and learner.num_arms > 0

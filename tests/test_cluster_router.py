@@ -1,0 +1,212 @@
+"""Transport conformance: one set of assertions, run on both transports.
+
+Every test here takes the ``router`` fixture (``tests/conftest.py``),
+which builds the cluster router over in-process shards and over worker
+processes in turn. The router is one class, so what these pin is the
+seam underneath it: whatever a transport does with ``submit``/``collect``,
+the cluster must agree with a single engine, survive a failing request,
+and round-trip its checkpoint into the *other* transport.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.cluster import ProcessShardedEngine, ShardedEngine
+from repro.cluster.rpc import channel_pair
+from repro.core.config import EngineConfig
+from repro.errors import UnknownAdError, UnknownUserError, WorkerCrashError
+from repro.geo.point import GeoPoint
+from tests.test_cluster_procpool import merged_slates as slates
+from tests.test_learn_differential import LINUCB, PARITY, build_single, drive
+
+LIMIT = 14
+CONFIG = EngineConfig(pacing_enabled=False)
+
+
+def assert_matches_single(routed, reference) -> None:
+    """Routed results equal the single engine's up to float-sum order."""
+    assert slates(routed) == {
+        user: [(ad, pytest.approx(score)) for ad, score in slate]
+        for user, slate in slates(reference).items()
+    }
+    assert sum(r.revenue for r in routed) == pytest.approx(reference.revenue)
+
+
+class TestParityWithSingleEngine:
+    @pytest.mark.parametrize("entry", ["post", "post_batch"])
+    def test_slates_revenue_and_stats(self, tiny_workload, router, entry):
+        posts = tiny_workload.posts[:LIMIT]
+        cluster = router(tiny_workload, 3, config=CONFIG)
+        single = build_single(tiny_workload, CONFIG)
+        if entry == "post":
+            routed = [
+                cluster.post(p.author_id, p.text, p.timestamp) for p in posts
+            ]
+        else:
+            routed = cluster.post_batch(posts)
+        for post, results in zip(posts, routed):
+            assert_matches_single(
+                results, single.post(post.author_id, post.text, post.timestamp)
+            )
+        stats = cluster.cluster_stats()
+        assert stats.posts == single.stats.posts == LIMIT
+        assert stats.deliveries == single.stats.deliveries
+        assert stats.impressions == single.stats.impressions
+        assert stats.revenue == pytest.approx(single.stats.revenue)
+        assert stats.revenue > 0.0
+        by_shard = cluster.stats_by_shard()
+        assert sum(shard.deliveries for shard in by_shard) == stats.deliveries
+        assert sum(shard.users for shard in by_shard) == len(tiny_workload.users)
+
+    def test_broadcast_ops_reach_every_shard(self, tiny_workload, router):
+        posts = tiny_workload.posts[:LIMIT]
+        new_ad = replace(tiny_workload.ads[0], ad_id=999_001)
+        ended = tiny_workload.ads[1].ad_id
+        cluster = router(tiny_workload, 3, config=CONFIG)
+        single = build_single(tiny_workload, CONFIG)
+        for engine in (cluster, single):
+            engine.checkin(posts[0].author_id, GeoPoint(1.0, 2.0), 0.0)
+            engine.launch_campaign(new_ad, posts[0].timestamp)
+            engine.end_campaign(ended, posts[0].timestamp)
+        for post in posts:
+            assert_matches_single(
+                cluster.post(post.author_id, post.text, post.timestamp),
+                single.post(post.author_id, post.text, post.timestamp),
+            )
+        state = cluster.state_dict()
+        assert ended in state["retired"]
+        assert [ad["ad_id"] for ad in state["launched_ads"]] == [999_001]
+        assert state["users"][str(posts[0].author_id)]["location"] == [1.0, 2.0]
+
+    def test_clicks_are_broadcast_not_summed(self, tiny_workload, router):
+        config = replace(CONFIG, ctr_feedback=True)
+        cluster = router(tiny_workload, 3, config=config)
+        ad_id = tiny_workload.ads[0].ad_id
+        for _ in range(4):
+            cluster.record_click(ad_id)
+        assert cluster.state_dict()["ctr"][str(ad_id)][1] == 4
+
+    def test_learner_epoch_folds(self, tiny_workload, router):
+        """The router-coordinated cluster fold leaves every transport with
+        the single engine's slates *and* learner state."""
+        config = EngineConfig(**PARITY, **LINUCB)
+        single = build_single(tiny_workload, config)
+        expected = drive(single, tiny_workload.posts, is_cluster=False)
+        cluster = router(tiny_workload, 3, config=config)
+        assert drive(cluster, tiny_workload.posts, is_cluster=True) == expected
+        learn = cluster.state_dict()["learn"]
+        assert learn == single.services.learner.state_dict()
+        assert learn["epoch"] > 0 and learn["models"]
+
+
+class TestCheckpoint:
+    def test_restores_into_the_other_transport_and_shard_count(
+        self, tiny_workload, router, tmp_path
+    ):
+        """Save under 3 shards on this transport; a 2-shard cluster on
+        the *other* transport continues like the run that never stopped."""
+        posts = tiny_workload.posts[:LIMIT]
+        cut = LIMIT // 2
+        path = tmp_path / "cluster.ckpt"
+        single = build_single(tiny_workload, CONFIG)
+        reference = [single.post(p.author_id, p.text, p.timestamp) for p in posts]
+
+        writer = router(tiny_workload, 3, config=CONFIG)
+        writer.post_batch(posts[:cut])
+        writer.checkpoint(path)
+
+        other = ProcessShardedEngine if router.transport == "local" else ShardedEngine
+        with other(tiny_workload, 2, config=CONFIG) as reader:
+            reader.restore(path)
+            for post, expected in zip(posts[cut:], reference[cut:]):
+                assert_matches_single(
+                    reader.post(post.author_id, post.text, post.timestamp),
+                    expected,
+                )
+            final = reader.cluster_stats()
+        assert final.posts == single.stats.posts
+        assert final.deliveries == single.stats.deliveries
+        assert final.revenue == pytest.approx(single.stats.revenue)
+
+
+class TestFailedRequests:
+    def test_a_handler_error_leaves_the_router_usable(self, tiny_workload, router):
+        """Every shard rejects the check-in. The router must consume all
+        of those replies before raising — one left behind would answer
+        the next request on that shard."""
+        posts = tiny_workload.posts[:LIMIT]
+        cluster = router(tiny_workload, 2, config=CONFIG)
+        reference = ShardedEngine(tiny_workload, 2, config=CONFIG)
+        with pytest.raises(UnknownUserError):
+            cluster.checkin(10**9, GeoPoint(0.0, 0.0), 0.0)
+        for post in posts:
+            assert cluster.post(
+                post.author_id, post.text, post.timestamp
+            ) == reference.post(post.author_id, post.text, post.timestamp)
+        assert cluster.cluster_stats() == reference.cluster_stats()
+
+    @pytest.mark.parametrize(
+        "error, attribute",
+        [
+            (UnknownUserError(7), "user_id"),
+            (UnknownAdError(7), "ad_id"),
+            (WorkerCrashError(1, "exitcode=-9, recv failed"), "shard"),
+        ],
+        ids=["UnknownUserError", "UnknownAdError", "WorkerCrashError"],
+    )
+    def test_library_errors_survive_the_rpc_pickle(self, error, attribute):
+        left, right = channel_pair()
+        try:
+            left.send(("err", error))
+            status, received = right.recv()
+        finally:
+            left.close()
+            right.close()
+        assert status == "err"
+        assert type(received) is type(error)
+        assert str(received) == str(error)
+        assert getattr(received, attribute) == getattr(error, attribute)
+
+
+class TestRollups:
+    @pytest.mark.parametrize(
+        "rollup",
+        ["cluster_stats", "stats_by_shard", "load_imbalance", "metrics", "tracer"],
+    )
+    def test_one_report_fetch_per_rollup(
+        self, tiny_workload, router, rollup, monkeypatch
+    ):
+        from repro.obs.registry import MetricsRegistry
+        from repro.obs.tracer import RecordingTracer
+
+        cluster = router(
+            tiny_workload,
+            2,
+            config=CONFIG,
+            tracer=RecordingTracer(),
+            metrics=MetricsRegistry(window_s=120.0),
+        )
+        post = tiny_workload.posts[0]
+        cluster.post(post.author_id, post.text, post.timestamp)
+        requests = []
+        submit = cluster.transport.submit
+
+        def recording_submit(shard, op, payload=None):
+            requests.append(op)
+            return submit(shard, op, payload)
+
+        monkeypatch.setattr(cluster.transport, "submit", recording_submit)
+        value = getattr(cluster, rollup)
+        if callable(value):
+            value()
+        assert requests == ["report"] * cluster.num_shards
+
+    def test_process_lifecycle_surface_is_process_only(self, tiny_workload, router):
+        """The e2e harness keys worker-CPU accounting on ``worker_pid``."""
+        cluster = router(tiny_workload, 2, config=CONFIG)
+        processes = router.transport == "process"
+        for name in ("worker_pid", "workers_alive", "drain_worker_traces"):
+            assert hasattr(cluster, name) is processes

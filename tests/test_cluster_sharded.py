@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.sharded import ShardedEngine, hash_shard
+from repro.cluster import ShardedEngine, hash_shard
 from repro.core.config import EngineConfig
 from repro.core.recommender import ContextAwareRecommender
 from repro.errors import ConfigError
@@ -139,7 +139,7 @@ class TestShardParity:
             assert sum(
                 result.revenue for result in shard_results
             ) == pytest.approx(plain_result.revenue)
-        total = sum(engine.stats.revenue for engine in sharded._shards)
+        total = sharded.cluster_stats().revenue
         assert total == pytest.approx(plain.stats.revenue)
         assert total > 0.0
 
@@ -183,5 +183,5 @@ class TestScaleOutMetrics:
 
         sharded = build(tiny_workload, 3)
         sharded.checkin(0, GeoPoint(1.0, 2.0), 5.0)
-        for engine in sharded._shards:
-            assert engine.location_of(0) == GeoPoint(1.0, 2.0)
+        for host in sharded.transport.hosts:
+            assert host.engine.location_of(0) == GeoPoint(1.0, 2.0)

@@ -178,7 +178,7 @@ class TestBidBlockSeam:
         config = EngineConfig(searcher="vector", ctr_feedback=True)
         posts = tiny_workload.posts
         cluster = ShardedEngine(tiny_workload, 2, config=config)
-        shards = cluster._shards
+        shards = [host.engine for host in cluster.transport.hosts]
 
         def replay(backend, start, stop):
             for post in posts[start:stop]:

@@ -24,6 +24,7 @@ from repro.errors import WorkerCrashError
 from repro.obs.recorder import read_flight_dump
 from repro.obs.trace import RequestTracer, group_traces
 from repro.qos.faults import FaultInjector, ShardOutage
+from tests.conftest import router_factory
 
 LIMIT = 14
 
@@ -95,11 +96,17 @@ class TestTracingNeverPerturbs:
 
 
 class TestShardedFaultSpans:
+    TRANSPORT = "local"
+
     @pytest.fixture()
-    def faulted(self, tiny_workload):
+    def router(self):
+        yield from router_factory(self.TRANSPORT)
+
+    @pytest.fixture()
+    def faulted(self, tiny_workload, router):
         """A 2-shard cluster with shard 1 down for the whole replay and
         every third event's ack 'lost' (duplicated dispatch)."""
-        engine = ShardedEngine(
+        engine = router(
             tiny_workload,
             2,
             config=config_for(),
@@ -158,6 +165,12 @@ class TestShardedFaultSpans:
         assert "slowest traces" in out
         assert "critical path" in out
         assert "failover_redirect [failover]" in out or "retry [retry]" in out
+
+
+class TestWorkerFaultSpans(TestShardedFaultSpans):
+    """The same fault spans with the shards as worker processes."""
+
+    TRANSPORT = "process"
 
 
 class TestProcpoolTracing:

@@ -4,7 +4,9 @@ The cluster story under test: a shard outage must not lose deliveries
 (the deterministic fallback serves them profile-less), duplicates from
 at-least-once dispatch must be suppressed exactly, and once the dead
 shard recovers and replays its buffered ingestions, the cluster must be
-byte-identical to a run that never saw the fault.
+byte-identical to a run that never saw the fault. The fault path speaks
+only transport ops, so ``TestFailoverOnWorkers`` reruns every failover
+assertion over worker processes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import json
 
 import pytest
 
-from repro.cluster.sharded import ShardedEngine
 from repro.core.config import EngineConfig
 from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.errors import StreamError
 from repro.qos.faults import FaultInjector, ShardOutage, ShardSlowdown
+from tests.conftest import router_factory
 
 
 @pytest.fixture(scope="module")
@@ -128,17 +130,22 @@ class TestInjector:
 
 class TestFailover:
     NUM_SHARDS = 3
+    TRANSPORT = "local"
+
+    @pytest.fixture()
+    def router(self):
+        yield from router_factory(self.TRANSPORT)
 
     def outage_for(self, posts, shard=1):
         start, end = span_of(posts)
         width = end - start
         return ShardOutage(shard, start + width * 0.25, start + width * 0.6)
 
-    def test_no_delivery_is_lost_under_an_outage(self, workload):
+    def test_no_delivery_is_lost_under_an_outage(self, workload, router):
         posts = workload.posts
         outage = self.outage_for(posts)
-        plain = ShardedEngine(workload, self.NUM_SHARDS, config=PARITY)
-        faulty = ShardedEngine(
+        plain = router(workload, self.NUM_SHARDS, config=PARITY)
+        faulty = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -166,11 +173,11 @@ class TestFailover:
         ]
         assert len(degraded) == stats.redirected_deliveries
 
-    def test_post_recovery_parity_after_reintegration(self, workload):
+    def test_post_recovery_parity_after_reintegration(self, workload, router):
         posts = workload.posts
         outage = self.outage_for(posts)
-        plain = ShardedEngine(workload, self.NUM_SHARDS, config=PARITY)
-        faulty = ShardedEngine(
+        plain = router(workload, self.NUM_SHARDS, config=PARITY)
+        faulty = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -202,10 +209,12 @@ class TestFailover:
         for plain_batch, faulty_batch in before:
             assert canonical(plain_batch) == canonical(faulty_batch)
 
-    def test_duplicate_dispatches_are_suppressed_exactly(self, workload):
+    def test_duplicate_dispatches_are_suppressed_exactly(
+        self, workload, router
+    ):
         posts = workload.posts[:40]
-        plain = ShardedEngine(workload, self.NUM_SHARDS, config=PARITY)
-        noisy = ShardedEngine(
+        plain = router(workload, self.NUM_SHARDS, config=PARITY)
+        noisy = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -220,10 +229,12 @@ class TestFailover:
         stats = noisy.failover_stats()
         assert stats.duplicates_suppressed > 0
 
-    def test_slowdown_shows_up_as_busy_time_not_different_results(self, workload):
+    def test_slowdown_shows_up_as_busy_time_not_different_results(
+        self, workload, router
+    ):
         posts = workload.posts[:25]
         start, end = span_of(posts)
-        slow = ShardedEngine(
+        slow = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -231,7 +242,7 @@ class TestFailover:
                 slowdowns=(ShardSlowdown(0, start, end + 1.0, factor=5.0),)
             ),
         )
-        plain = ShardedEngine(workload, self.NUM_SHARDS, config=PARITY)
+        plain = router(workload, self.NUM_SHARDS, config=PARITY)
         plain_results = drive(plain, posts)
         slow_results = drive(slow, posts)
         assert canonical(
@@ -242,14 +253,14 @@ class TestFailover:
         # the slowed shard is the busy-time outlier
         assert seconds[0] == max(seconds)
 
-    def test_all_shards_down_raises(self, workload):
+    def test_all_shards_down_raises(self, workload, router):
         posts = workload.posts[:5]
         start, end = span_of(workload.posts)
         outages = tuple(
             ShardOutage(shard, start, end + 1.0)
             for shard in range(self.NUM_SHARDS)
         )
-        doomed = ShardedEngine(
+        doomed = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -258,12 +269,12 @@ class TestFailover:
         with pytest.raises(StreamError):
             drive(doomed, posts)
 
-    def test_reintegrate_now_flushes_a_trailing_outage(self, workload):
+    def test_reintegrate_now_flushes_a_trailing_outage(self, workload, router):
         posts = workload.posts
         start, end = span_of(posts)
         # Outage runs past the end of the stream: nothing triggers replay.
         outage = ShardOutage(1, start + (end - start) * 0.5, end + 10.0)
-        faulty = ShardedEngine(
+        faulty = router(
             workload,
             self.NUM_SHARDS,
             config=PARITY,
@@ -275,3 +286,9 @@ class TestFailover:
         replayed = faulty.reintegrate_now(end + 20.0)
         assert replayed == pending
         assert faulty.failover_stats().pending_reintegration == 0
+
+
+class TestFailoverOnWorkers(TestFailover):
+    """Every failover assertion again, with the shards as processes."""
+
+    TRANSPORT = "process"
