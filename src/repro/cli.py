@@ -663,6 +663,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             ["post p99 (ms)", round(result.post_latency_p99_ms, 3)],
             ["fallback rate", round(result.fallback_rate, 4)],
             ["impressions", result.impressions],
+            ["revenue", round(result.revenue, 2)],
         ],
         title="Replay summary",
     ))

@@ -213,14 +213,24 @@ class SharedPersonalizeStage:
         (vector mode's shared candidate matrix)."""
         return self._personalizer.batched
 
+    def _rung_knobs(self) -> tuple[int, bool]:
+        """(slate size, whether the certificate fallback may run) under
+        the current QoS rung — the configured values when undegraded."""
+        qos = self._services.qos
+        k = self._services.config.k
+        if qos is not None and qos.degrading:
+            return qos.slate_k(k), qos.allow_fallback
+        return k, True
+
     def personalize_batch(
         self, event, candidates, resolved
     ) -> list[PersonalizedDelivery]:
         """Batch form of :meth:`personalize` over resolved followers
         ``(user_id, state, profile, profile_vec)``. Only called on the
-        undegraded, non-mutating path (no QoS rung, no charging, no CTR
-        feedback), where it is delivery-for-delivery identical to the
-        scalar form."""
+        non-mutating path (no charging, no CTR feedback), where it is
+        delivery-for-delivery identical to the scalar form; the QoS rung
+        applies to both alike."""
+        k, allow_fallback = self._rung_knobs()
         results = self._personalizer.slate_batch(
             candidates,
             event.message_vec,
@@ -229,7 +239,8 @@ class SharedPersonalizeStage:
                 for user_id, state, profile, profile_vec in resolved
             ],
             event.timestamp,
-            self._services.config.k,
+            k,
+            allow_fallback=allow_fallback,
         )
         return [
             PersonalizedDelivery(
@@ -241,12 +252,7 @@ class SharedPersonalizeStage:
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        qos = self._services.qos
-        k = self._services.config.k
-        allow_fallback = True
-        if qos is not None and qos.degrading:
-            k = qos.slate_k(k)
-            allow_fallback = qos.allow_fallback
+        k, allow_fallback = self._rung_knobs()
         result = self._personalizer.slate_for(
             candidates,
             event.message_vec,
@@ -682,8 +688,8 @@ class DeliveryPipeline:
             )
             active.flag("degraded")
 
-        # The batched fast path: one shared candidate matrix for the
-        # whole fan-out (vector mode, no QoS/charging/feedback). The
+        # The batched fast path: one kernel call for the whole fan-out
+        # (vector mode, no charging/feedback; any QoS rung). The
         # per-follower personalize span gets the amortised share so span
         # counts and stage totals stay comparable with the scalar path.
         batch_results: list[PersonalizedDelivery] | None = None
@@ -691,7 +697,6 @@ class DeliveryPipeline:
         if (
             self._batchable
             and degraded_slate is None
-            and qos is None
             and candidates is not None
             and followers
         ):

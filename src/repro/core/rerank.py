@@ -89,23 +89,21 @@ class Personalizer:
         )
         self._profile_searcher = make_searcher(config.searcher, index)
         self._profile_cache: dict[int, _ProfileCandidates] = {}
-        # Vector mode: union scoring runs on the compact mirror via
-        # ScoringModel.evaluate_block instead of per-(user, ad) Python.
+        # Vector mode: the whole path runs on the compact mirror through
+        # one kernel, slate_batch.
         self._vector = config.searcher == "vector"
         if self._vector:
             self._compact = CompactIndex.shared(index)
             self._static_cache = StaticRowCache(scoring.corpus, self._compact)
             # Per-event cache: (candidate set, mirror generation) →
-            # candidate rows + the dense message vector, shared across
-            # the whole fan-out. The strong reference to the candidate
-            # set keeps its id stable for the identity check.
+            # candidate rows + the raw message gather, shared across the
+            # whole fan-out. The strong reference to the candidate set
+            # keeps its id stable for the identity check.
             self._event_cache: tuple | None = None
             # Static-list rows, keyed by (list version, generation).
             self._static_rows_cache: tuple | None = None
-            # Per-event raw message gather (fallback probes), appended
-            # lazily to the event cache; per-user raw profile gathers,
-            # keyed by (profile epoch, corpus adds, generation).
-            self._message_gather_cache: tuple | None = None
+            # Per-user raw profile gathers, keyed by (profile epoch,
+            # corpus adds, generation).
             self._profile_gather_cache: dict[int, tuple] = {}
             # Compact rows of each user's profile-probe entries, keyed by
             # the probe object's identity (stable while its cache entry
@@ -199,17 +197,14 @@ class Personalizer:
         rung — and the slate is served as-is, certified or not.
         """
         if self._vector:
-            return self._slate_for_vector(
+            return self.slate_batch(
                 candidates,
                 message_vec,
-                user_id,
-                profile_vec,
-                profile_epoch,
-                location,
+                [(user_id, profile_vec, profile_epoch, location)],
                 timestamp,
                 k,
                 allow_fallback=allow_fallback,
-            )
+            )[0]
         scoring = self._scoring
         corpus = scoring.corpus
         profile_cands = self.profile_candidates(user_id, profile_vec, profile_epoch)
@@ -251,15 +246,18 @@ class Personalizer:
 
     # -- the vector (compact-mirror) delivery path ---------------------------
 
-    def _candidate_block(
+    def _event_block(
         self, candidates: CandidateSet, message_vec: SparseVector, generation: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(candidate rows, dense message vector), cached per event.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(candidate rows, message-gather rows, message-gather dots),
+        cached per event.
 
         Keyed by candidate-set identity (held strongly, so the id cannot
         be recycled mid-cache) and mirror generation — a compaction
         between deliveries of one fan-out re-derives the rows from the
-        stable ad ids.
+        stable ad ids. The gather is every row sharing a term with the
+        message; rows retired after it was taken stay in it, so the
+        caller re-masks through ``alive`` at use time.
         """
         cached = self._event_cache
         if (
@@ -267,12 +265,14 @@ class Personalizer:
             and cached[0] is candidates
             and cached[1] == generation
         ):
-            return cached[2], cached[3]
+            return cached[2], cached[3], cached[4]
         compact = self._compact
         rows = compact.rows_of_present(ad_id for ad_id, _ in candidates.entries)
-        dense_message = compact.dense_query(message_vec)
-        self._event_cache = (candidates, generation, rows, dense_message)
-        return rows, dense_message
+        message_rows, message_dots = compact.gather(message_vec)
+        self._event_cache = (
+            candidates, generation, rows, message_rows, message_dots,
+        )
+        return rows, message_rows, message_dots
 
     def _static_list_rows(self, generation: int) -> np.ndarray:
         """Compact rows of the global geo+bid prefix, version-cached."""
@@ -283,121 +283,6 @@ class Personalizer:
         rows = self._compact.rows_of_present(self._static_list.candidate_ids())
         self._static_rows_cache = (version, generation, rows)
         return rows
-
-    def _slate_for_vector(
-        self,
-        candidates: CandidateSet,
-        message_vec: SparseVector,
-        user_id: int,
-        profile_vec: SparseVector,
-        profile_epoch: int,
-        location: GeoPoint | None,
-        timestamp: float,
-        k: int,
-        *,
-        allow_fallback: bool,
-    ) -> PersonalizedSlate:
-        """The union-score/certify/fall-back path on the compact mirror.
-
-        Same candidate sources, same certificate, same tie rule as the
-        oracle path above — but the union is scored as one block:
-        content and profile affinity via CSR row dots, activity and
-        targeting as masks, statics as array arithmetic.
-        """
-        scoring = self._scoring
-        compact = self._compact
-        compact.maybe_compact()
-        profile_cands = self.profile_candidates(user_id, profile_vec, profile_epoch)
-        # Read after the profile probe: a probe may trigger compaction,
-        # and every row cached below must be in the post-rebuild space.
-        generation = compact.generation
-
-        candidate_rows, dense_message = self._candidate_block(
-            candidates, message_vec, generation
-        )
-        profile_rows = self._profile_member_rows(
-            user_id, profile_cands, generation
-        )
-        union = np.unique(
-            np.concatenate(
-                (candidate_rows, profile_rows, self._static_list_rows(generation))
-            )
-        )
-        # Mid-batch retirements clear alive bits without recycling rows,
-        # so one mask keeps cached rows honest (the oracle path's
-        # corpus.is_active check).
-        union = union[compact.alive[union]]
-
-        slate: tuple[ScoredAd, ...] = ()
-        if union.shape[0]:
-            content = compact.row_dots(union, dense_message)
-            if profile_vec:
-                affinity = compact.row_dots(
-                    union, compact.dense_query(profile_vec)
-                )
-            else:
-                affinity = np.zeros(union.shape[0], dtype=np.float64)
-            block = scoring.evaluate_block(
-                self._static_cache,
-                union,
-                compact.ad_ids[union],
-                content,
-                affinity,
-                location,
-                timestamp,
-            )
-            order = np.lexsort((block.ad_ids, -block.score))[:k]
-            slate = tuple(
-                scoring.scored_ad(
-                    int(block.ad_ids[i]),
-                    float(block.content[i]),
-                    float(block.static[i]),
-                )
-                for i in order
-            )
-
-        weights = scoring.weights
-        certificate = (
-            weights.alpha * candidates.cutoff
-            + weights.beta * profile_cands.cutoff
-            + self._static_list.cutoff()
-        )
-        certified = len(slate) == k and slate[-1].score >= certificate
-        if certified or not (self._exact_fallback and allow_fallback):
-            return PersonalizedSlate(slate=slate, certified=certified, fell_back=False)
-        return PersonalizedSlate(
-            slate=self._fallback_slate_vector(
-                candidates,
-                generation,
-                message_vec,
-                user_id,
-                profile_vec,
-                profile_epoch,
-                location,
-                timestamp,
-                k,
-            ),
-            certified=True,
-            fell_back=True,
-        )
-
-    # -- the batched (whole fan-out) vector delivery path ---------------------
-
-    def _message_gather(
-        self, candidates: CandidateSet, generation: int, message_vec: SparseVector
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw message gather ``(rows, dots)`` for fallback probes, cached
-        per (event, generation) like :meth:`_candidate_block`."""
-        cached = self._message_gather_cache
-        if (
-            cached is not None
-            and cached[0] is candidates
-            and cached[1] == generation
-        ):
-            return cached[2], cached[3]
-        rows, dots = self._compact.gather(message_vec)
-        self._message_gather_cache = (candidates, generation, rows, dots)
-        return rows, dots
 
     def _profile_gather(
         self,
@@ -427,6 +312,21 @@ class Personalizer:
         )
         return rows, dots
 
+    def _alive_only(
+        self, rows: np.ndarray, dots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A cached gather minus the rows retired since it was taken.
+
+        Charging can retire an ad between two followers of one event;
+        retirement clears the row's alive bit without recycling the row,
+        so one mask keeps a cached gather honest (the oracle path's
+        ``corpus.is_active`` check).
+        """
+        live = self._compact.alive[rows]
+        if live.all():
+            return rows, dots
+        return rows[live], dots[live]
+
     def _profile_member_rows(
         self, user_id: int, cands: _ProfileCandidates, generation: int
     ) -> np.ndarray:
@@ -445,83 +345,6 @@ class Personalizer:
         self._profile_rows_cache[user_id] = (cands, generation, rows)
         return rows
 
-    def _fallback_slate_vector(
-        self,
-        candidates: CandidateSet,
-        generation: int,
-        message_vec: SparseVector,
-        user_id: int,
-        profile_vec: SparseVector,
-        profile_epoch: int,
-        location: GeoPoint | None,
-        timestamp: float,
-        k: int,
-    ) -> tuple[ScoredAd, ...]:
-        """One exact combined-query probe built from cached gathers.
-
-        The combined score ``alpha·content + beta·affinity`` is assembled
-        from the per-event message gather and the per-user profile gather
-        instead of re-walking the postings per delivery; statics and
-        targeting are the same vectorized block as the probe path.
-        """
-        scoring = self._scoring
-        compact = self._compact
-        weights = scoring.weights
-        message_rows, message_dots = self._message_gather(
-            candidates, generation, message_vec
-        )
-        # Mid-fanout retirements (budget exhaustion under charging) clear
-        # alive bits after the cached gather was taken.
-        live = compact.alive[message_rows]
-        if not live.all():
-            message_rows = message_rows[live]
-            message_dots = message_dots[live]
-        if weights.beta > 0.0 and profile_vec:
-            profile_rows, profile_dots = self._profile_gather(
-                user_id, profile_vec, profile_epoch, generation
-            )
-            live = compact.alive[profile_rows]
-            if not live.all():
-                profile_rows = profile_rows[live]
-                profile_dots = profile_dots[live]
-            rows = np.union1d(message_rows, profile_rows)
-        else:
-            profile_rows = profile_dots = None
-            rows = message_rows
-        if not rows.shape[0]:
-            return ()
-        combined = np.zeros(rows.shape[0], dtype=np.float64)
-        positions = np.searchsorted(rows, message_rows)
-        combined[positions] = weights.alpha * message_dots
-        if profile_rows is not None:
-            positions = np.searchsorted(rows, profile_rows)
-            combined[positions] += weights.beta * profile_dots
-        ad_ids = compact.ad_ids[rows]
-        static_block = scoring.probe_static_block(
-            self._static_cache, location, timestamp
-        )
-        keep, statics = static_block(rows, ad_ids)
-        scores = combined + statics
-        kept = np.flatnonzero(keep)
-        if not kept.shape[0]:
-            return ()
-        order = kept[np.lexsort((ad_ids[kept], -scores[kept]))[:k]]
-        index = self._index
-        slate: list[ScoredAd] = []
-        for i in order:
-            ad_id = int(ad_ids[i])
-            content = dot(message_vec, index.ad_terms(ad_id))
-            score = float(scores[i])
-            slate.append(
-                ScoredAd(
-                    ad_id=ad_id,
-                    score=score,
-                    content=content,
-                    static=score - weights.alpha * content,
-                )
-            )
-        return tuple(slate)
-
     def slate_batch(
         self,
         candidates: CandidateSet,
@@ -529,20 +352,25 @@ class Personalizer:
         followers: list[tuple[int, SparseVector, int, GeoPoint | None]],
         timestamp: float,
         k: int,
+        *,
+        allow_fallback: bool = True,
     ) -> list[PersonalizedSlate]:
-        """The whole fan-out of one event as one candidate matrix.
+        """The vector personalize kernel: union-score, certify, fall back
+        for any number of followers of one event (vector mode only).
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
-        location)`` per follower. One message gather plus one cached
-        profile gather per follower cover every row any slate can
-        contain — content, affinity, targeting and bid statics are
-        evaluated once over that union, and the approximate slate *and*
-        the exact fallback are both cut from the same arrays, so an
-        uncertified delivery costs one extra mask + top-k instead of a
-        fresh probe. Slates, certification decisions and fallbacks are
-        elementwise identical to calling :meth:`slate_for` per follower —
-        the caller guarantees no corpus mutation happens mid-batch (no
-        charging, no CTR feedback).
+        location)`` per follower; ``allow_fallback`` is as in
+        :meth:`slate_for`, which is this kernel called on one follower.
+        One message gather (cached per event) plus one cached profile
+        gather per follower cover every row any slate can contain —
+        content, affinity, targeting and bid statics are evaluated over
+        the full row space, and the approximate slate *and* the exact
+        fallback are both cut from the same arrays, so an uncertified
+        delivery costs one extra mask + top-k instead of a fresh probe.
+        Engine state is read once per call: a caller that mutates the
+        corpus between followers (charging, CTR feedback) calls per
+        follower, one that does not may pass the whole fan-out — the
+        results are elementwise the same either way.
         """
         scoring = self._scoring
         compact = self._compact
@@ -554,43 +382,37 @@ class Personalizer:
             self.profile_candidates(user_id, profile_vec, profile_epoch)
             for user_id, profile_vec, profile_epoch, _ in followers
         ]
-        candidate_rows, _ = self._candidate_block(
+        candidate_rows, message_rows, message_dots = self._event_block(
             candidates, message_vec, generation
         )
+        message_rows, message_dots = self._alive_only(message_rows, message_dots)
         static_rows = self._static_list_rows(generation)
-        message_rows, message_dots = self._message_gather(
-            candidates, generation, message_vec
-        )
 
-        count = len(followers)
         weights = scoring.weights
         static_cutoff = self._static_list.cutoff()
-        fallback_ok = self._exact_fallback
+        fallback_ok = self._exact_fallback and allow_fallback
 
         # Alive-masked raw profile gathers: every row with affinity > 0,
         # for the keep floor, the affinity term and the fallback row set.
-        profile_gathers: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for user_id, profile_vec, profile_epoch, _ in followers:
-            if profile_vec:
-                rows, dots = self._profile_gather(
+        profile_gathers = [
+            self._alive_only(
+                *self._profile_gather(
                     user_id, profile_vec, profile_epoch, generation
                 )
-                live = compact.alive[rows]
-                if not live.all():
-                    rows = rows[live]
-                    dots = dots[live]
-                profile_gathers.append((rows, dots))
-            else:
-                profile_gathers.append(None)
+            )
+            if profile_vec
+            else None
+            for user_id, profile_vec, profile_epoch, _ in followers
+        ]
 
         # Everything below works in the full row space of the mirror —
         # scatters and mask writes are direct row indexing, no unions or
-        # searchsorted. Per event the shared pieces (content, bid, time
+        # searchsorted. Per call the shared pieces (content, bid, time
         # mask) are row vectors; per follower only 1-D boolean masks plus
         # float math on the kept subset, so no (F × rows) matrices are
         # ever materialised. Dead rows have zero content/affinity (the
-        # gathers above are alive-masked) and unmarked memberships, so
-        # they can never be selected.
+        # gathers above are alive-masked) and sit in no fallback
+        # membership, so neither the floor nor the probe can select them.
         ad_ids = compact.ad_ids
         size = ad_ids.shape[0]
         results: list[PersonalizedSlate] = []
@@ -599,7 +421,7 @@ class Personalizer:
             content = np.zeros(size, dtype=np.float64)
             content[message_rows] = message_dots
             content_floor = content > 0.0
-            bid = scoring.fanout_bid_block(cache, ad_ids, timestamp)
+            bid = scoring.fanout_bid_block(cache, timestamp)
             time_keep = cache.time_keep_full(timestamp)
             # Membership for the approximate slate: every follower sees
             # the shared candidate and static rows; the profile-probe rows

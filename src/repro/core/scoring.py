@@ -47,19 +47,6 @@ class ScoredAd:
     static: float
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredBlock:
-    """Vectorized evaluation of a candidate block (surviving rows only)."""
-
-    ad_ids: np.ndarray  # int64
-    content: np.ndarray  # float64
-    static: np.ndarray  # float64
-    score: np.ndarray  # float64
-
-    def __len__(self) -> int:
-        return int(self.ad_ids.shape[0])
-
-
 class StaticRowCache:
     """Query-independent per-row features for the compact hot path.
 
@@ -89,10 +76,8 @@ class StaticRowCache:
         self.bids = np.zeros(0, dtype=np.float64)
         self.pacing_slots = np.zeros(0, dtype=np.int64)
         self.quality_slots = np.zeros(0, dtype=np.int64)
-        self._untargeted = np.zeros(0, dtype=bool)
         self._geo_targeted = np.zeros(0, dtype=bool)
         self._time_targeted = np.zeros(0, dtype=bool)
-        self._specs: list[object] = []
         # Flat targeting geometry, staged in lists (append-friendly) and
         # flattened to arrays on demand. Row tags are ascending because
         # sync always visits rows in order.
@@ -126,10 +111,8 @@ class StaticRowCache:
             self.bids = np.zeros(compact.num_rows, dtype=np.float64)
             self.pacing_slots = np.zeros(compact.num_rows, dtype=np.int64)
             self.quality_slots = np.zeros(compact.num_rows, dtype=np.int64)
-            self._untargeted = np.zeros(compact.num_rows, dtype=bool)
             self._geo_targeted = np.zeros(compact.num_rows, dtype=bool)
             self._time_targeted = np.zeros(compact.num_rows, dtype=bool)
-            self._specs = [None] * compact.num_rows
             self._geo_stage = []
             self._time_stage = []
             self._flat_dirty = True
@@ -146,10 +129,8 @@ class StaticRowCache:
             self.quality_slots = _grown(
                 self.quality_slots, num_rows, np.int64
             )
-            self._untargeted = _grown(self._untargeted, num_rows, bool)
             self._geo_targeted = _grown(self._geo_targeted, num_rows, bool)
             self._time_targeted = _grown(self._time_targeted, num_rows, bool)
-            self._specs.extend([None] * (num_rows - len(self._specs)))
         corpus = self._corpus
         ad_ids = compact.ad_ids
         for row in range(self._synced_rows, num_rows):
@@ -160,8 +141,6 @@ class StaticRowCache:
             if ctr is not None:
                 self.quality_slots[row] = ctr.slot_of(ad.ad_id)
             spec = ad.targeting
-            self._untargeted[row] = spec.is_untargeted
-            self._specs[row] = spec
             if spec.circles:
                 self._geo_targeted[row] = True
                 for center, radius in spec.circles:
@@ -216,12 +195,6 @@ class StaticRowCache:
             (rec[2] for rec in windows), dtype=np.float64, count=len(windows)
         )
         self._flat_dirty = False
-
-    def untargeted(self, rows: np.ndarray) -> np.ndarray:
-        return self._untargeted[rows]
-
-    def spec(self, row: int):
-        return self._specs[row]
 
     def targeting_full(
         self, location: GeoPoint | None
@@ -510,63 +483,13 @@ class ScoringModel:
             )
         return bid
 
-    def evaluate_block(
-        self,
-        cache: StaticRowCache,
-        rows: np.ndarray,
-        ad_ids: np.ndarray,
-        content: np.ndarray,
-        affinity: np.ndarray,
-        location: GeoPoint | None,
-        timestamp: float,
-    ) -> ScoredBlock:
-        """Vectorized :meth:`evaluate` over a block of *alive* rows.
-
-        ``content``/``affinity`` are the message and profile dot products
-        per row (the caller computes both through the compact forward
-        CSR). Applies the relevance floor and the targeting predicate,
-        then scores the survivors with the same arithmetic — and the same
-        operation order — as the scalar path, so scores agree to float32
-        storage precision.
-        """
-        cache.sync(self._budget_manager, self._ctr_estimator)
-        keep = (content > 0.0) | (affinity > 0.0)
-        targeted_ok, proximity = cache.targeting_block(rows, location, timestamp)
-        keep &= targeted_ok
-        if not keep.any():
-            empty = np.zeros(0, dtype=np.float64)
-            return ScoredBlock(
-                ad_ids=np.zeros(0, dtype=np.int64),
-                content=empty,
-                static=empty,
-                score=empty,
-            )
-        rows = rows[keep]
-        ad_ids = ad_ids[keep]
-        content = content[keep]
-        affinity = affinity[keep]
-        proximity = proximity[keep]
-        weights = self.weights
-        static = (
-            weights.beta * affinity
-            + weights.gamma * proximity
-            + weights.delta * self._bid_block(cache, timestamp, rows)
-        )
-        return ScoredBlock(
-            ad_ids=ad_ids,
-            content=content,
-            static=static,
-            score=weights.alpha * content + static,
-        )
-
     def fanout_bid_block(
-        self, cache: StaticRowCache, ad_ids: np.ndarray, timestamp: float
+        self, cache: StaticRowCache, timestamp: float
     ) -> np.ndarray:
         """Delta-weighted full-row bid term, shared across a fan-out.
 
         The bid is the only user-independent static, so one row vector
-        serves every follower of an event. ``ad_ids`` is unused (the
-        cache maps rows to state slots itself); callers pass it anyway.
+        serves every follower of an event.
         """
         cache.sync(self._budget_manager, self._ctr_estimator)
         return self.weights.delta * self._bid_block(cache, timestamp)
@@ -584,9 +507,9 @@ class ScoringModel:
 
         ``content``/``affinity``/``bid`` span the full row space (``bid``
         from :meth:`fanout_bid_block`); only ``kept`` rows are evaluated,
-        with the same arithmetic and operation order as
-        :meth:`evaluate_block`, so values are elementwise identical to
-        the per-delivery path. Returns ``(static, score)`` on the subset.
+        with the same arithmetic and operation order as :meth:`evaluate`,
+        so scores agree with the scalar path to float32 storage
+        precision. Returns ``(static, score)`` on the subset.
         """
         weights = self.weights
         proximity = cache.targeting_full(location)[1]

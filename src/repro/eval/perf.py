@@ -33,6 +33,7 @@ class PerfResult:
     fallback_rate: float
     refresh_rate: float
     impressions: int
+    revenue: float = 0.0
     # QoS accounting (zero unless run_perf got a controller).
     deliveries_shed: int = 0
     deliveries_degraded: int = 0
@@ -117,6 +118,7 @@ def run_perf(
         fallback_rate=stats.fallback_rate(),
         refresh_rate=stats.refresh_rate(),
         impressions=metrics.impressions,
+        revenue=stats.revenue,
         deliveries_shed=stats.deliveries_shed,
         deliveries_degraded=stats.deliveries_degraded,
         revenue_shed_upper_bound=stats.revenue_shed_upper_bound,

@@ -13,10 +13,9 @@ arrays that one numpy gather can traverse:
   arrays sorted by row (ascending ad insertion order). New ads always
   receive the current maximal row, so incremental appends keep the sort
   order for free. Impact-ordered views (weight-descending) are derived
-  lazily per term for bound-style traversals.
-* **Forward CSR** — ``indptr/term_id/weight`` arrays mapping a row to its
-  term vector, which turns per-(user, ad) dot products into one
-  ``bincount`` over a candidate block (:meth:`CompactIndex.row_dots`).
+  lazily per term for bound-style traversals. There is no forward
+  (row → terms) view: every dot product the hot path needs is a
+  term-at-a-time :meth:`CompactIndex.gather` over these arrays.
 
 Synchronisation uses the same subscription idiom the index itself uses
 against the corpus: the mirror registers add/remove listeners and applies
@@ -127,11 +126,6 @@ class CompactIndex:
         self._term_weights: list[np.ndarray] = []
         self._term_max_weight: list[float] = []
         self._impact_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Forward CSR over rows.
-        self._fwd_indptr = np.zeros(1, dtype=np.int64)
-        self._fwd_tids = np.zeros(0, dtype=np.int32)
-        self._fwd_weights = np.zeros(0, dtype=np.float32)
-        self._fwd_len = 0
         # Score accumulator scratch, zeroed after every gather.
         self._scores = np.zeros(0, dtype=np.float64)
         self._rebuild()
@@ -266,50 +260,6 @@ class CompactIndex:
         keep = self._alive[candidates]
         return candidates[keep], gathered[keep]
 
-    def row_dots(self, rows: np.ndarray, dense_query: np.ndarray) -> np.ndarray:
-        """``dot(query, ad)`` for each row via the forward CSR.
-
-        ``dense_query`` is a term-id-indexed float64 vector (see
-        :meth:`dense_query`); it may be shorter than the interner — ids
-        beyond its length are treated as weight zero.
-        """
-        if not rows.shape[0]:
-            return np.zeros(0, dtype=np.float64)
-        indptr = self._fwd_indptr
-        starts = indptr[rows]
-        counts = indptr[rows + 1] - starts
-        total = int(counts.sum())
-        out_size = rows.shape[0]
-        if total == 0:
-            return np.zeros(out_size, dtype=np.float64)
-        num_terms = max(len(self.terms), 1)
-        if dense_query.shape[0] < num_terms:
-            dense_query = np.concatenate(
-                (dense_query, np.zeros(num_terms - dense_query.shape[0]))
-            )
-        # Flat CSR offsets for the whole block, then one segmented sum.
-        segments = np.repeat(np.arange(out_size), counts)
-        ends = np.cumsum(counts)
-        flat = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-        values = self._fwd_weights[flat].astype(np.float64) * dense_query[
-            self._fwd_tids[flat]
-        ]
-        return np.bincount(segments, weights=values, minlength=out_size)
-
-    def dense_query(self, query: Mapping[str, float]) -> np.ndarray:
-        """Scatter a sparse term → weight mapping into term-id space.
-
-        Unknown terms are dropped — they match no indexed ad, so they
-        cannot contribute to any row dot product.
-        """
-        dense = np.zeros(max(len(self.terms), 1), dtype=np.float64)
-        lookup = self.terms.lookup
-        for term, weight in query.items():
-            tid = lookup(term)
-            if tid is not None:
-                dense[tid] = weight
-        return dense
-
     # -- synchronisation ------------------------------------------------------
 
     def maybe_compact(self) -> bool:
@@ -339,9 +289,9 @@ class CompactIndex:
         self._ad_ids[row] = ad_id
         self._alive[row] = True
         self._row_of[ad_id] = row
-        interned = sorted(
+        interned = [
             (self.terms.intern(term), weight) for term, weight in terms.items()
-        )
+        ]
         while len(self._term_rows) < len(self.terms):
             self._term_rows.append(np.zeros(0, dtype=np.int32))
             self._term_weights.append(np.zeros(0, dtype=np.float32))
@@ -357,15 +307,6 @@ class CompactIndex:
             if weight > self._term_max_weight[tid]:
                 self._term_max_weight[tid] = weight
             self._impact_cache.pop(tid, None)
-        count = len(interned)
-        self._fwd_indptr = _grow(self._fwd_indptr, self._num_rows + 1)
-        self._fwd_tids = _grow(self._fwd_tids, self._fwd_len + count)
-        self._fwd_weights = _grow(self._fwd_weights, self._fwd_len + count)
-        for offset, (tid, weight) in enumerate(interned):
-            self._fwd_tids[self._fwd_len + offset] = tid
-            self._fwd_weights[self._fwd_len + offset] = weight
-        self._fwd_len += count
-        self._fwd_indptr[self._num_rows] = self._fwd_len
 
     def _on_remove(self, ad_id: int, terms: Mapping[str, float]) -> None:
         row = self._row_of.pop(ad_id, None)
@@ -400,8 +341,8 @@ class CompactIndex:
         # One pass per *term* (not per posting): each posting list hands
         # over its ids/weights as arrays, rows come from one searchsorted
         # against the ascending ad-id axis, and the rest is pure array
-        # work — both the forward CSR and the per-term postings are
-        # re-sorted views over the same flat triplets.
+        # work — the per-term postings are a re-sorted view over the flat
+        # triplets.
         intern = self.terms.intern
         tid_list: list[int] = []
         counts: list[int] = []
@@ -424,21 +365,9 @@ class CompactIndex:
             rows = np.zeros(0, dtype=np.int64)
             tids = np.zeros(0, dtype=np.int64)
             weights = np.zeros(0, dtype=np.float64)
-        total = rows.shape[0]
         num_terms = len(self.terms)
 
-        # Forward CSR: postings sorted by (row, term id).
-        order = np.lexsort((tids, rows))
-        self._fwd_tids = tids[order].astype(np.int32)
-        self._fwd_weights = weights[order].astype(np.float32)
-        indptr = np.zeros(self._num_rows + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(rows, minlength=self._num_rows), out=indptr[1:]
-        )
-        self._fwd_indptr = indptr
-        self._fwd_len = total
-
-        # Per-term postings: the same triplets sorted by (term id, row),
+        # Per-term postings: the triplets sorted by (term id, row),
         # split at term boundaries (views into the flat arrays).
         order = np.lexsort((rows, tids))
         term_rows_flat = rows[order].astype(np.int32)
@@ -478,21 +407,19 @@ class CompactIndex:
             "alive rows diverge from indexed ads"
         )
         assert self._dead == self._num_rows - len(alive_ids)
+        # Postings per row, counted from the per-term arrays: with every
+        # expected term verified below, an equal count rules out a stray
+        # posting for a term the ad does not have.
+        posting_counts = np.zeros(self._num_rows, dtype=np.int64)
+        for rows in self._term_rows:
+            posting_counts += np.bincount(rows, minlength=self._num_rows)
         for ad_id in alive_ids:
             row = self._row_of[ad_id]
             assert self._alive[row] and int(self._ad_ids[row]) == ad_id
-            start = int(self._fwd_indptr[row])
-            end = int(self._fwd_indptr[row + 1])
-            forward = {
-                self.terms.name_of(int(tid)): float(weight)
-                for tid, weight in zip(
-                    self._fwd_tids[start:end], self._fwd_weights[start:end]
-                )
-            }
             expected = index.ad_terms(ad_id)
-            assert forward.keys() == expected.keys()
-            for term, weight in expected.items():
-                assert abs(forward[term] - weight) < 1e-6
+            assert int(posting_counts[row]) == len(expected), (
+                f"row {row} has postings for terms ad {ad_id} lacks"
+            )
             for term, weight in expected.items():
                 rows, weights = self.term_postings(term)
                 positions = np.flatnonzero(rows == row)

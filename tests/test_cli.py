@@ -9,6 +9,18 @@ from repro.cli import build_parser, main
 FAST = ["--users", "30", "--ads", "80", "--posts", "30", "--vocab", "1200", "--topics", "8"]
 
 
+def summary_rows(out: str) -> list[str]:
+    """The replay-summary rows that must not depend on the transport or
+    the searcher (padding squeezed out: it follows the table's widest
+    value)."""
+    wanted = ("posts ", "deliveries ", "impressions ", "revenue ")
+    return [
+        line.replace(" ", "")
+        for line in out.splitlines()
+        if line.startswith(wanted)
+    ]
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -85,6 +97,16 @@ class TestReplay:
         assert "deliveries/s" in out
         assert "searcher" in out
         assert searcher in out
+
+    def test_vector_replay_prints_the_reference_rows(self, capsys):
+        """CI's oracle-parity step: charged (default) serving through the
+        vector kernel prints the pure-Python reference's totals."""
+        rows = {}
+        for searcher in ("ta", "vector"):
+            assert main(["replay", *FAST, "--searcher", searcher]) == 0
+            rows[searcher] = summary_rows(capsys.readouterr().out)
+        assert len(rows["ta"]) == 4
+        assert rows["vector"] == rows["ta"]
 
     def test_approximate_flag(self, capsys):
         code = main(
@@ -311,17 +333,6 @@ class TestTracing:
         assert "router" in processes
         assert any(p.startswith("worker") for p in processes)
 
-    @staticmethod
-    def _cluster_rows(out: str) -> list[str]:
-        """The summary rows that must not depend on the transport
-        (padding squeezed out: it follows the table's widest value)."""
-        wanted = ("posts ", "deliveries ", "impressions ", "revenue ")
-        return [
-            line.replace(" ", "")
-            for line in out.splitlines()
-            if line.startswith(wanted)
-        ]
-
     def test_shards_and_workers_replay_the_same_cluster(self, capsys):
         """--shards N and --workers N pick the router's transport and
         nothing else; --shards used to be ignored off the scenario path."""
@@ -332,9 +343,9 @@ class TestTracing:
         assert main(base + ["--workers", "2", "--batch", "1"]) == 0
         pool = capsys.readouterr().out
         assert "Replay summary (procpool backend)" in pool
-        rows = self._cluster_rows(local)
+        rows = summary_rows(local)
         assert len(rows) == 4
-        assert rows == self._cluster_rows(pool)
+        assert rows == summary_rows(pool)
 
     def test_shards_with_workers_is_rejected_off_the_scenario_path(self, capsys):
         code = main(["replay", *FAST, "--shards", "2", "--workers", "2"])

@@ -176,3 +176,149 @@ class TestProfileCandidateCache:
         second = personalizer.profile_candidates(7, profile, 3)
         assert first is not second
         assert 5000 in [ad_id for ad_id, _ in second.entries]
+
+
+class TestMidFanoutRetirement:
+    """Charging can retire an ad between two followers of one event: the
+    vector kernel's per-event message gather and candidate rows were
+    cached before the retirement, and only its alive mask keeps the
+    exhausted ad out of the next follower's slate."""
+
+    @staticmethod
+    def engine_for(workload, searcher):
+        from repro.core.engine import AdEngine
+
+        engine = AdEngine(
+            corpus=workload.build_corpus(),
+            graph=workload.graph,
+            vectorizer=workload.vectorizer,
+            tokenizer=workload.tokenizer,
+            # Unpaced, so moving an ad's spend changes nothing until the
+            # charge that exhausts it.
+            config=EngineConfig(searcher=searcher, pacing_enabled=False),
+        )
+        for user in workload.users:
+            engine.register_user(user.user_id, user.home)
+        return engine
+
+    @staticmethod
+    def post(engine, post):
+        return engine.post(post.author_id, post.text, post.timestamp)
+
+    def test_next_follower_drops_the_exhausted_ad_like_the_oracle(
+        self, tiny_workload
+    ):
+        posts = tiny_workload.posts
+        # Scout run: the first event whose first two followers are both
+        # served the same budgeted, content-matching ad.
+        scout = self.engine_for(tiny_workload, "ta")
+        target = None
+        for position, post in enumerate(posts):
+            deliveries = self.post(scout, post).deliveries
+            if len(deliveries) < 2:
+                continue
+            second = {scored.ad_id for scored in deliveries[1].slate}
+            target = next(
+                (
+                    (position, scored.ad_id)
+                    for scored in deliveries[0].slate
+                    if scored.content > 0.0
+                    and scored.ad_id in second
+                    and scout.budget.state(scored.ad_id) is not None
+                ),
+                None,
+            )
+            if target is not None:
+                break
+        assert target is not None, "no shared budgeted ad in any fan-out"
+        position, ad_id = target
+
+        served = {}
+        for searcher in ("ta", "vector"):
+            engine = self.engine_for(tiny_workload, searcher)
+            for post in posts[:position]:
+                self.post(engine, post)
+            state = engine.budget.state(ad_id)
+            # Less than the reserve price left: the next charge exhausts.
+            engine.budget.restore_spend(ad_id, state.budget - 1e-6)
+            if searcher == "vector":
+                row = engine.personalizer._compact.row_of(ad_id)
+            deliveries = self.post(engine, posts[position]).deliveries
+            served[searcher] = [
+                [scored.ad_id for scored in delivery.slate]
+                for delivery in deliveries
+            ]
+            assert ad_id in served[searcher][0]
+            assert not engine.corpus.is_active(ad_id)
+            for slate in served[searcher][1:]:
+                assert ad_id not in slate
+        assert served["vector"] == served["ta"]
+        # The retired row really sat in the cached per-event arrays (and
+        # kept its row: no compaction hid it), so the mask did the work.
+        compact = engine.personalizer._compact
+        _, _, candidate_rows, message_rows, _ = engine.personalizer._event_cache
+        assert not compact.alive[row]
+        assert row in candidate_rows and row in message_rows
+
+
+class TestKernelSelfConsistency:
+    """The vector kernel on a whole fan-out equals itself called once per
+    follower — ``slate_for`` is the latter, so this is what lets the
+    pipeline pick either by what sits downstream, not by config."""
+
+    @pytest.mark.parametrize("allow_fallback", [True, False])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_batch_equals_per_follower_calls(self, k, allow_fallback):
+        from repro.geo.point import GeoPoint
+
+        # Shallow sources so certification fails often enough to exercise
+        # the fallback cut as well as the approximate one.
+        stack = build_stack(
+            seed=6,
+            searcher="vector",
+            overfetch=20,
+            profile_candidates=15,
+            static_candidates=15,
+        )
+        rng, space, _, _, config, _, personalizer, generator = stack
+        assert k <= config.k
+        followers = [
+            (
+                user_id,
+                random_profile(space, rng) if user_id % 4 else {},
+                0,
+                GeoPoint(rng.uniform(-60, 60), rng.uniform(-150, 150))
+                if user_id % 3
+                else None,
+            )
+            for user_id in range(12)
+        ]
+        fell_back = certified = 0
+        for _ in range(6):
+            message = random_message(space, rng)
+            candidates = generator.generate(message)
+            together = personalizer.slate_batch(
+                candidates, message, followers, 500.0, k,
+                allow_fallback=allow_fallback,
+            )
+            alone = [
+                personalizer.slate_batch(
+                    candidates, message, [follower], 500.0, k,
+                    allow_fallback=allow_fallback,
+                )[0]
+                for follower in followers
+            ]
+            assert together == alone
+            assert alone == [
+                personalizer.slate_for(
+                    candidates, message, *follower, 500.0, k,
+                    allow_fallback=allow_fallback,
+                )
+                for follower in followers
+            ]
+            fell_back += sum(result.fell_back for result in together)
+            certified += sum(
+                result.certified and not result.fell_back for result in together
+            )
+        assert certified > 0
+        assert (fell_back > 0) == allow_fallback

@@ -237,3 +237,103 @@ class TestDegradedRunCountsAndFlags:
                 assert delivery.degraded
                 assert len(delivery.slate) <= half_k
         assert sum(r.num_degraded for r in results) == stats.deliveries_degraded
+
+
+class TestRungsOnTheBatchedPath:
+    """A vector, uncharged engine hands a whole fan-out to the personalize
+    kernel in one call. A degrading rung must shape that call — slate
+    size, fallback suppression — exactly as it shapes the same engine
+    serving one follower at a time."""
+
+    # Shallow candidate sources, so certification fails often enough for
+    # the rungs' exact-fallback switch to matter.
+    CONFIG = EngineConfig(
+        searcher="vector",
+        charge_impressions=False,
+        overfetch=20,
+        profile_candidates=15,
+        static_candidates=15,
+    )
+
+    @staticmethod
+    def observed(delivery):
+        return (
+            delivery.user_id,
+            delivery.slate,
+            delivery.certified,
+            delivery.fell_back,
+            delivery.exact,
+            delivery.degraded,
+        )
+
+    def test_every_rung_matches_one_follower_at_a_time(self, workload):
+        batched = engine_for(
+            workload, EngineMode.SHARED, qos=QosController(), config=self.CONFIG
+        )
+        single = engine_for(
+            workload, EngineMode.SHARED, qos=QosController(), config=self.CONFIG
+        )
+        stage = batched.pipeline.personalize_stage
+        kernel_calls: list[tuple[int, int]] = []  # (rung, fan-out)
+        original = stage.personalize_batch
+
+        def spying(event, candidates, resolved):
+            assert batched.qos is not None
+            kernel_calls.append((batched.qos.rung_index, len(resolved)))
+            return original(event, candidates, resolved)
+
+        stage.personalize_batch = spying
+
+        rungs = batched.qos.ladder.rungs
+        per_rung = len(workload.posts) // len(rungs)
+        served = {index: [] for index in range(len(rungs))}
+        for index, rung in enumerate(rungs):
+            assert batched.qos.rung_index == single.qos.rung_index == index
+            for post in workload.posts[index * per_rung : (index + 1) * per_rung]:
+                result = batched.post(post.author_id, post.text, post.timestamp)
+                event = single.make_event(
+                    post.author_id, post.text, post.timestamp
+                )
+                single.ingest_event(event)
+                alone = [
+                    single.pipeline.deliver(event, follower)
+                    for follower in sorted(
+                        single.graph.followers(post.author_id)
+                    )
+                ]
+                # A shedding rung drops the tail of a fan-out; a fan-out
+                # of one is never shed. Everything the batch did serve
+                # must match follower for follower.
+                admitted = len(result.deliveries)
+                assert admitted == len(alone) - result.num_shed
+                assert (result.num_shed > 0) <= (rung.shed_fraction > 0.0)
+                assert [self.observed(d) for d in result.deliveries] == [
+                    self.observed(d) for d in alone[:admitted]
+                ]
+                served[index].extend(result.deliveries)
+            batched.qos.ladder.degrade()
+            single.qos.ladder.degrade()
+
+        # The batched leg was reached with a controller attached, on every
+        # rung that still personalizes, with real (> 1) fan-outs.
+        personalizing = {
+            index for index, rung in enumerate(rungs) if not rung.candidates_only
+        }
+        assert {rung for rung, _ in kernel_calls} == personalizing
+        for index in personalizing:
+            assert max(size for rung, size in kernel_calls if rung == index) > 1
+        # And the rung knobs really bit inside it.
+        k = self.CONFIG.k
+        assert any(len(d.slate) == k for d in served[0])
+        assert any(d.fell_back for d in served[0])
+        for index, rung in enumerate(rungs):
+            assert all(
+                len(d.slate) <= int(k * rung.k_scale) for d in served[index]
+            )
+            assert all(d.degraded == rung.degraded for d in served[index])
+            if not rung.exact_fallback:
+                assert not any(d.fell_back for d in served[index])
+        approximate = next(
+            index for index in personalizing if not rungs[index].exact_fallback
+        )
+        assert any(not d.certified for d in served[approximate])

@@ -248,10 +248,14 @@ class TestFailover:
         assert canonical(
             [r for batch in plain_results for r in batch]
         ) == canonical([r for batch in slow_results for r in batch])
-        seconds = slow.dispatch_seconds_by_shard()
-        assert seconds[0] > 0.0
-        # the slowed shard is the busy-time outlier
-        assert seconds[0] == max(seconds)
+        # The slowed shard's busy time stretches against the same shard
+        # doing the same work unslowed (factor 5 leaves >= 2x headroom
+        # over scheduler noise; comparing across shards of one router
+        # does not — an unslowed shard can have a slow moment too).
+        slowed = slow.dispatch_seconds_by_shard()[0]
+        unslowed = plain.dispatch_seconds_by_shard()[0]
+        assert unslowed > 0.0
+        assert slowed > 2.0 * unslowed
 
     def test_all_shards_down_raises(self, workload, router):
         posts = workload.posts[:5]
