@@ -96,6 +96,9 @@ class BudgetManager:
         # Unregistered slots hold budget 1, spent 0: never exhausted.
         self._budget = np.ones(16)
         self._spent = np.zeros(16)
+        #: Monotone count of writes to ``spent``: a reader holding values
+        #: derived from the books compares it to know none can have moved.
+        self.writes = 0
         for ad in corpus.all_ads():
             self._register(ad)
         corpus.subscribe(on_add=self._register)
@@ -180,6 +183,7 @@ class BudgetManager:
             raise BudgetError(f"ad {ad_id} is already exhausted")
         spent += min(price, budget - spent)
         self._spent[slot] = spent
+        self.writes += 1
         if spent >= budget:
             self._corpus.retire(ad_id)
             return True
@@ -191,6 +195,7 @@ class BudgetManager:
         if slot is None:
             raise BudgetError(f"ad {ad_id} has no budget to restore into")
         self._spent[slot] = spent
+        self.writes += 1
 
     def total_spend(self) -> float:
         # Python's left-to-right sum in registration order, not ndarray.sum:

@@ -60,6 +60,9 @@ class CtrEstimator:
         self._clicks = np.zeros(16)
         self._total_impressions = 0.0
         self._total_clicks = 0.0
+        #: Monotone count of writes to the evidence arrays (as
+        #: ``BudgetManager.writes``).
+        self.writes = 0
 
     # -- observation ----------------------------------------------------
 
@@ -82,11 +85,13 @@ class CtrEstimator:
             self._clicks[slot] *= self.discount
         self._impressions[slot] += 1.0
         self._total_impressions += 1.0
+        self.writes += 1
 
     def record_click(self, ad_id: int) -> None:
         """Fold one click on a previously-served impression."""
         self._clicks[self.slot_of(ad_id)] += 1.0
         self._total_clicks += 1.0
+        self.writes += 1
 
     def restore(self, ad_id: int, impressions: float, clicks: float) -> None:
         """Set an ad's evidence directly (checkpoint restore); the
@@ -96,6 +101,7 @@ class CtrEstimator:
         self._total_clicks += clicks - self._clicks.item(slot)
         self._impressions[slot] = impressions
         self._clicks[slot] = clicks
+        self.writes += 1
 
     # -- estimates --------------------------------------------------------
 

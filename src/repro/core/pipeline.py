@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 from repro.ads.auction import run_gsp_auction
 from repro.core.candidates import CandidateSet, SharedCandidateGenerator
@@ -118,6 +118,19 @@ class PersonalizeStage(Protocol):
         profile_vec: SparseVector,
     ) -> PersonalizedDelivery: ...
 
+    def personalize_batch(
+        self,
+        event: PostEvent,
+        candidates: CandidateSet | None,
+        resolved: list[tuple[int, UserState, UserProfile, SparseVector]],
+        served: Callable[[int, PersonalizedDelivery], None],
+    ) -> None:
+        """One event's whole fan-out, in delivery order: each follower's
+        delivery is handed to ``served(position, delivery)`` — where the
+        pipeline charges it and feeds it back — before the next
+        follower's slate is cut, so follower *i + 1* sees what follower
+        *i*'s delivery wrote."""
+
 
 @runtime_checkable
 class ChargeStage(Protocol):
@@ -198,20 +211,30 @@ class NoProbeStage:
         return None
 
 
-class SharedPersonalizeStage:
+class _PerFollowerStage:
+    """A stage whose fan-out is its scalar ``personalize``, one follower
+    at a time."""
+
+    def personalize_batch(self, event, candidates, resolved, served) -> None:
+        for position, (user_id, state, profile, profile_vec) in enumerate(resolved):
+            served(
+                position,
+                self.personalize(
+                    event, candidates, user_id, state, profile, profile_vec
+                ),
+            )
+
+
+class SharedPersonalizeStage(_PerFollowerStage):
     """SHARED mode: union-score the three candidate sources, certify, and
     fall back to one exact probe when certification fails (the QoS rung
-    may shrink k and suppress the fallback probe)."""
+    may shrink k and suppress the fallback probe). On the vector searcher
+    a fan-out is one kernel call; the ``ta`` reference goes per follower."""
 
     def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
         self._services = services
         self._personalizer = personalizer
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the personalizer can take a whole fan-out at once
-        (vector mode's shared candidate matrix)."""
-        return self._personalizer.batched
+        self._kernel = services.config.searcher == "vector"
 
     def _rung_knobs(self) -> tuple[int, bool]:
         """(slate size, whether the certificate fallback may run) under
@@ -222,16 +245,11 @@ class SharedPersonalizeStage:
             return qos.slate_k(k), qos.allow_fallback
         return k, True
 
-    def personalize_batch(
-        self, event, candidates, resolved
-    ) -> list[PersonalizedDelivery]:
-        """Batch form of :meth:`personalize` over resolved followers
-        ``(user_id, state, profile, profile_vec)``. Only called on the
-        non-mutating path (no charging, no CTR feedback), where it is
-        delivery-for-delivery identical to the scalar form; the QoS rung
-        applies to both alike."""
+    def personalize_batch(self, event, candidates, resolved, served) -> None:
+        if not self._kernel:
+            return super().personalize_batch(event, candidates, resolved, served)
         k, allow_fallback = self._rung_knobs()
-        results = self._personalizer.slate_batch(
+        self._personalizer.slate_batch(
             candidates,
             event.message_vec,
             [
@@ -241,13 +259,13 @@ class SharedPersonalizeStage:
             event.timestamp,
             k,
             allow_fallback=allow_fallback,
+            served=lambda position, result: served(
+                position,
+                PersonalizedDelivery(
+                    result.slate, result.certified, result.fell_back, False
+                ),
+            ),
         )
-        return [
-            PersonalizedDelivery(
-                result.slate, result.certified, result.fell_back, False
-            )
-            for result in results
-        ]
 
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
@@ -269,7 +287,7 @@ class SharedPersonalizeStage:
         )
 
 
-class IncrementalPersonalizeStage:
+class IncrementalPersonalizeStage(_PerFollowerStage):
     """INCREMENTAL mode: fold the arrival into the user's standing top-k."""
 
     def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
@@ -306,7 +324,7 @@ class IncrementalPersonalizeStage:
         return PersonalizedDelivery(slate, not refreshed, refreshed, False)
 
 
-class ExactPersonalizeStage:
+class ExactPersonalizeStage(_PerFollowerStage):
     """EXACT mode: one exact combined-query probe per delivery (the strong
     baseline). Deliveries count as ``exact``, never as fallbacks."""
 
@@ -459,16 +477,6 @@ class DeliveryPipeline:
         self._probe_span = getattr(candidates, "span_name", None)
         # Learner-attributed twin of the "personalize" span (None = static).
         self._personalize_span = getattr(personalize, "span_name", None)
-        # Whole-fan-out batching is only sound when nothing downstream
-        # can mutate engine state between two followers of one event:
-        # charging can retire an exhausted ad and CTR feedback shifts
-        # quality multipliers, either of which would make follower i+1
-        # see different state than the per-delivery oracle.
-        self._batchable = (
-            isinstance(charge, NoChargeStage)
-            and isinstance(feedback, NoFeedbackStage)
-            and getattr(personalize, "supports_batch", False)
-        )
         # Per-batch QoS ledger for the facade's result assembly:
         # (deliveries shed, revenue upper bound given up). Reset on read.
         self._batch_shed = 0
@@ -556,7 +564,8 @@ class DeliveryPipeline:
         self, event: PostEvent, followers, *, candidates_only: bool = False
     ) -> list[DeliveryOutcome]:
         """Fan one event out to ``followers``: one shared probe, then one
-        personalize → charge → feedback pass per follower.
+        ``personalize_batch`` call that hands each follower's delivery
+        back for its charge → feedback pass before cutting the next.
 
         The per-follower state, profile and profile-vector lookups are
         done exactly once each here, so every stage receives them resolved
@@ -574,7 +583,6 @@ class DeliveryPipeline:
         stats = services.stats
         users = services.users
         profile_of = services.profile_of
-        personalize = self.personalize_stage.personalize
         charge = self.charge_stage.charge
         observe = self.feedback_stage.observe_impressions
         tracer = services.tracer
@@ -688,63 +696,29 @@ class DeliveryPipeline:
             )
             active.flag("degraded")
 
-        # The batched fast path: one kernel call for the whole fan-out
-        # (vector mode, no charging/feedback; any QoS rung). The
-        # per-follower personalize span gets the amortised share so span
-        # counts and stage totals stay comparable with the scalar path.
-        batch_results: list[PersonalizedDelivery] | None = None
-        batch_share = 0.0
-        if (
-            self._batchable
-            and degraded_slate is None
-            and candidates is not None
-            and followers
-        ):
-            resolved = []
-            for follower in followers:
-                state = users.state(follower)
-                profile, profile_vec = profile_of(follower, state)
-                resolved.append((follower, state, profile, profile_vec))
-            if observing:
-                span_started = perf_counter()
-            batch_results = self.personalize_stage.personalize_batch(
-                event, candidates, resolved
-            )
-            if observing:
-                batch_share = (perf_counter() - span_started) / len(resolved)
-
         # Request tracing without stage observability gets one coarse
         # fan-out span instead of per-follower timing: the per-event cost
         # stays O(1) in the fan-out, which is what keeps the T9 overhead
         # gate (<5% throughput loss at 1% head sampling) honest.
         segment_only = active is not None and not observing
-        if segment_only:
-            loop_started = perf_counter()
+        if timing:
+            # Where the previous follower's bookkeeping ended (for the first
+            # follower, where the stage call began: its personalize span
+            # carries the kernel's per-event set-up).
+            mark = loop_started = perf_counter()
+        resolve_share = 0.0
         outcomes: list[DeliveryOutcome] = []
-        for index, follower in enumerate(followers):
+
+        def serve(position: int, delivered: PersonalizedDelivery) -> None:
+            """One follower's delivery: count → charge → feedback."""
+            nonlocal mark
+            slate, certified, fell_back, exact = delivered
             if observing:
-                delivery_started = perf_counter()
-            if degraded_slate is not None:
-                slate, certified, fell_back, exact = (
-                    degraded_slate, False, False, False
-                )
-            elif batch_results is not None:
-                slate, certified, fell_back, exact = batch_results[index]
-            else:
-                state = users.state(follower)
-                profile, profile_vec = profile_of(follower, state)
-                slate, certified, fell_back, exact = personalize(
-                    event, candidates, follower, state, profile, profile_vec
-                )
-            if observing:
-                now = perf_counter()
-                emit("personalize", (now - delivery_started) + batch_share)
+                span_started = perf_counter()
+                elapsed = span_started - mark + resolve_share
+                emit("personalize", elapsed)
                 if self._personalize_span is not None:
-                    emit(
-                        self._personalize_span,
-                        (now - delivery_started) + batch_share,
-                    )
-                span_started = now
+                    emit(self._personalize_span, elapsed)
             stats.deliveries += 1
             if degrading:
                 stats.deliveries_degraded += 1
@@ -765,7 +739,7 @@ class DeliveryPipeline:
             if observing:
                 now = perf_counter()
                 emit("feedback", now - span_started)
-                emit("delivery", (now - delivery_started) + batch_share)
+                emit("delivery", now - mark + resolve_share)
             if metering:
                 metrics.inc("deliveries")
                 metrics.inc("impressions", len(slate))
@@ -776,7 +750,7 @@ class DeliveryPipeline:
             stats.revenue += revenue
             outcomes.append(
                 DeliveryOutcome(
-                    user_id=follower,
+                    user_id=followers[position],
                     slate=slate,
                     certified=certified,
                     fell_back=fell_back,
@@ -784,6 +758,31 @@ class DeliveryPipeline:
                     revenue=revenue,
                     degraded=degrading,
                 )
+            )
+            if observing:
+                mark = perf_counter()
+
+        if degraded_slate is not None:
+            shared = PersonalizedDelivery(degraded_slate, False, False, False)
+            for position in range(len(followers)):
+                serve(position, shared)
+        elif followers:
+            # One stage call per event, charged or not: the stage hands
+            # each follower's delivery to ``serve`` before it cuts the next.
+            resolved = []
+            for follower in followers:
+                state = users.state(follower)
+                resolved.append((follower, state, *profile_of(follower, state)))
+            if observing:
+                # The look-ups above are per-follower work done up front:
+                # each follower's spans carry an equal share, so no one
+                # ``delivery`` span (the SLO-graded stage) grows with the
+                # fan-out.
+                now = perf_counter()
+                resolve_share = (now - mark) / len(resolved)
+                mark = now
+            self.personalize_stage.personalize_batch(
+                event, candidates, resolved, serve
             )
         if segment_only and outcomes:
             active.add_span(

@@ -24,6 +24,7 @@ trade-off.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,6 @@ class Personalizer:
         if self._vector:
             self._compact = CompactIndex.shared(index)
             self._static_cache = StaticRowCache(scoring.corpus, self._compact)
-            # Per-event cache: (candidate set, mirror generation) →
-            # candidate rows + the raw message gather, shared across the
-            # whole fan-out. The strong reference to the candidate set
-            # keeps its id stable for the identity check.
-            self._event_cache: tuple | None = None
             # Static-list rows, keyed by (list version, generation).
             self._static_rows_cache: tuple | None = None
             # Per-user raw profile gathers, keyed by (profile epoch,
@@ -109,11 +105,6 @@ class Personalizer:
             # the probe object's identity (stable while its cache entry
             # is) and the mirror generation.
             self._profile_rows_cache: dict[int, tuple] = {}
-
-    @property
-    def batched(self) -> bool:
-        """Whether :meth:`slate_batch` is available (vector mode only)."""
-        return self._vector
 
     # -- candidate sources --------------------------------------------------
 
@@ -150,8 +141,9 @@ class Personalizer:
             # entries and cutoff — and the gather is reused for affinity
             # rows and fallbacks. The gather cache key is strictly finer
             # than this cache's, so a miss here is a fresh gather there.
+            # No compaction: the kernel calls this between two followers
+            # with row numbers in hand.
             compact = self._compact
-            compact.maybe_compact()
             rows, dots = self._profile_gather(
                 user_id, profile_vec, profile_epoch, compact.generation
             )
@@ -246,34 +238,6 @@ class Personalizer:
 
     # -- the vector (compact-mirror) delivery path ---------------------------
 
-    def _event_block(
-        self, candidates: CandidateSet, message_vec: SparseVector, generation: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(candidate rows, message-gather rows, message-gather dots),
-        cached per event.
-
-        Keyed by candidate-set identity (held strongly, so the id cannot
-        be recycled mid-cache) and mirror generation — a compaction
-        between deliveries of one fan-out re-derives the rows from the
-        stable ad ids. The gather is every row sharing a term with the
-        message; rows retired after it was taken stay in it, so the
-        caller re-masks through ``alive`` at use time.
-        """
-        cached = self._event_cache
-        if (
-            cached is not None
-            and cached[0] is candidates
-            and cached[1] == generation
-        ):
-            return cached[2], cached[3], cached[4]
-        compact = self._compact
-        rows = compact.rows_of_present(ad_id for ad_id, _ in candidates.entries)
-        message_rows, message_dots = compact.gather(message_vec)
-        self._event_cache = (
-            candidates, generation, rows, message_rows, message_dots,
-        )
-        return rows, message_rows, message_dots
-
     def _static_list_rows(self, generation: int) -> np.ndarray:
         """Compact rows of the global geo+bid prefix, version-cached."""
         version = self._static_list.version
@@ -345,6 +309,53 @@ class Personalizer:
         self._profile_rows_cache[user_id] = (cands, generation, rows)
         return rows
 
+    def _shared_member(
+        self, candidate_rows: np.ndarray, generation: int, size: int
+    ) -> tuple[np.ndarray, float, int]:
+        """Approximate-slate membership every follower of an event
+        shares — candidate rows ∪ static-prefix rows — with the static
+        list's cutoff and the ``version`` both were read at."""
+        shared = np.zeros(size, dtype=bool)
+        shared[candidate_rows] = True
+        shared[self._static_list_rows(generation)] = True
+        return shared, self._static_list.cutoff(), self._static_list.version
+
+    def _cut(
+        self,
+        content: np.ndarray,
+        affinity: np.ndarray,
+        proximity: np.ndarray,
+        bid: np.ndarray,
+        kept: np.ndarray,
+        k: int,
+        *,
+        probe: bool,
+    ) -> tuple[tuple[ScoredAd, ...], np.ndarray]:
+        """Top-``k`` of the ``kept`` rows as ``(slate, its rows)``. A
+        ``probe`` slate reports ``static`` as the remainder of the score,
+        as :meth:`exact_slate` does."""
+        if not kept.shape[0]:
+            return (), kept
+        ad_ids = self._compact.ad_ids
+        static_kept, score_kept = self._scoring.fanout_scores(
+            content, affinity, proximity, bid, kept
+        )
+        chosen = _exact_topk(score_kept, ad_ids[kept], k)
+        rows = kept[chosen]
+        scores = score_kept[chosen].tolist()
+        contents = content[rows].tolist()
+        if probe:
+            alpha = self._scoring.weights.alpha
+            statics = [
+                score - alpha * matched for score, matched in zip(scores, contents)
+            ]
+        else:
+            statics = static_kept[chosen].tolist()
+        return (
+            tuple(map(ScoredAd, ad_ids[rows].tolist(), scores, contents, statics)),
+            rows,
+        )
+
     def slate_batch(
         self,
         candidates: CandidateSet,
@@ -354,163 +365,149 @@ class Personalizer:
         k: int,
         *,
         allow_fallback: bool = True,
+        served: Callable[[int, PersonalizedSlate], None] | None = None,
     ) -> list[PersonalizedSlate]:
-        """The vector personalize kernel: union-score, certify, fall back
-        for any number of followers of one event (vector mode only).
+        """Union-score, certify, fall back for every follower of one
+        event, in order — the one entry point of a fan-out.
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
         location)`` per follower; ``allow_fallback`` is as in
-        :meth:`slate_for`, which is this kernel called on one follower.
-        One message gather (cached per event) plus one cached profile
-        gather per follower cover every row any slate can contain —
-        content, affinity, targeting and bid statics are evaluated over
-        the full row space, and the approximate slate *and* the exact
-        fallback are both cut from the same arrays, so an uncertified
-        delivery costs one extra mask + top-k instead of a fresh probe.
-        Engine state is read once per call: a caller that mutates the
-        corpus between followers (charging, CTR feedback) calls per
-        follower, one that does not may pass the whole fan-out — the
-        results are elementwise the same either way.
+        :meth:`slate_for`. Each result is handed to ``served(position,
+        result)`` before the next follower's slate is cut: the pipeline
+        charges and feeds back inside it, and the next follower sees what
+        that wrote. Vector mode only — the numpy kernel: one message
+        gather plus one cached profile gather per follower cover every
+        row any slate can contain — content, affinity, targeting and bid
+        statics are evaluated over the full row space, and the
+        approximate slate *and* the exact fallback are both cut from the
+        same arrays, so an uncertified delivery costs one extra mask +
+        top-k instead of a fresh probe. The row vectors shared by the
+        fan-out (content, δ·bid, time mask, shared membership) are built
+        once per event; a delivery can only write to the rows of its own
+        slate (spend, CTR evidence, retirement on exhaustion), so when
+        ``served`` wrote anything exactly those rows are re-read before
+        the next cut — the values a rebuild would give, elementwise.
         """
+        results: list[PersonalizedSlate] = []
         scoring = self._scoring
         compact = self._compact
+        # Between two followers rows must keep their numbers, so a
+        # compaction that a retirement makes due waits for the next event.
         compact.maybe_compact()
         generation = compact.generation
-        # Probes derive from the same cached gathers used below, so they
-        # cannot trigger a compaction after the generation snapshot.
-        profile_cands = [
-            self.profile_candidates(user_id, profile_vec, profile_epoch)
-            for user_id, profile_vec, profile_epoch, _ in followers
-        ]
-        candidate_rows, message_rows, message_dots = self._event_block(
-            candidates, message_vec, generation
-        )
-        message_rows, message_dots = self._alive_only(message_rows, message_dots)
-        static_rows = self._static_list_rows(generation)
-
         weights = scoring.weights
-        static_cutoff = self._static_list.cutoff()
+        static_list = self._static_list
         fallback_ok = self._exact_fallback and allow_fallback
-
-        # Alive-masked raw profile gathers: every row with affinity > 0,
-        # for the keep floor, the affinity term and the fallback row set.
-        profile_gathers = [
-            self._alive_only(
-                *self._profile_gather(
-                    user_id, profile_vec, profile_epoch, generation
-                )
-            )
-            if profile_vec
-            else None
-            for user_id, profile_vec, profile_epoch, _ in followers
-        ]
+        cache = self._static_cache
 
         # Everything below works in the full row space of the mirror —
         # scatters and mask writes are direct row indexing, no unions or
-        # searchsorted. Per call the shared pieces (content, bid, time
+        # searchsorted. Per event the shared pieces (content, bid, time
         # mask) are row vectors; per follower only 1-D boolean masks plus
         # float math on the kept subset, so no (F × rows) matrices are
-        # ever materialised. Dead rows have zero content/affinity (the
-        # gathers above are alive-masked) and sit in no fallback
-        # membership, so neither the floor nor the probe can select them.
-        ad_ids = compact.ad_ids
-        size = ad_ids.shape[0]
-        results: list[PersonalizedSlate] = []
-        cache = self._static_cache
-        if size:
-            content = np.zeros(size, dtype=np.float64)
-            content[message_rows] = message_dots
-            content_floor = content > 0.0
-            bid = scoring.fanout_bid_block(cache, timestamp)
-            time_keep = cache.time_keep_full(timestamp)
-            # Membership for the approximate slate: every follower sees
-            # the shared candidate and static rows; the profile-probe rows
-            # are theirs alone. The fallback row set is the raw message ∪
-            # profile matches instead.
-            shared = np.zeros(size, dtype=bool)
-            shared[candidate_rows] = True
-            shared[static_rows] = True
-            message_member = np.zeros(size, dtype=bool)
-            message_member[message_rows] = True
+        # ever materialised. Dead rows have zero content/affinity (gathers
+        # are alive-masked) and sit in no fallback membership, so neither
+        # the floor nor the probe can select them.
+        size = compact.ad_ids.shape[0]
+        candidate_rows = compact.rows_of_present(
+            ad_id for ad_id, _ in candidates.entries
+        )
+        message_rows, message_dots = compact.gather(message_vec)
+        content = np.zeros(size, dtype=np.float64)
+        content[message_rows] = message_dots
+        content_floor = content > 0.0
+        bid = scoring.fanout_bid_block(cache, timestamp)
+        time_keep = cache.time_keep_full(timestamp)
+        # Membership for the approximate slate: every follower sees the
+        # shared candidate and static rows; the profile-probe rows are
+        # theirs alone. The fallback row set is the raw message ∪ profile
+        # matches instead.
+        shared, static_cutoff, static_version = self._shared_member(
+            candidate_rows, generation, size
+        )
+        message_member = np.zeros(size, dtype=bool)
+        message_member[message_rows] = True
 
-        for i, (user_id, profile_vec, profile_epoch, location) in enumerate(
+        last = len(followers) - 1
+        for position, (user_id, profile_vec, profile_epoch, location) in enumerate(
             followers
         ):
-            slate: tuple[ScoredAd, ...] = ()
-            if size:
-                gathered = profile_gathers[i]
-                affinity = np.zeros(size, dtype=np.float64)
-                if gathered is not None:
-                    affinity[gathered[0]] = gathered[1]
-                targeted = cache.targeting_full(location)[0] & time_keep
-                member = shared.copy()
-                member[
-                    self._profile_member_rows(
-                        user_id, profile_cands[i], generation
+            profile_cands = self.profile_candidates(
+                user_id, profile_vec, profile_epoch
+            )
+            # Alive-masked raw profile gather: every row with affinity > 0,
+            # for the keep floor, the affinity term and the fallback rows.
+            affinity = np.zeros(size, dtype=np.float64)
+            gathered = None
+            if profile_vec:
+                gathered = self._alive_only(
+                    *self._profile_gather(
+                        user_id, profile_vec, profile_epoch, generation
                     )
-                ] = True
-                kept = np.flatnonzero(
-                    (content_floor | (affinity > 0.0)) & targeted & member
                 )
-                if kept.shape[0]:
-                    static_kept, score_kept = scoring.fanout_scores(
-                        cache, location, content, affinity, bid, kept
-                    )
-                    chosen = _exact_topk(score_kept, ad_ids[kept], k)
-                    slate = tuple(
-                        ScoredAd(
-                            ad_id=int(ad_ids[kept[j]]),
-                            score=float(score_kept[j]),
-                            content=float(content[kept[j]]),
-                            static=float(static_kept[j]),
-                        )
-                        for j in chosen
-                    )
+                affinity[gathered[0]] = gathered[1]
+            # The pair is this follower's own copy: mask it in place.
+            targeted, proximity = cache.targeting_full(location)
+            targeted &= time_keep
+            member = shared.copy()
+            member[
+                self._profile_member_rows(user_id, profile_cands, generation)
+            ] = True
+            slate, slate_rows = self._cut(
+                content, affinity, proximity, bid,
+                np.flatnonzero(
+                    (content_floor | (affinity > 0.0)) & targeted & member
+                ),
+                k, probe=False,
+            )
             certificate = (
                 weights.alpha * candidates.cutoff
-                + weights.beta * profile_cands[i].cutoff
+                + weights.beta * profile_cands.cutoff
                 + static_cutoff
             )
             certified = len(slate) == k and slate[-1].score >= certificate
-            if certified or not fallback_ok:
-                results.append(
-                    PersonalizedSlate(
-                        slate=slate, certified=certified, fell_back=False
-                    )
-                )
-                continue
-            # Exact fallback from the same arrays: the combined probe's
-            # row set is the raw message ∪ profile matches under the
-            # targeting mask alone (a probe has no content/affinity
-            # floor — any matching row can win on statics).
-            exact: tuple[ScoredAd, ...] = ()
-            if size:
+            fell_back = fallback_ok and not certified
+            if fell_back:
+                # Exact fallback from the same arrays: the combined
+                # probe's row set is the raw message ∪ profile matches
+                # under the targeting mask alone (a probe has no
+                # content/affinity floor — any matching row can win on
+                # statics).
                 member = message_member.copy()
                 if weights.beta > 0.0 and gathered is not None:
                     member[gathered[0]] = True
-                kept = np.flatnonzero(targeted & member)
-                if kept.shape[0]:
-                    static_kept, score_kept = scoring.fanout_scores(
-                        cache, location, content, affinity, bid, kept
-                    )
-                    chosen = _exact_topk(score_kept, ad_ids[kept], k)
-                    entries = []
-                    for j in chosen:
-                        row = kept[j]
-                        content_j = float(content[row])
-                        score_j = float(score_kept[j])
-                        entries.append(
-                            ScoredAd(
-                                ad_id=int(ad_ids[row]),
-                                score=score_j,
-                                content=content_j,
-                                static=score_j - weights.alpha * content_j,
-                            )
-                        )
-                    exact = tuple(entries)
+                slate, slate_rows = self._cut(
+                    content, affinity, proximity, bid,
+                    np.flatnonzero(targeted & member), k, probe=True,
+                )
             results.append(
-                PersonalizedSlate(slate=exact, certified=True, fell_back=True)
+                PersonalizedSlate(
+                    slate=slate,
+                    certified=certified or fell_back,
+                    fell_back=fell_back,
+                )
             )
+            if served is None:
+                continue
+            writes = scoring.bid_writes()
+            served(position, results[-1])
+            if position == last or scoring.bid_writes() == writes:
+                continue
+            # The delivery wrote: re-read its slate's rows, the only ones
+            # it can have moved (same arithmetic as the full build, so the
+            # vectors equal a rebuild's), and drop the rows it retired.
+            bid[slate_rows] = scoring.fanout_bid_block(
+                cache, timestamp, slate_rows
+            )
+            retired = slate_rows[~compact.alive[slate_rows]]
+            content[retired] = 0.0
+            content_floor[retired] = False
+            message_member[retired] = False
+            if static_list.version != static_version:
+                # A retirement pulled the next ad into the static prefix.
+                shared, static_cutoff, static_version = self._shared_member(
+                    candidate_rows, generation, size
+                )
         return results
 
     def exact_slate(

@@ -92,20 +92,24 @@ class StaticRowCache:
         self._time_rows = np.zeros(0, dtype=np.int64)
         self._time_start = np.zeros(0, dtype=np.float64)
         self._time_end = np.zeros(0, dtype=np.float64)
-        # Full-corpus targeting results, cached per location (keyed by
-        # coordinates) and for the event timestamp. ``_version`` bumps
-        # whenever the row space changes, invalidating both.
-        self._version = 0
-        self._full_geo: dict[
-            tuple[float, float] | None, tuple[int, np.ndarray, np.ndarray]
+        # Full-corpus targeting results, all dropped when the row space
+        # changes (sync): the time mask of the event timestamp, and per
+        # location (keyed by coordinates) only what depends on it — the
+        # matched geo rows and their best falloff, a few per cent of the
+        # rows — over a shared dense base.
+        self._geo_hits: dict[
+            tuple[float, float] | None, tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._full_time: tuple[float, int, np.ndarray] | None = None
+        self._geo_hits_stored = 0
+        self._geo_base: tuple[np.ndarray, np.ndarray] | None = None
+        self._full_time: tuple[float, np.ndarray] | None = None
 
     def sync(self, budget: BudgetManager | None, ctr: CtrEstimator | None) -> None:
         """Extend the row arrays to the mirror's row space; new rows look
         their slots up in the scoring model's ``budget`` / ``ctr``."""
         compact = self._compact
-        if self._generation != compact.generation:
+        compacted = self._generation != compact.generation
+        if compacted:
             self._generation = compact.generation
             self._synced_rows = 0
             self.bids = np.zeros(compact.num_rows, dtype=np.float64)
@@ -116,13 +120,12 @@ class StaticRowCache:
             self._geo_stage = []
             self._time_stage = []
             self._flat_dirty = True
-            self._version += 1
-            self._full_geo.clear()
-            self._full_time = None
         num_rows = compact.num_rows
-        if self._synced_rows >= num_rows:
+        if self._synced_rows >= num_rows and not compacted:
             return
-        self._version += 1
+        self._geo_hits.clear()
+        self._geo_hits_stored = 0
+        self._geo_base = self._full_time = None
         if self.bids.shape[0] < num_rows:
             self.bids = _grown(self.bids, num_rows, np.float64)
             self.pacing_slots = _grown(self.pacing_slots, num_rows, np.int64)
@@ -201,86 +204,86 @@ class StaticRowCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Geo predicate + proximity for one location over *every* row.
 
-        Returns ``(geo_keep, proximity)`` of length ``num_rows``, cached
-        per location until the row space changes — followers recur across
-        events, so one haversine pass over all circles serves every later
-        delivery to the same user. The cache is cleared past 512 distinct
-        locations to bound memory.
+        Returns ``(geo_keep, proximity)`` of length ``num_rows``, the
+        caller's own to write to. Followers recur across events, so what
+        one haversine pass found for a location (:meth:`_geo_matches`)
+        is kept until the row space changes; the dense pair is two
+        copies of the shared base plus two scatters.
         """
-        key = (
-            None if location is None else (location.lat, location.lon)
-        )
-        cached = self._full_geo.get(key)
-        if cached is not None and cached[0] == self._version:
-            return cached[1], cached[2]
-        size = self._synced_rows
-        geo_mask = self._geo_targeted[:size]
-        keep = np.ones(size, dtype=bool)
-        proximity = np.ones(size, dtype=np.float64)
-        if location is None:
-            keep &= ~geo_mask
+        key = None if location is None else (location.lat, location.lon)
+        hits = self._geo_hits.get(key)
+        if hits is None:
+            hits = self._geo_matches(location)
+            stored = hits[0].shape[0] + _GEO_ENTRY_PAIRS
+            if self._geo_hits_stored + stored > _GEO_CACHE_PAIRS:
+                self._geo_hits.clear()
+                self._geo_hits_stored = 0
+            self._geo_hits[key] = hits
+            self._geo_hits_stored += stored
+        base = self._geo_base
+        if base is None:
+            geo_mask = self._geo_targeted[: self._synced_rows]
+            proximity = np.ones(self._synced_rows, dtype=np.float64)
             proximity[geo_mask] = 0.0
-        else:
-            self._flatten()
-            lat2 = math.radians(location.lat)
-            # Coarse prefilter: only circles whose latitude band contains
-            # the user can match. The surviving circles go through the
-            # exact haversine unchanged (subsetting does not perturb any
-            # float value), so results are identical to the full pass.
-            near = np.flatnonzero(
-                np.abs(lat2 - self._geo_lat) <= self._geo_band
-            )
-            rows = self._geo_rows[near]
-            proximity[geo_mask] = 0.0
-            keep = ~geo_mask
-            if rows.shape[0]:
-                # Same arithmetic, same operation order as
-                # repro.geo.point.haversine_km, elementwise.
-                lon2 = math.radians(location.lon)
-                dlat = lat2 - self._geo_lat[near]
-                dlon = lon2 - self._geo_lon[near]
-                sin_dlat = np.sin(dlat / 2.0)
-                sin_dlon = np.sin(dlon / 2.0)
-                h = (
-                    sin_dlat * sin_dlat
-                    + self._geo_cos[near] * math.cos(lat2) * sin_dlon * sin_dlon
-                )
-                h = np.minimum(1.0, np.maximum(0.0, h))
-                distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-                radius = self._geo_radius[near]
-                inside = distance <= radius
-                hit_rows = rows[inside]
-                falloff = 1.0 - distance[inside] / radius[inside]
-                if hit_rows.shape[0]:
-                    # Circles are stored sorted by row, so matches group
-                    # into runs: one reduceat takes each row's best circle
-                    # (ufunc.at would be an order of magnitude slower).
-                    boundary = np.empty(hit_rows.shape[0], dtype=bool)
-                    boundary[0] = True
-                    np.not_equal(
-                        hit_rows[1:], hit_rows[:-1], out=boundary[1:]
-                    )
-                    starts = np.flatnonzero(boundary)
-                    matched_rows = hit_rows[starts]
-                    proximity[matched_rows] = np.maximum.reduceat(
-                        falloff, starts
-                    )
-                    keep[matched_rows] = True
-        if len(self._full_geo) >= 512:
-            self._full_geo.clear()
-        self._full_geo[key] = (self._version, keep, proximity)
+            base = self._geo_base = (~geo_mask, proximity)
+        matched_rows, falloff = hits
+        keep = base[0].copy()
+        keep[matched_rows] = True
+        proximity = base[1].copy()
+        proximity[matched_rows] = falloff
         return keep, proximity
+
+    def _geo_matches(
+        self, location: GeoPoint | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The haversine pass: ``(rows, best falloff)`` of the geo-targeted
+        rows with a circle containing ``location`` (none for an unknown
+        location), rows ascending."""
+        if location is None:
+            return _NO_MATCHES
+        self._flatten()
+        lat2 = math.radians(location.lat)
+        # Coarse prefilter: only circles whose latitude band contains
+        # the user can match. The surviving circles go through the
+        # exact haversine unchanged (subsetting does not perturb any
+        # float value), so results are identical to the full pass.
+        near = np.flatnonzero(np.abs(lat2 - self._geo_lat) <= self._geo_band)
+        if not near.shape[0]:
+            return _NO_MATCHES
+        # Same arithmetic, same operation order as
+        # repro.geo.point.haversine_km, elementwise.
+        lon2 = math.radians(location.lon)
+        dlat = lat2 - self._geo_lat[near]
+        dlon = lon2 - self._geo_lon[near]
+        sin_dlat = np.sin(dlat / 2.0)
+        sin_dlon = np.sin(dlon / 2.0)
+        h = (
+            sin_dlat * sin_dlat
+            + self._geo_cos[near] * math.cos(lat2) * sin_dlon * sin_dlon
+        )
+        h = np.minimum(1.0, np.maximum(0.0, h))
+        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+        radius = self._geo_radius[near]
+        inside = distance <= radius
+        hit_rows = self._geo_rows[near][inside]
+        if not hit_rows.shape[0]:
+            return _NO_MATCHES
+        falloff = 1.0 - distance[inside] / radius[inside]
+        # Circles are stored sorted by row, so matches group into runs:
+        # one reduceat takes each row's best circle (ufunc.at would be
+        # an order of magnitude slower).
+        boundary = np.empty(hit_rows.shape[0], dtype=bool)
+        boundary[0] = True
+        np.not_equal(hit_rows[1:], hit_rows[:-1], out=boundary[1:])
+        starts = np.flatnonzero(boundary)
+        return hit_rows[starts], np.maximum.reduceat(falloff, starts)
 
     def time_keep_full(self, timestamp: float) -> np.ndarray:
         """Time-window predicate over every row, cached for the event
         timestamp (one fan-out shares it across followers and probes)."""
         cached = self._full_time
-        if (
-            cached is not None
-            and cached[0] == timestamp
-            and cached[1] == self._version
-        ):
-            return cached[2]
+        if cached is not None and cached[0] == timestamp:
+            return cached[1]
         size = self._synced_rows
         time_mask = self._time_targeted[:size]
         if not time_mask.any():
@@ -299,7 +302,7 @@ class StaticRowCache:
                 np.bincount(self._time_rows[inside], minlength=size) > 0
             )
             keep = matched | ~time_mask
-        self._full_time = (timestamp, self._version, keep)
+        self._full_time = (timestamp, keep)
         return keep
 
     def targeting_block(
@@ -320,6 +323,14 @@ class StaticRowCache:
         geo_keep, proximity = self.targeting_full(location)
         keep = geo_keep[rows] & self.time_keep_full(timestamp)[rows]
         return keep, proximity[rows]
+
+
+#: Budget of the per-location targeting cache in stored ``(row, falloff)``
+#: pairs of 16 bytes — the 18 MB that 512 dense entries took at 4,000 rows;
+#: an entry counts its matches plus a fixed share for its own overhead.
+_GEO_CACHE_PAIRS = 1 << 20
+_GEO_ENTRY_PAIRS = 32
+_NO_MATCHES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
 
 
 def _grown(array: np.ndarray, size: int, dtype) -> np.ndarray:
@@ -484,35 +495,48 @@ class ScoringModel:
         return bid
 
     def fanout_bid_block(
-        self, cache: StaticRowCache, timestamp: float
+        self,
+        cache: StaticRowCache,
+        timestamp: float,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Delta-weighted full-row bid term, shared across a fan-out.
+        """Delta-weighted bid term, shared across a fan-out.
 
-        The bid is the only user-independent static, so one row vector
-        serves every follower of an event.
+        The bid is the only user-independent static, so one full row
+        vector serves every follower of an event; with ``rows`` it is
+        re-read at just those rows — elementwise the same arithmetic, so
+        writing the result back over the full vector equals rebuilding it.
         """
         cache.sync(self._budget_manager, self._ctr_estimator)
-        return self.weights.delta * self._bid_block(cache, timestamp)
+        return self.weights.delta * self._bid_block(cache, timestamp, rows)
+
+    def bid_writes(self) -> int:
+        """Monotone count of writes to the state behind the bid term
+        (budget spend, CTR evidence): unchanged means every value of
+        :meth:`fanout_bid_block` still stands."""
+        budget, ctr = self._budget_manager, self._ctr_estimator
+        return (budget.writes if budget is not None else 0) + (
+            ctr.writes if ctr is not None else 0
+        )
 
     def fanout_scores(
         self,
-        cache: StaticRowCache,
-        location: GeoPoint | None,
         content: np.ndarray,
         affinity: np.ndarray,
+        proximity: np.ndarray,
         bid: np.ndarray,
         kept: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Static + total score for one follower's kept rows.
 
-        ``content``/``affinity``/``bid`` span the full row space (``bid``
-        from :meth:`fanout_bid_block`); only ``kept`` rows are evaluated,
+        All four vectors span the full row space (``proximity`` from
+        :meth:`StaticRowCache.targeting_full`, ``bid`` from
+        :meth:`fanout_bid_block`); only ``kept`` rows are evaluated,
         with the same arithmetic and operation order as :meth:`evaluate`,
         so scores agree with the scalar path to float32 storage
         precision. Returns ``(static, score)`` on the subset.
         """
         weights = self.weights
-        proximity = cache.targeting_full(location)[1]
         static = (
             weights.beta * affinity[kept]
             + weights.gamma * proximity[kept]

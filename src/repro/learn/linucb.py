@@ -448,9 +448,9 @@ class LinUcbRerankStage:
     Composition keeps the base stage's candidate/certificate machinery
     untouched: the wrapper re-scores the *served slate* with each ad's UCB
     bonus, re-sorts by the engine-wide ``(-score, ad_id)`` tie rule, then
-    records the exposure as pending updates. It intentionally does not
-    declare ``supports_batch``, so the pipeline's fused batch fast path
-    (valid only for stateless stages) disables itself automatically.
+    records the exposure as pending updates — per follower, between the
+    base stage cutting the slate and the pipeline charging it, on the
+    scalar and the fan-out entry point alike.
     """
 
     span_name = "personalize[linucb]"
@@ -467,9 +467,28 @@ class LinUcbRerankStage:
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> "PersonalizedDelivery":
-        delivered = self._base.personalize(
-            event, candidates, user_id, state, profile, profile_vec
+        return self._reranked(
+            event,
+            user_id,
+            self._base.personalize(
+                event, candidates, user_id, state, profile, profile_vec
+            ),
         )
+
+    def personalize_batch(self, event, candidates, resolved, served) -> None:
+        self._base.personalize_batch(
+            event,
+            candidates,
+            resolved,
+            lambda position, delivered: served(
+                position,
+                self._reranked(event, resolved[position][0], delivered),
+            ),
+        )
+
+    def _reranked(
+        self, event, user_id: int, delivered: "PersonalizedDelivery"
+    ) -> "PersonalizedDelivery":
         qos = self._services.qos
         if qos is not None and qos.degrading:
             # Ladder rung active: serve the static CTR slate untouched and

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import EngineConfig, EngineMode
+from repro.core.engine import AdEngine
 from repro.core.pipeline import (
     ExactPersonalizeStage,
     IncrementalPersonalizeStage,
@@ -183,3 +184,252 @@ class TestPluggableStages:
                 post.author_id, post.text, post.timestamp
             ).num_impressions
         assert len(seen) == impressions > 0
+
+
+def charged_engine(workload, *, searcher="vector", **config_kwargs):
+    """A charged, CTR-fed engine whose evidence fades (``discount < 1``):
+    every served slate moves spend, pacing and quality under the next."""
+    engine = AdEngine(
+        corpus=workload.build_corpus(),
+        graph=workload.graph,
+        vectorizer=workload.vectorizer,
+        tokenizer=workload.tokenizer,
+        config=EngineConfig(searcher=searcher, ctr_feedback=True, **config_kwargs),
+    )
+    engine.ctr.discount = 0.9
+    for user in workload.users:
+        engine.register_user(user.user_id, user.home)
+    return engine
+
+
+def fan_out(engine, post, *, one_call):
+    """One event's outcomes: the whole fan-out in one ``deliver_batch``,
+    or the same followers one ``deliver()`` at a time."""
+    event = engine.make_event(
+        post.author_id, post.text, post.timestamp, msg_id=post.msg_id
+    )
+    engine.ingest_event(event)
+    followers = sorted(engine.graph.followers(post.author_id))
+    if one_call:
+        return engine.pipeline.deliver_batch(event, followers)
+    return [engine.pipeline.deliver(event, follower) for follower in followers]
+
+
+def books(engine):
+    return (
+        engine.stats.revenue,
+        engine.stats.impressions,
+        engine.stats.fallback_deliveries,
+        {ad_id: state.spent for ad_id, state in engine.budget.states().items()},
+        {ad_id: engine.ctr.impressions_of(ad_id) for ad_id in engine.ctr.observed_ads()},
+        sorted(ad.ad_id for ad in engine.corpus.active_ads()),
+    )
+
+
+def patch_reads(engine):
+    """Spy on the bid kernel: the row blocks it was asked to re-read
+    (``None`` entries are the once-per-event full builds)."""
+    scoring = engine.services.scoring
+    reads = []
+    original = scoring._bid_block
+
+    def spying(cache, timestamp, rows=None):
+        reads.append(rows)
+        return original(cache, timestamp, rows)
+
+    scoring._bid_block = spying
+    return reads
+
+
+class TestChargedFanoutInOneCall:
+    """A charged vector engine hands the kernel the whole fan-out; between
+    two followers the kernel re-reads only the rows the delivery wrote.
+    The result must equal — slates, scores, revenue, books — the same
+    followers delivered one ``deliver()`` (one kernel call) at a time."""
+
+    @pytest.mark.parametrize("personalize", ["static", "linucb"])
+    def test_equals_one_deliver_at_a_time(self, tiny_workload, personalize):
+        together = charged_engine(tiny_workload, personalize=personalize)
+        alone = charged_engine(tiny_workload, personalize=personalize)
+        reads = patch_reads(together)
+        widest = 0
+        for post in tiny_workload.posts:
+            batch = fan_out(together, post, one_call=True)
+            assert batch == fan_out(alone, post, one_call=False)
+            widest = max(widest, len(batch))
+            for outcome in batch[:1]:
+                for engine in (together, alone):
+                    for scored in outcome.slate[:2]:
+                        engine.record_click(scored.ad_id, user_id=outcome.user_id)
+        assert books(together) == books(alone)
+        assert together.stats.revenue > 0.0 and widest > 2
+        # Real work: events with followers built the bid vector once and
+        # patched it between followers.
+        assert sum(rows is None for rows in reads) < sum(
+            rows is not None for rows in reads
+        )
+
+    @staticmethod
+    def scout(workload, wanted, **config_kwargs):
+        """First (position, ad) where ``wanted(engine, ad_id)`` holds for a
+        budgeted, content-matching ad served to an event's first follower
+        and again to a later one."""
+        engine = charged_engine(workload, searcher="ta", **config_kwargs)
+        for position, post in enumerate(workload.posts):
+            outcomes = fan_out(engine, post, one_call=True)
+            later = {s.ad_id for o in outcomes[1:] for s in o.slate}
+            for scored in outcomes[0].slate if len(outcomes) > 2 else ():
+                if (
+                    scored.content > 0.0
+                    and scored.ad_id in later
+                    and engine.budget.state(scored.ad_id) is not None
+                    and wanted(engine, scored.ad_id)
+                ):
+                    return position, scored.ad_id
+        raise AssertionError("no such fan-out in the workload")
+
+    def run_three_ways(self, workload, position, prepare, **config_kwargs):
+        """The event at ``position`` on: one call, one deliver at a time,
+        and one call with the kernel's write detection stubbed out."""
+        served = {}
+        for leg in ("together", "alone", "unpatched"):
+            engine = charged_engine(workload, **config_kwargs)
+            for post in workload.posts[:position]:
+                fan_out(engine, post, one_call=True)
+            prepare(engine)
+            if leg == "unpatched":
+                engine.services.scoring.bid_writes = lambda: 0
+            served[leg] = (
+                fan_out(engine, workload.posts[position], one_call=leg != "alone"),
+                books(engine),
+                engine,
+            )
+        return served
+
+    def test_exhaustion_moves_the_static_prefix_mid_fanout(self, tiny_workload):
+        # A short static prefix, so retiring a member pulls the next ad in
+        # and moves the cutoff; unpaced, so spend matters only at the end.
+        knobs = dict(static_candidates=10, pacing_enabled=False)
+        position, ad_id = self.scout(
+            tiny_workload,
+            lambda engine, ad: ad in engine.personalizer.static_candidate_ids(),
+            **knobs,
+        )
+        before = {}
+
+        def prepare(engine):
+            state = engine.budget.state(ad_id)
+            engine.budget.restore_spend(ad_id, state.budget - 1e-6)
+            personalizer = engine.personalizer
+            message_vec = engine.vectorize(tiny_workload.posts[position].text)
+            assert ad_id in dict(engine.candidate_gen.generate(message_vec).entries)
+            row = personalizer._compact.row_of(ad_id)
+            assert row in personalizer._compact.gather(message_vec)[0]
+            assert ad_id in personalizer.static_candidate_ids()
+            before[engine] = (
+                personalizer.static_candidate_ids(), personalizer.static_cutoff()
+            )
+
+        served = self.run_three_ways(tiny_workload, position, prepare, **knobs)
+        outcomes, ledger, engine = served["together"]
+        assert (outcomes, ledger) == served["alone"][:2]
+        assert ad_id in {s.ad_id for s in outcomes[0].slate}
+        assert not engine.corpus.is_active(ad_id)
+        assert all(ad_id not in {s.ad_id for s in o.slate} for o in outcomes[1:])
+        ids, cutoff = before[engine]
+        personalizer = engine.personalizer
+        assert set(personalizer.static_candidate_ids()) - set(ids)
+        assert personalizer.static_cutoff() < cutoff
+        # Teeth: without the patch the exhausted ad is served again.
+        assert served["unpatched"][0] != outcomes
+        # And the oracle agrees on who was served what.
+        oracle = charged_engine(tiny_workload, searcher="ta", **knobs)
+        for post in tiny_workload.posts[:position]:
+            fan_out(oracle, post, one_call=True)
+        oracle.budget.restore_spend(ad_id, oracle.budget.state(ad_id).budget - 1e-6)
+        assert [
+            [s.ad_id for s in o.slate]
+            for o in fan_out(oracle, tiny_workload.posts[position], one_call=True)
+        ] == [[s.ad_id for s in o.slate] for o in outcomes]
+
+    def test_pacing_crosses_the_schedule_mid_fanout(self, tiny_workload):
+        position, ad_id = self.scout(tiny_workload, lambda engine, ad: True)
+        timestamp = tiny_workload.posts[position].timestamp
+
+        def prepare(engine):
+            # Exactly on the uniform schedule: the next charge puts the ad
+            # ahead of it, so its pacing multiplier drops below 1.
+            state = engine.budget.state(ad_id)
+            engine.budget.restore_spend(
+                ad_id, state.budget * state.time_fraction(timestamp)
+            )
+            assert engine.budget.pacing_multiplier(ad_id, timestamp) == 1.0
+
+        served = self.run_three_ways(tiny_workload, position, prepare)
+        outcomes, ledger, engine = served["together"]
+        assert (outcomes, ledger) == served["alone"][:2]
+        assert engine.budget.pacing_multiplier(ad_id, timestamp) < 1.0
+        assert served["unpatched"][0] != outcomes
+
+
+class TestUnchargedFanoutPaysNoPatching:
+    def test_zero_patch_reads(self, tiny_workload):
+        config = EngineConfig(searcher="vector", charge_impressions=False)
+        rec = ContextAwareRecommender.from_workload(tiny_workload, config)
+        reads = patch_reads(rec.engine)
+        fanned_out = 0
+        for post in tiny_workload.posts[:30]:
+            fanned_out += bool(
+                rec.post(post.author_id, post.text, post.timestamp).num_deliveries
+            )
+        # One full build per event with followers, never a row re-read.
+        assert reads == [None] * fanned_out and fanned_out > 0
+
+
+class TestDeliverySpansStayPerDelivery:
+    """The follower look-ups happen up front for the whole fan-out; their
+    time is shared out equally, so no one ``delivery`` span — the stage
+    the health monitor grades — grows with the number of followers."""
+
+    @pytest.mark.parametrize("searcher", ["ta", "vector"])
+    def test_lookup_time_is_shared_out(self, tiny_workload, monkeypatch, searcher):
+        import repro.core.pipeline as pipeline_module
+
+        class Spans:
+            enabled = True
+
+            def __init__(self):
+                self.of = {}
+
+            def record(self, stage, seconds):
+                self.of.setdefault(stage, []).append(seconds)
+
+        spans = Spans()
+        engine = AdEngine(
+            corpus=tiny_workload.build_corpus(),
+            graph=tiny_workload.graph,
+            vectorizer=tiny_workload.vectorizer,
+            tokenizer=tiny_workload.tokenizer,
+            config=EngineConfig(searcher=searcher),
+            tracer=spans,
+        )
+        for user in tiny_workload.users:
+            engine.register_user(user.user_id, user.home)
+        # A clock only the look-ups move: one second per follower.
+        clock = [0.0]
+        monkeypatch.setattr(pipeline_module, "perf_counter", lambda: clock[0])
+        profile_of = engine.services.profile_of
+
+        def slow_profile_of(user_id, state):
+            clock[0] += 1.0
+            return profile_of(user_id, state)
+
+        engine.services.profile_of = slow_profile_of
+        post = max(
+            tiny_workload.posts,
+            key=lambda post: len(tiny_workload.graph.followers(post.author_id)),
+        )
+        outcomes = fan_out(engine, post, one_call=True)
+        assert len(outcomes) >= 3
+        assert spans.of["personalize"] == [1.0] * len(outcomes)
+        assert spans.of["delivery"] == [1.0] * len(outcomes)

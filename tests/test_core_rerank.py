@@ -181,8 +181,8 @@ class TestProfileCandidateCache:
 class TestMidFanoutRetirement:
     """Charging can retire an ad between two followers of one event: the
     vector kernel's per-event message gather and candidate rows were
-    cached before the retirement, and only its alive mask keeps the
-    exhausted ad out of the next follower's slate."""
+    taken before the retirement, and only dropping the retired row from
+    them keeps the exhausted ad out of the next follower's slate."""
 
     @staticmethod
     def engine_for(workload, searcher):
@@ -242,7 +242,15 @@ class TestMidFanoutRetirement:
             # Less than the reserve price left: the next charge exhausts.
             engine.budget.restore_spend(ad_id, state.budget - 1e-6)
             if searcher == "vector":
-                row = engine.personalizer._compact.row_of(ad_id)
+                # The ad really sits in the event's candidate rows and
+                # message gather, so the kernel has to take it out again.
+                message_vec = engine.vectorize(posts[position].text)
+                compact = engine.personalizer._compact
+                row = compact.row_of(ad_id)
+                assert row in compact.gather(message_vec)[0]
+                assert ad_id in dict(
+                    engine.candidate_gen.generate(message_vec).entries
+                )
             deliveries = self.post(engine, posts[position]).deliveries
             served[searcher] = [
                 [scored.ad_id for scored in delivery.slate]
@@ -253,18 +261,14 @@ class TestMidFanoutRetirement:
             for slate in served[searcher][1:]:
                 assert ad_id not in slate
         assert served["vector"] == served["ta"]
-        # The retired row really sat in the cached per-event arrays (and
-        # kept its row: no compaction hid it), so the mask did the work.
-        compact = engine.personalizer._compact
-        _, _, candidate_rows, message_rows, _ = engine.personalizer._event_cache
-        assert not compact.alive[row]
-        assert row in candidate_rows and row in message_rows
+        # It kept its row: no compaction hid it.
+        assert not compact.alive[row] and compact.ad_ids[row] == ad_id
 
 
 class TestKernelSelfConsistency:
     """The vector kernel on a whole fan-out equals itself called once per
-    follower — ``slate_for`` is the latter, so this is what lets the
-    pipeline pick either by what sits downstream, not by config."""
+    follower — ``slate_for`` is the latter — when nothing is written in
+    between (tests/test_core_pipeline.py covers the charged fan-out)."""
 
     @pytest.mark.parametrize("allow_fallback", [True, False])
     @pytest.mark.parametrize("k", [3, 10])
@@ -322,3 +326,28 @@ class TestKernelSelfConsistency:
             )
         assert certified > 0
         assert (fell_back > 0) == allow_fallback
+
+
+class TestServedCallback:
+    """``slate_batch`` hands every result to ``served``, in delivery
+    order, before it cuts the next."""
+
+    def test_results_are_handed_over_in_order(self):
+        stack = build_stack(seed=4, searcher="vector")
+        rng, space, _, _, config, _, personalizer, generator = stack
+        followers = [
+            (user_id, random_profile(space, rng), 0, None) for user_id in range(5)
+        ]
+        message = random_message(space, rng)
+        candidates = generator.generate(message)
+        seen = []
+        results = personalizer.slate_batch(
+            candidates, message, followers, 500.0, config.k,
+            served=lambda position, result: seen.append((position, result)),
+        )
+        assert seen == list(enumerate(results))
+        assert results == [
+            personalizer.slate_for(candidates, message, *follower, 500.0, config.k)
+            for follower in followers
+        ]
+        assert any(result.slate for result in results)

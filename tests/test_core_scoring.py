@@ -227,3 +227,124 @@ class TestBidBlockSeam:
         for post in posts[55:70]:
             single.post(post.author_id, post.text, post.timestamp)
         self.assert_block_is_scalar(single, posts[70].timestamp)
+
+
+class TestTargetingCache:
+    """``StaticRowCache.targeting_full`` keeps, per location, only the
+    matched geo rows and their falloff: it holds every user, a recurring
+    follower never re-runs the haversine pass, and each read hands back
+    dense arrays of its own."""
+
+    LOCATIONS = 2000
+
+    @pytest.fixture()
+    def stack(self):
+        import random
+
+        from repro.core.scoring import StaticRowCache
+        from repro.datagen.adgen import generate_ads
+        from repro.datagen.topicspace import TopicSpace
+        from repro.index.compact import CompactIndex
+        from repro.index.inverted import AdInvertedIndex
+
+        rng = random.Random(5)
+        ads, _ = generate_ads(
+            300, TopicSpace(6, 800), rng, geo_targeted_fraction=0.5
+        )
+        corpus = AdCorpus(ads)
+        index = AdInvertedIndex.from_corpus(corpus, subscribe=True)
+        cache = StaticRowCache(corpus, CompactIndex.shared(index))
+        cache.sync(None, None)
+        # Users live where ads target: a jittered circle centre each.
+        centres = [
+            centre for ad in ads for centre, _ in ad.targeting.circles
+        ]
+        locations = []
+        while len(locations) < self.LOCATIONS:
+            centre = rng.choice(centres)
+            locations.append(
+                GeoPoint(
+                    max(-90.0, min(90.0, centre.lat + rng.uniform(-0.3, 0.3))),
+                    max(-180.0, min(180.0, centre.lon + rng.uniform(-0.3, 0.3))),
+                )
+            )
+        assert len({(p.lat, p.lon) for p in locations}) == self.LOCATIONS
+        passes = []
+        original = cache._geo_matches
+
+        def counted(location):
+            passes.append(location)
+            return original(location)
+
+        cache._geo_matches = counted
+        return corpus, cache, locations, passes
+
+    def test_every_location_is_computed_once(self, stack):
+        _, cache, locations, passes = stack
+        for location in locations:
+            cache.targeting_full(location)
+        assert len(passes) == self.LOCATIONS
+        assert any(rows.shape[0] for rows, _ in cache._geo_hits.values())
+        for location in locations:
+            cache.targeting_full(location)
+        assert len(passes) == self.LOCATIONS  # second sweep: all hits
+        assert len(cache._geo_hits) == self.LOCATIONS
+
+    def test_values_equal_the_scalar_predicates(self, stack):
+        corpus, cache, locations, _ = stack
+        ad_ids = cache._compact.ad_ids.tolist()
+        timestamp = 13 * 3600.0
+        time_keep = cache.time_keep_full(timestamp)
+        inside = 0
+        for location in [None, *locations[:40]]:
+            keep, proximity = cache.targeting_full(location)
+            for row, ad_id in enumerate(ad_ids):
+                spec = corpus.get(ad_id).targeting
+                assert bool(keep[row] and time_keep[row]) == spec.matches(
+                    location, timestamp
+                )
+                assert proximity[row] == spec.proximity(location)
+                inside += bool(spec.circles and proximity[row] > 0.0)
+        assert inside > 0
+
+    def test_a_launch_invalidates(self, stack):
+        corpus, cache, locations, passes = stack
+        here = locations[0]
+        keep, _ = cache.targeting_full(here)
+        corpus.add(
+            Ad(
+                ad_id=900_000,
+                advertiser="n",
+                text="t",
+                terms={"run": 1.0},
+                bid=1.0,
+                targeting=TargetingSpec(circles=((here, 25.0),)),
+            )
+        )
+        cache.sync(None, None)
+        assert not cache._geo_hits
+        grown, proximity = cache.targeting_full(here)
+        assert len(passes) == 2
+        assert grown.shape[0] == keep.shape[0] + 1
+        assert grown[-1] and proximity[-1] == 1.0  # dead centre of the new circle
+
+    def test_reads_cannot_corrupt_each_other(self, stack):
+        _, cache, locations, _ = stack
+        first, second = locations[:2]
+        keep, proximity = cache.targeting_full(first)
+        expected = keep.copy(), proximity.copy()
+        assert keep.any() and proximity.any()
+        # Each read is the caller's own pair: the kernel masks ``keep`` in
+        # place, and neither the shared base nor a later read may see it.
+        keep &= False
+        proximity[:] = 0.0
+        other = cache.targeting_full(second)
+        assert not np.shares_memory(other[0], keep)
+        assert not np.shares_memory(other[0], cache._geo_base[0])
+        assert not np.shares_memory(other[1], cache._geo_base[1])
+        again = cache.targeting_full(first)
+        assert (again[0] == expected[0]).all() and (again[1] == expected[1]).all()
+        none = cache.targeting_full(None)
+        assert (none[0] == cache._geo_base[0]).all()
+        assert not np.shares_memory(none[0], cache._geo_base[0])
+        assert cache._geo_base[0].any() and cache._geo_base[1].any()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -62,7 +62,11 @@ class TestDistance:
         assert 0.0 <= distance <= 20_016.0
 
     @given(points, points, points)
+    @example(GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0), GeoPoint(1.192092896e-07, 180.0))
     def test_triangle_inequality(self, a, b, c):
+        # Slack of 1 m, not 1 mm: near the antipode h -> 1 and
+        # arcsin(sqrt(h)) is only good to ~1e-5 km (the pinned example
+        # reads 20015.114442 against 20015.114430).
         assert haversine_km(a, c) <= (
-            haversine_km(a, b) + haversine_km(b, c) + 1e-6
+            haversine_km(a, b) + haversine_km(b, c) + 1e-3
         )

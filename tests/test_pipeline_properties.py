@@ -8,7 +8,10 @@ must always satisfy the pipeline's contract:
   engine stats, and budget debits never exceed GSP revenue;
 * ``exact`` and ``fell_back`` are mutually exclusive per delivery, and the
   per-delivery flags reconcile with the engine's cumulative counters;
-* ``post_batch`` is observationally identical to posting one at a time.
+* ``post_batch`` is observationally identical to posting one at a time,
+  and a fan-out handed to the personalize stage in one call is identical
+  to the same followers delivered one ``deliver()`` at a time — charged,
+  CTR-fed or not, on the oracle and on the vector kernel.
 """
 
 from __future__ import annotations
@@ -54,7 +57,11 @@ def tiny_workload(seed: int):
 
 
 def build_engine(
-    workload, mode: EngineMode, k: int, searcher: str = "ta"
+    workload,
+    mode: EngineMode,
+    k: int,
+    searcher: str = "ta",
+    ctr_feedback: bool = False,
 ) -> AdEngine:
     config = EngineConfig(
         mode=mode,
@@ -62,6 +69,7 @@ def build_engine(
         searcher=searcher,
         overfetch=max(40, 2 * k),
         charge_impressions=True,
+        ctr_feedback=ctr_feedback,
     )
     engine = AdEngine(
         corpus=workload.build_corpus(),
@@ -72,6 +80,8 @@ def build_engine(
     )
     for user in workload.users:
         engine.register_user(user.user_id, user.home)
+    if ctr_feedback:
+        engine.ctr.discount = 0.9  # every impression moves the evidence
     return engine
 
 
@@ -152,12 +162,15 @@ def test_flag_counters_reconcile(mode, seed, searcher):
     seed=SEEDS,
     batch_size=st.sampled_from([2, 5, 25]),
     searcher=SEARCHERS,
+    ctr_feedback=st.booleans(),
 )
-def test_post_batch_matches_sequential(mode, seed, batch_size, searcher):
+def test_post_batch_matches_sequential(mode, seed, batch_size, searcher, ctr_feedback):
     workload = tiny_workload(seed)
     posts = workload.posts
-    sequential = replay(build_engine(workload, mode, k=5, searcher=searcher), posts)
-    batched_engine = build_engine(workload, mode, k=5, searcher=searcher)
+    sequential = replay(
+        build_engine(workload, mode, 5, searcher, ctr_feedback), posts
+    )
+    batched_engine = build_engine(workload, mode, 5, searcher, ctr_feedback)
     batched: list = []
     for start in range(0, len(posts), batch_size):
         batched.extend(batched_engine.post_batch(posts[start : start + batch_size]))
@@ -176,3 +189,33 @@ def test_post_batch_matches_sequential(mode, seed, batch_size, searcher):
             assert [s.ad_id for s in d1.slate] == [s.ad_id for s in d2.slate]
             for s1, s2 in zip(d1.slate, d2.slate):
                 assert s1.score == pytest.approx(s2.score, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(mode=MODES, seed=SEEDS, k=KS, searcher=SEARCHERS, ctr_feedback=st.booleans())
+def test_fanout_in_one_call_matches_one_deliver_at_a_time(
+    mode, seed, k, searcher, ctr_feedback
+):
+    workload = tiny_workload(seed)
+    together = build_engine(workload, mode, k, searcher, ctr_feedback)
+    alone = build_engine(workload, mode, k, searcher, ctr_feedback)
+    for post in workload.posts:
+        followers = sorted(workload.graph.followers(post.author_id))
+        events = []
+        for engine in (together, alone):
+            events.append(
+                engine.make_event(
+                    post.author_id, post.text, post.timestamp, msg_id=post.msg_id
+                )
+            )
+            engine.ingest_event(events[-1])
+        # == on outcomes: slates with their scores, flags and revenue.
+        assert together.pipeline.deliver_batch(events[0], followers) == [
+            alone.pipeline.deliver(events[1], follower) for follower in followers
+        ]
+    assert together.budget.states() == alone.budget.states()
+    assert together.stats.revenue == alone.stats.revenue
+    if ctr_feedback:
+        assert together.ctr.observed_ads() == alone.ctr.observed_ads()
+        for ad_id in together.ctr.observed_ads():
+            assert together.ctr.impressions_of(ad_id) == alone.ctr.impressions_of(ad_id)

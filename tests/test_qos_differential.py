@@ -277,10 +277,10 @@ class TestRungsOnTheBatchedPath:
         kernel_calls: list[tuple[int, int]] = []  # (rung, fan-out)
         original = stage.personalize_batch
 
-        def spying(event, candidates, resolved):
+        def spying(event, candidates, resolved, served):
             assert batched.qos is not None
             kernel_calls.append((batched.qos.rung_index, len(resolved)))
-            return original(event, candidates, resolved)
+            return original(event, candidates, resolved, served)
 
         stage.personalize_batch = spying
 
