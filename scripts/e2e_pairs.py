@@ -1,0 +1,144 @@
+#!/usr/bin/env python
+"""Interleaved parent/change pairs of the whole-path benchmark.
+
+    python scripts/e2e_pairs.py --parent DIR --change DIR --workload W
+        --pairs N [--scale mini] [--first-seed S] [--out DIR]
+
+How a performance claim on ``benchmarks/e2e`` is measured (the
+choosing-metrics rule; what PRs 12, 14 and 16 each did by hand): N pairs
+of runs, one fresh seed per pair, alternating which side runs first so
+that a machine drifting between speed levels favours neither. Each side
+runs its *own* ``benchmarks/e2e/run.py`` from its own checkout, untraced,
+at the benchmark's own run length; this script only reads the result
+files those runs write.
+
+Per end-to-end metric it prints both sides' medians and quartiles, how
+many pairs the change won (ties count for neither side) and the verdict:
+a gain is *claimable* when the change wins at least nine tenths of at
+least ten pairs and the medians differ by more than the parent's
+interquartile range. It also says whether every run passed its output
+checks and whether the two sides' output digests matched in every pair —
+and exits non-zero if not. Timings are never gated here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+#: The choosing-metrics rule: pairs needed and the share of them to win.
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def run_side(checkout: Path, args, seed: int, out: Path) -> dict:
+    """One untraced run of ``checkout``'s own harness; its result record."""
+    command = [
+        sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
+        "--workload", args.workload, "--seed", str(seed), "--trace", "0",
+        "--scale", args.scale, "--out", str(out),
+    ]
+    # A failed output check exits non-zero but still writes its record.
+    subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL, check=False)
+    return json.loads((out / f"{args.workload}.json").read_text())
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    first, median, third = statistics.quantiles(values, n=4)
+    return first, median, third
+
+
+def metric_row(metric: dict, parent: list[float], change: list[float]) -> str:
+    higher = metric["better"] == "higher"
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    better_by = (c_med - p_med) if higher else (p_med - c_med)
+    pairs = len(parent)
+    if pairs < MIN_PAIRS:
+        verdict = f"no verdict under {MIN_PAIRS} pairs"
+    elif wins >= WIN_SHARE * pairs and better_by > p_q3 - p_q1:
+        verdict = "gain claimable"
+    elif losses >= WIN_SHARE * pairs and -better_by > p_q3 - p_q1:
+        verdict = "WORSE"
+    else:
+        verdict = "no claim"
+    return (
+        f"  {metric['name']:<20} parent {p_med:>10.4f} [{p_q1:.4f}, {p_q3:.4f}]  "
+        f"change {c_med:>10.4f} [{c_q1:.4f}, {c_q3:.4f}]  "
+        f"{(c_med / p_med - 1.0) * 100.0 if p_med else 0.0:>+7.1f} %  "
+        f"wins {wins}/{pairs} (losses {losses})  {verdict}"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--scale", choices=("full", "mini"), default="full")
+    parser.add_argument(
+        "--first-seed", type=int, default=101,
+        help="pair i runs seed first-seed + i on both sides",
+    )
+    parser.add_argument("--out", type=Path, help="keep the result files here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    manifest = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    headline = manifest["end_to_end"][0]["name"]
+
+    with tempfile.TemporaryDirectory() as scratch:
+        out = args.out.resolve() if args.out else Path(scratch)
+        records: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            seed = args.first_seed + pair
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                records[side].append(
+                    run_side(
+                        checkouts[side], args, seed,
+                        out / args.workload / f"seed{seed}" / side,
+                    )
+                )
+            latest = [records[side][-1] for side in SIDES]
+            digests = " / ".join(run["digest"] for run in latest)
+            readings = " / ".join(
+                f"{run['end_to_end'][headline]['value']:.1f}" for run in latest
+            )
+            print(
+                f"pair {pair + 1}/{args.pairs} seed {seed} ({order[0]} first): "
+                f"digests {digests}, {headline} {readings}",
+                flush=True,
+            )
+
+    print(f"== {args.workload} ({args.scale}), {args.pairs} pair(s)")
+    for metric in manifest["end_to_end"]:
+        values = {
+            side: [run["end_to_end"][metric["name"]]["value"] for run in records[side]]
+            for side in SIDES
+        }
+        print(metric_row(metric, values["parent"], values["change"]))
+    correct = all(run["correct"] for side in SIDES for run in records[side])
+    same = all(
+        ours["digest"] == theirs["digest"]
+        for ours, theirs in zip(records["parent"], records["change"])
+    )
+    print(f"[{'ok' if correct else 'FAILED'}] every run passed its output checks")
+    print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair")
+    return 0 if correct and same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ class SystemRecommender(SlateRecommender):
         self._index = AdInvertedIndex.from_corpus(state.corpus, subscribe=True)
         self._scoring = ScoringModel(state.corpus, self._config.weights)
         self._candidate_gen = SharedCandidateGenerator(
-            self._index, self._config.overfetch
+            self._index, self._config.overfetch, searcher=self._config.searcher
         )
         # A ranking-only services slice: no graph, budgets or clock — the
         # baseline harness owns profile/location state itself.

@@ -11,12 +11,31 @@ any ad outside the shared set — see :mod:`repro.core.rerank`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigError
+from repro.index.compact import CompactIndex
 from repro.index.factory import make_searcher
 from repro.index.inverted import AdInvertedIndex
+from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector
+
+
+@dataclass(frozen=True, slots=True)
+class CandidateBlock:
+    """The vector probe kept as arrays for the kernel: the message's
+    :meth:`CompactIndex.gather` and the rows of the K′ cut, in the row
+    space of the mirror at ``key`` = ``(generation, num_rows)``. While the
+    mirror still reads that key no row was renumbered or added, so the
+    block minus the rows retired since equals a fresh gather; else stale.
+    """
+
+    key: tuple[int, int]
+    rows: np.ndarray
+    dots: np.ndarray
+    cut_rows: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,11 +47,15 @@ class CandidateSet:
     score of the weakest fetched candidate when the probe filled up, and
     0.0 when it did not (then every content-matching ad is present and
     outsiders have zero content affinity by the relevance floor).
+    ``block`` is the vector probe again, as arrays for the kernel (``None``
+    from other searchers and on hand-built sets); it restates ``entries``,
+    so it takes no part in equality.
     """
 
     entries: tuple[tuple[int, float], ...]
     cutoff: float
     complete: bool
+    block: CandidateBlock | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -49,7 +72,11 @@ class SharedCandidateGenerator:
     ) -> None:
         if overfetch < 1:
             raise ConfigError(f"overfetch must be >= 1, got {overfetch}")
-        self._searcher = make_searcher(searcher, index)
+        # The vector probe reads the mirror itself: it keeps the gather
+        # and cuts K′ on arrays, where a searcher would box every entry.
+        vector = searcher == "vector"
+        self._compact = CompactIndex.shared(index) if vector else None
+        self._searcher = None if vector else make_searcher(searcher, index)
         self.kind = searcher
         self.overfetch = overfetch
         self.probes = 0
@@ -73,11 +100,24 @@ class SharedCandidateGenerator:
         self.probes += 1
         self.last_probe_depth = depth
         self.probe_depth_total += depth
-        results = self._searcher.search(message_vec, depth)
-        complete = len(results) < depth
-        cutoff = 0.0 if complete else results[-1].score
+        compact = self._compact
+        if compact is None:
+            results = self._searcher.search(message_vec, depth)
+            entries = tuple((entry.item, entry.score) for entry in results)
+            block = None
+        else:
+            compact.maybe_compact()
+            ad_ids = compact.ad_ids
+            rows, dots = compact.gather(message_vec)
+            chosen = topk_order(dots, ad_ids[rows], depth)
+            cut_rows = rows[chosen]
+            entries = tuple(zip(ad_ids[cut_rows].tolist(), dots[chosen].tolist()))
+            key = (compact.generation, compact.num_rows)
+            block = CandidateBlock(key, rows, dots, cut_rows)
+        complete = len(entries) < depth
         return CandidateSet(
-            entries=tuple((entry.item, entry.score) for entry in results),
-            cutoff=cutoff,
+            entries=entries,
+            cutoff=0.0 if complete else entries[-1][1],
             complete=complete,
+            block=block,
         )

@@ -25,7 +25,7 @@ trade-off.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.core.static_list import GlobalStaticTopList
 from repro.geo.point import GeoPoint
 from repro.index.compact import CompactIndex
 from repro.index.factory import make_searcher
-from repro.index.vector import VectorSearcher
+from repro.index.vector import VectorSearcher, topk_order
 from repro.util.sparse import SparseVector, dot
 
 
@@ -49,21 +49,6 @@ class PersonalizedSlate:
     fell_back: bool
 
 
-def _exact_topk(scores: np.ndarray, ad_ids: np.ndarray, k: int) -> np.ndarray:
-    """Top-``k`` local indices under the tie rule (score desc, id asc).
-
-    Large sets are pre-cut at the k-th score with a linear partition so
-    the lexsort only touches actual contenders.
-    """
-    n = scores.shape[0]
-    if n > 4 * k:
-        kth = np.partition(scores, n - k)[n - k]
-        contenders = np.flatnonzero(scores >= kth)
-        order = np.lexsort((ad_ids[contenders], -scores[contenders]))[:k]
-        return contenders[order]
-    return np.lexsort((ad_ids, -scores))[:k]
-
-
 @dataclass(frozen=True, slots=True)
 class _ProfileCandidates:
     """Cached per-user profile-probe results."""
@@ -72,6 +57,9 @@ class _ProfileCandidates:
     corpus_add_epoch: int
     entries: tuple[tuple[int, float], ...]  # (ad_id, profile affinity)
     cutoff: float  # bound on the affinity of any ad not in entries
+    # Vector mode: the entries' compact rows at mirror ``generation``.
+    generation: int = 0
+    rows: np.ndarray | None = field(default=None, compare=False)
 
 
 class Personalizer:
@@ -101,10 +89,6 @@ class Personalizer:
             # Per-user raw profile gathers, keyed by (profile epoch,
             # corpus adds, generation).
             self._profile_gather_cache: dict[int, tuple] = {}
-            # Compact rows of each user's profile-probe entries, keyed by
-            # the probe object's identity (stable while its cache entry
-            # is) and the mirror generation.
-            self._profile_rows_cache: dict[int, tuple] = {}
 
     # -- candidate sources --------------------------------------------------
 
@@ -127,14 +111,21 @@ class Personalizer:
         cutoff).
         """
         corpus_epoch = self._scoring.corpus.add_epoch
+        generation = self._compact.generation if self._vector else 0
         cached = self._profile_cache.get(user_id)
         if (
             cached is not None
             and cached.profile_epoch == profile_epoch
             and cached.corpus_add_epoch == corpus_epoch
         ):
+            if cached.generation != generation:
+                # A compaction renumbered the rows; the probe stands.
+                rows = self._compact.rows_of_present(dict(cached.entries))
+                cached = replace(cached, generation=generation, rows=rows)
+                self._profile_cache[user_id] = cached
             return cached
         depth = self._config.profile_candidates
+        rows = None
         if self._vector:
             # Derive the probe from the cached raw gather instead of a
             # searcher call: same gather, same tie rule, bit-identical
@@ -143,25 +134,23 @@ class Personalizer:
             # than this cache's, so a miss here is a fresh gather there.
             # No compaction: the kernel calls this between two followers
             # with row numbers in hand.
-            compact = self._compact
-            rows, dots = self._profile_gather(
-                user_id, profile_vec, profile_epoch, compact.generation
+            ad_ids = self._compact.ad_ids
+            gathered, dots = self._profile_gather(
+                user_id, profile_vec, profile_epoch, generation
             )
-            ad_ids = compact.ad_ids[rows]
-            order = np.lexsort((ad_ids, -dots))[:depth]
-            entries = tuple(
-                (int(ad_ids[i]), float(dots[i])) for i in order
-            )
-            cutoff = 0.0 if len(entries) < depth else entries[-1][1]
+            chosen = topk_order(dots, ad_ids[gathered], depth)
+            rows = gathered[chosen]
+            entries = tuple(zip(ad_ids[rows].tolist(), dots[chosen].tolist()))
         else:
             results = self._profile_searcher.search(profile_vec, depth)
-            cutoff = 0.0 if len(results) < depth else results[-1].score
             entries = tuple((entry.item, entry.score) for entry in results)
         candidates = _ProfileCandidates(
             profile_epoch=profile_epoch,
             corpus_add_epoch=corpus_epoch,
             entries=entries,
-            cutoff=cutoff,
+            cutoff=0.0 if len(entries) < depth else entries[-1][1],
+            generation=generation,
+            rows=rows,
         )
         self._profile_cache[user_id] = candidates
         return candidates
@@ -291,24 +280,6 @@ class Personalizer:
             return rows, dots
         return rows[live], dots[live]
 
-    def _profile_member_rows(
-        self, user_id: int, cands: _ProfileCandidates, generation: int
-    ) -> np.ndarray:
-        """Compact rows of a user's profile-probe entries, cached with
-        the probe itself (retired entries drop out via the row lookup)."""
-        cached = self._profile_rows_cache.get(user_id)
-        if (
-            cached is not None
-            and cached[0] is cands
-            and cached[1] == generation
-        ):
-            return cached[2]
-        rows = self._compact.rows_of_present(
-            ad_id for ad_id, _ in cands.entries
-        )
-        self._profile_rows_cache[user_id] = (cands, generation, rows)
-        return rows
-
     def _shared_member(
         self, candidate_rows: np.ndarray, generation: int, size: int
     ) -> tuple[np.ndarray, float, int]:
@@ -340,7 +311,7 @@ class Personalizer:
         static_kept, score_kept = self._scoring.fanout_scores(
             content, affinity, proximity, bid, kept
         )
-        chosen = _exact_topk(score_kept, ad_ids[kept], k)
+        chosen = topk_order(score_kept, ad_ids[kept], k)
         rows = kept[chosen]
         scores = score_kept[chosen].tolist()
         contents = content[rows].tolist()
@@ -375,18 +346,19 @@ class Personalizer:
         :meth:`slate_for`. Each result is handed to ``served(position,
         result)`` before the next follower's slate is cut: the pipeline
         charges and feeds back inside it, and the next follower sees what
-        that wrote. Vector mode only — the numpy kernel: one message
-        gather plus one cached profile gather per follower cover every
-        row any slate can contain — content, affinity, targeting and bid
-        statics are evaluated over the full row space, and the
-        approximate slate *and* the exact fallback are both cut from the
-        same arrays, so an uncertified delivery costs one extra mask +
-        top-k instead of a fresh probe. The row vectors shared by the
-        fan-out (content, δ·bid, time mask, shared membership) are built
-        once per event; a delivery can only write to the rows of its own
-        slate (spend, CTR evidence, retirement on exhaustion), so when
-        ``served`` wrote anything exactly those rows are re-read before
-        the next cut — the values a rebuild would give, elementwise.
+        that wrote. Vector mode only — the numpy kernel: the probe's
+        message gather (``candidates.block``, re-gathered only when stale)
+        plus one cached profile gather per follower cover every row any
+        slate can contain — content, affinity, targeting and bid statics
+        are evaluated over the full row space, and the approximate slate
+        *and* the exact fallback are both cut from the same arrays, so an
+        uncertified delivery costs one extra mask + top-k instead of a
+        fresh probe. The row vectors shared by the fan-out (content,
+        δ·bid, time mask, shared membership) are built once per event; a
+        delivery can only write to the rows of its own slate (spend, CTR
+        evidence, retirement on exhaustion), so when ``served`` wrote
+        anything exactly those rows are re-read before the next cut — the
+        values a rebuild would give, elementwise.
         """
         results: list[PersonalizedSlate] = []
         scoring = self._scoring
@@ -408,11 +380,18 @@ class Personalizer:
         # ever materialised. Dead rows have zero content/affinity (gathers
         # are alive-masked) and sit in no fallback membership, so neither
         # the floor nor the probe can select them.
-        size = compact.ad_ids.shape[0]
-        candidate_rows = compact.rows_of_present(
-            ad_id for ad_id, _ in candidates.entries
-        )
-        message_rows, message_dots = compact.gather(message_vec)
+        size = compact.num_rows
+        block = candidates.block
+        if block is not None and block.key == (generation, size):
+            # The probe's own gather, over this very row space: only
+            # retirements can have touched it since.
+            candidate_rows = block.cut_rows
+            message_rows, message_dots = self._alive_only(block.rows, block.dots)
+        else:
+            candidate_rows = compact.rows_of_present(
+                ad_id for ad_id, _ in candidates.entries
+            )
+            message_rows, message_dots = compact.gather(message_vec)
         content = np.zeros(size, dtype=np.float64)
         content[message_rows] = message_dots
         content_floor = content > 0.0
@@ -450,9 +429,7 @@ class Personalizer:
             targeted, proximity = cache.targeting_full(location)
             targeted &= time_keep
             member = shared.copy()
-            member[
-                self._profile_member_rows(user_id, profile_cands, generation)
-            ] = True
+            member[profile_cands.rows] = True
             slate, slate_rows = self._cut(
                 content, affinity, proximity, bid,
                 np.flatnonzero(

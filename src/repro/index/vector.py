@@ -6,9 +6,9 @@ top-k with the engine-wide tie rule (score desc, ad id asc) — but the
 traversal is numpy instead of per-posting Python:
 
 * **content-only probes** (no static, no filter: the shared and profile
-  probes) are one :meth:`~repro.index.compact.CompactIndex.gather` plus a
-  ``lexsort`` top-k — every matching ad is "evaluated" by a fused
-  multiply-add, so there is nothing to prune;
+  probes) are one :meth:`~repro.index.compact.CompactIndex.gather` plus
+  one :func:`topk_order` cut — every matching ad is "evaluated" by a
+  fused multiply-add, so there is nothing to prune;
 * **static-boosted probes** (the exact fallback) gather content for all
   matches, then either evaluate every candidate's static part in one
   vectorized call (``static_block`` — targeting, proximity and bids as
@@ -41,6 +41,26 @@ StaticBlockFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]
 
 # Candidates whose static part is evaluated per bound-check round.
 _CHUNK = 64
+
+
+def topk_order(scores: np.ndarray, ad_ids: np.ndarray, k: int) -> np.ndarray:
+    """Top-``k`` local indices under the engine-wide tie rule (score
+    desc, ad id asc: ``BoundedTopK.results()`` order) — the one place the
+    array paths cut it. Large sets are pre-cut at the k-th score with a
+    linear partition so the lexsort only touches actual contenders.
+    """
+    n = scores.shape[0]
+    if n > 4 * k:
+        kth = np.partition(scores, n - k)[n - k]
+        contenders = np.flatnonzero(scores >= kth)
+        order = np.lexsort((ad_ids[contenders], -scores[contenders]))[:k]
+        return contenders[order]
+    return np.lexsort((ad_ids, -scores))[:k]
+
+
+def _entries(scores: np.ndarray, ad_ids: np.ndarray, k: int) -> list[TopKEntry]:
+    chosen = topk_order(scores, ad_ids, k)
+    return list(map(TopKEntry, scores[chosen].tolist(), ad_ids[chosen].tolist()))
 
 
 class VectorSearcher:
@@ -86,21 +106,10 @@ class VectorSearcher:
             and self._filter_fn is None
         ):
             self.last_evaluations = int(rows.shape[0])
-            return self._content_topk(ad_ids, contents, k)
+            return _entries(contents, ad_ids, k)
         if self._static_block is not None:
             return self._block_topk(rows, ad_ids, contents, k)
         return self._boosted_topk(rows, ad_ids, contents, k)
-
-    def _content_topk(
-        self, ad_ids: np.ndarray, contents: np.ndarray, k: int
-    ) -> list[TopKEntry]:
-        # lexsort's last key is primary: score descending, then id
-        # ascending — exactly BoundedTopK.results() order.
-        order = np.lexsort((ad_ids, -contents))[:k]
-        return [
-            TopKEntry(score=float(contents[i]), item=int(ad_ids[i]))
-            for i in order
-        ]
 
     def _block_topk(
         self,
@@ -117,13 +126,7 @@ class VectorSearcher:
         kept = np.flatnonzero(keep)
         if not kept.shape[0]:
             return []
-        ad_ids = ad_ids[kept]
-        scores = contents[kept] + statics[kept]
-        order = np.lexsort((ad_ids, -scores))[:k]
-        return [
-            TopKEntry(score=float(scores[i]), item=int(ad_ids[i]))
-            for i in order
-        ]
+        return _entries(contents[kept] + statics[kept], ad_ids[kept], k)
 
     def _boosted_topk(
         self,

@@ -529,8 +529,8 @@ class RequestTracer:
         """The RPC-portable merge payload: everything recorded so far.
 
         Workers are drained over the ``trace_drain`` op; ``clear`` resets
-        the worker side so each drain ships an increment, not the whole
-        history again (checkpoint-style merge back to the router).
+        the worker side, counters included, so each drain ships an
+        increment for ``absorb`` to add up (checkpoint-style merge).
         """
         payload = {
             "retained": list(self.retained),
@@ -542,6 +542,7 @@ class RequestTracer:
         if clear:
             self.retained.clear()
             self.ring.clear()
+            self.started = self.finished = self.dropped = 0
         return payload
 
     def absorb(self, payload: dict) -> None:

@@ -62,13 +62,32 @@ def _ends_cvc(word: str) -> bool:
     return word[-1] not in "wxy"
 
 
+#: Tokens a stemmer memoises before it forgets them all (a feed's
+#: vocabulary is Zipfian: nearly every call repeats a recent token).
+_MEMO_TOKENS = 1 << 16
+
+
 class PorterStemmer:
-    """Stateless Porter stemmer; ``stem()`` is safe to call concurrently."""
+    """Porter stemmer with a bounded token → stem memo (a pure function
+    of the token, so concurrent ``stem()`` calls at worst repeat work)."""
+
+    def __init__(self) -> None:
+        self._memo: dict[str, str] = {}
 
     def stem(self, word: str) -> str:
         """Stem one lower-case alphabetic token; short tokens pass through."""
         if len(word) <= 2:
             return word
+        memo = self._memo
+        stemmed = memo.get(word)
+        if stemmed is None:
+            if len(memo) >= _MEMO_TOKENS:
+                memo.clear()
+            stemmed = memo[word] = self._porter(word)
+        return stemmed
+
+    def _porter(self, word: str) -> str:
+        """The five steps, un-memoised."""
         word = self._step1a(word)
         word = self._step1b(word)
         word = self._step1c(word)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.core.candidates import SharedCandidateGenerator
 from repro.core.config import ScoringWeights
@@ -63,6 +67,93 @@ class TestSharedCandidates:
         generator = SharedCandidateGenerator(index, 10)
         result = generator.generate({"t0": 1.0, "t1": 1.0})
         assert result.ad_ids() == [ad_id for ad_id, _ in result.entries]
+
+
+VOCABULARY = [f"t{i}" for i in range(6)]
+
+# One or two equal-weight terms per ad and dyadic query weights: every dot
+# is a sum of at most two products, the same in either order, so two ads
+# that tie in the float64 oracle tie in the float32 mirror too — and with
+# ad shapes drawn from so small a space, ties are the common case.
+ad_shapes = st.lists(
+    st.sets(st.sampled_from(VOCABULARY), min_size=1, max_size=2),
+    min_size=1,
+    max_size=30,
+)
+queries = st.dictionaries(
+    st.sampled_from(VOCABULARY), st.sampled_from([0.25, 0.5, 1.0]), max_size=4
+)
+
+
+class TestVectorProbeMatchesTheOracle:
+    """The vector generator cuts K′ on arrays; the ``ta`` generator is
+    its oracle: same ids in the same order (ties → id ascending), scores
+    and cutoff within the mirror's float32 storage precision."""
+
+    TOLERANCE = 1e-6
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shapes=ad_shapes,
+        ids=st.data(),
+        query=queries,
+        depth=st.integers(min_value=1, max_value=40),
+        override=st.booleans(),
+    )
+    def test_entries_cutoff_and_block(self, shapes, ids, query, depth, override):
+        ad_ids = ids.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=999),
+                min_size=len(shapes), max_size=len(shapes), unique=True,
+            )
+        )
+        ads = [
+            Ad(ad_id, f"brand{ad_id}", " ".join(sorted(terms)),
+               {term: 1.0 for term in terms}, bid=1.0)
+            for ad_id, terms in zip(ad_ids, shapes)
+        ]
+        # The later half launches after the mirror was built, so rows are
+        # not in ad-id order.
+        early = len(ads) // 2
+        corpus = AdCorpus(ads[:early])
+        index = AdInvertedIndex.from_corpus(corpus)
+        # ``override``: the QoS ladder's per-probe depth instead of the
+        # configured over-fetch.
+        configured = 7 if override else depth
+        vector = SharedCandidateGenerator(index, configured, searcher="vector")
+        oracle = SharedCandidateGenerator(index, configured, searcher="ta")
+        for ad in ads[early:]:
+            corpus.add(ad)
+        kwargs = {"depth": depth} if override else {}
+        got = vector.generate(query, **kwargs)
+        want = oracle.generate(query, **kwargs)
+
+        assert got.ad_ids() == want.ad_ids()
+        assert got.complete == want.complete
+        assert len(got) == min(depth, sum(bool(set(query) & s) for s in shapes))
+        tolerance = pytest.approx(0.0, abs=self.TOLERANCE)
+        assert got.cutoff - want.cutoff == tolerance
+        for (_, mine), (_, theirs) in zip(got.entries, want.entries):
+            assert mine - theirs == tolerance
+        assert vector.last_probe_depth == oracle.last_probe_depth == depth
+
+        # The block restates the probe as arrays over the current mirror.
+        assert want.block is None
+        block = got.block
+        compact = index.compact_mirror
+        assert block.key == (compact.generation, compact.num_rows)
+        assert compact.ad_ids[block.cut_rows].tolist() == got.ad_ids()
+        rows, dots = compact.gather(query)
+        assert np.array_equal(block.rows, rows)
+        assert np.array_equal(block.dots, dots)
+
+    def test_block_takes_no_part_in_equality(self, index):
+        from dataclasses import replace
+
+        generator = SharedCandidateGenerator(index, 10, searcher="vector")
+        probed = generator.generate({"t0": 1.0, "t3": 0.5})
+        assert probed.block is not None
+        assert replace(probed, block=None) == probed
 
 
 class TestGlobalStaticList:

@@ -386,6 +386,51 @@ class TestUnchargedFanoutPaysNoPatching:
         assert reads == [None] * fanned_out and fanned_out > 0
 
 
+class TestOneGatherPerPost:
+    """The vector probe hands the kernel its gather, and every top-K′ cut
+    stays in numpy: a post pays for its content once."""
+
+    def test_a_warm_fanout_costs_exactly_one_gather(self, tiny_workload, monkeypatch):
+        from repro.index.compact import CompactIndex
+
+        engine = charged_engine(tiny_workload)
+        post = max(
+            tiny_workload.posts,
+            key=lambda post: len(engine.graph.followers(post.author_id)),
+        )
+        # The first fan-out gathers every follower's profile; nobody but
+        # the author posts in between, so the second finds them cached.
+        assert len(fan_out(engine, post, one_call=True)) >= 3
+        gathers = []
+        original = CompactIndex.gather
+
+        def counting(compact, query):
+            gathers.append(query)
+            return original(compact, query)
+
+        monkeypatch.setattr(CompactIndex, "gather", counting)
+        outcomes = fan_out(engine, post, one_call=True)
+        assert any(outcome.slate for outcome in outcomes)
+        # The probe's; the kernel took its rows and dots from the block.
+        assert gathers == [engine.vectorize(post.text)]
+
+    def test_the_serving_path_boxes_no_entry(self, tiny_workload, monkeypatch):
+        """``TopKEntry`` is the searchers' result type; the vector serving
+        path cuts on arrays and converts with ``.tolist()``."""
+        built = []
+        for module in ("repro.index.vector", "repro.util.heap"):
+            monkeypatch.setattr(
+                f"{module}.TopKEntry", lambda *args, **kwargs: built.append(args)
+            )
+        engine = charged_engine(tiny_workload)
+        deliveries = sum(
+            len(engine.post(post.author_id, post.text, post.timestamp).deliveries)
+            for post in tiny_workload.posts[:30]
+        )
+        assert deliveries > 30 and engine.stats.fallback_deliveries > 0
+        assert built == []
+
+
 class TestDeliverySpansStayPerDelivery:
     """The follower look-ups happen up front for the whole fan-out; their
     time is shared out equally, so no one ``delivery`` span — the stage

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +31,9 @@ def build_stack(num_ads: int = 150, seed: int = 0, **config_kwargs):
         config=config, corpus=corpus, index=index, scoring=scoring
     )
     personalizer = Personalizer(services)
-    generator = SharedCandidateGenerator(index, config.overfetch)
+    generator = SharedCandidateGenerator(
+        index, config.overfetch, searcher=config.searcher
+    )
     return rng, space, corpus, index, config, scoring, personalizer, generator
 
 
@@ -265,6 +268,182 @@ class TestMidFanoutRetirement:
         assert not compact.alive[row] and compact.ad_ids[row] == ad_id
 
 
+def churn_bystanders(corpus, candidates, count=70):
+    """Retire ``count`` ads outside ``candidates`` and relaunch each under
+    a new id: enough dead rows for a compaction, which then leaves the
+    mirror with exactly as many rows as it had."""
+    matching = set(candidates.ad_ids())
+    bystanders = [ad_id for ad_id in corpus.active_ids() if ad_id not in matching]
+    for ad_id in bystanders[:count]:
+        corpus.retire(ad_id)
+        corpus.add(replace(corpus.get(ad_id), ad_id=800_000 + ad_id))
+
+
+class TestStaleBlock:
+    """A vector ``CandidateSet`` carries the probe's gather as arrays (its
+    ``block``). The kernel may take message rows, dots and candidate rows
+    from it only while the mirror still reads ``(generation, num_rows)``
+    as it did at the probe, and minus the rows retired since — a set
+    probed *before* a launch, a retirement or a compaction must serve
+    exactly what a set probed after it serves."""
+
+    K = 10
+
+    @staticmethod
+    def stack():
+        # Probes deeper than any match list, so every set is complete: a
+        # stale and a fresh one can differ in members, never in cutoff.
+        # Shallow profile and static sources, so both cuts are exercised.
+        stack = build_stack(
+            seed=5,
+            searcher="vector",
+            overfetch=400,
+            profile_candidates=8,
+            static_candidates=8,
+        )
+        rng, space, *_ = stack
+        followers = [
+            (user_id, random_profile(space, rng) if user_id % 4 else {}, 0, None)
+            for user_id in range(8)
+        ]
+        return stack, followers, random_message(space, rng)
+
+    def served_by(self, personalizer, candidates, message, followers):
+        results = personalizer.slate_batch(
+            candidates, message, followers, 500.0, self.K
+        )
+        # Both cuts, the approximate one and the exact fallback, serve.
+        assert {result.fell_back for result in results} == {True, False}
+        return results
+
+    def test_launch_of_a_matching_ad(self):
+        stack, followers, message = self.stack()
+        _, _, corpus, _, _, _, personalizer, generator = stack
+        stale = generator.generate(message)
+        # A louder copy of the best match: it joins the content matches
+        # and, on its bid, the static prefix.
+        launched = replace(
+            corpus.get(stale.entries[0][0]), ad_id=900_001, bid=2 * corpus.max_bid
+        )
+        corpus.add(launched)
+        compact = personalizer._compact
+        assert stale.block.key == (compact.generation, compact.num_rows - 1)
+        results = self.served_by(personalizer, stale, message, followers)
+        fresh = generator.generate(message)
+        assert set(fresh.ad_ids()) - set(stale.ad_ids()) == {launched.ad_id}
+        assert results == self.served_by(personalizer, fresh, message, followers)
+        # Served on content the stale block never gathered.
+        assert any(
+            scored.ad_id == launched.ad_id and scored.content > 0.0
+            for result in results
+            for scored in result.slate
+        )
+
+    def test_retirement_of_a_candidate(self):
+        stack, followers, message = self.stack()
+        _, _, corpus, _, _, _, personalizer, generator = stack
+        stale = generator.generate(message)
+        before = self.served_by(personalizer, stale, message, followers)
+        victim = before[0].slate[0].ad_id
+        assert victim in stale.ad_ids()
+        corpus.retire(victim)
+        compact = personalizer._compact
+        assert stale.block.key == (compact.generation, compact.num_rows), (
+            "the block is still current: only the alive mask can drop the row"
+        )
+        results = self.served_by(personalizer, stale, message, followers)
+        fresh = generator.generate(message)
+        assert set(stale.ad_ids()) - set(fresh.ad_ids()) == {victim}
+        assert results == self.served_by(personalizer, fresh, message, followers)
+        assert results != before
+
+    def test_compaction(self):
+        stack, followers, message = self.stack()
+        _, _, corpus, _, _, _, personalizer, generator = stack
+        stale = generator.generate(message)
+        churn_bystanders(corpus, stale)
+        compact = personalizer._compact
+        # The kernel's own maybe_compact renumbers the rows under the set,
+        # and leaves as many as there were: only the generation tells.
+        results = self.served_by(personalizer, stale, message, followers)
+        generation, num_rows = stale.block.key
+        assert (compact.generation, compact.num_rows) == (generation + 1, num_rows)
+        fresh = generator.generate(message)
+        assert fresh == stale and fresh.block.key == (generation + 1, num_rows)
+        assert results == self.served_by(personalizer, fresh, message, followers)
+
+    def test_profile_probe_rows_follow_a_compaction(self):
+        """A cached profile probe outlives a compaction (nothing was
+        added), so the rows of its cut are renumbered with the mirror."""
+        stack, followers, message = self.stack()
+        _, _, corpus, index, config, scoring, personalizer, generator = stack
+        self.served_by(personalizer, generator.generate(message), message, followers)
+        probed = {
+            ad_id
+            for user_id, profile, epoch, _ in followers
+            for ad_id, _ in personalizer.profile_candidates(
+                user_id, profile, epoch
+            ).entries
+        }
+        candidates = generator.generate(message)
+        bystanders = [
+            ad_id
+            for ad_id in corpus.active_ids()
+            if ad_id not in probed and ad_id not in candidates.ad_ids()
+        ]
+        for ad_id in bystanders[:70]:
+            corpus.retire(ad_id)
+        compact = personalizer._compact
+        generation = compact.generation
+        results = self.served_by(personalizer, candidates, message, followers)
+        assert compact.generation == generation + 1
+        # A personalizer with nothing cached probes the same entries anew.
+        cold = Personalizer(
+            EngineServices(config=config, corpus=corpus, index=index, scoring=scoring)
+        )
+        assert results == self.served_by(cold, candidates, message, followers)
+
+    @pytest.mark.parametrize("change", ["launch", "retire", "compact"])
+    def test_engine_adapter_cached_set(self, tiny_workload, change):
+        """The baseline adapter keeps one set per ``msg_id`` and reuses it
+        for every delivery of the message, whatever happened in between."""
+        from repro.baselines.base import BaselineState
+        from repro.baselines.engine_adapter import SystemRecommender
+
+        corpus = tiny_workload.build_corpus()
+        state = BaselineState(
+            corpus, {user.user_id: user.home for user in tiny_workload.users}
+        )
+        system = SystemRecommender(state, EngineConfig(searcher="vector"))
+        post = tiny_workload.posts[0]
+        message = tiny_workload.vectorizer.transform(
+            tiny_workload.tokenizer.tokenize(post.text)
+        )
+        users = [user.user_id for user in tiny_workload.users[:6]]
+
+        def slates(msg_id):
+            return [
+                system.slate(user_id, msg_id, message, post.timestamp, 5)
+                for user_id in users
+            ]
+
+        before = slates(1)
+        cached = system._cached_candidates
+        assert cached.block is not None
+        top = before[0][0]
+        if change == "launch":
+            corpus.add(replace(corpus.get(top), ad_id=900_001, bid=2 * corpus.max_bid))
+        elif change == "retire":
+            corpus.retire(top)
+        else:
+            churn_bystanders(corpus, cached)
+        stale = slates(1)
+        assert system._cached_candidates is cached
+        assert stale == slates(2), "a new msg_id probes afresh"
+        assert system._cached_candidates is not cached
+        assert (stale != before) == (change != "compact")
+
+
 class TestKernelSelfConsistency:
     """The vector kernel on a whole fan-out equals itself called once per
     follower — ``slate_for`` is the latter — when nothing is written in
@@ -313,6 +492,13 @@ class TestKernelSelfConsistency:
                 for follower in followers
             ]
             assert together == alone
+            # The probe's block is a hand-over, not an input: the kernel
+            # serves the same from its own gather.
+            assert candidates.block is not None
+            assert together == personalizer.slate_batch(
+                replace(candidates, block=None), message, followers, 500.0, k,
+                allow_fallback=allow_fallback,
+            )
             assert alone == [
                 personalizer.slate_for(
                     candidates, message, *follower, 500.0, k,

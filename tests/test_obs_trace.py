@@ -275,9 +275,21 @@ class TestMerge:
         assert len(payload["retained"]) == 3
         assert payload["started"] == payload["finished"] == 3
         assert worker.retained == [] and len(worker.ring) == 0
-        # Counters survive the clear — the next drain ships totals again
-        # (the router tracks increments through absorb).
-        assert worker.started == 3
+        # The counters are shipped once: the next drain carries only what
+        # happened since, so a router that absorbs every drain sums to the
+        # true totals however often it reads.
+        assert worker.started == worker.finished == worker.dropped == 0
+        worker.finish(worker.start(worker.mint(3), "post"))
+        router = RequestTracer(sample_rate=1.0, process="router")
+        for drained in (payload, worker.drain(), worker.drain()):
+            router.absorb(drained)
+        assert router.started == router.finished == len(router.retained) == 4
+
+    def test_drain_without_clear_leaves_the_counters(self):
+        worker = RequestTracer(sample_rate=1.0, process="worker0")
+        worker.finish(worker.start(worker.mint(0), "post"))
+        assert worker.drain(clear=False)["finished"] == 1
+        assert worker.finished == 1 and len(worker.retained) == 1
 
     def test_absorb_folds_a_drain_payload_in(self):
         router = RequestTracer(sample_rate=1.0, process="router")

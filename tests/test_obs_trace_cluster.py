@@ -173,6 +173,31 @@ class TestWorkerFaultSpans(TestShardedFaultSpans):
     TRANSPORT = "process"
 
 
+class TestRepeatedReads:
+    def test_summary_counters_do_not_inflate_with_drains(
+        self, tiny_workload, router
+    ):
+        """Every read of ``request_tracer`` drains the shards; a drain
+        that shipped cumulative counters made ``finished`` grow by the
+        shards' whole history on each read."""
+        posts = tiny_workload.posts[:LIMIT]
+        cluster = router(
+            tiny_workload, 2, config=config_for(),
+            request_tracer=tracer_for("router"),
+        )
+        for post in posts:
+            cluster.post(post.author_id, post.text, post.timestamp)
+        first = cluster.request_tracer.summary()
+        second = cluster.request_tracer.summary()
+        assert first == second
+        # Full sampling retains every finished segment: one route segment
+        # per post sent plus one post segment per shard touched.
+        segments = cluster.request_traces()
+        assert second["started"] == second["finished"] == len(segments)
+        assert sum(s.name == "route" for s in segments) == len(posts)
+        assert second["dropped"] == 0
+
+
 class TestProcpoolTracing:
     def test_worker_segments_merge_into_full_traces(self, tiny_workload):
         posts = tiny_workload.posts[:LIMIT]

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.text import stemmer as stemmer_module
 from repro.text.stemmer import PorterStemmer
+from repro.text.tokenizer import Tokenizer, TokenizerConfig
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +108,39 @@ class TestBehaviour:
     def test_synthetic_tokens_unchanged(self, stemmer):
         # Workload vocabulary words must survive the pipeline untouched.
         assert stemmer.stem("w00042") == "w00042"
+
+
+class TestMemo:
+    """``stem`` answers a repeated token from a bounded memo; the five
+    steps themselves (``_porter``) stay the reference."""
+
+    def test_equals_the_unmemoised_stem_over_a_workload(self, tiny_workload):
+        raw = Tokenizer(TokenizerConfig(stem=False))
+        texts = [post.text for post in tiny_workload.posts]
+        texts += [ad.text for ad in tiny_workload.ads]
+        tokens = [token for text in texts for token in raw.tokenize(text)]
+        assert len(tokens) > 3 * len(set(tokens)), "a feed repeats itself"
+        memoised, reference = PorterStemmer(), PorterStemmer()
+        with mock.patch.object(
+            memoised, "_porter", wraps=memoised._porter
+        ) as porter:
+            for token in tokens:
+                expected = reference._porter(token) if len(token) > 2 else token
+                assert memoised.stem(token) == expected
+        # Each distinct token went through the five steps once.
+        assert porter.call_count == len({t for t in tokens if len(t) > 2})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet="abcdeginrsty", min_size=1, max_size=9), max_size=60
+        )
+    )
+    def test_bounded_and_still_right_after_it_forgets(self, words):
+        stemmer, reference = PorterStemmer(), PorterStemmer()
+        bound = 8
+        with mock.patch.object(stemmer_module, "_MEMO_TOKENS", bound):
+            for word in words + words:
+                expected = reference._porter(word) if len(word) > 2 else word
+                assert stemmer.stem(word) == expected
+                assert len(stemmer._memo) <= bound
