@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Interleaved parent/change pairs of the whole-path benchmark.
 
-    python scripts/e2e_pairs.py --parent DIR --change DIR --workload W
+    python scripts/e2e_pairs.py --parent DIR --change DIR --workload W [W ...]
         --pairs N [--scale mini] [--first-seed S] [--out DIR]
 
 How a performance claim on ``benchmarks/e2e`` is measured (the
@@ -18,7 +18,9 @@ a gain is *claimable* when the change wins at least nine tenths of at
 least ten pairs and the medians differ by more than the parent's
 interquartile range. It also says whether every run passed its output
 checks and whether the two sides' output digests matched in every pair —
-and exits non-zero if not. Timings are never gated here.
+and exits non-zero if not. Timings are never gated here. Several
+workloads (the no-regression sweep every change owes) are measured one
+after another, N pairs and one table each, under one exit status.
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
-def run_side(checkout: Path, args, seed: int, out: Path) -> dict:
+def run_side(checkout: Path, workload: str, scale: str, seed: int, out: Path) -> dict:
     """One untraced run of ``checkout``'s own harness; its result record."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
-        "--workload", args.workload, "--seed", str(seed), "--trace", "0",
-        "--scale", args.scale, "--out", str(out),
+        "--workload", workload, "--seed", str(seed), "--trace", "0",
+        "--scale", scale, "--out", str(out),
     ]
     # A failed output check exits non-zero but still writes its record.
     subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL, check=False)
-    return json.loads((out / f"{args.workload}.json").read_text())
+    return json.loads((out / f"{workload}.json").read_text())
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,51 +82,34 @@ def metric_row(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--scale", choices=("full", "mini"), default="full")
-    parser.add_argument(
-        "--first-seed", type=int, default=101,
-        help="pair i runs seed first-seed + i on both sides",
-    )
-    parser.add_argument("--out", type=Path, help="keep the result files here")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    manifest = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    headline = manifest["end_to_end"][0]["name"]
-
-    with tempfile.TemporaryDirectory() as scratch:
-        out = args.out.resolve() if args.out else Path(scratch)
-        records: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                records[side].append(
-                    run_side(
-                        checkouts[side], args, seed,
-                        out / args.workload / f"seed{seed}" / side,
-                    )
+def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
+    """``args.pairs`` interleaved pairs of one workload and their table;
+    whether every run was correct and every pair's digests matched."""
+    headline = metrics[0]["name"]
+    records: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            records[side].append(
+                run_side(
+                    checkouts[side], workload, args.scale, seed,
+                    out / workload / f"seed{seed}" / side,
                 )
-            latest = [records[side][-1] for side in SIDES]
-            digests = " / ".join(run["digest"] for run in latest)
-            readings = " / ".join(
-                f"{run['end_to_end'][headline]['value']:.1f}" for run in latest
             )
-            print(
-                f"pair {pair + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-                f"digests {digests}, {headline} {readings}",
-                flush=True,
-            )
+        latest = [records[side][-1] for side in SIDES]
+        digests = " / ".join(run["digest"] for run in latest)
+        readings = " / ".join(
+            f"{run['end_to_end'][headline]['value']:.1f}" for run in latest
+        )
+        print(
+            f"{workload} pair {pair + 1}/{args.pairs} seed {seed} "
+            f"({order[0]} first): digests {digests}, {headline} {readings}",
+            flush=True,
+        )
 
-    print(f"== {args.workload} ({args.scale}), {args.pairs} pair(s)")
-    for metric in manifest["end_to_end"]:
+    print(f"== {workload} ({args.scale}), {args.pairs} pair(s)")
+    for metric in metrics:
         values = {
             side: [run["end_to_end"][metric["name"]]["value"] for run in records[side]]
             for side in SIDES
@@ -136,8 +121,37 @@ def main(argv=None) -> int:
         for ours, theirs in zip(records["parent"], records["change"])
     )
     print(f"[{'ok' if correct else 'FAILED'}] every run passed its output checks")
-    print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair")
-    return 0 if correct and same else 1
+    print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair", flush=True)
+    return correct and same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, required=True, help="per workload")
+    parser.add_argument("--scale", choices=("full", "mini"), default="full")
+    parser.add_argument(
+        "--first-seed", type=int, default=101,
+        help="pair i runs seed first-seed + i on both sides",
+    )
+    parser.add_argument("--out", type=Path, help="keep the result files here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    manifest = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    metrics = manifest["end_to_end"]
+
+    with tempfile.TemporaryDirectory() as scratch:
+        out = args.out.resolve() if args.out else Path(scratch)
+        # A list, not a generator: a failed workload does not stop the sweep.
+        passed = [
+            measure(workload, args, checkouts, metrics, out)
+            for workload in args.workload
+        ]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

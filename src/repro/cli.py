@@ -888,7 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--approximate",
         action="store_true",
-        help="disable the exact fallback (production mode)",
+        help="disable the exact fallback (production mode); read by the "
+        "'ta' reference and INCREMENTAL — the vector SHARED kernel cuts "
+        "the exact top-k and has no fallback to disable",
     )
     replay.add_argument("--no-charging", action="store_true")
     replay.add_argument(

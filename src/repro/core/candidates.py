@@ -26,16 +26,15 @@ from repro.util.sparse import SparseVector
 @dataclass(frozen=True, slots=True)
 class CandidateBlock:
     """The vector probe kept as arrays for the kernel: the message's
-    :meth:`CompactIndex.gather` and the rows of the K′ cut, in the row
-    space of the mirror at ``key`` = ``(generation, num_rows)``. While the
-    mirror still reads that key no row was renumbered or added, so the
-    block minus the rows retired since equals a fresh gather; else stale.
+    :meth:`CompactIndex.gather`, in the row space of the mirror at ``key``
+    = ``(generation, num_rows)``. While the mirror still reads that key no
+    row was renumbered or added, so the block minus the rows retired since
+    equals a fresh gather; else stale.
     """
 
     key: tuple[int, int]
     rows: np.ndarray
     dots: np.ndarray
-    cut_rows: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +106,12 @@ class SharedCandidateGenerator:
             block = None
         else:
             compact.maybe_compact()
-            ad_ids = compact.ad_ids
             rows, dots = compact.gather(message_vec)
-            chosen = topk_order(dots, ad_ids[rows], depth)
-            cut_rows = rows[chosen]
-            entries = tuple(zip(ad_ids[cut_rows].tolist(), dots[chosen].tolist()))
+            matched = compact.ad_ids[rows]
+            chosen = topk_order(dots, matched, depth)
+            entries = tuple(zip(matched[chosen].tolist(), dots[chosen].tolist()))
             key = (compact.generation, compact.num_rows)
-            block = CandidateBlock(key, rows, dots, cut_rows)
+            block = CandidateBlock(key, rows, dots)
         complete = len(entries) < depth
         return CandidateSet(
             entries=entries,

@@ -64,17 +64,21 @@ class EngineConfig:
     weights: ScoringWeights = field(default_factory=ScoringWeights)
     mode: EngineMode = EngineMode.SHARED
     # Index strategy for every probe ("ta" | "wand" | "maxscore" |
-    # "vector"). All four are exact; "vector" additionally routes the
-    # per-delivery union scoring through the compact numpy kernels. "ta"
-    # stays the default as the pure-Python reference oracle.
+    # "vector"). All four are exact; "vector" additionally serves SHARED
+    # fan-outs through the compact numpy kernel, which cuts the exact
+    # top-k directly (no union, certificate or fallback). "ta" stays the
+    # default as the pure-Python reference oracle.
     searcher: str = "ta"
     # Shared mode: how many candidates the per-message probe over-fetches.
     # Depths are tuned by experiment F6: shallow lists certify almost
     # nothing (constant fallbacks), ~80 drives the fallback rate near zero.
+    # On the vector SHARED kernel it shapes only the candidates-only slate.
     overfetch: int = 80
     # Depth of the cached per-user profile candidate probe (second source).
+    # Read by the pure-Python reference and INCREMENTAL, not by the kernel.
     profile_candidates: int = 50
-    # Depth of the global bid/geo candidate prefix (third source).
+    # Depth of the global bid/geo candidate prefix (third source). Read by
+    # the pure-Python reference and INCREMENTAL, not by the kernel.
     static_candidates: int = 50
     # Incremental mode: depth of the per-user content shadow set.
     shadow_size: int = 50
@@ -85,6 +89,8 @@ class EngineConfig:
     # Interest profiles.
     profile_half_life_s: float | None = 6 * 3600.0
     # Exactness: fall back to an exact probe when certification fails.
+    # Read by the pure-Python reference and INCREMENTAL; the vector SHARED
+    # kernel serves the exact top-k either way.
     exact_fallback: bool = True
     # Monetisation.
     reserve_price: float = 0.01

@@ -226,10 +226,11 @@ class _PerFollowerStage:
 
 
 class SharedPersonalizeStage(_PerFollowerStage):
-    """SHARED mode: union-score the three candidate sources, certify, and
-    fall back to one exact probe when certification fails (the QoS rung
-    may shrink k and suppress the fallback probe). On the vector searcher
-    a fan-out is one kernel call; the ``ta`` reference goes per follower."""
+    """SHARED mode. The ``ta`` reference union-scores the three candidate
+    sources per follower, certifies, and falls back to one exact probe
+    when certification fails (the QoS rung may shrink k and suppress the
+    fallback probe). On the vector searcher a fan-out is one kernel call
+    that cuts every follower's exact top-k (the rung may shrink k)."""
 
     def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
         self._services = services
@@ -248,7 +249,8 @@ class SharedPersonalizeStage(_PerFollowerStage):
     def personalize_batch(self, event, candidates, resolved, served) -> None:
         if not self._kernel:
             return super().personalize_batch(event, candidates, resolved, served)
-        k, allow_fallback = self._rung_knobs()
+        # The kernel cuts the exact top-k: a rung shapes only its size.
+        k, _ = self._rung_knobs()
         self._personalizer.slate_batch(
             candidates,
             event.message_vec,
@@ -258,7 +260,6 @@ class SharedPersonalizeStage(_PerFollowerStage):
             ],
             event.timestamp,
             k,
-            allow_fallback=allow_fallback,
             served=lambda position, result: served(
                 position,
                 PersonalizedDelivery(

@@ -1,7 +1,10 @@
-"""Per-delivery personalisation with a TA-style exactness certificate.
+"""Per-delivery personalisation: CAR-share in the reference, one exact
+cut in the kernel.
 
-The additive score has three sources of mass, and each gets its own
-candidate list with a proven cutoff on what any *excluded* ad could carry:
+**The ``ta`` reference** (:meth:`Personalizer.slate_for`'s pure-Python
+body) is the paper's algorithm. The additive score has three sources of
+mass, and each gets its own candidate list with a proven cutoff on what
+any *excluded* ad could carry:
 
 1. **content** — the per-message shared probe (computed once per post,
    reused across the fan-out): excluded ads have content <= ``c1``;
@@ -20,12 +23,20 @@ true top-k. Otherwise the engine either falls back to one exact
 combined-query WAND probe (``exact_fallback=True``) or serves the
 approximate slate, as production systems do; experiment F6 measures the
 trade-off.
+
+**The vector kernel** (:meth:`Personalizer.slate_batch`) has no probe to
+avoid: the message gather and each follower's cached profile gather
+already cover every row a slate can contain, so it cuts the exact top-k
+of those rows directly — no union, no certificate, no fallback, and
+nothing that ``exact_fallback`` or a QoS rung could switch (DESIGN.md
+"Personalize kernel" has the measurements behind that).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +68,6 @@ class _ProfileCandidates:
     corpus_add_epoch: int
     entries: tuple[tuple[int, float], ...]  # (ad_id, profile affinity)
     cutoff: float  # bound on the affinity of any ad not in entries
-    # Vector mode: the entries' compact rows at mirror ``generation``.
-    generation: int = 0
-    rows: np.ndarray | None = field(default=None, compare=False)
 
 
 class Personalizer:
@@ -73,9 +81,6 @@ class Personalizer:
         self._index = index
         self._config = config
         self._exact_fallback = config.exact_fallback
-        self._static_list = GlobalStaticTopList(
-            scoring.corpus, scoring.weights, config.static_candidates
-        )
         self._profile_searcher = make_searcher(config.searcher, index)
         self._profile_cache: dict[int, _ProfileCandidates] = {}
         # Vector mode: the whole path runs on the compact mirror through
@@ -84,13 +89,20 @@ class Personalizer:
         if self._vector:
             self._compact = CompactIndex.shared(index)
             self._static_cache = StaticRowCache(scoring.corpus, self._compact)
-            # Static-list rows, keyed by (list version, generation).
-            self._static_rows_cache: tuple | None = None
             # Per-user raw profile gathers, keyed by (profile epoch,
             # corpus adds, generation).
             self._profile_gather_cache: dict[int, tuple] = {}
 
-    # -- candidate sources --------------------------------------------------
+    # -- candidate sources (the ``ta`` reference and INCREMENTAL) -------------
+
+    @cached_property
+    def _static_list(self) -> GlobalStaticTopList:
+        """Built, and subscribed to the corpus, by its first reader: an
+        engine that never reads the prefix (vector SHARED, EXACT) never
+        pays a launch or a retirement to keep it sorted."""
+        return GlobalStaticTopList(
+            self._scoring.corpus, self._scoring.weights, self._config.static_candidates
+        )
 
     def static_candidate_ids(self) -> list[int]:
         """The global geo+bid candidate prefix (third source)."""
@@ -111,46 +123,21 @@ class Personalizer:
         cutoff).
         """
         corpus_epoch = self._scoring.corpus.add_epoch
-        generation = self._compact.generation if self._vector else 0
         cached = self._profile_cache.get(user_id)
         if (
             cached is not None
             and cached.profile_epoch == profile_epoch
             and cached.corpus_add_epoch == corpus_epoch
         ):
-            if cached.generation != generation:
-                # A compaction renumbered the rows; the probe stands.
-                rows = self._compact.rows_of_present(dict(cached.entries))
-                cached = replace(cached, generation=generation, rows=rows)
-                self._profile_cache[user_id] = cached
             return cached
         depth = self._config.profile_candidates
-        rows = None
-        if self._vector:
-            # Derive the probe from the cached raw gather instead of a
-            # searcher call: same gather, same tie rule, bit-identical
-            # entries and cutoff — and the gather is reused for affinity
-            # rows and fallbacks. The gather cache key is strictly finer
-            # than this cache's, so a miss here is a fresh gather there.
-            # No compaction: the kernel calls this between two followers
-            # with row numbers in hand.
-            ad_ids = self._compact.ad_ids
-            gathered, dots = self._profile_gather(
-                user_id, profile_vec, profile_epoch, generation
-            )
-            chosen = topk_order(dots, ad_ids[gathered], depth)
-            rows = gathered[chosen]
-            entries = tuple(zip(ad_ids[rows].tolist(), dots[chosen].tolist()))
-        else:
-            results = self._profile_searcher.search(profile_vec, depth)
-            entries = tuple((entry.item, entry.score) for entry in results)
+        results = self._profile_searcher.search(profile_vec, depth)
+        entries = tuple((entry.item, entry.score) for entry in results)
         candidates = _ProfileCandidates(
             profile_epoch=profile_epoch,
             corpus_add_epoch=corpus_epoch,
             entries=entries,
             cutoff=0.0 if len(entries) < depth else entries[-1][1],
-            generation=generation,
-            rows=rows,
         )
         self._profile_cache[user_id] = candidates
         return candidates
@@ -175,7 +162,9 @@ class Personalizer:
         ``allow_fallback=False`` suppresses the certificate-fallback
         exact probe for this delivery even when the engine is configured
         with ``exact_fallback`` — the QoS ladder's serve-approximate
-        rung — and the slate is served as-is, certified or not.
+        rung — and the slate is served as-is, certified or not. On the
+        vector searcher this is the kernel on one follower, which has no
+        fallback to suppress.
         """
         if self._vector:
             return self.slate_batch(
@@ -184,7 +173,6 @@ class Personalizer:
                 [(user_id, profile_vec, profile_epoch, location)],
                 timestamp,
                 k,
-                allow_fallback=allow_fallback,
             )[0]
         scoring = self._scoring
         corpus = scoring.corpus
@@ -226,16 +214,6 @@ class Personalizer:
         )
 
     # -- the vector (compact-mirror) delivery path ---------------------------
-
-    def _static_list_rows(self, generation: int) -> np.ndarray:
-        """Compact rows of the global geo+bid prefix, version-cached."""
-        version = self._static_list.version
-        cached = self._static_rows_cache
-        if cached is not None and cached[0] == version and cached[1] == generation:
-            return cached[2]
-        rows = self._compact.rows_of_present(self._static_list.candidate_ids())
-        self._static_rows_cache = (version, generation, rows)
-        return rows
 
     def _profile_gather(
         self,
@@ -280,17 +258,6 @@ class Personalizer:
             return rows, dots
         return rows[live], dots[live]
 
-    def _shared_member(
-        self, candidate_rows: np.ndarray, generation: int, size: int
-    ) -> tuple[np.ndarray, float, int]:
-        """Approximate-slate membership every follower of an event
-        shares — candidate rows ∪ static-prefix rows — with the static
-        list's cutoff and the ``version`` both were read at."""
-        shared = np.zeros(size, dtype=bool)
-        shared[candidate_rows] = True
-        shared[self._static_list_rows(generation)] = True
-        return shared, self._static_list.cutoff(), self._static_list.version
-
     def _cut(
         self,
         content: np.ndarray,
@@ -299,12 +266,8 @@ class Personalizer:
         bid: np.ndarray,
         kept: np.ndarray,
         k: int,
-        *,
-        probe: bool,
     ) -> tuple[tuple[ScoredAd, ...], np.ndarray]:
-        """Top-``k`` of the ``kept`` rows as ``(slate, its rows)``. A
-        ``probe`` slate reports ``static`` as the remainder of the score,
-        as :meth:`exact_slate` does."""
+        """Top-``k`` of the ``kept`` rows as ``(slate, its rows)``."""
         if not kept.shape[0]:
             return (), kept
         ad_ids = self._compact.ad_ids
@@ -313,17 +276,16 @@ class Personalizer:
         )
         chosen = topk_order(score_kept, ad_ids[kept], k)
         rows = kept[chosen]
-        scores = score_kept[chosen].tolist()
-        contents = content[rows].tolist()
-        if probe:
-            alpha = self._scoring.weights.alpha
-            statics = [
-                score - alpha * matched for score, matched in zip(scores, contents)
-            ]
-        else:
-            statics = static_kept[chosen].tolist()
         return (
-            tuple(map(ScoredAd, ad_ids[rows].tolist(), scores, contents, statics)),
+            tuple(
+                map(
+                    ScoredAd,
+                    ad_ids[rows].tolist(),
+                    score_kept[chosen].tolist(),
+                    content[rows].tolist(),
+                    static_kept[chosen].tolist(),
+                )
+            ),
             rows,
         )
 
@@ -335,30 +297,29 @@ class Personalizer:
         timestamp: float,
         k: int,
         *,
-        allow_fallback: bool = True,
         served: Callable[[int, PersonalizedSlate], None] | None = None,
     ) -> list[PersonalizedSlate]:
-        """Union-score, certify, fall back for every follower of one
-        event, in order — the one entry point of a fan-out.
+        """The exact top-``k`` for every follower of one event, in order
+        — the one entry point of a fan-out.
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
-        location)`` per follower; ``allow_fallback`` is as in
-        :meth:`slate_for`. Each result is handed to ``served(position,
-        result)`` before the next follower's slate is cut: the pipeline
-        charges and feeds back inside it, and the next follower sees what
-        that wrote. Vector mode only — the numpy kernel: the probe's
-        message gather (``candidates.block``, re-gathered only when stale)
-        plus one cached profile gather per follower cover every row any
-        slate can contain — content, affinity, targeting and bid statics
-        are evaluated over the full row space, and the approximate slate
-        *and* the exact fallback are both cut from the same arrays, so an
-        uncertified delivery costs one extra mask + top-k instead of a
-        fresh probe. The row vectors shared by the fan-out (content,
-        δ·bid, time mask, shared membership) are built once per event; a
-        delivery can only write to the rows of its own slate (spend, CTR
-        evidence, retirement on exhaustion), so when ``served`` wrote
-        anything exactly those rows are re-read before the next cut — the
-        values a rebuild would give, elementwise.
+        location)`` per follower. Each result is handed to
+        ``served(position, result)`` before the next follower's slate is
+        cut: the pipeline charges and feeds back inside it, and the next
+        follower sees what that wrote. Vector mode only — the numpy
+        kernel: the probe's message gather (``candidates.block``,
+        re-gathered only when stale) plus one cached profile gather per
+        follower cover every row any slate can contain, so the rows an
+        exact combined-query probe would walk — message ∪ profile matches
+        under the targeting mask — are scored over the full row space and
+        cut once. Every slate is the true top-``k`` by construction and
+        is reported ``certified``, never ``fell_back``. The row vectors
+        shared by the fan-out (content, δ·bid, time mask, message
+        membership) are built once per event; a delivery can only write
+        to the rows of its own slate (spend, CTR evidence, retirement on
+        exhaustion), so when ``served`` wrote anything exactly those rows
+        are re-read before the next cut — the values a rebuild would
+        give, elementwise.
         """
         results: list[PersonalizedSlate] = []
         scoring = self._scoring
@@ -367,9 +328,9 @@ class Personalizer:
         # compaction that a retirement makes due waits for the next event.
         compact.maybe_compact()
         generation = compact.generation
-        weights = scoring.weights
-        static_list = self._static_list
-        fallback_ok = self._exact_fallback and allow_fallback
+        # With β = 0 the combined query is the message alone: a profile
+        # match is no reason to be scored.
+        profile_rows_join = scoring.weights.beta > 0.0
         cache = self._static_cache
 
         # Everything below works in the full row space of the mirror —
@@ -377,33 +338,20 @@ class Personalizer:
         # searchsorted. Per event the shared pieces (content, bid, time
         # mask) are row vectors; per follower only 1-D boolean masks plus
         # float math on the kept subset, so no (F × rows) matrices are
-        # ever materialised. Dead rows have zero content/affinity (gathers
-        # are alive-masked) and sit in no fallback membership, so neither
-        # the floor nor the probe can select them.
+        # ever materialised. Dead rows sit in no membership (gathers are
+        # alive-masked), so the cut cannot select them.
         size = compact.num_rows
         block = candidates.block
         if block is not None and block.key == (generation, size):
             # The probe's own gather, over this very row space: only
             # retirements can have touched it since.
-            candidate_rows = block.cut_rows
             message_rows, message_dots = self._alive_only(block.rows, block.dots)
         else:
-            candidate_rows = compact.rows_of_present(
-                ad_id for ad_id, _ in candidates.entries
-            )
             message_rows, message_dots = compact.gather(message_vec)
         content = np.zeros(size, dtype=np.float64)
         content[message_rows] = message_dots
-        content_floor = content > 0.0
         bid = scoring.fanout_bid_block(cache, timestamp)
         time_keep = cache.time_keep_full(timestamp)
-        # Membership for the approximate slate: every follower sees the
-        # shared candidate and static rows; the profile-probe rows are
-        # theirs alone. The fallback row set is the raw message ∪ profile
-        # matches instead.
-        shared, static_cutoff, static_version = self._shared_member(
-            candidate_rows, generation, size
-        )
         message_member = np.zeros(size, dtype=bool)
         message_member[message_rows] = True
 
@@ -411,58 +359,28 @@ class Personalizer:
         for position, (user_id, profile_vec, profile_epoch, location) in enumerate(
             followers
         ):
-            profile_cands = self.profile_candidates(
-                user_id, profile_vec, profile_epoch
-            )
-            # Alive-masked raw profile gather: every row with affinity > 0,
-            # for the keep floor, the affinity term and the fallback rows.
+            # Alive-masked raw profile gather: every row with affinity > 0.
             affinity = np.zeros(size, dtype=np.float64)
-            gathered = None
+            member = message_member
             if profile_vec:
-                gathered = self._alive_only(
+                profile_rows, profile_dots = self._alive_only(
                     *self._profile_gather(
                         user_id, profile_vec, profile_epoch, generation
                     )
                 )
-                affinity[gathered[0]] = gathered[1]
+                affinity[profile_rows] = profile_dots
+                if profile_rows_join:
+                    member = message_member.copy()
+                    member[profile_rows] = True
             # The pair is this follower's own copy: mask it in place.
             targeted, proximity = cache.targeting_full(location)
             targeted &= time_keep
-            member = shared.copy()
-            member[profile_cands.rows] = True
+            targeted &= member
             slate, slate_rows = self._cut(
-                content, affinity, proximity, bid,
-                np.flatnonzero(
-                    (content_floor | (affinity > 0.0)) & targeted & member
-                ),
-                k, probe=False,
+                content, affinity, proximity, bid, np.flatnonzero(targeted), k
             )
-            certificate = (
-                weights.alpha * candidates.cutoff
-                + weights.beta * profile_cands.cutoff
-                + static_cutoff
-            )
-            certified = len(slate) == k and slate[-1].score >= certificate
-            fell_back = fallback_ok and not certified
-            if fell_back:
-                # Exact fallback from the same arrays: the combined
-                # probe's row set is the raw message ∪ profile matches
-                # under the targeting mask alone (a probe has no
-                # content/affinity floor — any matching row can win on
-                # statics).
-                member = message_member.copy()
-                if weights.beta > 0.0 and gathered is not None:
-                    member[gathered[0]] = True
-                slate, slate_rows = self._cut(
-                    content, affinity, proximity, bid,
-                    np.flatnonzero(targeted & member), k, probe=True,
-                )
             results.append(
-                PersonalizedSlate(
-                    slate=slate,
-                    certified=certified or fell_back,
-                    fell_back=fell_back,
-                )
+                PersonalizedSlate(slate=slate, certified=True, fell_back=False)
             )
             if served is None:
                 continue
@@ -476,15 +394,7 @@ class Personalizer:
             bid[slate_rows] = scoring.fanout_bid_block(
                 cache, timestamp, slate_rows
             )
-            retired = slate_rows[~compact.alive[slate_rows]]
-            content[retired] = 0.0
-            content_floor[retired] = False
-            message_member[retired] = False
-            if static_list.version != static_version:
-                # A retirement pulled the next ad into the static prefix.
-                shared, static_cutoff, static_version = self._shared_member(
-                    candidate_rows, generation, size
-                )
+            message_member[slate_rows[~compact.alive[slate_rows]]] = False
         return results
 
     def exact_slate(

@@ -9,7 +9,9 @@ geo+bid score — one of the three cutoff terms in the slate certificate
 (see :mod:`repro.core.rerank`).
 
 Maintenance: retirements remove entries (the bound of everyone else is
-unchanged, so the cutoff only tightens); additions re-sort lazily.
+unchanged, so the cutoff only tightens); an addition is one sorted insert,
+and only one that raises ``corpus.max_bid`` — rescaling every key —
+re-sorts the list.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class GlobalStaticTopList:
         self._corpus = corpus
         self._weights = weights
         self.size = size
-        # Monotone change counter: bumps whenever membership or order can
-        # have changed, so derived caches (the compact row view in
-        # rerank) can key on it.
-        self.version = 0
         # Descending by normalized bid; key list kept in ascending-negated
         # order for bisect. Entries: (-bid_norm, ad_id).
         self._entries: list[tuple[float, int]] = []
@@ -41,20 +39,25 @@ class GlobalStaticTopList:
         corpus.subscribe(on_add=self._on_add, on_retire=self._on_retire)
 
     def _rebuild(self) -> None:
-        self.version += 1
+        # The high-water mark every stored key is normalised by.
+        self._keyed_at = self._corpus.max_bid
         self._entries = sorted(
             (-self._corpus.normalized_bid(ad.ad_id), ad.ad_id)
             for ad in self._corpus.active_ads()
         )
 
     def _on_add(self, ad) -> None:
-        # max_bid may have risen, shifting everyone's normalized bid by a
-        # common factor — order is preserved, so stored keys stay correctly
-        # *ordered*; rebuild keeps them exact since cutoffs are read off them.
-        self._rebuild()
+        if self._corpus.max_bid != self._keyed_at:
+            # The new ad raised max_bid, shifting everyone's normalized bid
+            # by a common factor — order is preserved, but cutoffs are read
+            # off the stored keys, so rebuild keeps them exact.
+            self._rebuild()
+            return
+        bisect.insort(
+            self._entries, (-self._corpus.normalized_bid(ad.ad_id), ad.ad_id)
+        )
 
     def _on_retire(self, ad) -> None:
-        self.version += 1
         key = (-self._corpus.normalized_bid(ad.ad_id), ad.ad_id)
         index = bisect.bisect_left(self._entries, key)
         if index < len(self._entries) and self._entries[index] == key:

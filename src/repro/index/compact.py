@@ -31,7 +31,7 @@ under sliding-window churn.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -175,12 +175,6 @@ class CompactIndex:
         if row is None:
             raise IndexError_(f"ad {ad_id} not indexed")
         return row
-
-    def rows_of_present(self, ad_ids: Iterable[int]) -> np.ndarray:
-        """Rows for the given ads, silently dropping unindexed ones."""
-        row_of = self._row_of
-        rows = [row_of[ad_id] for ad_id in ad_ids if ad_id in row_of]
-        return np.asarray(rows, dtype=np.int64)
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Row-sorted ``(rows, weights)`` posting arrays for one term.

@@ -7,7 +7,9 @@ to honour, cheapest-loss first:
 
 1. shrink the shared probe's over-fetch K′ (fewer candidates scored);
 2. shrink the served slate k (fewer ads priced and observed);
-3. serve approximate — skip the certificate-fallback exact probes;
+3. serve approximate — skip the certificate-fallback exact probes (on
+   the vector SHARED kernel, which cuts the exact top-k and has no
+   fallback, this rung serves what rung 2 serves);
 4. candidates-only scoring — serve the shared probe's top-k directly,
    skipping per-user union scoring entirely (profile-less);
 5. shed — drop a fraction of deliveries outright at admission.

@@ -4,6 +4,7 @@ stage selection per mode, batch fan-out, and pluggable stages."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -427,8 +428,51 @@ class TestOneGatherPerPost:
             len(engine.post(post.author_id, post.text, post.timestamp).deliveries)
             for post in tiny_workload.posts[:30]
         )
-        assert deliveries > 30 and engine.stats.fallback_deliveries > 0
+        assert deliveries > 30
         assert built == []
+
+    @pytest.mark.parametrize("searcher", ["vector", "ta"])
+    def test_only_the_reference_keeps_the_certificate_sources(
+        self, tiny_workload, monkeypatch, searcher
+    ):
+        """The static prefix and the profile probe feed CAR-share's union
+        and certificate. The kernel reads neither, so a vector SHARED
+        engine never builds the list — no launch or retirement pays to
+        keep it sorted — and never probes a profile; ``ta`` does both."""
+        import repro.core.rerank as rerank_module
+
+        built, probed = [], []
+        static_list_cls = rerank_module.GlobalStaticTopList
+        profile_candidates = rerank_module.Personalizer.profile_candidates
+
+        def building(*args):
+            built.append(args)
+            return static_list_cls(*args)
+
+        def probing(personalizer, user_id, *args):
+            probed.append(user_id)
+            return profile_candidates(personalizer, user_id, *args)
+
+        monkeypatch.setattr(rerank_module, "GlobalStaticTopList", building)
+        monkeypatch.setattr(
+            rerank_module.Personalizer, "profile_candidates", probing
+        )
+        engine = charged_engine(tiny_workload, searcher=searcher)
+        retire = [ad.ad_id for ad in engine.corpus.active_ads()][:5]
+        deliveries = 0
+        for position, post in enumerate(tiny_workload.posts[:30]):
+            if position % 6 == 0:
+                donor = engine.corpus.get(retire[-1])
+                engine.launch_campaign(
+                    replace(donor, ad_id=70_000 + position), post.timestamp
+                )
+                engine.end_campaign(retire.pop(), post.timestamp)
+            deliveries += len(
+                engine.post(post.author_id, post.text, post.timestamp).deliveries
+            )
+        assert deliveries > 30
+        reference = searcher == "ta"
+        assert (len(built), bool(probed)) == (int(reference), reference)
 
 
 class TestDeliverySpansStayPerDelivery:

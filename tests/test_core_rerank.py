@@ -181,6 +181,22 @@ class TestProfileCandidateCache:
         assert 5000 in [ad_id for ad_id, _ in second.entries]
 
 
+def engine_for(workload, *, qos=None, **config_kwargs):
+    from repro.core.engine import AdEngine
+
+    engine = AdEngine(
+        corpus=workload.build_corpus(),
+        graph=workload.graph,
+        vectorizer=workload.vectorizer,
+        tokenizer=workload.tokenizer,
+        config=EngineConfig(**config_kwargs),
+        qos=qos,
+    )
+    for user in workload.users:
+        engine.register_user(user.user_id, user.home)
+    return engine
+
+
 class TestMidFanoutRetirement:
     """Charging can retire an ad between two followers of one event: the
     vector kernel's per-event message gather and candidate rows were
@@ -189,20 +205,9 @@ class TestMidFanoutRetirement:
 
     @staticmethod
     def engine_for(workload, searcher):
-        from repro.core.engine import AdEngine
-
-        engine = AdEngine(
-            corpus=workload.build_corpus(),
-            graph=workload.graph,
-            vectorizer=workload.vectorizer,
-            tokenizer=workload.tokenizer,
-            # Unpaced, so moving an ad's spend changes nothing until the
-            # charge that exhausts it.
-            config=EngineConfig(searcher=searcher, pacing_enabled=False),
-        )
-        for user in workload.users:
-            engine.register_user(user.user_id, user.home)
-        return engine
+        # Unpaced, so moving an ad's spend changes nothing until the
+        # charge that exhausts it.
+        return engine_for(workload, searcher=searcher, pacing_enabled=False)
 
     @staticmethod
     def post(engine, post):
@@ -281,8 +286,8 @@ def churn_bystanders(corpus, candidates, count=70):
 
 class TestStaleBlock:
     """A vector ``CandidateSet`` carries the probe's gather as arrays (its
-    ``block``). The kernel may take message rows, dots and candidate rows
-    from it only while the mirror still reads ``(generation, num_rows)``
+    ``block``). The kernel may take message rows and dots from it only
+    while the mirror still reads ``(generation, num_rows)``
     as it did at the probe, and minus the rows retired since — a set
     probed *before* a launch, a retirement or a compaction must serve
     exactly what a set probed after it serves."""
@@ -293,14 +298,7 @@ class TestStaleBlock:
     def stack():
         # Probes deeper than any match list, so every set is complete: a
         # stale and a fresh one can differ in members, never in cutoff.
-        # Shallow profile and static sources, so both cuts are exercised.
-        stack = build_stack(
-            seed=5,
-            searcher="vector",
-            overfetch=400,
-            profile_candidates=8,
-            static_candidates=8,
-        )
+        stack = build_stack(seed=5, searcher="vector", overfetch=400)
         rng, space, *_ = stack
         followers = [
             (user_id, random_profile(space, rng) if user_id % 4 else {}, 0, None)
@@ -312,8 +310,7 @@ class TestStaleBlock:
         results = personalizer.slate_batch(
             candidates, message, followers, 500.0, self.K
         )
-        # Both cuts, the approximate one and the exact fallback, serve.
-        assert {result.fell_back for result in results} == {True, False}
+        assert any(result.slate for result in results)
         return results
 
     def test_launch_of_a_matching_ad(self):
@@ -372,37 +369,6 @@ class TestStaleBlock:
         assert fresh == stale and fresh.block.key == (generation + 1, num_rows)
         assert results == self.served_by(personalizer, fresh, message, followers)
 
-    def test_profile_probe_rows_follow_a_compaction(self):
-        """A cached profile probe outlives a compaction (nothing was
-        added), so the rows of its cut are renumbered with the mirror."""
-        stack, followers, message = self.stack()
-        _, _, corpus, index, config, scoring, personalizer, generator = stack
-        self.served_by(personalizer, generator.generate(message), message, followers)
-        probed = {
-            ad_id
-            for user_id, profile, epoch, _ in followers
-            for ad_id, _ in personalizer.profile_candidates(
-                user_id, profile, epoch
-            ).entries
-        }
-        candidates = generator.generate(message)
-        bystanders = [
-            ad_id
-            for ad_id in corpus.active_ids()
-            if ad_id not in probed and ad_id not in candidates.ad_ids()
-        ]
-        for ad_id in bystanders[:70]:
-            corpus.retire(ad_id)
-        compact = personalizer._compact
-        generation = compact.generation
-        results = self.served_by(personalizer, candidates, message, followers)
-        assert compact.generation == generation + 1
-        # A personalizer with nothing cached probes the same entries anew.
-        cold = Personalizer(
-            EngineServices(config=config, corpus=corpus, index=index, scoring=scoring)
-        )
-        assert results == self.served_by(cold, candidates, message, followers)
-
     @pytest.mark.parametrize("change", ["launch", "retire", "compact"])
     def test_engine_adapter_cached_set(self, tiny_workload, change):
         """The baseline adapter keeps one set per ``msg_id`` and reuses it
@@ -444,74 +410,150 @@ class TestStaleBlock:
         assert (stale != before) == (change != "compact")
 
 
+def mixed_followers(space, rng, count=12):
+    """Followers with and without a profile, with and without a place."""
+    from repro.geo.point import GeoPoint
+
+    return [
+        (
+            user_id,
+            random_profile(space, rng) if user_id % 4 else {},
+            0,
+            GeoPoint(rng.uniform(-60, 60), rng.uniform(-150, 150))
+            if user_id % 3
+            else None,
+        )
+        for user_id in range(count)
+    ]
+
+
 class TestKernelSelfConsistency:
     """The vector kernel on a whole fan-out equals itself called once per
     follower — ``slate_for`` is the latter — when nothing is written in
-    between (tests/test_core_pipeline.py covers the charged fan-out)."""
+    between (tests/test_core_pipeline.py covers the charged fan-out). And
+    it has one cut, the exact one: what shapes CAR-share's union,
+    certificate and fallback in the ``ta`` reference shapes nothing here."""
 
-    @pytest.mark.parametrize("allow_fallback", [True, False])
+    @pytest.mark.parametrize("exact_fallback", [True, False])
     @pytest.mark.parametrize("k", [3, 10])
-    def test_batch_equals_per_follower_calls(self, k, allow_fallback):
-        from repro.geo.point import GeoPoint
-
-        # Shallow sources so certification fails often enough to exercise
-        # the fallback cut as well as the approximate one.
+    def test_batch_equals_per_follower_calls(self, k, exact_fallback):
+        # Sources so shallow that the reference would fail its certificate
+        # on most deliveries, beside a stack left at full fidelity.
         stack = build_stack(
             seed=6,
             searcher="vector",
             overfetch=20,
             profile_candidates=15,
             static_candidates=15,
+            exact_fallback=exact_fallback,
         )
         rng, space, _, _, config, _, personalizer, generator = stack
+        *_, full_personalizer, full_generator = build_stack(seed=6, searcher="vector")
         assert k <= config.k
-        followers = [
-            (
-                user_id,
-                random_profile(space, rng) if user_id % 4 else {},
-                0,
-                GeoPoint(rng.uniform(-60, 60), rng.uniform(-150, 150))
-                if user_id % 3
-                else None,
-            )
-            for user_id in range(12)
-        ]
-        fell_back = certified = 0
+        followers = mixed_followers(space, rng)
         for _ in range(6):
             message = random_message(space, rng)
             candidates = generator.generate(message)
             together = personalizer.slate_batch(
-                candidates, message, followers, 500.0, k,
-                allow_fallback=allow_fallback,
+                candidates, message, followers, 500.0, k
             )
-            alone = [
-                personalizer.slate_batch(
-                    candidates, message, [follower], 500.0, k,
-                    allow_fallback=allow_fallback,
-                )[0]
+            assert any(result.slate for result in together)
+            assert all(
+                result.certified and not result.fell_back for result in together
+            )
+            assert together == [
+                personalizer.slate_batch(candidates, message, [follower], 500.0, k)[0]
                 for follower in followers
             ]
-            assert together == alone
             # The probe's block is a hand-over, not an input: the kernel
             # serves the same from its own gather.
             assert candidates.block is not None
             assert together == personalizer.slate_batch(
-                replace(candidates, block=None), message, followers, 500.0, k,
-                allow_fallback=allow_fallback,
+                replace(candidates, block=None), message, followers, 500.0, k
             )
-            assert alone == [
+            # ``allow_fallback`` is the reference's: inert on the kernel.
+            assert together == [
                 personalizer.slate_for(
                     candidates, message, *follower, 500.0, k,
-                    allow_fallback=allow_fallback,
+                    allow_fallback=exact_fallback,
                 )
                 for follower in followers
             ]
-            fell_back += sum(result.fell_back for result in together)
-            certified += sum(
-                result.certified and not result.fell_back for result in together
+            assert together == full_personalizer.slate_batch(
+                full_generator.generate(message), message, followers, 500.0, k
             )
-        assert certified > 0
-        assert (fell_back > 0) == allow_fallback
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_the_cut_is_the_exact_probe(self, beta):
+        """Ids and order of :meth:`Personalizer.exact_slate`, whose row
+        set is the message's matches alone when β = 0 or the follower has
+        no profile; and ``static`` is the score minus its content part."""
+        from repro.core.config import ScoringWeights
+
+        weights = ScoringWeights(beta=beta)
+        stack = build_stack(seed=7, searcher="vector", weights=weights)
+        rng, space, _, _, config, _, personalizer, generator = stack
+        followers = mixed_followers(space, rng)
+        profile_only = 0
+        for _ in range(6):
+            message = random_message(space, rng)
+            results = personalizer.slate_batch(
+                generator.generate(message), message, followers, 500.0, config.k
+            )
+            for (_, profile, _, location), result in zip(followers, results):
+                exact = personalizer.exact_slate(
+                    message, profile, location, 500.0, config.k
+                )
+                assert [scored.ad_id for scored in result.slate] == [
+                    scored.ad_id for scored in exact
+                ]
+                for scored in result.slate:
+                    assert scored.score == pytest.approx(
+                        weights.alpha * scored.content + scored.static, abs=1e-12
+                    )
+                    profile_only += scored.content == 0.0
+                    assert scored.content > 0.0 or (beta > 0.0 and profile)
+        assert (profile_only > 0) == (beta > 0.0)
+
+    def test_no_certificate_setting_changes_what_is_served(self, tiny_workload):
+        """``exact_fallback=False``, one-deep profile and static sources,
+        or a controller parked on a rung that only suppresses the fallback:
+        the charged engine serves, and books, what full fidelity does."""
+        from repro.qos.controller import QosController
+        from repro.qos.degrade import DegradationLadder, Rung
+
+        parked = QosController(
+            ladder=DegradationLadder(
+                (Rung("full"), Rung("approximate", exact_fallback=False))
+            )
+        )
+        assert parked.ladder.degrade() and not parked.allow_fallback
+        served = []
+        for config_kwargs, qos in (
+            ({}, None),
+            (
+                dict(exact_fallback=False, profile_candidates=1, static_candidates=1),
+                None,
+            ),
+            ({}, parked),
+        ):
+            engine = engine_for(
+                tiny_workload, qos=qos, searcher="vector", **config_kwargs
+            )
+            served.append(
+                [
+                    (d.user_id, d.slate, d.certified, d.fell_back, d.revenue)
+                    for post in tiny_workload.posts[:40]
+                    for d in engine.post(
+                        post.author_id, post.text, post.timestamp
+                    ).deliveries
+                ]
+            )
+            assert engine.stats.fallback_deliveries == 0
+        full, approximate, on_the_rung = served
+        assert len(full) > 40 and any(slate for _, slate, *_ in full)
+        assert approximate == full
+        assert on_the_rung == full
 
 
 class TestServedCallback:
