@@ -38,8 +38,8 @@ class FullScanRecommender(SlateRecommender):
         for ad in state.corpus.active_ads():
             content = dot(message_vec, ad.terms)
             profile_affinity = dot(profile_vec, ad.terms)
-            if content <= 0.0 and profile_affinity <= 0.0:
-                continue  # relevance floor
+            if content <= 0.0 and (weights.beta <= 0.0 or profile_affinity <= 0.0):
+                continue  # relevance floor: no term shared with the combined query
             if not ad.targeting.matches(location, timestamp):
                 continue
             score = (

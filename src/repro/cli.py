@@ -880,8 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--searcher",
         choices=list(SEARCHER_KINDS),
         default="ta",
-        help="top-k searcher for every index probe; 'vector' runs the "
-        "compact numpy hot path, the rest are the pure-Python oracles",
+        help="top-k searcher for every index probe: 'vector' runs the "
+        "compact numpy hot path, 'ta' is the pure-Python reference oracle",
     )
     replay.add_argument("--k", type=int, default=10)
     replay.add_argument("--limit", type=int, default=None)

@@ -2,7 +2,8 @@
 
 A post that fans out to F followers needs F slates, but the content
 affinity between the message and any ad is identical across all of them.
-The generator therefore runs **one** content-only WAND probe per message,
+The generator therefore runs **one** content-only probe per message (the
+configured searcher: TA, or a gather over the numpy mirror),
 over-fetching ``overfetch >= k`` candidates, and every delivery reuses the
 result. The probe's cut-off score (the weakest fetched candidate) is what
 lets each delivery *certify* that its personalised top-k could not contain

@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.index.factory import SEARCHER_KINDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,11 +64,11 @@ class EngineConfig:
     k: int = 10
     weights: ScoringWeights = field(default_factory=ScoringWeights)
     mode: EngineMode = EngineMode.SHARED
-    # Index strategy for every probe ("ta" | "wand" | "maxscore" |
-    # "vector"). All four are exact; "vector" additionally serves SHARED
-    # fan-outs through the compact numpy kernel, which cuts the exact
-    # top-k directly (no union, certificate or fallback). "ta" stays the
-    # default as the pure-Python reference oracle.
+    # Index strategy for every probe (one of SEARCHER_KINDS: "ta" |
+    # "vector"). Both are exact; "vector" serves every fan-out through
+    # the compact numpy kernel, which cuts the exact top-k directly (no
+    # union, certificate or fallback). "ta" stays the default as the
+    # pure-Python reference oracle.
     searcher: str = "ta"
     # Shared mode: how many candidates the per-message probe over-fetches.
     # Depths are tuned by experiment F6: shallow lists certify almost
@@ -127,10 +128,10 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.searcher not in ("ta", "wand", "maxscore", "vector"):
+        if self.searcher not in SEARCHER_KINDS:
             raise ConfigError(
-                f"searcher must be one of 'ta', 'wand', 'maxscore', "
-                f"'vector'; got {self.searcher!r}"
+                f"searcher must be one of {SEARCHER_KINDS}; "
+                f"got {self.searcher!r}"
             )
         if self.overfetch < self.k:
             raise ConfigError(

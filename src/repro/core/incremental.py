@@ -203,8 +203,10 @@ class IncrementalTopK:
             terms = corpus.get(ad_id).terms
             content = self.context.dot_with(terms)
             contents.append((content, ad_id))
-            if content <= 0.0 and dot(profile_vec, terms) <= 0.0:
-                continue  # relevance floor
+            if content <= 0.0 and (
+                self.scoring.weights.beta <= 0.0 or dot(profile_vec, terms) <= 0.0
+            ):
+                continue  # relevance floor: no term shared with the combined query
             static = self.scoring.static_score(
                 ad_id, profile_vec, location, timestamp
             )
@@ -219,30 +221,26 @@ class IncrementalTopK:
         location: GeoPoint | None,
         timestamp: float,
     ) -> None:
-        """Exact rebuild: one boosted probe for the slate, one content probe
-        for the shadow."""
+        """Exact rebuild: the exact slate of the raw context for the slate,
+        one content probe for the shadow."""
         self.stats.refreshes += 1
         raw_context = self.context.raw_vector()
-        scoring = self.scoring
+        alpha = self.scoring.weights.alpha
 
-        query = scoring.combined_query(raw_context, profile_vec)
-        boosted = make_searcher(
-            self.searcher,
-            self.index,
-            static_score=scoring.probe_static_fn(location, timestamp),
-            max_static=scoring.max_probe_static,
-            filter_fn=scoring.targeting_filter(location, timestamp),
-        )
         slate: list[ScoredAd] = []
-        for entry in boosted.search(query, self.k):
-            terms = self.index.ad_terms(entry.item)
-            content = self.context.dot_with(terms)
+        for scored in self.personalizer.exact_slate(
+            raw_context, profile_vec, location, timestamp, self.k
+        ):
+            # Content as every other arrival reports it: ``dot_with``
+            # scales after the sum, ``raw_vector`` per term, and the two
+            # differ in the last ulp.
+            content = self.context.dot_with(self.index.ad_terms(scored.ad_id))
             slate.append(
                 ScoredAd(
-                    ad_id=entry.item,
-                    score=entry.score,
+                    ad_id=scored.ad_id,
+                    score=scored.score,
                     content=content,
-                    static=entry.score - scoring.weights.alpha * content,
+                    static=scored.score - alpha * content,
                 )
             )
         self._slate = tuple(slate)

@@ -7,9 +7,11 @@ systems use):
 * :class:`VectorizeStage` — text → unit sparse vector, once per message;
 * :class:`CandidateStage` — the per-message shared content probe (or
   nothing, for the per-delivery EXACT baseline);
-* :class:`PersonalizeStage` — per-follower slate construction; the three
-  :class:`~repro.core.config.EngineMode`\\ s are three implementations
-  selected at wiring time, so the fan-out loop has no mode branches;
+* :class:`PersonalizeStage` — per-follower slate construction; each
+  :class:`~repro.core.config.EngineMode` (and, for SHARED and EXACT, the
+  searcher: the ``ta`` reference bodies or the numpy kernel) is an
+  implementation selected at wiring time, so the fan-out loop has no
+  mode branches;
 * :class:`ChargeStage` — GSP pricing + budget debit per served slate;
 * :class:`FeedbackStage` — impression bookkeeping for the CTR estimator.
 
@@ -225,32 +227,33 @@ class _PerFollowerStage:
             )
 
 
-class SharedPersonalizeStage(_PerFollowerStage):
-    """SHARED mode. The ``ta`` reference union-scores the three candidate
-    sources per follower, certifies, and falls back to one exact probe
-    when certification fails (the QoS rung may shrink k and suppress the
-    fallback probe). On the vector searcher a fan-out is one kernel call
-    that cuts every follower's exact top-k (the rung may shrink k)."""
+def _rung_knobs(services: EngineServices) -> tuple[int, bool]:
+    """(slate size, whether the certificate fallback may run) under the
+    current QoS rung — the configured values when undegraded."""
+    qos = services.qos
+    k = services.config.k
+    if qos is not None and qos.degrading:
+        return qos.slate_k(k), qos.allow_fallback
+    return k, True
 
-    def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
+
+class KernelPersonalizeStage:
+    """SHARED and EXACT on the vector searcher: a fan-out is one kernel
+    call that cuts every follower's exact top-k (a QoS rung shapes only
+    its size). The modes differ in the probe — EXACT has none, so
+    ``candidates`` is None and the kernel gathers the message itself — and
+    in the ``exact`` stamp on each delivery."""
+
+    def __init__(
+        self, services: EngineServices, personalizer: Personalizer, *, exact: bool
+    ) -> None:
         self._services = services
         self._personalizer = personalizer
-        self._kernel = services.config.searcher == "vector"
-
-    def _rung_knobs(self) -> tuple[int, bool]:
-        """(slate size, whether the certificate fallback may run) under
-        the current QoS rung — the configured values when undegraded."""
-        qos = self._services.qos
-        k = self._services.config.k
-        if qos is not None and qos.degrading:
-            return qos.slate_k(k), qos.allow_fallback
-        return k, True
+        self._exact = exact
 
     def personalize_batch(self, event, candidates, resolved, served) -> None:
-        if not self._kernel:
-            return super().personalize_batch(event, candidates, resolved, served)
-        # The kernel cuts the exact top-k: a rung shapes only its size.
-        k, _ = self._rung_knobs()
+        k, _ = _rung_knobs(self._services)
+        exact = self._exact
         self._personalizer.slate_batch(
             candidates,
             event.message_vec,
@@ -263,7 +266,7 @@ class SharedPersonalizeStage(_PerFollowerStage):
             served=lambda position, result: served(
                 position,
                 PersonalizedDelivery(
-                    result.slate, result.certified, result.fell_back, False
+                    result.slate, result.certified, result.fell_back, exact
                 ),
             ),
         )
@@ -271,7 +274,30 @@ class SharedPersonalizeStage(_PerFollowerStage):
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        k, allow_fallback = self._rung_knobs()
+        delivered: list[PersonalizedDelivery] = []
+        self.personalize_batch(
+            event,
+            candidates,
+            [(user_id, state, profile, profile_vec)],
+            lambda _, delivery: delivered.append(delivery),
+        )
+        return delivered[0]
+
+
+class SharedPersonalizeStage(_PerFollowerStage):
+    """SHARED mode on the ``ta`` reference: union-score the three
+    candidate sources per follower, certify, and fall back to one exact
+    probe when certification fails (the QoS rung may shrink k and
+    suppress the fallback probe)."""
+
+    def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
+        self._services = services
+        self._personalizer = personalizer
+
+    def personalize(
+        self, event, candidates, user_id, state, profile, profile_vec
+    ) -> PersonalizedDelivery:
+        k, allow_fallback = _rung_knobs(self._services)
         result = self._personalizer.slate_for(
             candidates,
             event.message_vec,
@@ -326,8 +352,9 @@ class IncrementalPersonalizeStage(_PerFollowerStage):
 
 
 class ExactPersonalizeStage(_PerFollowerStage):
-    """EXACT mode: one exact combined-query probe per delivery (the strong
-    baseline). Deliveries count as ``exact``, never as fallbacks."""
+    """EXACT mode on the ``ta`` reference: one exact combined-query probe
+    per delivery (the strong baseline). Deliveries count as ``exact``,
+    never as fallbacks."""
 
     def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
         self._services = services
@@ -336,10 +363,7 @@ class ExactPersonalizeStage(_PerFollowerStage):
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        qos = self._services.qos
-        k = self._services.config.k
-        if qos is not None and qos.degrading:
-            k = qos.slate_k(k)
+        k, _ = _rung_knobs(self._services)
         slate = self._personalizer.exact_slate(
             event.message_vec,
             profile_vec,
@@ -413,12 +437,19 @@ _PERSONALIZE_STAGES: dict[EngineMode, type] = {
 def make_personalize_stage(
     services: EngineServices, personalizer: Personalizer
 ) -> PersonalizeStage:
-    """The mode's :class:`PersonalizeStage` — the only mode dispatch on the
-    delivery path, resolved once at wiring time."""
-    stage_cls = _PERSONALIZE_STAGES.get(services.config.mode)
+    """The mode's :class:`PersonalizeStage` (on the vector searcher SHARED
+    and EXACT share the kernel's) — the only mode dispatch on the delivery
+    path, resolved once at wiring time."""
+    mode = services.config.mode
+    stage_cls = _PERSONALIZE_STAGES.get(mode)
     if stage_cls is None:
-        raise ConfigError(f"unknown engine mode: {services.config.mode!r}")
-    stage = stage_cls(services, personalizer)
+        raise ConfigError(f"unknown engine mode: {mode!r}")
+    if services.config.searcher == "vector" and mode is not EngineMode.INCREMENTAL:
+        stage = KernelPersonalizeStage(
+            services, personalizer, exact=mode is EngineMode.EXACT
+        )
+    else:
+        stage = stage_cls(services, personalizer)
     if services.learner is not None:
         # Deferred import: repro.learn sits above the core pipeline.
         from repro.learn.linucb import LinUcbRerankStage

@@ -20,7 +20,7 @@ no index probe beyond the amortised/cached ones) and takes the top-k. Any
 ad outside the union scores at most ``alpha·c1 + beta·c2 + c3``, so when
 the personalised k-th score reaches that bound the slate is provably the
 true top-k. Otherwise the engine either falls back to one exact
-combined-query WAND probe (``exact_fallback=True``) or serves the
+combined-query TA probe (``exact_fallback=True``) or serves the
 approximate slate, as production systems do; experiment F6 measures the
 trade-off.
 
@@ -29,7 +29,9 @@ avoid: the message gather and each follower's cached profile gather
 already cover every row a slate can contain, so it cuts the exact top-k
 of those rows directly — no union, no certificate, no fallback, and
 nothing that ``exact_fallback`` or a QoS rung could switch (DESIGN.md
-"Personalize kernel" has the measurements behind that).
+"Personalize kernel" has the measurements behind that). It is the only
+exact cut on the mirror: :meth:`Personalizer.exact_slate` on the vector
+searcher is the kernel with no shared probe and one anonymous follower.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.core.static_list import GlobalStaticTopList
 from repro.geo.point import GeoPoint
 from repro.index.compact import CompactIndex
 from repro.index.factory import make_searcher
-from repro.index.vector import VectorSearcher, topk_order
+from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector, dot
 
 
@@ -217,7 +219,7 @@ class Personalizer:
 
     def _profile_gather(
         self,
-        user_id: int,
+        user_id: int | None,
         profile_vec: SparseVector,
         profile_epoch: int,
         generation: int,
@@ -226,8 +228,12 @@ class Personalizer:
 
         Cached until the user posts again, ads are added, or the mirror
         compacts; dead rows are re-masked by the caller at use time, so
-        retirements do not invalidate (affinities never change).
+        retirements do not invalidate (affinities never change). The
+        anonymous follower (``user_id`` None) has no epoch to key on and
+        is gathered afresh.
         """
+        if user_id is None:
+            return self._compact.gather(profile_vec)
         add_epoch = self._scoring.corpus.add_epoch
         cached = self._profile_gather_cache.get(user_id)
         if (
@@ -291,9 +297,9 @@ class Personalizer:
 
     def slate_batch(
         self,
-        candidates: CandidateSet,
+        candidates: CandidateSet | None,
         message_vec: SparseVector,
-        followers: list[tuple[int, SparseVector, int, GeoPoint | None]],
+        followers: list[tuple[int | None, SparseVector, int, GeoPoint | None]],
         timestamp: float,
         k: int,
         *,
@@ -303,12 +309,14 @@ class Personalizer:
         — the one entry point of a fan-out.
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
-        location)`` per follower. Each result is handed to
-        ``served(position, result)`` before the next follower's slate is
-        cut: the pipeline charges and feeds back inside it, and the next
-        follower sees what that wrote. Vector mode only — the numpy
-        kernel: the probe's message gather (``candidates.block``,
-        re-gathered only when stale) plus one cached profile gather per
+        location)`` per follower; a ``user_id`` of None is an anonymous
+        follower whose profile gather is not cached. Each result is
+        handed to ``served(position, result)`` before the next follower's
+        slate is cut: the pipeline charges and feeds back inside it, and
+        the next follower sees what that wrote. Vector mode only — the
+        numpy kernel: the probe's message gather (``candidates.block``;
+        gathered here when there was no shared probe — ``candidates`` is
+        None — or its block is stale) plus one cached profile gather per
         follower cover every row any slate can contain, so the rows an
         exact combined-query probe would walk — message ∪ profile matches
         under the targeting mask — are scored over the full row space and
@@ -341,7 +349,7 @@ class Personalizer:
         # ever materialised. Dead rows sit in no membership (gathers are
         # alive-masked), so the cut cannot select them.
         size = compact.num_rows
-        block = candidates.block
+        block = candidates.block if candidates is not None else None
         if block is not None and block.key == (generation, size):
             # The probe's own gather, over this very row space: only
             # retirements can have touched it since.
@@ -405,30 +413,24 @@ class Personalizer:
         timestamp: float,
         k: int,
     ) -> tuple[ScoredAd, ...]:
-        """One guaranteed-exact combined-query probe (also the per-delivery
-        baseline: EngineMode.EXACT routes every delivery here)."""
+        """One guaranteed-exact top-k for a (message, profile) pair. On
+        the vector searcher that is the kernel — no shared probe, one
+        anonymous follower; on ``ta`` one combined-query probe (also the
+        per-delivery baseline: the reference's EngineMode.EXACT routes
+        every delivery here)."""
+        if self._vector:
+            return self.slate_batch(
+                None, message_vec, [(None, profile_vec, 0, location)], timestamp, k
+            )[0].slate
         scoring = self._scoring
         query = scoring.combined_query(message_vec, profile_vec)
-        if self._vector:
-            # The block form evaluates targeting + statics for a whole
-            # chunk of the content-ordered walk at once; the shared
-            # mirror makes per-probe construction free.
-            searcher = VectorSearcher(
-                self._index,
-                static_block=scoring.probe_static_block(
-                    self._static_cache, location, timestamp
-                ),
-                max_static=scoring.max_probe_static,
-                compact=self._compact,
-            )
-        else:
-            searcher = make_searcher(
-                self._config.searcher,
-                self._index,
-                static_score=scoring.probe_static_fn(location, timestamp),
-                max_static=scoring.max_probe_static,
-                filter_fn=scoring.targeting_filter(location, timestamp),
-            )
+        searcher = make_searcher(
+            self._config.searcher,
+            self._index,
+            static_score=scoring.probe_static_fn(location, timestamp),
+            max_static=scoring.max_probe_static,
+            filter_fn=scoring.targeting_filter(location, timestamp),
+        )
         slate: list[ScoredAd] = []
         for entry in searcher.search(query, k):
             ad_terms = self._index.ad_terms(entry.item)

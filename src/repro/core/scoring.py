@@ -13,7 +13,8 @@ views of the same additive score:
 
 Matching semantics (the "relevance floor"): an ad is a candidate for a
 delivery only if it shares at least one term with the combined query, i.e.
-has non-zero content or profile affinity. Ads with zero affinity are never
+has non-zero content affinity or — while ``beta > 0`` keeps the profile in
+that query — non-zero profile affinity. Ads with zero affinity are never
 served, no matter their bid.
 """
 
@@ -58,8 +59,8 @@ class StaticRowCache:
     ``(row, lat, lon, radius)`` record and every time window as a flat
     ``(row, start, end)`` record, both kept sorted by row so a block's
     circles are one ``searchsorted`` gather away. That lets
-    :meth:`targeting_block` evaluate the geo/time predicate and the
-    proximity score for a whole candidate block with one vectorized
+    :meth:`targeting_full` / :meth:`time_keep_full` evaluate the geo/time
+    predicate and the proximity score over every row with one vectorized
     haversine instead of per-ad Python calls. Next to the bids it keeps
     each row's slot in the budget manager's and the CTR estimator's
     dense state arrays, so the dynamic half of the bid term is a gather
@@ -205,7 +206,11 @@ class StaticRowCache:
         """Geo predicate + proximity for one location over *every* row.
 
         Returns ``(geo_keep, proximity)`` of length ``num_rows``, the
-        caller's own to write to. Followers recur across events, so what
+        caller's own to write to, matching the scalar
+        ``TargetingSpec.matches`` / ``proximity``: a geo-targeted ad needs
+        the user inside at least one circle (an unknown location never
+        matches) and scores its best circle's linear falloff, an untargeted
+        one the neutral 1.0. Followers recur across events, so what
         one haversine pass found for a location (:meth:`_geo_matches`)
         is kept until the row space changes; the dense pair is two
         copies of the shared base plus two scatters.
@@ -304,25 +309,6 @@ class StaticRowCache:
             keep = matched | ~time_mask
         self._full_time = (timestamp, keep)
         return keep
-
-    def targeting_block(
-        self,
-        rows: np.ndarray,
-        location: GeoPoint | None,
-        timestamp: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``TargetingSpec.matches`` + ``proximity`` for a block.
-
-        Returns ``(keep, proximity)`` matching the scalar predicates:
-        geo-targeted ads need the user inside at least one circle (unknown
-        location never matches), time-targeted ads need the hour inside at
-        least one window, and proximity is the best-circle linear falloff
-        (neutral 1.0 for untargeted ads). A gather from the per-location
-        full-corpus cache — a repeat user costs three fancy indexes.
-        """
-        geo_keep, proximity = self.targeting_full(location)
-        keep = geo_keep[rows] & self.time_keep_full(timestamp)[rows]
-        return keep, proximity[rows]
 
 
 #: Budget of the per-location targeting cache in stored ``(row, falloff)``
@@ -448,14 +434,17 @@ class ScoringModel:
         """Full evaluation of one candidate given its content affinity.
 
         Returns None when the ad is retired, fails its targeting predicate,
-        or falls below the relevance floor (zero content *and* zero profile
-        affinity).
+        or falls below the relevance floor: zero content *and* no profile
+        affinity that counts (with ``beta = 0`` the combined query drops
+        the profile, so an exact probe could never return the ad).
         """
         if not self._corpus.is_active(ad_id):
             return None
         ad = self._corpus.get(ad_id)
         profile_affinity = dot(profile_vec, ad.terms) if profile_vec else 0.0
-        if content <= 0.0 and profile_affinity <= 0.0:
+        if content <= 0.0 and (
+            self.weights.beta <= 0.0 or profile_affinity <= 0.0
+        ):
             return None
         if not ad.targeting.matches(location, timestamp):
             return None
@@ -543,30 +532,6 @@ class ScoringModel:
             + bid[kept]
         )
         return static, weights.alpha * content[kept] + static
-
-    def probe_static_block(
-        self,
-        cache: StaticRowCache,
-        location: GeoPoint | None,
-        timestamp: float,
-    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Vectorized :meth:`probe_static_fn` + :meth:`targeting_filter`
-        for one user and time: returns ``block(rows, ad_ids) -> (keep
-        mask, gamma·geo + delta·bid)`` for the vector searcher's
-        static-boosted probe. ``rows`` must be sorted ascending."""
-        weights = self.weights
-
-        def block(
-            rows: np.ndarray, ad_ids: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray]:
-            cache.sync(self._budget_manager, self._ctr_estimator)
-            keep, proximity = cache.targeting_block(rows, location, timestamp)
-            static = weights.gamma * proximity + weights.delta * self._bid_block(
-                cache, timestamp, rows
-            )
-            return keep, static
-
-        return block
 
     # -- query construction --------------------------------------------------
 

@@ -1,24 +1,21 @@
-"""Top-k ad retrieval: inverted index, WAND/TA pruning, spatial filter."""
+"""Top-k ad retrieval: inverted index, TA reference and numpy mirror,
+spatial filter."""
 
 from repro.index.brute import exact_topk
 from repro.index.compact import CompactIndex, IdInterner
 from repro.index.inverted import AdInvertedIndex
-from repro.index.maxscore import MaxScoreSearcher
 from repro.index.postings import PostingList
 from repro.index.spatial import SpatialAdFilter
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
-from repro.index.wand import WandSearcher
 
 __all__ = [
     "AdInvertedIndex",
     "CompactIndex",
     "IdInterner",
-    "MaxScoreSearcher",
     "PostingList",
     "SpatialAdFilter",
     "ThresholdSearcher",
     "VectorSearcher",
-    "WandSearcher",
     "exact_topk",
 ]

@@ -1,8 +1,9 @@
 """Brute-force top-k: the correctness reference and full-scan baseline.
 
-Same scoring and matching semantics as :class:`~repro.index.wand.WandSearcher`
-— only ads sharing at least one term with the query are candidates — so the
-property tests can assert that pruning never changes the result.
+Same scoring and matching semantics as the searchers
+(:mod:`repro.index.threshold`) — only ads sharing at least one term with
+the query are candidates — so the property tests can assert that neither
+pruning nor the array path changes the result.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.ads.ad import Ad
-from repro.index.wand import FilterFn, StaticScoreFn
+from repro.index.threshold import FilterFn, StaticScoreFn
 from repro.util.heap import BoundedTopK, TopKEntry
 from repro.util.sparse import dot
 

@@ -12,10 +12,10 @@ arrays that one numpy gather can traverse:
 * **Posting arrays** — per term, parallel ``(int32 row, float32 weight)``
   arrays sorted by row (ascending ad insertion order). New ads always
   receive the current maximal row, so incremental appends keep the sort
-  order for free. Impact-ordered views (weight-descending) are derived
-  lazily per term for bound-style traversals. There is no forward
-  (row → terms) view: every dot product the hot path needs is a
-  term-at-a-time :meth:`CompactIndex.gather` over these arrays.
+  order for free. There is no forward (row → terms) view and no
+  per-term bound: every dot product the hot path needs is a
+  term-at-a-time :meth:`CompactIndex.gather` over these arrays, which
+  evaluates every match.
 
 Synchronisation uses the same subscription idiom the index itself uses
 against the corpus: the mirror registers add/remove listeners and applies
@@ -120,12 +120,9 @@ class CompactIndex:
         self._row_of: dict[int, int] = {}
         self._ad_ids = np.zeros(0, dtype=np.int64)
         self._alive = np.zeros(0, dtype=bool)
-        # Per-term posting arrays (indexed by term id), plus a lazily
-        # derived impact-order permutation per term.
+        # Per-term posting arrays (indexed by term id).
         self._term_rows: list[np.ndarray] = []
         self._term_weights: list[np.ndarray] = []
-        self._term_max_weight: list[float] = []
-        self._impact_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Score accumulator scratch, zeroed after every gather.
         self._scores = np.zeros(0, dtype=np.float64)
         self._rebuild()
@@ -135,9 +132,9 @@ class CompactIndex:
     def shared(cls, index: AdInvertedIndex) -> "CompactIndex":
         """The per-index shared mirror (created on first request).
 
-        Every VectorSearcher over the same index must reuse one mirror
-        (exact_slate constructs a searcher per probe). The index owns it,
-        so the pair dies together; a module-level registry keyed weakly by
+        Every reader of the same index (the probe, the personalize kernel,
+        each VectorSearcher) must reuse one mirror. The index owns it, so
+        the pair dies together; a module-level registry keyed weakly by
         the index would pin both, because the mirror references its key.
         """
         if index.compact_mirror is None:
@@ -189,32 +186,6 @@ class CompactIndex:
                 np.zeros(0, dtype=np.float32),
             )
         return self._term_rows[tid], self._term_weights[tid]
-
-    def term_impact(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Impact-ordered view: ``(rows, weights)`` by weight descending,
-        row ascending on ties — the traversal order bound-based pruning
-        walks. Derived lazily per term and cached until the term mutates.
-        """
-        tid = self.terms.lookup(term)
-        if tid is None:
-            return (
-                np.zeros(0, dtype=np.int32),
-                np.zeros(0, dtype=np.float32),
-            )
-        cached = self._impact_cache.get(tid)
-        if cached is None:
-            rows = self._term_rows[tid]
-            weights = self._term_weights[tid]
-            order = np.lexsort((rows, -weights))
-            cached = (rows[order], weights[order])
-            self._impact_cache[tid] = cached
-        return cached
-
-    def max_weight(self, term: str) -> float:
-        """Admissible per-term weight bound (may be stale-high between a
-        removal and the next compaction; never stale-low)."""
-        tid = self.terms.lookup(term)
-        return self._term_max_weight[tid] if tid is not None else 0.0
 
     # -- kernels ------------------------------------------------------------
 
@@ -289,7 +260,6 @@ class CompactIndex:
         while len(self._term_rows) < len(self.terms):
             self._term_rows.append(np.zeros(0, dtype=np.int32))
             self._term_weights.append(np.zeros(0, dtype=np.float32))
-            self._term_max_weight.append(0.0)
         for tid, weight in interned:
             # The new row is maximal, so appending preserves row order.
             self._term_rows[tid] = np.append(
@@ -298,9 +268,6 @@ class CompactIndex:
             self._term_weights[tid] = np.append(
                 self._term_weights[tid], np.float32(weight)
             )
-            if weight > self._term_max_weight[tid]:
-                self._term_max_weight[tid] = weight
-            self._impact_cache.pop(tid, None)
 
     def _on_remove(self, ad_id: int, terms: Mapping[str, float]) -> None:
         row = self._row_of.pop(ad_id, None)
@@ -308,9 +275,8 @@ class CompactIndex:
             raise IndexError_(f"ad {ad_id} not mirrored")
         self._alive[row] = False
         self._dead += 1
-        # Posting entries stay in place (masked at gather time) and the
-        # per-term max weight goes stale-high — both restored by the next
-        # compaction.
+        # Posting entries stay in place (masked at gather time) until the
+        # next compaction.
 
     def _rebuild(self) -> None:
         """Rebuild every array from the source index, compacting rows.
@@ -330,7 +296,6 @@ class CompactIndex:
         )
         self._alive = np.ones(self._num_rows, dtype=bool)
         self._scores = np.zeros(self._num_rows, dtype=np.float64)
-        self._impact_cache.clear()
 
         # One pass per *term* (not per posting): each posting list hands
         # over its ids/weights as arrays, rows come from one searchsorted
@@ -375,13 +340,6 @@ class CompactIndex:
         else:
             self._term_rows = []
             self._term_weights = []
-        max_weights = np.zeros(num_terms, dtype=np.float64)
-        present = np.flatnonzero(term_counts)
-        if present.shape[0]:
-            max_weights[present] = np.maximum.reduceat(
-                weights[order], bounds[present]
-            )
-        self._term_max_weight = max_weights.tolist()
 
     # -- invariants (test support) -------------------------------------------
 

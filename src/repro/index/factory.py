@@ -1,32 +1,27 @@
-"""Searcher factory: one switch selects the pruning strategy engine-wide.
+"""Searcher factory: one switch selects the probe engine-wide.
 
-All four searchers are exact and interchangeable (property-tested to
-return identical rankings); they differ only in constant factors. The B1
-micro-benchmark now puts the numpy-backed ``vector`` searcher far ahead —
-it evaluates every match with fused array arithmetic instead of pruning
-with per-posting Python, so "evaluations" stop being the cost model. Of
-the pure-Python pruners, term-at-a-time TA keeps the best constants
-(document-at-a-time WAND/MaxScore pay per-step cursor bookkeeping that
-compiled engines amortise). ``ta`` remains the engine default as the
-reference oracle; ``EngineConfig(searcher="vector")`` opts the whole
-engine onto the compact hot path, and the equivalence suite holds every
-kind to the same rankings.
+Two kinds, a reference and a kernel. ``ta`` is the pure-Python threshold
+algorithm: it takes a static score and a targeting filter, prunes with
+the TA bound, and is the oracle every array path is replayed against.
+``vector`` is the content probe over the compact numpy mirror: it
+evaluates every match with fused array arithmetic instead of pruning with
+per-posting Python (B1: ≈ 3× ``ta``'s queries/s), and takes no callables
+— the static-boosted exact top-k on the mirror is the personalize
+kernel's cut, not a searcher's. ``ta`` remains the engine default;
+``EngineConfig(searcher="vector")`` opts the whole engine onto the
+compact hot path, and the equivalence suite holds it to ``ta``'s rankings.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.index.inverted import AdInvertedIndex
-from repro.index.maxscore import MaxScoreSearcher
-from repro.index.threshold import ThresholdSearcher
+from repro.index.threshold import FilterFn, StaticScoreFn, ThresholdSearcher
 from repro.index.vector import VectorSearcher
-from repro.index.wand import FilterFn, StaticScoreFn, WandSearcher
 
-SEARCHER_KINDS = ("ta", "wand", "maxscore", "vector")
+SEARCHER_KINDS = ("ta", "vector")
 
-TopKSearcher = (
-    WandSearcher | ThresholdSearcher | MaxScoreSearcher | VectorSearcher
-)
+TopKSearcher = ThresholdSearcher | VectorSearcher
 
 
 def make_searcher(
@@ -38,21 +33,21 @@ def make_searcher(
     filter_fn: FilterFn | None = None,
 ) -> TopKSearcher:
     """Build a top-k searcher of the requested kind over ``index``."""
-    if kind == "wand":
-        cls = WandSearcher
-    elif kind == "ta":
-        cls = ThresholdSearcher
-    elif kind == "maxscore":
-        cls = MaxScoreSearcher
-    elif kind == "vector":
-        cls = VectorSearcher
-    else:
+    if kind not in SEARCHER_KINDS:
         raise ConfigError(
             f"unknown searcher kind {kind!r}; expected one of {SEARCHER_KINDS}"
         )
-    return cls(
-        index,
-        static_score=static_score,
-        max_static=max_static,
-        filter_fn=filter_fn,
-    )
+    if kind == "ta":
+        return ThresholdSearcher(
+            index,
+            static_score=static_score,
+            max_static=max_static,
+            filter_fn=filter_fn,
+        )
+    if static_score is not None or filter_fn is not None or max_static:
+        raise ConfigError(
+            "the 'vector' searcher is a content probe and takes no static "
+            "score or filter; of the searcher kinds "
+            f"{SEARCHER_KINDS} only 'ta' does"
+        )
+    return VectorSearcher(index)

@@ -1,8 +1,8 @@
 """Term-partitioned inverted index over the ad corpus.
 
 The index stores each active ad's unit term vector across per-term posting
-lists and keeps per-term maximum weights — the metadata WAND-style pruning
-relies on. It can subscribe to an :class:`~repro.ads.corpus.AdCorpus` so
+lists, plus the forward (ad → terms) view the threshold algorithm's random
+access reads. It can subscribe to an :class:`~repro.ads.corpus.AdCorpus` so
 additions and budget-driven retirements are reflected immediately (the
 "incremental index maintenance" part of the system).
 """
@@ -123,11 +123,6 @@ class AdInvertedIndex:
         """Posting list for a term, or None if the term is unindexed."""
         return self._postings.get(term)
 
-    def max_weight(self, term: str) -> float:
-        """Per-term upper bound on posting weight (0.0 for unknown terms)."""
-        postings = self._postings.get(term)
-        return postings.max_weight if postings is not None else 0.0
-
     def ad_terms(self, ad_id: int) -> dict[str, float]:
         """Forward lookup: an indexed ad's term vector (a copy)."""
         terms = self._ad_terms.get(ad_id)
@@ -142,16 +137,3 @@ class AdInvertedIndex:
     def term_items(self):
         """Iterate (term, PostingList) pairs; lists must not be mutated."""
         return self._postings.items()
-
-    def content_upper_bound(self, query: Mapping[str, float]) -> float:
-        """Upper bound on dot(query, ad) over all indexed ads.
-
-        Sum over query terms of query weight × per-term max weight — the
-        quantity the incremental maintainer uses to decide whether an
-        arriving message could possibly disturb a user's current top-k.
-        """
-        return sum(
-            weight * self.max_weight(term)
-            for term, weight in query.items()
-            if weight > 0.0
-        )

@@ -2,13 +2,13 @@
 
 Each list keeps its entries in two orders:
 
-* **document order** (ascending ad id) — what the document-at-a-time WAND
-  traversal needs for cursor seeks;
+* **document order** (ascending ad id) — what membership tests, removals
+  and the compact mirror's bulk rebuild (:meth:`PostingList.doc_arrays`)
+  read;
 * **impact order** (descending weight) — what the term-at-a-time threshold
-  algorithm needs; rebuilt lazily after mutations since queries dominate.
+  algorithm walks; rebuilt lazily after mutations since queries dominate.
 
-Weights are strictly positive; the per-list maximum weight is the upper
-bound WAND uses for pruning.
+Weights are strictly positive.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from repro.errors import IndexError_
 class PostingList:
     """Sorted (ad_id, weight) postings for a single term."""
 
-    __slots__ = ("_ids", "_impact", "_impact_dirty", "_max_weight", "_weights")
+    __slots__ = ("_ids", "_impact", "_impact_dirty", "_weights")
 
     def __init__(self) -> None:
         self._ids: list[int] = []
         self._weights: list[float] = []
-        self._max_weight = 0.0
         self._impact: list[tuple[float, int]] = []
         self._impact_dirty = False
 
@@ -39,11 +38,6 @@ class PostingList:
         index = bisect.bisect_left(self._ids, ad_id)
         return index < len(self._ids) and self._ids[index] == ad_id
 
-    @property
-    def max_weight(self) -> float:
-        """Largest weight in the list (0.0 when empty)."""
-        return self._max_weight
-
     def add(self, ad_id: int, weight: float) -> None:
         """Insert a posting; duplicate ad ids and bad weights are errors."""
         if weight <= 0.0:
@@ -53,7 +47,6 @@ class PostingList:
             raise IndexError_(f"duplicate posting for ad {ad_id}")
         self._ids.insert(index, ad_id)
         self._weights.insert(index, weight)
-        self._max_weight = max(self._max_weight, weight)
         self._impact_dirty = True
 
     def append_maximal(self, ad_id: int, weight: float) -> None:
@@ -71,8 +64,6 @@ class PostingList:
             return
         ids.append(ad_id)
         self._weights.append(weight)
-        if weight > self._max_weight:
-            self._max_weight = weight
         self._impact_dirty = True
 
     def remove(self, ad_id: int) -> None:
@@ -80,12 +71,9 @@ class PostingList:
         index = bisect.bisect_left(self._ids, ad_id)
         if index >= len(self._ids) or self._ids[index] != ad_id:
             raise IndexError_(f"no posting for ad {ad_id}")
-        weight = self._weights[index]
         del self._ids[index]
         del self._weights[index]
         self._impact_dirty = True
-        if weight >= self._max_weight:
-            self._max_weight = max(self._weights, default=0.0)
 
     def weight_of(self, ad_id: int) -> float:
         index = bisect.bisect_left(self._ids, ad_id)
@@ -93,20 +81,7 @@ class PostingList:
             raise IndexError_(f"no posting for ad {ad_id}")
         return self._weights[index]
 
-    # -- document-order access (WAND cursors) -----------------------------
-
-    def id_at(self, position: int) -> int:
-        return self._ids[position]
-
-    def weight_at(self, position: int) -> float:
-        return self._weights[position]
-
-    def seek(self, position: int, target_id: int) -> int:
-        """Smallest position >= ``position`` whose ad id >= ``target_id``.
-
-        Returns ``len(self)`` when exhausted — the cursor sentinel.
-        """
-        return bisect.bisect_left(self._ids, target_id, lo=position)
+    # -- document-order access -------------------------------------------
 
     def doc_ordered(self) -> list[tuple[int, float]]:
         """All postings as (ad_id, weight), ascending ad id (a copy)."""

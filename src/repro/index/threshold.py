@@ -1,21 +1,35 @@
 """Fagin-style threshold algorithm (TA) over impact-ordered postings.
 
-The comparison point for WAND in the index benchmarks: term-at-a-time
-traversal of weight-descending lists with random access to the forward
-index for full scores, stopping once the frontier bound drops below the
-current k-th score. Same matching semantics and same static-boost handling
-as :class:`~repro.index.wand.WandSearcher`.
+The pure-Python reference probe. Given a sparse query vector it finds the
+k ads maximising::
+
+    score(a) = dot(query, a.terms) + static_score(a)
+
+by term-at-a-time traversal of weight-descending lists with random access
+to the forward index for full scores, stopping once the frontier bound
+drops below the current k-th score. ``static_score`` carries the per-ad,
+query-independent part of the ranking function (bid, geo proximity); its
+global upper bound ``max_static`` must be supplied so the stop stays
+admissible.
+
+Matching semantics: only ads sharing at least one term with the query are
+candidates (a relevance floor — context-aware advertising never serves an
+ad with zero content affinity). The brute-force scan in
+:mod:`repro.index.brute` applies the same rule, so both return identical
+score multisets, which the property tests assert.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from repro.errors import ConfigError
 from repro.index.inverted import AdInvertedIndex
-from repro.index.wand import FilterFn, StaticScoreFn
 from repro.util.heap import BoundedTopK, TopKEntry
 from repro.util.sparse import dot
+
+StaticScoreFn = Callable[[int], float]
+FilterFn = Callable[[int], bool]
 
 
 class ThresholdSearcher:
@@ -69,7 +83,9 @@ class ThresholdSearcher:
                         seen.add(ad_id)
                         self._score(ad_id, query_dict, heap)
             depth += 1
-            if len(heap) >= heap.k and heap.threshold() >= frontier_bound:
+            # Strict: an unseen ad that could still *tie* the k-th score
+            # must be evaluated (smaller ids win ties).
+            if len(heap) >= heap.k and heap.threshold() > frontier_bound:
                 break
         return heap.results()
 

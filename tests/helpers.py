@@ -1,16 +1,39 @@
-"""Reference oracles used by the core equivalence tests.
+"""Reference oracles used by the core equivalence tests, and the random
+index set-ups the searcher tests share.
 
-These deliberately share no code with the engine's scoring fast paths:
-they recompute everything from first principles over the whole corpus, so
-agreement is meaningful.
+The oracles deliberately share no code with the engine's scoring fast
+paths: they recompute everything from first principles over the whole
+corpus, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import random
+
 from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
 from repro.geo.point import GeoPoint
+from repro.index.inverted import AdInvertedIndex
 from repro.util.sparse import SparseVector, dot
+from tests.conftest import make_ads
+
+
+def scores_of(entries) -> list[float]:
+    return [round(entry.score, 9) for entry in entries]
+
+
+def random_setup(seed: int, num_ads: int = 60):
+    rng = random.Random(seed)
+    ads = make_ads(num_ads, seed=seed, terms_per_ad=rng.randint(2, 6))
+    corpus = AdCorpus(ads)
+    index = AdInvertedIndex.from_corpus(corpus)
+    return rng, corpus, index
+
+
+def random_query(rng: random.Random) -> dict[str, float]:
+    terms = [f"t{i}" for i in range(12)]
+    chosen = rng.sample(terms, rng.randint(1, 6))
+    return {term: rng.uniform(0.05, 1.0) for term in chosen}
 
 
 def oracle_slate_scores(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.index.factory import SEARCHER_KINDS
 
 FAST = ["--users", "30", "--ads", "80", "--posts", "30", "--vocab", "1200", "--topics", "8"]
 
@@ -37,6 +38,16 @@ class TestParser:
     def test_replay_searcher_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--searcher", "hnsw"])
+
+    @pytest.mark.parametrize("command", ["replay", "canary"])
+    def test_a_deleted_searcher_is_rejected_naming_the_kinds_left(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--searcher", "maxscore"])
+        err = capsys.readouterr().err
+        assert "'maxscore'" in err
+        assert all(repr(kind) in err for kind in SEARCHER_KINDS)
 
 
 class TestGenerateAndStats:
@@ -84,7 +95,7 @@ class TestReplay:
         assert code == 0
         assert "Replay summary" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("searcher", ["ta", "wand", "maxscore", "vector"])
+    @pytest.mark.parametrize("searcher", SEARCHER_KINDS)
     def test_replay_searcher_flag(self, searcher, capsys):
         code = main(
             [

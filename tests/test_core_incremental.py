@@ -44,7 +44,9 @@ def build_maintainer(seed: int = 0, num_ads: int = 120, **config_kwargs):
         services=services,
         personalizer=personalizer,
     )
-    generator = SharedCandidateGenerator(index, config.shadow_size)
+    generator = SharedCandidateGenerator(
+        index, config.shadow_size, searcher=config.searcher
+    )
     return rng, space, corpus, config, scoring, maintainer, generator
 
 
@@ -127,6 +129,57 @@ class TestExactness:
         vec2 = message(space, rng)
         maintainer.on_arrival(1, 20.0, vec2, generator.generate(vec2), {}, 1, None)
         assert maintainer.stats.refreshes == before + 1
+
+
+class TestVectorRefreshIsTheKernel:
+    def test_no_boosted_searcher_and_the_reference_slates(self, monkeypatch):
+        """A refresh on the vector searcher is ``exact_slate`` — the
+        kernel — plus the shadow's content probe: no searcher is handed a
+        static or a filter callable, and every standing slate is the
+        ``ta`` maintainer's to the mirror's storage precision."""
+        import repro.core.incremental as incremental_module
+        import repro.core.rerank as rerank_module
+        from repro.index.factory import make_searcher
+
+        built = []
+
+        def spying(kind, index, **kwargs):
+            built.append((kind, kwargs))
+            return make_searcher(kind, index, **kwargs)
+
+        for module in (incremental_module, rerank_module):
+            monkeypatch.setattr(module, "make_searcher", spying)
+        rng, space, *_, maintainer, generator = build_maintainer(
+            seed=5, searcher="vector"
+        )
+        *_, reference, reference_generator = build_maintainer(seed=5)
+        profile_vec: dict[str, float] = {}
+        profile_epoch = 0
+        t = 0.0
+        for msg_id in range(40):
+            t += rng.uniform(1.0, 300.0)
+            vec = message(space, rng)
+            if rng.random() < 0.3:  # the user posts: the next arrival refreshes
+                profile_vec = message(space, rng)
+                profile_epoch += 1
+            got = maintainer.on_arrival(
+                msg_id, t, vec, generator.generate(vec),
+                profile_vec, profile_epoch, None,
+            )
+            want = reference.on_arrival(
+                msg_id, t, vec, reference_generator.generate(vec),
+                profile_vec, profile_epoch, None,
+            )
+            assert [scored.ad_id for scored in got] == [
+                scored.ad_id for scored in want
+            ]
+            for mine, ref in zip(got, want):
+                assert mine.score == pytest.approx(ref.score, abs=1e-6)
+                assert mine.content == pytest.approx(ref.content, abs=1e-6)
+                assert mine.static == pytest.approx(ref.static, abs=1e-6)
+        assert maintainer.stats.refreshes == reference.stats.refreshes > 5
+        on_vector = [kwargs for kind, kwargs in built if kind == "vector"]
+        assert on_vector and not any(on_vector)
 
 
 class TestRetirementHandling:

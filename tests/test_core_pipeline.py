@@ -14,6 +14,7 @@ from repro.core.engine import AdEngine
 from repro.core.pipeline import (
     ExactPersonalizeStage,
     IncrementalPersonalizeStage,
+    KernelPersonalizeStage,
     NoChargeStage,
     NoProbeStage,
     SharedPersonalizeStage,
@@ -89,6 +90,15 @@ class TestStageSelection:
         engine = self._engine(tiny_workload, mode=EngineMode.EXACT)
         assert isinstance(engine.pipeline.candidate_stage, NoProbeStage)
         assert isinstance(engine.pipeline.personalize_stage, ExactPersonalizeStage)
+
+    @pytest.mark.parametrize("mode", [EngineMode.SHARED, EngineMode.EXACT])
+    def test_vector_shared_and_exact_are_one_kernel_stage(self, tiny_workload, mode):
+        engine = self._engine(tiny_workload, mode=mode, searcher="vector")
+        assert isinstance(engine.pipeline.personalize_stage, KernelPersonalizeStage)
+        assert isinstance(
+            engine.pipeline.candidate_stage,
+            NoProbeStage if mode is EngineMode.EXACT else SharedProbeStage,
+        )
 
     def test_charging_off_selects_null_stage(self, tiny_workload):
         engine = self._engine(tiny_workload, charge_impressions=False)
@@ -371,6 +381,53 @@ class TestChargedFanoutInOneCall:
         assert (outcomes, ledger) == served["alone"][:2]
         assert engine.budget.pacing_multiplier(ad_id, timestamp) < 1.0
         assert served["unpatched"][0] != outcomes
+
+
+class TestExactOnVectorIsSharedWithAFlag:
+    """On the vector searcher EXACT serves a fan-out the way SHARED does
+    — one kernel call per event, the real user ids — minus the shared
+    probe and plus the ``exact`` stamp."""
+
+    def test_same_slates_and_books_from_one_kernel_call_per_event(
+        self, tiny_workload, monkeypatch
+    ):
+        from repro.core.rerank import Personalizer
+
+        exact = charged_engine(tiny_workload, mode=EngineMode.EXACT)
+        shared = charged_engine(tiny_workload)
+        calls, fan_outs = [], []
+        slate_batch = Personalizer.slate_batch
+
+        def counting(personalizer, candidates, message_vec, followers, *args, **kwargs):
+            if personalizer is exact.personalizer:
+                calls.append((candidates, [follower[0] for follower in followers]))
+            return slate_batch(
+                personalizer, candidates, message_vec, followers, *args, **kwargs
+            )
+
+        monkeypatch.setattr(Personalizer, "slate_batch", counting)
+        donors = list(tiny_workload.build_corpus().active_ads())
+        for position, post in enumerate(tiny_workload.posts):
+            if position % 8 == 0:
+                donor = donors[position // 8]
+                for engine in (exact, shared):
+                    engine.launch_campaign(
+                        replace(donor, ad_id=60_000 + position, bid=donor.bid * 1.2),
+                        post.timestamp,
+                    )
+                    engine.end_campaign(donors[-1 - position // 8].ad_id, post.timestamp)
+            served = fan_out(exact, post, one_call=True)
+            assert [replace(outcome, exact=False) for outcome in served] == fan_out(
+                shared, post, one_call=True
+            )
+            assert all(outcome.exact for outcome in served)
+            if served:
+                fan_outs.append((None, [outcome.user_id for outcome in served]))
+        assert books(exact) == books(shared)
+        assert exact.stats.revenue > 0.0
+        assert exact.stats.exact_deliveries == exact.stats.deliveries > len(fan_outs)
+        assert exact.stats.shared_probes == 0 == shared.stats.exact_deliveries
+        assert calls == fan_outs
 
 
 class TestUnchargedFanoutPaysNoPatching:

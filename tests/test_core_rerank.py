@@ -485,14 +485,19 @@ class TestKernelSelfConsistency:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_the_cut_is_the_exact_probe(self, beta):
-        """Ids and order of :meth:`Personalizer.exact_slate`, whose row
-        set is the message's matches alone when β = 0 or the follower has
-        no profile; and ``static`` is the score minus its content part."""
+        """Ids and order of the ``ta`` stack's
+        :meth:`Personalizer.exact_slate` — one combined-query TA probe —
+        and its scores to the mirror's storage precision; the row set is
+        the message's matches alone when β = 0 or the follower has no
+        profile; and ``static`` is the score minus its content part. On
+        the vector stack ``exact_slate`` is this very cut, with no shared
+        probe and a follower nobody caches."""
         from repro.core.config import ScoringWeights
 
         weights = ScoringWeights(beta=beta)
         stack = build_stack(seed=7, searcher="vector", weights=weights)
         rng, space, _, _, config, _, personalizer, generator = stack
+        *_, reference, _ = build_stack(seed=7, weights=weights)
         followers = mixed_followers(space, rng)
         profile_only = 0
         for _ in range(6):
@@ -501,12 +506,18 @@ class TestKernelSelfConsistency:
                 generator.generate(message), message, followers, 500.0, config.k
             )
             for (_, profile, _, location), result in zip(followers, results):
-                exact = personalizer.exact_slate(
+                exact = reference.exact_slate(
                     message, profile, location, 500.0, config.k
                 )
                 assert [scored.ad_id for scored in result.slate] == [
                     scored.ad_id for scored in exact
                 ]
+                assert [scored.score for scored in result.slate] == pytest.approx(
+                    [scored.score for scored in exact], abs=1e-6
+                )
+                assert result.slate == personalizer.exact_slate(
+                    message, profile, location, 500.0, config.k
+                )
                 for scored in result.slate:
                     assert scored.score == pytest.approx(
                         weights.alpha * scored.content + scored.static, abs=1e-12
@@ -514,6 +525,28 @@ class TestKernelSelfConsistency:
                     profile_only += scored.content == 0.0
                     assert scored.content > 0.0 or (beta > 0.0 and profile)
         assert (profile_only > 0) == (beta > 0.0)
+
+    def test_slate_for_message_caches_no_anonymous_follower(self, tiny_workload):
+        """The one-off query is the kernel on a follower without an id:
+        it serves what the reference does and leaves every user's cached
+        profile gather as it found it."""
+        engine = engine_for(tiny_workload, searcher="vector")
+        reference = engine_for(tiny_workload)
+        posts = tiny_workload.posts
+        for post in posts[:40]:
+            for each in (engine, reference):
+                each.post(post.author_id, post.text, post.timestamp)
+        cache = engine.personalizer._profile_gather_cache
+        before = {user_id: id(entry) for user_id, entry in cache.items()}
+        assert before  # users with a profile to gather
+        for user_id in before:
+            query = (user_id, posts[40].text, posts[40].timestamp)
+            slate = engine.slate_for_message(*query)
+            assert slate
+            assert [scored.ad_id for scored in slate] == [
+                scored.ad_id for scored in reference.slate_for_message(*query)
+            ]
+        assert {user_id: id(entry) for user_id, entry in cache.items()} == before
 
     def test_no_certificate_setting_changes_what_is_served(self, tiny_workload):
         """``exact_fallback=False``, one-deep profile and static sources,

@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError, IndexError_
-from repro.index.brute import exact_topk
 from repro.index.compact import CompactIndex, IdInterner
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
 from tests.conftest import make_ads
-from tests.test_index_wand import random_query, random_setup
+from tests.helpers import random_query, random_setup
 
 
 def assert_entry_parity(got, oracle, tol=1e-6):
@@ -150,24 +149,6 @@ class TestSync:
         assert compact.row_of(extra.ad_id) == compact.num_rows - 1
         compact.check_consistent()
 
-    def test_max_weight_stale_high_until_rebuild(self):
-        ads, index, compact = build_pair()
-        term, weight = max(
-            ((term, weight) for ad in ads for term, weight in ad.terms.items()),
-            key=lambda pair: pair[1],
-        )
-        heavy = [ad for ad in ads if ad.terms.get(term) == weight][0]
-        index.remove_ad_id(heavy.ad_id)
-        # Admissible (never stale-low): still an upper bound on live weights.
-        live_max = max(
-            (ad.terms[term] for ad in ads
-             if ad.ad_id != heavy.ad_id and term in ad.terms),
-            default=0.0,
-        )
-        assert compact.max_weight(term) >= live_max
-        compact._rebuild()
-        assert compact.max_weight(term) == pytest.approx(live_max)
-
 
 class TestRebuildPolicy:
     def test_threshold_triggers_compaction(self):
@@ -272,14 +253,6 @@ class TestKernels:
         assert np.array_equal(first[0], second[0])
         assert np.allclose(first[1], second[1])
 
-    def test_term_impact_ordering(self):
-        _, _, compact = build_pair(seed=2)
-        rows, weights = compact.term_impact("t0")
-        assert rows.shape == weights.shape
-        if weights.shape[0] > 1:
-            pairs = list(zip((-weights).tolist(), rows.tolist()))
-            assert pairs == sorted(pairs)
-
 
 class TestVectorSearcherParity:
     @pytest.mark.parametrize("seed", range(6))
@@ -290,31 +263,6 @@ class TestVectorSearcherParity:
         vector = VectorSearcher(index).search(query, k)
         oracle = ThresholdSearcher(index).search(query, k)
         assert_entry_parity(vector, oracle)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_static_and_filter_match_brute(self, seed):
-        rng, corpus, index = random_setup(seed)
-        query = random_query(rng)
-        statics = {
-            ad.ad_id: rng.uniform(0.0, 0.5) for ad in corpus.active_ads()
-        }
-        allowed = {
-            ad.ad_id for ad in corpus.active_ads() if rng.random() < 0.7
-        }
-        searcher = VectorSearcher(
-            index,
-            static_score=statics.__getitem__,
-            max_static=0.5,
-            filter_fn=allowed.__contains__,
-        )
-        got = searcher.search(query, 10)
-        brute = exact_topk(
-            (ad for ad in corpus.active_ads() if ad.ad_id in allowed),
-            query,
-            10,
-            static_score=statics.__getitem__,
-        )
-        assert_entry_parity(got, brute)
 
     def test_parity_survives_churn(self):
         ads, index, compact = build_pair(

@@ -37,7 +37,6 @@ class TestBuild:
 
     def test_unknown_term(self, index):
         assert index.postings("nonexistent") is None
-        assert index.max_weight("nonexistent") == 0.0
 
 
 class TestMutation:
@@ -85,16 +84,3 @@ class TestSubscription:
         index = AdInvertedIndex.from_corpus(corpus, subscribe=False)
         corpus.retire(5)
         assert 5 in index
-
-
-class TestUpperBound:
-    def test_content_upper_bound_dominates_actual(self, corpus, index):
-        query = dict(corpus.get(0).terms)
-        bound = index.content_upper_bound(query)
-        from repro.util.sparse import dot
-
-        for ad in corpus.active_ads():
-            assert dot(query, ad.terms) <= bound + 1e-9
-
-    def test_zero_weight_terms_ignored(self, index):
-        assert index.content_upper_bound({"t0": 0.0}) == 0.0

@@ -46,41 +46,6 @@ class TestMutation:
             postings.weight_of(42)
 
 
-class TestMaxWeight:
-    def test_tracks_max(self, postings):
-        assert postings.max_weight == 0.9
-
-    def test_recomputed_after_removing_max(self, postings):
-        postings.remove(1)
-        assert postings.max_weight == 0.9  # 3 also has 0.9
-        postings.remove(3)
-        assert postings.max_weight == 0.5
-
-    def test_empty_list_max_is_zero(self):
-        pl = PostingList()
-        assert pl.max_weight == 0.0
-        pl.add(1, 0.4)
-        pl.remove(1)
-        assert pl.max_weight == 0.0
-
-
-class TestSeek:
-    def test_seek_to_existing(self, postings):
-        position = postings.seek(0, 5)
-        assert postings.id_at(position) == 5
-
-    def test_seek_between_ids(self, postings):
-        position = postings.seek(0, 4)
-        assert postings.id_at(position) == 5
-
-    def test_seek_past_end(self, postings):
-        assert postings.seek(0, 100) == len(postings)
-
-    def test_seek_respects_start(self, postings):
-        position = postings.seek(2, 1)
-        assert position == 2  # never moves backward
-
-
 class TestImpactOrder:
     def test_sorted_by_weight_desc_then_id(self, postings):
         impact = postings.impact_ordered()

@@ -1,20 +1,67 @@
-"""Threshold-algorithm (TA) correctness: must agree with WAND and brute."""
+"""Threshold-algorithm (TA) correctness against brute force, and the
+searcher contract both kinds (``ta``, ``vector``) are held to."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError
 from repro.index.brute import exact_topk
+from repro.index.factory import SEARCHER_KINDS, make_searcher
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from tests.conftest import make_ads
-from tests.test_index_wand import random_query, random_setup, scores_of
+from tests.helpers import random_query, random_setup, scores_of
+
+
+@pytest.mark.parametrize("kind", SEARCHER_KINDS)
+class TestSearcherContract:
+    """What every searcher kind promises, whatever its traversal."""
+
+    def test_unindexed_terms_only(self, kind):
+        _, _, index = random_setup(0)
+        assert make_searcher(kind, index).search({"zzz": 1.0}, 5) == []
+
+    def test_zero_weights_skipped(self, kind):
+        _, _, index = random_setup(1)
+        searcher = make_searcher(kind, index)
+        with_zero = searcher.search({"t0": 1.0, "t1": 0.0}, 5)
+        without = searcher.search({"t0": 1.0}, 5)
+        assert scores_of(with_zero) == scores_of(without)
+
+    def test_results_sorted_desc(self, kind):
+        rng, _, index = random_setup(2)
+        results = make_searcher(kind, index).search(random_query(rng), 10)
+        scores = [entry.score for entry in results]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_k_larger_than_matches(self, kind):
+        _, corpus, index = random_setup(3)
+        query = {"t0": 1.0}
+        got = make_searcher(kind, index).search(query, 1000)
+        brute = exact_topk(corpus.active_ads(), query, 1000)
+        # To the vector mirror's float32 storage precision.
+        assert [entry.score for entry in got] == pytest.approx(
+            [entry.score for entry in brute], abs=1e-6
+        )
+
+    def test_a_tie_at_the_kth_score_goes_to_the_smaller_id(self, kind):
+        """Ad 1 ties ad 4 for the last place and sits deepest in its
+        posting list: the walk may not stop on a bound that only *equals*
+        the k-th score."""
+        shapes = {1: "t1 t2", 0: "t2 t0", 2: "t2", 3: "t2", 4: "t1 t0"}
+        ads = [
+            Ad(ad_id, f"brand{ad_id}", text,
+               {term: 1.0 for term in text.split()}, bid=1.0)
+            for ad_id, text in shapes.items()
+        ]
+        index = AdInvertedIndex.from_corpus(AdCorpus(ads))
+        got = make_searcher(kind, index).search({"t0": 0.25, "t2": 0.25}, 4)
+        assert [entry.item for entry in got] == [0, 2, 3, 1]
 
 
 class TestBasics:
