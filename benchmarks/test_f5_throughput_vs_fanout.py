@@ -3,7 +3,10 @@
 The reason sharing exists: a post's content probe is reused across its
 whole fan-out, so as fan-out grows the shared method's per-delivery cost
 falls while the per-delivery probe's cost stays flat. Expected shape: the
-shared/exact throughput ratio grows with fan-out.
+shared/exact throughput ratio grows with fan-out. ``car-vector`` is the
+same sharing on the numpy kernel: replayed uncharged, a fan-out's
+followers after the first are cut ahead as one block, so its
+deliveries/s must not fall as the fan-out grows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from helpers import engine_config_for, run_engine_config
 from repro.eval.report import ascii_table
 
 FANOUTS = [2, 8, 24]
-METHODS = ["car-approx", "per-delivery-probe"]
+METHODS = ["car-approx", "car-vector", "per-delivery-probe"]
 LIMIT = 80
 # Large enough that an index probe clearly costs more than a candidate
 # union scan — the regime where sharing is the point (cf. F3's crossover).
@@ -62,3 +65,7 @@ def test_f5_throughput_vs_fanout(benchmark, method, follows):
             for f in FANOUTS
         ]
         assert ratios[-1] > ratios[0]  # sharing pays more at higher fan-out
+        # ... and on the kernel a wider fan-out is never the slower one.
+        assert (
+            _series[("car-vector", FANOUTS[-1])] >= _series[("car-vector", FANOUTS[0])]
+        )

@@ -126,12 +126,16 @@ class PersonalizeStage(Protocol):
         candidates: CandidateSet | None,
         resolved: list[tuple[int, UserState, UserProfile, SparseVector]],
         served: Callable[[int, PersonalizedDelivery], None],
+        *,
+        cut: Callable[[int], None] | None = None,
     ) -> None:
         """One event's whole fan-out, in delivery order: each follower's
         delivery is handed to ``served(position, delivery)`` — where the
-        pipeline charges it and feeds it back — before the next
-        follower's slate is cut, so follower *i + 1* sees what follower
-        *i*'s delivery wrote."""
+        pipeline charges it and feeds it back — and no slate is cut
+        across a write, so follower *i + 1* sees what follower *i*'s
+        delivery wrote. A stage that cuts several followers' slates
+        before handing out the first says so through ``cut(how many)``,
+        for whoever times deliveries."""
 
 
 @runtime_checkable
@@ -217,7 +221,9 @@ class _PerFollowerStage:
     """A stage whose fan-out is its scalar ``personalize``, one follower
     at a time."""
 
-    def personalize_batch(self, event, candidates, resolved, served) -> None:
+    def personalize_batch(
+        self, event, candidates, resolved, served, *, cut=None
+    ) -> None:
         for position, (user_id, state, profile, profile_vec) in enumerate(resolved):
             served(
                 position,
@@ -251,7 +257,9 @@ class KernelPersonalizeStage:
         self._personalizer = personalizer
         self._exact = exact
 
-    def personalize_batch(self, event, candidates, resolved, served) -> None:
+    def personalize_batch(
+        self, event, candidates, resolved, served, *, cut=None
+    ) -> None:
         k, _ = _rung_knobs(self._services)
         exact = self._exact
         self._personalizer.slate_batch(
@@ -269,6 +277,7 @@ class KernelPersonalizeStage:
                     result.slate, result.certified, result.fell_back, exact
                 ),
             ),
+            cut=cut,
         )
 
     def personalize(
@@ -738,8 +747,19 @@ class DeliveryPipeline:
             # follower, where the stage call began: its personalize span
             # carries the kernel's per-event set-up).
             mark = loop_started = perf_counter()
-        resolve_share = 0.0
+        # Each follower's share of the work done for several of them at
+        # once: the look-ups up front, and the kernel's cut when it cuts
+        # a run of followers ahead.
+        resolve_share = share = 0.0
         outcomes: list[DeliveryOutcome] = []
+
+        def cut(size: int) -> None:
+            """The stage cut ``size`` slates since the last delivery: the
+            next ``size`` followers' spans carry an equal share each."""
+            nonlocal mark, share
+            now = perf_counter()
+            share = resolve_share + (now - mark) / size
+            mark = now
 
         def serve(position: int, delivered: PersonalizedDelivery) -> None:
             """One follower's delivery: count → charge → feedback."""
@@ -747,7 +767,7 @@ class DeliveryPipeline:
             slate, certified, fell_back, exact = delivered
             if observing:
                 span_started = perf_counter()
-                elapsed = span_started - mark + resolve_share
+                elapsed = span_started - mark + share
                 emit("personalize", elapsed)
                 if self._personalize_span is not None:
                     emit(self._personalize_span, elapsed)
@@ -769,9 +789,7 @@ class DeliveryPipeline:
                 span_started = now
             observe(slate)
             if observing:
-                now = perf_counter()
-                emit("feedback", now - span_started)
-                emit("delivery", now - mark + resolve_share)
+                emit("feedback", perf_counter() - span_started)
             if metering:
                 metrics.inc("deliveries")
                 metrics.inc("impressions", len(slate))
@@ -792,7 +810,11 @@ class DeliveryPipeline:
                 )
             )
             if observing:
-                mark = perf_counter()
+                # The whole pass, bookkeeping included: ``delivery`` spans
+                # tile the fan-out, each a little over its three stages.
+                now = perf_counter()
+                emit("delivery", now - mark + share)
+                mark = now
 
         if degraded_slate is not None:
             shared = PersonalizedDelivery(degraded_slate, False, False, False)
@@ -805,16 +827,18 @@ class DeliveryPipeline:
             for follower in followers:
                 state = users.state(follower)
                 resolved.append((follower, state, *profile_of(follower, state)))
+            hooks = {}
             if observing:
                 # The look-ups above are per-follower work done up front:
                 # each follower's spans carry an equal share, so no one
                 # ``delivery`` span (the SLO-graded stage) grows with the
-                # fan-out.
+                # fan-out. Likewise a cut the stage makes for many.
                 now = perf_counter()
-                resolve_share = (now - mark) / len(resolved)
+                resolve_share = share = (now - mark) / len(resolved)
                 mark = now
+                hooks["cut"] = cut
             self.personalize_stage.personalize_batch(
-                event, candidates, resolved, serve
+                event, candidates, resolved, serve, **hooks
             )
         if segment_only and outcomes:
             active.add_span(

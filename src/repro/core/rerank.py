@@ -32,6 +32,15 @@ nothing that ``exact_fallback`` or a QoS rung could switch (DESIGN.md
 "Personalize kernel" has the measurements behind that). It is the only
 exact cut on the mirror: :meth:`Personalizer.exact_slate` on the vector
 searcher is the kernel with no shared probe and one anonymous follower.
+It serves a fan-out in *runs*. While deliveries write (spend, CTR
+evidence) a run is one follower, scored over the full row space. While
+they do not — no callback, or the last delivery left
+:meth:`ScoringModel.bid_writes` where it was — every follower left is
+cut ahead as one (followers × message rows) block plus a flat tail of
+the profile rows outside the message (:meth:`Personalizer._cut_block`):
+the same arithmetic elementwise, so the same slates bit for bit, at
+some sixty numpy calls per block instead of some thirty-five per
+follower.
 """
 
 from __future__ import annotations
@@ -60,6 +69,32 @@ class PersonalizedSlate:
     slate: tuple[ScoredAd, ...]
     certified: bool
     fell_back: bool
+
+
+#: Followers × message rows of one block cut ahead. A block's fixed cost
+#: (≈ 120 µs of numpy calls) is shared by its followers and its arrays
+#: are transient, so this trades speed for peak memory: on
+#: ``fanout_batch`` (|M| ≈ 200, EXPERIMENTS.md "E2E-21") 2¹⁴ read +4.6 %
+#: deliveries/s over 2¹³ at +0.4 % peak RSS, 2¹⁵ +6.3 % at +2.7 %,
+#: 2¹⁷ +7.4 % at +11.6 % — the last step whose gain the run-to-run
+#: spread resolves for memory inside it.
+_BLOCK_CELLS = 1 << 14
+_NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
+
+def _stacked(
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-follower ``(rows, values)`` pairs as one flat ``(follower,
+    rows, values)`` triple, followers ascending."""
+    owner = np.repeat(
+        np.arange(len(parts)), [rows.shape[0] for rows, _ in parts]
+    )
+    return (
+        owner,
+        np.concatenate([rows for rows, _ in parts]),
+        np.concatenate([values for _, values in parts]),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +129,9 @@ class Personalizer:
             # Per-user raw profile gathers, keyed by (profile epoch,
             # corpus adds, generation).
             self._profile_gather_cache: dict[int, tuple] = {}
+            # Row -> column of the block being built; -1 everywhere
+            # outside ``_cut_block``.
+            self._column = np.full(0, -1, dtype=np.int64)
 
     # -- candidate sources (the ``ta`` reference and INCREMENTAL) -------------
 
@@ -278,7 +316,7 @@ class Personalizer:
             return (), kept
         ad_ids = self._compact.ad_ids
         static_kept, score_kept = self._scoring.fanout_scores(
-            content, affinity, proximity, bid, kept
+            content[kept], affinity[kept], proximity[kept], bid[kept]
         )
         chosen = topk_order(score_kept, ad_ids[kept], k)
         rows = kept[chosen]
@@ -304,30 +342,48 @@ class Personalizer:
         k: int,
         *,
         served: Callable[[int, PersonalizedSlate], None] | None = None,
+        cut: Callable[[int], None] | None = None,
     ) -> list[PersonalizedSlate]:
         """The exact top-``k`` for every follower of one event, in order
         — the one entry point of a fan-out.
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
         location)`` per follower; a ``user_id`` of None is an anonymous
-        follower whose profile gather is not cached. Each result is
-        handed to ``served(position, result)`` before the next follower's
-        slate is cut: the pipeline charges and feeds back inside it, and
-        the next follower sees what that wrote. Vector mode only — the
-        numpy kernel: the probe's message gather (``candidates.block``;
+        follower whose profile gather is not cached. Vector mode only —
+        the numpy kernel: the probe's message gather (``candidates.block``;
         gathered here when there was no shared probe — ``candidates`` is
         None — or its block is stale) plus one cached profile gather per
         follower cover every row any slate can contain, so the rows an
         exact combined-query probe would walk — message ∪ profile matches
-        under the targeting mask — are scored over the full row space and
-        cut once. Every slate is the true top-``k`` by construction and
-        is reported ``certified``, never ``fell_back``. The row vectors
-        shared by the fan-out (content, δ·bid, time mask, message
-        membership) are built once per event; a delivery can only write
-        to the rows of its own slate (spend, CTR evidence, retirement on
-        exhaustion), so when ``served`` wrote anything exactly those rows
-        are re-read before the next cut — the values a rebuild would
-        give, elementwise.
+        under the targeting mask — are scored and cut once. Every slate
+        is the true top-``k`` by construction and is reported
+        ``certified``, never ``fell_back``.
+
+        Each result is handed to ``served(position, result)``, in order:
+        the pipeline charges and feeds back inside it. No slate is cut
+        across a write. The fan-out is served in *runs*: a run of one
+        scores a follower over the full row space; when there is no
+        callback, or the previous delivery wrote nothing
+        (:meth:`ScoringModel.bid_writes` did not move across ``served``),
+        every follower left — up to ``_BLOCK_CELLS`` followers × message
+        rows — is cut ahead by one :meth:`_cut_block` and handed out in
+        order. So with a callback the first follower of an event always
+        goes alone (that is how the kernel learns whether deliveries
+        write), and a result is handed over before the next *run* is cut,
+        not before the next follower's slate is. If a delivery inside a
+        block does write, the slates cut ahead of it are dropped and the
+        loop goes on one follower at a time until a delivery is clean
+        again, so the next follower always sees what the last one wrote.
+        ``cut(size)`` is told each run's size before its first delivery
+        is handed out (the pipeline shares the cut's time over the run's
+        spans).
+
+        The row vectors shared by the fan-out (content, δ·bid, time mask,
+        message membership) are built once per event; a delivery can only
+        write to the rows of its own slate (spend, CTR evidence,
+        retirement on exhaustion), so when ``served`` wrote anything
+        exactly those rows are re-read before the next cut — the values a
+        rebuild would give, elementwise.
         """
         results: list[PersonalizedSlate] = []
         scoring = self._scoring
@@ -341,13 +397,14 @@ class Personalizer:
         profile_rows_join = scoring.weights.beta > 0.0
         cache = self._static_cache
 
-        # Everything below works in the full row space of the mirror —
-        # scatters and mask writes are direct row indexing, no unions or
-        # searchsorted. Per event the shared pieces (content, bid, time
-        # mask) are row vectors; per follower only 1-D boolean masks plus
-        # float math on the kept subset, so no (F × rows) matrices are
-        # ever materialised. Dead rows sit in no membership (gathers are
-        # alive-masked), so the cut cannot select them.
+        # The per-event pieces (content, bid, time mask, membership) are
+        # vectors over the full row space of the mirror — scatters and
+        # mask writes are direct row indexing, no unions — and so is a
+        # run of one: 1-D boolean masks plus float math on the kept
+        # subset. Only a block leaves it, for the message's rows, so no
+        # (F × rows) matrix is ever materialised. Dead rows sit in no
+        # membership (gathers are alive-masked), so no cut can select
+        # them.
         size = compact.num_rows
         block = candidates.block if candidates is not None else None
         if block is not None and block.key == (generation, size):
@@ -363,47 +420,202 @@ class Personalizer:
         message_member = np.zeros(size, dtype=bool)
         message_member[message_rows] = True
 
-        last = len(followers) - 1
-        for position, (user_id, profile_vec, profile_epoch, location) in enumerate(
-            followers
-        ):
-            # Alive-masked raw profile gather: every row with affinity > 0.
-            affinity = np.zeros(size, dtype=np.float64)
-            member = message_member
-            if profile_vec:
-                profile_rows, profile_dots = self._alive_only(
-                    *self._profile_gather(
-                        user_id, profile_vec, profile_epoch, generation
-                    )
+        position, count = 0, len(followers)
+        # Nothing was written since the last cut, as far as the kernel can
+        # tell: the followers left may be cut ahead, together.
+        clean = served is None
+        while position < count:
+            run = 1
+            if clean:
+                run = min(
+                    count - position,
+                    max(_BLOCK_CELLS // max(message_rows.shape[0], 1), 1),
                 )
-                affinity[profile_rows] = profile_dots
-                if profile_rows_join:
-                    member = message_member.copy()
-                    member[profile_rows] = True
-            # The pair is this follower's own copy: mask it in place.
-            targeted, proximity = cache.targeting_full(location)
-            targeted &= time_keep
-            targeted &= member
-            slate, slate_rows = self._cut(
-                content, affinity, proximity, bid, np.flatnonzero(targeted), k
-            )
-            results.append(
-                PersonalizedSlate(slate=slate, certified=True, fell_back=False)
-            )
-            if served is None:
-                continue
-            writes = scoring.bid_writes()
-            served(position, results[-1])
-            if position == last or scoring.bid_writes() == writes:
-                continue
-            # The delivery wrote: re-read its slate's rows, the only ones
-            # it can have moved (same arithmetic as the full build, so the
-            # vectors equal a rebuild's), and drop the rows it retired.
-            bid[slate_rows] = scoring.fanout_bid_block(
-                cache, timestamp, slate_rows
-            )
-            message_member[slate_rows[~compact.alive[slate_rows]]] = False
+            if run > 1:
+                cuts = self._cut_block(
+                    followers[position : position + run],
+                    message_rows[message_member[message_rows]],
+                    content,
+                    bid,
+                    time_keep,
+                    k,
+                )
+            else:
+                user_id, profile_vec, profile_epoch, location = followers[position]
+                # Alive-masked raw profile gather: every row with affinity > 0.
+                affinity = np.zeros(size, dtype=np.float64)
+                member = message_member
+                if profile_vec:
+                    profile_rows, profile_dots = self._alive_only(
+                        *self._profile_gather(
+                            user_id, profile_vec, profile_epoch, generation
+                        )
+                    )
+                    affinity[profile_rows] = profile_dots
+                    if profile_rows_join:
+                        member = message_member.copy()
+                        member[profile_rows] = True
+                # The pair is this follower's own copy: mask it in place.
+                targeted, proximity = cache.targeting_full(location)
+                targeted &= time_keep
+                targeted &= member
+                cuts = [
+                    self._cut(
+                        content, affinity, proximity, bid, np.flatnonzero(targeted), k
+                    )
+                ]
+            if cut is not None:
+                cut(len(cuts))
+            for slate, slate_rows in cuts:
+                results.append(
+                    PersonalizedSlate(slate=slate, certified=True, fell_back=False)
+                )
+                position += 1
+                if served is None:
+                    continue
+                writes = scoring.bid_writes()
+                served(position - 1, results[-1])
+                clean = scoring.bid_writes() == writes
+                if clean:
+                    continue
+                # The delivery wrote, so what was cut ahead of it is stale
+                # and dropped. Re-read its slate's rows, the only ones it
+                # can have moved (same arithmetic as the full build, so the
+                # vectors equal a rebuild's), and drop the rows it retired.
+                if position < count:
+                    bid[slate_rows] = scoring.fanout_bid_block(
+                        cache, timestamp, slate_rows
+                    )
+                    message_member[slate_rows[~compact.alive[slate_rows]]] = False
+                break
         return results
+
+    def _cut_block(
+        self,
+        followers: list[tuple[int | None, SparseVector, int, GeoPoint | None]],
+        message_rows: np.ndarray,
+        content: np.ndarray,
+        bid: np.ndarray,
+        time_keep: np.ndarray,
+        k: int,
+    ) -> list[tuple[tuple[ScoredAd, ...], np.ndarray]]:
+        """``(slate, its rows)`` for each of ``followers``, cut together:
+        what the run of one serves each of them while nothing is written
+        in between — the same elementwise arithmetic on a (followers ×
+        message rows) block plus a flat tail of the profile rows outside
+        the message, and one top-``k`` under the shared tie rule."""
+        scoring = self._scoring
+        compact = self._compact
+        cache = self._static_cache
+        generation = compact.generation
+        num_rows = compact.num_rows
+        count, width = len(followers), message_rows.shape[0]
+        # The one pass in Python only looks up what the run of one reads.
+        profiles, hits = [], []
+        for user_id, profile_vec, profile_epoch, location in followers:
+            profiles.append(
+                self._profile_gather(user_id, profile_vec, profile_epoch, generation)
+                if profile_vec
+                else _NO_ROWS
+            )
+            hits.append(cache.geo_hits(location))
+        p_owner, p_rows, p_dots = _stacked(profiles)
+        # Cached gathers outlive retirements (see ``_alive_only``).
+        live = compact.alive[p_rows]
+        if not live.all():
+            p_owner, p_rows, p_dots = p_owner[live], p_rows[live], p_dots[live]
+        h_owner, h_rows, h_falloff = _stacked(hits)
+        # Row -> column of the block; back at -1 before anything else can
+        # run (a delivery's callback may re-enter the kernel).
+        if self._column.shape[0] < num_rows:
+            self._column = np.full(num_rows, -1, dtype=np.int64)
+        column = self._column
+        column[message_rows] = np.arange(width)
+        try:
+            p_column, h_column = column[p_rows], column[h_rows]
+        finally:
+            column[message_rows] = -1
+
+        p_in, h_in = p_column >= 0, h_column >= 0
+        affinity = np.zeros((count, width), dtype=np.float64)
+        affinity[p_owner[p_in], p_column[p_in]] = p_dots[p_in]
+        # The targeting of a user inside no circle, then each follower's
+        # own circles: a hit is kept if its time window is open.
+        base_keep, base_proximity = cache.geo_base()
+        open_now = time_keep[message_rows]
+        hit = (h_owner[h_in], h_column[h_in])
+        keep = (base_keep[message_rows] & open_now)[None, :].repeat(count, axis=0)
+        keep[hit] = open_now[hit[1]]
+        proximity = base_proximity[message_rows][None, :].repeat(count, axis=0)
+        proximity[hit] = h_falloff[h_in]
+        message_content = content[message_rows]
+        static, score = scoring.fanout_scores(
+            message_content, affinity, proximity, bid[message_rows]
+        )
+        # Each follower's k-th best message-row score bounds its overall
+        # k-th from below (-inf under k kept rows): only rows reaching it
+        # can make the slate.
+        floor = np.full(count, -np.inf)
+        if width > k:
+            masked = np.where(keep, score, -np.inf)
+            floor = np.partition(masked, width - k, axis=1)[:, width - k]
+            keep &= masked >= floor[:, None]
+        owner, col = np.nonzero(keep)
+        rows, content = message_rows[col], message_content[col]
+        static, score = static[owner, col], score[owner, col]
+
+        if scoring.weights.beta > 0.0 and not p_in.all():
+            # The tail: profile rows outside the message are scored too
+            # (content is exactly 0 there). Their targeting is read at
+            # those rows: the no-circle values, overwritten where the
+            # follower's own hits have the row (both key lists ascend).
+            p_out, h_out = ~p_in, ~h_in
+            t_owner, t_rows = p_owner[p_out], p_rows[p_out]
+            t_keep, t_proximity = base_keep[t_rows], base_proximity[t_rows]
+            hit_keys = h_owner[h_out] * num_rows + h_rows[h_out]
+            if hit_keys.shape[0]:
+                keys = t_owner * num_rows + t_rows
+                at_hit = np.searchsorted(hit_keys, keys)
+                at_hit[at_hit == hit_keys.shape[0]] = 0
+                found = hit_keys[at_hit] == keys
+                t_keep[found] = True
+                t_proximity[found] = h_falloff[h_out][at_hit[found]]
+            t_keep &= time_keep[t_rows]
+            t_static, t_score = scoring.fanout_scores(
+                0.0, p_dots[p_out], t_proximity, bid[t_rows]
+            )
+            t_keep &= t_score >= floor[t_owner]
+            owner = np.concatenate([owner, t_owner[t_keep]])
+            rows = np.concatenate([rows, t_rows[t_keep]])
+            content = np.concatenate(
+                [content, np.zeros(owner.shape[0] - col.shape[0])]
+            )
+            static = np.concatenate([static, t_static[t_keep]])
+            score = np.concatenate([score, t_score[t_keep]])
+
+        # One sort for the block; the first k of each follower's group.
+        ad_ids = compact.ad_ids[rows]
+        order = np.lexsort((ad_ids, -score, owner))
+        kept = np.bincount(owner, minlength=count)
+        rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(kept) - kept, kept)
+        top = order[rank < k]
+        rows = rows[top]
+        ad_ids, score = ad_ids[top].tolist(), score[top].tolist()
+        content, static = content[top].tolist(), static[top].tolist()
+        cuts = []
+        start = 0
+        for stop in np.cumsum(np.minimum(kept, k)).tolist():
+            own = slice(start, stop)
+            cuts.append(
+                (
+                    tuple(
+                        map(ScoredAd, ad_ids[own], score[own], content[own], static[own])
+                    ),
+                    rows[own],
+                )
+            )
+            start = stop
+        return cuts
 
     def exact_slate(
         self,

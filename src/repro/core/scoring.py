@@ -200,21 +200,14 @@ class StaticRowCache:
         )
         self._flat_dirty = False
 
-    def targeting_full(
+    def geo_hits(
         self, location: GeoPoint | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Geo predicate + proximity for one location over *every* row.
-
-        Returns ``(geo_keep, proximity)`` of length ``num_rows``, the
-        caller's own to write to, matching the scalar
-        ``TargetingSpec.matches`` / ``proximity``: a geo-targeted ad needs
-        the user inside at least one circle (an unknown location never
-        matches) and scores its best circle's linear falloff, an untargeted
-        one the neutral 1.0. Followers recur across events, so what
-        one haversine pass found for a location (:meth:`_geo_matches`)
-        is kept until the row space changes; the dense pair is two
-        copies of the shared base plus two scatters.
-        """
+        """What of the geo predicate depends on the location: ``(rows,
+        best falloff)`` of the geo-targeted rows with a circle around it,
+        rows ascending, read-only. Followers recur across events, so what
+        one haversine pass found (:meth:`_geo_matches`) is kept until the
+        row space changes."""
         key = None if location is None else (location.lat, location.lon)
         hits = self._geo_hits.get(key)
         if hits is None:
@@ -225,16 +218,38 @@ class StaticRowCache:
                 self._geo_hits_stored = 0
             self._geo_hits[key] = hits
             self._geo_hits_stored += stored
+        return hits
+
+    def geo_base(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rest of it, shared by every location and read-only: ``(not
+        geo-targeted, proximity with the geo-targeted rows at 0)`` — what
+        a user inside no circle sees."""
         base = self._geo_base
         if base is None:
             geo_mask = self._geo_targeted[: self._synced_rows]
             proximity = np.ones(self._synced_rows, dtype=np.float64)
             proximity[geo_mask] = 0.0
             base = self._geo_base = (~geo_mask, proximity)
-        matched_rows, falloff = hits
-        keep = base[0].copy()
+        return base
+
+    def targeting_full(
+        self, location: GeoPoint | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Geo predicate + proximity for one location over *every* row.
+
+        Returns ``(geo_keep, proximity)`` of length ``num_rows``, the
+        caller's own to write to, matching the scalar
+        ``TargetingSpec.matches`` / ``proximity``: a geo-targeted ad needs
+        the user inside at least one circle (an unknown location never
+        matches) and scores its best circle's linear falloff, an untargeted
+        one the neutral 1.0. The dense pair is two copies of
+        :meth:`geo_base` plus two scatters of :meth:`geo_hits`.
+        """
+        matched_rows, falloff = self.geo_hits(location)
+        base_keep, base_proximity = self.geo_base()
+        keep = base_keep.copy()
         keep[matched_rows] = True
-        proximity = base[1].copy()
+        proximity = base_proximity.copy()
         proximity[matched_rows] = falloff
         return keep, proximity
 
@@ -510,28 +525,24 @@ class ScoringModel:
 
     def fanout_scores(
         self,
-        content: np.ndarray,
+        content: np.ndarray | float,
         affinity: np.ndarray,
         proximity: np.ndarray,
         bid: np.ndarray,
-        kept: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Static + total score for one follower's kept rows.
+        """``(static, score)`` of the rows a cut scores — one follower's
+        kept rows, a (followers × message rows) block (``content`` and
+        ``bid`` broadcast along it) or a block's flat tail.
 
-        All four vectors span the full row space (``proximity`` from
-        :meth:`StaticRowCache.targeting_full`, ``bid`` from
-        :meth:`fanout_bid_block`); only ``kept`` rows are evaluated,
-        with the same arithmetic and operation order as :meth:`evaluate`,
-        so scores agree with the scalar path to float32 storage
-        precision. Returns ``(static, score)`` on the subset.
+        ``proximity`` is what :meth:`StaticRowCache.targeting_full`
+        gives at those rows, ``bid`` what :meth:`fanout_bid_block` does;
+        the arithmetic and its order are :meth:`evaluate`'s, elementwise,
+        so every shape gives a row the same doubles and scores agree with
+        the scalar path to float32 storage precision.
         """
         weights = self.weights
-        static = (
-            weights.beta * affinity[kept]
-            + weights.gamma * proximity[kept]
-            + bid[kept]
-        )
-        return static, weights.alpha * content[kept] + static
+        static = weights.beta * affinity + weights.gamma * proximity + bid
+        return static, weights.alpha * content + static
 
     # -- query construction --------------------------------------------------
 

@@ -475,7 +475,9 @@ class LinUcbRerankStage:
             ),
         )
 
-    def personalize_batch(self, event, candidates, resolved, served) -> None:
+    def personalize_batch(
+        self, event, candidates, resolved, served, *, cut=None
+    ) -> None:
         self._base.personalize_batch(
             event,
             candidates,
@@ -484,6 +486,7 @@ class LinUcbRerankStage:
                 position,
                 self._reranked(event, resolved[position][0], delivered),
             ),
+            cut=cut,
         )
 
     def _reranked(

@@ -8,12 +8,27 @@ import pytest
 
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
+from repro.core.rerank import Personalizer
 from repro.datagen.workload import WorkloadConfig, generate_workload
 
 
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(42)
+
+
+@pytest.fixture()
+def blocks(monkeypatch) -> list[int]:
+    """Spy on the vector kernel's block: the follower count of every run
+    any ``Personalizer`` of this process cuts ahead, in order."""
+    cut, cut_block = [], Personalizer._cut_block
+
+    def spying(personalizer, followers, *args):
+        cut.append(len(followers))
+        return cut_block(personalizer, followers, *args)
+
+    monkeypatch.setattr(Personalizer, "_cut_block", spying)
+    return cut
 
 
 def make_ads(count: int, *, seed: int = 0, terms_per_ad: int = 4) -> list[Ad]:

@@ -237,6 +237,20 @@ def books(engine):
     )
 
 
+def block_cuts(engine):
+    """Spy on the kernel's block: the follower count of every run it cut
+    ahead."""
+    personalizer = engine.personalizer
+    cut, cut_block = [], personalizer._cut_block
+
+    def spying(followers, *args):
+        cut.append(len(followers))
+        return cut_block(followers, *args)
+
+    personalizer._cut_block = spying
+    return cut
+
+
 def patch_reads(engine):
     """Spy on the bid kernel: the row blocks it was asked to re-read
     (``None`` entries are the once-per-event full builds)."""
@@ -263,10 +277,12 @@ class TestChargedFanoutInOneCall:
         together = charged_engine(tiny_workload, personalize=personalize)
         alone = charged_engine(tiny_workload, personalize=personalize)
         reads = patch_reads(together)
+        blocks = block_cuts(together)
         widest = 0
         for post in tiny_workload.posts:
             batch = fan_out(together, post, one_call=True)
             assert batch == fan_out(alone, post, one_call=False)
+            assert all(outcome.slate for outcome in batch)
             widest = max(widest, len(batch))
             for outcome in batch[:1]:
                 for engine in (together, alone):
@@ -279,6 +295,9 @@ class TestChargedFanoutInOneCall:
         assert sum(rows is None for rows in reads) < sum(
             rows is not None for rows in reads
         )
+        # Every delivery served something, hence wrote: nothing was ever
+        # cut ahead.
+        assert not blocks
 
     @staticmethod
     def scout(workload, wanted, **config_kwargs):
@@ -429,19 +448,62 @@ class TestExactOnVectorIsSharedWithAFlag:
         assert exact.stats.shared_probes == 0 == shared.stats.exact_deliveries
         assert calls == fan_outs
 
+    def test_uncharged_both_cut_the_same_blocks_ahead(self, tiny_workload):
+        engines, blocks = [], []
+        for mode in (EngineMode.EXACT, EngineMode.SHARED):
+            engine = AdEngine(
+                corpus=tiny_workload.build_corpus(),
+                graph=tiny_workload.graph,
+                vectorizer=tiny_workload.vectorizer,
+                tokenizer=tiny_workload.tokenizer,
+                config=EngineConfig(
+                    searcher="vector", mode=mode, charge_impressions=False
+                ),
+            )
+            for user in tiny_workload.users:
+                engine.register_user(user.user_id, user.home)
+            engines.append(engine)
+            blocks.append(block_cuts(engine))
+        exact, shared = engines
+        for post in tiny_workload.posts:
+            served = fan_out(exact, post, one_call=True)
+            assert [replace(outcome, exact=False) for outcome in served] == fan_out(
+                shared, post, one_call=True
+            )
+        assert blocks[0] == blocks[1] and sum(blocks[0]) > len(tiny_workload.posts)
+        assert exact.stats.exact_deliveries == exact.stats.deliveries
+
 
 class TestUnchargedFanoutPaysNoPatching:
     def test_zero_patch_reads(self, tiny_workload):
         config = EngineConfig(searcher="vector", charge_impressions=False)
         rec = ContextAwareRecommender.from_workload(tiny_workload, config)
         reads = patch_reads(rec.engine)
-        fanned_out = 0
-        for post in tiny_workload.posts[:30]:
-            fanned_out += bool(
-                rec.post(post.author_id, post.text, post.timestamp).num_deliveries
-            )
+        blocks = block_cuts(rec.engine)
+        cache = rec.engine.personalizer._static_cache
+        one_follower_cuts = []
+        targeting_full = cache.targeting_full
+
+        def counting(location):
+            one_follower_cuts.append(location)
+            return targeting_full(location)
+
+        cache.targeting_full = counting
+        fan_outs = [
+            rec.post(post.author_id, post.text, post.timestamp).num_deliveries
+            for post in tiny_workload.posts[:30]
+        ]
+        fanned_out = sum(map(bool, fan_outs))
         # One full build per event with followers, never a row re-read.
         assert reads == [None] * fanned_out and fanned_out > 0
+        # The first follower goes alone (the kernel learns that nothing is
+        # written); everyone after is cut ahead in one block, which reads
+        # no dense targeting pair — unless only one is left.
+        assert blocks == [size - 1 for size in fan_outs if size > 2]
+        assert len(blocks) > 3
+        assert len(one_follower_cuts) == sum(min(size, 2) for size in fan_outs) - len(
+            blocks
+        )
 
 
 class TestOneGatherPerPost:
@@ -579,3 +641,56 @@ class TestDeliverySpansStayPerDelivery:
         assert len(outcomes) >= 3
         assert spans.of["personalize"] == [1.0] * len(outcomes)
         assert spans.of["delivery"] == [1.0] * len(outcomes)
+
+    def test_a_cut_made_for_many_is_shared_out(self, tiny_workload, monkeypatch):
+        """Uncharged, the kernel cuts the followers after the first ahead
+        in one block. A clock that only the cuts move — a second per
+        follower cut, so a block of n takes n seconds before its first
+        delivery is handed out — must read one second on every span: the
+        first follower of a block does not carry the block."""
+        import repro.core.pipeline as pipeline_module
+        from repro.core.rerank import Personalizer
+
+        spans = {}
+
+        class Spans:
+            enabled = True
+
+            @staticmethod
+            def record(stage, seconds):
+                spans.setdefault(stage, []).append(seconds)
+
+        engine = AdEngine(
+            corpus=tiny_workload.build_corpus(),
+            graph=tiny_workload.graph,
+            vectorizer=tiny_workload.vectorizer,
+            tokenizer=tiny_workload.tokenizer,
+            config=EngineConfig(searcher="vector", charge_impressions=False),
+            tracer=Spans,
+        )
+        for user in tiny_workload.users:
+            engine.register_user(user.user_id, user.home)
+        clock = [0.0]
+        monkeypatch.setattr(pipeline_module, "perf_counter", lambda: clock[0])
+        blocks = []
+        cut_one, cut_block = Personalizer._cut, Personalizer._cut_block
+
+        def slow_cut(*args):
+            clock[0] += 1.0
+            return cut_one(*args)
+
+        def slow_cut_block(personalizer, followers, *args):
+            clock[0] += len(followers)
+            blocks.append(len(followers))
+            return cut_block(personalizer, followers, *args)
+
+        monkeypatch.setattr(Personalizer, "_cut", slow_cut)
+        monkeypatch.setattr(Personalizer, "_cut_block", slow_cut_block)
+        post = max(
+            tiny_workload.posts,
+            key=lambda post: len(tiny_workload.graph.followers(post.author_id)),
+        )
+        outcomes = fan_out(engine, post, one_call=True)
+        assert blocks == [len(outcomes) - 1] and blocks[0] >= 3
+        assert spans["personalize"] == [1.0] * len(outcomes)
+        assert spans["delivery"] == [1.0] * len(outcomes)

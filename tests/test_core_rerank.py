@@ -526,16 +526,21 @@ class TestKernelSelfConsistency:
                     assert scored.content > 0.0 or (beta > 0.0 and profile)
         assert (profile_only > 0) == (beta > 0.0)
 
-    def test_slate_for_message_caches_no_anonymous_follower(self, tiny_workload):
+    def test_slate_for_message_caches_no_anonymous_follower(
+        self, tiny_workload, monkeypatch
+    ):
         """The one-off query is the kernel on a follower without an id:
-        it serves what the reference does and leaves every user's cached
-        profile gather as it found it."""
+        it serves what the reference does, as a run of one, and leaves
+        every user's cached profile gather as it found it."""
         engine = engine_for(tiny_workload, searcher="vector")
         reference = engine_for(tiny_workload)
         posts = tiny_workload.posts
         for post in posts[:40]:
             for each in (engine, reference):
                 each.post(post.author_id, post.text, post.timestamp)
+        monkeypatch.setattr(
+            engine.personalizer, "_cut_block", lambda *args: pytest.fail("a block")
+        )
         cache = engine.personalizer._profile_gather_cache
         before = {user_id: id(entry) for user_id, entry in cache.items()}
         assert before  # users with a profile to gather
@@ -547,6 +552,25 @@ class TestKernelSelfConsistency:
                 scored.ad_id for scored in reference.slate_for_message(*query)
             ]
         assert {user_id: id(entry) for user_id, entry in cache.items()} == before
+
+    def test_incremental_on_vector_never_cuts_ahead(self, tiny_workload, monkeypatch):
+        """INCREMENTAL's refresh is ``exact_slate``: one anonymous
+        follower per call, so even uncharged it stays a run of one."""
+        from repro.core.config import EngineMode
+
+        engine = engine_for(
+            tiny_workload,
+            searcher="vector",
+            mode=EngineMode.INCREMENTAL,
+            charge_impressions=False,
+        )
+        monkeypatch.setattr(
+            engine.personalizer, "_cut_block", lambda *args: pytest.fail("a block")
+        )
+        for post in tiny_workload.posts[:40]:
+            engine.post(post.author_id, post.text, post.timestamp)
+        assert engine.stats.incremental_refreshes > 40
+        assert not engine.personalizer._profile_gather_cache
 
     def test_no_certificate_setting_changes_what_is_served(self, tiny_workload):
         """``exact_fallback=False``, one-deep profile and static sources,
@@ -591,7 +615,11 @@ class TestKernelSelfConsistency:
 
 class TestServedCallback:
     """``slate_batch`` hands every result to ``served``, in delivery
-    order, before it cuts the next."""
+    order, and cuts no slate across a write: with a callback it cuts
+    ahead only while deliveries write nothing — a write drops what was
+    cut ahead of it, the followers after it see what it wrote, and the
+    first clean delivery re-arms the block — whatever the callback does,
+    raising and re-entering included."""
 
     def test_results_are_handed_over_in_order(self):
         stack = build_stack(seed=4, searcher="vector")
@@ -612,3 +640,111 @@ class TestServedCallback:
             for follower in followers
         ]
         assert any(result.slate for result in results)
+
+    # -- runs: cutting ahead stops at a write -----------------------------------
+
+    K = 5
+    AT = 4  # the writing delivery: inside the block that starts at 1
+
+    @staticmethod
+    def stack(tiny_workload):
+        """A budgeted vector engine's kernel, a message, and twelve
+        profile-less followers at nobody's home: they share a slate, so
+        what one delivery exhausts the next would have been served."""
+        engine = engine_for(tiny_workload, searcher="vector", pacing_enabled=False)
+        message = engine.vectorize(tiny_workload.posts[0].text)
+        followers = [(1000 + position, {}, 0, None) for position in range(12)]
+        return engine, message, followers
+
+    def fan_out(self, engine, message, followers, served=None, **kwargs):
+        return engine.personalizer.slate_batch(
+            engine.candidate_gen.generate(message), message, followers, 500.0, self.K,
+            served=served, **kwargs,
+        )
+
+    def exhausting(self, engine, at):
+        """A callback that exhausts the budgeted ads of delivery ``at``'s
+        slate — retiring them — and writes nothing anywhere else."""
+        def served(position, result):
+            if position != at:
+                return
+            for scored in result.slate:
+                state = engine.budget.state(scored.ad_id)
+                if state is not None:
+                    engine.budget.restore_spend(scored.ad_id, state.budget - 1e-6)
+                    assert engine.budget.charge(scored.ad_id, 1.0)
+        return served
+
+    def test_followers_after_a_write_see_it(self, tiny_workload):
+        engine, message, followers = self.stack(tiny_workload)
+        untouched = self.fan_out(engine, message, followers)
+        assert len({result.slate for result in untouched}) == 1
+        assert any(
+            engine.budget.state(scored.ad_id) is not None
+            for scored in untouched[0].slate
+        )
+        together = self.fan_out(
+            engine, message, followers, self.exhausting(engine, self.AT)
+        )
+        alone, message, followers = self.stack(tiny_workload)
+        one_at_a_time = [
+            self.fan_out(
+                alone, message, [follower], self.exhausting(alone, self.AT - position)
+            )[0]
+            for position, follower in enumerate(followers)
+        ]
+        assert together == one_at_a_time
+        assert together[: self.AT + 1] == untouched[: self.AT + 1]
+        assert together[self.AT + 1] != untouched[self.AT + 1]
+        # Teeth: blind to the write, the kernel serves the rest of the
+        # block as it was cut — the exhausted ads again.
+        blind, message, followers = self.stack(tiny_workload)
+        blind.services.scoring.bid_writes = lambda: 0
+        assert self.fan_out(
+            blind, message, followers, self.exhausting(blind, self.AT)
+        ) == untouched
+
+    def test_a_clean_delivery_rearms_the_block(self, tiny_workload, blocks):
+        engine, message, followers = self.stack(tiny_workload)
+        reported = []
+        self.fan_out(
+            engine, message, followers, self.exhausting(engine, self.AT),
+            cut=reported.append,
+        )
+        # The first follower alone (do deliveries write?), everyone left
+        # cut ahead; the write at AT drops the rest of that block; the
+        # next follower goes alone, is clean, and the rest are cut ahead.
+        rest = len(followers) - self.AT - 2
+        assert blocks == [len(followers) - 1, rest]
+        assert reported == [1, len(followers) - 1, 1, rest]
+
+    def test_a_raising_callback_leaves_the_scratch_clean(self, tiny_workload):
+        engine, message, followers = self.stack(tiny_workload)
+        expected = self.fan_out(engine, message, followers)
+
+        def served(position, result):
+            if position == self.AT:
+                raise RuntimeError("downstream failed")
+
+        with pytest.raises(RuntimeError):
+            self.fan_out(engine, message, followers, served)
+        column = engine.personalizer._column
+        assert column.shape[0] == engine.personalizer._compact.num_rows
+        assert (column == -1).all()
+        assert self.fan_out(engine, message, followers) == expected
+
+    def test_a_callback_may_reenter_the_kernel(self, tiny_workload):
+        engine, message, followers = self.stack(tiny_workload)
+        expected = self.fan_out(engine, message, followers)
+        other = engine.vectorize(tiny_workload.posts[1].text)
+        inner = []
+
+        def served(position, result):
+            inner.append(
+                engine.personalizer.exact_slate(other, message, None, 500.0, self.K)
+            )
+            # A whole fan-out of its own, blocks included.
+            inner.append(self.fan_out(engine, other, followers[:3]))
+
+        assert self.fan_out(engine, message, followers, served) == expected
+        assert inner[0] and inner[2:] == inner[:2] * (len(followers) - 1)

@@ -17,6 +17,7 @@ from repro.ads.ad import Ad
 from repro.cluster import ProcessShardedEngine, ShardedEngine
 from repro.core.config import EngineConfig, EngineMode, ScoringWeights
 from repro.core.recommender import ContextAwareRecommender
+from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.errors import ConfigError
 from repro.index.factory import SEARCHER_KINDS, make_searcher
 
@@ -219,3 +220,74 @@ class TestVectorDifferentialOracle:
                 shards=2, **stream,
             )
             assert_vector_parity(got, reference, flags=False)
+
+
+@pytest.fixture(scope="module")
+def hub_workload():
+    """A few ordinary posts, then one by an author everyone follows: a
+    fan-out wide enough that the kernel cuts it ahead in more than one
+    block, on the single engine and on every shard of two."""
+    workload = generate_workload(
+        WorkloadConfig(
+            num_users=480,
+            num_ads=800,
+            num_posts=8,
+            num_topics=8,
+            vocab_size=1200,
+            follows_per_user=3,
+            seed=23,
+        )
+    )
+    hub = workload.posts[-1].author_id
+    for user in workload.users:
+        if user.user_id != hub:
+            workload.graph.follow(user.user_id, hub)
+    return workload
+
+
+class TestHubFanoutInSeveralBlocks:
+    """vector vs the TA oracle on a fan-out that exceeds the block's cell
+    budget: ids and order equal, scores to 1e-6, on every topology."""
+
+    def test_single_engine(self, hub_workload, blocks):
+        limit = len(hub_workload.posts)
+        reference = _single_engine_outcomes(
+            hub_workload, "ta", EngineMode.SHARED, limit=limit
+        )
+        assert not blocks
+        got = _single_engine_outcomes(
+            hub_workload, "vector", EngineMode.SHARED, limit=limit
+        )
+        assert_vector_parity(got, reference, flags=False)
+        # The last post is the hub's: everyone else follows, the first of
+        # them went alone, and one block could not hold the rest.
+        cut_ahead = len(hub_workload.users) - 2
+        hub_blocks = []
+        while sum(hub_blocks) < cut_ahead:
+            hub_blocks.append(blocks.pop())
+        assert sum(hub_blocks) == cut_ahead and len(hub_blocks) > 1
+
+    def test_sharded_topology(self, hub_workload, blocks):
+        limit = len(hub_workload.posts)
+        reference = _cluster_outcomes(
+            hub_workload, "ta", backend=ShardedEngine, shards=2, limit=limit
+        )
+        got = _cluster_outcomes(
+            hub_workload, "vector", backend=ShardedEngine, shards=2, limit=limit
+        )
+        assert_vector_parity(got, reference, flags=False)
+        # Each shard serves about half of the hub's followers, and no
+        # block held a shard's share: two blocks or more on each.
+        assert len([size for size in blocks if size > 100]) >= 2
+        assert max(blocks) < len(hub_workload.users) // 2 - 40
+
+    def test_procpool_topology(self, hub_workload):
+        limit = len(hub_workload.posts)
+        reference = _cluster_outcomes(
+            hub_workload, "ta", backend=ProcessShardedEngine, shards=2, limit=limit
+        )
+        got = _cluster_outcomes(
+            hub_workload, "vector", backend=ProcessShardedEngine, shards=2,
+            limit=limit,
+        )
+        assert_vector_parity(got, reference, flags=False)

@@ -11,20 +11,36 @@ must always satisfy the pipeline's contract:
 * ``post_batch`` is observationally identical to posting one at a time,
   and a fan-out handed to the personalize stage in one call is identical
   to the same followers delivered one ``deliver()`` at a time — charged,
-  CTR-fed or not, on the oracle and on the vector kernel.
+  CTR-fed or not, on the oracle and on the vector kernel;
+* the kernel's block — followers between which nothing is written, cut
+  together — serves every follower what its own cut serves, field for
+  field.
 """
 
 from __future__ import annotations
 
 import functools
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineConfig, EngineMode
+import repro.core.rerank as rerank_module
+from repro.ads.corpus import AdCorpus
+from repro.core.config import EngineConfig, EngineMode, ScoringWeights
 from repro.core.engine import AdEngine
+from repro.core.rerank import Personalizer
+from repro.core.scoring import ScoringModel
+from repro.core.services import EngineServices
+from repro.datagen.adgen import generate_ads
+from repro.datagen.topicspace import TopicSpace
 from repro.datagen.workload import WorkloadConfig, generate_workload
+from repro.geo.point import GeoPoint
+from repro.geo.regions import CITIES
+from repro.index.inverted import AdInvertedIndex
+from repro.util.sparse import l2_normalize
 
 MODES = st.sampled_from(list(EngineMode))
 SEEDS = st.integers(min_value=0, max_value=7)
@@ -219,3 +235,96 @@ def test_fanout_in_one_call_matches_one_deliver_at_a_time(
         assert together.ctr.observed_ads() == alone.ctr.observed_ads()
         for ad_id in together.ctr.observed_ads():
             assert together.ctr.impressions_of(ad_id) == alone.ctr.impressions_of(ad_id)
+
+
+def _unit(words) -> dict[str, float]:
+    return l2_normalize({word: 1.0 for word in set(words)}) if words else {}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    beta=st.sampled_from([0.0, 0.5]),
+    k=st.sampled_from([1, 3, 10, 60]),
+    message_words=st.sampled_from([0, 2, 12]),
+    retire=st.sampled_from([0, 12]),
+    cells=st.sampled_from([64, 1 << 14]),
+)
+def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
+    seed, beta, k, message_words, retire, cells
+):
+    """``slate_batch(followers)`` with nobody writing in between — the
+    block, a (followers × message rows) matrix plus a flat tail — against
+    the same followers cut one call each, ``==`` on every field of every
+    ``PersonalizedSlate``: ids, order, ``score``, ``content``, ``static``.
+    Drawn over geo-targeted and time-windowed ads, β on and off, ``k``
+    above and below the message's match count, an empty message,
+    followers with no profile / one disjoint from the message / one that
+    overlaps it, known and unknown locations, an anonymous follower, rows
+    retired under gathers cached before, and a cell budget small enough to
+    split the fan-out over several blocks."""
+    rng = random.Random(seed)
+    space = TopicSpace(4, 300)
+    ads, _ = generate_ads(
+        90, space, rng, geo_targeted_fraction=0.5, time_targeted_fraction=0.4
+    )
+    corpus = AdCorpus(ads)
+    index = AdInvertedIndex.from_corpus(corpus)
+    config = EngineConfig(searcher="vector", weights=ScoringWeights(beta=beta))
+    personalizer = Personalizer(
+        EngineServices(
+            config=config,
+            corpus=corpus,
+            index=index,
+            scoring=ScoringModel(corpus, config.weights),
+        )
+    )
+    topic = rng.randrange(space.num_topics)
+    message = _unit(space.sample_words(topic, message_words, rng))
+    followers = []
+    for user_id in range(14):
+        shape = user_id % 4
+        words = (
+            []
+            if shape == 0
+            else space.sample_words((topic + 1) % space.num_topics, 12, rng)
+            if shape == 1
+            else list(message)[:3] + space.sample_words(topic, 8, rng)
+        )
+        home = rng.choice(CITIES).center
+        location = (
+            None
+            if user_id % 5 == 0
+            else GeoPoint(
+                home.lat + rng.uniform(-0.05, 0.05), home.lon + rng.uniform(-0.05, 0.05)
+            )
+        )
+        followers.append((None if user_id == 7 else user_id, _unit(words), 0, location))
+    timestamp = rng.uniform(0.0, 86_400.0)
+
+    def served(fan_out):
+        return personalizer.slate_batch(None, message, fan_out, timestamp, k)
+
+    with mock.patch.object(rerank_module, "_BLOCK_CELLS", cells):
+        served(followers)  # every profile gather is cached from here on
+        for ad_id in rng.sample(sorted(corpus.active_ids()), retire):
+            corpus.retire(ad_id)
+        with mock.patch.object(
+            personalizer, "_cut_block", wraps=personalizer._cut_block
+        ) as blocks:
+            together = served(followers)
+        assert sum(len(call.args[0]) for call in blocks.call_args_list) == len(
+            followers
+        )
+        if cells == 64 and message_words == 12:
+            assert blocks.call_count > 1
+        with mock.patch.object(personalizer, "_cut_block") as blocks:
+            assert together == [served([follower])[0] for follower in followers]
+        assert not blocks.called
+    assert (personalizer._column == -1).all()
+    if message_words == 12 or beta:
+        assert any(result.slate for result in together)
