@@ -7,8 +7,9 @@ policy's on-policy stream), two candidate policies replayed over it:
 
 * ``static-ctr`` — content score + Beta-smoothed per-ad CTR, the engine's
   static stage shape; no feature weights, no exploration;
-* ``linucb`` — the hybrid LinUCB rerank policy (shared ridge model over
-  context features, per-arm smoothed CTR folded in as a feature).
+* ``linucb`` — the hybrid LinUCB the engine serves (``LinUcbLearner``:
+  shared ridge model over context features, per-arm smoothed CTR folded
+  in as a feature), each matched event folded as an epoch of its own.
 
 Both burn the same warm-up half of the stream (updates run, CTR not
 counted) so the grade compares converged behaviour, not cold-start
@@ -32,6 +33,7 @@ import pytest
 
 from conftest import save_table, workload_with
 from repro.eval.report import ascii_table
+from repro.learn.linucb import LinUcbLearner
 from repro.learn.replay import (
     LinUcbPolicy,
     ReplayResult,
@@ -79,7 +81,7 @@ def _workload():
 
 
 def _policies() -> list:
-    return [StaticCtrPolicy(), LinUcbPolicy(alpha=ALPHA)]
+    return [StaticCtrPolicy(), LinUcbPolicy(LinUcbLearner(alpha=ALPHA))]
 
 
 def _replay_pair(stream) -> dict[str, ReplayResult]:

@@ -93,6 +93,19 @@ class CtrEstimator:
         self._total_clicks += 1.0
         self.writes += 1
 
+    def record_block(
+        self, impression_slots: np.ndarray, click_slots: np.ndarray
+    ) -> None:
+        """Fold a block of impressions and clicks, one per slot named (a
+        slot may repeat). For an undiscounted estimator only: the
+        per-impression discount is not a block operation."""
+        assert self.discount == 1.0
+        np.add.at(self._impressions, impression_slots, 1.0)
+        np.add.at(self._clicks, click_slots, 1.0)
+        self._total_impressions += float(len(impression_slots))
+        self._total_clicks += float(len(click_slots))
+        self.writes += 1
+
     def restore(self, ad_id: int, impressions: float, clicks: float) -> None:
         """Set an ad's evidence directly (checkpoint restore); the
         corpus-wide totals move by the difference."""
@@ -139,15 +152,20 @@ class CtrEstimator:
         """
         return min(QUALITY_CAP, self.estimate(ad_id) / self.prior_ctr)
 
-    def quality_block(self, slots: np.ndarray) -> np.ndarray:
-        """:meth:`quality_multiplier` for a block of slots, loop-free
-        (same arithmetic per element, so values are bit-identical)."""
+    def estimate_block(self, slots) -> np.ndarray:
+        """:meth:`estimate` for a block of slots, loop-free (same
+        arithmetic per element, so values are bit-identical)."""
         alpha = self.prior_ctr * self.prior_strength
         beta = (1.0 - self.prior_ctr) * self.prior_strength
-        estimate = (alpha + self._clicks[slots]) / (
+        return (alpha + self._clicks[slots]) / (
             alpha + beta + self._impressions[slots]
         )
-        return np.minimum(QUALITY_CAP, estimate / self.prior_ctr)
+
+    def quality_block(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`quality_multiplier` for a block of slots, loop-free."""
+        return np.minimum(
+            QUALITY_CAP, self.estimate_block(slots) / self.prior_ctr
+        )
 
     def observed_ads(self) -> list[int]:
         """Ads with any recorded evidence, ascending."""

@@ -897,9 +897,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--personalize",
         choices=["static", "linucb"],
         default="static",
-        help="slate rerank strategy: 'linucb' layers a per-ad contextual "
-        "bandit over the mode's personalisation, learning online from "
-        "click feedback (default: the static paper scoring)",
+        help="slate rerank strategy: 'linucb' layers a hybrid contextual "
+        "bandit (one shared ridge model plus a smoothed per-ad CTR) over "
+        "the mode's personalisation, learning online from click feedback "
+        "(default: the static paper scoring)",
     )
     replay.add_argument(
         "--alpha-ucb",

@@ -106,18 +106,18 @@ class EngineConfig:
     ctr_prior: float = 0.05
     ctr_prior_strength: float = 20.0
     # Online-learning rerank ("static" | "linucb"). "linucb" wraps the
-    # mode's personalize stage with per-ad LinUCB models updated from
+    # mode's personalize stage with the hybrid LinUCB model updated from
     # record_click() and negative impressions (see repro.learn.linucb for
     # the sync-epoch consistency model).
     personalize: str = "static"
     # LinUCB exploration width (alpha = 0 disables the confidence bonus).
     alpha_ucb: float = 0.5
-    # Ridge regularisation of each arm's design matrix (A init = λI).
+    # Ridge regularisation of the shared design matrix (A init = λI).
     linucb_lambda: float = 1.0
     # Stream-time epoch length between model folds (and, in clusters, the
     # merged cross-shard syncs).
     linucb_sync_interval_s: float = 300.0
-    # Freeze the models: serve UCB scores but record no updates. With
+    # Freeze the model: serve UCB scores but record no updates. With
     # alpha_ucb = 0 this is the differential oracle's byte-identical
     # equivalent of the static stage.
     linucb_frozen: bool = False

@@ -4,19 +4,17 @@ The package adds a learning :class:`PersonalizeStage` variant on top of the
 static CTR pipeline (`Li, Chu, Langford & Schapire, WWW 2010
 <https://arxiv.org/abs/1003.0146>`_):
 
-* :mod:`repro.learn.linucb` — per-ad ridge models with Sherman–Morrison
-  incremental inverses, the epoch-synchronised update machinery that keeps
+* :mod:`repro.learn.linucb` — the hybrid model (one shared ridge over
+  context features plus a smoothed per-ad CTR, its inverse re-factorised
+  once per fold), the epoch-synchronised update machinery that keeps
   sharded deployments bit-identical, and the rerank stage wrapper.
-* :mod:`repro.learn.replay` — the unbiased off-policy replay estimator used
-  to grade the bandit against the static CTR model (benchmark T8).
+* :mod:`repro.learn.replay` — the unbiased off-policy replay estimator that
+  grades that same learner against the static CTR model (benchmark T8).
 """
 
 from repro.learn.linucb import (
-    FEATURE_DIM,
-    ArmModel,
     LinUcbLearner,
     LinUcbRerankStage,
-    features_for,
     merge_learn_states,
     partition_learn_state,
     sort_records,
@@ -31,8 +29,6 @@ from repro.learn.replay import (
 )
 
 __all__ = [
-    "FEATURE_DIM",
-    "ArmModel",
     "LinUcbLearner",
     "LinUcbRerankStage",
     "LinUcbPolicy",
@@ -40,7 +36,6 @@ __all__ = [
     "ReplayResult",
     "StaticCtrPolicy",
     "build_logged_stream",
-    "features_for",
     "merge_learn_states",
     "partition_learn_state",
     "replay_estimate",

@@ -1,20 +1,27 @@
-"""Per-ad LinUCB models and the learning rerank stage.
+"""The hybrid LinUCB model and the learning rerank stage.
 
-Each ad (arm) keeps a ridge-regression design matrix ``A = λI + Σ x·xᵀ``
-and reward vector ``b = Σ r·x`` over a small dense feature vector built
-from the delivery's already-computed context scores. The served score is
-the classic LinUCB upper confidence bound ``θ·x + α·√(xᵀ A⁻¹ x)`` with
-``θ = A⁻¹ b``; ``A⁻¹`` is maintained incrementally by Sherman–Morrison
-rank-1 updates (verified against ``np.linalg.inv`` by the property suite).
+One ridge regression is shared by every ad (Li et al.'s hybrid form):
+``A = λI + Σ x·xᵀ`` and ``b = Σ r·x`` over the feature row
+``x = (1, content, static, arm CTR)`` built from the delivery's
+already-computed context scores. *Arm CTR* — the only per-ad term — is the
+Beta-smoothed posterior mean of a :class:`~repro.ads.ctr.CtrEstimator` the
+learner owns, folded from the same epoch records as ``A`` and ``b``. (Not
+``services.ctr``: that one is per-shard serving state, so a feature read
+from it would differ between a single engine and a cluster.) The served
+score is the LinUCB upper confidence bound ``θ·x + α·√(xᵀ A⁻¹ x)`` with
+``θ = A⁻¹ b``; a slate's bounds are one ``(k × 4)`` product. ``A⁻¹`` is
+re-factorised from ``A`` once per fold — never updated in place — so it
+cannot drift, and a checkpoint holds ``A`` and ``b`` only.
 
 Consistency model — sync epochs
 -------------------------------
 
-Serving **always** reads an immutable model snapshot; online updates
-(negative impressions from served slates, positive rewards from
-``record_click``) accumulate as *pending records*. When the stream clock
-crosses an epoch boundary (``epoch = ⌊t / sync_interval_s⌋``), the pending
-records are folded into the snapshot **in canonical order** — sorted by
+Serving **always** reads an immutable snapshot (``A⁻¹``, ``θ`` and the arm
+counts as of the last fold); online updates (negative impressions from
+served slates, positive rewards from ``record_click``) accumulate as
+*pending records*. When the stream clock crosses an epoch boundary
+(``epoch = ⌊t / sync_interval_s⌋``), the pending records are folded into
+the snapshot **in canonical order** — sorted by
 ``(msg_id, user_id, slot, kind, ad_id)`` — so the posterior is invariant
 to the order updates arrived in within the epoch.
 
@@ -25,8 +32,7 @@ follower's home shard holds the serving context, so exactly one shard
 records the reward), and at each boundary the router concatenates all
 shards' pending records and has every shard fold the identical sorted
 list. The fold is a deterministic float program, so N workers end the
-epoch with bit-identical models — "sum of A/b deltas" with a fixed
-summation order.
+epoch with bit-identical models.
 
 QoS interaction: while the degradation ladder is on any rung
 (``qos.degrading``), the stage passes the static slate through untouched
@@ -36,13 +42,13 @@ degraded traffic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.ads.ctr import CtrEstimator
+from repro.core.scoring import ScoredAd
 from repro.errors import ConfigError
 from repro.obs.registry import NULL_METRICS
 
@@ -51,38 +57,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.services import EngineServices
 
 __all__ = [
-    "FEATURE_DIM",
     "KIND_CLICK",
     "KIND_IMPRESSION",
-    "POSITION_DECAY",
-    "ArmModel",
     "LinUcbLearner",
     "LinUcbRerankStage",
-    "features_for",
     "merge_learn_states",
     "partition_learn_state",
     "sort_records",
 ]
 
-#: Dense feature layout: (bias, content score, static score, position).
-#: ``content`` carries the topic/context match, ``static`` blends the
-#: profile-affinity, geo and bid components the scoring model already
-#: computed — so the bandit conditions on the same context signals
-#: (topic mixture, geo, recency, profile affinity) as the static stage.
-FEATURE_DIM = 4
-
 KIND_IMPRESSION = 0
 KIND_CLICK = 1
 
-#: Position feature at update time: ``POSITION_DECAY ** slot``. Matches the
-#: ClickSimulator's examination decay so the discount tracks the synthetic
-#: examination model; serving scores use slot 0 ("if placed on top").
-POSITION_DECAY = 0.7
-
 #: One pending update: ``(msg_id, user_id, slot, kind, ad_id, x)`` with
-#: ``x`` a tuple of floats. The first five fields are the canonical sort
-#: key (unique per record: one delivery per (msg, user), one click per
-#: served (user, ad) context).
+#: ``x`` the feature row served, a tuple of floats. The first five fields
+#: are the canonical sort key (unique per record: one delivery per
+#: (msg, user), one click per served (user, ad) context).
 Record = tuple
 
 
@@ -91,66 +81,8 @@ def sort_records(records: Iterable[Record]) -> list[Record]:
     return sorted(records, key=lambda rec: rec[:5])
 
 
-def features_for(content: float, static: float, slot: int = 0) -> tuple:
-    """The dense feature vector for one (delivery, ad, position) triple."""
-    return (1.0, float(content), float(static), POSITION_DECAY**slot)
-
-
-class ArmModel:
-    """One ad's ridge model: ``A = λI + Σ x xᵀ``, ``b = Σ r x``.
-
-    ``A_inv`` is maintained by Sherman–Morrison rank-1 updates — never
-    recomputed from ``A`` — so serialised state must round-trip all three
-    matrices to keep restored runs bit-identical to uninterrupted ones.
-    """
-
-    __slots__ = ("A", "b", "A_inv")
-
-    def __init__(self, dim: int = FEATURE_DIM, ridge_lambda: float = 1.0) -> None:
-        self.A = np.eye(dim) * ridge_lambda
-        self.A_inv = np.eye(dim) / ridge_lambda
-        self.b = np.zeros(dim)
-
-    def add_impression(self, x: np.ndarray) -> None:
-        """Rank-1 design update for one (served, not clicked-yet) exposure."""
-        self.A += np.outer(x, x)
-        # Sherman–Morrison: (A + x xᵀ)⁻¹ = A⁻¹ - (A⁻¹x)(A⁻¹x)ᵀ / (1 + xᵀA⁻¹x)
-        ax = self.A_inv @ x
-        self.A_inv -= np.outer(ax, ax) / (1.0 + float(x @ ax))
-
-    def add_click(self, x: np.ndarray) -> None:
-        """Reward update (r = 1) for a previously recorded exposure."""
-        self.b += x
-
-    def theta(self) -> np.ndarray:
-        return self.A_inv @ self.b
-
-    def ucb(self, x: np.ndarray, alpha: float) -> float:
-        """``θ·x + α·√(xᵀ A⁻¹ x)`` (variance clamped at 0 against drift)."""
-        ax = self.A_inv @ x
-        exploit = float((self.A_inv @ self.b) @ x)
-        if alpha == 0.0:
-            return exploit
-        return exploit + alpha * math.sqrt(max(float(x @ ax), 0.0))
-
-    def to_state(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "A_inv": self.A_inv.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ArmModel":
-        arm = cls.__new__(cls)
-        arm.A = np.asarray(state["A"], dtype=np.float64)
-        arm.b = np.asarray(state["b"], dtype=np.float64)
-        arm.A_inv = np.asarray(state["A_inv"], dtype=np.float64)
-        return arm
-
-
 class LinUcbLearner:
-    """The per-engine bandit: snapshot models + pending epoch records."""
+    """The per-engine bandit: the snapshot model + pending epoch records."""
 
     def __init__(
         self,
@@ -159,7 +91,6 @@ class LinUcbLearner:
         ridge_lambda: float = 1.0,
         sync_interval_s: float = 300.0,
         frozen: bool = False,
-        dim: int = FEATURE_DIM,
         metrics=NULL_METRICS,
     ) -> None:
         if alpha < 0.0:
@@ -176,17 +107,28 @@ class LinUcbLearner:
         self.ridge_lambda = float(ridge_lambda)
         self.sync_interval_s = float(sync_interval_s)
         self.frozen = bool(frozen)
-        self.dim = int(dim)
         self.metrics = metrics
         #: Routers flip this off: shard engines never self-fold, the
         #: router coordinates one cluster-wide fold per epoch boundary.
         self.auto_sync = True
         self._epoch = 0
-        self._arms: dict[int, ArmModel] = {}
+        self._A = np.eye(4) * self.ridge_lambda
+        self._b = np.zeros(4)
+        self._ctr = CtrEstimator()
+        # ad_id -> the arm CTR feature as of the last fold, for exactly
+        # the ads with evidence (any other ad reads the prior mean): what
+        # a slate looks up, so serving never gathers from the estimator.
+        self._arm_ctr: dict[int, float] = {}
+        self._unseen_ctr = self._ctr.estimate(0)
+        self._refactorise()
         self._pending: list[Record] = []
         # (user_id, ad_id) -> (msg_id, slot, x): the serving context a
         # later click resolves against (latest exposure wins).
         self._contexts: dict[tuple[int, int], tuple[int, int, tuple]] = {}
+
+    def _refactorise(self) -> None:
+        self._A_inv = np.linalg.inv(self._A)
+        self._theta = self._A_inv @ self._b
 
     # -- serving ---------------------------------------------------------
 
@@ -196,7 +138,8 @@ class LinUcbLearner:
 
     @property
     def num_arms(self) -> int:
-        return len(self._arms)
+        """Ads with folded evidence."""
+        return len(self._arm_ctr)
 
     @property
     def num_pending(self) -> int:
@@ -205,53 +148,68 @@ class LinUcbLearner:
     def epoch_of(self, timestamp: float) -> int:
         return int(float(timestamp) // self.sync_interval_s)
 
-    def bonus(self, ad_id: int, x: Sequence[float]) -> float:
-        """The UCB score adjustment for one slate entry (snapshot read)."""
-        arm = self._arms.get(ad_id)
-        xv = np.asarray(x, dtype=np.float64)
-        if arm is None:
-            # Unexplored arm: θ = 0, A⁻¹ = I/λ — pure exploration bonus.
-            if self.alpha == 0.0:
-                return 0.0
-            return self.alpha * math.sqrt(float(xv @ xv) / self.ridge_lambda)
-        return arm.ucb(xv, self.alpha)
+    def features(self, slate) -> list[tuple]:
+        """The slate's feature rows ``(1, content, static, arm CTR)``."""
+        arm_ctr = self._arm_ctr.get
+        unseen = self._unseen_ctr
+        return [
+            (1.0, entry.content, entry.static, arm_ctr(entry.ad_id, unseen))
+            for entry in slate
+        ]
+
+    def bonus(self, X: np.ndarray) -> np.ndarray:
+        """The UCB score adjustment per feature row (snapshot read)."""
+        bonus = X @ self._theta
+        if self.alpha:
+            # x[0] = 1 and A ⪰ λI keep xᵀA⁻¹x well above rounding error.
+            bonus += self.alpha * np.sqrt(((X @ self._A_inv) * X).sum(axis=1))
+        return bonus
 
     def rerank(self, slate):
         """Blend UCB bonuses into a served slate.
 
-        Returns ``(slate, changed)``. When every bonus is exactly ``0.0``
-        (zero models and ``alpha = 0``) the input is returned untouched —
+        Returns ``(slate, rows)``: the re-scored slate under the engine's
+        ``(-score, ad_id)`` order and its feature rows in that order, for
+        :meth:`observe_slate`. When every bonus is exactly ``0.0`` (``θ =
+        0`` and ``alpha = 0``) the input object is returned untouched —
         the byte-identity the differential oracle relies on.
         """
-        bonuses = [
-            self.bonus(entry.ad_id, features_for(entry.content, entry.static))
-            for entry in slate
-        ]
-        if not any(bonus != 0.0 for bonus in bonuses):
-            return slate, False
-        rescored = sorted(
-            (
-                replace(entry, score=entry.score + bonus)
-                for entry, bonus in zip(slate, bonuses)
-            ),
-            key=lambda entry: (-entry.score, entry.ad_id),
+        rows = self.features(slate)
+        bonus = self.bonus(np.array(rows))
+        if not bonus.any():
+            return slate, rows
+        ranked = sorted(
+            [
+                (-(entry.score + extra), entry.ad_id, x)
+                for entry, extra, x in zip(slate, bonus.tolist(), rows)
+            ]
         )
-        return type(slate)(rescored), True
+        return (
+            type(slate)(
+                [ScoredAd(ad_id, -neg, x[1], x[2]) for neg, ad_id, x in ranked]
+            ),
+            [x for _neg, _ad_id, x in ranked],
+        )
 
     # -- online updates --------------------------------------------------
 
-    def observe_slate(self, msg_id: int, user_id: int, slate) -> None:
-        """Record negative impressions + click contexts for a served slate."""
+    def observe_slate(self, msg_id: int, user_id: int, slate, rows=None) -> None:
+        """Record negative impressions + click contexts for a served slate.
+
+        ``rows`` are the slate's feature rows as :meth:`rerank` returned
+        them; built here when the slate did not come through it.
+        """
         if self.frozen:
             return
+        if rows is None:
+            rows = self.features(slate)
         msg = int(msg_id)
         user = int(user_id)
-        for slot, entry in enumerate(slate):
-            x = features_for(entry.content, entry.static, slot)
+        for slot, (entry, x) in enumerate(zip(slate, rows)):
             self._pending.append(
-                (msg, user, slot, KIND_IMPRESSION, int(entry.ad_id), x)
+                (msg, user, slot, KIND_IMPRESSION, entry.ad_id, x)
             )
-            self._contexts[(user, int(entry.ad_id))] = (msg, slot, x)
+            self._contexts[(user, entry.ad_id)] = (msg, slot, x)
 
     def record_click(
         self,
@@ -301,45 +259,45 @@ class LinUcbLearner:
     def apply_sync(self, epoch: int, records: Sequence[Record]) -> None:
         """Fold canonically-sorted ``records`` and advance to ``epoch``."""
         started = perf_counter()
-        arms = self._arms
-        for _msg_id, _user_id, _slot, kind, ad_id, x in records:
-            arm = arms.get(ad_id)
-            if arm is None:
-                arm = arms[ad_id] = ArmModel(self.dim, self.ridge_lambda)
-            xv = np.asarray(x, dtype=np.float64)
-            if kind == KIND_CLICK:
-                arm.add_click(xv)
-            else:
-                arm.add_impression(xv)
+        if records:
+            ctr = self._ctr
+            _msg, _user, _slot, kinds, ad_ids, rows = zip(*records)
+            X = np.array(rows)
+            slots = np.fromiter(map(ctr.slot_of, ad_ids), np.intp, len(ad_ids))
+            clicked = np.array(kinds) == KIND_CLICK
+            shown = X[~clicked]
+            self._A += shown.T @ shown
+            self._b += X[clicked].sum(axis=0)
+            ctr.record_block(slots[~clicked], slots[clicked])
+            self._arm_ctr.update(zip(ad_ids, ctr.estimate_block(slots).tolist()))
+            self._refactorise()
         self._epoch = int(epoch)
         metrics = self.metrics
         if metrics.enabled:
             at = float(epoch) * self.sync_interval_s
             metrics.inc("linucb_updates", float(len(records)))
             metrics.inc("linucb_syncs")
-            metrics.set_gauge("linucb_model_norm", self.model_norm())
-            metrics.set_gauge("linucb_arms", float(len(arms)))
+            metrics.set_gauge(
+                "linucb_model_norm", float(np.linalg.norm(self._theta))
+            )
+            metrics.set_gauge("linucb_arms", float(self.num_arms))
             metrics.observe_stage("linucb_sync", perf_counter() - started, at)
-
-    def model_norm(self) -> float:
-        """Σ‖θ_a‖₂ over all arms — the drift gauge exported per sync."""
-        return float(
-            sum(np.linalg.norm(arm.theta()) for arm in self._arms.values())
-        )
 
     # -- state -----------------------------------------------------------
 
     def state_dict(self) -> dict:
         """JSON-safe state; deterministic (sorted) layout.
 
-        ``models``/``epoch`` are the serving snapshot — identical on every
-        shard of a cluster. ``pending``/``contexts`` are the per-shard
-        residue of the open epoch; merged cluster payloads concatenate
-        them, and restores re-partition them by the follower's home shard.
+        ``shared``/``arms``/``epoch`` are the serving snapshot — identical
+        on every shard of a cluster; ``A⁻¹`` and ``θ`` are re-derived on
+        load. ``pending``/``contexts`` are the per-shard residue of the
+        open epoch; merged cluster payloads concatenate them, and restores
+        re-partition them by the follower's home shard.
         """
-        models = {
-            str(ad_id): self._arms[ad_id].to_state()
-            for ad_id in sorted(self._arms)
+        ctr = self._ctr
+        arms = {
+            str(ad_id): [ctr.impressions_of(ad_id), ctr.clicks_of(ad_id)]
+            for ad_id in ctr.observed_ads()
         }
         pending = [
             [msg, user, slot, kind, ad_id, list(x)]
@@ -354,17 +312,28 @@ class LinUcbLearner:
             ]
         return {
             "epoch": self._epoch,
-            "models": models,
+            "shared": {"A": self._A.tolist(), "b": self._b.tolist()},
+            "arms": arms,
             "pending": pending,
             "contexts": contexts,
         }
 
     def load_state(self, payload: dict) -> None:
+        if "models" in payload:
+            raise ConfigError(
+                "learner state is in the per-ad 'models' layout of an older "
+                "build; this one reads {'shared': {A, b}, 'arms': "
+                "{ad_id: [impressions, clicks]}}"
+            )
         self._epoch = int(payload["epoch"])
-        self._arms = {
-            int(ad_id): ArmModel.from_state(state)
-            for ad_id, state in payload["models"].items()
-        }
+        self._A = np.asarray(payload["shared"]["A"], dtype=np.float64)
+        self._b = np.asarray(payload["shared"]["b"], dtype=np.float64)
+        self._refactorise()
+        self._ctr = ctr = CtrEstimator()
+        self._arm_ctr = {}
+        for ad_id, (impressions, clicks) in payload["arms"].items():
+            ctr.restore(int(ad_id), float(impressions), float(clicks))
+            self._arm_ctr[int(ad_id)] = ctr.estimate(int(ad_id))
         self._pending = [
             (
                 int(msg),
@@ -390,14 +359,15 @@ class LinUcbLearner:
 def partition_learn_state(payload: dict, shard: int, shard_of) -> dict:
     """The slice of a merged learner payload owned by one shard.
 
-    The snapshot (``models``/``epoch``) replicates everywhere; the open
+    The snapshot (``shared``/``arms``/``epoch``) replicates everywhere; the open
     epoch's ``pending`` records and click ``contexts`` go to the follower's
     home shard — exactly where an uninterrupted run would have produced
     them, for any worker count.
     """
     return {
         "epoch": payload["epoch"],
-        "models": payload["models"],
+        "shared": payload["shared"],
+        "arms": payload["arms"],
         "pending": [
             record
             for record in payload["pending"]
@@ -416,7 +386,7 @@ def merge_learn_states(states: Sequence[dict | None]) -> dict | None:
 
     Snapshots are bit-identical across shards by construction (every shard
     folds the same sorted record list each epoch), so the first shard's
-    ``models``/``epoch`` stand for all; pending records concatenate into
+    ``shared``/``arms``/``epoch`` stand for all; pending records concatenate into
     canonical order and contexts union (home shards are disjoint).
     """
     present = [state for state in states if state is not None]
@@ -433,7 +403,8 @@ def merge_learn_states(states: Sequence[dict | None]) -> dict | None:
             contexts.setdefault(user, {}).update(per_user)
     return {
         "epoch": present[0]["epoch"],
-        "models": present[0]["models"],
+        "shared": present[0]["shared"],
+        "arms": present[0]["arms"],
         "pending": [list(rec[:5]) + [list(rec[5])] for rec in sort_records(pending)],
         "contexts": {
             user: dict(sorted(contexts[user].items(), key=lambda kv: int(kv[0])))
@@ -446,8 +417,8 @@ class LinUcbRerankStage:
     """Wraps a mode's personalize stage with the LinUCB rerank + updates.
 
     Composition keeps the base stage's candidate/certificate machinery
-    untouched: the wrapper re-scores the *served slate* with each ad's UCB
-    bonus, re-sorts by the engine-wide ``(-score, ad_id)`` tie rule, then
+    untouched: the wrapper re-scores the *served slate* with the shared model's
+    UCB bonus, re-sorts by the engine-wide ``(-score, ad_id)`` tie rule, then
     records the exposure as pending updates — per follower, between the
     base stage cutting the slate and the pipeline charging it, on the
     scalar and the fan-out entry point alike.
@@ -501,8 +472,8 @@ class LinUcbRerankStage:
         if not slate:
             return delivered
         learner = self._learner
-        reranked, changed = learner.rerank(slate)
-        if changed:
+        reranked, rows = learner.rerank(slate)
+        if reranked is not slate:
             delivered = delivered._replace(slate=reranked)
-        learner.observe_slate(event.msg_id, user_id, reranked)
+        learner.observe_slate(event.msg_id, user_id, reranked, rows)
         return delivered

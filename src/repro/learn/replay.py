@@ -23,10 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ads.ctr import CtrEstimator
-from repro.learn.linucb import ArmModel
+from repro.core.scoring import ScoredAd
+from repro.learn.linucb import LinUcbLearner, sort_records
 
 __all__ = [
     "LinUcbPolicy",
@@ -220,72 +219,45 @@ class StaticCtrPolicy:
 
 
 class LinUcbPolicy:
-    """Hybrid LinUCB over the logged features (immediate updates).
+    """The served :class:`LinUcbLearner` behind the replay policy protocol.
 
-    Li et al.'s hybrid form: one *shared* ridge model carries the feature
-    weights every arm learns from (the matched subsample is far too sparse
-    to fit 4 coefficients per ad — ~4 updates/arm at T8 scale), while the
-    arm-specific component is a Beta-smoothed per-arm CTR folded in as a
-    feature the shared model weighs. Offline replay has no sharding to
-    coordinate, so updates fold into the model directly instead of through
-    the engine's epoch machinery — the ridge/Sherman–Morrison math itself
-    is the property-tested :class:`ArmModel`.
+    A logged pool is presented to the learner as a slate (content score,
+    profile affinity as the static half, base score 0, so the order is the
+    UCB's alone) and the top of its ``rerank`` is the selection. Offline
+    replay has no sharding to coordinate, so a matched event is folded at
+    once: one impression, its click if any, one epoch.
     """
 
     name = "linucb"
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.1,
-        ridge_lambda: float = 1.0,
-        prior_ctr: float = 0.05,
-        prior_strength: float = 20.0,
-    ) -> None:
-        self.alpha = float(alpha)
-        self.ridge_lambda = float(ridge_lambda)
-        self._model = ArmModel(4, self.ridge_lambda)
-        self._ctr = CtrEstimator(
-            prior_ctr=prior_ctr, prior_strength=prior_strength
-        )
+    def __init__(self, learner: LinUcbLearner) -> None:
+        self.learner = learner
 
-    def _x(self, event: LoggedEvent, ad_id: int) -> np.ndarray:
-        bias, content, affinity, _position = event.features[ad_id]
-        return np.asarray(
-            (bias, content, affinity, self._ctr.estimate(ad_id)),
-            dtype=np.float64,
+    @staticmethod
+    def _slate(event: LoggedEvent, ad_ids) -> tuple[ScoredAd, ...]:
+        features = event.features
+        return tuple(
+            ScoredAd(ad_id, 0.0, features[ad_id][1], features[ad_id][2])
+            for ad_id in ad_ids
         )
 
     def select(self, event: LoggedEvent) -> int:
-        model = self._model
-        return min(
-            event.pool,
-            key=lambda ad_id: (
-                -model.ucb(self._x(event, ad_id), self.alpha),
-                ad_id,
-            ),
-        )
+        slate, _rows = self.learner.rerank(self._slate(event, event.pool))
+        return slate[0].ad_id
 
     def update(self, event: LoggedEvent) -> None:
-        xv = self._x(event, event.arm)
-        self._model.add_impression(xv)
+        learner = self.learner
+        learner.observe_slate(
+            event.msg_id, event.user_id, self._slate(event, (event.arm,))
+        )
         if event.reward:
-            self._model.add_click(xv)
-        self._ctr.record_impression(event.arm)
-        if event.reward:
-            self._ctr.record_click(event.arm)
+            learner.record_click(event.arm, user_id=event.user_id)
+        learner.apply_sync(
+            learner.epoch + 1, sort_records(learner.drain_pending())
+        )
 
     def state_dict(self) -> dict:
-        return {
-            "shared": self._model.to_state(),
-            "ctr": {
-                str(ad_id): [
-                    self._ctr.impressions_of(ad_id),
-                    self._ctr.clicks_of(ad_id),
-                ]
-                for ad_id in sorted(self._ctr.observed_ads())
-            },
-        }
+        return self.learner.state_dict()
 
 
 def replay_estimate(policy, stream, *, warm_fraction: float = 0.0) -> ReplayResult:

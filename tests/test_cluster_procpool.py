@@ -398,7 +398,7 @@ class TestLearnerCheckpoint:
 
         # The payload carries the snapshot plus open-epoch residue.
         assert state["learn"] is not None
-        assert state["learn"]["models"]
+        assert state["learn"]["arms"]
 
         with ProcessShardedEngine(tiny_workload, 2, config=config) as reader:
             reader.restore(path)

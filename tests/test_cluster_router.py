@@ -99,7 +99,7 @@ class TestParityWithSingleEngine:
         assert drive(cluster, tiny_workload.posts, is_cluster=True) == expected
         learn = cluster.state_dict()["learn"]
         assert learn == single.services.learner.state_dict()
-        assert learn["epoch"] > 0 and learn["models"]
+        assert learn["epoch"] > 0 and learn["arms"]
 
 
 class TestCheckpoint:

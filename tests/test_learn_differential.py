@@ -8,9 +8,10 @@ perturbing anything it shouldn't:
   stage, across all three engine modes and all three execution backends.
 * **Cluster parity** — with live learning on, the sharded and procpool
   routers must end every sync epoch bit-identical to the single engine:
-  same slates, same model matrices, same pending residue.
+  same slates, same shared model and arm counts, same pending residue.
 * **Seeded determinism** — two identical linucb replays produce identical
-  slates, learner state dicts, and T8 replay-estimator output.
+  slates, learner state dicts, and T8 replay-estimator output — and the
+  T8 driver runs the class the engine serves.
 
 Parity runs disable pacing and CTR feedback: both couple scores to
 *cluster-local* mutable state (per-shard spend and per-shard impression
@@ -28,9 +29,11 @@ import pytest
 
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.engine import AdEngine
+from repro.core.scoring import ScoredAd
 from repro.cluster.procpool import ProcessShardedEngine
 from repro.cluster.sharded import ShardedEngine
 from repro.io.checkpoint import apply_engine_state
+from repro.learn.linucb import KIND_CLICK, KIND_IMPRESSION, LinUcbLearner
 from repro.learn.replay import (
     LinUcbPolicy,
     StaticCtrPolicy,
@@ -206,7 +209,8 @@ class TestClusterParity:
             is_cluster=False,
         )
         assert slates != static  # the bandit is live, not a no-op
-        assert learn_state["models"]  # and it actually built models
+        assert learn_state["arms"]  # and it actually folded evidence
+        assert learn_state["shared"]["b"] != [0.0] * 4  # clicks included
         assert learn_state["epoch"] > 0  # across at least one sync fold
 
     @pytest.mark.parametrize("num_shards", [2, 3])
@@ -346,11 +350,44 @@ class TestSeededDeterminism:
             static = replay_estimate(
                 StaticCtrPolicy(), stream, warm_fraction=0.5
             )
-            policy = LinUcbPolicy(alpha=0.05)
+            policy = LinUcbPolicy(LinUcbLearner(alpha=0.05))
             linucb = replay_estimate(policy, stream, warm_fraction=0.5)
             return static.to_dict(), linucb.to_dict(), policy.state_dict()
 
         assert grade() == grade()
+
+    def test_t8_replays_the_served_learner(self, tiny_workload):
+        """``replay_estimate`` through the adapter is the engine's learner
+        driven by hand: the pool reranked as a slate, each matched event
+        folded through ``apply_sync`` as an epoch of its own."""
+        stream = build_logged_stream(tiny_workload, events=600, seed=5)
+        policy = LinUcbPolicy(LinUcbLearner(alpha=0.05))
+        result = replay_estimate(policy, stream)
+
+        learner = LinUcbLearner(alpha=0.05)
+        matched = clicks = 0
+        for event in stream:
+            pool = tuple(
+                ScoredAd(ad_id, 0.0, *event.features[ad_id][1:3])
+                for ad_id in event.pool
+            )
+            slate, rows = learner.rerank(pool)
+            if slate[0].ad_id != event.arm:
+                continue
+            matched += 1
+            clicks += event.reward
+            x = rows[[entry.ad_id for entry in slate].index(event.arm)]
+            key = (event.msg_id, event.user_id, 0)
+            records = [(*key, KIND_IMPRESSION, event.arm, x)]
+            if event.reward:
+                records.append((*key, KIND_CLICK, event.arm, x))
+            learner.apply_sync(learner.epoch + 1, records)
+
+        assert 0 < matched < len(stream)
+        assert (result.matched, result.clicks) == (matched, clicks)
+        served, driven = policy.state_dict(), learner.state_dict()
+        for key in ("epoch", "shared", "arms"):
+            assert served[key] == driven[key]
 
     def test_replay_estimator_contract(self, tiny_workload):
         stream = build_logged_stream(tiny_workload, events=1500, seed=3)

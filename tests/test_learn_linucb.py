@@ -1,8 +1,7 @@
 """Property and unit coverage for the LinUCB learner core.
 
-The center of gravity is the correctness pass ISSUE 7 asks for:
-
-* Sherman–Morrison maintained ``A⁻¹`` vs ``np.linalg.inv`` (1e-8),
+* the shared model's ``A⁻¹`` is re-factorised from ``A`` at every fold, so
+  it equals ``np.linalg.inv(A)`` exactly however long the run,
 * UCB scores monotone (non-decreasing) in the exploration width ``alpha``,
 * posterior invariance to update arrival order within one sync epoch,
 * exact (bit-identical) state round-trips through the JSON layer,
@@ -22,13 +21,9 @@ from hypothesis import strategies as st
 from repro.core.scoring import ScoredAd
 from repro.errors import ConfigError
 from repro.learn.linucb import (
-    FEATURE_DIM,
     KIND_CLICK,
     KIND_IMPRESSION,
-    POSITION_DECAY,
-    ArmModel,
     LinUcbLearner,
-    features_for,
     merge_learn_states,
     partition_learn_state,
     sort_records,
@@ -37,86 +32,12 @@ from repro.obs.registry import MetricsRegistry
 
 # -- strategies --------------------------------------------------------------
 
-finite = st.floats(
-    min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False
-)
-feature_vec = st.tuples(finite, finite, finite, finite)
-update_stream = st.lists(
-    st.tuples(feature_vec, st.booleans()), min_size=1, max_size=40
-)
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+feature_row = st.tuples(st.just(1.0), unit, unit, unit)
 
 
 def slate_entry(ad_id: int, score: float, content: float, static: float):
     return ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
-
-
-# -- Sherman–Morrison vs the dense oracle ------------------------------------
-
-
-class TestArmModel:
-    @given(update_stream)
-    @settings(max_examples=60, deadline=None)
-    def test_sherman_morrison_matches_linalg_inv(self, stream):
-        arm = ArmModel(FEATURE_DIM, ridge_lambda=1.0)
-        for x, is_click in stream:
-            xv = np.asarray(x)
-            if is_click:
-                arm.add_click(xv)
-            else:
-                arm.add_impression(xv)
-        oracle = np.linalg.inv(arm.A)
-        assert np.max(np.abs(arm.A_inv - oracle)) < 1e-8
-
-    @given(update_stream, feature_vec)
-    @settings(max_examples=60, deadline=None)
-    def test_ucb_monotone_in_alpha(self, stream, query):
-        arm = ArmModel(FEATURE_DIM, ridge_lambda=1.0)
-        for x, is_click in stream:
-            xv = np.asarray(x)
-            arm.add_impression(xv)
-            if is_click:
-                arm.add_click(xv)
-        xq = np.asarray(query)
-        alphas = [0.0, 0.1, 0.5, 1.0, 2.0]
-        scores = [arm.ucb(xq, alpha) for alpha in alphas]
-        assert scores == sorted(scores)
-
-    def test_alpha_zero_is_pure_exploitation(self):
-        arm = ArmModel()
-        x = np.asarray(features_for(0.5, 0.25))
-        arm.add_impression(x)
-        arm.add_click(x)
-        assert arm.ucb(x, 0.0) == pytest.approx(float(arm.theta() @ x))
-
-    def test_state_round_trip_is_bitwise(self):
-        arm = ArmModel(FEATURE_DIM, ridge_lambda=2.0)
-        rng = random.Random(5)
-        for _ in range(17):
-            x = np.asarray([1.0] + [rng.uniform(-1, 1) for _ in range(3)])
-            arm.add_impression(x)
-            if rng.random() < 0.3:
-                arm.add_click(x)
-        # Through JSON: the float round-trip must be exact, A_inv included
-        # (it is Sherman–Morrison state, not recomputable from A bitwise).
-        restored = ArmModel.from_state(json.loads(json.dumps(arm.to_state())))
-        assert np.array_equal(restored.A, arm.A)
-        assert np.array_equal(restored.b, arm.b)
-        assert np.array_equal(restored.A_inv, arm.A_inv)
-
-
-# -- feature layout ----------------------------------------------------------
-
-
-class TestFeatures:
-    def test_position_decay_matches_examination_model(self):
-        assert features_for(0.2, 0.3, slot=0)[3] == 1.0
-        assert features_for(0.2, 0.3, slot=2)[3] == POSITION_DECAY**2
-
-    def test_serving_features_use_top_slot(self):
-        assert features_for(0.2, 0.3) == (1.0, 0.2, 0.3, 1.0)
-
-
-# -- learner epoch semantics -------------------------------------------------
 
 
 def drive_learner(learner: LinUcbLearner, records) -> None:
@@ -128,10 +49,122 @@ def example_records(n: int, seed: int = 3):
     rng = random.Random(seed)
     records = []
     for i in range(n):
-        x = features_for(rng.uniform(0, 1), rng.uniform(0, 1), slot=i % 4)
+        x = (1.0, rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 0.2))
         kind = KIND_CLICK if rng.random() < 0.3 else KIND_IMPRESSION
         records.append((i // 3, rng.randrange(8), i % 4, kind, rng.randrange(5), x))
     return records
+
+
+def folded_learner(n: int = 30, **knobs) -> LinUcbLearner:
+    learner = LinUcbLearner(sync_interval_s=10.0, **knobs)
+    drive_learner(learner, example_records(n))
+    assert learner.maybe_sync(10.0)
+    return learner
+
+
+# -- the model every arm is scored by ----------------------------------------
+
+
+class TestArmModel:
+    """The shared ridge (+ the per-arm CTR feature) behind every arm's UCB."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_refactorised_inverse_cannot_drift(self, seed, data):
+        """After any sequence of folds ``A⁻¹`` *is* ``inv(A)``: there is no
+        rank-1 update chain for rounding error to accumulate along."""
+        epochs = data.draw(st.integers(min_value=1, max_value=200))
+        rng = np.random.default_rng(seed)
+        learner = LinUcbLearner()
+        for epoch in range(1, epochs + 1):
+            n = int(rng.integers(0, 301))
+            features = rng.random((n, 3))
+            kinds = rng.random(n) < 0.2
+            ads = rng.integers(0, 50, n)
+            learner.apply_sync(
+                epoch,
+                [
+                    (epoch, 0, i, int(kinds[i]), int(ads[i]), (1.0, *features[i]))
+                    for i in range(n)
+                ],
+            )
+        assert np.array_equal(learner._A_inv, np.linalg.inv(learner._A))
+        assert np.max(np.abs(learner._A_inv @ learner._A - np.eye(4))) < 1e-9
+        assert np.array_equal(learner._theta, learner._A_inv @ learner._b)
+
+    @given(st.lists(feature_row, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_ucb_monotone_in_alpha(self, rows):
+        X = np.array(rows)
+        scores = []
+        for alpha in [0.0, 0.1, 0.5, 1.0, 2.0]:
+            scores.append(folded_learner(alpha=alpha).bonus(X))
+        for narrow, wide in zip(scores, scores[1:]):
+            assert (narrow <= wide).all()
+
+    def test_alpha_zero_is_pure_exploitation(self):
+        learner = folded_learner(alpha=0.0)
+        X = np.array([(1.0, 0.5, 0.25, 0.05), (1.0, 0.1, 0.9, 0.2)])
+        assert learner._theta.any()
+        assert np.array_equal(learner.bonus(X), X @ learner._theta)
+
+    def test_state_round_trip_is_bitwise(self):
+        learner = folded_learner(40, ridge_lambda=2.0)
+        # Through JSON: the float round-trip of A and b is exact, so the
+        # re-derived inverse and θ are the uninterrupted run's, bit for bit.
+        restored = LinUcbLearner(ridge_lambda=2.0)
+        restored.load_state(json.loads(json.dumps(learner.state_dict())))
+        assert np.array_equal(restored._A, learner._A)
+        assert np.array_equal(restored._b, learner._b)
+        assert np.array_equal(restored._A_inv, learner._A_inv)
+        assert np.array_equal(restored._theta, learner._theta)
+        assert restored._arm_ctr == learner._arm_ctr
+
+
+# -- feature layout ----------------------------------------------------------
+
+
+class TestFeatures:
+    def test_rows_are_bias_content_static_arm_ctr(self):
+        learner = LinUcbLearner(sync_interval_s=10.0)
+        slate = (slate_entry(7, 1.0, 0.2, 0.3), slate_entry(8, 0.9, 0.4, 0.1))
+        prior = learner._ctr.estimate(7)
+        assert learner.features(slate) == [
+            (1.0, 0.2, 0.3, prior),
+            (1.0, 0.4, 0.1, prior),
+        ]
+        # Two impressions and a click on ad 7, folded: its CTR feature is
+        # the learner's own smoothed posterior; ad 8 still reads the prior.
+        x = (1.0, 0.2, 0.3, prior)
+        drive_learner(
+            learner,
+            [
+                (0, 1, 0, KIND_IMPRESSION, 7, x),
+                (0, 1, 0, KIND_CLICK, 7, x),
+                (1, 1, 0, KIND_IMPRESSION, 7, x),
+            ],
+        )
+        assert learner.features(slate)[0][3] == prior  # pending: not yet
+        learner.maybe_sync(10.0)
+        rows = learner.features(slate)
+        assert rows[0][3] == learner._ctr.estimate(7) == (1.0 + 1.0) / (20.0 + 2.0)
+        assert rows[1][3] == prior
+
+    def test_observed_rows_are_the_rows_served(self):
+        """``rerank`` hands ``observe_slate`` its rows in served order."""
+        learner = LinUcbLearner(alpha=1.0)
+        slate = (slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.9, 0.9))
+        reranked, rows = learner.rerank(slate)
+        assert [entry.ad_id for entry in reranked] == [2, 7]
+        assert rows == learner.features(reranked)
+        learner.observe_slate(3, 4, reranked, rows)
+        assert [rec[4:] for rec in learner._pending] == [
+            (2, rows[0]),
+            (7, rows[1]),
+        ]
+
+
+# -- learner epoch semantics -------------------------------------------------
 
 
 class TestLearnerSync:
@@ -162,11 +195,14 @@ class TestLearnerSync:
 
     def test_serving_reads_snapshot_not_pending(self):
         learner = LinUcbLearner(alpha=0.0, sync_interval_s=100.0)
-        x = features_for(0.5, 0.5)
+        x = (1.0, 0.5, 0.5, 0.05)
+        slate = (slate_entry(7, 1.0, 0.5, 0.5),)
         drive_learner(learner, [(0, 1, 0, KIND_CLICK, 7, x)] * 3)
-        assert learner.bonus(7, x) == 0.0  # pending not folded yet
+        assert learner.bonus(np.array([x])) == 0.0  # pending not folded yet
+        assert learner.rerank(slate)[0] is slate
         learner.maybe_sync(100.0)
-        assert learner.bonus(7, x) != 0.0
+        assert learner.bonus(np.array([x])) != 0.0
+        assert learner.rerank(slate)[0][0].score != 1.0
 
     def test_sync_metrics_emitted(self):
         metrics = MetricsRegistry()
@@ -175,9 +211,9 @@ class TestLearnerSync:
         learner.maybe_sync(10.0)
         assert metrics.counter("linucb_updates") == 6.0
         assert metrics.counter("linucb_syncs") == 1.0
-        assert metrics.gauge("linucb_arms") >= 1.0
+        assert metrics.gauge("linucb_arms") == float(learner.num_arms) >= 1.0
         assert metrics.gauge("linucb_model_norm") == pytest.approx(
-            learner.model_norm()
+            float(np.linalg.norm(learner._theta))
         )
 
 
@@ -204,7 +240,7 @@ class TestClickAttribution:
         assert len(click) == 1
         msg_id, user_id, slot, kind, ad_id, x = click[0]
         assert (msg_id, user_id, slot, ad_id) == (5, 9, 1, 12)
-        assert x == features_for(0.4, 0.2, slot=1)
+        assert x == (1.0, 0.4, 0.2, 0.05)
 
     def test_context_is_authoritative_over_caller_slot(self):
         learner = LinUcbLearner(sync_interval_s=1e9)
@@ -247,24 +283,27 @@ class TestRerank:
     def test_alpha_zero_empty_models_returns_same_object(self):
         learner = LinUcbLearner(alpha=0.0)
         slate = (slate_entry(3, 1.0, 0.5, 0.2), slate_entry(4, 0.9, 0.4, 0.1))
-        result, changed = learner.rerank(slate)
-        assert result is slate and not changed
+        result, rows = learner.rerank(slate)
+        assert result is slate
+        assert rows == learner.features(slate)
 
     def test_rerank_applies_engine_tie_rule(self):
         learner = LinUcbLearner(alpha=1.0, ridge_lambda=1.0)
         slate = (slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.0, 0.0))
-        result, changed = learner.rerank(slate)
-        assert changed
+        result, _rows = learner.rerank(slate)
+        assert result is not slate
         # Identical features → identical bonuses → tie broken by ad id.
         assert [entry.ad_id for entry in result] == [2, 7]
         scores = [entry.score for entry in result]
         assert scores == sorted(scores, reverse=True)
 
     def test_unexplored_bonus_formula(self):
+        # Nothing folded: θ = 0 and A⁻¹ = I/λ, so the bonus is pure
+        # exploration, α·√(x·x/λ) over x = (1, content, static, prior CTR).
         learner = LinUcbLearner(alpha=0.5, ridge_lambda=4.0)
-        x = features_for(0.0, 0.0)
+        (x,) = learner.features((slate_entry(99, 1.0, 0.3, 0.6),))
         expected = 0.5 * (sum(v * v for v in x) / 4.0) ** 0.5
-        assert learner.bonus(99, x) == pytest.approx(expected)
+        assert learner.bonus(np.array([x]))[0] == pytest.approx(expected)
 
 
 # -- state: round-trip, partition, merge -------------------------------------
@@ -292,10 +331,21 @@ class TestLearnerState:
         restored.load_state(payload)
         assert restored.state_dict() == learner.state_dict()
         assert restored.epoch == learner.epoch
-        # Bitwise model equality, A_inv included.
-        for ad_id, arm in learner._arms.items():
-            other = restored._arms[ad_id]
-            assert np.array_equal(arm.A_inv, other.A_inv)
+        assert set(payload) == {"epoch", "shared", "arms", "pending", "contexts"}
+        assert payload["arms"] and payload["pending"] and payload["contexts"]
+        # The restored learner serves what the uninterrupted one does.
+        slate = tuple(
+            slate_entry(ad_id, 1.0 - 0.1 * i, 0.4, 0.2)
+            for i, ad_id in enumerate([3, 11, 29])
+        )
+        assert restored.rerank(slate) == learner.rerank(slate)
+
+    def test_stale_per_ad_layout_fails_by_name(self):
+        payload = populated_learner().state_dict()
+        payload["models"] = {"3": {"A": [], "b": [], "A_inv": []}}
+        del payload["shared"], payload["arms"]
+        with pytest.raises(ConfigError, match="'models' layout"):
+            LinUcbLearner().load_state(payload)
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
     def test_partition_merge_is_lossless(self, num_shards):
@@ -309,7 +359,9 @@ class TestLearnerState:
             for shard in range(num_shards)
         ]
         for shard, part in enumerate(parts):
-            assert part["models"] == payload["models"]
+            assert part["shared"] == payload["shared"]
+            assert part["arms"] == payload["arms"]
+            assert part["epoch"] == payload["epoch"]
             for record in part["pending"]:
                 assert shard_of(int(record[1])) == shard
         assert merge_learn_states(parts) == payload
