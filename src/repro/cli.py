@@ -1,39 +1,36 @@
 """Command-line interface.
 
-Four subcommands cover the library's workflows end-to-end::
+The subcommands cover the library's workflows end-to-end::
 
     python -m repro generate --users 300 --ads 2000 --posts 300 --out wl/
     python -m repro stats --workload wl/
     python -m repro replay --workload wl/ --mode shared --limit 200
     python -m repro effectiveness --workload wl/ --max-posts 100
 
-``replay`` and ``effectiveness`` also accept generation flags directly
-(omit ``--workload``) for one-shot runs.
+``replay``, ``canary`` and ``effectiveness`` also accept generation flags
+directly (omit ``--workload``) for one-shot runs.
 
-``replay --live`` switches on the live telemetry layer: a
-:class:`~repro.obs.registry.MetricsRegistry` rides along with the engine
-and a dashboard line prints at every sampling interval of *stream* time.
-Add ``--slo`` to grade each interval against p99/throughput targets
-(``--slo-p99-ms stage=ms``, ``--slo-min-dps``) and finish with an
-OK / DEGRADED / OVERLOADED verdict; ``--metrics-out`` appends one JSON
-line per interval and ``--prom-out`` writes the final snapshot in
-Prometheus text exposition format. A failing run-level verdict exits
-nonzero, so scripts and CI can gate on SLO compliance.
+``replay`` is one path: pick a stream (the workload's own, ``--scenario``
+compositions over it, or a ``--replay-trace`` recording), build one
+backend — a :class:`~repro.cluster.router.Router` over one in-process
+shard, ``--shards N`` of them or ``--workers N`` processes — drive it,
+print one table. Every other flag is an option of that path and composes
+with every backend and stream:
 
-``replay --qos`` closes the loop: a
-:class:`~repro.qos.controller.QosController` steps a degradation ladder
-from the interval grades (shrink the over-fetch, shrink the slate, skip
-the certificate fallback, serve candidates-only, shed) and, with
-``--qos-rate``, puts a value-aware admission controller in front of the
-fan-out. The dashboard line then shows the live rung.
-
-``replay --trace`` attaches distributed request tracing (see
-:mod:`repro.obs.trace`): head-sample ``--trace-sample`` of requests,
-tail-capture the interesting rest (errors, tail latency, shed/degraded,
-retries, failovers, breach intervals), export retained segments with
-``--trace-out`` and arm the flight recorder with ``--flight-out``.
-``repro trace --dump PATH`` reads either file back and renders the
-slowest-trace table, the critical path and per-stage attribution.
+* ``--live`` prints a dashboard line per sampling interval of *stream*
+  time from the router's merged :class:`~repro.obs.registry.MetricsRegistry`;
+  ``--slo`` grades each interval (``--slo-p99-ms stage=ms``,
+  ``--slo-min-dps``) and ends with an OK / DEGRADED / OVERLOADED verdict
+  — a failing one exits nonzero; ``--metrics-out`` appends one JSON line
+  per interval, ``--prom-out`` writes the final snapshot as Prometheus text.
+* ``--qos`` closes the loop: each raw grade steps every shard's
+  :class:`~repro.qos.controller.QosController` ladder once
+  (:meth:`~repro.cluster.router.Router.observe_health`) and, with
+  ``--qos-rate``, value-aware admission stands in front of the fan-out.
+* ``--trace`` attaches distributed request tracing (:mod:`repro.obs.trace`):
+  head-sample ``--trace-sample``, tail-capture the interesting rest,
+  export with ``--trace-out``, arm the flight recorder with
+  ``--flight-out``. ``repro trace --dump PATH`` renders either file.
 """
 
 from __future__ import annotations
@@ -41,11 +38,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.core.config import EngineConfig, EngineMode
 from repro.datagen.workload import Workload, WorkloadConfig, generate_workload
 from repro.errors import ConfigError, ReproError
-from repro.eval.perf import run_perf
 from repro.eval.report import ascii_table
 from repro.index.factory import SEARCHER_KINDS
 from repro.io.serialize import load_workload, save_workload
@@ -114,7 +111,7 @@ def _parse_slo_targets(entries: Sequence[str] | None) -> dict[str, float]:
     return targets
 
 
-def _dashboard_line(snapshot, report, controller=None) -> str:
+def _dashboard_line(snapshot, report, qos_summary=None) -> str:
     """One fixed-width live dashboard line per sampling interval."""
     delivery = snapshot.windows.get("stage_delivery")
     p99_ms = delivery.p99 * 1e3 if delivery is not None and delivery.count else 0.0
@@ -128,10 +125,8 @@ def _dashboard_line(snapshot, report, controller=None) -> str:
         parts.append(f"dps={report.deliveries_per_s:>9.1f}")
         parts.append(f"burn={report.burn_rate:5.2f}")
         parts.append(f"[{report.state.value.upper()}]")
-    if controller is not None:
-        parts.append(
-            f"rung={controller.rung_index}:{controller.rung.name}"
-        )
+    if qos_summary is not None:
+        parts.append(f"rung={qos_summary['rung']}:{qos_summary['rung_name']}")
     return "  ".join(parts)
 
 
@@ -148,11 +143,8 @@ def _build_qos_controller(args: argparse.Namespace):
             burst_s=args.qos_burst_s,
             max_queue_s=args.qos_queue_s,
         )
-    ladder = DegradationLadder(
-        floor=args.qos_floor if args.qos_floor is not None else None
-    )
     return QosController(
-        ladder=ladder,
+        ladder=DegradationLadder(floor=args.qos_floor),
         admission=admission,
         recover_after=args.qos_recover_after,
     )
@@ -178,314 +170,80 @@ def _build_request_tracer(args: argparse.Namespace):
     return RequestTracer(sample_rate=sample, seed=args.seed, process="main")
 
 
-def _write_trace_export(path: str, segments) -> int:
-    """Write retained trace segments as JSONL (the --trace-out sink;
-    same line schema as flight dumps, so `repro trace` reads both)."""
-    import json
-    from pathlib import Path
-
+def _write_text(path: str, text: str) -> None:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for segment in segments:
-            handle.write(json.dumps(segment.to_dict()) + "\n")
-    return len(segments)
+    out.write_text(text, encoding="utf-8")
 
 
-def _print_trace_summary(request_tracer) -> None:
-    summary = request_tracer.summary()
-    print(
-        f"tracing: started={summary['started']} "
-        f"finished={summary['finished']} retained={summary['retained']} "
-        f"ring={summary['ring']} dropped={summary['dropped']}"
+def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
+    """What ``replay`` and ``canary`` share: the workload, the engine
+    config, the stream composed over it and the backend that serves it."""
+    _add_generation_flags(parser)
+    parser.add_argument("--workload", help="saved workload directory")
+    parser.add_argument(
+        "--mode",
+        choices=[mode.value for mode in EngineMode],
+        default="shared",
+    )
+    parser.add_argument(
+        "--searcher",
+        choices=list(SEARCHER_KINDS),
+        default="ta",
+        help="top-k searcher for every index probe: 'vector' runs the "
+        "compact numpy hot path, 'ta' is the pure-Python reference oracle",
+    )
+    parser.add_argument("--k", type=int, default=10)
+    parser.add_argument("--limit", type=int, help="base-stream posts to drive")
+    parser.add_argument(
+        "--scenario",
+        action="append",
+        metavar="NAME",
+        help="compose a named adversarial scenario over the base stream "
+        "(repeatable; flash-crowd, celebrity-spike, budget-burst, "
+        "geo-wave, click-flood; default: the base stream alone)",
+    )
+    parser.add_argument(
+        "--scenario-seed",
+        type=int,
+        default=0,
+        help="seed for the scenario generators (not the workload's --seed)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        help="user shards behind the router, hosted in this process "
+        "(default: one — the single engine)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="host N user shards in worker processes behind the same "
+        "router instead",
     )
 
 
-def _replay_live(
-    args: argparse.Namespace,
-    workload: Workload,
-    config: EngineConfig,
-    request_tracer=None,
-) -> int:
-    """The ``replay --live`` path: windowed registry, interval dashboard,
-    optional SLO grading and timeseries/Prometheus sinks."""
-    from repro.obs.health import HealthMonitor, HealthState, SloSpec
-    from repro.obs.prometheus import TimeseriesWriter, render_prometheus
-    from repro.obs.registry import MetricsRegistry
-
-    posts = workload.posts if args.limit is None else workload.posts[: args.limit]
-    if not posts:
-        raise ConfigError("no posts to replay (empty workload or --limit 0)")
-    timestamps = [post.timestamp for post in posts]
-    span = max(timestamps) - min(timestamps)
-    interval = args.interval if args.interval else max(span / 12.0, 1e-6)
-    window = args.window if args.window else interval * 5.0
-    registry = MetricsRegistry(window_s=window)
-    controller = _build_qos_controller(args)
-
-    monitor = None
-    recorder = None
-    if request_tracer is not None and args.flight_out:
-        from repro.obs.recorder import FlightRecorder
-
-        # Providers are evaluated at dump time; `monitor` is assigned
-        # just below, before any interval can fire.
-        recorder = FlightRecorder(
-            request_tracer,
-            args.flight_out,
-            health=lambda: monitor.summary() if monitor is not None else None,
-            qos=lambda: controller.summary() if controller is not None else None,
-            registry=lambda: registry.snapshot().to_dict(),
-        )
-
-    def on_breach(report) -> None:
-        # Raw-grade breach: snapshot the black box at the *first* bad
-        # interval (rate-limited to one dump per reason).
-        if recorder is not None:
-            recorder.dump("slo_breach")
-
-    if args.slo or controller is not None:  # --qos needs grades to react to
-        targets = _parse_slo_targets(args.slo_p99_ms)
-        if not targets and args.slo_min_dps <= 0.0:
-            # A bare --slo still needs something to judge: a permissive
-            # default target on the end-to-end delivery stage.
-            targets = {"delivery": 50.0}
-        monitor = HealthMonitor(
-            registry,
-            SloSpec(
-                stage_p99_ms=targets,
-                min_deliveries_per_s=max(args.slo_min_dps, 0.0),
-            ),
-            on_breach=on_breach if request_tracer is not None else None,
-        )
-    writer = TimeseriesWriter(args.metrics_out) if args.metrics_out else None
-
-    print(
-        f"live replay: mode={args.mode} interval={interval:g}s "
-        f"window={window:g}s slo={'on' if monitor else 'off'} "
-        f"qos={'on' if controller else 'off'}"
-    )
-
-    def on_interval(now: float, wall_seconds: float) -> None:
-        snapshot = registry.snapshot(now)
-        report = (
-            monitor.evaluate(now, wall_seconds=wall_seconds) if monitor else None
-        )
-        if controller is not None and report is not None:
-            # Closed loop: the raw interval grade steps the ladder (the
-            # controller applies its own hysteresis on top).
-            controller.observe(report.grade)
-        if request_tracer is not None and report is not None:
-            # Segments finishing inside a breach window are force-kept.
-            request_tracer.set_breach(report.grade is not HealthState.OK)
-        print(_dashboard_line(snapshot, report, controller))
-        if writer is not None:
-            writer.append(snapshot, health=report)
-
-    result = run_perf(
-        workload,
-        config,
-        label=args.mode,
-        limit_posts=args.limit,
-        metrics_registry=registry,
-        interval_s=interval,
-        on_interval=on_interval,
-        qos=controller,
-        request_tracer=request_tracer,
-    )
-
-    rows: list[list[object]] = [
-        ["mode", args.mode],
-        ["posts", result.posts],
-        ["deliveries", result.deliveries],
-        ["deliveries/s", round(result.deliveries_per_s, 1)],
-        ["post p50 (ms)", round(result.post_latency_p50_ms, 3)],
-        ["post p99 (ms)", round(result.post_latency_p99_ms, 3)],
-        ["fallback rate", round(result.fallback_rate, 4)],
-        ["impressions", result.impressions],
-    ]
-    if monitor is not None:
-        summary = monitor.summary()
-        rows.extend([
-            ["intervals", summary["intervals"]],
-            ["violating intervals", summary["violating_intervals"]],
-            ["compliance", round(summary["compliance"], 4)],
-            ["burn rate", round(summary["burn_rate"], 3)],
-        ])
-        if writer is not None:
-            writer.append_summary(summary)
-    if controller is not None:
-        qos_summary = controller.summary()
-        rows.extend([
-            ["qos rung", f"{qos_summary['rung']}:{qos_summary['rung_name']}"],
-            ["qos degrade steps", qos_summary["degrade_steps"]],
-            ["qos recover steps", qos_summary["recover_steps"]],
-            ["deliveries shed", result.deliveries_shed],
-            ["deliveries degraded", result.deliveries_degraded],
-            ["revenue shed (bound)", round(result.revenue_shed_upper_bound, 4)],
-        ])
-    print(ascii_table(["metric", "value"], rows, title="Replay summary"))
-    if args.prom_out:
-        from pathlib import Path
-
-        text = render_prometheus(registry.snapshot())
-        path = Path(args.prom_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote Prometheus exposition to {args.prom_out}")
-    if writer is not None:
-        print(f"wrote {writer.rows} timeseries rows to {args.metrics_out}")
-    exit_code = 0
-    if monitor is not None:
-        verdict = monitor.verdict()
-        print(f"SLO verdict: {verdict.value.upper()}")
-        for report in monitor.reports:
-            for breach in report.breaches:
-                print(f"  breach @ t={report.at:.1f}s: {breach}")
-        # A failing run-level verdict fails the process: CI and scripts
-        # gate on the exit code, not on scraping the verdict line.
-        if verdict is not HealthState.OK:
-            if recorder is not None:
-                # The black box for the failing run, dumped before exit.
-                recorder.dump(f"verdict_{verdict.value}", force=True)
-            exit_code = 1
-    if request_tracer is not None:
-        if args.trace_out:
-            count = _write_trace_export(
-                args.trace_out, list(request_tracer.retained)
-            )
-            print(f"wrote {count} trace segments to {args.trace_out}")
-        if recorder is not None:
-            if recorder.dumps == 0:  # healthy run: still honour --flight-out
-                recorder.dump("signal")
-            print(
-                f"flight recorder: {recorder.dumps} dump(s) at {args.flight_out}"
-            )
-        _print_trace_summary(request_tracer)
-    return exit_code
-
-
-def _cluster_backend(args: argparse.Namespace) -> tuple[str, int]:
-    """The ``build_backend`` flavour ``--workers N`` / ``--shards N``
-    pick: the router over worker processes or over in-process shards."""
-    if args.workers and args.shards:
-        raise ConfigError("--workers and --shards pick different backends — drop one")
-    if args.workers:
-        return "procpool", args.workers
-    if args.shards:
-        return "sharded", args.shards
-    return "single", 0
-
-
-def _replay_cluster(
-    args: argparse.Namespace,
-    workload: Workload,
-    config: EngineConfig,
-    request_tracer=None,
-) -> int:
-    """The ``replay --workers N`` / ``--shards N`` path: drive the
-    cluster router.
-
-    The two flags pick the router's transport — real worker processes or
-    in-process shards — and nothing else; the stream is dispatched in
-    post batches so IPC is paid per batch, not per delivery. The
-    live/SLO/QoS dashboards ride on the single-engine simulator and are
-    not available here (yet) — combining them raises. ``--trace`` *is*
-    supported: contexts ride inside the events, the router drains shard
-    segments at the end, and a worker crash auto-dumps the flight
-    recorder before the error surfaces.
-    """
-    from contextlib import ExitStack
-    from time import perf_counter
-
-    from repro.scenarios import build_backend
-
-    backend, num_shards = _cluster_backend(args)
-    if args.live or args.slo or args.qos or args.metrics_out or args.prom_out:
+def _backend_from_args(args: argparse.Namespace) -> dict[str, int]:
+    """The ``build_backend`` shape ``--shards`` / ``--workers`` ask for."""
+    if args.shards and args.workers:
         raise ConfigError(
-            "--workers/--shards drive the cluster router; the --live/--slo/"
-            "--qos dashboards run on the single engine — drop one"
+            "--shards and --workers each say where the shards live — drop one"
         )
-    posts = workload.posts if args.limit is None else workload.posts[: args.limit]
-    if not posts:
-        raise ConfigError("no posts to replay (empty workload or --limit 0)")
-    batch = max(args.batch, 1)
-    router_options = {"request_tracer": request_tracer}
-    if backend == "procpool" and request_tracer is not None:
-        router_options["flight_path"] = args.flight_out
-    started = perf_counter()
-    with ExitStack() as stack:
-        engine = build_backend(
-            workload, config, backend=backend, num_shards=num_shards,
-            stack=stack, **router_options,
-        )
-        for offset in range(0, len(posts), batch):
-            engine.post_batch(posts[offset : offset + batch])
-        elapsed = perf_counter() - started
-        stats = engine.cluster_stats()
-        imbalance = engine.load_imbalance()
-        amplification = engine.amplification()
-        if request_tracer is not None:
-            # Pull shard segments while the shards are still reachable.
-            traces = engine.request_traces()
-            if args.flight_out:
-                engine.dump_flight(args.flight_out, reason="signal")
-    print(ascii_table(
-        ["metric", "value"],
-        [
-            ["mode", args.mode],
-            ["shards", num_shards],
-            ["batch size", batch],
-            ["posts", stats.posts],
-            ["deliveries", stats.deliveries],
-            ["posts/s", round(stats.posts / elapsed, 1)],
-            ["deliveries/s", round(stats.deliveries / elapsed, 1)],
-            ["impressions", stats.impressions],
-            ["revenue", round(stats.revenue, 2)],
-            ["amplification", round(amplification, 3)],
-            ["load imbalance", round(imbalance, 3)],
-        ],
-        title=f"Replay summary ({backend} backend)",
-    ))
-    if request_tracer is not None:
-        if args.trace_out:
-            count = _write_trace_export(args.trace_out, traces)
-            print(f"wrote {count} trace segments to {args.trace_out}")
-        if args.flight_out:
-            print(f"wrote flight dump to {args.flight_out}")
-        _print_trace_summary(request_tracer)
-    return 0
+    return {"shards": args.shards or 1, "workers": args.workers}
 
 
-def _replay_scenario(
-    args: argparse.Namespace, workload: Workload, config: EngineConfig
-) -> int:
-    """The ``replay --scenario`` / ``--replay-trace`` path: drive a
-    composed adversarial stream (or a recorded trace of one) through the
-    chosen backend and print the replay-contract totals.
-
-    The canonical ``scenario totals:`` line at the end is the replay
-    contract: a recorded trace replayed on the same backend reproduces
-    it byte-identically (CI diffs the two lines).
-    """
-    from contextlib import ExitStack
-    from dataclasses import replace
-
+def _replay_stream(args: argparse.Namespace, workload: Workload):
+    """The stream ``replay`` drives: a recorded trace, or the base stream
+    with the ``--scenario`` compositions over it (none by default)."""
     from repro.scenarios import (
-        ScenarioDriver,
-        build_backend,
         build_scenario_stream,
         read_trace,
         workload_fingerprint,
         write_trace,
     )
 
-    if args.live or args.slo or args.qos or args.trace or args.metrics_out:
-        raise ConfigError(
-            "--scenario/--replay-trace drive the scripted-event path; the "
-            "--live/--slo/--qos/--trace dashboards run on the post-stream "
-            "simulator — drop one side"
-        )
     if args.replay_trace:
         if args.scenario:
             raise ConfigError(
@@ -502,32 +260,214 @@ def _replay_scenario(
     else:
         stream = build_scenario_stream(
             workload,
-            args.scenario,
+            args.scenario or [],
             seed=args.scenario_seed,
             limit_posts=args.limit,
         )
     if args.record:
         count = write_trace(args.record, stream)
         print(f"recorded {count} events to {args.record}")
-    backend, num_shards = _cluster_backend(args)
-    # Click-intent resolution reads the served slates off every result.
-    config = replace(config, collect_deliveries=True)
-    with ExitStack() as stack:
-        engine = build_backend(
-            workload, config, backend=backend, num_shards=num_shards, stack=stack
+    return stream
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
+    """Drive one stream through one backend and report it: every flag is
+    an option of this one path, on every backend and stream kind.
+
+    The canonical ``scenario totals:`` line at the end is the replay
+    contract: a recorded trace replayed on the same backend reproduces
+    it byte-identically (CI diffs the two lines).
+    """
+    import json
+    from contextlib import ExitStack
+
+    from repro.obs.health import HealthMonitor, HealthState, SloSpec
+    from repro.obs.prometheus import TimeseriesWriter, render_prometheus
+    from repro.obs.registry import MetricsRegistry
+    from repro.scenarios import ScenarioDriver, ScriptedClick, build_backend
+    from repro.util.timers import LatencyRecorder
+
+    workload = _workload_from_args(args)
+    shape = _backend_from_args(args)
+    request_tracer = _build_request_tracer(args)
+    controller = _build_qos_controller(args)
+    stream = _replay_stream(args, workload)
+    events = stream.events
+    config = EngineConfig(
+        mode=EngineMode(args.mode),
+        k=args.k,
+        searcher=args.searcher,
+        exact_fallback=not args.approximate,
+        # Click intents resolve against the served slates.
+        collect_deliveries=any(isinstance(e, ScriptedClick) for e in events),
+        charge_impressions=not args.no_charging,
+        personalize=args.personalize,
+        alpha_ucb=args.alpha_ucb,
+        linucb_sync_interval_s=args.linucb_sync,
+    )
+    grading = args.slo or controller is not None  # --qos reacts to grades
+    targets = _parse_slo_targets(args.slo_p99_ms)
+    if not targets and args.slo_min_dps <= 0.0:
+        # A bare --slo still needs something to judge: a permissive
+        # default target on the end-to-end delivery stage.
+        targets = {"delivery": 50.0}
+    registry = interval = None
+    if grading or args.live or args.metrics_out or args.prom_out:
+        span = events[-1].timestamp - events[0].timestamp
+        interval = args.interval if args.interval else max(span / 12.0, 1e-6)
+        window = args.window if args.window else interval * 5.0
+        registry = MetricsRegistry(window_s=window)
+        print(
+            f"live replay: mode={args.mode} interval={interval:g}s "
+            f"window={window:g}s slo={'on' if grading else 'off'} "
+            f"qos={'on' if controller else 'off'}"
         )
-        totals = ScenarioDriver(engine, workload).run(stream.events)
-    rows = [
-        ["backend", backend if num_shards == 0 else f"{backend}x{num_shards}"],
-        ["scenarios", ",".join(stream.scenarios) or "(trace)"],
-        ["scenario seed", stream.seed],
-        ["events", len(stream.events)],
-    ]
-    rows.extend(totals.rows())
-    rows.append(["wall seconds", round(totals.wall_seconds, 3)])
-    print(ascii_table(["metric", "value"], rows, title="Scenario replay"))
-    print(f"scenario totals: {totals.canonical()}")
-    return 0
+    writer = TimeseriesWriter(args.metrics_out) if args.metrics_out else None
+
+    with ExitStack() as stack:
+        backend = build_backend(
+            workload,
+            config,
+            **shape,
+            stack=stack,
+            metrics=registry,
+            qos=controller,
+            request_tracer=request_tracer,
+            flight_path=args.flight_out,
+        )
+        monitor = None
+        dumped: list[str] = []
+
+        def dump_flight(reason: str) -> None:
+            # The black box, from the cluster's roll-ups (every shard's
+            # segments, ledgers, windows); at most one dump per reason.
+            if args.flight_out and reason not in dumped:
+                dumped.append(reason)
+                backend.dump_flight(
+                    args.flight_out,
+                    reason=reason,
+                    health=monitor.summary() if monitor else None,
+                )
+
+        if grading:
+            monitor = HealthMonitor(
+                lambda: backend.metrics,  # re-merged from every shard
+                SloSpec(
+                    stage_p99_ms=targets,
+                    min_deliveries_per_s=max(args.slo_min_dps, 0.0),
+                ),
+                # Raw-grade breach: snapshot the black box at the *first*
+                # bad interval, not the hysteresis-confirmed one.
+                on_breach=lambda report: dump_flight("slo_breach"),
+            )
+
+        def on_interval(now: float, wall_seconds: float) -> None:
+            snapshot = backend.metrics.snapshot(now)
+            report = None
+            if monitor is not None:
+                report = monitor.evaluate(now, wall_seconds=wall_seconds)
+                # Closed loop: the raw grade steps every ladder once and
+                # opens or closes the breach window on every tracer.
+                backend.observe_health(report.grade)
+            print(_dashboard_line(snapshot, report, backend.qos_summary()))
+            if writer is not None:
+                writer.append(snapshot, health=report)
+
+        driver = ScenarioDriver(backend, workload, batch_size=max(args.batch, 1))
+        totals = driver.run(events, interval_s=interval, on_interval=on_interval)
+
+        stats = backend.cluster_stats()
+        latency = LatencyRecorder(samples=driver.post_latencies)
+        sample = "post" if driver.batch_size == 1 else "batch"
+        wall = max(totals.wall_seconds, 1e-9)
+        rows: list[list[object]] = [
+            ["mode", args.mode],
+            ["searcher", args.searcher],
+            ["batch size", driver.batch_size],
+            ["posts", stats.posts],
+            ["deliveries", stats.deliveries],
+            ["deliveries/s", round(stats.deliveries / wall, 1)],
+            [f"{sample} p50 (ms)", round(latency.p50() * 1e3, 3)],
+            [f"{sample} p99 (ms)", round(latency.p99() * 1e3, 3)],
+            ["fallback rate", round(stats.fallback_rate(), 4)],
+            ["impressions", stats.impressions],
+            ["revenue", round(stats.revenue, 2)],
+            ["wall seconds", round(totals.wall_seconds, 3)],
+        ]
+        if backend.num_shards > 1:
+            where = "worker processes" if args.workers else "in-process"
+            rows.extend([
+                ["shards", f"{backend.num_shards} ({where})"],
+                ["amplification", round(backend.amplification(), 3)],
+                ["load imbalance", round(backend.load_imbalance(), 3)],
+            ])
+        if monitor is not None:
+            summary = monitor.summary()
+            rows.extend([
+                ["intervals", summary["intervals"]],
+                ["violating intervals", summary["violating_intervals"]],
+                ["compliance", round(summary["compliance"], 4)],
+                ["burn rate", round(summary["burn_rate"], 3)],
+            ])
+            if writer is not None:
+                writer.append_summary(summary)
+        if controller is not None:
+            qos = backend.qos_summary()
+            rows.extend([
+                ["qos rung", f"{qos['rung']}:{qos['rung_name']}"],
+                ["qos degrade steps", qos["degrade_steps"]],
+                ["qos recover steps", qos["recover_steps"]],
+                ["deliveries shed", stats.deliveries_shed],
+                ["deliveries degraded", stats.deliveries_degraded],
+                ["revenue shed (bound)", round(stats.revenue_shed_upper_bound, 4)],
+            ])
+        if args.scenario or args.replay_trace:
+            rows.extend([
+                ["scenarios", ",".join(stream.scenarios) or "(trace)"],
+                ["scenario seed", stream.seed],
+                ["events", len(events)],
+                *totals.rows(),
+            ])
+        print(ascii_table(["metric", "value"], rows, title="Replay summary"))
+        print(f"scenario totals: {totals.canonical()}")
+
+        if args.prom_out:
+            _write_text(args.prom_out, render_prometheus(backend.metrics.snapshot()))
+            print(f"wrote Prometheus exposition to {args.prom_out}")
+        if writer is not None:
+            print(f"wrote {writer.rows} timeseries rows to {args.metrics_out}")
+        exit_code = 0
+        if monitor is not None:
+            verdict = monitor.verdict()
+            print(f"SLO verdict: {verdict.value.upper()}")
+            for report in monitor.reports:
+                for breach in report.breaches:
+                    print(f"  breach @ t={report.at:.1f}s: {breach}")
+            # A failing run-level verdict fails the process: CI and scripts
+            # gate on the exit code, not on scraping the verdict line.
+            if verdict is not HealthState.OK:
+                # The black box for the failing run, dumped before exit.
+                dump_flight(f"verdict_{verdict.value}")
+                exit_code = 1
+        if request_tracer is not None:
+            if args.trace_out:
+                segments = backend.request_traces()
+                _write_text(
+                    args.trace_out,
+                    "".join(json.dumps(s.to_dict()) + "\n" for s in segments),
+                )
+                print(f"wrote {len(segments)} trace segments to {args.trace_out}")
+            if args.flight_out:
+                if not dumped:  # healthy run: still honour --flight-out
+                    dump_flight("signal")
+                print(f"wrote flight dump ({dumped[-1]}) to {args.flight_out}")
+            summary = backend.request_tracer.summary()
+            print(
+                f"tracing: started={summary['started']} "
+                f"finished={summary['finished']} retained={summary['retained']} "
+                f"ring={summary['ring']} dropped={summary['dropped']}"
+            )
+    return exit_code
 
 
 def _coerce_override(name: str, raw: str, current) -> object:
@@ -557,6 +497,7 @@ def _cmd_canary(args: argparse.Namespace) -> int:
     from repro.scenarios import build_scenario_stream, run_canary
 
     workload = _workload_from_args(args)
+    shape = _backend_from_args(args)
     control = EngineConfig(
         mode=EngineMode(args.mode),
         k=args.k,
@@ -592,17 +533,12 @@ def _cmd_canary(args: argparse.Namespace) -> int:
         treatment_config=treatment,
         fraction=args.fraction,
         seed=args.canary_seed,
-        backend="sharded" if args.shards else "single",
-        num_shards=args.shards or 0,
+        **shape,
         max_revenue_drop=args.max_revenue_drop,
         max_p99_ratio=args.max_p99_ratio,
     )
     if args.report_out:
-        from pathlib import Path
-
-        out = Path(args.report_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_text(args.report_out, report.to_json() + "\n")
         print(f"wrote canary report to {args.report_out}")
     rows = [
         ["scenarios", ",".join(stream.scenarios) or "(base stream)"],
@@ -622,69 +558,6 @@ def _cmd_canary(args: argparse.Namespace) -> int:
     for reason in report.reasons:
         print(f"  {reason}")
     return 0 if report.verdict == "pass" else 1
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    workload = _workload_from_args(args)
-    config = EngineConfig(
-        mode=EngineMode(args.mode),
-        k=args.k,
-        searcher=args.searcher,
-        exact_fallback=not args.approximate,
-        collect_deliveries=False,
-        charge_impressions=not args.no_charging,
-        personalize=args.personalize,
-        alpha_ucb=args.alpha_ucb,
-        linucb_sync_interval_s=args.linucb_sync,
-    )
-    if args.scenario or args.replay_trace:
-        return _replay_scenario(args, workload, config)
-    request_tracer = _build_request_tracer(args)
-    if args.workers or args.shards:
-        return _replay_cluster(args, workload, config, request_tracer)
-    if args.live or args.slo or args.qos or args.metrics_out or args.prom_out:
-        return _replay_live(args, workload, config, request_tracer)
-    result = run_perf(
-        workload,
-        config,
-        label=args.mode,
-        limit_posts=args.limit,
-        request_tracer=request_tracer,
-    )
-    print(ascii_table(
-        ["metric", "value"],
-        [
-            ["mode", args.mode],
-            ["searcher", args.searcher],
-            ["posts", result.posts],
-            ["deliveries", result.deliveries],
-            ["deliveries/s", round(result.deliveries_per_s, 1)],
-            ["post p50 (ms)", round(result.post_latency_p50_ms, 3)],
-            ["post p99 (ms)", round(result.post_latency_p99_ms, 3)],
-            ["fallback rate", round(result.fallback_rate, 4)],
-            ["impressions", result.impressions],
-            ["revenue", round(result.revenue, 2)],
-        ],
-        title="Replay summary",
-    ))
-    if request_tracer is not None:
-        if args.trace_out:
-            count = _write_trace_export(
-                args.trace_out, list(request_tracer.retained)
-            )
-            print(f"wrote {count} trace segments to {args.trace_out}")
-        if args.flight_out:
-            from repro.obs.recorder import write_flight_dump
-
-            write_flight_dump(
-                args.flight_out,
-                request_tracer.flight_traces(),
-                reason="signal",
-                extra={"tracer": request_tracer.summary()},
-            )
-            print(f"wrote flight dump to {args.flight_out}")
-        _print_trace_summary(request_tracer)
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -868,23 +741,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--workload", required=True)
     stats.set_defaults(handler=_cmd_stats)
 
-    replay = commands.add_parser("replay", help="replay a post stream, measure")
-    _add_generation_flags(replay)
-    replay.add_argument("--workload", help="saved workload directory")
-    replay.add_argument(
-        "--mode",
-        choices=[mode.value for mode in EngineMode],
-        default="shared",
+    replay = commands.add_parser(
+        "replay", help="drive a stream through a backend, observe, measure"
     )
-    replay.add_argument(
-        "--searcher",
-        choices=list(SEARCHER_KINDS),
-        default="ta",
-        help="top-k searcher for every index probe: 'vector' runs the "
-        "compact numpy hot path, 'ta' is the pure-Python reference oracle",
-    )
-    replay.add_argument("--k", type=int, default=10)
-    replay.add_argument("--limit", type=int, default=None)
+    _add_backend_flags(replay)
     replay.add_argument(
         "--approximate",
         action="store_true",
@@ -917,20 +777,12 @@ def build_parser() -> argparse.ArgumentParser:
         "into the serving snapshot at each epoch boundary",
     )
     replay.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="run N user shards as real worker processes behind the "
-        "router (0 = in-process single engine; --shards runs the same "
-        "router over in-process shards); incompatible with the "
-        "--live/--slo/--qos dashboards",
-    )
-    replay.add_argument(
         "--batch",
         type=int,
-        default=32,
-        help="posts per dispatch batch on the --workers/--shards path "
-        "(IPC is amortised per batch)",
+        default=1,
+        help="consecutive posts sent as one dispatch (default 1 on every "
+        "backend: a post is a dispatch and the latency rows time a post; "
+        "raise it with --workers, where IPC is paid per dispatch)",
     )
     replay.add_argument(
         "--live",
@@ -947,13 +799,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--interval",
         type=float,
-        default=None,
         help="sampling interval in stream seconds (default: stream span / 12)",
     )
     replay.add_argument(
         "--window",
         type=float,
-        default=None,
         help="trailing telemetry window in stream seconds (default: 5x interval)",
     )
     replay.add_argument(
@@ -999,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--qos-floor",
         type=int,
-        default=None,
         help="deepest degradation rung the ladder may reach "
         "(default: the full ladder, down to shedding)",
     )
@@ -1011,13 +860,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--metrics-out",
-        default=None,
         help="append one JSON line per interval to this timeseries file "
         "(implies --live)",
     )
     replay.add_argument(
         "--prom-out",
-        default=None,
         help="write the final snapshot in Prometheus text exposition "
         "format (implies --live)",
     )
@@ -1026,63 +873,34 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach distributed request tracing: head-sample a fraction "
         "of requests, tail-capture errors/slow/shed/degraded ones, and "
-        "keep a flight-recorder ring per process (works with --workers)",
+        "keep a flight-recorder ring per process",
     )
     replay.add_argument(
         "--trace-sample",
         type=float,
-        default=None,
         metavar="RATE",
         help="head-sampling rate in [0, 1] (default 0.01; requires --trace)",
     )
     replay.add_argument(
         "--trace-out",
-        default=None,
         help="write retained trace segments as JSONL (requires --trace; "
         "inspect with `repro trace --dump PATH`)",
     )
     replay.add_argument(
         "--flight-out",
-        default=None,
         help="flight-recorder dump path, written on SLO breach, worker "
         "crash, or end of run (requires --trace)",
     )
     replay.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="compose a named adversarial scenario over the base stream "
-        "(repeatable; flash-crowd, celebrity-spike, budget-burst, "
-        "geo-wave, click-flood); switches replay onto the scripted path",
-    )
-    replay.add_argument(
-        "--scenario-seed",
-        type=int,
-        default=0,
-        help="seed for the scenario generators (the workload keeps its "
-        "own --seed)",
-    )
-    replay.add_argument(
         "--record",
-        default=None,
         metavar="PATH",
-        help="record the scripted stream to a versioned JSONL trace "
-        "before driving it",
+        help="record the stream to a versioned JSONL trace before driving it",
     )
     replay.add_argument(
         "--replay-trace",
-        default=None,
         metavar="PATH",
         help="replay a trace recorded with --record instead of "
         "generating; the workload must match the trace's fingerprint",
-    )
-    replay.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="drive the router over N in-process shards (0 = single "
-        "engine; --workers picks worker processes instead)",
     )
     replay.set_defaults(handler=_cmd_replay)
 
@@ -1091,27 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="A/B canary rollout: drive control and treatment configs "
         "with one adversarial stream, gate on the cohort's paired diff",
     )
-    _add_generation_flags(canary)
-    canary.add_argument("--workload", help="saved workload directory")
-    canary.add_argument(
-        "--mode",
-        choices=[mode.value for mode in EngineMode],
-        default="shared",
-    )
-    canary.add_argument(
-        "--searcher", choices=list(SEARCHER_KINDS), default="ta"
-    )
-    canary.add_argument("--k", type=int, default=10)
-    canary.add_argument("--limit", type=int, default=None)
-    canary.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="adversarial scenario(s) to stress both arms with "
-        "(repeatable; default: the base stream alone)",
-    )
-    canary.add_argument("--scenario-seed", type=int, default=0)
+    _add_backend_flags(canary)
     canary.add_argument(
         "--fraction",
         type=float,
@@ -1127,18 +925,10 @@ def build_parser() -> argparse.ArgumentParser:
     canary.add_argument(
         "--arm",
         action="append",
-        default=None,
         metavar="NAME=VALUE",
         help="EngineConfig override for the treatment arm (repeatable, "
         "e.g. --arm personalize=linucb --arm k=5); no overrides runs "
         "an A/A check",
-    )
-    canary.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="drive both arms on the in-process sharded router with N "
-        "shards (0 = single engine)",
     )
     canary.add_argument(
         "--max-revenue-drop",
@@ -1150,13 +940,11 @@ def build_parser() -> argparse.ArgumentParser:
     canary.add_argument(
         "--max-p99-ratio",
         type=float,
-        default=None,
         help="fail when treatment post p99 exceeds control by this "
         "factor (off by default: wall-clock is noisy in CI)",
     )
     canary.add_argument(
         "--report-out",
-        default=None,
         help="write the structured canary report as JSON",
     )
     canary.set_defaults(handler=_cmd_canary)

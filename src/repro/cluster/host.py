@@ -22,6 +22,7 @@ from repro.core.engine import AdEngine
 from repro.datagen.workload import Workload
 from repro.errors import StreamError
 from repro.graph.social import SocialGraph
+from repro.obs.health import HealthState
 from repro.obs.tracer import StageTracer
 
 if TYPE_CHECKING:
@@ -206,6 +207,17 @@ class ShardHost:
         if op == "qos_summary":
             qos = engine.qos
             return qos.summary() if qos is not None else None
+        if op == "observe_health":
+            # One graded interval: the breach window opens or closes on
+            # this shard's tracer; the controller steps only where the
+            # router says this shard's is its own to step.
+            grade, steps_qos = payload
+            engine.services.request_tracer.set_breach(
+                grade is not HealthState.OK
+            )
+            if steps_qos and engine.qos is not None:
+                engine.qos.observe(grade)
+            return None
         if op == "qos_state":
             qos = engine.qos
             return qos.state_dict() if qos is not None else None

@@ -145,6 +145,8 @@ class ProcessTransport:
     pickled copy of the QoS prototype (per-shard admission).
     """
 
+    shared_qos = False
+
     def __init__(
         self,
         bootstraps: list[WorkerBootstrap],
@@ -163,7 +165,6 @@ class ProcessTransport:
         self._request_tracer = request_tracer
         self._flight_path = flight_path
         self._flight_dumped = False
-        self._has_qos = bootstraps[0].qos is not None
         self._closed = False
         self._workers: list[_Worker] = []
         method = start_method or (
@@ -229,18 +230,6 @@ class ProcessTransport:
         if status == "err":
             raise value
         return value
-
-    def _call(self, shard: int, op: str) -> Any:
-        self.submit(shard, op)
-        return self.collect(shard)
-
-    def qos_summaries(self) -> list[dict | None]:
-        return [
-            self._call(worker.shard, "qos_summary") for worker in self._workers
-        ]
-
-    def qos_state(self) -> dict | None:
-        return self._call(0, "qos_state") if self._has_qos else None
 
     # -- crash marking -------------------------------------------------------
 

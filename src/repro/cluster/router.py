@@ -71,6 +71,7 @@ from repro.obs.tracer import NoopTracer, StageStats, StageTracer
 from repro.stream.clock import SimClock
 
 if TYPE_CHECKING:
+    from repro.obs.health import HealthState
     from repro.qos.controller import QosController
     from repro.qos.faults import FaultInjector
 
@@ -86,13 +87,9 @@ class ShardTransport(Protocol):
         """The reply to ``shard``'s oldest outstanding request; a handler
         error is raised here, after the reply has been consumed."""
 
-    def qos_summaries(self) -> list[dict | None]:
-        """One live summary per QoS controller in the cluster — one when
-        the shards share a controller object, one per shard when each
-        holds its own copy."""
-
-    def qos_state(self) -> dict | None:
-        """The checkpointable QoS control-plane state (None unattached)."""
+    #: Whether every shard holds the *same* QoS controller object (one
+    #: cluster-wide ladder and admission bucket) rather than a copy each.
+    shared_qos: bool
 
     def close(self) -> None:
         """Release whatever the transport owns. Idempotent."""
@@ -108,6 +105,8 @@ class LocalTransport:
     controller object, so admission rate-limits the whole cluster.
     """
 
+    shared_qos = True
+
     def __init__(self, bootstraps: list[WorkerBootstrap]) -> None:
         for bootstrap in bootstraps:
             if bootstrap.request_tracer is not None:
@@ -115,7 +114,6 @@ class LocalTransport:
                 # reassembled trace reads router → shardN.
                 bootstrap.request_tracer.process = f"shard{bootstrap.shard}"
         self.hosts = [ShardHost(bootstrap) for bootstrap in bootstraps]
-        self._qos = bootstraps[0].qos
         self._requests: list[deque] = [deque() for _ in bootstraps]
 
     def submit(self, shard: int, op: str, payload: Any = None) -> int:
@@ -125,12 +123,6 @@ class LocalTransport:
     def collect(self, shard: int) -> Any:
         op, payload = self._requests[shard].popleft()
         return self.hosts[shard].handle(op, payload)
-
-    def qos_summaries(self) -> list[dict | None]:
-        return [self._qos.summary()] if self._qos is not None else []
-
-    def qos_state(self) -> dict | None:
-        return self._qos.state_dict() if self._qos is not None else None
 
     def close(self) -> None:
         """Nothing to release: the hosts die with the router."""
@@ -737,7 +729,9 @@ class Router:
             self._broadcast("state"),
             self.shard_of,
             posts_routed=self._posts_routed + self._baseline_stats.get("posts", 0),
-            qos_state=self.transport.qos_state(),
+            qos_state=(
+                self._call(0, "qos_state") if self._qos is not None else None
+            ),
         )
 
     def load_state(self, payload: dict) -> None:
@@ -833,8 +827,11 @@ class Router:
             from repro.obs.prometheus import export_cluster_gauges
 
             reports = self._reports()
+            # Every touched shard counted the post it ingested; a post is
+            # one post — the router's count, as in cluster_stats().
             for view in self._shard_views(reports, "metrics"):
-                merged.merge(view)
+                merged.merge(view, except_counters=("posts",))
+            merged.inc("posts", self._posts_routed)
             # Set on the freshly merged ephemeral view (gauges *add* on
             # merge, so stamping post-merge avoids double counting).
             export_cluster_gauges(
@@ -889,11 +886,13 @@ class Router:
         """Every retained trace segment, cluster-wide."""
         return list(self.request_tracer.retained)
 
-    def dump_flight(self, path, *, reason: str = "signal"):
+    def dump_flight(
+        self, path, *, reason: str = "signal", health: dict | None = None
+    ):
         """Write the flight-recorder snapshot (traces + registry snapshot
-        + QoS rung) to ``path``; returns the path written. Reachable
-        shards are drained first, so this is the end-of-run /
-        operator-signal entry point."""
+        + QoS rung, plus the caller's ``health`` summary) to ``path``;
+        returns the path written. Reachable shards are drained first, so
+        this is the breach / end-of-run / operator-signal entry point."""
         from repro.obs.recorder import write_flight_dump
 
         try:
@@ -908,6 +907,7 @@ class Router:
             path,
             self.request_tracer.flight_traces(),
             reason=reason,
+            health=health,
             qos=qos,
             registry_snapshot=registry_snapshot,
             extra={"tracer": self._request_tracer.summary()},
@@ -920,12 +920,20 @@ class Router:
         the process transport (their live ledgers: :meth:`qos_summary`)."""
         return self._qos
 
+    def _qos_shards(self) -> range:
+        """The shards holding distinct QoS controllers: one stands for
+        all when the transport's shards share the object, else every
+        shard has its own copy. Empty without a controller."""
+        if self._qos is None:
+            return range(0)
+        return range(1 if self.transport.shared_qos else self.num_shards)
+
     def qos_summary(self) -> dict | None:
         """Cluster ledger roll-up: counters summed across controllers, the
         rung reported at its worst (max index)."""
-        summaries = [
-            s for s in self.transport.qos_summaries() if s is not None
-        ]
+        summaries = self._fan_out(
+            (shard, "qos_summary", None) for shard in self._qos_shards()
+        )
         if not summaries:
             return None
         merged = dict(summaries[0])
@@ -938,6 +946,22 @@ class Router:
                 merged["rung"] = summary["rung"]
                 merged["rung_name"] = summary["rung_name"]
         return merged
+
+    def observe_health(self, grade: "HealthState") -> None:
+        """Close the control loop for one graded interval, cluster-wide.
+
+        Every QoS controller steps exactly once on the raw grade (the
+        shared object once, each worker's copy once), and the
+        breach-window flag — segments finishing inside a non-OK interval
+        are force-retained — is set on the router's request tracer and on
+        every shard's, which the parent's ``set_breach`` never reaches.
+        """
+        self._request_tracer.set_breach(grade.severity > 0)
+        stepping = self._qos_shards()
+        self._fan_out(
+            (shard, "observe_health", (grade, shard in stepping))
+            for shard in range(self.num_shards)
+        )
 
     def failover_stats(self) -> FailoverStats:
         """Roll-up of retries, failovers, redirected deliveries, suppressed

@@ -10,13 +10,10 @@ from repro.core.config import EngineConfig
 from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.workload import Workload
 from repro.obs.export import stage_table
-from repro.stream.simulator import FeedSimulator, IntervalHook
+from repro.stream.simulator import FeedSimulator
 
 if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.trace import RequestTracer
     from repro.obs.tracer import StageStats, StageTracer
-    from repro.qos.controller import QosController
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,10 +31,6 @@ class PerfResult:
     refresh_rate: float
     impressions: int
     revenue: float = 0.0
-    # QoS accounting (zero unless run_perf got a controller).
-    deliveries_shed: int = 0
-    deliveries_degraded: int = 0
-    revenue_shed_upper_bound: float = 0.0
     # Per-stage breakdown; populated only when run_perf got a recording
     # tracer, so untraced benchmark rows carry no observability weight.
     stages: "dict[str, StageStats]" = field(default_factory=dict)
@@ -68,11 +61,6 @@ def run_perf(
     with_checkins: bool = False,
     batch_size: int | None = None,
     tracer: "StageTracer | None" = None,
-    metrics_registry: "MetricsRegistry | None" = None,
-    interval_s: float | None = None,
-    on_interval: IntervalHook | None = None,
-    qos: "QosController | None" = None,
-    request_tracer: "RequestTracer | None" = None,
 ) -> PerfResult:
     """Build a fresh engine for ``config``, replay the stream, measure.
 
@@ -80,22 +68,10 @@ def run_perf(
     never leak into another. ``batch_size`` drives the engine through its
     batch entry point (latency is then per batch, not per post).
     ``tracer`` (a recording :class:`~repro.obs.tracer.StageTracer`) adds a
-    per-stage latency breakdown to the result. ``metrics_registry`` opts
-    the engine into live windowed telemetry; with ``interval_s`` and
-    ``on_interval`` the simulator fires the sampling hook at every stream
-    interval boundary (see :meth:`~repro.stream.simulator.FeedSimulator.run`).
-    ``qos`` attaches a QoS controller; the row then reports what admission
-    shed and how many deliveries were served degraded. ``request_tracer``
-    attaches distributed request tracing (the retained traces stay on the
-    tracer the caller passed in).
+    per-stage latency breakdown to the result.
     """
     recommender = ContextAwareRecommender.from_workload(
-        workload,
-        config,
-        tracer=tracer,
-        metrics=metrics_registry,
-        qos=qos,
-        request_tracer=request_tracer,
+        workload, config, tracer=tracer
     )
     posts = workload.posts if limit_posts is None else workload.posts[:limit_posts]
     simulator = FeedSimulator(recommender.engine)
@@ -103,8 +79,6 @@ def run_perf(
         posts,
         checkins=workload.checkins if with_checkins else (),
         batch_size=batch_size,
-        interval_s=interval_s,
-        on_interval=on_interval,
     )
     stats = recommender.stats
     return PerfResult(
@@ -119,8 +93,5 @@ def run_perf(
         refresh_rate=stats.refresh_rate(),
         impressions=metrics.impressions,
         revenue=stats.revenue,
-        deliveries_shed=stats.deliveries_shed,
-        deliveries_degraded=stats.deliveries_degraded,
-        revenue_shed_upper_bound=stats.revenue_shed_upper_bound,
         stages=metrics.stages,
     )

@@ -175,13 +175,22 @@ class MetricsRegistry:
             relative_error=self._relative_error,
         )
 
-    def merge(self, other: "MetricsRegistry | NullMetrics") -> None:
+    def merge(
+        self,
+        other: "MetricsRegistry | NullMetrics",
+        *,
+        except_counters: tuple[str, ...] = (),
+    ) -> None:
         """Fold a child registry in: counters and gauges add, histograms
-        merge bucket-by-bucket (lossless for aligned geometry)."""
+        merge bucket-by-bucket (lossless for aligned geometry).
+        ``except_counters`` names counters that do not partition across
+        children (every child counted the same events) and are left for
+        the caller to set."""
         if not isinstance(other, MetricsRegistry):
             return  # nothing to fold in from the null registry
         for name, value in other._counters.items():
-            self._counters[name] = self._counters.get(name, 0.0) + value
+            if name not in except_counters:
+                self._counters[name] = self._counters.get(name, 0.0) + value
         for name, value in other._gauges.items():
             self._gauges[name] = self._gauges.get(name, 0.0) + value
         for name, sketch in other._histograms.items():
@@ -256,7 +265,7 @@ class NullMetrics:
     def spawn(self) -> "NullMetrics":
         return self
 
-    def merge(self, other: object) -> None:
+    def merge(self, other: object, *, except_counters: tuple = ()) -> None:
         return None
 
     def snapshot(self, now: float | None = None) -> RegistrySnapshot:

@@ -21,7 +21,6 @@ from repro.scenarios.base import (
     workload_fingerprint,
 )
 from repro.scenarios.canary import (
-    BACKENDS,
     ArmMetrics,
     CanaryReport,
     build_backend,
@@ -35,7 +34,6 @@ from repro.scenarios.trace import read_trace, render_trace, write_trace
 
 __all__ = [
     "ArmMetrics",
-    "BACKENDS",
     "CanaryReport",
     "SCENARIOS",
     "SCENARIO_AD_BASE",

@@ -22,16 +22,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.config import EngineConfig
-from repro.core.engine import AdEngine
 from repro.errors import ConfigError
 from repro.scenarios.driver import ScenarioDriver, ScenarioTotals
 from repro.util.timers import LatencyRecorder
 
 if TYPE_CHECKING:
+    from repro.cluster.router import Router
     from repro.datagen.workload import Workload
-
-#: Engine backends the harness can drive.
-BACKENDS = ("single", "sharded", "procpool")
 
 
 def _splitmix64(value: int) -> int:
@@ -93,7 +90,8 @@ class ArmMetrics:
 class CanaryReport:
     """The rollout verdict and everything behind it."""
 
-    backend: str
+    shards: int
+    workers: int
     fraction: float
     seed: int
     cohort_size: int
@@ -130,7 +128,8 @@ class CanaryReport:
         return {
             "verdict": self.verdict,
             "reasons": list(self.reasons),
-            "backend": self.backend,
+            "shards": self.shards,
+            "workers": self.workers,
             "fraction": self.fraction,
             "seed": self.seed,
             "cohort_size": self.cohort_size,
@@ -152,43 +151,34 @@ def build_backend(
     workload: "Workload",
     config: EngineConfig,
     *,
-    backend: str = "single",
-    num_shards: int = 3,
+    shards: int = 1,
+    workers: int = 0,
     stack: ExitStack | None = None,
     **router_options,
-):
-    """Construct one engine of the requested backend flavour. Pool
-    engines register their shutdown with ``stack`` (required for
-    ``procpool``); ``router_options`` go to the cluster router's
-    constructor (``sharded``/``procpool`` only)."""
-    if backend == "single":
-        engine = AdEngine(
-            corpus=workload.build_corpus(),
-            graph=workload.graph,
-            vectorizer=workload.vectorizer,
-            tokenizer=workload.tokenizer,
-            config=config,
-        )
-        for user in workload.users:
-            engine.register_user(user.user_id, user.home)
-        return engine
-    if backend == "sharded":
-        from repro.cluster.sharded import ShardedEngine
+) -> "Router":
+    """The backend every driver drives: a cluster router.
 
-        return ShardedEngine(
-            workload, num_shards, config=config, **router_options
-        )
-    if backend == "procpool":
+    ``workers=N`` puts N shards in worker processes (``stack``, which
+    reaps them, is then required); otherwise ``shards`` shard hosts live
+    in this process — one by default, which *is* the single engine.
+    ``router_options`` go to the router's constructor (``metrics``,
+    ``qos``, ``request_tracer``, …); ``flight_path`` arms the crash
+    dump, which only worker processes can need.
+    """
+    if workers:
         from repro.cluster.procpool import ProcessShardedEngine
 
         if stack is None:
-            raise ConfigError("procpool backend needs an ExitStack to close")
+            raise ConfigError("worker processes need an ExitStack to reap them")
         return stack.enter_context(
             ProcessShardedEngine(
-                workload, num_shards, config=config, **router_options
+                workload, workers, config=config, **router_options
             )
         )
-    raise ConfigError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    from repro.cluster.sharded import ShardedEngine
+
+    router_options.pop("flight_path", None)
+    return ShardedEngine(workload, shards, config=config, **router_options)
 
 
 class _ArmObserver:
@@ -221,8 +211,8 @@ def run_canary(
     treatment_config: EngineConfig,
     fraction: float = 0.1,
     seed: int = 0,
-    backend: str = "single",
-    num_shards: int = 3,
+    shards: int = 1,
+    workers: int = 0,
     max_revenue_drop: float = 0.02,
     max_p99_ratio: float | None = None,
 ) -> CanaryReport:
@@ -255,11 +245,7 @@ def run_canary(
             ("treatment", treatment_config),
         ):
             engine = build_backend(
-                workload,
-                config,
-                backend=backend,
-                num_shards=num_shards,
-                stack=stack,
+                workload, config, shards=shards, workers=workers, stack=stack
             )
             observer = _ArmObserver(cohort)
             driver = ScenarioDriver(
@@ -276,7 +262,8 @@ def run_canary(
         observer.metrics.p50_ms = recorder.p50() * 1000.0
         observer.metrics.p99_ms = recorder.p99() * 1000.0
     report = CanaryReport(
-        backend=backend,
+        shards=shards,
+        workers=workers,
         fraction=fraction,
         seed=seed,
         cohort_size=len(cohort),

@@ -1,15 +1,14 @@
 """Drive a scripted scenario stream through any engine backend.
 
-The driver is backend-agnostic: it speaks only the surface the single
-:class:`~repro.core.engine.AdEngine`, the in-process
-:class:`~repro.cluster.sharded.ShardedEngine` router and the
-multiprocess :class:`~repro.cluster.procpool.ProcessShardedEngine` pool
-all share — ``post`` / ``checkin`` / ``launch_campaign`` /
-``end_campaign`` / ``record_click``. Click intents resolve against the
-slates the engine actually served (collected from each post's result),
-so a shed or degraded delivery deterministically suppresses its bot
-clicks, and byte-identical slates across backends imply byte-identical
-click streams.
+The driver is backend-agnostic: it speaks only the surface a
+:class:`~repro.cluster.router.Router` on either transport and a bare
+:class:`~repro.core.engine.AdEngine` share — ``post`` / ``post_batch`` /
+``checkin`` / ``launch_campaign`` / ``end_campaign`` /
+``record_click``. Click intents resolve against the slates the engine
+actually served (collected from each post's result), so a shed or
+degraded delivery deterministically suppresses its bot clicks, and
+byte-identical slates across backends imply byte-identical click
+streams.
 """
 
 from __future__ import annotations
@@ -69,13 +68,9 @@ class ScenarioTotals:
         )
 
     def rows(self) -> list[list[object]]:
+        """What only the driver counts (the delivery books are the
+        backend's own to report)."""
         return [
-            ["posts", self.posts],
-            ["deliveries", self.deliveries],
-            ["impressions", self.impressions],
-            ["revenue", round(self.revenue, 4)],
-            ["deliveries shed", self.shed],
-            ["deliveries degraded", self.degraded],
             ["clicks resolved", self.clicks],
             ["click intents skipped", self.clicks_skipped],
             ["campaign launches", self.launches],
@@ -95,6 +90,13 @@ class ScenarioDriver:
     both for per-arm attribution. ``slate_cache_msgs`` bounds the
     click-join memory: intents arriving more than that many posts after
     their message are counted as skipped (deterministically).
+
+    ``batch_size`` > 1 sends up to that many *consecutive* posts — no
+    other event and no interval tick between them — as one
+    ``post_batch`` (IPC paid per batch on a process transport); books,
+    hooks and click joins are per post either way, and
+    ``post_latencies`` holds one sample per dispatch: a post at the
+    default 1, a batch above it.
     """
 
     engine: object
@@ -103,9 +105,11 @@ class ScenarioDriver:
     on_result: Callable | None = None
     on_click: Callable | None = None
     post_latencies: list[float] = field(default_factory=list)
+    batch_size: int = 1
 
     def __post_init__(self) -> None:
         self._templates = {ad.ad_id: ad for ad in self.workload.ads}
+        self._pending: list[ScriptedPost] = []
 
     def run(
         self,
@@ -116,6 +120,7 @@ class ScenarioDriver:
     ) -> ScenarioTotals:
         totals = ScenarioTotals()
         slates: OrderedDict[int, dict[int, tuple]] = OrderedDict()
+        dispatch = self._dispatch if self.batch_size <= 1 else self._buffer
         next_tick: float | None = None
         tick_wall = perf_counter()
         started = tick_wall
@@ -124,17 +129,72 @@ class ScenarioDriver:
                 if next_tick is None:
                     next_tick = event.timestamp + interval_s
                 while event.timestamp >= next_tick:
+                    self._flush(totals, slates)  # counters current at a tick
                     now_wall = perf_counter()
                     on_interval(next_tick, now_wall - tick_wall)
                     tick_wall = now_wall
                     next_tick += interval_s
-            self._dispatch(event, totals, slates)
+            dispatch(event, totals, slates)
+        self._flush(totals, slates)
         if next_tick is not None and on_interval is not None:
             # Tail tick: flush the last partial interval, like the feed
             # simulator does.
             on_interval(next_tick, perf_counter() - tick_wall)
         totals.wall_seconds = perf_counter() - started
         return totals
+
+    def _buffer(
+        self,
+        event: ScenarioEvent,
+        totals: ScenarioTotals,
+        slates: OrderedDict,
+    ) -> None:
+        """The batched path's dispatch: posts wait for a full batch,
+        anything else sends what is waiting first."""
+        if isinstance(event, ScriptedPost):
+            self._pending.append(event)
+            if len(self._pending) >= self.batch_size:
+                self._flush(totals, slates)
+        else:
+            self._flush(totals, slates)
+            self._dispatch(event, totals, slates)
+
+    def _flush(self, totals: ScenarioTotals, slates: OrderedDict) -> None:
+        """Send the waiting posts (if any) as one ``post_batch``."""
+        if not self._pending:
+            return
+        posts, self._pending = self._pending, []
+        started = perf_counter()
+        batch = self.engine.post_batch(posts)
+        self.post_latencies.append(perf_counter() - started)
+        for event, result in zip(posts, batch):
+            self._book(event, result, totals, slates)
+
+    def _book(
+        self,
+        event: ScriptedPost,
+        result,
+        totals: ScenarioTotals,
+        slates: OrderedDict,
+    ) -> None:
+        """Enter one served post in the books and the click-join cache."""
+        results = result if isinstance(result, list) else [result]
+        totals.posts += 1
+        delivered: dict[int, tuple] = {}
+        for part in results:
+            totals.deliveries += part.num_deliveries
+            totals.impressions += part.num_impressions
+            totals.revenue += part.revenue
+            totals.shed += part.num_shed
+            totals.degraded += part.num_degraded
+            for delivery in part.deliveries:
+                if delivery.slate:
+                    delivered[delivery.user_id] = delivery.slate
+        slates[event.msg_id] = delivered
+        while len(slates) > self.slate_cache_msgs:
+            slates.popitem(last=False)
+        if self.on_result is not None:
+            self.on_result(event.msg_id, results)
 
     def _dispatch(
         self,
@@ -147,23 +207,7 @@ class ScenarioDriver:
             started = perf_counter()
             result = engine.post(event.author_id, event.text, event.timestamp)
             self.post_latencies.append(perf_counter() - started)
-            results = result if isinstance(result, list) else [result]
-            totals.posts += 1
-            delivered: dict[int, tuple] = {}
-            for part in results:
-                totals.deliveries += part.num_deliveries
-                totals.impressions += part.num_impressions
-                totals.revenue += part.revenue
-                totals.shed += part.num_shed
-                totals.degraded += part.num_degraded
-                for delivery in part.deliveries:
-                    if delivery.slate:
-                        delivered[delivery.user_id] = delivery.slate
-            slates[event.msg_id] = delivered
-            while len(slates) > self.slate_cache_msgs:
-                slates.popitem(last=False)
-            if self.on_result is not None:
-                self.on_result(event.msg_id, results)
+            self._book(event, result, totals, slates)
         elif isinstance(event, ScriptedClick):
             slate = slates.get(event.msg_id, {}).get(event.user_id)
             if not slate:

@@ -31,8 +31,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 CONFIG = EngineConfig(pacing_enabled=False, collect_deliveries=True)
 
-#: (backend, num_shards) flavours the differential contract covers.
-BACKENDS = [("single", 0), ("sharded", 3), ("procpool", 2)]
+#: The backend shapes the differential contract covers: one shard (the
+#: single engine), in-process shards, worker processes.
+BACKENDS = [
+    pytest.param({"shards": 1}, id="single-0"),
+    pytest.param({"shards": 3}, id="sharded-3"),
+    pytest.param({"workers": 2}, id="procpool-2"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +103,9 @@ def test_fraction_is_validated():
 
 
 class TestCanaryDifferential:
-    @pytest.mark.parametrize(("backend", "shards"), BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_control_arm_matches_a_plain_run(
-        self, tiny_workload, stream, backend, shards
+        self, tiny_workload, stream, backend
     ):
         """The harness must not perturb the control arm: its totals are
         byte-identical to driving the same stream with no canary at all,
@@ -109,11 +114,7 @@ class TestCanaryDifferential:
 
         with ExitStack() as stack:
             engine = build_backend(
-                tiny_workload,
-                CONFIG,
-                backend=backend,
-                num_shards=shards,
-                stack=stack,
+                tiny_workload, CONFIG, **backend, stack=stack
             )
             plain = ScenarioDriver(engine, tiny_workload).run(stream.events)
         report = run_canary(
@@ -123,15 +124,14 @@ class TestCanaryDifferential:
             treatment_config=CONFIG,
             fraction=0.25,
             seed=7,
-            backend=backend,
-            num_shards=shards,
+            **backend,
         )
         assert report.control_totals.canonical() == plain.canonical()
         assert report.control_totals.clicks == plain.clicks
 
-    @pytest.mark.parametrize(("backend", "shards"), BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_identical_configs_diff_exactly_zero(
-        self, tiny_workload, stream, backend, shards
+        self, tiny_workload, stream, backend
     ):
         """A/A: same config on both arms means the paired counterfactual
         cancels *exactly* — zero is the float 0.0, not a tolerance."""
@@ -142,8 +142,7 @@ class TestCanaryDifferential:
             treatment_config=CONFIG,
             fraction=0.25,
             seed=7,
-            backend=backend,
-            num_shards=shards,
+            **backend,
         )
         assert report.revenue_diff == 0.0
         assert report.treatment.deliveries == report.control.deliveries

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -14,12 +18,43 @@ def summary_rows(out: str) -> list[str]:
     """The replay-summary rows that must not depend on the transport or
     the searcher (padding squeezed out: it follows the table's widest
     value)."""
-    wanted = ("posts ", "deliveries ", "impressions ", "revenue ")
+    wanted = re.compile(r"(posts|deliveries|impressions|revenue) +\|")
     return [
-        line.replace(" ", "")
-        for line in out.splitlines()
-        if line.startswith(wanted)
+        line.replace(" ", "") for line in out.splitlines() if wanted.match(line)
     ]
+
+
+#: Rows of the replay summary that read a clock.
+TIMING_ROWS = (
+    "deliveries/s ", "post p50", "post p99", "batch p50", "batch p99",
+    "wall seconds ",
+)
+
+
+def untimed_table(out: str) -> list[str]:
+    """The replay summary and its totals line, minus the rows that read a
+    clock and the dashboard lines (padding squeezed out)."""
+    lines = out.splitlines()
+    table = lines[lines.index("Replay summary") :]
+    return [
+        line.replace(" ", "").replace("-", "")
+        for line in table
+        if not line.startswith(TIMING_ROWS)
+        and not line.startswith(("wrote ", "tracing:", "  breach"))
+    ]
+
+
+def totals_line(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("scenario totals:")]
+
+
+#: The backend shapes ``replay`` builds, by their flags.
+BACKENDS = {
+    "default": [],
+    "shards1": ["--shards", "1"],
+    "shards2": ["--shards", "2"],
+    "workers2": ["--workers", "2"],
+}
 
 
 class TestParser:
@@ -279,14 +314,15 @@ class TestEffectiveness:
 
 class TestTracing:
     def test_trace_flags_require_trace(self, capsys):
-        for extra in (
-            ["--trace-out", "traces.jsonl"],
-            ["--flight-out", "flight.jsonl"],
-            ["--trace-sample", "0.5"],
-        ):
-            code = main(["replay", *FAST, "--limit", "5", *extra])
-            assert code == 2
-            assert "requires --trace" in capsys.readouterr().err
+        for stream in ([], ["--scenario", "flash-crowd"]):
+            for extra in (
+                ["--trace-out", "traces.jsonl"],
+                ["--flight-out", "flight.jsonl"],
+                ["--trace-sample", "0.5"],
+            ):
+                code = main(["replay", *FAST, "--limit", "5", *stream, *extra])
+                assert code == 2
+                assert "requires --trace" in capsys.readouterr().err
 
     def test_invalid_sample_rate_is_a_usage_error(self, capsys):
         code = main(
@@ -312,7 +348,9 @@ class TestTracing:
         assert "tracing: started=" in out
         header, exported = read_flight_dump(traces)
         assert header is None, "--trace-out is a bare export"
-        assert len(exported) == 10
+        # One trace per post: the router's route segment and the shard's.
+        assert len({segment.trace_id for segment in exported}) == 10
+        assert {segment.process for segment in exported} == {"router", "shard0"}
         header, dumped = read_flight_dump(flight)
         assert header["reason"] == "signal"
         assert header["num_traces"] == len(dumped) > 0
@@ -350,42 +388,44 @@ class TestTracing:
         base = ["replay", *FAST, "--limit", "20"]
         assert main(base + ["--shards", "2"]) == 0
         local = capsys.readouterr().out
-        assert "Replay summary (sharded backend)" in local
-        assert main(base + ["--workers", "2", "--batch", "1"]) == 0
+        assert "2 (in-process)" in local
+        assert main(base + ["--workers", "2", "--batch", "16"]) == 0
         pool = capsys.readouterr().out
-        assert "Replay summary (procpool backend)" in pool
+        assert "2 (worker processes)" in pool
         rows = summary_rows(local)
         assert len(rows) == 4
         assert rows == summary_rows(pool)
 
-    def test_shards_with_workers_is_rejected_off_the_scenario_path(self, capsys):
-        code = main(["replay", *FAST, "--shards", "2", "--workers", "2"])
-        assert code == 2
-        assert "drop one" in capsys.readouterr().err
-
     def test_traced_live_breach_dumps_flight(self, tmp_path, capsys):
         from repro.obs.recorder import read_flight_dump
 
-        flight = tmp_path / "flight.jsonl"
-        code = main(
-            [
-                "replay", *FAST, "--limit", "20", "--slo",
-                "--slo-p99-ms", "delivery=0.000001", "--interval", "10",
-                "--trace", "--trace-sample", "0.0",
-                "--flight-out", str(flight),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1, "impossible SLO must fail the run"
-        assert "SLO verdict" in out
-        header, segments = read_flight_dump(flight)
-        # The breach fired a dump mid-run; the failing verdict re-dumps
-        # (force) to the same path at exit, so that reason wins.
-        assert header["reason"].startswith("verdict_")
-        assert header["health"] is not None
-        # Tail capture: 0% head sampling, yet breach-window segments
-        # are force-retained into the black box.
-        assert any(seg.retained == "breach" for seg in segments)
+        for name in ("default", "shards2", "workers2"):
+            flight = tmp_path / f"flight-{name}.jsonl"
+            code = main(
+                [
+                    "replay", *FAST, "--limit", "20", *BACKENDS[name], "--slo",
+                    "--slo-p99-ms", "delivery=0.000001", "--interval", "10",
+                    "--trace", "--trace-sample", "0.0",
+                    "--flight-out", str(flight),
+                ]
+            )
+            out = capsys.readouterr().out
+            assert code == 1, "impossible SLO must fail the run"
+            assert "SLO verdict" in out
+            header, segments = read_flight_dump(flight)
+            # The breach fired a dump mid-run; the failing verdict re-dumps
+            # to the same path at exit, so that reason wins.
+            assert header["reason"].startswith("verdict_")
+            assert header["health"] is not None
+            # Tail capture: 0% head sampling, yet segments finishing on a
+            # shard inside the breach window are force-retained into the
+            # black box — the grade reached every shard's tracer.
+            assert any(
+                seg.retained == "breach" and seg.process != "router"
+                for seg in segments
+            ), name
+            assert main(["trace", "--dump", str(flight)]) == 0
+            assert "slowest traces" in capsys.readouterr().out
 
     def test_trace_subcommand_requires_dump(self):
         with pytest.raises(SystemExit):
@@ -414,33 +454,30 @@ class TestScenarioReplay:
         code = main(self.SCENARIO)
         assert code == 0
         out = capsys.readouterr().out
-        assert "Scenario replay" in out
+        assert "Replay summary" in out
+        assert "flash-crowd" in out
         assert "scenario totals: posts=" in out
 
     def test_record_then_replay_is_byte_identical(self, tmp_path, capsys):
-        trace = tmp_path / "storm.jsonl"
         wl = tmp_path / "wl"
         main(["generate", *FAST, "--out", str(wl)])
         capsys.readouterr()
-        code = main([
-            "replay", "--workload", str(wl), "--limit", "20",
-            "--scenario", "flash-crowd", "--scenario-seed", "4",
-            "--record", str(trace),
-        ])
-        assert code == 0
-        generating = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("scenario totals:")
-        ]
-        code = main([
-            "replay", "--workload", str(wl), "--replay-trace", str(trace),
-        ])
-        assert code == 0
-        replayed = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("scenario totals:")
-        ]
-        assert replayed == generating
+        for name, backend in BACKENDS.items():
+            trace = tmp_path / f"storm-{name}.jsonl"
+            code = main([
+                "replay", "--workload", str(wl), "--limit", "20", *backend,
+                "--scenario", "flash-crowd", "--scenario-seed", "4",
+                "--record", str(trace),
+            ])
+            assert code == 0
+            generating = totals_line(capsys.readouterr().out)
+            code = main([
+                "replay", "--workload", str(wl), *backend,
+                "--replay-trace", str(trace),
+            ])
+            assert code == 0
+            assert totals_line(capsys.readouterr().out) == generating, name
+            assert len(generating) == 1
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         code = main(["replay", *FAST, "--scenario", "meteor-strike"])
@@ -458,26 +495,24 @@ class TestScenarioReplay:
         assert code == 2
         assert "different workload" in capsys.readouterr().err
 
-    def test_scenario_rejects_dashboards(self, capsys):
-        code = main(self.SCENARIO + ["--live"])
-        assert code == 2
-        assert "drop one side" in capsys.readouterr().err
-
     def test_scenario_and_trace_are_exclusive(self, tmp_path, capsys):
         code = main(self.SCENARIO + ["--replay-trace", str(tmp_path / "x")])
         assert code == 2
         assert "pick one" in capsys.readouterr().err
 
     def test_shards_and_workers_are_exclusive(self, capsys):
-        code = main(self.SCENARIO + ["--shards", "2", "--workers", "2"])
-        assert code == 2
-        assert "drop one" in capsys.readouterr().err
+        """A contradiction in the request — one usage error, whatever the
+        command or the stream."""
+        for command in (self.SCENARIO, ["replay", *FAST], TestCanary.BASE):
+            code = main(command + ["--shards", "2", "--workers", "2"])
+            assert code == 2
+            assert "drop one" in capsys.readouterr().err
 
     def test_scenario_replay_on_sharded_backend(self, capsys):
         code = main(self.SCENARIO + ["--shards", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shardedx2" in out
+        assert "2 (in-process)" in out
         assert "scenario totals: posts=" in out
 
 
@@ -529,3 +564,129 @@ class TestCanary:
         code = main(self.BASE + ["--shards", "2"])
         assert code == 0
         assert "canary verdict: PASS" in capsys.readouterr().out
+
+    def test_canary_on_worker_processes(self, capsys):
+        code = main(self.BASE + ["--workers", "2"])
+        assert code == 0
+        assert "canary verdict: PASS" in capsys.readouterr().out
+
+
+def replayed(argv: list[str]) -> tuple[int, str]:
+    """Run ``repro replay`` with FAST inputs; (exit code, stdout)."""
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = main(["replay", *FAST, "--limit", "20", *argv])
+    return code, captured.getvalue()
+
+
+class TestReplayConformance:
+    """One replay path: every backend takes every option, and the books
+    do not depend on which backend served them."""
+
+    #: Option sets that must compose with every backend ("{F}" is the
+    #: cell's flight-dump path). The SLO target is generous on purpose:
+    #: these cells test plumbing, not this machine's latency.
+    LIVE = ["--live", "--slo", "--slo-p99-ms", "delivery=5000",
+            "--qos", "--qos-rate", "5"]
+    SCENARIOS = ["--scenario", "flash-crowd", "--scenario", "click-flood"]
+    TRACED = ["--trace", "--trace-sample", "1.0", "--flight-out", "{F}"]
+    OPTIONS = {
+        "plain": [],
+        "live": LIVE,
+        "scenario": SCENARIOS,
+        "traced": TRACED,
+        "all": LIVE + SCENARIOS + TRACED,
+    }
+
+    @pytest.fixture(scope="class")
+    def cell(self, tmp_path_factory):
+        """``cell(backend, options)`` → (exit code, stdout, flight path),
+        each cell replayed once per class."""
+        root = tmp_path_factory.mktemp("conformance")
+        cache: dict = {}
+
+        def run(backend: str, options: str):
+            key = (backend, options)
+            if key not in cache:
+                flight = root / f"{backend}-{options}.jsonl"
+                argv = [
+                    arg.replace("{F}", str(flight))
+                    for arg in BACKENDS[backend] + self.OPTIONS[options]
+                ]
+                cache[key] = (*replayed(argv), flight)
+            return cache[key]
+
+        return run
+
+    @pytest.mark.parametrize("options", OPTIONS)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_combination_runs(self, cell, backend, options, capsys):
+        code, out, flight = cell(backend, options)
+        assert code == 0, out
+        assert len(totals_line(out)) == 1
+        assert len(summary_rows(out)) == 4
+        if "{F}" in self.OPTIONS[options]:
+            assert flight.exists()
+            assert main(["trace", "--dump", str(flight)]) == 0
+            assert "slowest traces" in capsys.readouterr().out
+        if "--live" in self.OPTIONS[options]:
+            assert "win p99[delivery]" in out and "qos rung" in out
+            assert "SLO verdict: OK" in out
+
+    @pytest.mark.parametrize("options", OPTIONS)
+    def test_one_shard_is_the_default(self, cell, options):
+        """``--shards 1`` spells the default out: same table, row for
+        row, apart from the rows that read a clock."""
+        _, default, _ = cell("default", options)
+        _, one_shard, _ = cell("shards1", options)
+        assert untimed_table(one_shard) == untimed_table(default)
+
+    @pytest.mark.parametrize("options", ["plain", "scenario", "traced"])
+    def test_the_transport_does_not_move_the_books(self, cell, options):
+        """Not asserted under ``--qos-rate``: in-process shards share one
+        admission bucket, worker processes hold a copy each."""
+        _, local, _ = cell("shards2", options)
+        _, pool, _ = cell("workers2", options)
+        assert summary_rows(pool) == summary_rows(local)
+        assert totals_line(pool) == totals_line(local)
+
+    def test_the_dashboard_counts_posts_not_shard_touches(self):
+        code, out = replayed(["--shards", "3", "--live"])
+        assert code == 0
+        (posts_row,) = [line for line in out.splitlines() if line.startswith("posts ")]
+        dashboard = [line for line in out.splitlines() if "win p99[delivery]" in line]
+        assert f"posts={posts_row.split('|')[1].strip():>6}" in dashboard[-1]
+
+
+class TestNoFlagIsSilentlyDropped:
+    """On every stream kind a sink flag writes its file (or raises)."""
+
+    SINKS = {
+        "prom": ["--prom-out", "{P}"],
+        "metrics": ["--metrics-out", "{P}"],
+        "trace": ["--trace", "--trace-sample", "1.0", "--trace-out", "{P}"],
+        "flight": ["--trace", "--flight-out", "{P}"],
+    }
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        trace = tmp_path_factory.mktemp("recorded") / "storm.jsonl"
+        code, _ = replayed(["--scenario", "flash-crowd", "--record", str(trace)])
+        assert code == 0
+        return trace
+
+    @pytest.mark.parametrize("stream", ["base", "scenario", "replay-trace"])
+    @pytest.mark.parametrize("sink", SINKS)
+    def test_sink_is_written(self, sink, stream, recorded, tmp_path):
+        path = tmp_path / "sink.out"
+        streams = {
+            "base": ["--limit", "20"],
+            "scenario": ["--limit", "20", "--scenario", "flash-crowd"],
+            "replay-trace": ["--replay-trace", str(recorded)],
+        }
+        flags = [arg.replace("{P}", str(path)) for arg in self.SINKS[sink]]
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            code = main(["replay", *FAST, *streams[stream], *flags])
+        assert code == 0
+        assert path.exists() and path.stat().st_size > 0

@@ -204,9 +204,92 @@ class TestRollups:
             value()
         assert requests == ["report"] * cluster.num_shards
 
+    def test_the_merged_registry_counts_a_post_once(self, tiny_workload, router):
+        """Every touched shard counts the post it ingested; the merged
+        view a dashboard reads counts posts, not shard touches."""
+        from repro.obs.registry import MetricsRegistry
+
+        cluster = router(
+            tiny_workload, 3, config=CONFIG, metrics=MetricsRegistry(window_s=120.0)
+        )
+        cluster.post_batch(tiny_workload.posts[:LIMIT])
+        assert cluster.amplification() > 1.0
+        counters = cluster.metrics.snapshot().counters
+        stats = cluster.cluster_stats()
+        assert counters["posts"] == stats.posts == LIMIT
+        assert counters["deliveries"] == stats.deliveries
+        touches = sum(
+            view.counter("posts") for view in cluster.metrics_by_shard()
+        )
+        assert touches == pytest.approx(LIMIT * cluster.amplification())
+
     def test_process_lifecycle_surface_is_process_only(self, tiny_workload, router):
         """The e2e harness keys worker-CPU accounting on ``worker_pid``."""
         cluster = router(tiny_workload, 2, config=CONFIG)
         processes = router.transport == "process"
         for name in ("worker_pid", "workers_alive", "drain_worker_traces"):
             assert hasattr(cluster, name) is processes
+
+
+class TestObserveHealth:
+    """The closed loop's one router call: a graded interval steps every
+    QoS controller exactly once and moves every tracer's breach window."""
+
+    def test_one_grade_is_one_step(self, tiny_workload, router):
+        from repro.obs.health import HealthState
+        from repro.qos import QosController
+
+        degrade_after = 2
+        cluster = router(
+            tiny_workload,
+            3,
+            config=CONFIG,
+            qos=QosController(degrade_after=degrade_after, recover_after=1),
+        )
+        for _ in range(degrade_after - 1):
+            cluster.observe_health(HealthState.OVERLOADED)
+        assert cluster.qos_summary()["rung"] == 0
+        cluster.observe_health(HealthState.OVERLOADED)
+        summary = cluster.qos_summary()
+        # One rung — not one per shard where the shards share the object.
+        assert summary["rung"] == 1
+        controllers = 1 if router.transport == "local" else cluster.num_shards
+        assert summary["degrade_steps"] == controllers
+        assert summary["intervals"] == degrade_after * controllers
+        cluster.observe_health(HealthState.OK)
+        assert cluster.qos_summary()["rung"] == 0
+
+    def test_without_a_controller_it_only_moves_the_breach_window(
+        self, tiny_workload, router
+    ):
+        from repro.obs.health import HealthState
+
+        cluster = router(tiny_workload, 2, config=CONFIG)
+        cluster.observe_health(HealthState.OVERLOADED)
+        assert cluster.qos_summary() is None
+
+    def test_the_breach_window_reaches_every_shard(self, tiny_workload, router):
+        from repro.obs.health import HealthState
+        from repro.obs.trace import RequestTracer
+
+        cluster = router(
+            tiny_workload,
+            2,
+            config=CONFIG,
+            request_tracer=RequestTracer(sample_rate=0.0, tail_latency_s=60.0),
+        )
+        posts = iter(tiny_workload.posts)
+
+        def shard_segments_after_one_post():
+            post = next(posts)
+            before = len(cluster.request_traces())
+            cluster.post(post.author_id, post.text, post.timestamp)
+            return cluster.request_traces()[before:]
+
+        assert shard_segments_after_one_post() == []  # 0 % head sampling
+        cluster.observe_health(HealthState.DEGRADED)
+        kept = shard_segments_after_one_post()
+        assert kept and all(segment.retained == "breach" for segment in kept)
+        assert all(segment.process != "router" for segment in kept)
+        cluster.observe_health(HealthState.OK)
+        assert shard_segments_after_one_post() == []

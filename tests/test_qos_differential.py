@@ -212,6 +212,47 @@ class TestActiveControllerReconciles:
         assert lost <= shed.stats.revenue_shed_upper_bound + 1e-9
 
 
+    def test_a_ladder_stepped_through_the_router_reconciles(self, workload):
+        """The closed loop's cluster leg: ``Router.observe_health`` steps
+        the one shared ladder onto its shedding rung mid-stream, and the
+        books still balance — across shard stats, the merged registry and
+        the controller — with the shed bound still bounding the loss."""
+        from repro.qos.degrade import DegradationLadder, Rung
+
+        config = EngineConfig(pacing_enabled=False)
+        registry = MetricsRegistry(window_s=3600.0)
+        controller = QosController(
+            # Shedding is this ladder's only trade, so every dollar lost
+            # is a shed delivery's.
+            ladder=DegradationLadder((Rung("full"), Rung("shed", shed_fraction=0.5))),
+            admission=AdmissionController(rate_per_s=0.5, burst_s=2.0),
+        )
+        bare = ShardedEngine(workload, 2, config=config)
+        shed = ShardedEngine(
+            workload, 2, config=config, qos=controller, metrics=registry
+        )
+        for index, post in enumerate(workload.posts):
+            if index == len(workload.posts) // 3:
+                shed.observe_health(HealthState.OVERLOADED)
+            bare.post(post.author_id, post.text, post.timestamp)
+            shed.post(post.author_id, post.text, post.timestamp)
+        stats, summary = shed.cluster_stats(), shed.qos_summary()
+        counters = shed.metrics.snapshot().counters
+
+        assert (summary["rung_name"], summary["degrade_steps"]) == ("shed", 1)
+        assert stats.deliveries_shed > 0 and stats.deliveries > 0
+        assert summary["attempted"] == summary["admitted"] + summary["shed"]
+        assert summary["attempted"] == stats.attempted_deliveries
+        assert summary["shed"] == stats.deliveries_shed
+        assert counters["deliveries_shed"] == stats.deliveries_shed
+        assert counters["deliveries"] == stats.deliveries
+        assert summary["revenue_shed_upper_bound"] == pytest.approx(
+            stats.revenue_shed_upper_bound, abs=1e-9
+        )
+        lost = bare.cluster_stats().revenue - stats.revenue
+        assert 0.0 < lost <= stats.revenue_shed_upper_bound + 1e-9
+
+
 class TestDegradedRunCountsAndFlags:
     def test_forced_degradation_is_counted_and_flagged(self, workload):
         registry = MetricsRegistry(window_s=3600.0)
