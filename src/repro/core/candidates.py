@@ -12,7 +12,7 @@ any ad outside the shared set — see :mod:`repro.core.rerank`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class CandidateBlock:
     dots: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
 class CandidateSet:
     """Result of one shared probe.
 
@@ -48,14 +47,79 @@ class CandidateSet:
     0.0 when it did not (then every content-matching ad is present and
     outsiders have zero content affinity by the relevance floor).
     ``block`` is the vector probe again, as arrays for the kernel (``None``
-    from other searchers and on hand-built sets); it restates ``entries``,
-    so it takes no part in equality.
+    from other searchers and on hand-built sets).
+
+    A vector probe (:meth:`of_block`) keeps only the block: the kernel
+    reads nothing else, so the K′ cut that makes ``entries`` / ``cutoff`` /
+    ``complete`` waits for their first reader — admission's value bound,
+    the candidates-only rung, ``len()``, INCREMENTAL — and is then kept.
+    Equality compares those three (the block restates them), so ``==``
+    forces the cut on both sides.
     """
 
-    entries: tuple[tuple[int, float], ...]
-    cutoff: float
-    complete: bool
-    block: CandidateBlock | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("block", "_cut", "_uncut")
+
+    def __init__(
+        self,
+        entries: tuple[tuple[int, float], ...],
+        cutoff: float,
+        complete: bool,
+        block: CandidateBlock | None = None,
+    ) -> None:
+        self.block = block
+        self._cut = (entries, cutoff, complete)
+        self._uncut = None
+
+    @classmethod
+    def of_block(
+        cls, block: CandidateBlock, ad_ids: np.ndarray, depth: int
+    ) -> "CandidateSet":
+        """The top-``depth`` of a vector probe, cut when first read.
+        ``ad_ids`` is the mirror's row → ad id view as of the probe: rows
+        the mirror renumbers or appends later never write into it."""
+        candidates = cls.__new__(cls)
+        candidates.block = block
+        candidates._cut = None
+        candidates._uncut = (ad_ids, depth)
+        return candidates
+
+    def _read(self) -> tuple[tuple[tuple[int, float], ...], float, bool]:
+        cut = self._cut
+        if cut is None:
+            ad_ids, depth = self._uncut
+            dots = self.block.dots
+            matched = ad_ids[self.block.rows]
+            chosen = topk_order(dots, matched, depth)
+            entries = tuple(zip(matched[chosen].tolist(), dots[chosen].tolist()))
+            complete = len(entries) < depth
+            cut = self._cut = (
+                entries, 0.0 if complete else entries[-1][1], complete
+            )
+        return cut
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        return self._read()[0]
+
+    @property
+    def cutoff(self) -> float:
+        return self._read()[1]
+
+    @property
+    def complete(self) -> bool:
+        return self._read()[2]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidateSet):
+            return NotImplemented
+        return self._read() == other._read()
+
+    def __repr__(self) -> str:
+        entries, cutoff, complete = self._read()
+        return (
+            f"CandidateSet(entries={entries!r}, cutoff={cutoff!r}, "
+            f"complete={complete!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -101,22 +165,18 @@ class SharedCandidateGenerator:
         self.last_probe_depth = depth
         self.probe_depth_total += depth
         compact = self._compact
-        if compact is None:
-            results = self._searcher.search(message_vec, depth)
-            entries = tuple((entry.item, entry.score) for entry in results)
-            block = None
-        else:
+        if compact is not None:
             compact.maybe_compact()
             rows, dots = compact.gather(message_vec)
-            matched = compact.ad_ids[rows]
-            chosen = topk_order(dots, matched, depth)
-            entries = tuple(zip(matched[chosen].tolist(), dots[chosen].tolist()))
             key = (compact.generation, compact.num_rows)
-            block = CandidateBlock(key, rows, dots)
+            return CandidateSet.of_block(
+                CandidateBlock(key, rows, dots), compact.ad_ids, depth
+            )
+        results = self._searcher.search(message_vec, depth)
+        entries = tuple((entry.item, entry.score) for entry in results)
         complete = len(entries) < depth
         return CandidateSet(
             entries=entries,
             cutoff=0.0 if complete else entries[-1][1],
             complete=complete,
-            block=block,
         )

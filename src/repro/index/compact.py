@@ -9,17 +9,23 @@ arrays that one numpy gather can traverse:
 * **Interned ids** — terms get stable ``int32`` ids from an
   :class:`IdInterner` (never reassigned, so term-space dense vectors stay
   valid across rebuilds); ads get dense *row* numbers.
-* **Posting arrays** — per term, parallel ``(int32 row, float32 weight)``
-  arrays sorted by row (ascending ad insertion order). New ads always
-  receive the current maximal row, so incremental appends keep the sort
-  order for free. There is no forward (row → terms) view and no
-  per-term bound: every dot product the hot path needs is a
-  term-at-a-time :meth:`CompactIndex.gather` over these arrays, which
+* **One flat posting block** — every posting as ``(int64 row, float64
+  weight)``, sorted by (term id, row), plus a ``(start, length)`` pair per
+  term id; the weight is the float32-rounded value, widened once at build
+  time. :meth:`CompactIndex.gather` takes the slices of all query terms in
+  one pass and accumulates them with one ordered reduction, so a probe
+  costs the same handful of numpy calls whatever its term count. There is
+  no forward (row → terms) view and no per-term bound: the gather
   evaluates every match.
+* **A tail for launches** — a new ad always receives the current maximal
+  row; its postings go to a second, small segment of the same layout, so
+  a launch costs that segment and copies nothing of the base. A row
+  lives in exactly one segment. The tail is folded into the base at
+  compaction, or once it passes a fixed fraction of the base.
 
 Synchronisation uses the same subscription idiom the index itself uses
 against the corpus: the mirror registers add/remove listeners and applies
-adds eagerly (cheap — posting lists are short). Removals are O(1): the
+adds eagerly (cheap — the tail is short). Removals are O(1): the
 row's ``alive`` bit is cleared and the posting entries are left in place,
 masked out at gather time. When the dead fraction crosses
 ``rebuild_dead_fraction`` the whole mirror is compacted from the source
@@ -89,6 +95,45 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
+# Every add rebuilds the tail (cost: the tail) and a fold rebuilds the
+# base with it, so the tail is folded once it passes this fraction of
+# the base: geometric, like ``_grow`` — a posting is copied O(1) times
+# over any sequence of launches, and an add never costs more than a
+# fraction of a fold.
+_TAIL_FOLD_FRACTION = 8
+
+
+class _Postings:
+    """One segment of the mirror: postings as one flat block.
+
+    ``rows`` / ``weights`` are sorted by (term id, row); term ``tid``
+    owns ``[starts[tid], starts[tid] + lengths[tid])``. Weights are
+    float32-rounded values held as float64, so a gather multiplies the
+    doubles a per-call ``astype`` would produce.
+    """
+
+    __slots__ = ("rows", "weights", "starts", "lengths")
+
+    def __init__(
+        self, tids: np.ndarray, rows: np.ndarray, weights: np.ndarray, num_terms: int
+    ) -> None:
+        order = np.lexsort((rows, tids))
+        self.rows = rows[order]
+        self.weights = weights[order].astype(np.float32).astype(np.float64)
+        self.lengths = np.bincount(tids, minlength=num_terms)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block as ``(term ids, rows, weights)``: constructor input."""
+        term_ids = np.repeat(np.arange(self.lengths.shape[0]), self.lengths)
+        return term_ids, self.rows, self.weights
+
+    def cover_terms(self, num_terms: int) -> None:
+        """Give term ids interned since the build their empty slice."""
+        self.starts = _grow(self.starts, num_terms)
+        self.lengths = _grow(self.lengths, num_terms)
+
+
 class CompactIndex:
     """Array-backed mirror of one :class:`AdInvertedIndex`."""
 
@@ -120,11 +165,9 @@ class CompactIndex:
         self._row_of: dict[int, int] = {}
         self._ad_ids = np.zeros(0, dtype=np.int64)
         self._alive = np.zeros(0, dtype=bool)
-        # Per-term posting arrays (indexed by term id).
-        self._term_rows: list[np.ndarray] = []
-        self._term_weights: list[np.ndarray] = []
-        # Score accumulator scratch, zeroed after every gather.
-        self._scores = np.zeros(0, dtype=np.float64)
+        # The postings: ``(base,)``, or ``(base, tail)`` once rows were
+        # appended to the base ``_rebuild`` built.
+        self._segments: tuple[_Postings, ...]
         self._rebuild()
         index.subscribe(on_add=self._on_add, on_remove=self._on_remove)
 
@@ -174,18 +217,22 @@ class CompactIndex:
         return row
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Row-sorted ``(rows, weights)`` posting arrays for one term.
+        """Row-sorted ``(rows, weights)`` postings of one term (a copy).
 
         Empty arrays for unknown terms; dead rows may be present and must
         be masked through :attr:`alive` by the caller.
         """
+        rows = [np.zeros(0, dtype=np.int64)]
+        weights = [np.zeros(0, dtype=np.float64)]
         tid = self.terms.lookup(term)
-        if tid is None:
-            return (
-                np.zeros(0, dtype=np.int32),
-                np.zeros(0, dtype=np.float32),
-            )
-        return self._term_rows[tid], self._term_weights[tid]
+        if tid is not None:
+            # Tail rows all follow base rows: base-then-tail is row order.
+            for segment in self._segments:
+                start = segment.starts[tid]
+                part = slice(start, start + segment.lengths[tid])
+                rows.append(segment.rows[part])
+                weights.append(segment.weights[part])
+        return np.concatenate(rows), np.concatenate(weights)
 
     # -- kernels ------------------------------------------------------------
 
@@ -196,34 +243,53 @@ class CompactIndex:
         all alive rows sharing at least one positive-weight query term.
         Mirrors the searcher contract: negative weights raise
         :class:`ConfigError`, zero weights are skipped.
+
+        One pass whatever the term count: the query's posting slices are
+        addressed together and summed by one ``np.bincount``, which adds
+        in input order — per row, query-term order, each product the
+        double ``float64(float32 weight) * query weight`` — so every
+        score is the double a term-at-a-time ``scores[rows] += …`` loop
+        produces (tests/test_index_compact.py keeps that loop as oracle).
         """
-        scores = self._scores
-        touched: list[np.ndarray] = []
         lookup = self.terms.lookup
+        tid_list: list[int] = []
+        qweight_list: list[float] = []
         for term, qweight in query.items():
             if qweight < 0.0:
                 raise ConfigError(f"negative query weight for {term!r}")
             if qweight == 0.0:
                 continue
             tid = lookup(term)
-            if tid is None:
-                continue
-            rows = self._term_rows[tid]
-            if not rows.shape[0]:
-                continue
-            # Rows are unique within one term's postings, so a fancy-index
-            # add is safe (and much faster than np.add.at). float64
-            # accumulation over float32 storage keeps summation error at
-            # storage precision (~1e-7).
-            scores[rows] += self._term_weights[tid].astype(np.float64) * qweight
-            touched.append(rows)
-        if not touched:
+            if tid is not None:
+                tid_list.append(tid)
+                qweight_list.append(qweight)
+        if not tid_list:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        candidates = np.unique(np.concatenate(touched)).astype(np.int64)
-        gathered = scores[candidates].copy()
-        scores[candidates] = 0.0  # restore the scratch invariant
-        keep = self._alive[candidates]
-        return candidates[keep], gathered[keep]
+        tids = np.array(tid_list, dtype=np.int64)
+        qweights = np.array(qweight_list, dtype=np.float64)
+        row_parts: list[np.ndarray] = []
+        product_parts: list[np.ndarray] = []
+        for segment in self._segments:
+            lengths = segment.lengths[tids]
+            ends = np.cumsum(lengths)
+            # Position i of the concatenated slices sits at block position
+            # i + (its slice's start − the slices' lengths before it).
+            positions = np.arange(ends[-1])
+            positions += np.repeat(segment.starts[tids] - ends + lengths, lengths)
+            products = segment.weights[positions]
+            products *= np.repeat(qweights, lengths)
+            row_parts.append(segment.rows[positions])
+            product_parts.append(products)
+        # A row lives in one segment, so base-then-tail keeps each row's
+        # products in query-term order.
+        rows = np.concatenate(row_parts)
+        size = self._num_rows
+        scores = np.bincount(rows, weights=np.concatenate(product_parts), minlength=size)
+        matched = np.zeros(size, dtype=bool)
+        matched[rows] = True
+        matched &= self._alive[:size]
+        candidates = np.flatnonzero(matched)
+        return candidates, scores[candidates]
 
     # -- synchronisation ------------------------------------------------------
 
@@ -243,31 +309,40 @@ class CompactIndex:
 
     def _on_add(self, ad_id: int, terms: Mapping[str, float]) -> None:
         if ad_id in self._row_of:
-            # The source index rejects duplicate adds before notifying, so
-            # a mapped id here means remove+re-add: the old row is dead.
-            assert not self._alive[self._row_of[ad_id]]
+            # ``_on_remove`` unmaps a retired id, so a mapped id is a live
+            # ad added twice (the source index rejects that before
+            # notifying; another notifier may not).
+            raise IndexError_(f"ad {ad_id} already mirrored")
         row = self._num_rows
         self._num_rows += 1
         self._ad_ids = _grow(self._ad_ids, self._num_rows)
         self._alive = _grow(self._alive, self._num_rows)
-        self._scores = _grow(self._scores, self._num_rows)
         self._ad_ids[row] = ad_id
         self._alive[row] = True
         self._row_of[ad_id] = row
-        interned = [
-            (self.terms.intern(term), weight) for term, weight in terms.items()
-        ]
-        while len(self._term_rows) < len(self.terms):
-            self._term_rows.append(np.zeros(0, dtype=np.int32))
-            self._term_weights.append(np.zeros(0, dtype=np.float32))
-        for tid, weight in interned:
-            # The new row is maximal, so appending preserves row order.
-            self._term_rows[tid] = np.append(
-                self._term_rows[tid], np.int32(row)
+        # The new row is maximal, so it belongs behind every posting the
+        # base holds: it joins the tail, and the base is not copied —
+        # until the tail has outgrown its share and both become one base.
+        intern = self.terms.intern
+        base, *tail = self._segments
+        columns = [segment.columns() for segment in tail]
+        columns.append(
+            (
+                np.array([intern(term) for term in terms], dtype=np.int64),
+                np.full(len(terms), row, dtype=np.int64),
+                np.fromiter(terms.values(), dtype=np.float64, count=len(terms)),
             )
-            self._term_weights[tid] = np.append(
-                self._term_weights[tid], np.float32(weight)
-            )
+        )
+        num_terms = len(self.terms)
+        tail_size = sum(rows.shape[0] for _, rows, _ in columns)
+        if tail_size * _TAIL_FOLD_FRACTION > base.rows.shape[0]:
+            columns.append(base.columns())
+            kept = ()
+        else:
+            base.cover_terms(num_terms)
+            kept = (base,)
+        merged = _Postings(*map(np.concatenate, zip(*columns)), num_terms)
+        self._segments = (*kept, merged)
 
     def _on_remove(self, ad_id: int, terms: Mapping[str, float]) -> None:
         row = self._row_of.pop(ad_id, None)
@@ -295,51 +370,29 @@ class CompactIndex:
             (ad_id for ad_id, _ in entries), dtype=np.int64, count=len(entries)
         )
         self._alive = np.ones(self._num_rows, dtype=bool)
-        self._scores = np.zeros(self._num_rows, dtype=np.float64)
 
         # One pass per *term* (not per posting): each posting list hands
         # over its ids/weights as arrays, rows come from one searchsorted
-        # against the ascending ad-id axis, and the rest is pure array
-        # work — the per-term postings are a re-sorted view over the flat
-        # triplets.
+        # against the ascending ad-id axis, and the flat triplets become
+        # the one segment: the tail's ads are in the source index too.
         intern = self.terms.intern
         tid_list: list[int] = []
         counts: list[int] = []
-        chunk_ids: list[np.ndarray] = []
-        chunk_weights: list[np.ndarray] = []
+        chunk_ids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        chunk_weights: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
         for term, postings in self._index.term_items():
             tid_list.append(intern(term))
             ids, term_weights = postings.doc_arrays()
             counts.append(ids.shape[0])
             chunk_ids.append(ids)
             chunk_weights.append(term_weights)
-        if chunk_ids:
-            rows = np.searchsorted(self._ad_ids, np.concatenate(chunk_ids))
-            tids = np.repeat(
-                np.asarray(tid_list, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-            )
-            weights = np.concatenate(chunk_weights)
-        else:
-            rows = np.zeros(0, dtype=np.int64)
-            tids = np.zeros(0, dtype=np.int64)
-            weights = np.zeros(0, dtype=np.float64)
-        num_terms = len(self.terms)
-
-        # Per-term postings: the triplets sorted by (term id, row),
-        # split at term boundaries (views into the flat arrays).
-        order = np.lexsort((rows, tids))
-        term_rows_flat = rows[order].astype(np.int32)
-        term_weights_flat = weights[order].astype(np.float32)
-        term_counts = np.bincount(tids, minlength=num_terms)
-        bounds = np.zeros(num_terms + 1, dtype=np.int64)
-        np.cumsum(term_counts, out=bounds[1:])
-        if num_terms:
-            self._term_rows = np.split(term_rows_flat, bounds[1:-1])
-            self._term_weights = np.split(term_weights_flat, bounds[1:-1])
-        else:
-            self._term_rows = []
-            self._term_weights = []
+        tids = np.repeat(
+            np.asarray(tid_list, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+        )
+        rows = np.searchsorted(self._ad_ids, np.concatenate(chunk_ids))
+        self._segments = (
+            _Postings(tids, rows, np.concatenate(chunk_weights), len(self.terms)),
+        )
 
     # -- invariants (test support) -------------------------------------------
 
@@ -359,12 +412,33 @@ class CompactIndex:
             "alive rows diverge from indexed ads"
         )
         assert self._dead == self._num_rows - len(alive_ids)
-        # Postings per row, counted from the per-term arrays: with every
-        # expected term verified below, an equal count rules out a stray
-        # posting for a term the ad does not have.
+        # Every segment is one tiled block, row-sorted inside each term's
+        # slice, and a row lives in one segment: the tail's rows all follow
+        # the base's.
         posting_counts = np.zeros(self._num_rows, dtype=np.int64)
-        for rows in self._term_rows:
+        first_row = 0
+        for segment in self._segments:
+            rows, lengths = segment.rows, segment.lengths
+            assert lengths.shape[0] >= len(self.terms)
+            assert int(lengths.sum()) == rows.shape[0] == segment.weights.shape[0]
+            # An empty slice's start is never read (``cover_terms`` pads 0).
+            starts = segment.starts[lengths > 0]
+            assert np.array_equal(starts, (np.cumsum(lengths) - lengths)[lengths > 0])
+            within_term = np.ones(rows.shape[0], dtype=bool)
+            within_term[starts] = False
+            assert np.all(np.diff(rows)[within_term[1:]] > 0), (
+                "posting rows must be sorted"
+            )
+            if rows.shape[0]:
+                assert first_row <= int(rows.min()), "a row in two segments"
+                first_row = int(rows.max()) + 1
+            assert first_row <= self._num_rows
+            assert np.array_equal(
+                segment.weights, segment.weights.astype(np.float32)
+            ), "weights are float32 values"
             posting_counts += np.bincount(rows, minlength=self._num_rows)
+        # With every expected term verified below, an equal count rules
+        # out a stray posting for a term the ad does not have.
         for ad_id in alive_ids:
             row = self._row_of[ad_id]
             assert self._alive[row] and int(self._ad_ids[row]) == ad_id
@@ -379,6 +453,3 @@ class CompactIndex:
                     f"term {term!r} row {row} multiplicity"
                 )
                 assert abs(float(weights[positions[0]]) - weight) < 1e-6
-        for tid in range(len(self.terms)):
-            rows = self._term_rows[tid]
-            assert np.all(np.diff(rows) > 0), "posting rows must be sorted"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
-from repro.core.candidates import SharedCandidateGenerator
+from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import ScoringWeights
 from repro.core.static_list import GlobalStaticTopList
 from repro.errors import ConfigError
@@ -147,12 +149,38 @@ class TestVectorProbeMatchesTheOracle:
         assert np.array_equal(block.dots, dots)
 
     def test_block_takes_no_part_in_equality(self, index):
-        from dataclasses import replace
+        vector = SharedCandidateGenerator(index, 10, searcher="vector")
+        probed = vector.generate({"t0": 1.0, "t3": 0.5})
+        assert probed.block is not None and probed._cut is None
+        rebuilt = CandidateSet(probed.entries, probed.cutoff, probed.complete)
+        assert rebuilt.block is None
+        # ``==`` between a vector-built and a hand-built set cuts the
+        # former's K′ there and then.
+        again = vector.generate({"t0": 1.0, "t3": 0.5})
+        assert again._cut is None
+        assert again == rebuilt and rebuilt == again
+        assert again._cut is not None
+        assert again != vector.generate({"t1": 1.0})
 
-        generator = SharedCandidateGenerator(index, 10, searcher="vector")
-        probed = generator.generate({"t0": 1.0, "t3": 0.5})
-        assert probed.block is not None
-        assert replace(probed, block=None) == probed
+    def test_the_cut_survives_what_happens_to_the_mirror_after_the_probe(
+        self, corpus, index
+    ):
+        """K′ is cut when first read, from the probe's own arrays: a
+        launch, a retirement and a compaction in between change nothing."""
+        vector = SharedCandidateGenerator(index, 5, searcher="vector")
+        query = {"t0": 1.0, "t3": 0.5}
+        eager = vector.generate(query)
+        expected = (eager.entries, eager.cutoff, eager.complete)
+        late = vector.generate(query)
+        compact = index.compact_mirror
+        generation = compact.generation
+        donor = corpus.get(eager.entries[0][0])
+        corpus.add(replace(donor, ad_id=5_000))
+        for ad_id in list(corpus.active_ids())[:40]:
+            corpus.retire(ad_id)
+        compact._rebuild()  # 50 ads sit under the compaction floor
+        assert compact.num_rows == 11 and compact.generation == generation + 1
+        assert (late.entries, late.cutoff, late.complete) == expected
 
 
 class TestGlobalStaticList:

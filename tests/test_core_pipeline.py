@@ -197,7 +197,7 @@ class TestPluggableStages:
         assert len(seen) == impressions > 0
 
 
-def charged_engine(workload, *, searcher="vector", **config_kwargs):
+def charged_engine(workload, *, searcher="vector", qos=None, **config_kwargs):
     """A charged, CTR-fed engine whose evidence fades (``discount < 1``):
     every served slate moves spend, pacing and quality under the next."""
     engine = AdEngine(
@@ -206,6 +206,7 @@ def charged_engine(workload, *, searcher="vector", **config_kwargs):
         vectorizer=workload.vectorizer,
         tokenizer=workload.tokenizer,
         config=EngineConfig(searcher=searcher, ctr_feedback=True, **config_kwargs),
+        qos=qos,
     )
     engine.ctr.discount = 0.9
     for user in workload.users:
@@ -533,6 +534,39 @@ class TestOneGatherPerPost:
         assert any(outcome.slate for outcome in outcomes)
         # The probe's; the kernel took its rows and dots from the block.
         assert gathers == [engine.vectorize(post.text)]
+
+    @pytest.mark.parametrize("admission", [False, True])
+    def test_k_prime_is_cut_only_for_a_reader(
+        self, tiny_workload, monkeypatch, admission
+    ):
+        """The kernel reads the probe's block, never its entries: without
+        QoS no post cuts K′; admission's value bound reads ``entries``, so
+        under it every post cuts once — and only once."""
+        import repro.core.candidates as candidates_module
+        from repro.qos import AdmissionController, QosController
+
+        qos = None
+        if admission:
+            qos = QosController(admission=AdmissionController(rate_per_s=1e9))
+        engine = charged_engine(tiny_workload, qos=qos)
+        posts = tiny_workload.posts[:20]
+        for post in posts:  # warm: profile gathers cached
+            fan_out(engine, post, one_call=True)
+        cuts = []
+        topk_order = candidates_module.topk_order
+
+        def counting(*args):
+            cuts.append(args)
+            return topk_order(*args)
+
+        monkeypatch.setattr(candidates_module, "topk_order", counting)
+        served = sum(
+            bool(outcome.slate)
+            for post in posts
+            for outcome in fan_out(engine, post, one_call=True)
+        )
+        assert served > len(posts)
+        assert len(cuts) == (len(posts) if admission else 0)
 
     def test_the_serving_path_boxes_no_entry(self, tiny_workload, monkeypatch):
         """``TopKEntry`` is the searchers' result type; the vector serving

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.ads.corpus import AdCorpus
-from repro.core.candidates import SharedCandidateGenerator
+from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import EngineConfig
 from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoringModel
@@ -410,6 +410,11 @@ class TestStaleBlock:
         assert (stale != before) == (change != "compact")
 
 
+def without_block(candidates):
+    """The same cut as a hand-built set: no block to hand over."""
+    return CandidateSet(candidates.entries, candidates.cutoff, candidates.complete)
+
+
 def mixed_followers(space, rng, count=12):
     """Followers with and without a profile, with and without a place."""
     from repro.geo.point import GeoPoint
@@ -469,7 +474,7 @@ class TestKernelSelfConsistency:
             # serves the same from its own gather.
             assert candidates.block is not None
             assert together == personalizer.slate_batch(
-                replace(candidates, block=None), message, followers, 500.0, k
+                without_block(candidates), message, followers, 500.0, k
             )
             # ``allow_fallback`` is the reference's: inert on the kernel.
             assert together == [

@@ -10,6 +10,8 @@ each step.
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError, IndexError_
-from repro.index.compact import CompactIndex, IdInterner
+from repro.index.compact import CompactIndex, IdInterner, _Postings
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
@@ -33,6 +35,45 @@ def assert_entry_parity(got, oracle, tol=1e-6):
     assert [entry.item for entry in got] == [entry.item for entry in oracle]
     for mine, ref in zip(got, oracle):
         assert mine.score == pytest.approx(ref.score, abs=tol)
+
+
+def oracle_gather(compact, query):
+    """The term-at-a-time accumulate ``gather`` replaced, kept as its
+    oracle: per query term, in query order, ``scores[rows] += float64(
+    float32 weight) * query weight``; then the touched alive rows,
+    ascending. ``gather`` must return these very doubles."""
+    scores = np.zeros(compact.num_rows, dtype=np.float64)
+    touched = np.zeros(compact.num_rows, dtype=bool)
+    for term, qweight in query.items():
+        assert qweight >= 0.0
+        if qweight == 0.0:
+            continue
+        rows, weights = compact.term_postings(term)
+        stored = weights.astype(np.float32)
+        assert np.array_equal(stored, weights)
+        scores[rows] += stored.astype(np.float64) * qweight
+        touched[rows] = True
+    keep = np.flatnonzero(touched & compact.alive)
+    return keep, scores[keep]
+
+
+def assert_gather_is_the_oracle(compact, query):
+    rows, scores = compact.gather(query)
+    want_rows, want_scores = oracle_gather(compact, query)
+    assert rows.dtype == np.int64 and scores.dtype == np.float64
+    assert rows.tolist() == want_rows.tolist()
+    assert scores.tolist() == want_scores.tolist()
+
+
+def corrupt_base(compact, edit):
+    """Test-only: rebuild the mirror's base segment from its own postings
+    after ``edit(tids, rows, weights)`` returned the columns to keep."""
+    base = compact._segments[0]
+    tids, rows, weights = edit(*base.columns())
+    compact._segments = (
+        _Postings(tids, rows, weights, base.lengths.shape[0]),
+        *compact._segments[1:],
+    )
 
 
 def build_pair(seed: int = 0, num_ads: int = 40, **compact_kwargs):
@@ -109,6 +150,17 @@ class TestConfigAndErrors:
         compact.check_consistent()
 
 
+    def test_a_live_ad_mirrored_twice_is_an_index_error(self):
+        # A second notifier (or a replayed add) gets the module's own
+        # error — not a bare assert that ``python -O`` strips, leaving the
+        # ad mirrored under two rows.
+        ads, _, compact = build_pair()
+        with pytest.raises(IndexError_, match="already mirrored"):
+            compact._on_add(ads[0].ad_id, ads[0].terms)
+        assert compact.num_rows == 40
+        compact.check_consistent()
+
+
 class TestSync:
     def test_initial_build_is_consistent(self):
         _, _, compact = build_pair()
@@ -124,13 +176,38 @@ class TestSync:
             term for term, _ in index.term_items() if term not in ads[0].terms
         )
         tid = compact.terms.lookup(term)
-        rows = np.append(compact._term_rows[tid], np.int32(row))
-        order = np.argsort(rows, kind="stable")
-        compact._term_rows[tid] = rows[order]
-        compact._term_weights[tid] = np.append(
-            compact._term_weights[tid], np.float32(0.5)
-        )[order]
+        corrupt_base(
+            compact,
+            lambda tids, rows, weights: (
+                np.append(tids, tid), np.append(rows, row), np.append(weights, 0.5)
+            ),
+        )
         with pytest.raises(AssertionError, match="lacks"):
+            compact.check_consistent()
+
+    def test_check_consistent_catches_an_unsorted_slice(self):
+        _, _, compact = build_pair()
+        base = compact._segments[0]
+        start = int(base.starts[int(np.argmax(base.lengths))])
+        assert base.lengths.max() >= 2
+        base.rows[[start, start + 1]] = base.rows[[start + 1, start]]
+        with pytest.raises(AssertionError, match="sorted"):
+            compact.check_consistent()
+
+    def test_check_consistent_catches_a_row_in_both_segments(self):
+        ads, index, compact = build_pair()
+        index.add_ad(make_ads(42, seed=3)[41])
+        compact.check_consistent()
+        assert len(compact._segments) == 2
+        # The newest base row's postings re-labelled as the tail's row.
+        tail_row = compact.num_rows - 1
+        corrupt_base(
+            compact,
+            lambda tids, rows, weights: (
+                tids, np.where(rows == tail_row - 1, tail_row, rows), weights
+            ),
+        )
+        with pytest.raises(AssertionError, match="two segments"):
             compact.check_consistent()
 
     def test_remove_marks_dead_without_rebuild(self):
@@ -244,14 +321,166 @@ class TestKernels:
             else:
                 assert ad.ad_id not in by_id
 
-    def test_gather_scratch_invariant_restored(self):
+    def test_gather_twice_is_the_same_gather(self):
         rng = random.Random(3)
         _, _, compact = build_pair(seed=3)
         query = random_query(rng)
         first = compact.gather(query)
         second = compact.gather(query)
-        assert np.array_equal(first[0], second[0])
-        assert np.allclose(first[1], second[1])
+        assert first[0].tolist() == second[0].tolist()
+        assert first[1].tolist() == second[1].tolist()
+
+
+WIDE = 20  # terms per ad over a 60-term vocabulary: dots of up to 20 products
+WIDE_VOCABULARY = [f"t{i}" for i in range(3 * WIDE)]
+
+
+def wide_query(rng: random.Random) -> dict[str, float]:
+    """1 to 60 known terms in random (not term-id) order, some weighted
+    zero, plus the odd term no ad ever had."""
+    query = {
+        term: rng.uniform(0.05, 1.0)
+        for term in rng.sample(WIDE_VOCABULARY, rng.randint(1, len(WIDE_VOCABULARY)))
+    }
+    for term in rng.sample(sorted(query), len(query) // 5):
+        query[term] = 0.0
+    if rng.random() < 0.5:
+        query[f"unseen{rng.randint(0, 3)}"] = rng.uniform(0.05, 1.0)
+    return query
+
+
+def wide_pair(num_ads: int, seed: int = 0, **compact_kwargs):
+    """``num_ads`` wide ads mirrored as the base, and 60 more to launch."""
+    pool = make_ads(num_ads + 60, seed=seed, terms_per_ad=WIDE)
+    index = AdInvertedIndex()
+    for ad in pool[:num_ads]:
+        index.add_ad(ad)
+    return pool, index, CompactIndex(index, **compact_kwargs)
+
+
+def c_calls(function, *args) -> int:
+    """C-level calls made while ``function(*args)`` runs, the resolve
+    pass's own list / dict bookkeeping (one per query term by design)
+    left out."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and not isinstance(
+            getattr(arg, "__self__", None), (list, dict)
+        ):
+            calls.append(arg)
+
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+class TestGatherIsTheOracle:
+    """``gather`` addresses every query term's slice at once and sums
+    with one ordered reduction; the loop it replaced is ``oracle_gather``.
+    Same rows, and every dot the same double — ``==``, no tolerance."""
+
+    def test_every_stage_of_a_mirrors_life(self):
+        rng = random.Random(11)
+        pool, index, compact = wide_pair(
+            30, rebuild_dead_fraction=0.3, min_rebuild_dead=3
+        )
+
+        def check():
+            compact.check_consistent()
+            for _ in range(8):
+                assert_gather_is_the_oracle(compact, wide_query(rng))
+
+        check()
+        base = compact._segments[0]
+        # Two launches land in the tail; one brings a term the base never
+        # saw (an empty slice there, the whole match in the tail).
+        index.add_ad(pool[30])
+        index.add_ad(replace(pool[31], terms={**pool[31].terms, "fresh": 0.7}))
+        assert len(compact._segments) == 2 and compact._segments[0] is base
+        check()
+        assert_gather_is_the_oracle(compact, {"fresh": 0.3})
+        assert compact.gather({"fresh": 0.3})[0].tolist() == [31]
+        # Retirements in the base and in the tail: masked, not removed.
+        index.remove_ad_id(pool[3].ad_id)
+        index.remove_ad_id(pool[30].ad_id)
+        check()
+        # The tail outgrows its share of the base and is folded: one
+        # segment again, rows and generation untouched.
+        generation, launched = compact.generation, 32
+        while len(compact._segments) == 2:
+            index.add_ad(pool[launched])
+            launched += 1
+        assert compact._segments[0] is not base
+        assert compact.generation == generation
+        assert compact.row_of(pool[31].ad_id) == 31
+        check()
+        # Enough dead rows for a compaction: rows renumbered.
+        for ad in pool[4:14]:
+            index.remove_ad_id(ad.ad_id)
+        assert compact.maybe_compact() and compact.generation == generation + 1
+        check()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        ops=st.lists(st.integers(0, 69), min_size=1, max_size=40),
+    )
+    def test_bit_identical_under_churn(self, seed, ops):
+        """Random launches (tail, folds) and retirements (base and tail,
+        compactions): consistent and equal to the oracle after each."""
+        rng = random.Random(seed)
+        pool, index, compact = wide_pair(
+            10, seed=seed % 5, rebuild_dead_fraction=0.3, min_rebuild_dead=3
+        )
+        present = {ad.ad_id for ad in pool[:10]}
+        for pick in ops:
+            ad = pool[pick]
+            if ad.ad_id in present:
+                index.remove_ad_id(ad.ad_id)
+                present.discard(ad.ad_id)
+            else:
+                index.add_ad(ad)
+                present.add(ad.ad_id)
+            compact.maybe_compact()
+            compact.check_consistent()
+            assert_gather_is_the_oracle(compact, wide_query(rng))
+
+    def test_a_launch_copies_no_base_posting(self):
+        """150 launches into a 4,000-ad mirror: the base block is the same
+        four arrays' worth of postings throughout (the per-term slots may
+        grow for new terms), and a gather over both segments is the
+        oracle's."""
+        rng = random.Random(5)
+        pool = make_ads(4150, seed=5)
+        index = AdInvertedIndex.from_corpus(AdCorpus(pool[:4000]), subscribe=False)
+        compact = CompactIndex(index)
+        base = compact._segments[0]
+        rows, weights = base.rows, base.weights
+        for ad in pool[4000:]:
+            index.add_ad(ad)
+        assert len(compact._segments) == 2 and compact._segments[0] is base
+        assert base.rows is rows and base.weights is weights
+        assert compact._segments[1].rows.min() == 4000
+        compact.check_consistent()
+        for _ in range(20):
+            query = random_query(rng)
+            assert compact.gather(query)[0][-1] >= 4000, "straddles both segments"
+            assert_gather_is_the_oracle(compact, query)
+
+    def test_the_call_count_does_not_grow_with_the_query(self):
+        """No per-term numpy work: a 40-term probe makes exactly the C
+        calls a 4-term probe makes, over a mirror with a tail."""
+        pool, index, compact = wide_pair(40)
+        index.add_ad(pool[40])
+        assert len(compact._segments) == 2
+        narrow = {term: 0.5 for term in WIDE_VOCABULARY[:4]}
+        wide = {term: 0.5 for term in WIDE_VOCABULARY[:40]}
+        assert len(compact.gather(wide)[0]) >= len(compact.gather(narrow)[0]) > 0
+        assert c_calls(compact.gather, wide) == c_calls(compact.gather, narrow) > 0
 
 
 class TestVectorSearcherParity:
