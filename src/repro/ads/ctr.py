@@ -99,7 +99,11 @@ class CtrEstimator:
         """Fold a block of impressions and clicks, one per slot named (a
         slot may repeat). For an undiscounted estimator only: the
         per-impression discount is not a block operation."""
-        assert self.discount == 1.0
+        if self.discount != 1.0:
+            raise ConfigError(
+                "record_block needs an undiscounted estimator, got discount "
+                f"{self.discount}"
+            )
         np.add.at(self._impressions, impression_slots, 1.0)
         np.add.at(self._clicks, click_slots, 1.0)
         self._total_impressions += float(len(impression_slots))

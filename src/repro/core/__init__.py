@@ -21,7 +21,6 @@ from repro.core.incremental import IncrementalTopK
 from repro.core.pipeline import (
     CandidateStage,
     ChargeStage,
-    DeliveryOutcome,
     DeliveryPipeline,
     FeedbackStage,
     PersonalizeStage,
@@ -39,7 +38,6 @@ __all__ = [
     "CandidateStage",
     "ChargeStage",
     "ContextAwareRecommender",
-    "DeliveryOutcome",
     "DeliveryPipeline",
     "DeliveryResult",
     "EngineConfig",

@@ -12,7 +12,7 @@ any ad outside the shared set — see :mod:`repro.core.rerank`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateBlock:
+class CandidateBlock(NamedTuple):
     """The vector probe kept as arrays for the kernel: the message's
     :meth:`CompactIndex.gather`, in the row space of the mirror at ``key``
     = ``(generation, num_rows)``. While the mirror still reads that key no
     row was renumbered or added, so the block minus the rows retired since
-    equals a fresh gather; else stale.
+    equals a fresh gather; else stale. A tuple, like every record a
+    fan-out makes: no Python ``__init__`` on the delivery path.
     """
 
     key: tuple[int, int]

@@ -27,8 +27,8 @@ from repro.ads.ctr import CtrEstimator
 from repro.core.candidates import SharedCandidateGenerator
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.pipeline import (
-    DeliveryOutcome,
     DeliveryPipeline,
+    DeliveryResult,
     PostEvent,
     TextVectorizeStage,
 )
@@ -55,19 +55,6 @@ __all__ = [
     "EngineStats",
     "PostResult",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryResult:
-    """One follower's slate for one delivered message."""
-
-    user_id: int
-    slate: tuple[ScoredAd, ...]
-    certified: bool
-    fell_back: bool
-    exact: bool = False
-    degraded: bool = False
-    revenue: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,30 +454,16 @@ class AdEngine:
     def _assemble_result(
         self,
         event: PostEvent,
-        outcomes: Sequence[DeliveryOutcome],
+        outcomes: Sequence[DeliveryResult],
     ) -> PostResult:
         num_impressions = 0
         num_degraded = 0
         revenue = 0.0
-        deliveries: list[DeliveryResult] = []
-        collect = self.config.collect_deliveries
         for outcome in outcomes:
             num_impressions += len(outcome.slate)
             revenue += outcome.revenue
             if outcome.degraded:
                 num_degraded += 1
-            if collect:
-                deliveries.append(
-                    DeliveryResult(
-                        user_id=outcome.user_id,
-                        slate=outcome.slate,
-                        certified=outcome.certified,
-                        fell_back=outcome.fell_back,
-                        exact=outcome.exact,
-                        degraded=outcome.degraded,
-                        revenue=outcome.revenue,
-                    )
-                )
         num_shed, revenue_shed = self.pipeline.pop_batch_shed()
         return PostResult(
             msg_id=event.msg_id,
@@ -499,7 +472,8 @@ class AdEngine:
             num_deliveries=len(outcomes),
             num_impressions=num_impressions,
             revenue=revenue,
-            deliveries=tuple(deliveries),
+            # The very records the pipeline built, one per delivery.
+            deliveries=tuple(outcomes) if self.config.collect_deliveries else (),
             num_shed=num_shed,
             num_degraded=num_degraded,
             revenue_shed=revenue_shed,

@@ -18,7 +18,7 @@ systems use):
 :class:`DeliveryPipeline` wires the stages over one
 :class:`~repro.core.services.EngineServices` and exposes the batch entry
 point :meth:`DeliveryPipeline.deliver_batch`: one :class:`PostEvent` in,
-one :class:`DeliveryOutcome` per follower out, with the shared probe and
+one :class:`DeliveryResult` per follower out, with the shared probe and
 the per-follower profile-vector/location lookups amortised across the
 whole fan-out. The sharded router and the stream simulator drive batches
 directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
@@ -66,18 +66,20 @@ class PostEvent:
     trace: TraceContext | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryOutcome:
-    """One follower's slate for one event, plus how it was produced."""
+class DeliveryResult(NamedTuple):
+    """One follower's slate for one event, plus how it was produced — the
+    one record a delivery travels in, from the pipeline's ``serve`` to
+    :attr:`~repro.core.engine.PostResult.deliveries` and across the
+    cluster's RPC."""
 
     user_id: int
     slate: tuple[ScoredAd, ...]
     certified: bool
     fell_back: bool
-    exact: bool
-    revenue: float
+    exact: bool = False
     # True when the slate was served under a QoS degradation rung.
     degraded: bool = False
+    revenue: float = 0.0
 
 
 class PersonalizedDelivery(NamedTuple):
@@ -271,11 +273,8 @@ class KernelPersonalizeStage:
             ],
             event.timestamp,
             k,
-            served=lambda position, result: served(
-                position,
-                PersonalizedDelivery(
-                    result.slate, result.certified, result.fell_back, exact
-                ),
+            served=lambda position, slate: served(
+                position, PersonalizedDelivery(slate, True, False, exact)
             ),
             cut=cut,
         )
@@ -562,7 +561,7 @@ class DeliveryPipeline:
             )
         return vec
 
-    def deliver(self, event: PostEvent, follower: int) -> DeliveryOutcome:
+    def deliver(self, event: PostEvent, follower: int) -> DeliveryResult:
         """Single-follower convenience over :meth:`deliver_batch`."""
         return self.deliver_batch(event, (follower,))[0]
 
@@ -603,7 +602,7 @@ class DeliveryPipeline:
 
     def deliver_batch(
         self, event: PostEvent, followers, *, candidates_only: bool = False
-    ) -> list[DeliveryOutcome]:
+    ) -> list[DeliveryResult]:
         """Fan one event out to ``followers``: one shared probe, then one
         ``personalize_batch`` call that hands each follower's delivery
         back for its charge → feedback pass before cutting the next.
@@ -751,7 +750,7 @@ class DeliveryPipeline:
         # once: the look-ups up front, and the kernel's cut when it cuts
         # a run of followers ahead.
         resolve_share = share = 0.0
-        outcomes: list[DeliveryOutcome] = []
+        outcomes: list[DeliveryResult] = []
 
         def cut(size: int) -> None:
             """The stage cut ``size`` slates since the last delivery: the
@@ -799,14 +798,14 @@ class DeliveryPipeline:
             stats.impressions += len(slate)
             stats.revenue += revenue
             outcomes.append(
-                DeliveryOutcome(
-                    user_id=followers[position],
-                    slate=slate,
-                    certified=certified,
-                    fell_back=fell_back,
-                    exact=exact,
-                    revenue=revenue,
-                    degraded=degrading,
+                DeliveryResult(
+                    followers[position],
+                    slate,
+                    certified,
+                    fell_back,
+                    exact,
+                    degrading,
+                    revenue,
                 )
             )
             if observing:

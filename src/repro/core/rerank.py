@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.core.scoring import ScoredAd, StaticRowCache
+from repro.core.scoring import ScoredAd, StaticRowCache, boxed_slate
 from repro.core.services import EngineServices
 from repro.core.static_list import GlobalStaticTopList
 from repro.geo.point import GeoPoint
@@ -64,7 +64,10 @@ from repro.util.sparse import SparseVector, dot
 
 @dataclass(frozen=True, slots=True)
 class PersonalizedSlate:
-    """One user's slate plus how it was produced."""
+    """One user's slate plus how it was produced — what
+    :meth:`Personalizer.slate_for` returns. Only the ``ta`` reference can
+    leave a slate uncertified or fall back; the kernel's slates are bare
+    tuples."""
 
     slate: tuple[ScoredAd, ...]
     certified: bool
@@ -207,13 +210,14 @@ class Personalizer:
         fallback to suppress.
         """
         if self._vector:
-            return self.slate_batch(
+            slate = self.slate_batch(
                 candidates,
                 message_vec,
                 [(user_id, profile_vec, profile_epoch, location)],
                 timestamp,
                 k,
             )[0]
+            return PersonalizedSlate(slate, True, False)
         scoring = self._scoring
         corpus = scoring.corpus
         profile_cands = self.profile_candidates(user_id, profile_vec, profile_epoch)
@@ -321,14 +325,11 @@ class Personalizer:
         chosen = topk_order(score_kept, ad_ids[kept], k)
         rows = kept[chosen]
         return (
-            tuple(
-                map(
-                    ScoredAd,
-                    ad_ids[rows].tolist(),
-                    score_kept[chosen].tolist(),
-                    content[rows].tolist(),
-                    static_kept[chosen].tolist(),
-                )
+            boxed_slate(
+                ad_ids[rows].tolist(),
+                score_kept[chosen].tolist(),
+                content[rows].tolist(),
+                static_kept[chosen].tolist(),
             ),
             rows,
         )
@@ -341,9 +342,9 @@ class Personalizer:
         timestamp: float,
         k: int,
         *,
-        served: Callable[[int, PersonalizedSlate], None] | None = None,
+        served: Callable[[int, tuple[ScoredAd, ...]], None] | None = None,
         cut: Callable[[int], None] | None = None,
-    ) -> list[PersonalizedSlate]:
+    ) -> list[tuple[ScoredAd, ...]]:
         """The exact top-``k`` for every follower of one event, in order
         — the one entry point of a fan-out.
 
@@ -356,10 +357,10 @@ class Personalizer:
         follower cover every row any slate can contain, so the rows an
         exact combined-query probe would walk — message ∪ profile matches
         under the targeting mask — are scored and cut once. Every slate
-        is the true top-``k`` by construction and is reported
-        ``certified``, never ``fell_back``.
+        is the true top-``k`` by construction — certified, never a
+        fallback — so a result is the bare slate, with no flags to carry.
 
-        Each result is handed to ``served(position, result)``, in order:
+        Each slate is handed to ``served(position, slate)``, in order:
         the pipeline charges and feeds back inside it. No slate is cut
         across a write. The fan-out is served in *runs*: a run of one
         scores a follower over the full row space; when there is no
@@ -385,7 +386,7 @@ class Personalizer:
         exactly those rows are re-read before the next cut — the values a
         rebuild would give, elementwise.
         """
-        results: list[PersonalizedSlate] = []
+        results: list[tuple[ScoredAd, ...]] = []
         scoring = self._scoring
         compact = self._compact
         # Between two followers rows must keep their numbers, so a
@@ -467,14 +468,12 @@ class Personalizer:
             if cut is not None:
                 cut(len(cuts))
             for slate, slate_rows in cuts:
-                results.append(
-                    PersonalizedSlate(slate=slate, certified=True, fell_back=False)
-                )
+                results.append(slate)
                 position += 1
                 if served is None:
                     continue
                 writes = scoring.bid_writes()
-                served(position - 1, results[-1])
+                served(position - 1, slate)
                 clean = scoring.bid_writes() == writes
                 if clean:
                     continue
@@ -600,20 +599,17 @@ class Personalizer:
         rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(kept) - kept, kept)
         top = order[rank < k]
         rows = rows[top]
-        ad_ids, score = ad_ids[top].tolist(), score[top].tolist()
-        content, static = content[top].tolist(), static[top].tolist()
+        # Every follower's entries boxed at once; a slate is a slice.
+        entries = boxed_slate(
+            ad_ids[top].tolist(),
+            score[top].tolist(),
+            content[top].tolist(),
+            static[top].tolist(),
+        )
         cuts = []
         start = 0
         for stop in np.cumsum(np.minimum(kept, k)).tolist():
-            own = slice(start, stop)
-            cuts.append(
-                (
-                    tuple(
-                        map(ScoredAd, ad_ids[own], score[own], content[own], static[own])
-                    ),
-                    rows[own],
-                )
-            )
+            cuts.append((entries[start:stop], rows[start:stop]))
             start = stop
         return cuts
 
@@ -633,7 +629,7 @@ class Personalizer:
         if self._vector:
             return self.slate_batch(
                 None, message_vec, [(None, profile_vec, 0, location)], timestamp, k
-            )[0].slate
+            )[0]
         scoring = self._scoring
         query = scoring.combined_query(message_vec, profile_vec)
         searcher = make_searcher(

@@ -21,8 +21,8 @@ served, no matter their bid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -38,14 +38,28 @@ if TYPE_CHECKING:
     from repro.index.compact import CompactIndex
 
 
-@dataclass(frozen=True, slots=True)
-class ScoredAd:
+class ScoredAd(NamedTuple):
     """One slate entry: ad id, total score, and its two halves."""
 
     ad_id: int
     score: float
     content: float
     static: float
+
+
+def boxed_slate(
+    ad_ids: Iterable[int],
+    scores: Iterable[float],
+    contents: Iterable[float],
+    statics: Iterable[float],
+) -> tuple[ScoredAd, ...]:
+    """Slate entries from their four columns (``tolist()`` of a cut),
+    boxed in C: ``tuple.__new__`` over the zipped columns makes each entry
+    without the Python frame a ``ScoredAd(...)`` call costs. The one way
+    an array path builds a slate."""
+    return tuple(
+        map(tuple.__new__, repeat(ScoredAd), zip(ad_ids, scores, contents, statics))
+    )
 
 
 class StaticRowCache:

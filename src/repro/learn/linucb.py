@@ -42,13 +42,14 @@ degraded traffic.
 
 from __future__ import annotations
 
+from operator import itemgetter, neg
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.ads.ctr import CtrEstimator
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import boxed_slate
 from repro.errors import ConfigError
 from repro.obs.registry import NULL_METRICS
 
@@ -184,11 +185,15 @@ class LinUcbLearner:
                 for entry, extra, x in zip(slate, bonus.tolist(), rows)
             ]
         )
+        negated, ad_ids, rows = zip(*ranked)
         return (
-            type(slate)(
-                [ScoredAd(ad_id, -neg, x[1], x[2]) for neg, ad_id, x in ranked]
+            boxed_slate(
+                ad_ids,
+                map(neg, negated),
+                map(itemgetter(1), rows),
+                map(itemgetter(2), rows),
             ),
-            [x for _neg, _ad_id, x in ranked],
+            list(rows),
         )
 
     # -- online updates --------------------------------------------------

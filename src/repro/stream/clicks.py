@@ -74,11 +74,12 @@ class ClickSimulator:
         return clicks
 
     def click_events(self, delivery, grade_of: GradeFn) -> list[ClickEvent]:
-        """Position-attributed clicks for one delivery outcome.
+        """Position-attributed clicks for one delivery.
 
         ``delivery`` is anything shaped like
-        :class:`~repro.core.pipeline.DeliveryOutcome` — a ``user_id`` plus
-        an ordered ``slate`` of scored ads. Consumes the same RNG stream
+        :class:`~repro.core.pipeline.DeliveryResult` — a ``user_id`` plus
+        an ordered ``slate`` of scored ads; a click's ``slot_index`` is its
+        entry's position in that slate. Consumes the same RNG stream
         as :meth:`clicks_for_slate` on the slate's ad ids, so swapping one
         call form for the other is draw-for-draw deterministic.
         """

@@ -31,6 +31,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CtrEstimator(discount=1.5)
 
+    def test_a_discounted_estimator_refuses_a_block(self):
+        """The block fold cannot apply the per-impression discount, so a
+        discounted estimator refuses it — an error, not an ``assert``
+        that ``python -O`` would strip — and keeps its evidence."""
+        fading = CtrEstimator(discount=0.9)
+        slots = np.array([fading.slot_of(7), fading.slot_of(8)])
+        fading.record_impression(7)
+        before = (fading.impressions_of(7), fading.impressions_of(8), fading.writes)
+        with pytest.raises(ConfigError, match="undiscounted"):
+            fading.record_block(slots, slots[:1])
+        assert (
+            fading.impressions_of(7), fading.impressions_of(8), fading.writes
+        ) == before
+        plain = CtrEstimator()
+        plain.record_block(np.array([plain.slot_of(7)] * 2), np.zeros(0, np.intp))
+        assert plain.impressions_of(7) == 2.0
+
 
 class TestEstimates:
     def test_unseen_ad_gets_prior(self):

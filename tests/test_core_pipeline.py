@@ -4,6 +4,7 @@ stage selection per mode, batch fan-out, and pluggable stages."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -437,7 +438,7 @@ class TestExactOnVectorIsSharedWithAFlag:
                     )
                     engine.end_campaign(donors[-1 - position // 8].ad_id, post.timestamp)
             served = fan_out(exact, post, one_call=True)
-            assert [replace(outcome, exact=False) for outcome in served] == fan_out(
+            assert [outcome._replace(exact=False) for outcome in served] == fan_out(
                 shared, post, one_call=True
             )
             assert all(outcome.exact for outcome in served)
@@ -468,7 +469,7 @@ class TestExactOnVectorIsSharedWithAFlag:
         exact, shared = engines
         for post in tiny_workload.posts:
             served = fan_out(exact, post, one_call=True)
-            assert [replace(outcome, exact=False) for outcome in served] == fan_out(
+            assert [outcome._replace(exact=False) for outcome in served] == fan_out(
                 shared, post, one_call=True
             )
         assert blocks[0] == blocks[1] and sum(blocks[0]) > len(tiny_workload.posts)
@@ -728,3 +729,117 @@ class TestDeliverySpansStayPerDelivery:
         assert blocks == [len(outcomes) - 1] and blocks[0] >= 3
         assert spans["personalize"] == [1.0] * len(outcomes)
         assert spans["delivery"] == [1.0] * len(outcomes)
+
+
+class TestOneRecordPerDelivery:
+    """A delivery is boxed once: the ``DeliveryResult`` the pipeline's
+    ``serve`` builds is the very object ``PostResult.deliveries`` holds,
+    and it is the record type on every backend."""
+
+    def test_post_result_holds_what_serve_built(self, tiny_workload, monkeypatch):
+        engine = charged_engine(tiny_workload)
+        built = []
+        deliver_batch = engine.pipeline.deliver_batch
+
+        def keeping(*args, **kwargs):
+            built.append(deliver_batch(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(engine.pipeline, "deliver_batch", keeping)
+        for post in tiny_workload.posts[:20]:
+            result = engine.post(post.author_id, post.text, post.timestamp)
+            assert len(result.deliveries) == len(built[-1])
+            assert all(
+                kept is made for kept, made in zip(result.deliveries, built[-1])
+            )
+        assert sum(map(len, built)) > 20
+
+    def test_nothing_collected_without_collect_deliveries(self, tiny_workload):
+        engine = charged_engine(tiny_workload, collect_deliveries=False)
+        post = tiny_workload.posts[0]
+        result = engine.post(post.author_id, post.text, post.timestamp)
+        assert result.num_deliveries > 0 and result.deliveries == ()
+
+    def test_the_record_type_on_every_backend(self, tiny_workload):
+        from repro.cluster import ProcessShardedEngine, ShardedEngine
+        from repro.core.pipeline import DeliveryResult
+
+        config = EngineConfig(searcher="vector", pacing_enabled=False)
+        single = ContextAwareRecommender.from_workload(tiny_workload, config)
+        sharded = ShardedEngine(tiny_workload, 2, config=config)
+        checked = {"single": 0, "sharded": 0, "pool": 0}
+        with ProcessShardedEngine(tiny_workload, 2, config=config) as pool:
+            for post in tiny_workload.posts[:12]:
+                results = {
+                    "single": [
+                        single.post(post.author_id, post.text, post.timestamp)
+                    ],
+                    "sharded": sharded.post(post.author_id, post.text, post.timestamp),
+                    "pool": pool.post(post.author_id, post.text, post.timestamp),
+                }
+                for backend, parts in results.items():
+                    for part in parts:
+                        assert type(part.deliveries) is tuple
+                        for delivery in part.deliveries:
+                            assert type(delivery) is DeliveryResult
+                            checked[backend] += 1
+                assert results["pool"] == results["sharded"]
+        assert checked["single"] == checked["sharded"] == checked["pool"] > 12
+
+
+def wide_fanout_engine(workload, followers: int) -> AdEngine:
+    """An uncharged vector engine whose author 0 has ``followers``
+    followers — three in four with a profile, two in three placed — and
+    caches already warm from one fan-out."""
+    from repro.graph.social import SocialGraph
+
+    engine = AdEngine(
+        corpus=workload.build_corpus(),
+        graph=SocialGraph(),
+        vectorizer=workload.vectorizer,
+        tokenizer=workload.tokenizer,
+        config=EngineConfig(searcher="vector", charge_impressions=False),
+    )
+    engine.register_user(0)
+    for user_id in range(1, followers + 1):
+        home = workload.users[user_id % len(workload.users)].home
+        engine.register_user(user_id, home if user_id % 3 else None)
+        engine.graph.follow(user_id, 0)
+    for user_id in range(1, followers + 1):
+        if user_id % 4:
+            post = workload.posts[user_id % len(workload.posts)]
+            engine.post(user_id, post.text, float(user_id))
+    engine.post(0, workload.posts[0].text, float(followers + 1))
+    return engine
+
+
+class TestTheFanOutBoxesOnce:
+    """A wide uncharged fan-out to followers the engine has seen before
+    (a first sighting creates their ``UserProfile``) makes no Python-level
+    ``__init__``: slate entries are boxed in C and each delivery is one
+    ``DeliveryResult``, so a frozen dataclass cannot come back on this
+    path unnoticed."""
+
+    FOLLOWERS = 600
+    CALLS_PER_DELIVERY = 20
+
+    def test_no_init_and_few_calls_per_delivery(self, tiny_workload):
+        engine = wide_fanout_engine(tiny_workload, self.FOLLOWERS)
+        event = engine.make_event(0, tiny_workload.posts[1].text, 1e4)
+        engine.ingest_event(event)
+        followers = sorted(engine.graph.followers(0))
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            delivered = engine.pipeline.deliver_batch(event, followers)
+        finally:
+            sys.setprofile(None)
+        assert len(delivered) == self.FOLLOWERS
+        assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
+        assert "__init__" not in calls
+        assert len(calls) <= self.CALLS_PER_DELIVERY * len(delivered)

@@ -310,7 +310,7 @@ class TestStaleBlock:
         results = personalizer.slate_batch(
             candidates, message, followers, 500.0, self.K
         )
-        assert any(result.slate for result in results)
+        assert any(results)
         return results
 
     def test_launch_of_a_matching_ad(self):
@@ -332,8 +332,8 @@ class TestStaleBlock:
         # Served on content the stale block never gathered.
         assert any(
             scored.ad_id == launched.ad_id and scored.content > 0.0
-            for result in results
-            for scored in result.slate
+            for slate in results
+            for scored in slate
         )
 
     def test_retirement_of_a_candidate(self):
@@ -341,7 +341,7 @@ class TestStaleBlock:
         _, _, corpus, _, _, _, personalizer, generator = stack
         stale = generator.generate(message)
         before = self.served_by(personalizer, stale, message, followers)
-        victim = before[0].slate[0].ad_id
+        victim = before[0][0].ad_id
         assert victim in stale.ad_ids()
         corpus.retire(victim)
         compact = personalizer._compact
@@ -462,10 +462,7 @@ class TestKernelSelfConsistency:
             together = personalizer.slate_batch(
                 candidates, message, followers, 500.0, k
             )
-            assert any(result.slate for result in together)
-            assert all(
-                result.certified and not result.fell_back for result in together
-            )
+            assert any(together)
             assert together == [
                 personalizer.slate_batch(candidates, message, [follower], 500.0, k)[0]
                 for follower in followers
@@ -476,14 +473,17 @@ class TestKernelSelfConsistency:
             assert together == personalizer.slate_batch(
                 without_block(candidates), message, followers, 500.0, k
             )
-            # ``allow_fallback`` is the reference's: inert on the kernel.
-            assert together == [
+            # ``allow_fallback`` is the reference's: inert on the kernel,
+            # whose every slate is certified and none a fallback.
+            one_each = [
                 personalizer.slate_for(
                     candidates, message, *follower, 500.0, k,
                     allow_fallback=exact_fallback,
                 )
                 for follower in followers
             ]
+            assert all(each.certified and not each.fell_back for each in one_each)
+            assert together == [each.slate for each in one_each]
             assert together == full_personalizer.slate_batch(
                 full_generator.generate(message), message, followers, 500.0, k
             )
@@ -510,20 +510,20 @@ class TestKernelSelfConsistency:
             results = personalizer.slate_batch(
                 generator.generate(message), message, followers, 500.0, config.k
             )
-            for (_, profile, _, location), result in zip(followers, results):
+            for (_, profile, _, location), slate in zip(followers, results):
                 exact = reference.exact_slate(
                     message, profile, location, 500.0, config.k
                 )
-                assert [scored.ad_id for scored in result.slate] == [
+                assert [scored.ad_id for scored in slate] == [
                     scored.ad_id for scored in exact
                 ]
-                assert [scored.score for scored in result.slate] == pytest.approx(
+                assert [scored.score for scored in slate] == pytest.approx(
                     [scored.score for scored in exact], abs=1e-6
                 )
-                assert result.slate == personalizer.exact_slate(
+                assert slate == personalizer.exact_slate(
                     message, profile, location, 500.0, config.k
                 )
-                for scored in result.slate:
+                for scored in slate:
                     assert scored.score == pytest.approx(
                         weights.alpha * scored.content + scored.static, abs=1e-12
                     )
@@ -641,10 +641,12 @@ class TestServedCallback:
         )
         assert seen == list(enumerate(results))
         assert results == [
-            personalizer.slate_for(candidates, message, *follower, 500.0, config.k)
+            personalizer.slate_for(
+                candidates, message, *follower, 500.0, config.k
+            ).slate
             for follower in followers
         ]
-        assert any(result.slate for result in results)
+        assert any(results)
 
     # -- runs: cutting ahead stops at a write -----------------------------------
 
@@ -670,10 +672,10 @@ class TestServedCallback:
     def exhausting(self, engine, at):
         """A callback that exhausts the budgeted ads of delivery ``at``'s
         slate — retiring them — and writes nothing anywhere else."""
-        def served(position, result):
+        def served(position, slate):
             if position != at:
                 return
-            for scored in result.slate:
+            for scored in slate:
                 state = engine.budget.state(scored.ad_id)
                 if state is not None:
                     engine.budget.restore_spend(scored.ad_id, state.budget - 1e-6)
@@ -683,10 +685,10 @@ class TestServedCallback:
     def test_followers_after_a_write_see_it(self, tiny_workload):
         engine, message, followers = self.stack(tiny_workload)
         untouched = self.fan_out(engine, message, followers)
-        assert len({result.slate for result in untouched}) == 1
+        assert len(set(untouched)) == 1
         assert any(
             engine.budget.state(scored.ad_id) is not None
-            for scored in untouched[0].slate
+            for scored in untouched[0]
         )
         together = self.fan_out(
             engine, message, followers, self.exhausting(engine, self.AT)

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ads.ad import Ad
 from repro.ads.budget import BudgetManager
 from repro.ads.corpus import AdCorpus
 from repro.ads.targeting import TargetingSpec, TimeWindow
 from repro.core.config import ScoringWeights
-from repro.core.scoring import ScoringModel
+from repro.core.scoring import ScoredAd, ScoringModel, boxed_slate
 from repro.geo.point import GeoPoint
 
 LONDON = GeoPoint(51.5074, -0.1278)
@@ -107,6 +110,59 @@ class TestEvaluate:
         assert scored.score == pytest.approx(
             scoring.weights.alpha * scored.content + scored.static
         )
+
+
+#: Slate-entry values as a cut hands them over: relaunched-ad ids, and
+#: doubles with signed zeros and subnormals among them (no NaN — a score
+#: is never one, and NaN is not ``==`` to itself).
+ENTRY_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]),
+    st.floats(min_value=-1e-307, max_value=1e-307, allow_subnormal=True),
+)
+ENTRIES = st.lists(
+    st.tuples(
+        st.integers(min_value=800_000, max_value=2**62),
+        ENTRY_FLOATS,
+        ENTRY_FLOATS,
+        ENTRY_FLOATS,
+    ),
+    max_size=12,
+)
+
+
+class TestBoxedSlate:
+    """``boxed_slate`` makes entries with ``tuple.__new__``, skipping the
+    constructor: each must be the ``ScoredAd`` a keyword call builds —
+    equal, equally hashed, of that very type, the same ``repr`` (signed
+    zeros included) — and cross the RPC pickle unchanged."""
+
+    @given(entries=ENTRIES)
+    def test_c_boxed_entries_are_keyword_built_ones(self, entries):
+        columns = list(zip(*entries)) or [(), (), (), ()]
+        ad_ids = np.array(columns[0], dtype=np.int64).tolist()
+        values = [np.array(column, dtype=np.float64).tolist() for column in columns[1:]]
+        boxed = boxed_slate(ad_ids, *values)
+        built = tuple(
+            ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
+            for ad_id, score, content, static in entries
+        )
+        assert type(boxed) is tuple and boxed == built
+        crossed = pickle.loads(pickle.dumps(boxed, protocol=pickle.HIGHEST_PROTOCOL))
+        for entry, want, back in zip(boxed, built, crossed):
+            assert type(entry) is ScoredAd is type(back)
+            assert entry == want == back
+            assert hash(entry) == hash(want) == hash(back)
+            assert repr(entry) == repr(want) == repr(back)
+
+    def test_an_entry_is_an_immutable_tuple_without_init(self):
+        entry = boxed_slate([800_001], [0.5], [0.25], [-0.0])[0]
+        assert isinstance(entry, tuple) and "__init__" not in vars(ScoredAd)
+        assert repr(entry) == (
+            "ScoredAd(ad_id=800001, score=0.5, content=0.25, static=-0.0)"
+        )
+        with pytest.raises(AttributeError):
+            entry.score = 1.0
 
 
 class TestCombinedQuery:

@@ -260,7 +260,7 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
     """``slate_batch(followers)`` with nobody writing in between — the
     block, a (followers × message rows) matrix plus a flat tail — against
     the same followers cut one call each, ``==`` on every field of every
-    ``PersonalizedSlate``: ids, order, ``score``, ``content``, ``static``.
+    slate entry: ids, order, ``score``, ``content``, ``static``.
     Drawn over geo-targeted and time-windowed ads, β on and off, ``k``
     above and below the message's match count, an empty message,
     followers with no profile / one disjoint from the message / one that
@@ -327,4 +327,4 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
         assert not blocks.called
     assert (personalizer._column == -1).all()
     if message_words == 12 or beta:
-        assert any(result.slate for result in together)
+        assert any(together)
