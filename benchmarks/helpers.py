@@ -7,7 +7,8 @@ from repro.baselines.fullscan import FullScanRecommender
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.workload import Workload
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver, ScriptedPost, build_scenario_stream
+from repro.util.timers import LatencyRecorder
 
 
 def build_recommender(workload: Workload, config: EngineConfig) -> ContextAwareRecommender:
@@ -15,16 +16,43 @@ def build_recommender(workload: Workload, config: EngineConfig) -> ContextAwareR
 
 
 def replay(recommender: ContextAwareRecommender, workload: Workload, limit: int):
-    """Replay ``limit`` posts; returns the stream metrics."""
-    simulator = FeedSimulator(recommender.engine)
-    return simulator.run(workload.posts[:limit], measure_latency=True)
+    """Replay the first ``limit`` posts through the driver; returns the
+    totals and the per-post latencies."""
+    driver = ScenarioDriver(recommender.engine, workload)
+    totals = driver.run(build_scenario_stream(workload, (), limit_posts=limit).events)
+    return totals, LatencyRecorder(samples=driver.post_latencies)
 
 
 def run_engine_config(workload: Workload, config: EngineConfig, limit: int):
-    """Fresh engine + replay; returns (metrics, engine stats)."""
+    """Fresh engine + replay; returns (totals, latencies, engine stats)."""
     recommender = build_recommender(workload, config)
-    metrics = replay(recommender, workload, limit)
-    return metrics, recommender.stats
+    totals, latency = replay(recommender, workload, limit)
+    return totals, latency, recommender.stats
+
+
+#: The bursty timeline T4 and T5 replay: each burst is 2 minutes of dense
+#: posting, one every 20 minutes.
+NUM_BURSTS = 6
+BURST_LEN_S = 120.0
+BURST_SPACING_S = 1200.0
+
+
+def bursty_posts(workload: Workload, limit: int) -> list[ScriptedPost]:
+    """Script the first ``limit`` posts onto the burst/quiet timeline."""
+    posts = workload.posts[:limit]
+    per_burst = (len(posts) + NUM_BURSTS - 1) // NUM_BURSTS
+    scripted = []
+    for position, post in enumerate(posts):
+        burst, offset = divmod(position, per_burst)
+        scripted.append(
+            ScriptedPost(
+                burst * BURST_SPACING_S + offset * (BURST_LEN_S / per_burst),
+                post.msg_id,
+                post.author_id,
+                post.text,
+            )
+        )
+    return scripted
 
 
 def run_fullscan_baseline(workload: Workload, limit: int, k: int = 10):

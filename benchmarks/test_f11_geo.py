@@ -28,8 +28,8 @@ def test_f11_geo(benchmark, fraction):
     result = benchmark.pedantic(
         lambda: run_engine_config(workload, config, LIMIT), rounds=1, iterations=1
     )
-    metrics = result[0]
-    dps = metrics.deliveries / benchmark.stats.stats.mean
+    totals = result[0]
+    dps = totals.deliveries / benchmark.stats.stats.mean
 
     spatial = SpatialAdFilter.from_corpus(workload.build_corpus(), subscribe=False)
     sample_users = workload.users[:40]

@@ -27,8 +27,8 @@ def test_f14_users(benchmark, num_users):
     result = benchmark.pedantic(
         lambda: run_engine_config(workload, config, LIMIT), rounds=1, iterations=1
     )
-    metrics = result[0]
-    dps = metrics.deliveries / benchmark.stats.stats.mean
+    totals = result[0]
+    dps = totals.deliveries / benchmark.stats.stats.mean
     benchmark.extra_info["deliveries_per_s"] = dps
     _series[num_users] = dps
 

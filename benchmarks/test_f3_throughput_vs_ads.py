@@ -71,12 +71,12 @@ def test_f3_throughput(benchmark, method, num_ads):
         # is measured separately (T13) — folding a one-time build into an
         # 80-post replay would bias every indexed method.
         recommender = build_recommender(workload, engine_config_for(method))
-        result = benchmark.pedantic(
+        totals, _ = benchmark.pedantic(
             lambda: replay(recommender, workload, LIMIT),
             rounds=1,
             iterations=1,
         )
-        deliveries = result.deliveries
+        deliveries = totals.deliveries
 
     best_seconds = benchmark.stats.stats.min
     dps = deliveries / best_seconds if best_seconds > 0 else 0.0
@@ -116,9 +116,9 @@ def test_f3_vector_gate(benchmark):
             # sweep above.
             recommender = build_recommender(workload, config)
             started = perf_counter()
-            metrics = replay(recommender, workload, LIMIT)
+            totals, _ = replay(recommender, workload, LIMIT)
             times[method].append(perf_counter() - started)
-            deliveries = metrics.deliveries
+            deliveries = totals.deliveries
         return deliveries
 
     deliveries = benchmark.pedantic(run_pair, rounds=GATE_ROUNDS, iterations=1)

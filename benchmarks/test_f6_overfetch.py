@@ -33,8 +33,8 @@ def test_f6_overfetch(benchmark, depth, default_workload):
         rounds=1,
         iterations=1,
     )
-    metrics, stats = result
-    dps = metrics.deliveries / benchmark.stats.stats.mean
+    totals, _, stats = result
+    dps = totals.deliveries / benchmark.stats.stats.mean
     benchmark.extra_info["fallback_rate"] = stats.fallback_rate()
     benchmark.extra_info["deliveries_per_s"] = dps
     _series[depth] = (stats.fallback_rate(), dps)

@@ -35,8 +35,8 @@ def test_f7_shadow_depth(benchmark, depth, default_workload):
         rounds=1,
         iterations=1,
     )
-    metrics, stats = result
-    dps = metrics.deliveries / benchmark.stats.stats.mean
+    totals, _, stats = result
+    dps = totals.deliveries / benchmark.stats.stats.mean
     benchmark.extra_info["refresh_rate"] = stats.refresh_rate()
     benchmark.extra_info["deliveries_per_s"] = dps
     _series[depth] = (stats.refresh_rate(), dps)

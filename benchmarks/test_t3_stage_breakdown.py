@@ -19,8 +19,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import RESULTS_DIR, save_table
-from helpers import engine_config_for
-from repro.eval.perf import run_perf
+from helpers import engine_config_for, replay
+from repro.core.recommender import ContextAwareRecommender
 from repro.obs import RecordingTracer, stage_table, write_stage_jsonl
 
 #: Runs in the tier-1 smoke driver at miniature scale.
@@ -38,28 +38,28 @@ def test_t3_stage_breakdown(benchmark, method, default_workload):
     tracer = RecordingTracer()
     config = engine_config_for(method)
 
-    result = benchmark.pedantic(
-        lambda: run_perf(
+    totals, _ = benchmark.pedantic(
+        lambda: replay(
+            ContextAwareRecommender.from_workload(
+                default_workload, config, tracer=tracer
+            ),
             default_workload,
-            config,
-            label=method,
-            limit_posts=LIMIT,
-            tracer=tracer,
+            LIMIT,
         ),
         rounds=1,
         iterations=1,
     )
 
-    stages = result.stages
+    stages = tracer.snapshot()
     # the traced run must reconcile span counts with the stream counters
-    assert stages["vectorize"].spans == result.posts
-    assert stages["candidate"].spans == result.posts
+    assert stages["vectorize"].spans == totals.posts
+    assert stages["candidate"].spans == totals.posts
     for per_delivery in ("personalize", "charge", "feedback", "delivery"):
-        assert stages[per_delivery].spans == result.deliveries
+        assert stages[per_delivery].spans == totals.deliveries
     if method in ("car-shared", "car-vector"):
         # the probe stage twins its spans under a searcher-attributed name
         kind = "vector" if method == "car-vector" else "ta"
-        assert stages[f"candidate[{kind}]"].spans == result.posts
+        assert stages[f"candidate[{kind}]"].spans == totals.posts
     benchmark.extra_info["personalize_p99_ms"] = stages["personalize"].p99_ms
 
     _tables[method] = stage_table(

@@ -2,10 +2,11 @@
 
 T3 answers "where does the time go over the whole run"; T4 answers the
 live question: what are the per-stage tail latencies *right now*, over a
-trailing window of stream time, sampled every interval. The driver
-remaps the default workload's posts into dense bursts separated by quiet
-gaps — the shape that exercises window expiry (quiet intervals drain the
-window) and the shape a real feed spike takes — then replays with a
+trailing window of stream time, sampled every interval. The default
+workload's posts are scripted into dense bursts separated by quiet gaps
+— the shape that exercises window expiry (quiet intervals drain the
+window) and the shape a real feed spike takes — and replayed through
+:class:`~repro.scenarios.driver.ScenarioDriver` with a
 :class:`~repro.obs.registry.MetricsRegistry` attached, a
 :class:`~repro.obs.health.HealthMonitor` grading every interval, and a
 :class:`~repro.obs.prometheus.TimeseriesWriter` appending one JSON line
@@ -18,10 +19,8 @@ carrying the run's SLO-compliance story.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from conftest import RESULTS_DIR, save_table
-from helpers import engine_config_for
+from helpers import NUM_BURSTS, bursty_posts, engine_config_for
 from repro.core.recommender import ContextAwareRecommender
 from repro.eval.report import ascii_table
 from repro.obs import (
@@ -31,31 +30,17 @@ from repro.obs import (
     TimeseriesWriter,
     read_timeseries_jsonl,
 )
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver
 
 #: Runs in the tier-1 smoke driver at miniature scale.
 SMOKE_MINI = True
 
 LIMIT = 180
-NUM_BURSTS = 6
-BURST_LEN_S = 120.0  # each burst is 2 minutes of dense posting...
-BURST_SPACING_S = 1200.0  # ...every 20 minutes
 INTERVAL_S = 600.0  # sample twice per burst cycle
-WINDOW_S = 600.0  # one-interval trailing window, so gaps drain it
-
-
-def bursty_posts(workload, limit: int):
-    """Remap the first ``limit`` posts onto a burst/quiet timeline."""
-    posts = workload.posts[:limit]
-    per_burst = (len(posts) + NUM_BURSTS - 1) // NUM_BURSTS
-    remapped = []
-    for position, post in enumerate(posts):
-        burst, offset = divmod(position, per_burst)
-        within = offset * (BURST_LEN_S / per_burst)
-        remapped.append(
-            replace(post, timestamp=burst * BURST_SPACING_S + within)
-        )
-    return remapped
+# A window reads the five of its six buckets behind ``now``: 6/5 of an
+# interval is the narrowest one whose tick sees every sample of the
+# interval it closes. Still far shorter than a quiet gap, so gaps drain it.
+WINDOW_S = INTERVAL_S * 6 / 5
 
 
 def test_t4_live_timeseries(benchmark, default_workload):
@@ -73,17 +58,15 @@ def test_t4_live_timeseries(benchmark, default_workload):
     recommender = ContextAwareRecommender.from_workload(
         default_workload, engine_config_for("car-shared"), metrics=registry
     )
-    simulator = FeedSimulator(recommender.engine)
+    driver = ScenarioDriver(recommender.engine, default_workload)
 
     def on_interval(now: float, wall_seconds: float) -> None:
         snapshot = registry.snapshot(now)
         report = monitor.evaluate(now, wall_seconds=wall_seconds)
         writer.append(snapshot, health=report)
 
-    metrics = benchmark.pedantic(
-        lambda: simulator.run(
-            posts, interval_s=INTERVAL_S, on_interval=on_interval
-        ),
+    totals = benchmark.pedantic(
+        lambda: driver.run(posts, interval_s=INTERVAL_S, on_interval=on_interval),
         rounds=1,
         iterations=1,
     )
@@ -97,8 +80,8 @@ def test_t4_live_timeseries(benchmark, default_workload):
 
     # Counters reconcile with the stream-level run counters.
     final = intervals[-1]
-    assert final["counters"]["posts"] == metrics.posts == len(posts)
-    assert final["counters"]["deliveries"] == metrics.deliveries
+    assert final["counters"]["posts"] == totals.posts == len(posts)
+    assert final["counters"]["deliveries"] == totals.deliveries
     # Burst intervals carry a live windowed p99 for the delivery stage;
     # quiet intervals drain the window down to empty.
     live_counts = [

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import replace
 
 from conftest import RESULTS_DIR, save_table
-from helpers import engine_config_for
+from helpers import NUM_BURSTS, bursty_posts, engine_config_for
 from repro.cluster.sharded import ShardedEngine
 from repro.core.config import EngineConfig
 from repro.core.recommender import ContextAwareRecommender
@@ -46,34 +45,17 @@ from repro.qos import (
     QosController,
     ShardOutage,
 )
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver
 
 #: Runs in the tier-1 smoke driver at miniature scale.
 SMOKE_MINI = True
 
 LIMIT = 180
-NUM_BURSTS = 6
-BURST_LEN_S = 120.0
-BURST_SPACING_S = 1200.0
 INTERVAL_S = 30.0  # 4 grades per burst: the controller reacts mid-burst
-WINDOW_S = 30.0
+WINDOW_S = INTERVAL_S * 6 / 5  # each grade reads exactly its interval (see T4)
 ADMIT_RATE = 1.0  # deliveries per stream-second (bursts run ~2/s)
 FAILOVER_LIMIT = 120
 NUM_SHARDS = 3
-
-
-def bursty_posts(workload, limit: int):
-    """Remap the first ``limit`` posts onto a burst/quiet timeline."""
-    posts = workload.posts[:limit]
-    per_burst = (len(posts) + NUM_BURSTS - 1) // NUM_BURSTS
-    remapped = []
-    for position, post in enumerate(posts):
-        burst, offset = divmod(position, per_burst)
-        within = offset * (BURST_LEN_S / per_burst)
-        remapped.append(
-            replace(post, timestamp=burst * BURST_SPACING_S + within)
-        )
-    return remapped
 
 
 def replay_with_monitor(workload, posts, *, slo, qos=None, writer=None):
@@ -83,7 +65,7 @@ def replay_with_monitor(workload, posts, *, slo, qos=None, writer=None):
     recommender = ContextAwareRecommender.from_workload(
         workload, engine_config_for("car-shared"), metrics=registry, qos=qos
     )
-    simulator = FeedSimulator(recommender.engine)
+    driver = ScenarioDriver(recommender.engine, workload)
     rows: list[dict] = []
 
     def on_interval(now: float, wall_seconds: float) -> None:
@@ -108,7 +90,7 @@ def replay_with_monitor(workload, posts, *, slo, qos=None, writer=None):
         if writer is not None:
             writer.append(snapshot, health=report)
 
-    simulator.run(posts, interval_s=INTERVAL_S, on_interval=on_interval)
+    driver.run(posts, interval_s=INTERVAL_S, on_interval=on_interval)
     return monitor, recommender.engine, rows
 
 

@@ -10,15 +10,14 @@ experiment measures that both claims hold at the throughput ceiling.
 Like the F3 speedup gate, the measurement is an interleaved A/B: each
 round replays the untraced and the traced engine back-to-back on the
 same workload, both sides summarised by their best round, so background
-load cancels out of the ratio. The run writes
-``BENCH_t9_trace_overhead.json`` at the repo root — the trajectory file
-``scripts/check_bench_regression.py`` gates CI against.
+load cancels out of the ratio. Round-to-round noise at this length is
+larger than the overhead measured, so no trajectory file is kept: the
+whole-path benchmark's traced round (``trace.overhead_ratio`` in
+``benchmarks/e2e``) measures the same cost at probe-normalised speed.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from time import perf_counter
 
 from conftest import save_table, workload_with
@@ -38,9 +37,6 @@ GATE_ROUNDS = 5
 # The overhead gate: the traced engine must retain this fraction of the
 # untraced engine's delivery throughput (the ISSUE's <5% loss claim).
 MIN_RETENTION = 0.95
-BENCH_FILE = (
-    Path(__file__).resolve().parent.parent / "BENCH_t9_trace_overhead.json"
-)
 
 
 def test_t9_trace_overhead(benchmark):
@@ -66,9 +62,9 @@ def test_t9_trace_overhead(benchmark):
                 workload, config, request_tracer=tracer
             )
             started = perf_counter()
-            metrics = replay(recommender, workload, LIMIT)
+            totals, _ = replay(recommender, workload, LIMIT)
             times[arm].append(perf_counter() - started)
-            deliveries = metrics.deliveries
+            deliveries = totals.deliveries
             if tracer is not None:
                 # Every event books a ring segment while tracing is on
                 # (head sampling only decides *retention*), so an empty
@@ -101,36 +97,11 @@ def test_t9_trace_overhead(benchmark):
     save_table("t9_trace_overhead", table)
 
     if len(workload.ads) >= NUM_ADS:
-        # Gate only at full scale: the miniaturised smoke run exercises
+        # Assert only at full scale: the miniaturised smoke run exercises
         # the measurement code, but its single sub-millisecond rounds are
-        # all noise — no trajectory file, no retention assertion.
-        write_bench_json(untraced_dps, traced_dps, retention, BENCH_FILE)
+        # all noise.
         assert retention >= MIN_RETENTION, (
             f"tracing at {SAMPLE_RATE:g} head sampling cost "
             f"{(1 - retention):.1%} of throughput (budget "
             f"{(1 - MIN_RETENTION):.0%})"
         )
-
-
-def write_bench_json(
-    untraced_dps: float, traced_dps: float, retention: float, path: Path
-) -> None:
-    """Persist the trajectory file the CI regression gate consumes."""
-    payload = {
-        "benchmark": "t9_trace_overhead",
-        "unit": "throughput_retention",
-        "num_ads": NUM_ADS,
-        "sample_rate": SAMPLE_RATE,
-        "deliveries_per_s": {
-            "untraced": round(untraced_dps, 1),
-            "traced": round(traced_dps, 1),
-        },
-        "throughput_retention": {str(NUM_ADS): round(retention, 4)},
-        "gate": {
-            "metric": "throughput_retention",
-            "at": NUM_ADS,
-            "min_value": MIN_RETENTION,
-            "max_relative_loss": 0.04,
-        },
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -10,11 +10,14 @@ Run:  python examples/streaming_throughput.py
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro import EngineConfig, WorkloadConfig, generate_workload
 from repro.core.config import EngineMode
 from repro.core.recommender import ContextAwareRecommender
 from repro.eval.report import ascii_table
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver, build_scenario_stream
+from repro.util.timers import LatencyRecorder
 
 STRATEGIES = {
     "car-shared (exact)": EngineConfig(mode=EngineMode.SHARED, exact_fallback=True),
@@ -31,24 +34,24 @@ def main() -> None:
     print("Workload:", {k: round(v, 1) for k, v in workload.stats().items()})
     print()
 
+    events = build_scenario_stream(workload, ()).events
     rows = []
     for label, base in STRATEGIES.items():
-        import dataclasses
-
         config = dataclasses.replace(
             base, collect_deliveries=False, charge_impressions=False
         )
         recommender = ContextAwareRecommender.from_workload(workload, config)
-        metrics = FeedSimulator(recommender.engine).run(workload.posts)
-        stats = recommender.stats
+        driver = ScenarioDriver(recommender.engine, workload)
+        totals = driver.run(events)
+        latency = LatencyRecorder(samples=driver.post_latencies)
         rows.append(
             [
                 label,
-                metrics.deliveries,
-                round(metrics.deliveries_per_second(), 1),
-                round(metrics.post_latency.p50() * 1e3, 2),
-                round(metrics.post_latency.p99() * 1e3, 2),
-                round(stats.fallback_rate(), 3),
+                totals.deliveries,
+                round(totals.deliveries / totals.wall_seconds, 1),
+                round(latency.p50() * 1e3, 2),
+                round(latency.p99() * 1e3, 2),
+                round(recommender.stats.fallback_rate(), 3),
             ]
         )
 

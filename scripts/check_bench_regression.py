@@ -43,7 +43,7 @@ from pathlib import Path
 DEFAULT_BENCH = "BENCH_f3_throughput.json"
 
 #: ``gate`` keys that may carry the absolute floor, in precedence order.
-_FLOOR_KEYS = ("min_speedup", "min_lift", "min_value")
+_FLOOR_KEYS = ("min_speedup", "min_lift")
 
 
 def load_payload(path: Path) -> dict:

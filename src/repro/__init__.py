@@ -46,7 +46,6 @@ from repro.graph.social import SocialGraph
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.io.serialize import load_workload, save_workload
 from repro.obs.tracer import NoopTracer, RecordingTracer
-from repro.stream.simulator import FeedSimulator
 
 __version__ = "1.0.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "ContextAwareRecommender",
     "CorpusError",
     "EngineConfig",
-    "FeedSimulator",
     "GeoPoint",
     "ReproError",
     "ScoredAd",

@@ -20,7 +20,7 @@ systems use):
 point :meth:`DeliveryPipeline.deliver_batch`: one :class:`PostEvent` in,
 one :class:`DeliveryResult` per follower out, with the shared probe and
 the per-follower profile-vector/location lookups amortised across the
-whole fan-out. The sharded router and the stream simulator drive batches
+whole fan-out. The sharded router and the replay driver drive batches
 directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
 """
 
@@ -59,7 +59,7 @@ class PostEvent:
     timestamp: float
     message_vec: SparseVector
     text: str | None = None
-    # Distributed tracing context, minted once at the router/simulator
+    # Distributed tracing context, minted once at the router/engine
     # edge and carried with the event across every shard and RPC hop.
     # None when request tracing is disabled — the event pickles and
     # hashes identically to a pre-tracing event in that case.

@@ -2,8 +2,9 @@
 
 ``ContextAwareRecommender`` owns an :class:`~repro.core.engine.AdEngine`
 plus the fitted text pipeline, and adds conveniences the examples and the
-evaluation harness use: construction from a synthetic workload, replaying a
-whole post stream, and introspection helpers.
+evaluation harness use: construction from a synthetic workload and
+introspection helpers. A whole stream is replayed by
+:class:`~repro.scenarios.driver.ScenarioDriver` over ``engine``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from repro.core.config import EngineConfig
 from repro.core.engine import AdEngine, EngineStats, PostResult
 from repro.core.scoring import ScoredAd
 from repro.geo.point import GeoPoint
-from repro.stream.metrics import StreamMetrics
-from repro.stream.simulator import FeedSimulator
 
 if TYPE_CHECKING:  # avoid an import cycle: datagen imports core types
     from repro.datagen.workload import Workload
@@ -101,23 +100,6 @@ class ContextAwareRecommender:
 
     def standing_slate(self, user_id: int) -> tuple[ScoredAd, ...]:
         return self.engine.standing_slate(user_id)
-
-    # -- batch driving -------------------------------------------------------
-
-    def run_stream(
-        self,
-        workload: "Workload",
-        *,
-        limit: int | None = None,
-        batch_size: int | None = None,
-    ) -> StreamMetrics:
-        """Replay the workload's post stream (optionally truncated) through
-        the engine and return stream-level metrics."""
-        posts = workload.posts if limit is None else workload.posts[:limit]
-        simulator = FeedSimulator(self.engine)
-        return simulator.run(
-            posts, checkins=workload.checkins, batch_size=batch_size
-        )
 
     def explain(self, scored: ScoredAd) -> str:
         """Human-readable one-liner for a slate entry."""

@@ -53,7 +53,7 @@ class IndexError_(ReproError):
 
 
 class StreamError(ReproError):
-    """The stream simulator was driven with inconsistent events."""
+    """A replayed event stream is inconsistent."""
 
 
 class WorkerCrashError(StreamError):

@@ -1,4 +1,4 @@
-"""Evaluation: ranking metrics, effectiveness harness, performance harness."""
+"""Evaluation: ranking metrics, effectiveness harness and reports."""
 
 from repro.eval.diversity import (
     advertiser_entropy,
@@ -15,13 +15,11 @@ from repro.eval.metrics import (
     precision_at_k,
     recall_at_k,
 )
-from repro.eval.perf import PerfResult, run_perf
 from repro.eval.report import ascii_table, format_number
 
 __all__ = [
     "EffectivenessHarness",
     "EffectivenessResult",
-    "PerfResult",
     "advertiser_entropy",
     "ascii_table",
     "average_precision",
@@ -35,5 +33,4 @@ __all__ = [
     "ndcg_at_k",
     "precision_at_k",
     "recall_at_k",
-    "run_perf",
 ]

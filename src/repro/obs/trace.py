@@ -3,7 +3,7 @@
 The stage tracer (:mod:`repro.obs.tracer`) answers *"how slow is stage X
 in aggregate"*; this module answers *"what happened to request Y"*. A
 :class:`TraceContext` is minted once per :class:`~repro.core.pipeline.
-PostEvent` at the router/simulator edge and rides inside the event —
+PostEvent` at the router/engine edge and rides inside the event —
 through the delivery pipeline, across the pickle RPC frames of
 :mod:`repro.cluster.rpc`, into every worker process that serves part of
 the fan-out. Each process records its part of the story as one

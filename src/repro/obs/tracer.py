@@ -15,7 +15,7 @@ follower in the fan-out loop (the span taxonomy is :data:`STAGES`). A
 
 Everything shares one tracer instance via
 :class:`~repro.core.services.EngineServices`, so the engine facade, the
-sharded router and the stream simulator all observe the same stream of
+sharded router and the replay driver all observe the same stream of
 spans without extra wiring.
 """
 

@@ -1,6 +1,6 @@
 """QoS control plane: admission control, adaptive degradation, faults.
 
-The data plane (pipeline, sharded router, simulator) *measures* load —
+The data plane (pipeline, sharded router, replay driver) *measures* load —
 the PR 3 telemetry grades every interval OK / DEGRADED / OVERLOADED —
 but nothing reacted to the grade: an overloaded run kept missing its
 p99 and recorded the breaches. This package closes the loop:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import StreamError
+from repro.errors import ConfigError, StreamError
 from repro.geo.point import GeoPoint
 from repro.scenarios.base import (
     ScenarioEvent,
@@ -32,8 +32,7 @@ from repro.scenarios.base import (
 if TYPE_CHECKING:
     from repro.datagen.workload import Workload
 
-#: ``on_interval(stream_now, wall_seconds_since_last_tick)`` — the same
-#: shape the feed simulator's sampling hook uses.
+#: ``on_interval(stream_now, wall_seconds_since_last_tick)``.
 IntervalHook = Callable[[float, float], None]
 
 
@@ -118,6 +117,23 @@ class ScenarioDriver:
         interval_s: float | None = None,
         on_interval: IntervalHook | None = None,
     ) -> ScenarioTotals:
+        """Replay ``events`` in order; return the books.
+
+        With ``interval_s``, ``on_interval(boundary, wall_seconds)`` ticks
+        on the stream clock under one rule:
+
+        - the first boundary is the first event's time plus ``interval_s``;
+        - a tick fires before the event that crosses a boundary, once per
+          boundary crossed;
+        - posts still waiting to be sent are flushed first;
+        - one tail tick fires at the next boundary after the last event.
+
+        An empty stream never ticks.
+        """
+        if interval_s is not None and on_interval is None:
+            raise ConfigError("interval_s needs an on_interval hook")
+        if interval_s is not None and interval_s <= 0.0:
+            raise ConfigError(f"interval_s must be positive, got {interval_s}")
         totals = ScenarioTotals()
         slates: OrderedDict[int, dict[int, tuple]] = OrderedDict()
         dispatch = self._dispatch if self.batch_size <= 1 else self._buffer
@@ -137,8 +153,7 @@ class ScenarioDriver:
             dispatch(event, totals, slates)
         self._flush(totals, slates)
         if next_tick is not None and on_interval is not None:
-            # Tail tick: flush the last partial interval, like the feed
-            # simulator does.
+            # Tail tick: the last partial interval.
             on_interval(next_tick, perf_counter() - tick_wall)
         totals.wall_seconds = perf_counter() - started
         return totals

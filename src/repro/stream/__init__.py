@@ -1,18 +1,13 @@
-"""Stream substrate: event types, simulated clock, fan-out simulator."""
+"""Stream substrate: event types and the simulated clock."""
 
 from repro.stream.clock import SimClock, diurnal_timestamps
 from repro.stream.events import AdImpression, Checkin, Delivery, Post
-from repro.stream.metrics import StreamMetrics
-from repro.stream.simulator import FeedSimulator, PostHandler
 
 __all__ = [
     "AdImpression",
     "Checkin",
     "Delivery",
-    "FeedSimulator",
     "Post",
-    "PostHandler",
     "SimClock",
-    "StreamMetrics",
     "diurnal_timestamps",
 ]

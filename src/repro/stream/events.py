@@ -1,4 +1,4 @@
-"""Event types flowing through the feed simulator."""
+"""Event types of the generated feed stream."""
 
 from __future__ import annotations
 

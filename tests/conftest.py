@@ -10,6 +10,7 @@ from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.core.rerank import Personalizer
 from repro.datagen.workload import WorkloadConfig, generate_workload
+from repro.scenarios import ScriptedCheckin, build_scenario_stream, merge_events
 
 
 @pytest.fixture()
@@ -73,6 +74,18 @@ def tiny_workload():
             seed=11,
         )
     )
+
+
+def workload_events(workload, *, limit_posts=None):
+    """The workload's check-ins and (optionally truncated) posts as one
+    scripted stream. Check-ins merge ahead of the posts, so a check-in at a
+    post's timestamp moves the user before that post's deliveries."""
+    checkins = [
+        ScriptedCheckin(c.timestamp, c.user_id, c.point.lat, c.point.lon)
+        for c in workload.checkins
+    ]
+    posts = build_scenario_stream(workload, (), limit_posts=limit_posts).events
+    return merge_events(checkins, posts)
 
 
 def router_factory(transport: str):

@@ -318,6 +318,18 @@ class TestBenchRegressionGate:
             ["--baseline", str(baseline), "--candidate", str(candidate)]
         ) == 1
 
+    def test_gate_rejects_mismatched_benchmarks(self, tmp_path):
+        f3 = load_benchmark_module(BENCH_DIR / "test_f3_throughput_vs_ads.py")
+        t8 = load_benchmark_module(BENCH_DIR / "test_t8_linucb_lift.py")
+        gate = load_gate_script()
+        f3_json = tmp_path / "f3.json"
+        t8_json = tmp_path / "t8.json"
+        f3.write_bench_json(synthetic_series(f3, 600.0, 100.0), f3_json)
+        t8.write_bench_json(synthetic_t8_series(t8, 0.210, 0.200), t8_json)
+        assert gate.main(
+            ["--baseline", str(f3_json), "--candidate", str(t8_json)]
+        ) == 1
+
 
 class TestT8BenchRegressionGate:
     """The T8 CTR-lift JSON writer and the (shared) CI gate consuming it."""
@@ -366,64 +378,3 @@ class TestT8BenchRegressionGate:
             ["--baseline", str(baseline), "--candidate", str(candidate)]
         ) == 1
 
-
-class TestT9BenchRegressionGate:
-    """The T9 tracing-overhead JSON writer and the shared CI gate."""
-
-    def test_committed_baseline_exists_and_clears_its_own_gate(self):
-        payload = json.loads(
-            (REPO_ROOT / "BENCH_t9_trace_overhead.json").read_text()
-        )
-        gate = payload["gate"]
-        at = str(gate["at"])
-        assert payload["benchmark"] == "t9_trace_overhead"
-        assert gate["metric"] == "throughput_retention"
-        assert payload["throughput_retention"][at] >= gate["min_value"]
-
-    def test_t9_json_round_trips_through_the_gate(self, tmp_path):
-        t9 = load_benchmark_module(BENCH_DIR / "test_t9_trace_overhead.py")
-        gate = load_gate_script()
-        baseline = tmp_path / "baseline.json"
-        t9.write_bench_json(1000.0, 985.0, 0.985, baseline)
-        # Same payload on both sides: no regression by construction.
-        assert gate.main(
-            ["--baseline", str(baseline), "--candidate", str(baseline)]
-        ) == 0
-
-    def test_gate_fails_on_relative_loss(self, tmp_path):
-        t9 = load_benchmark_module(BENCH_DIR / "test_t9_trace_overhead.py")
-        gate = load_gate_script()
-        baseline = tmp_path / "baseline.json"
-        candidate = tmp_path / "candidate.json"
-        t9.write_bench_json(1000.0, 1000.0, 1.0, baseline)
-        # 1.00 -> 0.95 retention is a 5% loss: over the 4% relative
-        # budget even though it sits exactly on the absolute floor.
-        t9.write_bench_json(1000.0, 950.0, 0.95, candidate)
-        assert gate.main(
-            ["--baseline", str(baseline), "--candidate", str(candidate)]
-        ) == 1
-
-    def test_gate_fails_under_retention_floor(self, tmp_path):
-        t9 = load_benchmark_module(BENCH_DIR / "test_t9_trace_overhead.py")
-        gate = load_gate_script()
-        baseline = tmp_path / "baseline.json"
-        candidate = tmp_path / "candidate.json"
-        t9.write_bench_json(1000.0, 960.0, 0.96, baseline)
-        # 0.96 -> 0.94: inside the 4% relative budget but tracing now
-        # costs more than the tentpole's 5% overhead claim.
-        t9.write_bench_json(1000.0, 940.0, 0.94, candidate)
-        assert gate.main(
-            ["--baseline", str(baseline), "--candidate", str(candidate)]
-        ) == 1
-
-    def test_gate_rejects_mismatched_benchmarks(self, tmp_path):
-        f3 = load_benchmark_module(BENCH_DIR / "test_f3_throughput_vs_ads.py")
-        t8 = load_benchmark_module(BENCH_DIR / "test_t8_linucb_lift.py")
-        gate = load_gate_script()
-        f3_json = tmp_path / "f3.json"
-        t8_json = tmp_path / "t8.json"
-        f3.write_bench_json(synthetic_series(f3, 600.0, 100.0), f3_json)
-        t8.write_bench_json(synthetic_t8_series(t8, 0.210, 0.200), t8_json)
-        assert gate.main(
-            ["--baseline", str(f3_json), "--candidate", str(t8_json)]
-        ) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import threading
 
 import pytest
 
@@ -231,6 +232,20 @@ class TestLiveReplay:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_positive_interval_is_a_usage_error(self, capsys):
+        # A tick that never advances never passes the next event: the
+        # replay must refuse the interval, not spin. Run in a daemon
+        # thread so a regression fails here instead of hanging the suite.
+        codes: list[int] = []
+        argv = ["replay", *FAST, "--limit", "5", "--live",
+                "--interval", "-5", "--window", "10"]
+        worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        worker.start()
+        worker.join(30)
+        assert not worker.is_alive(), "replay hung on a non-positive interval"
+        assert codes == [2]
+        assert "interval_s must be positive" in capsys.readouterr().err
 
     def test_degraded_verdict_on_impossible_target(self, capsys):
         # A 1-nanosecond p99 target cannot be met: the verdict must say so,

@@ -7,6 +7,8 @@ import pytest
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.recommender import ContextAwareRecommender
 from repro.geo.point import GeoPoint
+from repro.scenarios import ScenarioDriver
+from tests.conftest import workload_events
 
 
 @pytest.fixture()
@@ -47,10 +49,12 @@ class TestOperations:
         recommender.checkin(0, GeoPoint(1.0, 2.0), 1.0)
         assert recommender.engine.location_of(0) == GeoPoint(1.0, 2.0)
 
-    def test_run_stream_limit(self, tiny_workload, recommender):
-        metrics = recommender.run_stream(tiny_workload, limit=10)
-        assert metrics.posts == 10
-        assert metrics.deliveries == recommender.stats.deliveries
+    def test_driven_replay_limit(self, tiny_workload, recommender):
+        totals = ScenarioDriver(recommender.engine, tiny_workload).run(
+            workload_events(tiny_workload, limit_posts=10)
+        )
+        assert totals.posts == 10
+        assert totals.deliveries == recommender.stats.deliveries
 
     def test_explain_mentions_ad(self, recommender):
         result = recommender.post(0, "w00010 w00011", 5.0)

@@ -8,10 +8,11 @@ from repro.baselines.base import BaselineState
 from repro.baselines.engine_adapter import SystemRecommender
 from repro.baselines.random_rec import RandomRecommender
 from repro.core.config import EngineConfig, EngineMode
+from repro.core.recommender import ContextAwareRecommender
 from repro.errors import EvaluationError
 from repro.eval.harness import EffectivenessHarness
-from repro.eval.perf import run_perf
 from repro.eval.report import ascii_table, format_number
+from repro.scenarios import ScenarioDriver, build_scenario_stream
 
 
 def make_state(workload) -> BaselineState:
@@ -72,19 +73,19 @@ class TestEffectivenessHarness:
 
 
 class TestPerfHarness:
-    def test_run_perf_shape(self, tiny_workload):
-        result = run_perf(
-            tiny_workload,
-            EngineConfig(mode=EngineMode.SHARED),
-            label="shared",
-            limit_posts=20,
+    def test_driven_replay_shape(self, tiny_workload):
+        recommender = ContextAwareRecommender.from_workload(
+            tiny_workload, EngineConfig(mode=EngineMode.SHARED)
         )
-        assert result.label == "shared"
-        assert result.posts == 20
-        assert result.deliveries > 0
-        assert result.deliveries_per_s > 0
-        assert 0.0 <= result.fallback_rate <= 1.0
-        assert len(result.row()) == 6
+        driver = ScenarioDriver(recommender.engine, tiny_workload)
+        totals = driver.run(
+            build_scenario_stream(tiny_workload, (), limit_posts=20).events
+        )
+        assert totals.posts == 20
+        assert totals.deliveries > 0
+        assert totals.deliveries / totals.wall_seconds > 0
+        assert 0.0 <= recommender.stats.fallback_rate() <= 1.0
+        assert len(driver.post_latencies) == 20
 
 
 class TestReport:

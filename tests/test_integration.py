@@ -12,8 +12,8 @@ from repro.baselines.random_rec import RandomRecommender
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.recommender import ContextAwareRecommender
 from repro.eval.harness import EffectivenessHarness
-from repro.eval.perf import run_perf
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver, build_scenario_stream
+from tests.conftest import workload_events
 
 
 class TestFullPipeline:
@@ -23,15 +23,18 @@ class TestFullPipeline:
             recommender = ContextAwareRecommender.from_workload(
                 tiny_workload, EngineConfig(mode=mode)
             )
-            metrics = recommender.run_stream(tiny_workload)
-            assert metrics.posts == len(tiny_workload.posts)
-            assert metrics.deliveries == recommender.stats.deliveries
-            assert recommender.stats.impressions == metrics.impressions
+            totals = ScenarioDriver(recommender.engine, tiny_workload).run(
+                workload_events(tiny_workload)
+            )
+            assert totals.posts == len(tiny_workload.posts)
+            assert totals.deliveries == recommender.stats.deliveries
+            assert recommender.stats.impressions == totals.impressions
 
     def test_checkins_flow_through_simulator(self, tiny_workload):
         recommender = ContextAwareRecommender.from_workload(tiny_workload)
-        simulator = FeedSimulator(recommender.engine)
-        simulator.run(tiny_workload.posts[:20], checkins=tiny_workload.checkins)
+        ScenarioDriver(recommender.engine, tiny_workload).run(
+            workload_events(tiny_workload, limit_posts=20)
+        )
         # At least one user moved off their registered home.
         assert any(
             recommender.engine.location_of(checkin.user_id) == checkin.point
@@ -40,13 +43,13 @@ class TestFullPipeline:
 
     def test_perf_harness_runs_all_modes(self, tiny_workload):
         for mode in EngineMode:
-            result = run_perf(
-                tiny_workload,
-                EngineConfig(mode=mode, collect_deliveries=False),
-                label=mode.value,
-                limit_posts=30,
+            recommender = ContextAwareRecommender.from_workload(
+                tiny_workload, EngineConfig(mode=mode, collect_deliveries=False)
             )
-            assert result.deliveries_per_s > 0
+            totals = ScenarioDriver(recommender.engine, tiny_workload).run(
+                build_scenario_stream(tiny_workload, (), limit_posts=30).events
+            )
+            assert totals.deliveries / totals.wall_seconds > 0
 
     def test_effectiveness_ordering_sanity(self, tiny_workload):
         """The headline shape: context-aware system >= content-only >=

@@ -21,7 +21,8 @@ from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.obs.health import HealthMonitor, SloSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NoopTracer, RecordingTracer
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver
+from tests.conftest import workload_events
 
 
 @pytest.fixture(scope="module")
@@ -57,28 +58,20 @@ def register_users(engine, workload):
         engine.register_user(user.user_id, user.home)
 
 
-def run_stream(engine, workload, *, batch_size=None, interval_s=None, on_interval=None):
-    simulator = FeedSimulator(engine)
+def drive(engine, workload, *, batch_size=1, interval_s=None, on_interval=None):
+    """Replay the workload's posts and check-ins; returns the totals and
+    every per-post result."""
     results: list = []
-    original_post = engine.post
-
-    def capturing_post(author_id, text, timestamp, *, msg_id=None):
-        result = original_post(author_id, text, timestamp, msg_id=msg_id)
-        results.append(result)
-        return result
-
-    engine.post = capturing_post  # capture per-post results during the run
-    try:
-        metrics = simulator.run(
-            workload.posts,
-            checkins=workload.checkins,
-            batch_size=batch_size,
-            interval_s=interval_s,
-            on_interval=on_interval,
-        )
-    finally:
-        del engine.post
-    return metrics, results
+    driver = ScenarioDriver(
+        engine,
+        workload,
+        batch_size=batch_size,
+        on_result=lambda msg_id, parts: results.extend(parts),
+    )
+    totals = driver.run(
+        workload_events(workload), interval_s=interval_s, on_interval=on_interval
+    )
+    return totals, results
 
 
 def canonical(results) -> str:
@@ -113,33 +106,33 @@ class TestTracerNeverPerturbs:
         register_users(noop_engine, workload)
         register_users(traced_engine, workload)
 
-        noop_metrics, noop_results = run_stream(noop_engine, workload)
-        traced_metrics, traced_results = run_stream(traced_engine, workload)
+        noop_totals, noop_results = drive(noop_engine, workload)
+        traced_totals, traced_results = drive(traced_engine, workload)
 
         assert canonical(noop_results) == canonical(traced_results)
-        assert noop_metrics.posts == traced_metrics.posts
-        assert noop_metrics.deliveries == traced_metrics.deliveries
-        assert noop_metrics.impressions == traced_metrics.impressions
+        assert noop_totals.posts == traced_totals.posts
+        assert noop_totals.deliveries == traced_totals.deliveries
+        assert noop_totals.impressions == traced_totals.impressions
         assert noop_engine.stats.revenue == pytest.approx(
             traced_engine.stats.revenue, abs=1e-12
         )
         # the noop run reports no stage breakdown, the traced run does
-        assert noop_metrics.stages == {}
-        assert set(traced_metrics.stages) >= {"personalize", "delivery"}
+        assert noop_engine.tracer.snapshot() == {}
+        assert set(traced_engine.tracer.snapshot()) >= {"personalize", "delivery"}
 
     def test_span_counts_reconcile_with_stream_counters(self, workload, mode):
         tracer = RecordingTracer()
         engine = engine_for(workload, mode, tracer)
         register_users(engine, workload)
-        metrics, _ = run_stream(engine, workload)
+        totals, _ = drive(engine, workload)
 
-        stages = metrics.stages
-        assert stages["vectorize"].spans == metrics.posts
+        stages = tracer.snapshot()
+        assert stages["vectorize"].spans == totals.posts
         for per_delivery in ("personalize", "charge", "feedback", "delivery"):
-            assert stages[per_delivery].spans == metrics.deliveries
+            assert stages[per_delivery].spans == totals.deliveries
         # one candidate span per event in every mode (EXACT's NoProbeStage
         # is still a stage — its spans just cost nothing)
-        assert stages["candidate"].spans == metrics.posts
+        assert stages["candidate"].spans == totals.posts
         # p50/p95/p99 are reported for every recorded stage
         for stats in stages.values():
             assert stats.p50_ms <= stats.p95_ms <= stats.p99_ms <= stats.max_ms + 1e-9
@@ -166,8 +159,8 @@ class TestMetricsNeverPerturb:
         def on_interval(now, wall_seconds):
             monitor.evaluate(now, wall_seconds=wall_seconds)
 
-        bare_metrics, bare_results = run_stream(bare_engine, workload)
-        metered_metrics, metered_results = run_stream(
+        bare_totals, bare_results = drive(bare_engine, workload)
+        metered_totals, metered_results = drive(
             metered_engine,
             workload,
             interval_s=3600.0,
@@ -175,24 +168,24 @@ class TestMetricsNeverPerturb:
         )
 
         assert canonical(bare_results) == canonical(metered_results)
-        assert bare_metrics.posts == metered_metrics.posts
-        assert bare_metrics.deliveries == metered_metrics.deliveries
-        assert bare_metrics.impressions == metered_metrics.impressions
+        assert bare_totals.posts == metered_totals.posts
+        assert bare_totals.deliveries == metered_totals.deliveries
+        assert bare_totals.impressions == metered_totals.impressions
         assert bare_engine.stats.revenue == pytest.approx(
             metered_engine.stats.revenue, abs=1e-12
         )
         # The registry's counters reconcile exactly with the stream's.
-        assert registry.counter("posts") == metered_metrics.posts
-        assert registry.counter("deliveries") == metered_metrics.deliveries
-        assert registry.counter("impressions") == metered_metrics.impressions
+        assert registry.counter("posts") == metered_totals.posts
+        assert registry.counter("deliveries") == metered_totals.deliveries
+        assert registry.counter("impressions") == metered_totals.impressions
         assert registry.counter("revenue") == pytest.approx(
             metered_engine.stats.revenue, abs=1e-9
         )
         # The monitor saw at least one interval; the bare run carried no
         # telemetry at all (noop default preserved).
         assert monitor.intervals >= 1
-        assert metered_metrics.telemetry is not None
-        assert bare_metrics.telemetry is None
+        assert metered_engine.metrics.enabled
+        assert not bare_engine.metrics.enabled
 
 
 class TestBatchedAndShardedTracing:
@@ -201,9 +194,9 @@ class TestBatchedAndShardedTracing:
         rec = ContextAwareRecommender.from_workload(
             workload, EngineConfig(), tracer=tracer
         )
-        metrics = rec.run_stream(workload, batch_size=8)
-        assert metrics.stages["vectorize"].spans == metrics.posts
-        assert metrics.stages["delivery"].spans == metrics.deliveries
+        totals, _ = drive(rec.engine, workload, batch_size=8)
+        assert tracer.snapshot()["vectorize"].spans == totals.posts
+        assert tracer.snapshot()["delivery"].spans == totals.deliveries
 
     def test_sharded_parity_and_rollup(self, workload):
         config = EngineConfig(pacing_enabled=False)

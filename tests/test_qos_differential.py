@@ -22,7 +22,8 @@ from repro.obs.health import HealthState
 from repro.obs.registry import MetricsRegistry
 from repro.qos.admission import AdmissionController
 from repro.qos.controller import QosController
-from repro.stream.simulator import FeedSimulator
+from repro.scenarios import ScenarioDriver
+from tests.conftest import workload_events
 
 
 @pytest.fixture(scope="module")
@@ -56,22 +57,15 @@ def engine_for(workload, mode, *, qos=None, metrics=None, config=None):
     return engine
 
 
-def run_stream(engine, workload):
-    simulator = FeedSimulator(engine)
+def drive(engine, workload):
+    """Replay the workload's posts and check-ins; returns the totals, the
+    summed per-post revenue-shed bound and every per-post result."""
     results: list = []
-    original_post = engine.post
-
-    def capturing_post(author_id, text, timestamp, *, msg_id=None):
-        result = original_post(author_id, text, timestamp, msg_id=msg_id)
-        results.append(result)
-        return result
-
-    engine.post = capturing_post
-    try:
-        metrics = simulator.run(workload.posts, checkins=workload.checkins)
-    finally:
-        del engine.post
-    return metrics, results
+    driver = ScenarioDriver(
+        engine, workload, on_result=lambda msg_id, parts: results.extend(parts)
+    )
+    totals = driver.run(workload_events(workload))
+    return totals, sum(r.revenue_shed for r in results), results
 
 
 def canonical(results) -> str:
@@ -108,23 +102,26 @@ class TestDisabledByDefault:
         # at rung 0 and must never touch the data path.
         passive = engine_for(workload, mode, qos=QosController())
 
-        bare_metrics, bare_results = run_stream(bare, workload)
-        passive_metrics, passive_results = run_stream(passive, workload)
+        bare_totals, bare_shed, bare_results = drive(bare, workload)
+        passive_totals, passive_shed, passive_results = drive(passive, workload)
 
         assert not passive.qos.active
         assert canonical(bare_results) == canonical(passive_results)
-        assert bare_metrics.deliveries == passive_metrics.deliveries
+        assert bare_totals.deliveries == passive_totals.deliveries
         assert bare.stats.revenue == pytest.approx(
             passive.stats.revenue, abs=1e-12
         )
-        for engine, metrics in ((bare, bare_metrics), (passive, passive_metrics)):
+        for engine, totals, revenue_shed in (
+            (bare, bare_totals, bare_shed),
+            (passive, passive_totals, passive_shed),
+        ):
             assert engine.stats.deliveries_shed == 0
             assert engine.stats.deliveries_degraded == 0
             assert engine.stats.revenue_shed_upper_bound == 0.0
             assert engine.stats.attempted_deliveries == engine.stats.deliveries
-            assert metrics.deliveries_shed == 0
-            assert metrics.deliveries_degraded == 0
-            assert metrics.revenue_shed_upper_bound == 0.0
+            assert totals.shed == 0
+            assert totals.degraded == 0
+            assert revenue_shed == 0.0
 
 
 class TestShardedDisabledByDefault:
@@ -167,7 +164,7 @@ class TestActiveControllerReconciles:
             metrics=registry,
             config=self.CONFIG,
         )
-        metrics, results = run_stream(engine, workload)
+        totals, revenue_shed, results = drive(engine, workload)
         stats = engine.stats
 
         assert stats.deliveries_shed > 0
@@ -175,9 +172,9 @@ class TestActiveControllerReconciles:
         # The ledger: every attempted delivery is either served or shed.
         assert stats.attempted_deliveries == stats.deliveries + stats.deliveries_shed
         # Stream counters mirror the engine stats exactly.
-        assert metrics.deliveries == stats.deliveries
-        assert metrics.deliveries_shed == stats.deliveries_shed
-        assert metrics.revenue_shed_upper_bound == pytest.approx(
+        assert totals.deliveries == stats.deliveries
+        assert totals.shed == stats.deliveries_shed
+        assert revenue_shed == pytest.approx(
             stats.revenue_shed_upper_bound, abs=1e-9
         )
         # So does the registry.
@@ -205,8 +202,8 @@ class TestActiveControllerReconciles:
             qos=self.controller(),
             config=config,
         )
-        run_stream(bare, workload)
-        run_stream(shed, workload)
+        drive(bare, workload)
+        drive(shed, workload)
         lost = bare.stats.revenue - shed.stats.revenue
         assert lost > 0.0  # the run really shed revenue-bearing deliveries
         assert lost <= shed.stats.revenue_shed_upper_bound + 1e-9
@@ -264,13 +261,13 @@ class TestDegradedRunCountsAndFlags:
         engine = engine_for(
             workload, EngineMode.SHARED, qos=controller, metrics=registry
         )
-        metrics, results = run_stream(engine, workload)
+        totals, _, results = drive(engine, workload)
         stats = engine.stats
 
         assert stats.deliveries > 0
         # Every delivery of the run was served degraded.
         assert stats.deliveries_degraded == stats.deliveries
-        assert metrics.deliveries_degraded == stats.deliveries_degraded
+        assert totals.degraded == stats.deliveries_degraded
         assert registry.counter("deliveries_degraded") == stats.deliveries_degraded
         half_k = controller.slate_k(engine.config.k)
         for result in results:

@@ -1,14 +1,12 @@
-"""Tests for event types and the feed simulator."""
+"""Tests for the stream event types (the replay loop is tested in
+``test_scenario_driver.py``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, StreamError
-from repro.geo.point import GeoPoint
-from repro.stream.events import Checkin, Delivery, Post
-from repro.stream.metrics import StreamMetrics
-from repro.stream.simulator import FeedSimulator
+from repro.errors import ConfigError
+from repro.stream.events import Delivery, Post
 
 
 class TestEvents:
@@ -24,218 +22,3 @@ class TestEvents:
     def test_delivery_fields(self):
         delivery = Delivery(msg_id=1, user_id=2, timestamp=3.0)
         assert (delivery.msg_id, delivery.user_id) == (1, 2)
-
-
-class _FakeResult:
-    def __init__(self, deliveries: int, impressions: int) -> None:
-        self.num_deliveries = deliveries
-        self.num_impressions = impressions
-
-
-class _RecordingHandler:
-    def __init__(self) -> None:
-        self.events: list[tuple[str, float]] = []
-
-    def post(self, author_id, text, timestamp, *, msg_id):
-        self.events.append(("post", timestamp))
-        return _FakeResult(deliveries=2, impressions=4)
-
-    def checkin(self, user_id, point, timestamp):
-        self.events.append(("checkin", timestamp))
-
-
-class TestSimulator:
-    def _posts(self):
-        return [
-            Post(msg_id=0, author_id=0, text="a", timestamp=5.0),
-            Post(msg_id=1, author_id=1, text="b", timestamp=1.0),
-        ]
-
-    def test_replays_in_timestamp_order(self):
-        handler = _RecordingHandler()
-        FeedSimulator(handler).run(self._posts())
-        assert [t for _, t in handler.events] == [1.0, 5.0]
-
-    def test_checkins_before_posts_at_same_time(self):
-        handler = _RecordingHandler()
-        checkin = Checkin(user_id=0, point=GeoPoint(0, 0), timestamp=5.0)
-        FeedSimulator(handler).run(self._posts(), checkins=[checkin])
-        assert handler.events == [("post", 1.0), ("checkin", 5.0), ("post", 5.0)]
-
-    def test_metrics_aggregation(self):
-        metrics = FeedSimulator(_RecordingHandler()).run(self._posts())
-        assert metrics.posts == 2
-        assert metrics.deliveries == 4
-        assert metrics.impressions == 8
-        assert metrics.wall_seconds > 0.0
-        assert len(metrics.post_latency) == 2
-
-    def test_latency_can_be_disabled(self):
-        metrics = FeedSimulator(_RecordingHandler()).run(
-            self._posts(), measure_latency=False
-        )
-        assert len(metrics.post_latency) == 0
-
-    def test_handler_without_shape_rejected(self):
-        class BadHandler:
-            def post(self, author_id, text, timestamp, *, msg_id):
-                return object()  # no num_deliveries
-
-            def checkin(self, user_id, point, timestamp):
-                pass
-
-        with pytest.raises(StreamError):
-            FeedSimulator(BadHandler()).run(self._posts())
-
-    def test_none_result_tolerated(self):
-        class QuietHandler:
-            def post(self, author_id, text, timestamp, *, msg_id):
-                return None
-
-            def checkin(self, user_id, point, timestamp):
-                pass
-
-        metrics = FeedSimulator(QuietHandler()).run(self._posts())
-        assert metrics.posts == 2
-        assert metrics.deliveries == 0
-
-
-class _BatchingHandler(_RecordingHandler):
-    """Records batch boundaries alongside individual events."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.batches: list[int] = []
-
-    def post_batch(self, posts):
-        self.batches.append(len(posts))
-        return [
-            self.post(p.author_id, p.text, p.timestamp, msg_id=p.msg_id)
-            for p in posts
-        ]
-
-
-class TestBatchedSimulator:
-    def _posts(self, n=5):
-        return [
-            Post(msg_id=i, author_id=i, text="x", timestamp=float(i))
-            for i in range(n)
-        ]
-
-    def test_batches_chunk_consecutive_posts(self):
-        handler = _BatchingHandler()
-        metrics = FeedSimulator(handler).run(self._posts(5), batch_size=2)
-        assert handler.batches == [2, 2, 1]
-        assert metrics.posts == 5
-        assert metrics.deliveries == 10
-
-    def test_checkin_flushes_pending_batch(self):
-        """A check-in is a barrier: posts before it must be delivered before
-        the location updates, exactly as in the unbatched replay."""
-        handler = _BatchingHandler()
-        checkin = Checkin(user_id=0, point=GeoPoint(0, 0), timestamp=2.5)
-        FeedSimulator(handler).run(
-            self._posts(5), checkins=[checkin], batch_size=4
-        )
-        assert handler.batches == [3, 2]
-        assert handler.events.index(("checkin", 2.5)) == 3
-
-    def test_batched_metrics_match_unbatched(self):
-        batched = FeedSimulator(_BatchingHandler()).run(
-            self._posts(7), batch_size=3
-        )
-        plain = FeedSimulator(_RecordingHandler()).run(self._posts(7))
-        assert batched.posts == plain.posts
-        assert batched.deliveries == plain.deliveries
-        assert batched.impressions == plain.impressions
-
-    def test_batch_size_ignored_without_post_batch(self):
-        handler = _RecordingHandler()
-        metrics = FeedSimulator(handler).run(self._posts(4), batch_size=2)
-        assert metrics.posts == 4
-        assert len(metrics.post_latency) == 4
-
-
-class TestIntervalSampling:
-    def _posts_at(self, timestamps):
-        return [
-            Post(msg_id=i, author_id=i, text="x", timestamp=t)
-            for i, t in enumerate(timestamps)
-        ]
-
-    def test_hook_fires_at_stream_boundaries(self):
-        handler = _RecordingHandler()
-        ticks: list[tuple[float, int]] = []
-        FeedSimulator(handler).run(
-            self._posts_at([0.0, 5.0, 10.0, 25.0]),
-            interval_s=10.0,
-            on_interval=lambda now, wall: ticks.append((now, len(handler.events))),
-        )
-        # Boundaries at first_event + k*10; a tick covers events strictly
-        # before it, and a final tick captures the trailing partial interval.
-        assert [now for now, _ in ticks] == [10.0, 20.0, 25.0]
-        assert [seen for _, seen in ticks] == [2, 3, 4]
-
-    def test_wall_seconds_are_non_negative_deltas(self):
-        walls: list[float] = []
-        FeedSimulator(_RecordingHandler()).run(
-            self._posts_at([0.0, 30.0]),
-            interval_s=10.0,
-            on_interval=lambda now, wall: walls.append(wall),
-        )
-        assert len(walls) == 4  # boundaries 10, 20, 30 + final tick
-        assert all(wall >= 0.0 for wall in walls)
-
-    def test_pending_batch_flushed_before_tick(self):
-        handler = _BatchingHandler()
-        ticks: list[tuple[float, list[int]]] = []
-        FeedSimulator(handler).run(
-            self._posts_at([0.0, 5.0, 10.0, 25.0]),
-            batch_size=10,
-            interval_s=10.0,
-            on_interval=lambda now, wall: ticks.append((now, list(handler.batches))),
-        )
-        # Every tick observes all events before its boundary already
-        # flushed, never waiting on the batch to fill.
-        assert ticks == [(10.0, [2]), (20.0, [2, 1]), (25.0, [2, 1, 1])]
-
-    def test_empty_stream_never_ticks(self):
-        ticks: list[float] = []
-        metrics = FeedSimulator(_RecordingHandler()).run(
-            [], interval_s=10.0, on_interval=lambda now, wall: ticks.append(now)
-        )
-        assert ticks == []
-        assert metrics.posts == 0
-
-    def test_interval_and_hook_must_travel_together(self):
-        simulator = FeedSimulator(_RecordingHandler())
-        with pytest.raises(ConfigError):
-            simulator.run(self._posts_at([0.0]), interval_s=10.0)
-        with pytest.raises(ConfigError):
-            simulator.run(
-                self._posts_at([0.0]), on_interval=lambda now, wall: None
-            )
-
-    def test_non_positive_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            FeedSimulator(_RecordingHandler()).run(
-                self._posts_at([0.0]),
-                interval_s=0.0,
-                on_interval=lambda now, wall: None,
-            )
-
-
-class TestStreamMetrics:
-    def test_rates(self):
-        metrics = StreamMetrics(posts=10, deliveries=100, wall_seconds=2.0)
-        assert metrics.deliveries_per_second() == 50.0
-        assert metrics.posts_per_second() == 5.0
-
-    def test_zero_wall_time(self):
-        metrics = StreamMetrics()
-        assert metrics.deliveries_per_second() == 0.0
-        assert metrics.posts_per_second() == 0.0
-
-    def test_summary_keys(self):
-        summary = StreamMetrics().summary()
-        assert {"posts", "deliveries", "deliveries_per_s"} <= set(summary)
