@@ -9,6 +9,7 @@ cut off abruptly (the classic "budget smoothing" behaviour).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,9 @@ class BudgetManager:
     indexed by slot: capped ads are interned to slots 1, 2, … in
     registration order (not by ``ad_id`` — launched campaigns carry ids
     in the 800,000s) and slot 0 is shared by every uncapped ad, never
-    spends, and so paces at 1.0. Scalar accessors, :meth:`charge` and
-    :meth:`pacing_block` all work on these arrays.
+    spends, and so paces at 1.0. Scalar accessors, :meth:`charge`,
+    :meth:`charge_block` and :meth:`pacing_block` all work on these
+    arrays.
     """
 
     def __init__(
@@ -91,8 +93,10 @@ class BudgetManager:
         self._pacing_enabled = pacing_enabled
         self._campaign_start = campaign_start
         self._campaign_end = campaign_end
-        # ad id -> slot, in slot order (slot i + 1 is the i-th key).
+        # ad id -> slot, in slot order (slot i + 1 is the i-th key), and
+        # back (index 0 stands for the shared uncapped slot).
         self._slots: dict[int, int] = {}
+        self._ad_of_slot: list[int | None] = [None]
         # Unregistered slots hold budget 1, spent 0: never exhausted.
         self._budget = np.ones(16)
         self._spent = np.zeros(16)
@@ -111,6 +115,7 @@ class BudgetManager:
             self._budget = np.pad(self._budget, (0, slot), constant_values=1.0)
             self._spent = np.pad(self._spent, (0, slot))
         self._slots[ad.ad_id] = slot
+        self._ad_of_slot.append(ad.ad_id)
         self._budget[slot] = ad.budget
 
     def slot_of(self, ad_id: int) -> int:
@@ -156,13 +161,35 @@ class BudgetManager:
             return multipliers
         budget = self._budget[slots]
         if self._pacing_enabled:
-            span = self._campaign_end - self._campaign_start
-            fraction = (timestamp - self._campaign_start) / span
-            expected = budget * min(1.0, max(0.0, fraction))
+            expected = budget * self._elapsed(timestamp)
             np.divide(expected, spent, out=multipliers, where=spent > expected)
             np.maximum(multipliers, 0.1, out=multipliers)
         multipliers[spent >= budget] = 0.0
         return multipliers
+
+    def ahead_of_schedule(self, slots: np.ndarray, timestamp: float) -> np.ndarray:
+        """Which of ``slots`` pace below 1.0 at ``timestamp`` only because
+        of the time: spent past the uniform schedule and not exhausted.
+
+        Every other slot keeps its :meth:`pacing_block` value at any later
+        time until it is charged: the schedule ``budget · fraction(t)``
+        never decreases, so a slot on it stays on it (1.0), and exhaustion
+        does not depend on the time (0.0). With pacing off nothing does.
+        """
+        if not self._pacing_enabled:
+            return np.zeros(slots.shape[0], dtype=bool)
+        spent = self._spent[slots]
+        budget = self._budget[slots]
+        ahead = spent > budget * self._elapsed(timestamp)
+        ahead &= spent < budget
+        return ahead
+
+    def _elapsed(self, timestamp: float) -> float:
+        """The campaign window's elapsed fraction at ``timestamp``,
+        clamped (:meth:`BudgetState.time_fraction`'s arithmetic)."""
+        span = self._campaign_end - self._campaign_start
+        fraction = (timestamp - self._campaign_start) / span
+        return min(1.0, max(0.0, fraction))
 
     def charge(self, ad_id: int, price: float) -> bool:
         """Debit one impression; returns True if the ad just exhausted.
@@ -189,13 +216,67 @@ class BudgetManager:
             return True
         return False
 
+    def charge_block(self, slots: np.ndarray, prices: np.ndarray) -> None:
+        """:meth:`charge` for each ``(slot, price)`` pair in order, as
+        arrays. ``slots`` are :meth:`slot_of`'s for active ads, each capped
+        slot at most once (a slate's live ads are distinct; uncapped ads
+        share slot 0, which is never debited).
+
+        Spend, ``writes`` and the retirements, in order, end where the
+        calls one at a time leave them; a negative price or an already
+        exhausted ad raises the same :class:`BudgetError` once the pairs
+        ahead of it are charged.
+        """
+        # A slate is a handful of entries: its checks run on lists, where
+        # a reduction over a tiny array costs more than the arithmetic.
+        spent = self._spent[slots]
+        budget = self._budget[slots]
+        # Slot 0 holds budget 1 and spent 0: it never reads as exhausted.
+        exhausted = (spent >= budget).tolist()
+        price_list = prices.tolist()
+        if True in exhausted or min(price_list, default=0.0) < 0.0:
+            first = next(
+                index
+                for index, (price, done) in enumerate(zip(price_list, exhausted))
+                if price < 0.0 or done
+            )
+            self.charge_block(slots[:first], prices[:first])
+            price = price_list[first]
+            if price < 0.0:
+                raise BudgetError(f"price cannot be negative: {price}")
+            ad_id = self._ad_of_slot[slots.item(first)]
+            raise BudgetError(f"ad {ad_id} is already exhausted")
+        spent += np.minimum(prices, budget - spent)
+        if 0 in slots.tolist():
+            capped = slots != 0
+            slots, spent, budget = slots[capped], spent[capped], budget[capped]
+        self._spent[slots] = spent
+        self.writes += slots.shape[0]
+        exhausted = (spent >= budget).tolist()
+        if True in exhausted:
+            ad_of_slot = self._ad_of_slot
+            for slot, done in zip(slots.tolist(), exhausted):
+                if done:
+                    self._corpus.retire(ad_of_slot[slot])
+
     def restore_spend(self, ad_id: int, spent: float) -> None:
-        """Set an ad's spend directly (checkpoint restore)."""
+        """Set an ad's spend directly (checkpoint restore).
+
+        The spend must be finite and non-negative. An active ad restored
+        at or over its budget is retired here, as :meth:`charge` retires
+        the ad it exhausts, so a restored engine never serves it.
+        """
         slot = self._slots.get(ad_id)
         if slot is None:
             raise BudgetError(f"ad {ad_id} has no budget to restore into")
+        if not (math.isfinite(spent) and spent >= 0.0):
+            raise ConfigError(
+                f"restored spend must be finite and non-negative, got {spent}"
+            )
         self._spent[slot] = spent
         self.writes += 1
+        if spent >= self._budget.item(slot) and self._corpus.is_active(ad_id):
+            self._corpus.retire(ad_id)
 
     def total_spend(self) -> float:
         # Python's left-to-right sum in registration order, not ndarray.sum:

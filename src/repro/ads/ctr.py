@@ -87,6 +87,24 @@ class CtrEstimator:
         self._total_impressions += 1.0
         self.writes += 1
 
+    def record_impressions(self, slots: np.ndarray) -> None:
+        """:meth:`record_impression` once at each of ``slots``
+        (:meth:`slot_of`'s, all distinct — one slate's ads), as arrays:
+        the discount, then the count, elementwise, so the evidence ends
+        where the calls one at a time leave it."""
+        count = slots.shape[0]
+        if not count:
+            return
+        if self.discount < 1.0:
+            self._impressions[slots] *= self.discount
+            self._clicks[slots] *= self.discount
+        self._impressions[slots] += 1.0
+        # One addition per impression: a restored total may be fractional,
+        # and then ``+= count`` can round differently.
+        for _ in range(count):
+            self._total_impressions += 1.0
+        self.writes += count
+
     def record_click(self, ad_id: int) -> None:
         """Fold one click on a previously-served impression."""
         self._clicks[self.slot_of(ad_id)] += 1.0

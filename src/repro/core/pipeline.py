@@ -15,6 +15,10 @@ systems use):
 * :class:`ChargeStage` — GSP pricing + budget debit per served slate;
 * :class:`FeedbackStage` — impression bookkeeping for the CTR estimator.
 
+The last two work in columns: a slate the kernel cut travels with its
+mirror rows, and a slate's prices, debits and impressions are array
+operations over its ≤ k entries.
+
 :class:`DeliveryPipeline` wires the stages over one
 :class:`~repro.core.services.EngineServices` and exposes the batch entry
 point :meth:`DeliveryPipeline.deliver_batch`: one :class:`PostEvent` in,
@@ -27,15 +31,18 @@ directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
-from repro.ads.auction import run_gsp_auction
+import numpy as np
+
+from repro.ads.auction import gsp_prices
 from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import EngineMode
 from repro.core.incremental import IncrementalTopK
 from repro.core.rerank import Personalizer
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, StaticRowCache
 from repro.core.services import EngineServices, UserState
 from repro.errors import ConfigError
 from repro.obs.trace import TraceContext
@@ -83,12 +90,15 @@ class DeliveryResult(NamedTuple):
 
 
 class PersonalizedDelivery(NamedTuple):
-    """What a :class:`PersonalizeStage` reports back to the pipeline."""
+    """What a :class:`PersonalizeStage` reports back to the pipeline:
+    the kernel adds the slate's mirror rows, entry for entry, so charge
+    and feedback read their columns there (None elsewhere)."""
 
     slate: tuple[ScoredAd, ...]
     certified: bool
     fell_back: bool
     exact: bool
+    rows: np.ndarray | None = None
 
 
 # -- stage protocols ---------------------------------------------------------
@@ -142,16 +152,25 @@ class PersonalizeStage(Protocol):
 
 @runtime_checkable
 class ChargeStage(Protocol):
-    """Price and debit one served slate; returns revenue collected."""
+    """Price and debit one served slate; returns revenue collected.
+    ``rows`` are the slate's mirror rows when the kernel cut it."""
 
-    def charge(self, slate: tuple[ScoredAd, ...], timestamp: float) -> float: ...
+    def charge(
+        self,
+        slate: tuple[ScoredAd, ...],
+        timestamp: float,
+        rows: np.ndarray | None = None,
+    ) -> float: ...
 
 
 @runtime_checkable
 class FeedbackStage(Protocol):
-    """Observe one served slate (impression bookkeeping)."""
+    """Observe one served slate (impression bookkeeping); ``rows`` as for
+    :class:`ChargeStage`."""
 
-    def observe_impressions(self, slate: tuple[ScoredAd, ...]) -> None: ...
+    def observe_impressions(
+        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+    ) -> None: ...
 
 
 # -- concrete stages ---------------------------------------------------------
@@ -273,8 +292,8 @@ class KernelPersonalizeStage:
             ],
             event.timestamp,
             k,
-            served=lambda position, slate: served(
-                position, PersonalizedDelivery(slate, True, False, exact)
+            served=lambda position, slate, rows: served(
+                position, PersonalizedDelivery(slate, True, False, exact, rows)
             ),
             cut=cut,
         )
@@ -383,53 +402,101 @@ class ExactPersonalizeStage(_PerFollowerStage):
 
 
 class GspChargeStage:
-    """GSP-price the live slate entries and debit their budgets."""
+    """GSP-price the live slate entries and debit their budgets, in
+    columns: the live mask, the raw bids and the budget slots at the
+    slate's rows (:class:`~repro.core.scoring.StaticRowCache`), or looked
+    up entry by entry for a slate without rows. Prices, spend,
+    retirements and revenue are those of
+    :func:`~repro.ads.auction.run_gsp_auction` and
+    :meth:`~repro.ads.budget.BudgetManager.charge` entry by entry."""
 
-    def __init__(self, services: EngineServices) -> None:
+    def __init__(
+        self, services: EngineServices, columns: StaticRowCache | None = None
+    ) -> None:
         self._corpus = services.corpus
         self._budget = services.budget
+        self._columns = columns
         self._reserve_price = services.config.reserve_price
 
-    def charge(self, slate: tuple[ScoredAd, ...], timestamp: float) -> float:
+    def _looked_up(
+        self, slate: tuple[ScoredAd, ...]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        corpus, budget = self._corpus, self._budget
+        ad_ids = list(map(itemgetter(0), slate))
+        count = len(ad_ids)
+        return (
+            np.fromiter(map(corpus.is_active, ad_ids), bool, count),
+            np.fromiter((corpus.get(ad_id).bid for ad_id in ad_ids), float, count),
+            np.fromiter(map(budget.slot_of, ad_ids), np.int64, count),
+        )
+
+    def charge(
+        self,
+        slate: tuple[ScoredAd, ...],
+        timestamp: float,
+        rows: np.ndarray | None = None,
+    ) -> float:
         if not slate:
             return 0.0
-        corpus = self._corpus
-        live = [
-            scored.ad_id for scored in slate if corpus.is_active(scored.ad_id)
-        ]
-        if not live:
-            return 0.0
-        outcome = run_gsp_auction(
-            corpus, live, reserve_price=self._reserve_price
-        )
-        for ad_id, price in zip(outcome.ad_ids, outcome.prices):
-            self._budget.charge(ad_id, price)
-        return outcome.revenue
+        if rows is None:
+            live, bids, slots = self._looked_up(slate)
+        else:
+            columns = self._columns
+            live = columns.live(rows)
+            bids, slots = columns.bids[rows], columns.pacing_slots[rows]
+        if False in live.tolist():
+            bids, slots = bids[live], slots[live]
+            if not bids.shape[0]:
+                return 0.0
+        prices = gsp_prices(bids, self._reserve_price)
+        self._budget.charge_block(slots, prices)
+        # Python's left-to-right sum: ndarray.sum rounds differently.
+        return sum(prices.tolist())
 
 
 class NoChargeStage:
     """Charging disabled: impressions are free (effectiveness harnesses)."""
 
-    def charge(self, slate: tuple[ScoredAd, ...], timestamp: float) -> float:
+    def charge(
+        self,
+        slate: tuple[ScoredAd, ...],
+        timestamp: float,
+        rows: np.ndarray | None = None,
+    ) -> float:
         return 0.0
 
 
 class CtrFeedbackStage:
-    """Record one impression per served slate entry."""
+    """Record one impression per served slate entry, at the entries' CTR
+    slots: the slate's rows of the quality-slot column, or looked up
+    entry by entry for a slate without rows."""
 
-    def __init__(self, services: EngineServices) -> None:
+    def __init__(
+        self, services: EngineServices, columns: StaticRowCache | None = None
+    ) -> None:
         self._ctr = services.ctr
+        self._columns = columns
 
-    def observe_impressions(self, slate: tuple[ScoredAd, ...]) -> None:
-        record = self._ctr.record_impression
-        for scored in slate:
-            record(scored.ad_id)
+    def observe_impressions(
+        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+    ) -> None:
+        if rows is None:
+            slots = np.fromiter(
+                map(self._ctr.slot_of, map(itemgetter(0), slate)),
+                np.int64,
+                len(slate),
+            )
+        else:
+            slots = self._columns.quality_slots[rows]
+        self._ctr.record_impressions(slots)
 
 
 class NoFeedbackStage:
     """Click feedback disabled: impressions leave no trace."""
 
-    def observe_impressions(self, slate: tuple[ScoredAd, ...]) -> None:
+    def observe_impressions(
+        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+    ) -> None:
         return None
 
 
@@ -474,16 +541,22 @@ def make_candidate_stage(
     return SharedProbeStage(services, generator)
 
 
-def make_charge_stage(services: EngineServices) -> ChargeStage:
+def make_charge_stage(
+    services: EngineServices, columns: StaticRowCache | None = None
+) -> ChargeStage:
+    """``columns`` are what the kernel's slate rows index (None without
+    the kernel)."""
     if not services.config.charge_impressions:
         return NoChargeStage()
-    return GspChargeStage(services)
+    return GspChargeStage(services, columns)
 
 
-def make_feedback_stage(services: EngineServices) -> FeedbackStage:
+def make_feedback_stage(
+    services: EngineServices, columns: StaticRowCache | None = None
+) -> FeedbackStage:
     if services.ctr is None:
         return NoFeedbackStage()
-    return CtrFeedbackStage(services)
+    return CtrFeedbackStage(services, columns)
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -537,8 +610,8 @@ class DeliveryPipeline:
             vectorize=vectorize,
             candidates=make_candidate_stage(services, candidate_generator),
             personalize=make_personalize_stage(services, personalizer),
-            charge=make_charge_stage(services),
-            feedback=make_feedback_stage(services),
+            charge=make_charge_stage(services, personalizer.row_cache),
+            feedback=make_feedback_stage(services, personalizer.row_cache),
         )
 
     def vectorize(self, text: str) -> MutableSparseVector:
@@ -763,7 +836,7 @@ class DeliveryPipeline:
         def serve(position: int, delivered: PersonalizedDelivery) -> None:
             """One follower's delivery: count → charge → feedback."""
             nonlocal mark
-            slate, certified, fell_back, exact = delivered
+            slate, certified, fell_back, exact, rows = delivered
             if observing:
                 span_started = perf_counter()
                 elapsed = span_started - mark + share
@@ -781,12 +854,12 @@ class DeliveryPipeline:
                 stats.fallback_deliveries += 1
             elif not certified:
                 stats.approximate_deliveries += 1
-            revenue = charge(slate, event.timestamp)
+            revenue = charge(slate, event.timestamp, rows)
             if observing:
                 now = perf_counter()
                 emit("charge", now - span_started)
                 span_started = now
-            observe(slate)
+            observe(slate, rows)
             if observing:
                 emit("feedback", perf_counter() - span_started)
             if metering:

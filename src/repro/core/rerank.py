@@ -135,6 +135,19 @@ class Personalizer:
             # Row -> column of the block being built; -1 everywhere
             # outside ``_cut_block``.
             self._column = np.full(0, -1, dtype=np.int64)
+            # The δ·bid vector kept between events (``_event_bid``):
+            # (key, read at, bid_writes, vector, rows to re-read), checked
+            # out while a ``slate_batch`` call runs.
+            self._resident: tuple | None = None
+            # ``slate_batch`` calls so far: one that sees the count move
+            # across its run had another inside it.
+            self._calls = 0
+
+    @property
+    def row_cache(self) -> StaticRowCache | None:
+        """The row-indexed columns the kernel scores from and a served
+        slate's rows index (None on the ``ta`` reference)."""
+        return self._static_cache if self._vector else None
 
     # -- candidate sources (the ``ta`` reference and INCREMENTAL) -------------
 
@@ -306,6 +319,47 @@ class Personalizer:
             return rows, dots
         return rows[live], dots[live]
 
+    def _event_bid(
+        self, cache: StaticRowCache, timestamp: float, key: tuple
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """δ·bid over the row space at ``timestamp``, and the list of the
+        rows to re-read at the next event, to extend with the rows this
+        one's deliveries write.
+
+        The vector stays resident between events. It is re-read at just
+        the listed rows when nothing has moved but them: the same row
+        space and ``max_bid`` (``key``), no write since that the list does
+        not name (:meth:`ScoringModel.bid_writes`), and no step back in
+        time. The list starts with the rows whose pacing can still move
+        with the time alone (:meth:`ScoringModel.paced_rows`): on every
+        other unwritten row the value stands at any later time. Anything
+        else — a click, a restore, a launch, a compaction, an earlier
+        timestamp — rebuilds it. A re-read is the full build's arithmetic
+        elementwise, so either way the vector equals a rebuild bit for
+        bit.
+        """
+        scoring = self._scoring
+        resident, self._resident = self._resident, None
+        if (
+            resident is not None
+            and resident[0] == key
+            and resident[1] <= timestamp
+            and resident[2] == scoring.bid_writes()
+        ):
+            bid, stale = resident[3], resident[4]
+            rows = np.concatenate(stale)
+            if not rows.shape[0]:
+                return bid, [rows]
+            # Distinct and ascending: the list carries what is still paced
+            # forward, so a repeat would be carried forever.
+            named = np.zeros(bid.shape[0], dtype=bool)
+            named[rows] = True
+            rows = named.nonzero()[0]
+            bid[rows] = scoring.fanout_bid_block(cache, timestamp, rows)
+            return bid, [scoring.paced_rows(cache, timestamp, rows)]
+        bid = scoring.fanout_bid_block(cache, timestamp)
+        return bid, [scoring.paced_rows(cache, timestamp)]
+
     def _cut(
         self,
         content: np.ndarray,
@@ -342,7 +396,8 @@ class Personalizer:
         timestamp: float,
         k: int,
         *,
-        served: Callable[[int, tuple[ScoredAd, ...]], None] | None = None,
+        served: Callable[[int, tuple[ScoredAd, ...], np.ndarray], None]
+        | None = None,
         cut: Callable[[int], None] | None = None,
     ) -> list[tuple[ScoredAd, ...]]:
         """The exact top-``k`` for every follower of one event, in order
@@ -360,8 +415,10 @@ class Personalizer:
         is the true top-``k`` by construction — certified, never a
         fallback — so a result is the bare slate, with no flags to carry.
 
-        Each slate is handed to ``served(position, slate)``, in order:
-        the pipeline charges and feeds back inside it. No slate is cut
+        Each slate is handed to ``served(position, slate, rows)``, in
+        order, ``rows`` being the mirror rows of its entries (what the
+        :attr:`row_cache` columns are indexed by): the pipeline charges
+        and feeds back inside it, from those columns. No slate is cut
         across a write. The fan-out is served in *runs*: a run of one
         scores a follower over the full row space; when there is no
         callback, or the previous delivery wrote nothing
@@ -379,16 +436,19 @@ class Personalizer:
         is handed out (the pipeline shares the cut's time over the run's
         spans).
 
-        The row vectors shared by the fan-out (content, δ·bid, time mask,
-        message membership) are built once per event; a delivery can only
-        write to the rows of its own slate (spend, CTR evidence,
-        retirement on exhaustion), so when ``served`` wrote anything
-        exactly those rows are re-read before the next cut — the values a
-        rebuild would give, elementwise.
+        The row vectors shared by the fan-out (content, time mask, message
+        membership) are built once per event, and δ·bid is kept between
+        events (:meth:`_event_bid`); a delivery can only write to the rows
+        of its own slate (spend, CTR evidence, retirement on exhaustion),
+        so when ``served`` wrote anything exactly those rows are re-read
+        before the next cut — the values a rebuild would give,
+        elementwise — and named for the next event's re-read.
         """
         results: list[tuple[ScoredAd, ...]] = []
         scoring = self._scoring
         compact = self._compact
+        self._calls += 1
+        calls = self._calls
         # Between two followers rows must keep their numbers, so a
         # compaction that a retirement makes due waits for the next event.
         compact.maybe_compact()
@@ -416,7 +476,8 @@ class Personalizer:
             message_rows, message_dots = compact.gather(message_vec)
         content = np.zeros(size, dtype=np.float64)
         content[message_rows] = message_dots
-        bid = scoring.fanout_bid_block(cache, timestamp)
+        key = (generation, size, scoring.corpus.max_bid)
+        bid, stale = self._event_bid(cache, timestamp, key)
         time_keep = cache.time_keep_full(timestamp)
         message_member = np.zeros(size, dtype=bool)
         message_member[message_rows] = True
@@ -462,7 +523,7 @@ class Personalizer:
                 targeted &= member
                 cuts = [
                     self._cut(
-                        content, affinity, proximity, bid, np.flatnonzero(targeted), k
+                        content, affinity, proximity, bid, targeted.nonzero()[0], k
                     )
                 ]
             if cut is not None:
@@ -473,7 +534,7 @@ class Personalizer:
                 if served is None:
                     continue
                 writes = scoring.bid_writes()
-                served(position - 1, slate)
+                served(position - 1, slate, slate_rows)
                 clean = scoring.bid_writes() == writes
                 if clean:
                     continue
@@ -481,12 +542,17 @@ class Personalizer:
                 # and dropped. Re-read its slate's rows, the only ones it
                 # can have moved (same arithmetic as the full build, so the
                 # vectors equal a rebuild's), and drop the rows it retired.
+                stale.append(slate_rows)
                 if position < count:
                     bid[slate_rows] = scoring.fanout_bid_block(
                         cache, timestamp, slate_rows
                     )
                     message_member[slate_rows[~compact.alive[slate_rows]]] = False
                 break
+        # Kept for the next event unless another call ran inside this one:
+        # its deliveries' writes are on rows this call never named.
+        if self._calls == calls:
+            self._resident = (key, timestamp, scoring.bid_writes(), bid, stale)
         return results
 
     def _cut_block(

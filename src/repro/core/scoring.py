@@ -78,7 +78,8 @@ class StaticRowCache:
     haversine instead of per-ad Python calls. Next to the bids it keeps
     each row's slot in the budget manager's and the CTR estimator's
     dense state arrays, so the dynamic half of the bid term is a gather
-    (:meth:`ScoringModel._bid_block`); a slot belongs to an ad for life,
+    (:meth:`ScoringModel._bid_block`) and a served slate's charge and
+    feedback are gathers at its rows; a slot belongs to an ad for life,
     so the maps never go stale between syncs. Synced lazily: a compaction
     (generation bump) resets the arrays, appended rows extend them.
     """
@@ -179,6 +180,11 @@ class StaticRowCache:
                     )
                 self._flat_dirty = True
         self._synced_rows = num_rows
+
+    def live(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each of ``rows`` still holds an active ad: the mirror's
+        alive bit, which a retirement clears without renumbering."""
+        return self._compact.alive[rows]
 
     def _flatten(self) -> None:
         if not self._flat_dirty:
@@ -346,6 +352,7 @@ class StaticRowCache:
 _GEO_CACHE_PAIRS = 1 << 20
 _GEO_ENTRY_PAIRS = 32
 _NO_MATCHES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+_NO_ROWS = _NO_MATCHES[0]
 
 
 def _grown(array: np.ndarray, size: int, dtype) -> np.ndarray:
@@ -527,6 +534,24 @@ class ScoringModel:
         """
         cache.sync(self._budget_manager, self._ctr_estimator)
         return self.weights.delta * self._bid_block(cache, timestamp, rows)
+
+    def paced_rows(
+        self,
+        cache: StaticRowCache,
+        timestamp: float,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The rows of ``rows`` (every synced row by default) whose
+        :meth:`fanout_bid_block` value can still change after
+        ``timestamp`` with nothing written: those paced ahead of schedule
+        (:meth:`BudgetManager.ahead_of_schedule`), the bid term's only
+        time-dependent factor. Ascending when ``rows`` is."""
+        budget = self._budget_manager
+        if budget is None:
+            return _NO_ROWS
+        if rows is None:
+            return budget.ahead_of_schedule(cache.pacing_slots, timestamp).nonzero()[0]
+        return rows[budget.ahead_of_schedule(cache.pacing_slots[rows], timestamp)]
 
     def bid_writes(self) -> int:
         """Monotone count of writes to the state behind the bid term

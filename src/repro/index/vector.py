@@ -28,12 +28,17 @@ def topk_order(scores: np.ndarray, ad_ids: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` local indices under the engine-wide tie rule (score
     desc, ad id asc: ``BoundedTopK.results()`` order) — the one place the
     array paths cut it. Large sets are pre-cut at the k-th score with a
-    linear partition so the lexsort only touches actual contenders.
+    linear partition so the lexsort only touches actual contenders. (The
+    ndarray methods, not ``np.partition`` / ``np.flatnonzero``: a run of
+    one cuts once per delivery, and their Python wrappers cost more calls
+    than the rest of the cut.)
     """
     n = scores.shape[0]
     if n > 4 * k:
-        kth = np.partition(scores, n - k)[n - k]
-        contenders = np.flatnonzero(scores >= kth)
+        parted = scores.copy()
+        parted.partition(n - k)
+        kth = parted[n - k]
+        contenders = (scores >= kth).nonzero()[0]
         order = np.lexsort((ad_ids[contenders], -scores[contenders]))[:k]
         return contenders[order]
     return np.lexsort((ad_ids, -scores))[:k]

@@ -423,7 +423,8 @@ class LinUcbRerankStage:
 
     Composition keeps the base stage's candidate/certificate machinery
     untouched: the wrapper re-scores the *served slate* with the shared model's
-    UCB bonus, re-sorts by the engine-wide ``(-score, ad_id)`` tie rule, then
+    UCB bonus, re-sorts by the engine-wide ``(-score, ad_id)`` tie rule
+    (the kernel's slate rows with it), then
     records the exposure as pending updates — per follower, between the
     base stage cutting the slate and the pipeline charging it, on the
     scalar and the fan-out entry point alike.
@@ -477,8 +478,17 @@ class LinUcbRerankStage:
         if not slate:
             return delivered
         learner = self._learner
-        reranked, rows = learner.rerank(slate)
+        reranked, features = learner.rerank(slate)
         if reranked is not slate:
-            delivered = delivered._replace(slate=reranked)
-        learner.observe_slate(event.msg_id, user_id, reranked, rows)
+            rows = delivered.rows
+            if rows is not None:
+                # The kernel's rows follow their entries through the re-sort.
+                row_of = dict(zip(map(itemgetter(0), slate), rows.tolist()))
+                rows = np.fromiter(
+                    map(row_of.__getitem__, map(itemgetter(0), reranked)),
+                    rows.dtype,
+                    len(reranked),
+                )
+            delivered = delivered._replace(slate=reranked, rows=rows)
+        learner.observe_slate(event.msg_id, user_id, reranked, features)
         return delivered

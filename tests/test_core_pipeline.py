@@ -186,7 +186,7 @@ class TestPluggableStages:
         seen: list[int] = []
 
         class RecordingFeedback:
-            def observe_impressions(self, slate):
+            def observe_impressions(self, slate, rows=None):
                 seen.extend(scored.ad_id for scored in slate)
 
         rec.engine.pipeline.feedback_stage = RecordingFeedback()
@@ -496,8 +496,10 @@ class TestUnchargedFanoutPaysNoPatching:
             for post in tiny_workload.posts[:30]
         ]
         fanned_out = sum(map(bool, fan_outs))
-        # One full build per event with followers, never a row re-read.
-        assert reads == [None] * fanned_out and fanned_out > 0
+        # The bid vector stays resident: one full build for the one row
+        # space (nothing launches or retires), never a row re-read —
+        # nothing is written and, with no spend, nothing is paced.
+        assert reads == [None] and fanned_out > 1
         # The first follower goes alone (the kernel learns that nothing is
         # written); everyone after is cut ahead in one block, which reads
         # no dense targeting pair — unless only one is left.
@@ -787,10 +789,11 @@ class TestOneRecordPerDelivery:
         assert checked["single"] == checked["sharded"] == checked["pool"] > 12
 
 
-def wide_fanout_engine(workload, followers: int) -> AdEngine:
-    """An uncharged vector engine whose author 0 has ``followers``
-    followers — three in four with a profile, two in three placed — and
-    caches already warm from one fan-out."""
+def wide_fanout_engine(workload, followers: int, **config_kwargs) -> AdEngine:
+    """A vector engine, uncharged unless ``config_kwargs`` say otherwise,
+    whose author 0 has ``followers`` followers — three in four with a
+    profile, two in three placed — and caches already warm from one
+    fan-out."""
     from repro.graph.social import SocialGraph
 
     engine = AdEngine(
@@ -798,7 +801,9 @@ def wide_fanout_engine(workload, followers: int) -> AdEngine:
         graph=SocialGraph(),
         vectorizer=workload.vectorizer,
         tokenizer=workload.tokenizer,
-        config=EngineConfig(searcher="vector", charge_impressions=False),
+        config=EngineConfig(
+            searcher="vector", **{"charge_impressions": False, **config_kwargs}
+        ),
     )
     engine.register_user(0)
     for user_id in range(1, followers + 1):
@@ -843,3 +848,186 @@ class TestTheFanOutBoxesOnce:
         assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
         assert "__init__" not in calls
         assert len(calls) <= self.CALLS_PER_DELIVERY * len(delivered)
+
+
+class TestAChargedDeliveryIsColumns:
+    """A charged, CTR-fed fan-out goes one follower at a time (every
+    delivery writes), and each delivery is priced, debited and recorded
+    as arrays at its slate's rows: no per-entry call (the auction, a
+    budget ``charge`` or ``slot_of`` per ad, ``is_active``,
+    ``record_impression``) is left on the path, and a whole delivery —
+    cut, charge, feedback and the re-read of what it wrote — stays
+    within a fixed call budget."""
+
+    FOLLOWERS = 300
+    # ≈ 99 a delivery when each entry is priced, debited and recorded
+    # with its own calls; ≈ 45 in columns.
+    CALLS_PER_DELIVERY = 50
+
+    def test_few_calls_per_charged_delivery(self, tiny_workload):
+        engine = wide_fanout_engine(
+            tiny_workload, self.FOLLOWERS, charge_impressions=True, ctr_feedback=True
+        )
+        engine.ctr.discount = 0.9
+        event = engine.make_event(0, tiny_workload.posts[1].text, 1e4)
+        engine.ingest_event(event)
+        followers = sorted(engine.graph.followers(0))
+        revenue = engine.stats.revenue
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            delivered = engine.pipeline.deliver_batch(event, followers)
+        finally:
+            sys.setprofile(None)
+        assert len(delivered) == self.FOLLOWERS
+        assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
+        assert engine.stats.revenue > revenue
+        per_entry = {
+            "run_gsp_auction", "is_active", "record_impression", "slot_of", "get"
+        }
+        assert per_entry.isdisjoint(calls)
+        # The stage's own ``charge``, once a delivery; never the budget's.
+        assert calls.count("charge") == len(delivered)
+        assert len(calls) <= self.CALLS_PER_DELIVERY * len(delivered)
+
+
+def peek_resident_bid(engine, timestamp):
+    """What the next kernel call at ``timestamp`` reads for δ·bid, and
+    whether it re-read rows rather than rebuilt; the kernel's resident
+    state is left as it was."""
+    personalizer = engine.personalizer
+    compact = personalizer._compact
+    saved = personalizer._resident
+    if saved is not None:
+        key, at, writes, vector, stale = saved
+        personalizer._resident = (key, at, writes, vector.copy(), list(stale))
+    reads = patch_reads(engine)
+    try:
+        bid, _ = personalizer._event_bid(
+            personalizer._static_cache,
+            timestamp,
+            (compact.generation, compact.num_rows, engine.corpus.max_bid),
+        )
+    finally:
+        del engine.services.scoring._bid_block
+        personalizer._resident = saved
+    return bid, all(rows is not None for rows in reads)
+
+
+class TestTheBidTermStaysResident:
+    """δ·bid stays resident between events: an event re-reads only the
+    rows written since the last one and those still paced ahead of
+    schedule, and anything else rebuilds it. Whatever the stream does —
+    posts, clicks, a launch, an ended campaign, check-ins, a checkpoint
+    restore, a post back in time, a delivery that re-enters the kernel —
+    what the next event reads is a fresh build, byte for byte."""
+
+    SCENARIOS = ("budget-burst", "click-flood", "geo-wave")
+
+    class Peeking:
+        """The engine, peeked at after every call the replay makes — and
+        before a post, at the post's time."""
+
+        def __init__(self, engine, peek):
+            self._engine, self._peek = engine, peek
+
+        def __getattr__(self, name):
+            method = getattr(self._engine, name)
+
+            def peeked(*args, **kwargs):
+                if name == "post":
+                    self._peek(self._engine, args[2])
+                result = method(*args, **kwargs)
+                now = self._engine.services.clock.now
+                self._peek(self._engine, now)
+                self._peek(self._engine, now + 1800.0)
+                return result
+
+            return peeked
+
+    def replay(self, workload, *, behind_the_counter=None):
+        """Drive the stream; returns ``(peeks, of them re-reads, byte
+        mismatches)``. ``behind_the_counter(engine)`` runs once, midway."""
+        from repro.io.checkpoint import apply_engine_state, engine_state_dict
+        from repro.scenarios import ScenarioDriver, ScriptedPost, build_scenario_stream
+
+        events = list(
+            build_scenario_stream(workload, self.SCENARIOS, seed=5, limit_posts=60).events
+        )
+        posts = [index for index, event in enumerate(events) if isinstance(event, ScriptedPost)]
+        # One post back in time, six hours before the one ahead of it.
+        back = events[posts[20]]
+        events.insert(
+            posts[20] + 1,
+            ScriptedPost(back.timestamp - 21600.0, 90_000, back.author_id, back.text),
+        )
+        half = posts[len(posts) // 2]
+        tally = {"peeks": 0, "reread": 0, "mismatched": 0}
+
+        def peek(engine, timestamp):
+            cache = engine.personalizer._static_cache
+            if cache.bids.shape[0] == 0:
+                return  # the kernel has not run yet
+            bid, reread = peek_resident_bid(engine, timestamp)
+            fresh = engine.services.scoring.fanout_bid_block(cache, timestamp)
+            tally["peeks"] += 1
+            tally["reread"] += reread
+            tally["mismatched"] += bid.tobytes() != fresh.tobytes()
+
+        first = charged_engine(workload)
+        ScenarioDriver(self.Peeking(first, peek), workload).run(events[: half // 2])
+        if behind_the_counter is not None:
+            behind_the_counter(first)
+        ScenarioDriver(self.Peeking(first, peek), workload).run(events[half // 2 : half])
+        restored = charged_engine(workload)
+        apply_engine_state(restored, engine_state_dict(first))
+        # One delivery's feedback re-enters the kernel: a charged fan-out of
+        # another message to other followers, inside this one's.
+        feedback = restored.pipeline.feedback_stage
+        observe = feedback.observe_impressions
+        inner = max(
+            workload.posts, key=lambda post: len(workload.graph.followers(post.author_id))
+        )
+        reentered = []
+
+        def reentering(slate, rows=None):
+            observe(slate, rows)
+            if slate and not reentered:
+                reentered.append(inner)
+                event = restored.make_event(inner.author_id, inner.text, inner.timestamp)
+                followers = sorted(restored.graph.followers(inner.author_id))
+                reentered.append(restored.pipeline.deliver_batch(event, followers))
+
+        feedback.observe_impressions = reentering
+        ScenarioDriver(self.Peeking(restored, peek), workload).run(events[half:])
+        assert len(reentered) == 2 and any(d.slate for d in reentered[1])
+        counts = {}
+        for engine in (first, restored):
+            for kind, count in engine.stats.__dict__.items():
+                counts[kind] = counts.get(kind, 0) + count
+        return tally, counts
+
+    def test_the_next_event_reads_a_fresh_build(self, tiny_workload):
+        tally, counts = self.replay(tiny_workload)
+        assert tally["mismatched"] == 0
+        # Most peeks re-read rows: the resident path, not a rebuild.
+        assert tally["reread"] > tally["peeks"] // 2
+        assert counts["retired_ads"] > 0 and counts["revenue"] > 0.0
+
+    def test_a_spend_behind_the_counter_is_caught(self, tiny_workload):
+        def overspend(engine):
+            budget = engine.budget
+            ad_id = next(
+                ad_id
+                for ad_id, state in budget.states().items()
+                if state.spent == 0.0 and engine.corpus.is_active(ad_id)
+            )
+            budget._spent[budget.slot_of(ad_id)] = 0.9 * budget.state(ad_id).budget
+
+        tally, _ = self.replay(tiny_workload, behind_the_counter=overspend)
+        assert tally["mismatched"] > 0

@@ -637,7 +637,7 @@ class TestServedCallback:
         seen = []
         results = personalizer.slate_batch(
             candidates, message, followers, 500.0, config.k,
-            served=lambda position, result: seen.append((position, result)),
+            served=lambda position, result, rows: seen.append((position, result)),
         )
         assert seen == list(enumerate(results))
         assert results == [
@@ -672,7 +672,7 @@ class TestServedCallback:
     def exhausting(self, engine, at):
         """A callback that exhausts the budgeted ads of delivery ``at``'s
         slate — retiring them — and writes nothing anywhere else."""
-        def served(position, slate):
+        def served(position, slate, rows):
             if position != at:
                 return
             for scored in slate:
@@ -729,7 +729,7 @@ class TestServedCallback:
         engine, message, followers = self.stack(tiny_workload)
         expected = self.fan_out(engine, message, followers)
 
-        def served(position, result):
+        def served(position, result, rows):
             if position == self.AT:
                 raise RuntimeError("downstream failed")
 
@@ -746,7 +746,7 @@ class TestServedCallback:
         other = engine.vectorize(tiny_workload.posts[1].text)
         inner = []
 
-        def served(position, result):
+        def served(position, result, rows):
             inner.append(
                 engine.personalizer.exact_slate(other, message, None, 500.0, self.K)
             )

@@ -218,3 +218,56 @@ class TestValidation:
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(ConfigError):
             load_checkpoint(path, fresh_engine(tiny_workload))
+
+
+class TestRestoredSpend:
+    """A restore sets spend as a run of charges could have left it: an
+    active ad restored at or over its budget is retired there, the rule
+    a charge applies, and a spend no charge can leave is refused."""
+
+    @pytest.mark.parametrize("searcher", ["ta", "vector"])
+    def test_an_exhausted_active_ad_is_retired_at_restore(
+        self, tiny_workload, searcher
+    ):
+        from repro.io.checkpoint import apply_engine_state, engine_state_dict
+
+        original = fresh_engine(tiny_workload, searcher=searcher)
+        run_posts(original, tiny_workload, 0, 20)
+        payload = engine_state_dict(original)
+        # A budgeted ad the continuation serves, restored at its cap but
+        # missing from the retired set.
+        served = [
+            ad_id
+            for result in run_posts(
+                fresh_engine(tiny_workload, searcher=searcher), tiny_workload, 0, 40
+            )[20:]
+            for delivery in result.deliveries
+            for ad_id in (scored.ad_id for scored in delivery.slate)
+            if original.budget.state(ad_id) is not None
+            and original.corpus.is_active(ad_id)
+        ]
+        assert served
+        ad_id = served[0]
+        payload["budgets"][str(ad_id)] = original.budget.state(ad_id).budget
+        assert ad_id not in payload["retired"]
+
+        restored = fresh_engine(tiny_workload, searcher=searcher)
+        apply_engine_state(restored, payload)
+        assert not restored.corpus.is_active(ad_id)
+        assert restored.budget.pacing_multiplier(ad_id, 0.0) == 0.0
+        continued = slates_of(run_posts(restored, tiny_workload, 20, 40))
+        assert all(
+            ad_id not in ads for result in continued for _, ads in result
+        )
+
+    @pytest.mark.parametrize("spent", [-1.0, float("nan"), float("inf")])
+    def test_a_spend_no_charge_leaves_is_refused(self, tiny_workload, spent):
+        from repro.io.checkpoint import apply_engine_state, engine_state_dict
+
+        original = fresh_engine(tiny_workload)
+        run_posts(original, tiny_workload, 0, 10)
+        payload = engine_state_dict(original)
+        ad_id = next(iter(original.budget.states()))
+        payload["budgets"][str(ad_id)] = spent
+        with pytest.raises(ConfigError):
+            apply_engine_state(fresh_engine(tiny_workload), payload)
