@@ -13,7 +13,6 @@ import pytest
 from conftest import save_table, workload_with
 from helpers import engine_config_for, run_engine_config
 from repro.eval.report import ascii_table
-from repro.index.spatial import SpatialAdFilter
 
 FRACTIONS = [0.0, 0.3, 0.7]
 LIMIT = 60
@@ -31,10 +30,12 @@ def test_f11_geo(benchmark, fraction):
     totals = result[0]
     dps = totals.deliveries / benchmark.stats.stats.mean
 
-    spatial = SpatialAdFilter.from_corpus(workload.build_corpus(), subscribe=False)
+    corpus = workload.build_corpus()
     sample_users = workload.users[:40]
     eligible_fraction = sum(
-        len(spatial.eligible(user.home)) for user in sample_users
+        ad.targeting.matches_location(user.home)
+        for user in sample_users
+        for ad in corpus.active_ads()
     ) / (len(sample_users) * len(workload.ads))
     benchmark.extra_info["eligible_fraction"] = eligible_fraction
     _series[fraction] = (eligible_fraction, dps)

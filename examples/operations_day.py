@@ -4,9 +4,7 @@ One simulated day featuring everything a live deployment deals with:
 
 * click feedback (the CTR quality term learning creative appeal),
 * campaign churn (launches and endings mid-stream),
-* a mid-day checkpoint + restore (crash recovery drill),
-* feed assembly (ads actually interleaved into a user's timeline),
-* a final advertiser/diversity report.
+* a mid-day checkpoint + restore (crash recovery drill).
 
 Run:  python examples/operations_day.py
 """
@@ -16,18 +14,14 @@ from __future__ import annotations
 import random
 
 from repro import (
-    AdSlotPolicy,
+    ContextAwareRecommender,
     EngineConfig,
-    FeedAssembler,
     WorkloadConfig,
     generate_workload,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.churn import AdArrival, generate_churn
-from repro.eval.diversity import advertiser_entropy, catalog_coverage
-from repro.eval.report import ascii_table
 from repro.stream.clicks import ClickSimulator
 import tempfile
 from pathlib import Path
@@ -57,9 +51,6 @@ def main() -> None:
     clicks = ClickSimulator(random.Random(4))
     truth = workload.ground_truth
 
-    served: list[int] = []
-    slates_by_user: dict[int, list] = {}
-    organic_by_user: dict[int, list[int]] = {}
     cursor = 0
     half = len(workload.posts) // 2
     checkpoint_path = Path(tempfile.mkdtemp()) / "engine.ckpt.json"
@@ -75,10 +66,6 @@ def main() -> None:
 
         result = engine.post(post.author_id, post.text, post.timestamp)
         for delivery in result.deliveries:
-            ids = [scored.ad_id for scored in delivery.slate]
-            served.extend(ids)
-            slates_by_user[delivery.user_id] = list(delivery.slate)
-            organic_by_user.setdefault(delivery.user_id, []).append(post.msg_id)
             for click in clicks.click_events(
                 delivery,
                 lambda ad: truth.grade(ad, post.msg_id, delivery.user_id, post.timestamp)
@@ -108,30 +95,6 @@ def main() -> None:
 
     print(f"Corpus-wide realised CTR: {engine.ctr.global_ctr():.3f} "
           f"({len(engine.ctr.observed_ads())} ads with traffic)")
-
-    print(f"Advertiser entropy: {advertiser_entropy(engine.corpus, served):.3f}   "
-          f"catalog coverage: {catalog_coverage(engine.corpus, served):.1%}")
-
-    # Render one user's assembled feed.
-    user_id, slate = max(
-        slates_by_user.items(), key=lambda item: len(item[1])
-    )
-    assembler = FeedAssembler(
-        AdSlotPolicy(organic_between_ads=3, first_slot=2),
-        advertiser_of={ad.ad_id: ad.advertiser for ad in engine.corpus.all_ads()},
-    )
-    feed = assembler.assemble(organic_by_user[user_id][-10:], slate)
-    rows = []
-    for item in feed:
-        if item.kind == "organic":
-            rows.append(["organic", f"msg {item.msg_id}"])
-        else:
-            rows.append(
-                ["sponsored", engine.corpus.get(item.ad_id).advertiser]
-            )
-    print()
-    print(ascii_table(["position", "content"],
-                      rows, title=f"Assembled feed for user {user_id}"))
 
 
 if __name__ == "__main__":

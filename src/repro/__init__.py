@@ -21,66 +21,21 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reconstructed evaluation suite.
 """
 
-from repro.ads.ad import Ad
-from repro.ads.corpus import AdCorpus
-from repro.ads.ctr import CtrEstimator
-from repro.ads.targeting import TargetingSpec
-from repro.cluster.sharded import ShardedEngine
-from repro.core.config import EngineConfig, ScoringWeights
-from repro.core.engine import AdEngine
+from repro.core.config import EngineConfig
 from repro.core.recommender import ContextAwareRecommender
-from repro.core.scoring import ScoredAd, ScoringModel
-from repro.datagen.importer import ImportedTrace, import_tweets
-from repro.datagen.workload import Workload, WorkloadConfig, generate_workload
-from repro.feed.assembler import AdSlotPolicy, FeedAssembler
-from repro.errors import (
-    BudgetError,
-    ConfigError,
-    CorpusError,
-    ReproError,
-    UnknownAdError,
-    UnknownUserError,
-)
-from repro.geo.point import GeoPoint
-from repro.graph.social import SocialGraph
+from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
-from repro.io.serialize import load_workload, save_workload
-from repro.obs.tracer import NoopTracer, RecordingTracer
+from repro.obs.tracer import RecordingTracer
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Ad",
-    "AdCorpus",
-    "AdEngine",
-    "AdSlotPolicy",
-    "BudgetError",
-    "CtrEstimator",
-    "FeedAssembler",
-    "ImportedTrace",
-    "NoopTracer",
-    "RecordingTracer",
-    "ShardedEngine",
-    "import_tweets",
-    "load_checkpoint",
-    "load_workload",
-    "save_checkpoint",
-    "save_workload",
-    "ConfigError",
     "ContextAwareRecommender",
-    "CorpusError",
     "EngineConfig",
-    "GeoPoint",
-    "ReproError",
-    "ScoredAd",
-    "ScoringModel",
-    "ScoringWeights",
-    "SocialGraph",
-    "TargetingSpec",
-    "UnknownAdError",
-    "UnknownUserError",
-    "Workload",
+    "RecordingTracer",
     "WorkloadConfig",
     "generate_workload",
+    "load_checkpoint",
+    "save_checkpoint",
     "__version__",
 ]

@@ -132,6 +132,10 @@ def _dashboard_line(snapshot, report, qos_summary=None) -> str:
 
 def _build_qos_controller(args: argparse.Namespace):
     """Wire the ``--qos`` flags into a QoS controller (None without --qos)."""
+    if args.qos_rate < 0.0:
+        raise ConfigError(
+            f"--qos-rate must be >= 0 (0 disables admission), got {args.qos_rate:g}"
+        )
     if not args.qos:
         return None
     from repro.qos import AdmissionController, DegradationLadder, QosController
@@ -227,6 +231,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 
 def _backend_from_args(args: argparse.Namespace) -> dict[str, int]:
     """The ``build_backend`` shape ``--shards`` / ``--workers`` ask for."""
+    for flag, count in (("--shards", args.shards), ("--workers", args.workers)):
+        if count < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {count}")
     if args.shards and args.workers:
         raise ConfigError(
             "--shards and --workers each say where the shards live — drop one"
@@ -287,6 +294,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.scenarios import ScenarioDriver, ScriptedClick, build_backend
     from repro.util.timers import LatencyRecorder
 
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
+    targets = _parse_slo_targets(args.slo_p99_ms)
+    if not targets and args.slo_min_dps <= 0.0:
+        # A bare --slo still needs something to judge: a permissive
+        # default target on the end-to-end delivery stage.
+        targets = {"delivery": 50.0}
+    # Validated before anything is built: a misspelt stage exits 2.
+    slo = SloSpec(
+        stage_p99_ms=targets, min_deliveries_per_s=max(args.slo_min_dps, 0.0)
+    )
     workload = _workload_from_args(args)
     shape = _backend_from_args(args)
     request_tracer = _build_request_tracer(args)
@@ -306,11 +324,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         linucb_sync_interval_s=args.linucb_sync,
     )
     grading = args.slo or controller is not None  # --qos reacts to grades
-    targets = _parse_slo_targets(args.slo_p99_ms)
-    if not targets and args.slo_min_dps <= 0.0:
-        # A bare --slo still needs something to judge: a permissive
-        # default target on the end-to-end delivery stage.
-        targets = {"delivery": 50.0}
     registry = interval = None
     if grading or args.live or args.metrics_out or args.prom_out:
         span = events[-1].timestamp - events[0].timestamp
@@ -352,10 +365,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if grading:
             monitor = HealthMonitor(
                 lambda: backend.metrics,  # re-merged from every shard
-                SloSpec(
-                    stage_p99_ms=targets,
-                    min_deliveries_per_s=max(args.slo_min_dps, 0.0),
-                ),
+                slo,
                 # Raw-grade breach: snapshot the black box at the *first*
                 # bad interval, not the hysteresis-confirmed one.
                 on_breach=lambda report: dump_flight("slo_breach"),
@@ -373,7 +383,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             if writer is not None:
                 writer.append(snapshot, health=report)
 
-        driver = ScenarioDriver(backend, workload, batch_size=max(args.batch, 1))
+        driver = ScenarioDriver(backend, workload, batch_size=args.batch)
         totals = driver.run(events, interval_s=interval, on_interval=on_interval)
 
         stats = backend.cluster_stats()

@@ -91,17 +91,12 @@ class AdEngine:
         *,
         config: EngineConfig | None = None,
         tokenizer: Tokenizer | None = None,
-        text_vectorizer=None,
         tracer: StageTracer | None = None,
         metrics: "MetricsRegistry | None" = None,
         qos: "QosController | None" = None,
         request_tracer: "RequestTracer | None" = None,
     ) -> None:
-        """``text_vectorizer`` (optional ``str -> sparse vector``) replaces
-        the default tokenize→TF-IDF pipeline — how the concept-enriched
-        :class:`~repro.text.hybrid.HybridVectorizer` plugs in.
-
-        ``tracer`` (optional :class:`~repro.obs.tracer.StageTracer`)
+        """``tracer`` (optional :class:`~repro.obs.tracer.StageTracer`)
         receives one span per pipeline stage per event; the default
         :class:`~repro.obs.tracer.NoopTracer` observes nothing.
         ``metrics`` (optional :class:`~repro.obs.registry.MetricsRegistry`)
@@ -184,9 +179,7 @@ class AdEngine:
         self.personalizer = Personalizer(self.services)
         self.pipeline = DeliveryPipeline.for_services(
             self.services,
-            vectorize=TextVectorizeStage(
-                self.vectorizer, self.tokenizer, custom=text_vectorizer
-            ),
+            vectorize=TextVectorizeStage(self.vectorizer, self.tokenizer),
             candidate_generator=self.candidate_gen,
             personalizer=self.personalizer,
         )

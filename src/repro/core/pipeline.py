@@ -177,22 +177,13 @@ class FeedbackStage(Protocol):
 
 
 class TextVectorizeStage:
-    """tokenize → TF-IDF, or a custom ``str -> sparse vector`` override
-    (how the concept-enriched hybrid vectorizer plugs in)."""
+    """tokenize → TF-IDF."""
 
-    def __init__(
-        self,
-        vectorizer: TfidfVectorizer,
-        tokenizer: Tokenizer,
-        custom=None,
-    ) -> None:
+    def __init__(self, vectorizer: TfidfVectorizer, tokenizer: Tokenizer) -> None:
         self._vectorizer = vectorizer
         self._tokenizer = tokenizer
-        self._custom = custom
 
     def vectorize(self, text: str) -> MutableSparseVector:
-        if self._custom is not None:
-            return self._custom(text)
         return self._vectorizer.transform(self._tokenizer.tokenize(text))
 
 

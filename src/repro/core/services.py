@@ -71,11 +71,6 @@ class EngineStats:
         """Fan-out size before admission control: admitted + shed."""
         return self.deliveries + self.deliveries_shed
 
-    def mean_probe_depth(self) -> float:
-        if self.shared_probes == 0:
-            return 0.0
-        return self.probe_depth_total / self.shared_probes
-
     def fallback_rate(self) -> float:
         if self.deliveries == 0:
             return 0.0

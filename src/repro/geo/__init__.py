@@ -1,6 +1,5 @@
-"""Geospatial substrate: points, distances, named regions, grid index."""
+"""Geospatial substrate: points, distances, named regions."""
 
-from repro.geo.grid import GridIndex
 from repro.geo.point import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from repro.geo.regions import CITIES, City, nearest_city
 
@@ -9,7 +8,6 @@ __all__ = [
     "City",
     "EARTH_RADIUS_KM",
     "GeoPoint",
-    "GridIndex",
     "haversine_km",
     "nearest_city",
 ]

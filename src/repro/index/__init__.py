@@ -1,11 +1,9 @@
-"""Top-k ad retrieval: inverted index, TA reference and numpy mirror,
-spatial filter."""
+"""Top-k ad retrieval: inverted index, TA reference and numpy mirror."""
 
 from repro.index.brute import exact_topk
 from repro.index.compact import CompactIndex, IdInterner
 from repro.index.inverted import AdInvertedIndex
 from repro.index.postings import PostingList
-from repro.index.spatial import SpatialAdFilter
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
 
@@ -14,7 +12,6 @@ __all__ = [
     "CompactIndex",
     "IdInterner",
     "PostingList",
-    "SpatialAdFilter",
     "ThresholdSearcher",
     "VectorSearcher",
     "exact_topk",

@@ -32,6 +32,7 @@ from enum import Enum
 
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry, RegistrySnapshot
+from repro.obs.tracer import STAGES
 
 __all__ = ["HealthMonitor", "HealthReport", "HealthState", "SloSpec"]
 
@@ -73,6 +74,13 @@ class SloSpec:
 
     def __post_init__(self) -> None:
         for stage, target in self.stage_p99_ms.items():
+            # A window that never exists grades as "no traffic", so a
+            # misspelt stage would pass every interval: refuse it here.
+            # ``candidate[vector]``-style kind suffixes name real windows.
+            if stage.partition("[")[0] not in STAGES:
+                raise ConfigError(
+                    f"unknown SLO stage {stage!r}; stages are {', '.join(STAGES)}"
+                )
             if target <= 0.0:
                 raise ConfigError(
                     f"p99 target for stage {stage!r} must be positive, got {target}"

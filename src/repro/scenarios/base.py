@@ -226,6 +226,9 @@ def build_scenario_stream(
         raise ConfigError(
             f"unknown scenario(s) {unknown}; known: {sorted(SCENARIOS)}"
         )
+    if limit_posts is not None and limit_posts < 1:
+        # A negative slice bound would silently drop the stream's tail.
+        raise ConfigError(f"limit_posts must be >= 1, got {limit_posts}")
     base_posts = list(
         workload.posts if limit_posts is None else workload.posts[:limit_posts]
     )

@@ -1,10 +1,9 @@
 """Stream substrate: event types and the simulated clock."""
 
 from repro.stream.clock import SimClock, diurnal_timestamps
-from repro.stream.events import AdImpression, Checkin, Delivery, Post
+from repro.stream.events import Checkin, Delivery, Post
 
 __all__ = [
-    "AdImpression",
     "Checkin",
     "Delivery",
     "Post",

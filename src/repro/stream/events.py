@@ -38,14 +38,3 @@ class Checkin:
     user_id: int
     point: GeoPoint
     timestamp: float
-
-
-@dataclass(frozen=True, slots=True)
-class AdImpression:
-    """An ad shown next to a delivered message, with the price charged."""
-
-    user_id: int
-    msg_id: int
-    ad_id: int
-    timestamp: float
-    price: float

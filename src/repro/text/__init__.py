@@ -1,11 +1,5 @@
-"""Text pipeline: tokenisation, stemming, weighting and concept annotation.
+"""Text pipeline: tokenisation, stemming and TF-IDF weighting."""
 
-This package is the offline stand-in for the text services a production
-system would call out to (it replaces DBpedia-Spotlight-style annotation with
-a dictionary phrase linker — see DESIGN.md, substitutions table).
-"""
-
-from repro.text.annotator import Annotation, ConceptAnnotator
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.tokenizer import Tokenizer, TokenizerConfig
@@ -13,8 +7,6 @@ from repro.text.vectorizer import TfidfVectorizer
 from repro.text.vocabulary import Vocabulary
 
 __all__ = [
-    "Annotation",
-    "ConceptAnnotator",
     "PorterStemmer",
     "STOPWORDS",
     "TfidfVectorizer",

@@ -705,3 +705,32 @@ class TestNoFlagIsSilentlyDropped:
             code = main(["replay", *FAST, *streams[stream], *flags])
         assert code == 0
         assert path.exists() and path.stat().st_size > 0
+
+
+class TestNoFlagIsSilentlyCoerced:
+    """A value a flag cannot mean is a usage error naming the flag, not a
+    quietly different run."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["replay", "--slo", "--slo-p99-ms", "delivry=0.0001"], "'delivry'"),
+            (["replay", "--limit", "-5"], "limit_posts must be >= 1, got -5"),
+            (["canary", "--limit", "-5"], "limit_posts must be >= 1, got -5"),
+            (["replay", "--batch", "0"], "--batch must be >= 1, got 0"),
+            (["replay", "--batch", "-3"], "--batch must be >= 1, got -3"),
+            (["replay", "--qos", "--qos-rate", "-5"], "--qos-rate must be >= 0"),
+            (["replay", "--workers", "-1"], "--workers must be >= 0, got -1"),
+            (["canary", "--shards", "-2"], "--shards must be >= 0, got -2"),
+        ],
+        ids=[
+            "slo-stage", "limit", "canary-limit", "batch-0", "batch-neg",
+            "qos-rate", "workers", "canary-shards",
+        ],
+    )
+    def test_usage_error_names_the_flag(self, argv, named, capsys):
+        command, *flags = argv
+        assert main([command, *FAST, *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "Replay summary" not in captured.out

@@ -31,6 +31,14 @@ class TestSloSpec:
         with pytest.raises(ConfigError):
             SloSpec(overload_factor=1.0)
 
+    def test_unknown_stage_is_rejected(self):
+        # An absent window grades as "no traffic": a misspelt stage would
+        # pass every interval instead of being judged.
+        with pytest.raises(ConfigError, match="unknown SLO stage 'delivry'"):
+            SloSpec(stage_p99_ms={"delivry": 0.0001})
+        for stage in ("vectorize", "candidate[vector]", "personalize[linucb]"):
+            assert SloSpec(stage_p99_ms={stage: 1.0}).stage_p99_ms == {stage: 1.0}
+
     def test_error_budget(self):
         assert SloSpec(compliance_target=0.95).error_budget == pytest.approx(0.05)
 

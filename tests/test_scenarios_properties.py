@@ -10,6 +10,7 @@ Three invariants the record/replay story stands on:
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -104,8 +105,16 @@ def test_unknown_scenario_is_rejected(tiny_workload):
 
 
 def test_zero_base_posts_is_rejected(tiny_workload):
-    with pytest.raises(ConfigError, match="zero base posts"):
+    with pytest.raises(ConfigError, match="limit_posts must be >= 1, got 0"):
         build_scenario_stream(tiny_workload, [], limit_posts=0)
+    with pytest.raises(ConfigError, match="zero base posts"):
+        build_scenario_stream(SimpleNamespace(posts=[]), [])
+
+
+def test_negative_limit_is_rejected_not_sliced(tiny_workload):
+    """``posts[:-5]`` would silently drop the tail; a limit counts posts."""
+    with pytest.raises(ConfigError, match="limit_posts must be >= 1, got -5"):
+        build_scenario_stream(tiny_workload, [], limit_posts=-5)
 
 
 def test_check_stream_rejects_time_travel():
