@@ -67,7 +67,7 @@ class SystemRecommender(SlateRecommender):
             timestamp,
             k,
         )
-        return [scored.ad_id for scored in result.slate]
+        return result.slate.ad_ids.tolist()
 
     def observe_post(
         self, author_id: int, message_vec: SparseVector, timestamp: float

@@ -29,7 +29,7 @@ from repro.core.pipeline import (
 )
 from repro.core.recommender import ContextAwareRecommender
 from repro.core.rerank import Personalizer
-from repro.core.scoring import ScoredAd, ScoringModel
+from repro.core.scoring import ScoredAd, ScoringModel, Slate
 from repro.core.services import EngineServices, EngineStats
 
 __all__ = [
@@ -54,5 +54,6 @@ __all__ = [
     "ScoringModel",
     "SharedCandidateGenerator",
     "ScoringWeights",
+    "Slate",
     "VectorizeStage",
 ]

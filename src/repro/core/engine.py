@@ -33,7 +33,7 @@ from repro.core.pipeline import (
     TextVectorizeStage,
 )
 from repro.core.rerank import Personalizer
-from repro.core.scoring import ScoredAd, ScoringModel
+from repro.core.scoring import EMPTY_SLATE, ScoringModel, Slate
 from repro.core.services import EngineServices, EngineStats, UserState, UserStateStore
 from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
@@ -517,7 +517,7 @@ class AdEngine:
 
     def slate_for_message(
         self, user_id: int, text: str, timestamp: float
-    ) -> tuple[ScoredAd, ...]:
+    ) -> Slate:
         """One-off exact slate for a (user, message) pair — a read-only query
         that does not touch profiles, contexts or budgets."""
         state = self._state(user_id)
@@ -530,7 +530,7 @@ class AdEngine:
             self.config.k,
         )
 
-    def standing_slate(self, user_id: int) -> tuple[ScoredAd, ...]:
+    def standing_slate(self, user_id: int) -> Slate:
         """Incremental mode: the user's slate as of their last delivery."""
         if self.config.mode is not EngineMode.INCREMENTAL:
             raise ConfigError(
@@ -539,5 +539,5 @@ class AdEngine:
             )
         state = self._state(user_id)
         if state.incremental is None:
-            return ()
+            return EMPTY_SLATE
         return state.incremental.slate

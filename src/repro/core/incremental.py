@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.core.candidates import CandidateSet
 from repro.core.rerank import Personalizer
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import EMPTY_SLATE, ScoredAd, Slate
 from repro.core.services import EngineServices
 from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
@@ -82,13 +82,13 @@ class IncrementalTopK:
             )
         self._shadow: list[int] = []
         self._cutoff = 0.0  # bound on content dot of any ad outside _shadow
-        self._slate: tuple[ScoredAd, ...] = ()
+        self._slate = EMPTY_SLATE
         self._profile_epoch = -1
 
     # -- reads -------------------------------------------------------------
 
     @property
-    def slate(self) -> tuple[ScoredAd, ...]:
+    def slate(self) -> Slate:
         """The standing top-k as of the last arrival."""
         return self._slate
 
@@ -111,7 +111,7 @@ class IncrementalTopK:
         profile_vec: SparseVector,
         profile_epoch: int,
         location: GeoPoint | None,
-    ) -> tuple[ScoredAd, ...]:
+    ) -> Slate:
         """Fold one delivered message into the standing top-k.
 
         ``message_probe`` is the message's shared content probe (depth
@@ -150,7 +150,7 @@ class IncrementalTopK:
             self._cutoff = outside_bound
 
         totals.sort(key=lambda scored: (-scored.score, scored.ad_id))
-        slate = tuple(totals[: self.k])
+        slate = Slate.of(totals[: self.k])
         threshold = slate[-1].score if len(slate) == self.k else float("-inf")
         weights = self.scoring.weights
         certificate = (
@@ -243,7 +243,7 @@ class IncrementalTopK:
                     static=scored.score - alpha * content,
                 )
             )
-        self._slate = tuple(slate)
+        self._slate = Slate.of(slate)
 
         content_probe = make_searcher(self.searcher, self.index).search(
             raw_context, self.shadow_size

@@ -15,9 +15,10 @@ systems use):
 * :class:`ChargeStage` — GSP pricing + budget debit per served slate;
 * :class:`FeedbackStage` — impression bookkeeping for the CTR estimator.
 
-The last two work in columns: a slate the kernel cut travels with its
-mirror rows, and a slate's prices, debits and impressions are array
-operations over its ≤ k entries.
+The last two work in columns: a slate is a
+:class:`~repro.core.scoring.Slate`, the cut's own arrays, and the
+kernel's travels with its mirror rows, so a slate's prices, debits and
+impressions are array operations over its ≤ k entries.
 
 :class:`DeliveryPipeline` wires the stages over one
 :class:`~repro.core.services.EngineServices` and exposes the batch entry
@@ -31,7 +32,6 @@ directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
@@ -42,7 +42,7 @@ from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import EngineMode
 from repro.core.incremental import IncrementalTopK
 from repro.core.rerank import Personalizer
-from repro.core.scoring import ScoredAd, StaticRowCache
+from repro.core.scoring import ScoredAd, Slate, StaticRowCache
 from repro.core.services import EngineServices, UserState
 from repro.errors import ConfigError
 from repro.obs.trace import TraceContext
@@ -80,7 +80,7 @@ class DeliveryResult(NamedTuple):
     cluster's RPC."""
 
     user_id: int
-    slate: tuple[ScoredAd, ...]
+    slate: Slate
     certified: bool
     fell_back: bool
     exact: bool = False
@@ -94,7 +94,7 @@ class PersonalizedDelivery(NamedTuple):
     the kernel adds the slate's mirror rows, entry for entry, so charge
     and feedback read their columns there (None elsewhere)."""
 
-    slate: tuple[ScoredAd, ...]
+    slate: Slate
     certified: bool
     fell_back: bool
     exact: bool
@@ -156,10 +156,7 @@ class ChargeStage(Protocol):
     ``rows`` are the slate's mirror rows when the kernel cut it."""
 
     def charge(
-        self,
-        slate: tuple[ScoredAd, ...],
-        timestamp: float,
-        rows: np.ndarray | None = None,
+        self, slate: Slate, timestamp: float, rows: np.ndarray | None = None
     ) -> float: ...
 
 
@@ -169,7 +166,7 @@ class FeedbackStage(Protocol):
     :class:`ChargeStage`."""
 
     def observe_impressions(
-        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+        self, slate: Slate, rows: np.ndarray | None = None
     ) -> None: ...
 
 
@@ -410,10 +407,10 @@ class GspChargeStage:
         self._reserve_price = services.config.reserve_price
 
     def _looked_up(
-        self, slate: tuple[ScoredAd, ...]
+        self, slate: Slate
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         corpus, budget = self._corpus, self._budget
-        ad_ids = list(map(itemgetter(0), slate))
+        ad_ids = slate.ad_ids.tolist()
         count = len(ad_ids)
         return (
             np.fromiter(map(corpus.is_active, ad_ids), bool, count),
@@ -422,10 +419,7 @@ class GspChargeStage:
         )
 
     def charge(
-        self,
-        slate: tuple[ScoredAd, ...],
-        timestamp: float,
-        rows: np.ndarray | None = None,
+        self, slate: Slate, timestamp: float, rows: np.ndarray | None = None
     ) -> float:
         if not slate:
             return 0.0
@@ -449,10 +443,7 @@ class NoChargeStage:
     """Charging disabled: impressions are free (effectiveness harnesses)."""
 
     def charge(
-        self,
-        slate: tuple[ScoredAd, ...],
-        timestamp: float,
-        rows: np.ndarray | None = None,
+        self, slate: Slate, timestamp: float, rows: np.ndarray | None = None
     ) -> float:
         return 0.0
 
@@ -469,13 +460,11 @@ class CtrFeedbackStage:
         self._columns = columns
 
     def observe_impressions(
-        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+        self, slate: Slate, rows: np.ndarray | None = None
     ) -> None:
         if rows is None:
             slots = np.fromiter(
-                map(self._ctr.slot_of, map(itemgetter(0), slate)),
-                np.int64,
-                len(slate),
+                map(self._ctr.slot_of, slate.ad_ids.tolist()), np.int64, len(slate)
             )
         else:
             slots = self._columns.quality_slots[rows]
@@ -486,7 +475,7 @@ class NoFeedbackStage:
     """Click feedback disabled: impressions leave no trace."""
 
     def observe_impressions(
-        self, slate: tuple[ScoredAd, ...], rows: np.ndarray | None = None
+        self, slate: Slate, rows: np.ndarray | None = None
     ) -> None:
         return None
 
@@ -640,9 +629,7 @@ class DeliveryPipeline:
         self._batch_revenue_shed = 0.0
         return shed
 
-    def _degraded_slate(
-        self, candidates: CandidateSet, k: int
-    ) -> tuple[ScoredAd, ...]:
+    def _degraded_slate(self, candidates: CandidateSet, k: int) -> Slate:
         """Candidates-only serving (the deepest non-shed rung): the shared
         probe's top-k active ads, scored on content alone — zero per-user
         work, shared by the whole fan-out."""
@@ -662,7 +649,7 @@ class DeliveryPipeline:
             )
             if len(slate) >= k:
                 break
-        return tuple(slate)
+        return Slate.of(slate)
 
     def deliver_batch(
         self, event: PostEvent, followers, *, candidates_only: bool = False
@@ -730,7 +717,7 @@ class DeliveryPipeline:
         # default — that single check is the whole disabled-path cost.
         qos = services.qos
         degrading = False
-        degraded_slate: tuple[ScoredAd, ...] | None = None
+        degraded_slate: Slate | None = None
         if qos is not None and qos.active:
             value = qos.delivery_value(
                 slate_value_bound(candidates, services.corpus, services.config.k)
@@ -845,6 +832,7 @@ class DeliveryPipeline:
                 stats.fallback_deliveries += 1
             elif not certified:
                 stats.approximate_deliveries += 1
+            impressions = len(slate)
             revenue = charge(slate, event.timestamp, rows)
             if observing:
                 now = perf_counter()
@@ -855,11 +843,11 @@ class DeliveryPipeline:
                 emit("feedback", perf_counter() - span_started)
             if metering:
                 metrics.inc("deliveries")
-                metrics.inc("impressions", len(slate))
+                metrics.inc("impressions", impressions)
                 metrics.inc("revenue", revenue)
                 if degrading:
                     metrics.inc("deliveries_degraded")
-            stats.impressions += len(slate)
+            stats.impressions += impressions
             stats.revenue += revenue
             outcomes.append(
                 DeliveryResult(

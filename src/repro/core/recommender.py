@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import EngineConfig
 from repro.core.engine import AdEngine, EngineStats, PostResult
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, Slate
 from repro.geo.point import GeoPoint
 
 if TYPE_CHECKING:  # avoid an import cycle: datagen imports core types
@@ -95,10 +95,10 @@ class ContextAwareRecommender:
 
     def slate_for_message(
         self, user_id: int, text: str, timestamp: float
-    ) -> tuple[ScoredAd, ...]:
+    ) -> Slate:
         return self.engine.slate_for_message(user_id, text, timestamp)
 
-    def standing_slate(self, user_id: int) -> tuple[ScoredAd, ...]:
+    def standing_slate(self, user_id: int) -> Slate:
         return self.engine.standing_slate(user_id)
 
     def explain(self, scored: ScoredAd) -> str:

@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.core.scoring import ScoredAd, StaticRowCache, boxed_slate
+from repro.core.scoring import EMPTY_SLATE, ScoredAd, Slate, StaticRowCache
 from repro.core.services import EngineServices
 from repro.core.static_list import GlobalStaticTopList
 from repro.geo.point import GeoPoint
@@ -66,10 +66,10 @@ from repro.util.sparse import SparseVector, dot
 class PersonalizedSlate:
     """One user's slate plus how it was produced — what
     :meth:`Personalizer.slate_for` returns. Only the ``ta`` reference can
-    leave a slate uncertified or fall back; the kernel's slates are bare
-    tuples."""
+    leave a slate uncertified or fall back; the kernel hands over bare
+    slates."""
 
-    slate: tuple[ScoredAd, ...]
+    slate: Slate
     certified: bool
     fell_back: bool
 
@@ -253,7 +253,7 @@ class Personalizer:
             if evaluated is not None:
                 scored.append(evaluated)
         scored.sort(key=lambda entry: (-entry.score, entry.ad_id))
-        slate = tuple(scored[:k])
+        slate = Slate.of(scored[:k])
 
         weights = scoring.weights
         certificate = (
@@ -368,10 +368,11 @@ class Personalizer:
         bid: np.ndarray,
         kept: np.ndarray,
         k: int,
-    ) -> tuple[tuple[ScoredAd, ...], np.ndarray]:
-        """Top-``k`` of the ``kept`` rows as ``(slate, its rows)``."""
+    ) -> tuple[Slate, np.ndarray]:
+        """Top-``k`` of the ``kept`` rows as ``(slate, its rows)``: the
+        cut's own arrays, nothing boxed."""
         if not kept.shape[0]:
-            return (), kept
+            return EMPTY_SLATE, kept
         ad_ids = self._compact.ad_ids
         static_kept, score_kept = self._scoring.fanout_scores(
             content[kept], affinity[kept], proximity[kept], bid[kept]
@@ -379,12 +380,7 @@ class Personalizer:
         chosen = topk_order(score_kept, ad_ids[kept], k)
         rows = kept[chosen]
         return (
-            boxed_slate(
-                ad_ids[rows].tolist(),
-                score_kept[chosen].tolist(),
-                content[rows].tolist(),
-                static_kept[chosen].tolist(),
-            ),
+            Slate(ad_ids[rows], score_kept[chosen], content[rows], static_kept[chosen]),
             rows,
         )
 
@@ -396,10 +392,9 @@ class Personalizer:
         timestamp: float,
         k: int,
         *,
-        served: Callable[[int, tuple[ScoredAd, ...], np.ndarray], None]
-        | None = None,
+        served: Callable[[int, Slate, np.ndarray], None] | None = None,
         cut: Callable[[int], None] | None = None,
-    ) -> list[tuple[ScoredAd, ...]]:
+    ) -> list[Slate]:
         """The exact top-``k`` for every follower of one event, in order
         — the one entry point of a fan-out.
 
@@ -444,7 +439,7 @@ class Personalizer:
         before the next cut — the values a rebuild would give,
         elementwise — and named for the next event's re-read.
         """
-        results: list[tuple[ScoredAd, ...]] = []
+        results: list[Slate] = []
         scoring = self._scoring
         compact = self._compact
         self._calls += 1
@@ -563,7 +558,7 @@ class Personalizer:
         bid: np.ndarray,
         time_keep: np.ndarray,
         k: int,
-    ) -> list[tuple[tuple[ScoredAd, ...], np.ndarray]]:
+    ) -> list[tuple[Slate, np.ndarray]]:
         """``(slate, its rows)`` for each of ``followers``, cut together:
         what the run of one serves each of them while nothing is written
         in between — the same elementwise arithmetic on a (followers ×
@@ -664,18 +659,23 @@ class Personalizer:
         kept = np.bincount(owner, minlength=count)
         rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(kept) - kept, kept)
         top = order[rank < k]
-        rows = rows[top]
-        # Every follower's entries boxed at once; a slate is a slice.
-        entries = boxed_slate(
-            ad_ids[top].tolist(),
-            score[top].tolist(),
-            content[top].tolist(),
-            static[top].tolist(),
-        )
+        rows, ad_ids = rows[top], ad_ids[top]
+        score, content, static = score[top], content[top], static[top]
+        # A follower's slate is a slice of the block's columns.
         cuts = []
         start = 0
         for stop in np.cumsum(np.minimum(kept, k)).tolist():
-            cuts.append((entries[start:stop], rows[start:stop]))
+            cuts.append(
+                (
+                    Slate(
+                        ad_ids[start:stop],
+                        score[start:stop],
+                        content[start:stop],
+                        static[start:stop],
+                    ),
+                    rows[start:stop],
+                )
+            )
             start = stop
         return cuts
 
@@ -686,7 +686,7 @@ class Personalizer:
         location: GeoPoint | None,
         timestamp: float,
         k: int,
-    ) -> tuple[ScoredAd, ...]:
+    ) -> Slate:
         """One guaranteed-exact top-k for a (message, profile) pair. On
         the vector searcher that is the kernel — no shared probe, one
         anonymous follower; on ``ta`` one combined-query probe (also the
@@ -717,4 +717,4 @@ class Personalizer:
                     static=entry.score - scoring.weights.alpha * content,
                 )
             )
-        return tuple(slate)
+        return Slate.of(slate)

@@ -21,8 +21,10 @@ served, no matter their bid.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,19 +49,121 @@ class ScoredAd(NamedTuple):
     static: float
 
 
-def boxed_slate(
+class Slate(Sequence):
+    """One served slate: the cut's four columns, read as an immutable
+    sequence of :class:`ScoredAd`.
+
+    ``ad_ids`` (int64) and ``scores`` / ``contents`` / ``statics``
+    (float64) are arrays, entry for entry in slate order — the kernel's
+    own, handed over as cut (a block's slates are slices of the block's
+    columns), so they are shared and never written. An entry is boxed
+    only when something reads one: iteration and indexing box in C
+    (``tuple.__new__`` over the ``tolist()`` columns), while ``len``,
+    ``bool`` and slicing stay in arrays. Against a tuple of the same
+    entries a slate is ``==``, hashes and prints alike; it pickles as
+    four plain lists.
+
+    It is not a tuple of entries on purpose: CPython stops tracking an
+    *exact* tuple of untracked items at its first collection, but a
+    tuple subclass such as ``ScoredAd`` stays tracked for life, so every
+    entry a caller keeps would be walked again by every full collection.
+    A slate is one tracked object over untracked arrays.
+    """
+
+    __slots__ = ("ad_ids", "scores", "contents", "statics")
+
+    def __new__(
+        cls,
+        ad_ids: np.ndarray,
+        scores: np.ndarray,
+        contents: np.ndarray,
+        statics: np.ndarray,
+    ) -> "Slate":
+        slate = object.__new__(cls)
+        slate.ad_ids = ad_ids
+        slate.scores = scores
+        slate.contents = contents
+        slate.statics = statics
+        return slate
+
+    @staticmethod
+    def of(entries: Iterable[ScoredAd]) -> "Slate":
+        """The slate of ``entries``, in order (the per-entry paths: the
+        ``ta`` reference, degraded serving, INCREMENTAL)."""
+        columns = tuple(zip(*entries))
+        return _columns_slate(*columns) if columns else EMPTY_SLATE
+
+    def __len__(self) -> int:
+        return len(self.ad_ids)
+
+    def __iter__(self) -> Iterator[ScoredAd]:
+        return map(
+            tuple.__new__,
+            repeat(ScoredAd),
+            zip(
+                self.ad_ids.tolist(),
+                self.scores.tolist(),
+                self.contents.tolist(),
+                self.statics.tolist(),
+            ),
+        )
+
+    def __getitem__(self, index: int | slice) -> "ScoredAd | Slate":
+        if isinstance(index, slice):
+            return Slate(
+                self.ad_ids[index],
+                self.scores[index],
+                self.contents[index],
+                self.statics[index],
+            )
+        index = operator.index(index)
+        return tuple.__new__(
+            ScoredAd,
+            (
+                self.ad_ids.item(index),
+                self.scores.item(index),
+                self.contents.item(index),
+                self.statics.item(index),
+            ),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, Slate)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _columns_slate, (
+            self.ad_ids.tolist(),
+            self.scores.tolist(),
+            self.contents.tolist(),
+            self.statics.tolist(),
+        )
+
+
+def _columns_slate(
     ad_ids: Iterable[int],
     scores: Iterable[float],
     contents: Iterable[float],
     statics: Iterable[float],
-) -> tuple[ScoredAd, ...]:
-    """Slate entries from their four columns (``tolist()`` of a cut),
-    boxed in C: ``tuple.__new__`` over the zipped columns makes each entry
-    without the Python frame a ``ScoredAd(...)`` call costs. The one way
-    an array path builds a slate."""
-    return tuple(
-        map(tuple.__new__, repeat(ScoredAd), zip(ad_ids, scores, contents, statics))
+) -> Slate:
+    """A slate from four column sequences (an unpickled slate's lists)."""
+    return Slate(
+        np.array(ad_ids, dtype=np.int64),
+        np.array(scores, dtype=np.float64),
+        np.array(contents, dtype=np.float64),
+        np.array(statics, dtype=np.float64),
     )
+
+
+#: The slate with no entries, shared.
+EMPTY_SLATE = _columns_slate((), (), (), ())
 
 
 class StaticRowCache:

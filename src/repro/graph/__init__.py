@@ -3,7 +3,6 @@
 from repro.graph.generators import (
     preferential_attachment_graph,
     random_follow_graph,
-    zipf_fanout_graph,
 )
 from repro.graph.social import GraphStats, SocialGraph
 
@@ -12,5 +11,4 @@ __all__ = [
     "SocialGraph",
     "preferential_attachment_graph",
     "random_follow_graph",
-    "zipf_fanout_graph",
 ]

@@ -1,14 +1,11 @@
 """Synthetic follow-graph generators.
 
-Three models with increasingly realistic degree skew:
+Two models with increasingly realistic degree skew:
 
 * ``random_follow_graph`` — Erdős–Rényi-style, every potential edge with the
   same probability (a sanity baseline).
 * ``preferential_attachment_graph`` — rich-get-richer follower counts, the
   standard model for power-law in-degree in social networks.
-* ``zipf_fanout_graph`` — direct control of the fan-out distribution: user
-  ranks map to Zipfian follower counts, which is the knob the F5 benchmark
-  sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import random
 
 from repro.errors import ConfigError
 from repro.graph.social import SocialGraph
-from repro.util.zipf import ZipfSampler
 
 
 def _empty_graph(num_users: int) -> SocialGraph:
@@ -81,40 +77,3 @@ def preferential_attachment_graph(
         urn.append(joiner)
     return graph
 
-
-def zipf_fanout_graph(
-    num_users: int,
-    avg_fanout: float,
-    rng: random.Random,
-    *,
-    exponent: float = 1.0,
-) -> SocialGraph:
-    """Assign each user a Zipf-ranked follower count averaging ``avg_fanout``.
-
-    User 0 is the biggest celebrity. Followers are drawn uniformly from the
-    other users, so out-degree stays roughly uniform while in-degree follows
-    the requested skew — matching how feed fan-out cost is distributed in
-    practice.
-    """
-    if avg_fanout < 0.0:
-        raise ConfigError(f"avg_fanout must be >= 0, got {avg_fanout}")
-    if avg_fanout > num_users - 1:
-        raise ConfigError(
-            f"avg_fanout {avg_fanout} impossible with {num_users} users"
-        )
-    graph = _empty_graph(num_users)
-    if avg_fanout == 0.0 or num_users == 1:
-        return graph
-    sampler = ZipfSampler(num_users, exponent)
-    total_edges = round(avg_fanout * num_users)
-    masses = [sampler.probability(rank) for rank in range(num_users)]
-    for followee in range(num_users):
-        target = min(num_users - 1, round(masses[followee] * total_edges))
-        chosen: set[int] = set()
-        while len(chosen) < target:
-            follower = rng.randrange(num_users)
-            if follower != followee:
-                chosen.add(follower)
-        for follower in chosen:
-            graph.follow(follower, followee)
-    return graph

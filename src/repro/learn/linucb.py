@@ -42,14 +42,14 @@ degraded traffic.
 
 from __future__ import annotations
 
-from operator import itemgetter, neg
+from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.ads.ctr import CtrEstimator
-from repro.core.scoring import boxed_slate
+from repro.core.scoring import Slate
 from repro.errors import ConfigError
 from repro.obs.registry import NULL_METRICS
 
@@ -149,14 +149,17 @@ class LinUcbLearner:
     def epoch_of(self, timestamp: float) -> int:
         return int(float(timestamp) // self.sync_interval_s)
 
-    def features(self, slate) -> list[tuple]:
-        """The slate's feature rows ``(1, content, static, arm CTR)``."""
-        arm_ctr = self._arm_ctr.get
-        unseen = self._unseen_ctr
-        return [
-            (1.0, entry.content, entry.static, arm_ctr(entry.ad_id, unseen))
-            for entry in slate
-        ]
+    def features(self, slate: Slate) -> list[tuple]:
+        """The slate's feature rows ``(1, content, static, arm CTR)``,
+        read from its columns."""
+        return list(
+            zip(
+                repeat(1.0),
+                slate.contents.tolist(),
+                slate.statics.tolist(),
+                map(self._arm_ctr.get, slate.ad_ids.tolist(), repeat(self._unseen_ctr)),
+            )
+        )
 
     def bonus(self, X: np.ndarray) -> np.ndarray:
         """The UCB score adjustment per feature row (snapshot read)."""
@@ -166,39 +169,42 @@ class LinUcbLearner:
             bonus += self.alpha * np.sqrt(((X @ self._A_inv) * X).sum(axis=1))
         return bonus
 
-    def rerank(self, slate):
-        """Blend UCB bonuses into a served slate.
+    def rerank(
+        self, slate: Slate
+    ) -> tuple[Slate, list[tuple], np.ndarray | None]:
+        """Blend UCB bonuses into a served slate, in its columns.
 
-        Returns ``(slate, rows)``: the re-scored slate under the engine's
-        ``(-score, ad_id)`` order and its feature rows in that order, for
-        :meth:`observe_slate`. When every bonus is exactly ``0.0`` (``θ =
-        0`` and ``alpha = 0``) the input object is returned untouched —
-        the byte-identity the differential oracle relies on.
+        Returns ``(slate, rows, order)``: the re-scored slate under the
+        engine's ``(-score, ad_id)`` order, its feature rows in that order
+        (for :meth:`observe_slate`) and the permutation that took the
+        input there, so a caller can carry its own per-entry columns
+        along. When every bonus is exactly ``0.0`` (``θ = 0`` and ``alpha
+        = 0``) the input object is returned untouched with ``order`` None
+        — the byte-identity the differential oracle relies on.
         """
         rows = self.features(slate)
         bonus = self.bonus(np.array(rows))
         if not bonus.any():
-            return slate, rows
-        ranked = sorted(
-            [
-                (-(entry.score + extra), entry.ad_id, x)
-                for entry, extra, x in zip(slate, bonus.tolist(), rows)
-            ]
-        )
-        negated, ad_ids, rows = zip(*ranked)
+            return slate, rows, None
+        # The same IEEE add per entry as ``entry.score + extra``.
+        scores = slate.scores + bonus
+        order = np.lexsort((slate.ad_ids, -scores))
         return (
-            boxed_slate(
-                ad_ids,
-                map(neg, negated),
-                map(itemgetter(1), rows),
-                map(itemgetter(2), rows),
+            Slate(
+                slate.ad_ids[order],
+                scores[order],
+                slate.contents[order],
+                slate.statics[order],
             ),
-            list(rows),
+            list(map(rows.__getitem__, order.tolist())),
+            order,
         )
 
     # -- online updates --------------------------------------------------
 
-    def observe_slate(self, msg_id: int, user_id: int, slate, rows=None) -> None:
+    def observe_slate(
+        self, msg_id: int, user_id: int, slate: Slate, rows=None
+    ) -> None:
         """Record negative impressions + click contexts for a served slate.
 
         ``rows`` are the slate's feature rows as :meth:`rerank` returned
@@ -210,11 +216,9 @@ class LinUcbLearner:
             rows = self.features(slate)
         msg = int(msg_id)
         user = int(user_id)
-        for slot, (entry, x) in enumerate(zip(slate, rows)):
-            self._pending.append(
-                (msg, user, slot, KIND_IMPRESSION, entry.ad_id, x)
-            )
-            self._contexts[(user, entry.ad_id)] = (msg, slot, x)
+        for slot, (ad_id, x) in enumerate(zip(slate.ad_ids.tolist(), rows)):
+            self._pending.append((msg, user, slot, KIND_IMPRESSION, ad_id, x))
+            self._contexts[(user, ad_id)] = (msg, slot, x)
 
     def record_click(
         self,
@@ -478,17 +482,12 @@ class LinUcbRerankStage:
         if not slate:
             return delivered
         learner = self._learner
-        reranked, features = learner.rerank(slate)
-        if reranked is not slate:
+        reranked, features, order = learner.rerank(slate)
+        if order is not None:
+            # The kernel's rows follow their entries through the re-sort.
             rows = delivered.rows
-            if rows is not None:
-                # The kernel's rows follow their entries through the re-sort.
-                row_of = dict(zip(map(itemgetter(0), slate), rows.tolist()))
-                rows = np.fromiter(
-                    map(row_of.__getitem__, map(itemgetter(0), reranked)),
-                    rows.dtype,
-                    len(reranked),
-                )
-            delivered = delivered._replace(slate=reranked, rows=rows)
+            delivered = delivered._replace(
+                slate=reranked, rows=None if rows is None else rows[order]
+            )
         learner.observe_slate(event.msg_id, user_id, reranked, features)
         return delivered

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from repro.ads.ctr import CtrEstimator
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, Slate
 from repro.learn.linucb import LinUcbLearner, sort_records
 
 __all__ = [
@@ -234,15 +234,15 @@ class LinUcbPolicy:
         self.learner = learner
 
     @staticmethod
-    def _slate(event: LoggedEvent, ad_ids) -> tuple[ScoredAd, ...]:
+    def _slate(event: LoggedEvent, ad_ids) -> Slate:
         features = event.features
-        return tuple(
+        return Slate.of(
             ScoredAd(ad_id, 0.0, features[ad_id][1], features[ad_id][2])
             for ad_id in ad_ids
         )
 
     def select(self, event: LoggedEvent) -> int:
-        slate, _rows = self.learner.rerank(self._slate(event, event.pool))
+        slate, _rows, _order = self.learner.rerank(self._slate(event, event.pool))
         return slate[0].ad_id
 
     def update(self, event: LoggedEvent) -> None:

@@ -30,6 +30,7 @@ from repro.scenarios.base import (
 )
 
 if TYPE_CHECKING:
+    from repro.core.scoring import Slate
     from repro.datagen.workload import Workload
 
 #: ``on_interval(stream_now, wall_seconds_since_last_tick)``.
@@ -135,7 +136,7 @@ class ScenarioDriver:
         if interval_s is not None and interval_s <= 0.0:
             raise ConfigError(f"interval_s must be positive, got {interval_s}")
         totals = ScenarioTotals()
-        slates: OrderedDict[int, dict[int, tuple]] = OrderedDict()
+        slates: OrderedDict[int, dict[int, Slate]] = OrderedDict()
         dispatch = self._dispatch if self.batch_size <= 1 else self._buffer
         next_tick: float | None = None
         tick_wall = perf_counter()
@@ -195,7 +196,7 @@ class ScenarioDriver:
         """Enter one served post in the books and the click-join cache."""
         results = result if isinstance(result, list) else [result]
         totals.posts += 1
-        delivered: dict[int, tuple] = {}
+        delivered: dict[int, Slate] = {}
         for part in results:
             totals.deliveries += part.num_deliveries
             totals.impressions += part.num_impressions
@@ -228,13 +229,11 @@ class ScenarioDriver:
             if not slate:
                 totals.clicks_skipped += 1
                 return
-            for slot, scored in enumerate(slate[: event.max_slots]):
-                engine.record_click(
-                    scored.ad_id, user_id=event.user_id, slot_index=slot
-                )
+            for slot, ad_id in enumerate(slate.ad_ids[: event.max_slots].tolist()):
+                engine.record_click(ad_id, user_id=event.user_id, slot_index=slot)
                 totals.clicks += 1
                 if self.on_click is not None:
-                    self.on_click(event.user_id, scored.ad_id, slot)
+                    self.on_click(event.user_id, ad_id, slot)
         elif isinstance(event, ScriptedCheckin):
             engine.checkin(
                 event.user_id, GeoPoint(event.lat, event.lon), event.timestamp

@@ -28,7 +28,7 @@ from repro.ads.budget import BudgetManager
 from repro.ads.corpus import AdCorpus
 from repro.ads.ctr import CtrEstimator
 from repro.core.pipeline import CtrFeedbackStage, GspChargeStage
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, Slate
 from repro.errors import BudgetError
 
 PROPERTY_SETTINGS = settings(max_examples=120, deadline=None)
@@ -175,7 +175,7 @@ class TestChargeStage:
     @given(drawn=books(), reserve=RESERVES)
     def test_equal_to_the_reference(self, drawn, reserve):
         ads, slate_ids, spend, retired, _ = drawn
-        slate = tuple(ScoredAd(ad_id, 1.0, 0.5, 0.5) for ad_id in slate_ids)
+        slate = Slate.of(ScoredAd(ad_id, 1.0, 0.5, 0.5) for ad_id in slate_ids)
         # Rows in reverse ad order, so a row is not a position.
         row_of = {ad.ad_id: len(ads) - 1 - index for index, ad in enumerate(ads)}
         results = []
@@ -252,7 +252,7 @@ class TestRecordImpressions:
 
     @pytest.mark.parametrize("discount", [1.0, 0.9])
     def test_the_stage_with_and_without_rows(self, discount):
-        slate = tuple(ScoredAd(ad_id, 1.0, 0.5, 0.5) for ad_id in (7, 3, 9))
+        slate = Slate.of(ScoredAd(ad_id, 1.0, 0.5, 0.5) for ad_id in (7, 3, 9))
         estimators = []
         for with_rows in (False, True):
             ctr = CtrEstimator(discount=discount)

@@ -3,6 +3,7 @@ stage selection per mode, batch fan-out, and pluggable stages."""
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -821,33 +822,83 @@ def wide_fanout_engine(workload, followers: int, **config_kwargs) -> AdEngine:
 class TestTheFanOutBoxesOnce:
     """A wide uncharged fan-out to followers the engine has seen before
     (a first sighting creates their ``UserProfile``) makes no Python-level
-    ``__init__``: slate entries are boxed in C and each delivery is one
-    ``DeliveryResult``, so a frozen dataclass cannot come back on this
-    path unnoticed."""
+    ``__init__`` and boxes no slate entry: each slate is the cut's columns
+    (a :class:`~repro.core.scoring.Slate`) and each delivery is one
+    ``DeliveryResult``, so a frozen dataclass or a per-entry ``ScoredAd``
+    cannot come back on this path unnoticed — nor can a retained delivery
+    that keeps more than its two records under the cyclic collector."""
 
     FOLLOWERS = 600
     CALLS_PER_DELIVERY = 20
+    TRACKED_PER_DELIVERY = 2
+
+    def fan_out(self, workload):
+        """A warm engine's fan-out, ready to deliver: ``(pipeline, event,
+        followers)``."""
+        engine = wide_fanout_engine(workload, self.FOLLOWERS)
+        event = engine.make_event(0, workload.posts[1].text, 1e4)
+        engine.ingest_event(event)
+        return engine.pipeline, event, sorted(engine.graph.followers(0))
+
+    def profiled(self, workload, profiler):
+        pipeline, event, followers = self.fan_out(workload)
+        sys.setprofile(profiler)
+        try:
+            delivered = pipeline.deliver_batch(event, followers)
+        finally:
+            sys.setprofile(None)
+        assert len(delivered) == self.FOLLOWERS
+        assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
+        return delivered
 
     def test_no_init_and_few_calls_per_delivery(self, tiny_workload):
-        engine = wide_fanout_engine(tiny_workload, self.FOLLOWERS)
-        event = engine.make_event(0, tiny_workload.posts[1].text, 1e4)
-        engine.ingest_event(event)
-        followers = sorted(engine.graph.followers(0))
         calls = []
 
         def profiler(frame, event, arg):
             if event == "call":
                 calls.append(frame.f_code.co_name)
 
-        sys.setprofile(profiler)
-        try:
-            delivered = engine.pipeline.deliver_batch(event, followers)
-        finally:
-            sys.setprofile(None)
-        assert len(delivered) == self.FOLLOWERS
-        assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
+        delivered = self.profiled(tiny_workload, profiler)
         assert "__init__" not in calls
         assert len(calls) <= self.CALLS_PER_DELIVERY * len(delivered)
+
+    def test_no_entry_is_boxed(self, tiny_workload):
+        from repro.core.scoring import ScoredAd, Slate
+
+        codes = set()
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                codes.add(frame.f_code)
+
+        def entries() -> int:
+            return sum(type(obj) is ScoredAd for obj in gc.get_objects())
+
+        # Every way to box an entry: the slate's read path and the
+        # constructor.
+        boxing = {
+            Slate.of.__code__,
+            Slate.__iter__.__code__,
+            Slate.__getitem__.__code__,
+            ScoredAd.__new__.__code__,
+        }
+        gc.collect()
+        before = entries()
+        delivered = self.profiled(tiny_workload, profiler)
+        assert codes.isdisjoint(boxing)
+        assert all(type(delivery.slate) is Slate for delivery in delivered)
+        assert entries() == before
+
+    def test_a_kept_delivery_is_two_tracked_objects(self, tiny_workload):
+        pipeline, event, followers = self.fan_out(tiny_workload)
+        gc.collect()
+        before = len(gc.get_objects())
+        delivered = pipeline.deliver_batch(event, followers)
+        gc.collect()
+        # Its ``Slate`` and its ``DeliveryResult``, plus the one list.
+        kept = len(gc.get_objects()) - before - 1
+        assert len(delivered) == self.FOLLOWERS
+        assert kept <= self.TRACKED_PER_DELIVERY * len(delivered)
 
 
 class TestAChargedDeliveryIsColumns:

@@ -15,7 +15,7 @@ from repro.ads.budget import BudgetManager
 from repro.ads.corpus import AdCorpus
 from repro.ads.targeting import TargetingSpec, TimeWindow
 from repro.core.config import ScoringWeights
-from repro.core.scoring import ScoredAd, ScoringModel, boxed_slate
+from repro.core.scoring import ScoredAd, ScoringModel, Slate
 from repro.geo.point import GeoPoint
 
 LONDON = GeoPoint(51.5074, -0.1278)
@@ -131,38 +131,99 @@ ENTRIES = st.lists(
 )
 
 
+def slate_of(entries) -> Slate:
+    """A slate of ``entries`` as a cut hands it over: four arrays."""
+    columns = list(zip(*entries)) or [(), (), (), ()]
+    return Slate(
+        np.array(columns[0], dtype=np.int64),
+        *(np.array(column, dtype=np.float64) for column in columns[1:]),
+    )
+
+
+def keyword_built(entries) -> tuple[ScoredAd, ...]:
+    return tuple(
+        ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
+        for ad_id, score, content, static in entries
+    )
+
+
 class TestBoxedSlate:
-    """``boxed_slate`` makes entries with ``tuple.__new__``, skipping the
-    constructor: each must be the ``ScoredAd`` a keyword call builds —
+    """A slate boxes its entries on read with ``tuple.__new__``, skipping
+    the constructor: each must be the ``ScoredAd`` a keyword call builds —
     equal, equally hashed, of that very type, the same ``repr`` (signed
     zeros included) — and cross the RPC pickle unchanged."""
 
     @given(entries=ENTRIES)
     def test_c_boxed_entries_are_keyword_built_ones(self, entries):
-        columns = list(zip(*entries)) or [(), (), (), ()]
-        ad_ids = np.array(columns[0], dtype=np.int64).tolist()
-        values = [np.array(column, dtype=np.float64).tolist() for column in columns[1:]]
-        boxed = boxed_slate(ad_ids, *values)
-        built = tuple(
-            ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
-            for ad_id, score, content, static in entries
-        )
-        assert type(boxed) is tuple and boxed == built
-        crossed = pickle.loads(pickle.dumps(boxed, protocol=pickle.HIGHEST_PROTOCOL))
-        for entry, want, back in zip(boxed, built, crossed):
+        slate = slate_of(entries)
+        built = keyword_built(entries)
+        crossed = pickle.loads(pickle.dumps(slate, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(crossed) is Slate and crossed == slate == built
+        for entry, want, back in zip(slate, built, crossed):
             assert type(entry) is ScoredAd is type(back)
             assert entry == want == back
             assert hash(entry) == hash(want) == hash(back)
             assert repr(entry) == repr(want) == repr(back)
 
     def test_an_entry_is_an_immutable_tuple_without_init(self):
-        entry = boxed_slate([800_001], [0.5], [0.25], [-0.0])[0]
+        entry = slate_of([(800_001, 0.5, 0.25, -0.0)])[0]
         assert isinstance(entry, tuple) and "__init__" not in vars(ScoredAd)
         assert repr(entry) == (
             "ScoredAd(ad_id=800001, score=0.5, content=0.25, static=-0.0)"
         )
         with pytest.raises(AttributeError):
             entry.score = 1.0
+
+
+class TestSlateIsASequence:
+    """Over any columns a ``Slate`` and the tuple of its boxed entries
+    agree on every sequence operation a reader uses."""
+
+    @given(
+        entries=ENTRIES,
+        index=st.integers(min_value=-14, max_value=13),
+        bounds=st.tuples(
+            st.one_of(st.none(), st.integers(-14, 14)),
+            st.one_of(st.none(), st.integers(-14, 14)),
+            st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
+        ),
+    )
+    def test_agrees_with_the_tuple_of_its_entries(self, entries, index, bounds):
+        slate = slate_of(entries)
+        built = keyword_built(entries)
+        assert len(slate) == len(built) and bool(slate) == bool(built)
+        assert list(slate) == list(built) and tuple(slate) == built
+        assert slate == built and built == slate and not slate != built
+        assert hash(slate) == hash(built) and repr(slate) == repr(built)
+        if -len(built) <= index < len(built):
+            assert slate[index] == built[index]
+            assert type(slate[index]) is ScoredAd
+        else:
+            with pytest.raises(IndexError):
+                slate[index]
+        part = slate[slice(*bounds)]
+        assert type(part) is Slate and part == built[slice(*bounds)]
+        assert len(part) == len(built[slice(*bounds)])
+
+    def test_unequal_slates_and_other_types(self):
+        slate = slate_of([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, 0.25)])
+        assert slate != slate[:1] and slate != slate_of([])
+        assert slate != list(slate) and slate != "slate"
+        assert slate_of([]) == () and not slate_of([])
+
+    def test_pickles_as_four_plain_lists(self):
+        slate = slate_of([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, -0.0)])
+        _rebuild, columns = slate.__reduce__()
+        assert [type(column) for column in columns] == [list] * 4
+        assert columns[0] == [7, 3] and columns[3] == [0.5, -0.0]
+        back = pickle.loads(pickle.dumps(slate, protocol=pickle.HIGHEST_PROTOCOL))
+        assert back == slate and back is not slate
+        assert back.ad_ids.dtype == np.int64 and back.scores.dtype == np.float64
+        # Smaller on the wire than the tuple of entries it stands for.
+        wide = slate_of([(800_000 + i, 0.5, 0.25, 0.25) for i in range(10)])
+        assert len(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL)) < len(
+            pickle.dumps(tuple(wide), protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class TestCombinedQuery:

@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.graph.generators import (
     preferential_attachment_graph,
     random_follow_graph,
-    zipf_fanout_graph,
 )
 
 
@@ -65,24 +64,3 @@ class TestPreferentialAttachment:
         for user in range(50):
             assert user not in graph.followees(user)
 
-
-class TestZipfFanout:
-    def test_avg_fanout_validation(self):
-        with pytest.raises(ConfigError):
-            zipf_fanout_graph(10, -1.0, random.Random(0))
-        with pytest.raises(ConfigError):
-            zipf_fanout_graph(10, 20.0, random.Random(0))
-
-    def test_zero_fanout(self):
-        graph = zipf_fanout_graph(10, 0.0, random.Random(0))
-        assert graph.num_edges == 0
-
-    def test_average_fanout_approximate(self):
-        target = 6.0
-        graph = zipf_fanout_graph(200, target, random.Random(5))
-        assert graph.stats().avg_fanout == pytest.approx(target, rel=0.35)
-
-    def test_head_user_has_most_followers(self):
-        graph = zipf_fanout_graph(100, 5.0, random.Random(6))
-        fanouts = [graph.fanout(user) for user in range(100)]
-        assert fanouts[0] == max(fanouts)

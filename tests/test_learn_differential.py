@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.engine import AdEngine
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, Slate
 from repro.cluster.procpool import ProcessShardedEngine
 from repro.cluster.sharded import ShardedEngine
 from repro.io.checkpoint import apply_engine_state
@@ -367,11 +367,11 @@ class TestSeededDeterminism:
         learner = LinUcbLearner(alpha=0.05)
         matched = clicks = 0
         for event in stream:
-            pool = tuple(
+            pool = Slate.of(
                 ScoredAd(ad_id, 0.0, *event.features[ad_id][1:3])
                 for ad_id in event.pool
             )
-            slate, rows = learner.rerank(pool)
+            slate, rows, _order = learner.rerank(pool)
             if slate[0].ad_id != event.arm:
                 continue
             matched += 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoring import ScoredAd
+from repro.core.scoring import ScoredAd, Slate
 from repro.errors import ConfigError
 from repro.learn.linucb import (
     KIND_CLICK,
@@ -38,6 +38,10 @@ feature_row = st.tuples(st.just(1.0), unit, unit, unit)
 
 def slate_entry(ad_id: int, score: float, content: float, static: float):
     return ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
+
+
+def slate_of(*entries: ScoredAd) -> Slate:
+    return Slate.of(entries)
 
 
 def drive_learner(learner: LinUcbLearner, records) -> None:
@@ -127,7 +131,7 @@ class TestArmModel:
 class TestFeatures:
     def test_rows_are_bias_content_static_arm_ctr(self):
         learner = LinUcbLearner(sync_interval_s=10.0)
-        slate = (slate_entry(7, 1.0, 0.2, 0.3), slate_entry(8, 0.9, 0.4, 0.1))
+        slate = slate_of(slate_entry(7, 1.0, 0.2, 0.3), slate_entry(8, 0.9, 0.4, 0.1))
         prior = learner._ctr.estimate(7)
         assert learner.features(slate) == [
             (1.0, 0.2, 0.3, prior),
@@ -151,11 +155,13 @@ class TestFeatures:
         assert rows[1][3] == prior
 
     def test_observed_rows_are_the_rows_served(self):
-        """``rerank`` hands ``observe_slate`` its rows in served order."""
+        """``rerank`` hands ``observe_slate`` its rows in served order,
+        and the permutation that put them there."""
         learner = LinUcbLearner(alpha=1.0)
-        slate = (slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.9, 0.9))
-        reranked, rows = learner.rerank(slate)
+        slate = slate_of(slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.9, 0.9))
+        reranked, rows, order = learner.rerank(slate)
         assert [entry.ad_id for entry in reranked] == [2, 7]
+        assert order.tolist() == [1, 0]
         assert rows == learner.features(reranked)
         learner.observe_slate(3, 4, reranked, rows)
         assert [rec[4:] for rec in learner._pending] == [
@@ -196,7 +202,7 @@ class TestLearnerSync:
     def test_serving_reads_snapshot_not_pending(self):
         learner = LinUcbLearner(alpha=0.0, sync_interval_s=100.0)
         x = (1.0, 0.5, 0.5, 0.05)
-        slate = (slate_entry(7, 1.0, 0.5, 0.5),)
+        slate = slate_of(slate_entry(7, 1.0, 0.5, 0.5))
         drive_learner(learner, [(0, 1, 0, KIND_CLICK, 7, x)] * 3)
         assert learner.bonus(np.array([x])) == 0.0  # pending not folded yet
         assert learner.rerank(slate)[0] is slate
@@ -224,7 +230,7 @@ def observe(learner, msg_id, user_id, *entries):
     learner.observe_slate(
         msg_id,
         user_id,
-        tuple(
+        Slate.of(
             slate_entry(ad_id, 1.0 - 0.1 * i, 0.4, 0.2)
             for i, ad_id in enumerate(entries)
         ),
@@ -282,15 +288,15 @@ class TestClickAttribution:
 class TestRerank:
     def test_alpha_zero_empty_models_returns_same_object(self):
         learner = LinUcbLearner(alpha=0.0)
-        slate = (slate_entry(3, 1.0, 0.5, 0.2), slate_entry(4, 0.9, 0.4, 0.1))
-        result, rows = learner.rerank(slate)
-        assert result is slate
+        slate = slate_of(slate_entry(3, 1.0, 0.5, 0.2), slate_entry(4, 0.9, 0.4, 0.1))
+        result, rows, order = learner.rerank(slate)
+        assert result is slate and order is None
         assert rows == learner.features(slate)
 
     def test_rerank_applies_engine_tie_rule(self):
         learner = LinUcbLearner(alpha=1.0, ridge_lambda=1.0)
-        slate = (slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.0, 0.0))
-        result, _rows = learner.rerank(slate)
+        slate = slate_of(slate_entry(7, 1.0, 0.0, 0.0), slate_entry(2, 1.0, 0.0, 0.0))
+        result, _rows, _order = learner.rerank(slate)
         assert result is not slate
         # Identical features → identical bonuses → tie broken by ad id.
         assert [entry.ad_id for entry in result] == [2, 7]
@@ -301,7 +307,7 @@ class TestRerank:
         # Nothing folded: θ = 0 and A⁻¹ = I/λ, so the bonus is pure
         # exploration, α·√(x·x/λ) over x = (1, content, static, prior CTR).
         learner = LinUcbLearner(alpha=0.5, ridge_lambda=4.0)
-        (x,) = learner.features((slate_entry(99, 1.0, 0.3, 0.6),))
+        (x,) = learner.features(slate_of(slate_entry(99, 1.0, 0.3, 0.6)))
         expected = 0.5 * (sum(v * v for v in x) / 4.0) ** 0.5
         assert learner.bonus(np.array([x]))[0] == pytest.approx(expected)
 
@@ -334,11 +340,14 @@ class TestLearnerState:
         assert set(payload) == {"epoch", "shared", "arms", "pending", "contexts"}
         assert payload["arms"] and payload["pending"] and payload["contexts"]
         # The restored learner serves what the uninterrupted one does.
-        slate = tuple(
+        slate = Slate.of(
             slate_entry(ad_id, 1.0 - 0.1 * i, 0.4, 0.2)
             for i, ad_id in enumerate([3, 11, 29])
         )
-        assert restored.rerank(slate) == learner.rerank(slate)
+        served, rows, order = restored.rerank(slate)
+        want, want_rows, want_order = learner.rerank(slate)
+        assert served == want and rows == want_rows
+        assert np.array_equal(order, want_order)
 
     def test_stale_per_ad_layout_fails_by_name(self):
         payload = populated_learner().state_dict()
