@@ -188,11 +188,11 @@ class ShardHost:
         if op == "report":
             tracer = engine.tracer
             metrics = engine.metrics
+            learner = engine.services.learner
             return {
                 "stats": engine.stats,
-                "probes": engine.candidate_gen.probes,
                 "searcher": engine.candidate_gen.kind,
-                "probe_depth_total": engine.candidate_gen.probe_depth_total,
+                "learned": learner.telemetry() if learner is not None else None,
                 "tracer": tracer if tracer.enabled else None,
                 "metrics": metrics if metrics.enabled else None,
             }

@@ -54,12 +54,12 @@ from repro.cluster.host import (
 )
 from repro.core.config import EngineConfig
 from repro.core.engine import PostResult
-from repro.core.pipeline import PostEvent, TextVectorizeStage
+from repro.core.pipeline import PostEvent, TextVectorizeStage, vectorize_spanned
 from repro.core.services import EngineStats
 from repro.datagen.workload import Workload
 from repro.errors import ConfigError, StreamError
 from repro.geo.point import GeoPoint
-from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
+from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics, counted
 from repro.obs.trace import (
     NOOP_REQUEST_TRACER,
     NoopRequestTracer,
@@ -67,7 +67,7 @@ from repro.obs.trace import (
     Span,
     TraceSegment,
 )
-from repro.obs.tracer import NoopTracer, StageStats, StageTracer
+from repro.obs.tracer import NoopTracer, Seam, StageStats, StageTracer
 from repro.stream.clock import SimClock
 
 if TYPE_CHECKING:
@@ -249,12 +249,14 @@ class Router:
         self._shard_of = build_shard_map(workload, num_shards)
         # One child tracer/registry per shard (spawned from the caller's,
         # so the noop defaults stay shared noops) plus one for the router
-        # itself: vectorization happens here, once per post, and its
-        # spans are merged into shard 0's view on report.
+        # itself: vectorization happens here, once per post, through the
+        # router's own seam, and its spans are merged into shard 0's view
+        # on report.
         self._tracer = tracer or NoopTracer()
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._router_tracer = self._tracer.spawn()
         self._router_metrics = self._metrics.spawn()
+        self._seam = Seam(self._router_tracer, self._router_metrics)
         # The router's own request tracer: route/dispatch/crash segments
         # live here, and shard segments are drained into it.
         self._request_tracer = (
@@ -385,22 +387,6 @@ class Router:
         touched.update(self.shard_of(follower) for follower in followers)
         return sorted(touched)
 
-    def _vectorize(self, text: str):
-        """Router-side vectorize with the same span bookkeeping the
-        pipeline's traced path emits (bucketed by the router watermark)."""
-        tracer = self._router_tracer
-        metrics = self._router_metrics
-        if not (tracer.enabled or metrics.enabled):
-            return self._vectorize_stage.vectorize(text)
-        started = perf_counter()
-        vec = self._vectorize_stage.vectorize(text)
-        elapsed = perf_counter() - started
-        if tracer.enabled:
-            tracer.record("vectorize", elapsed)
-        if metrics.enabled:
-            metrics.observe_stage("vectorize", elapsed, self._clock.now)
-        return vec
-
     def _event_for(self, author_id: int, text: str, timestamp: float) -> PostEvent:
         """Vectorize once at the router; every touched shard reuses the
         event (shards share the workload's fitted vectorizer, so the
@@ -411,7 +397,9 @@ class Router:
             msg_id=msg_id,
             author_id=author_id,
             timestamp=timestamp,
-            message_vec=self._vectorize(text),
+            message_vec=vectorize_spanned(
+                self._vectorize_stage, self._seam, text, self._clock
+            ),
             text=text,
             # The router is the edge: contexts are minted here and ride
             # inside the event into every shard the fan-out touches.
@@ -789,7 +777,8 @@ class Router:
         (``key="metrics"``) views: a fresh child of the caller's with the
         shard's folded in — an in-process report hands back the live
         object, which must not be merged into — and the router's
-        vectorize spans on shard 0's."""
+        vectorize spans on shard 0's. A registry view counts from its
+        shard's stats."""
         parent, router_side = (
             (self._tracer, self._router_tracer)
             if key == "tracer"
@@ -802,6 +791,10 @@ class Router:
                 view.merge(report[key])
             if shard == 0:
                 view.merge(router_side)
+            if key == "metrics":
+                view.read_from(
+                    lambda report=report: counted(report["stats"], report["learned"])
+                )
             views.append(view)
         return views
 
@@ -817,30 +810,32 @@ class Router:
 
     @property
     def metrics(self) -> "MetricsRegistry | NullMetrics":
-        """The cluster-wide registry view: every shard's counters, gauges
-        and windowed histograms merged (lossless — same geometry), with
-        the router-side skew signals (per-shard dispatch busy time, load
-        imbalance) stamped on as gauges so they reach the Prometheus
-        exposition."""
+        """The cluster-wide registry view: every shard's windowed
+        histograms merged (lossless — same geometry); counters read from
+        :meth:`cluster_stats`, the learner's from one shard (its state is
+        replicated), and the router-side skew signals (per-shard dispatch
+        busy time, load imbalance) as gauges, so they reach the
+        Prometheus exposition."""
         merged = self._metrics.spawn()
         if merged.enabled:
             from repro.obs.prometheus import export_cluster_gauges
 
             reports = self._reports()
-            # Every touched shard counted the post it ingested; a post is
-            # one post — the router's count, as in cluster_stats().
             for view in self._shard_views(reports, "metrics"):
-                merged.merge(view, except_counters=("posts",))
-            merged.inc("posts", self._posts_routed)
-            # Set on the freshly merged ephemeral view (gauges *add* on
-            # merge, so stamping post-merge avoids double counting).
-            export_cluster_gauges(
-                merged,
-                dispatch_seconds=self.dispatch_seconds_by_shard(),
-                imbalance=_imbalance(
-                    [float(report["stats"].deliveries) for report in reports]
-                ),
+                merged.merge(view)
+            counters, gauges = counted(
+                self._merged_stats(reports), reports[0]["learned"]
             )
+            gauges = {
+                **gauges,
+                **export_cluster_gauges(
+                    dispatch_seconds=self.dispatch_seconds_by_shard(),
+                    imbalance=_imbalance(
+                        [float(report["stats"].deliveries) for report in reports]
+                    ),
+                ),
+            }
+            merged.read_from(lambda: (counters, gauges))
         return merged
 
     def metrics_by_shard(self) -> "list[MetricsRegistry | NullMetrics]":
@@ -1010,10 +1005,10 @@ class Router:
                 shard=shard,
                 users=owners.get(shard, 0),
                 deliveries=report["stats"].deliveries,
-                probes=report["probes"],
+                probes=report["stats"].shared_probes,
                 stages=tuple(tracers[shard].snapshot().values()),
                 searcher=report["searcher"],
-                probe_depth_total=report["probe_depth_total"],
+                probe_depth_total=report["stats"].probe_depth_total,
             )
             for shard, report in enumerate(reports)
         ]
@@ -1039,8 +1034,11 @@ class Router:
         """Cluster-level :class:`EngineStats` roll-up (posts counted at
         the router; delivery counters summed across shards; restored
         baselines included)."""
+        return self._merged_stats(self._reports())
+
+    def _merged_stats(self, reports: list[dict]) -> EngineStats:
         return merge_cluster_stats(
-            (report["stats"] for report in self._reports()),
+            (report["stats"] for report in reports),
             posts_routed=self._posts_routed,
             baseline=self._baseline_stats,
         )

@@ -143,12 +143,9 @@ class SharedCandidateGenerator:
         self._searcher = None if vector else make_searcher(searcher, index)
         self.kind = searcher
         self.overfetch = overfetch
-        self.probes = 0
-        # Probe-depth accounting: the last effective depth and the running
-        # total, so stage traces/metrics can attribute probe cost per
-        # searcher kind instead of reading a bare counter.
+        # The last effective depth, which the engine's probe stage adds to
+        # its stats' ``probe_depth_total``.
         self.last_probe_depth = 0
-        self.probe_depth_total = 0
 
     def generate(
         self, message_vec: SparseVector, *, depth: int | None = None
@@ -161,9 +158,7 @@ class SharedCandidateGenerator:
             depth = self.overfetch
         elif depth < 1:
             raise ConfigError(f"depth must be >= 1, got {depth}")
-        self.probes += 1
         self.last_probe_depth = depth
-        self.probe_depth_total += depth
         compact = self._compact
         if compact is not None:
             compact.maybe_compact()

@@ -39,7 +39,7 @@ from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
 from repro.graph.social import SocialGraph
 from repro.index.inverted import AdInvertedIndex
-from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
+from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics, counted
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
 from repro.obs.tracer import NoopTracer, StageTracer
 from repro.profiles.profile import ProfileStore
@@ -100,8 +100,10 @@ class AdEngine:
         receives one span per pipeline stage per event; the default
         :class:`~repro.obs.tracer.NoopTracer` observes nothing.
         ``metrics`` (optional :class:`~repro.obs.registry.MetricsRegistry`)
-        is the live side: windowed per-stage latency histograms plus
-        posts/deliveries/impressions/revenue counters, disabled by default.
+        is the live side: windowed per-stage latency histograms, with
+        posts/deliveries/impressions/revenue counters read from
+        :attr:`stats`; disabled by default. The three sinks subscribe to
+        one :class:`~repro.obs.tracer.Seam`, built here.
         ``qos`` (optional :class:`~repro.qos.controller.QosController`)
         attaches the QoS control plane — admission control and the
         degradation ladder; with the ``None`` default the delivery path is
@@ -137,17 +139,6 @@ class AdEngine:
             budget_manager=budget,
             ctr_estimator=ctr,
         )
-        learner = None
-        if config.personalize == "linucb":
-            from repro.learn.linucb import LinUcbLearner
-
-            learner = LinUcbLearner(
-                alpha=config.alpha_ucb,
-                ridge_lambda=config.linucb_lambda,
-                sync_interval_s=config.linucb_sync_interval_s,
-                frozen=config.linucb_frozen,
-                metrics=metrics if metrics is not None else NULL_METRICS,
-            )
         self.services = EngineServices(
             config=config,
             corpus=corpus,
@@ -166,8 +157,23 @@ class AdEngine:
                 else NOOP_REQUEST_TRACER
             ),
             qos=qos,
-            learner=learner,
         )
+        services = self.services
+        if config.personalize == "linucb":
+            from repro.learn.linucb import LinUcbLearner
+
+            services.learner = LinUcbLearner(
+                alpha=config.alpha_ucb,
+                ridge_lambda=config.linucb_lambda,
+                sync_interval_s=config.linucb_sync_interval_s,
+                frozen=config.linucb_frozen,
+                seam=services.seam,
+            )
+        if services.metrics.enabled:
+            stats, learner = services.stats, services.learner
+            services.metrics.read_from(
+                lambda: counted(stats, learner.telemetry() if learner else None)
+            )
         probe_depth = (
             config.overfetch
             if config.mode is EngineMode.SHARED
@@ -440,9 +446,6 @@ class AdEngine:
         )
         author_state.profile_vec_epoch = -1  # invalidate cache
         self.stats.posts += 1
-        metrics = self.services.metrics
-        if metrics.enabled:
-            metrics.inc("posts")
 
     def _assemble_result(
         self,

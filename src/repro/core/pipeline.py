@@ -46,8 +46,10 @@ from repro.core.scoring import ScoredAd, Slate, StaticRowCache
 from repro.core.services import EngineServices, UserState
 from repro.errors import ConfigError
 from repro.obs.trace import TraceContext
+from repro.obs.tracer import Seam
 from repro.profiles.profile import UserProfile
 from repro.qos.admission import slate_value_bound
+from repro.stream.clock import SimClock
 from repro.text.tokenizer import Tokenizer
 from repro.text.vectorizer import TfidfVectorizer
 from repro.util.sparse import MutableSparseVector, SparseVector
@@ -196,7 +198,6 @@ class SharedProbeStage:
         # Searcher-kind attribution for stage traces: "candidate" stays
         # the taxonomy span, and this extra name lets T3 split probe time
         # per searcher without guessing from the engine config.
-        self.kind = generator.kind
         self.span_name = f"candidate[{generator.kind}]"
 
     def candidates_for(self, event: PostEvent) -> CandidateSet:
@@ -210,16 +211,12 @@ class SharedProbeStage:
             depth = qos.probe_depth(generator.overfetch, services.config.k)
         result = generator.generate(event.message_vec, depth=depth)
         stats.probe_depth_total += generator.last_probe_depth
-        metrics = services.metrics
-        if metrics.enabled:
-            metrics.inc("probe_depth_total", generator.last_probe_depth)
         return result
 
 
 class NoProbeStage:
     """EXACT mode: the per-delivery baseline never shares candidates."""
 
-    kind = None
     span_name = None
 
     def candidates_for(self, event: PostEvent) -> None:
@@ -539,6 +536,24 @@ def make_feedback_stage(
     return CtrFeedbackStage(services, columns)
 
 
+def vectorize_spanned(
+    stage: VectorizeStage, seam: Seam, text: str, clock: SimClock | None
+) -> MutableSparseVector:
+    """``stage.vectorize(text)`` with its ``vectorize`` span on ``seam`` —
+    the one vectorize path of an engine and of a router. No event exists
+    yet, so the stream clock supplies the span's time."""
+    if not seam.enabled:
+        return stage.vectorize(text)
+    started = perf_counter()
+    vec = stage.vectorize(text)
+    seam.emit(
+        "vectorize",
+        perf_counter() - started,
+        clock.now if clock is not None else 0.0,
+    )
+    return vec
+
+
 # -- the pipeline ------------------------------------------------------------
 
 
@@ -596,23 +611,9 @@ class DeliveryPipeline:
 
     def vectorize(self, text: str) -> MutableSparseVector:
         services = self.services
-        tracer = services.tracer
-        metrics = services.metrics
-        if not (tracer.enabled or metrics.enabled):
-            return self.vectorize_stage.vectorize(text)
-        started = perf_counter()
-        vec = self.vectorize_stage.vectorize(text)
-        elapsed = perf_counter() - started
-        if tracer.enabled:
-            tracer.record("vectorize", elapsed)
-        if metrics.enabled:
-            # Vectorization happens before a PostEvent exists, so the
-            # stream clock (advanced by ingest) supplies the bucket time.
-            clock = services.clock
-            metrics.observe_stage(
-                "vectorize", elapsed, clock.now if clock is not None else 0.0
-            )
-        return vec
+        return vectorize_spanned(
+            self.vectorize_stage, services.seam, text, services.clock
+        )
 
     def deliver(self, event: PostEvent, follower: int) -> DeliveryResult:
         """Single-follower convenience over :meth:`deliver_batch`."""
@@ -662,13 +663,12 @@ class DeliveryPipeline:
         done exactly once each here, so every stage receives them resolved
         — the batch-amortisation point for profile and location access.
 
-        Span emission: one ``candidate`` span per event, then one
+        Span emission, each span once through the engine's seam at the
+        event's stream time: one ``candidate`` span per event, then one
         ``personalize``/``charge``/``feedback`` span each plus one wrapping
-        ``delivery`` span per follower. Spans feed the whole-run tracer
-        and, windowed under the event's stream time, the live metrics
-        registry. All timing reads are gated on ``tracer.enabled`` /
-        ``metrics.enabled`` so the default noop pair costs one boolean
-        check per potential span.
+        ``delivery`` span per follower — or, when only a request tracer
+        listens (the seam is not ``fine``), one coarse ``delivery`` span
+        for the fan-out. With no sink the cost is one check per span.
         """
         services = self.services
         stats = services.stats
@@ -676,41 +676,23 @@ class DeliveryPipeline:
         profile_of = services.profile_of
         charge = self.charge_stage.charge
         observe = self.feedback_stage.observe_impressions
-        tracer = services.tracer
-        metrics = services.metrics
-        tracing = tracer.enabled
-        metering = metrics.enabled
-        observing = tracing or metering
-        # The request-trace segment opened by the engine facade for this
-        # event (None when request tracing is off or this event has no
-        # context). Stage spans are folded into it aggregated per stage
-        # name, so trace size is bounded by the taxonomy, not the fan-out.
-        request_tracer = services.request_tracer
-        active = request_tracer.current if request_tracer.enabled else None
-        timing = observing or active is not None
+        seam = services.seam
+        emit = seam.emit
+        timing = seam.enabled
+        fine = seam.fine
+        # The request-trace segment opened for this event, if any: the
+        # shed / degrade decisions below are stamped on it.
+        active = services.request_tracer.current
         at = event.timestamp
-
-        def emit(stage: str, elapsed: float) -> None:
-            # Only reached on the enabled path — the disabled hot path
-            # pays the single `observing` check per potential span.
-            if tracing:
-                tracer.record(stage, elapsed)
-            if metering:
-                metrics.observe_stage(stage, elapsed, at)
-            if active is not None:
-                active.add_stage(stage, elapsed)
 
         if timing:
             span_started = perf_counter()
         candidates = self.candidate_stage.candidates_for(event)
         if timing:
             probe_elapsed = perf_counter() - span_started
-            if observing:
-                emit("candidate", probe_elapsed)
-                if self._probe_span is not None:
-                    emit(self._probe_span, probe_elapsed)
-            elif active is not None:
-                active.add_stage("candidate", probe_elapsed)
+            emit("candidate", probe_elapsed, at)
+            if fine and self._probe_span is not None:
+                emit(self._probe_span, probe_elapsed, at)
 
         # QoS consultation, once per batch: admission (value-aware shed)
         # and the current degradation rung. `services.qos is None` is the
@@ -732,12 +714,6 @@ class DeliveryPipeline:
                 stats.revenue_shed_upper_bound += decision.revenue_shed_upper_bound
                 self._batch_shed += decision.shed
                 self._batch_revenue_shed += decision.revenue_shed_upper_bound
-                if metering:
-                    metrics.inc("deliveries_shed", decision.shed)
-                    metrics.inc(
-                        "revenue_shed_upper_bound",
-                        decision.revenue_shed_upper_bound,
-                    )
                 if active is not None:
                     # Shedding is one of the invisible paths tracing
                     # exists for: stamp it and force-retain the trace.
@@ -787,11 +763,6 @@ class DeliveryPipeline:
             )
             active.flag("degraded")
 
-        # Request tracing without stage observability gets one coarse
-        # fan-out span instead of per-follower timing: the per-event cost
-        # stays O(1) in the fan-out, which is what keeps the T9 overhead
-        # gate (<5% throughput loss at 1% head sampling) honest.
-        segment_only = active is not None and not observing
         if timing:
             # Where the previous follower's bookkeeping ended (for the first
             # follower, where the stage call began: its personalize span
@@ -815,12 +786,12 @@ class DeliveryPipeline:
             """One follower's delivery: count → charge → feedback."""
             nonlocal mark
             slate, certified, fell_back, exact, rows = delivered
-            if observing:
+            if fine:
                 span_started = perf_counter()
                 elapsed = span_started - mark + share
-                emit("personalize", elapsed)
+                emit("personalize", elapsed, at)
                 if self._personalize_span is not None:
-                    emit(self._personalize_span, elapsed)
+                    emit(self._personalize_span, elapsed, at)
             stats.deliveries += 1
             if degrading:
                 stats.deliveries_degraded += 1
@@ -834,19 +805,13 @@ class DeliveryPipeline:
                 stats.approximate_deliveries += 1
             impressions = len(slate)
             revenue = charge(slate, event.timestamp, rows)
-            if observing:
+            if fine:
                 now = perf_counter()
-                emit("charge", now - span_started)
+                emit("charge", now - span_started, at)
                 span_started = now
             observe(slate, rows)
-            if observing:
-                emit("feedback", perf_counter() - span_started)
-            if metering:
-                metrics.inc("deliveries")
-                metrics.inc("impressions", impressions)
-                metrics.inc("revenue", revenue)
-                if degrading:
-                    metrics.inc("deliveries_degraded")
+            if fine:
+                emit("feedback", perf_counter() - span_started, at)
             stats.impressions += impressions
             stats.revenue += revenue
             outcomes.append(
@@ -860,11 +825,11 @@ class DeliveryPipeline:
                     revenue,
                 )
             )
-            if observing:
+            if fine:
                 # The whole pass, bookkeeping included: ``delivery`` spans
                 # tile the fan-out, each a little over its three stages.
                 now = perf_counter()
-                emit("delivery", now - mark + share)
+                emit("delivery", now - mark + share, at)
                 mark = now
 
         if degraded_slate is not None:
@@ -879,7 +844,7 @@ class DeliveryPipeline:
                 state = users.state(follower)
                 resolved.append((follower, state, *profile_of(follower, state)))
             hooks = {}
-            if observing:
+            if fine:
                 # The look-ups above are per-follower work done up front:
                 # each follower's spans carry an equal share, so no one
                 # ``delivery`` span (the SLO-graded stage) grows with the
@@ -891,11 +856,7 @@ class DeliveryPipeline:
             self.personalize_stage.personalize_batch(
                 event, candidates, resolved, serve, **hooks
             )
-        if segment_only and outcomes:
-            active.add_span(
-                "delivery",
-                "stage",
-                seconds=perf_counter() - loop_started,
-                count=len(outcomes),
-            )
+        if timing and not fine and outcomes:
+            # A request tracer alone: one span stands for the fan-out.
+            emit("delivery", perf_counter() - loop_started, at, len(outcomes))
         return outcomes

@@ -24,7 +24,7 @@ from repro.errors import UnknownUserError
 from repro.geo.point import GeoPoint
 from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
-from repro.obs.tracer import NoopTracer, StageTracer
+from repro.obs.tracer import NoopTracer, Seam, StageTracer
 from repro.profiles.context import FeedContext
 from repro.util.sparse import MutableSparseVector
 
@@ -139,15 +139,10 @@ class EngineServices:
     clock: "SimClock | None" = None
     users: UserStateStore | None = None
     stats: EngineStats = field(default_factory=EngineStats)
-    # Stage observability. NoopTracer by default: tracing must be opted
-    # into, and the un-traced hot path pays one attribute check per span.
+    # The three span sinks, all disabled by default; stages reach them
+    # only through ``seam``, built from them once.
     tracer: StageTracer = field(default_factory=NoopTracer)
-    # Live telemetry. The shared NULL_METRICS singleton by default — same
-    # contract as the tracer: enabled-gated, one attribute check when off.
     metrics: "MetricsRegistry | NullMetrics" = NULL_METRICS
-    # Distributed request tracing. The shared NOOP_REQUEST_TRACER by
-    # default — enabled-gated like the stage tracer, so the un-traced
-    # path pays one attribute check per event, not per span.
     request_tracer: "RequestTracer | NoopRequestTracer" = NOOP_REQUEST_TRACER
     # QoS control plane. None by default: with no controller attached the
     # delivery path is byte-identical to a pre-QoS engine (one None check
@@ -157,6 +152,12 @@ class EngineServices:
     # when set, make_personalize_stage wraps the mode's stage with the
     # LinUCB rerank and record_click() routes rewards here.
     learner: "LinUcbLearner | None" = None
+    # The instrumentation seam: one ``emit`` per span, to every sink above
+    # that is enabled; with none, the hot path pays one attribute check.
+    seam: Seam = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.seam = Seam(self.tracer, self.metrics, self.request_tracer)
 
     # -- per-user helpers ---------------------------------------------------
 

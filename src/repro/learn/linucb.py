@@ -51,7 +51,7 @@ import numpy as np
 from repro.ads.ctr import CtrEstimator
 from repro.core.scoring import Slate
 from repro.errors import ConfigError
-from repro.obs.registry import NULL_METRICS
+from repro.obs.tracer import NO_SEAM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.pipeline import PersonalizedDelivery
@@ -92,7 +92,7 @@ class LinUcbLearner:
         ridge_lambda: float = 1.0,
         sync_interval_s: float = 300.0,
         frozen: bool = False,
-        metrics=NULL_METRICS,
+        seam=NO_SEAM,
     ) -> None:
         if alpha < 0.0:
             raise ConfigError(f"alpha_ucb must be non-negative, got {alpha}")
@@ -108,7 +108,8 @@ class LinUcbLearner:
         self.ridge_lambda = float(ridge_lambda)
         self.sync_interval_s = float(sync_interval_s)
         self.frozen = bool(frozen)
-        self.metrics = metrics
+        self.seam = seam  # the engine's: each fold emits a ``linucb_sync`` span
+        self.syncs = self.updates = 0  # folds, and records folded
         #: Routers flip this off: shard engines never self-fold, the
         #: router coordinates one cluster-wide fold per epoch boundary.
         self.auto_sync = True
@@ -281,16 +282,20 @@ class LinUcbLearner:
             self._arm_ctr.update(zip(ad_ids, ctr.estimate_block(slots).tolist()))
             self._refactorise()
         self._epoch = int(epoch)
-        metrics = self.metrics
-        if metrics.enabled:
+        self.syncs += 1
+        self.updates += len(records)
+        if self.seam.enabled:
             at = float(epoch) * self.sync_interval_s
-            metrics.inc("linucb_updates", float(len(records)))
-            metrics.inc("linucb_syncs")
-            metrics.set_gauge(
-                "linucb_model_norm", float(np.linalg.norm(self._theta))
-            )
-            metrics.set_gauge("linucb_arms", float(self.num_arms))
-            metrics.observe_stage("linucb_sync", perf_counter() - started, at)
+            self.seam.emit("linucb_sync", perf_counter() - started, at)
+
+    def telemetry(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Registry ``(counters, gauges)`` of replicated state — every
+        shard folds the same records — so a cluster reads one shard's."""
+        norm = float(np.linalg.norm(self._theta))
+        return (
+            {"linucb_updates": float(self.updates), "linucb_syncs": float(self.syncs)},
+            {"linucb_model_norm": norm, "linucb_arms": float(self.num_arms)},
+        )
 
     # -- state -----------------------------------------------------------
 
@@ -440,10 +445,6 @@ class LinUcbRerankStage:
         self._services = services
         self._base = base
         self._learner = services.learner
-
-    @property
-    def base(self):
-        return self._base
 
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec

@@ -48,6 +48,7 @@ from repro.obs.tracer import (
     STAGES,
     NoopTracer,
     RecordingTracer,
+    Seam,
     StageStats,
     StageTracer,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "RecordingTracer",
     "RegistrySnapshot",
     "RequestTracer",
+    "Seam",
     "SloSpec",
     "Span",
     "StageStats",

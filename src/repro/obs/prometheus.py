@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.obs.health import HealthReport
-    from repro.obs.registry import MetricsRegistry, RegistrySnapshot
+    from repro.obs.registry import RegistrySnapshot
 
 __all__ = [
     "TimeseriesWriter",
@@ -51,24 +51,16 @@ def _format_value(value: float) -> str:
 
 
 def export_cluster_gauges(
-    registry: "MetricsRegistry",
-    *,
-    dispatch_seconds: list[float],
-    imbalance: float,
-) -> None:
-    """Stamp the router-side skew signals onto a registry as gauges.
-
-    The per-shard dispatch busy time and the max/mean load imbalance have
-    existed since the failover/procpool PRs but never reached the scrape
-    endpoint; the cluster router calls this on its freshly merged
-    metrics view so ``render_prometheus`` picks them up as
-    ``repro_load_imbalance`` and ``repro_dispatch_seconds_shard_<i>``.
-    Gauges *add* on merge, which is why the stamp happens post-merge on
-    the ephemeral view, never on a child that merges again later.
-    """
-    registry.set_gauge("load_imbalance", float(imbalance))
+    *, dispatch_seconds: list[float], imbalance: float
+) -> dict[str, float]:
+    """The router-side skew signals as registry gauges, which
+    :func:`render_prometheus` exposes as ``repro_load_imbalance`` and
+    ``repro_dispatch_seconds_shard_<i>``: the max/mean load imbalance and
+    the per-shard dispatch busy time."""
+    gauges = {"load_imbalance": float(imbalance)}
     for shard, seconds in enumerate(dispatch_seconds):
-        registry.set_gauge(f"dispatch_seconds_shard_{shard}", float(seconds))
+        gauges[f"dispatch_seconds_shard_{shard}"] = float(seconds)
+    return gauges
 
 
 def render_prometheus(

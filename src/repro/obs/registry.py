@@ -1,20 +1,21 @@
-"""The live metrics registry: named counters, gauges, windowed histograms.
+"""The live metrics registry: windowed histograms, counters, gauges.
 
 Where :class:`~repro.obs.tracer.RecordingTracer` accumulates whole-run
 latency sketches for post-mortem tables, :class:`MetricsRegistry` is the
-*live* side of the observability layer: monotone counters (deliveries,
-impressions, revenue), point-in-time gauges, and
-:class:`~repro.obs.window.WindowedSketch` histograms that answer "what is
-the stage p99 over the trailing window of stream time". It mirrors the
-tracer's contract on purpose:
+*live* side of the observability layer. Its
+:class:`~repro.obs.window.WindowedSketch` histograms answer "what is the
+stage p99 over the trailing window of stream time": the engine's
+:class:`~repro.obs.tracer.Seam` feeds them as ``stage_<name>``. Counters
+and gauges are not kept here at all: they are read from their owner —
+the engine's :class:`~repro.core.services.EngineStats` and learner, or a
+router's cluster roll-up — each time they are read, so each is kept once.
 
-* ``enabled`` gates every instrumented call site, and the default on
+* ``enabled`` gates the seam, and the default on
   :class:`~repro.core.services.EngineServices` is the shared
-  :data:`NULL_METRICS` singleton — the un-metered hot path pays one
-  attribute check, exactly like the noop tracer;
+  :data:`NULL_METRICS` singleton, which the seam never feeds;
 * ``spawn``/``merge`` give the sharded router one child registry per
-  shard and a lossless cluster-wide roll-up (counters add, gauges add,
-  windowed histograms merge bucket-by-bucket).
+  shard and a lossless cluster-wide roll-up of the windowed histograms
+  (bucket-by-bucket).
 
 ``snapshot(now)`` freezes everything into a :class:`RegistrySnapshot`,
 the unit the health monitor evaluates and the Prometheus/JSONL exporters
@@ -35,8 +36,31 @@ __all__ = [
     "NullMetrics",
     "NULL_METRICS",
     "RegistrySnapshot",
+    "STATS_COUNTERS",
     "WindowStats",
+    "counted",
 ]
+
+#: The :class:`~repro.core.services.EngineStats` fields a registry
+#: reports as counters.
+STATS_COUNTERS = (
+    "posts", "deliveries", "impressions", "revenue", "deliveries_shed",
+    "deliveries_degraded", "revenue_shed_upper_bound", "probe_depth_total",
+)
+
+
+def counted(stats, learned=None) -> tuple[dict[str, float], dict[str, float]]:
+    """A registry's ``(counters, gauges)``: the :data:`STATS_COUNTERS` of
+    an engine's (or a cluster's) stats, plus a learner's own pair
+    (``learned``, from :meth:`~repro.learn.linucb.LinUcbLearner.telemetry`)."""
+    counters = {name: float(getattr(stats, name)) for name in STATS_COUNTERS}
+    if learned is None:
+        return counters, {}
+    return {**counters, **learned[0]}, learned[1]
+
+
+def _nothing_counted() -> tuple[dict, dict]:
+    return {}, {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,8 +117,7 @@ class MetricsRegistry:
         "_window_s",
         "_num_buckets",
         "_relative_error",
-        "_counters",
-        "_gauges",
+        "_counts",
         "_histograms",
     )
 
@@ -110,38 +133,29 @@ class MetricsRegistry:
         self._window_s = float(window_s)
         self._num_buckets = num_buckets
         self._relative_error = relative_error
-        self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
+        self._counts = _nothing_counted
         self._histograms: dict[str, WindowedSketch] = {}
 
-    # -- configuration -------------------------------------------------------
+    # -- counters and gauges -------------------------------------------------
 
-    @property
-    def window_s(self) -> float:
-        return self._window_s
-
-    @property
-    def relative_error(self) -> float:
-        return self._relative_error
-
-    # -- counters ------------------------------------------------------------
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Bump a monotone counter (negative increments are driver bugs)."""
-        if amount < 0.0:
-            raise ConfigError(f"counter increments must be >= 0, got {amount}")
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+    def read_from(self, source) -> None:
+        """Read counters and gauges from ``source()`` — a ``(counters,
+        gauges)`` pair, see :func:`counted` — each time they are read:
+        an engine binds its stats, a router's view its cluster roll-up."""
+        self._counts = source
 
     def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    # -- gauges --------------------------------------------------------------
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = float(value)
+        return self._counts()[0].get(name, 0.0)
 
     def gauge(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
+        return self._counts()[1].get(name, default)
+
+    def __getstate__(self):
+        # A registry shipped from a worker leaves its source (the live
+        # engine) behind: the receiver counts from its own roll-up.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_counts"] = _nothing_counted
+        return None, state
 
     # -- windowed histograms -------------------------------------------------
 
@@ -157,10 +171,6 @@ class MetricsRegistry:
             self._histograms[name] = sketch
         return sketch
 
-    def observe(self, name: str, value: float, at: float) -> None:
-        """Record one sample into the named histogram at stream time ``at``."""
-        self.histogram(name).record(value, at)
-
     def observe_stage(self, stage: str, seconds: float, at: float) -> None:
         """Pipeline convenience: spans land as ``stage_<name>`` histograms."""
         self.histogram("stage_" + stage).record(seconds, at)
@@ -175,31 +185,16 @@ class MetricsRegistry:
             relative_error=self._relative_error,
         )
 
-    def merge(
-        self,
-        other: "MetricsRegistry | NullMetrics",
-        *,
-        except_counters: tuple[str, ...] = (),
-    ) -> None:
-        """Fold a child registry in: counters and gauges add, histograms
-        merge bucket-by-bucket (lossless for aligned geometry).
-        ``except_counters`` names counters that do not partition across
-        children (every child counted the same events) and are left for
-        the caller to set."""
+    def merge(self, other: "MetricsRegistry | NullMetrics") -> None:
+        """Fold a child registry's histograms in, bucket-by-bucket
+        (lossless for aligned geometry); a roll-up reads its counters and
+        gauges from its own source."""
         if not isinstance(other, MetricsRegistry):
             return  # nothing to fold in from the null registry
-        for name, value in other._counters.items():
-            if name not in except_counters:
-                self._counters[name] = self._counters.get(name, 0.0) + value
-        for name, value in other._gauges.items():
-            self._gauges[name] = self._gauges.get(name, 0.0) + value
         for name, sketch in other._histograms.items():
             self.histogram(name).merge(sketch)
 
     # -- snapshots -----------------------------------------------------------
-
-    def histogram_names(self) -> list[str]:
-        return sorted(self._histograms)
 
     def snapshot(self, now: float | None = None) -> RegistrySnapshot:
         """Freeze the registry at stream time ``now`` (default: the latest
@@ -225,47 +220,32 @@ class MetricsRegistry:
                 p99=merged.p99(),
                 max_value=merged.max(),
             )
+        counters, gauges = self._counts()
         return RegistrySnapshot(
             at=now,
-            counters=MappingProxyType(dict(self._counters)),
-            gauges=MappingProxyType(dict(self._gauges)),
+            counters=MappingProxyType(dict(counters)),
+            gauges=MappingProxyType(dict(gauges)),
             windows=MappingProxyType(windows),
         )
 
 
 class NullMetrics:
-    """The default registry: observes nothing, costs (almost) nothing.
-
-    Mirrors :class:`~repro.obs.tracer.NoopTracer`: ``enabled`` is
-    ``False`` and every instrumented call site is gated on it, so the
-    un-metered path never reaches these methods.
-    """
+    """The default registry: ``enabled`` is ``False``, so no seam feeds
+    it; a roll-up of it is empty."""
 
     enabled = False
     __slots__ = ()
 
-    def inc(self, name: str, amount: float = 1.0) -> None:
+    def read_from(self, source) -> None:
         return None
 
     def counter(self, name: str) -> float:
         return 0.0
 
-    def set_gauge(self, name: str, value: float) -> None:
-        return None
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        return default
-
-    def observe(self, name: str, value: float, at: float) -> None:
-        return None
-
-    def observe_stage(self, stage: str, seconds: float, at: float) -> None:
-        return None
-
     def spawn(self) -> "NullMetrics":
         return self
 
-    def merge(self, other: object, *, except_counters: tuple = ()) -> None:
+    def merge(self, other: object) -> None:
         return None
 
     def snapshot(self, now: float | None = None) -> RegistrySnapshot:

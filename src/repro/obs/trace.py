@@ -252,8 +252,9 @@ class ActiveSegment:
         self._flag: str | None = None
         self._stage_spans: dict[str, Span] = {}
 
-    def add_stage(self, stage: str, seconds: float) -> None:
-        """Fold one stage observation in (aggregated per stage name)."""
+    def add_stage(self, stage: str, seconds: float, count: int = 1) -> None:
+        """Fold ``count`` stage observations of ``seconds`` in total
+        (aggregated per stage name)."""
         span = self._stage_spans.get(stage)
         if span is None:
             span = Span(
@@ -262,12 +263,13 @@ class ActiveSegment:
                 kind="stage",
                 offset_s=perf_counter() - self.started_perf,
                 seconds=seconds,
+                count=count,
             )
             self._stage_spans[stage] = span
             self.spans.append(span)
         else:
             span.seconds += seconds
-            span.count += 1
+            span.count += count
 
     def add_span(
         self,

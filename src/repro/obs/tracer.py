@@ -1,22 +1,23 @@
-"""Stage tracers: per-stage counters and latency sketches for the pipeline.
+"""Stage tracers, and the one seam every span goes through.
 
 The delivery pipeline emits one *span* — a named stage plus an elapsed
 wall-clock duration — per stage per event, and one ``delivery`` span per
-follower in the fan-out loop (the span taxonomy is :data:`STAGES`). A
-:class:`StageTracer` consumes those spans. Two implementations ship:
+follower in the fan-out loop (the span taxonomy is :data:`STAGES`), each
+once, through its engine's :class:`Seam`. A :class:`StageTracer` is one
+of the sinks behind the seam. Two implementations ship:
 
 * :class:`NoopTracer` — the default everywhere. ``enabled`` is ``False``,
-  so instrumented call sites skip the ``perf_counter`` reads entirely and
-  the hot-path cost is one attribute check per potential span.
+  so a seam without another sink skips the ``perf_counter`` reads and
+  costs one attribute check per potential span.
 * :class:`RecordingTracer` — per-stage span counts and latency
   distributions in :class:`~repro.obs.histogram.QuantileSketch` form, with
   ``spawn``/``merge`` so the sharded router can keep one child tracer per
   shard and roll them up.
 
-Everything shares one tracer instance via
-:class:`~repro.core.services.EngineServices`, so the engine facade, the
-sharded router and the replay driver all observe the same stream of
-spans without extra wiring.
+The other two sinks are the live registry's ``stage_<name>`` windows
+(:class:`~repro.obs.registry.MetricsRegistry`) and the request segment
+open at the time (:class:`~repro.obs.trace.RequestTracer`). The replay
+driver observes no spans: it reads the sinks after the fact.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "StageTracer",
     "NoopTracer",
     "RecordingTracer",
+    "Seam",
 ]
 
 # The span taxonomy, in pipeline order. "delivery" wraps one whole
@@ -186,3 +188,44 @@ class RecordingTracer:
                 max_ms=sketch.max() * 1e3,
             )
         return report
+
+
+class Seam:
+    """The one instrumentation seam, built once per engine (and once for
+    a router's own vectorize) from whichever sinks are attached. A call
+    site checks ``enabled`` and makes one :meth:`emit` per span; the
+    stage tracer, the registry's ``stage_<name>`` window and the current
+    request segment each take it from there.
+
+    The granularity rule: per-follower spans and the kind-attributed
+    twins are timed only when ``fine`` — a stage tracer or a registry
+    listens. A request tracer alone gets ``candidate`` and one coarse
+    ``delivery`` span per fan-out, so its cost stays O(1) in the fan-out.
+    """
+
+    __slots__ = ("enabled", "fine", "_tracer", "_metrics", "_requests")
+
+    def __init__(self, tracer=None, metrics=None, request_tracer=None) -> None:
+        self._tracer, self._metrics, self._requests = (
+            sink if getattr(sink, "enabled", False) else None
+            for sink in (tracer, metrics, request_tracer)
+        )
+        self.fine = self._tracer is not None or self._metrics is not None
+        self.enabled = self.fine or self._requests is not None
+
+    def emit(self, stage: str, seconds: float, at: float, count: int = 1) -> None:
+        """One ``stage`` span of ``seconds``, at stream time ``at`` (the
+        registry window's bucket). ``count`` > 1 is the coarse span that
+        stands for a whole fan-out, which only a request segment gets."""
+        if self._tracer is not None:
+            self._tracer.record(stage, seconds)
+        if self._metrics is not None:
+            self._metrics.observe_stage(stage, seconds, at)
+        if self._requests is not None:
+            segment = self._requests.current
+            if segment is not None:
+                segment.add_stage(stage, seconds, count)
+
+
+#: The seam with no sink behind it.
+NO_SEAM = Seam()

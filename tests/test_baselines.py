@@ -69,13 +69,21 @@ class TestSystemMatchesFullScan:
             b = system.slate(user_id, post.msg_id, vec, post.timestamp, 10)
             assert a == b
 
-    def test_shared_probe_cached_per_message(self, state, message):
+    def test_shared_probe_cached_per_message(self, state, message, monkeypatch):
         post, vec = message
         system = SystemRecommender(state)
+        generator = system._candidate_gen
+        generate = generator.generate
+        probes: list = []
+
+        def counted_generate(*args, **kwargs):
+            probes.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "generate", counted_generate)
         system.slate(0, post.msg_id, vec, post.timestamp, 5)
-        probes_after_first = system._candidate_gen.probes
         system.slate(1, post.msg_id, vec, post.timestamp, 5)
-        assert system._candidate_gen.probes == probes_after_first
+        assert len(probes) == 1
 
 
 class TestContentOnly:

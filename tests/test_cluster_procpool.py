@@ -447,7 +447,7 @@ class TestWorkerProtocolInProcess:
         assert position == 7 and result.msg_id == 5
         report = host.handle("report", None)
         assert report["stats"].posts == 1
-        assert report["probes"] >= 1
+        assert report["stats"].shared_probes >= 1
         assert report["tracer"] is None and report["metrics"] is None
         state = host.handle("state", None)
         assert state["next_msg_id"] == 6

@@ -60,10 +60,14 @@ class TestSharedCandidates:
         assert result.complete
 
     def test_probe_counter(self, index):
+        """The generator keeps the last probe's depth only: the engine's
+        stats count probes and their depths (``shared_probes``,
+        ``probe_depth_total``)."""
         generator = SharedCandidateGenerator(index, 10)
         generator.generate({"t0": 1.0})
-        generator.generate({"t1": 1.0})
-        assert generator.probes == 2
+        assert generator.last_probe_depth == 10
+        generator.generate({"t1": 1.0}, depth=3)
+        assert generator.last_probe_depth == 3
 
     def test_ad_ids_order_matches_entries(self, index):
         generator = SharedCandidateGenerator(index, 10)

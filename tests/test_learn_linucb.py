@@ -28,7 +28,9 @@ from repro.learn.linucb import (
     partition_learn_state,
     sort_records,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.core.services import EngineStats
+from repro.obs.registry import MetricsRegistry, counted
+from repro.obs.tracer import Seam
 
 # -- strategies --------------------------------------------------------------
 
@@ -211,10 +213,14 @@ class TestLearnerSync:
         assert learner.rerank(slate)[0][0].score != 1.0
 
     def test_sync_metrics_emitted(self):
+        """The fold's span goes through the seam; its counts and gauges
+        are read from the learner."""
         metrics = MetricsRegistry()
-        learner = LinUcbLearner(sync_interval_s=10.0, metrics=metrics)
+        learner = LinUcbLearner(sync_interval_s=10.0, seam=Seam(metrics=metrics))
+        metrics.read_from(lambda: counted(EngineStats(), learner.telemetry()))
         drive_learner(learner, example_records(6))
         learner.maybe_sync(10.0)
+        assert metrics.histogram("stage_linucb_sync").total_count == 1
         assert metrics.counter("linucb_updates") == 6.0
         assert metrics.counter("linucb_syncs") == 1.0
         assert metrics.gauge("linucb_arms") == float(learner.num_arms) >= 1.0

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.health import HealthMonitor, HealthState, SloSpec
-from repro.obs.registry import MetricsRegistry
+from repro.core.services import EngineStats
+from repro.obs.registry import MetricsRegistry, counted
 
 WINDOW = 60.0
 
@@ -76,10 +77,12 @@ class TestGrading:
         registry = MetricsRegistry(window_s=WINDOW)
         slo = SloSpec(min_deliveries_per_s=100.0)
         monitor = HealthMonitor(registry, slo, hysteresis=1)
-        registry.inc("deliveries", 80)
+        stats = EngineStats()
+        registry.read_from(lambda: counted(stats))
+        stats.deliveries += 80
         report = monitor.evaluate(1.0, wall_seconds=1.0)  # 80/s < 100/s
         assert report.grade is HealthState.DEGRADED
-        registry.inc("deliveries", 10)
+        stats.deliveries += 10
         report = monitor.evaluate(2.0, wall_seconds=1.0)  # 10/s < 100/2
         assert report.grade is HealthState.OVERLOADED
         assert report.deliveries_per_s == pytest.approx(10.0)

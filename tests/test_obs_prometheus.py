@@ -14,14 +14,14 @@ from repro.obs.prometheus import (
     read_timeseries_jsonl,
     render_prometheus,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.core.services import EngineStats
+from repro.obs.registry import MetricsRegistry, counted
 
 
 def populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry(window_s=60.0)
-    registry.inc("deliveries", 42)
-    registry.inc("revenue", 12.5)
-    registry.set_gauge("active_users", 7.0)
+    counters, _ = counted(EngineStats(deliveries=42, revenue=12.5))
+    registry.read_from(lambda: (counters, {"active_users": 7.0}))
     for value in (0.001, 0.002, 0.004):
         registry.observe_stage("delivery", value, at=30.0)
     return registry
@@ -116,10 +116,9 @@ class TestTimeseriesWriter:
 
 class TestClusterGauges:
     def test_export_stamps_imbalance_and_per_shard_dispatch(self):
-        registry = populated_registry()
-        export_cluster_gauges(
-            registry, dispatch_seconds=[0.5, 1.25], imbalance=1.4
-        )
+        registry = MetricsRegistry(window_s=60.0)
+        gauges = export_cluster_gauges(dispatch_seconds=[0.5, 1.25], imbalance=1.4)
+        registry.read_from(lambda: ({}, gauges))
         text = render_prometheus(registry.snapshot(30.0))
         assert "repro_load_imbalance 1.4" in text
         assert "repro_dispatch_seconds_shard_0 0.5" in text
