@@ -16,11 +16,16 @@ Per end-to-end metric it prints both sides' medians and quartiles, how
 many pairs the change won (ties count for neither side) and the verdict:
 a gain is *claimable* when the change wins at least nine tenths of at
 least ten pairs and the medians differ by more than the parent's
-interquartile range. It also says whether every run passed its output
-checks and whether the two sides' output digests matched in every pair —
-and exits non-zero if not. Timings are never gated here. Several
-workloads (the no-regression sweep every change owes) are measured one
-after another, N pairs and one table each, under one exit status.
+interquartile range. Beside it, whether the change's median is within the
+metric's ``BENCHMARK.json`` bound of the parent's (the no-regression
+rule). It also says whether every run passed its output checks and
+whether the two sides' output digests matched in every pair — and exits
+non-zero if not. Timings are never gated here. After each workload's
+table comes every run made, one markdown row per pair: the seed, the side
+that ran first, each metric parent / change, ``failed`` and the digests.
+Several workloads (the no-regression sweep every change owes) are
+measured one after another, N pairs and one table each, under one exit
+status.
 """
 
 from __future__ import annotations
@@ -74,22 +79,57 @@ def metric_row(metric: dict, parent: list[float], change: list[float]) -> str:
         verdict = "WORSE"
     else:
         verdict = "no claim"
+    # The no-regression rule: the change's median may be worse than the
+    # parent's by at most the metric's bound, as a share of the parent's.
+    within = -better_by <= metric["bound"] * abs(p_med)
+    bound = f"{'within' if within else 'OUTSIDE'} bound {metric['bound'] * 100.0:.0f} %"
     return (
         f"  {metric['name']:<20} parent {p_med:>10.4f} [{p_q1:.4f}, {p_q3:.4f}]  "
         f"change {c_med:>10.4f} [{c_q1:.4f}, {c_q3:.4f}]  "
         f"{(c_med / p_med - 1.0) * 100.0 if p_med else 0.0:>+7.1f} %  "
-        f"wins {wins}/{pairs} (losses {losses})  {verdict}"
+        f"wins {wins}/{pairs} (losses {losses})  {verdict}; {bound}"
     )
 
 
+def reading(value: float) -> str:
+    """A table cell: whole units from a thousand up, else four digits."""
+    return f"{value:.0f}" if abs(value) >= 1000.0 else f"{value:.4g}"
+
+
+def run_rows(seeds: list[int], firsts: list[str], records, metrics) -> list[str]:
+    """Every run made, one markdown row per pair: the seed, the side that
+    ran first, each metric parent / change, ``failed`` and the digests."""
+    names = [metric["name"] for metric in metrics]
+    rows = [
+        "| seed | first | " + " | ".join(names) + " | failed | digests |",
+        "|" + "---|" * (len(names) + 4),
+    ]
+    for index, (seed, first) in enumerate(zip(seeds, firsts)):
+        parent, change = records["parent"][index], records["change"][index]
+        cells = [str(seed), first]
+        cells += [
+            f"{reading(parent['end_to_end'][name]['value'])} / "
+            f"{reading(change['end_to_end'][name]['value'])}"
+            for name in names
+        ]
+        cells.append(f"{parent['failed']} / {change['failed']}")
+        cells.append(f"`{parent['digest']}` / `{change['digest']}`")
+        rows.append("| " + " | ".join(cells) + " |")
+    return rows
+
+
 def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
-    """``args.pairs`` interleaved pairs of one workload and their table;
-    whether every run was correct and every pair's digests matched."""
+    """``args.pairs`` interleaved pairs of one workload, their table and
+    their runs; whether every run was correct and every pair's digests
+    matched."""
     headline = metrics[0]["name"]
     records: dict[str, list[dict]] = {side: [] for side in SIDES}
+    seeds, firsts = [], []
     for pair in range(args.pairs):
         seed = args.first_seed + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        seeds.append(seed)
+        firsts.append(order[0])
         for side in order:
             records[side].append(
                 run_side(
@@ -121,7 +161,9 @@ def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
         for ours, theirs in zip(records["parent"], records["change"])
     )
     print(f"[{'ok' if correct else 'FAILED'}] every run passed its output checks")
-    print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair", flush=True)
+    print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair")
+    print(f"\nEvery run of {workload} (parent / change):\n")
+    print("\n".join(run_rows(seeds, firsts, records, metrics)), flush=True)
     return correct and same
 
 

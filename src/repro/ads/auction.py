@@ -4,15 +4,13 @@ The engine ranks ads by relevance-weighted score; given that ranking, each
 winner pays the bid of the ad one slot below it (capped by its own bid and
 floored by the reserve price). The last slot pays the reserve.
 :func:`run_gsp_auction` is the reference, one ad at a time;
-:func:`gsp_prices` is the same rule over a bid column, which is how the
-engine prices a served slate.
+:func:`gsp_prices` is the same rule over the slate's bids as a list of
+floats, which is how the engine prices a served slate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError
@@ -53,14 +51,12 @@ def run_gsp_auction(
     return AuctionOutcome(ad_ids=tuple(ranked_ad_ids), prices=tuple(prices))
 
 
-def gsp_prices(bids: np.ndarray, reserve_price: float) -> np.ndarray:
+def gsp_prices(bids: list[float], reserve_price: float) -> list[float]:
     """:func:`run_gsp_auction`'s prices from the ranked slate's bids, as
-    one array: the bids shifted one slot up (the reserve below the last)
-    through the same min and max, so the same doubles. The reserve is
-    the engine config's, validated there."""
-    prices = np.empty(bids.shape[0])
-    if prices.shape[0]:
-        np.minimum(bids[:-1], bids[1:], out=prices[:-1])
-        prices[-1] = reserve_price
-        np.maximum(prices, reserve_price, out=prices)
+    floats: each bid against the one below it (the reserve below the
+    last) through the same min and max, so the same doubles. The reserve
+    is the engine config's, validated there."""
+    prices = []  # a loop: a comprehension is a call before Python 3.12
+    for bid, next_bid in zip(bids, [*bids[1:], reserve_price]):
+        prices.append(max(reserve_price, min(bid, next_bid)))
     return prices

@@ -167,6 +167,27 @@ class BudgetManager:
         multipliers[spent >= budget] = 0.0
         return multipliers
 
+    def pacing_floats(self, slots: np.ndarray, timestamp: float) -> list[float]:
+        """:meth:`pacing_block` at a few slots, as floats: the same
+        comparisons and divide per element, in the same order, on the
+        gathered columns — where numpy's per-call cost would outweigh
+        the arithmetic."""
+        spent = self._spent[slots].tolist()
+        budget = self._budget[slots].tolist()
+        if not self._pacing_enabled:
+            return [0.0 if s >= b else 1.0 for s, b in zip(spent, budget)]
+        elapsed = self._elapsed(timestamp)
+        multipliers = []
+        for s, b in zip(spent, budget):
+            expected = b * elapsed
+            if s >= b:
+                multipliers.append(0.0)
+            elif s > expected:
+                multipliers.append(max(expected / s, 0.1))
+            else:
+                multipliers.append(1.0)
+        return multipliers
+
     def ahead_of_schedule(self, slots: np.ndarray, timestamp: float) -> np.ndarray:
         """Which of ``slots`` pace below 1.0 at ``timestamp`` only because
         of the time: spent past the uniform schedule and not exhausted.
@@ -183,6 +204,18 @@ class BudgetManager:
         ahead = spent > budget * self._elapsed(timestamp)
         ahead &= spent < budget
         return ahead
+
+    def ahead_flags(self, slots: np.ndarray, timestamp: float) -> list[bool]:
+        """:meth:`ahead_of_schedule` at a few slots, as Python bools (the
+        same comparisons, as :meth:`pacing_floats` is to
+        :meth:`pacing_block`)."""
+        if not self._pacing_enabled:
+            return [False] * slots.shape[0]
+        elapsed = self._elapsed(timestamp)
+        return [
+            b * elapsed < s < b
+            for s, b in zip(self._spent[slots].tolist(), self._budget[slots].tolist())
+        ]
 
     def _elapsed(self, timestamp: float) -> float:
         """The campaign window's elapsed fraction at ``timestamp``,
@@ -216,48 +249,31 @@ class BudgetManager:
             return True
         return False
 
-    def charge_block(self, slots: np.ndarray, prices: np.ndarray) -> None:
-        """:meth:`charge` for each ``(slot, price)`` pair in order, as
-        arrays. ``slots`` are :meth:`slot_of`'s for active ads, each capped
-        slot at most once (a slate's live ads are distinct; uncapped ads
-        share slot 0, which is never debited).
-
-        Spend, ``writes`` and the retirements, in order, end where the
-        calls one at a time leave them; a negative price or an already
-        exhausted ad raises the same :class:`BudgetError` once the pairs
-        ahead of it are charged.
-        """
-        # A slate is a handful of entries: its checks run on lists, where
-        # a reduction over a tiny array costs more than the arithmetic.
-        spent = self._spent[slots]
-        budget = self._budget[slots]
-        # Slot 0 holds budget 1 and spent 0: it never reads as exhausted.
-        exhausted = (spent >= budget).tolist()
-        price_list = prices.tolist()
-        if True in exhausted or min(price_list, default=0.0) < 0.0:
-            first = next(
-                index
-                for index, (price, done) in enumerate(zip(price_list, exhausted))
-                if price < 0.0 or done
-            )
-            self.charge_block(slots[:first], prices[:first])
-            price = price_list[first]
+    def charge_block(self, slots: list[int], prices: list[float]) -> None:
+        """:meth:`charge` for each ``(slot, price)`` pair in order, by
+        slot (:meth:`slot_of`'s; uncapped ads share slot 0, which is
+        never debited) — how a served slate is debited. The same floats
+        through the same steps: ``spent + min(price, budget − spent)``,
+        one ``writes`` bump per capped pair and a retirement the moment a
+        pair exhausts its ad, so spend, ``writes``, the retirements and
+        a :class:`BudgetError` end where the calls one at a time leave
+        them. A slate is a handful of entries, where numpy's per-call
+        cost outweighs the arithmetic."""
+        spent_column, budget_column = self._spent, self._budget
+        for slot, price in zip(slots, prices):
             if price < 0.0:
                 raise BudgetError(f"price cannot be negative: {price}")
-            ad_id = self._ad_of_slot[slots.item(first)]
-            raise BudgetError(f"ad {ad_id} is already exhausted")
-        spent += np.minimum(prices, budget - spent)
-        if 0 in slots.tolist():
-            capped = slots != 0
-            slots, spent, budget = slots[capped], spent[capped], budget[capped]
-        self._spent[slots] = spent
-        self.writes += slots.shape[0]
-        exhausted = (spent >= budget).tolist()
-        if True in exhausted:
-            ad_of_slot = self._ad_of_slot
-            for slot, done in zip(slots.tolist(), exhausted):
-                if done:
-                    self._corpus.retire(ad_of_slot[slot])
+            if not slot:
+                continue
+            budget = budget_column.item(slot)
+            spent = spent_column.item(slot)
+            if spent >= budget:
+                raise BudgetError(f"ad {self._ad_of_slot[slot]} is already exhausted")
+            spent += min(price, budget - spent)
+            spent_column[slot] = spent
+            self.writes += 1
+            if spent >= budget:
+                self._corpus.retire(self._ad_of_slot[slot])
 
     def restore_spend(self, ad_id: int, spent: float) -> None:
         """Set an ad's spend directly (checkpoint restore).

@@ -513,7 +513,12 @@ class AdEngine:
         frontend) do not need to know the configuration.
         """
         if self.ctr is not None:
+            # The click writes one ad's evidence: the kernel's resident
+            # bid term re-reads that row rather than rebuilding.
+            scoring = self.services.scoring
+            writes = scoring.bid_writes()
             self.ctr.record_click(ad_id)
+            self.personalizer.clicked(ad_id, writes, scoring.bid_writes())
         learner = self.services.learner
         if learner is not None:
             learner.record_click(ad_id, user_id=user_id, slot_index=slot_index)

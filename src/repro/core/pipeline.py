@@ -387,11 +387,14 @@ class ExactPersonalizeStage(_PerFollowerStage):
 
 
 class GspChargeStage:
-    """GSP-price the live slate entries and debit their budgets, in
-    columns: the live mask, the raw bids and the budget slots at the
+    """GSP-price the live slate entries and debit their budgets, as
+    floats: the live mask, the raw bids and the budget slots at the
     slate's rows (:class:`~repro.core.scoring.StaticRowCache`), or looked
-    up entry by entry for a slate without rows. Prices, spend,
-    retirements and revenue are those of
+    up entry by entry for a slate without rows, then one body —
+    :func:`~repro.ads.auction.gsp_prices` and
+    :meth:`~repro.ads.budget.BudgetManager.charge_block` over ≤ k
+    entries, where numpy's per-call cost would outweigh the arithmetic.
+    Prices, spend, retirements and revenue are those of
     :func:`~repro.ads.auction.run_gsp_auction` and
     :meth:`~repro.ads.budget.BudgetManager.charge` entry by entry."""
 
@@ -403,37 +406,31 @@ class GspChargeStage:
         self._columns = columns
         self._reserve_price = services.config.reserve_price
 
-    def _looked_up(
-        self, slate: Slate
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        corpus, budget = self._corpus, self._budget
-        ad_ids = slate.ad_ids.tolist()
-        count = len(ad_ids)
-        return (
-            np.fromiter(map(corpus.is_active, ad_ids), bool, count),
-            np.fromiter((corpus.get(ad_id).bid for ad_id in ad_ids), float, count),
-            np.fromiter(map(budget.slot_of, ad_ids), np.int64, count),
-        )
-
     def charge(
         self, slate: Slate, timestamp: float, rows: np.ndarray | None = None
     ) -> float:
         if not slate:
             return 0.0
         if rows is None:
-            live, bids, slots = self._looked_up(slate)
+            corpus = self._corpus
+            ad_ids = slate.ad_ids.tolist()
+            live = [corpus.is_active(ad_id) for ad_id in ad_ids]
+            bids = [corpus.get(ad_id).bid for ad_id in ad_ids]
+            slots = [self._budget.slot_of(ad_id) for ad_id in ad_ids]
         else:
             columns = self._columns
-            live = columns.live(rows)
-            bids, slots = columns.bids[rows], columns.pacing_slots[rows]
-        if False in live.tolist():
-            bids, slots = bids[live], slots[live]
-            if not bids.shape[0]:
+            live = columns.live(rows).tolist()
+            bids = columns.bids[rows].tolist()
+            slots = columns.pacing_slots[rows].tolist()
+        if False in live:
+            bids = [bid for bid, alive in zip(bids, live) if alive]
+            slots = [slot for slot, alive in zip(slots, live) if alive]
+            if not bids:
                 return 0.0
         prices = gsp_prices(bids, self._reserve_price)
         self._budget.charge_block(slots, prices)
-        # Python's left-to-right sum: ndarray.sum rounds differently.
-        return sum(prices.tolist())
+        # Python's left-to-right sum, as the auction's revenue.
+        return sum(prices)
 
 
 class NoChargeStage:

@@ -55,6 +55,7 @@ from repro.core.candidates import CandidateSet
 from repro.core.scoring import EMPTY_SLATE, ScoredAd, Slate, StaticRowCache
 from repro.core.services import EngineServices
 from repro.core.static_list import GlobalStaticTopList
+from repro.errors import IndexError_
 from repro.geo.point import GeoPoint
 from repro.index.compact import CompactIndex
 from repro.index.factory import make_searcher
@@ -321,7 +322,7 @@ class Personalizer:
 
     def _event_bid(
         self, cache: StaticRowCache, timestamp: float, key: tuple
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, list[int]]:
         """δ·bid over the row space at ``timestamp``, and the list of the
         rows to re-read at the next event, to extend with the rows this
         one's deliveries write.
@@ -329,14 +330,14 @@ class Personalizer:
         The vector stays resident between events. It is re-read at just
         the listed rows when nothing has moved but them: the same row
         space and ``max_bid`` (``key``), no write since that the list does
-        not name (:meth:`ScoringModel.bid_writes`), and no step back in
-        time. The list starts with the rows whose pacing can still move
-        with the time alone (:meth:`ScoringModel.paced_rows`): on every
-        other unwritten row the value stands at any later time. Anything
-        else — a click, a restore, a launch, a compaction, an earlier
-        timestamp — rebuilds it. A re-read is the full build's arithmetic
-        elementwise, so either way the vector equals a rebuild bit for
-        bit.
+        not name (:meth:`ScoringModel.bid_writes`; a click names its row,
+        :meth:`clicked`), and no step back in time. The list starts with
+        the rows whose pacing can still move with the time alone
+        (:meth:`ScoringModel.paced_rows`): on every other unwritten row
+        the value stands at any later time. Anything else — a restore, a
+        launch, a compaction, an earlier timestamp — rebuilds it. A
+        re-read is the full build's arithmetic elementwise, so either way
+        the vector equals a rebuild bit for bit.
         """
         scoring = self._scoring
         resident, self._resident = self._resident, None
@@ -347,18 +348,35 @@ class Personalizer:
             and resident[2] == scoring.bid_writes()
         ):
             bid, stale = resident[3], resident[4]
-            rows = np.concatenate(stale)
-            if not rows.shape[0]:
-                return bid, [rows]
+            if not stale:
+                return bid, stale
             # Distinct and ascending: the list carries what is still paced
             # forward, so a repeat would be carried forever.
-            named = np.zeros(bid.shape[0], dtype=bool)
-            named[rows] = True
-            rows = named.nonzero()[0]
+            rows = np.array(sorted(set(stale)), dtype=np.int64)
             bid[rows] = scoring.fanout_bid_block(cache, timestamp, rows)
-            return bid, [scoring.paced_rows(cache, timestamp, rows)]
+            return bid, scoring.paced_rows(cache, timestamp, rows)
         bid = scoring.fanout_bid_block(cache, timestamp)
-        return bid, [scoring.paced_rows(cache, timestamp)]
+        return bid, scoring.paced_rows(cache, timestamp)
+
+    def clicked(self, ad_id: int, writes_before: int, writes_after: int) -> None:
+        """A click moved :meth:`ScoringModel.bid_writes` from
+        ``writes_before`` to ``writes_after`` by writing ``ad_id``'s CTR
+        evidence, outside any fan-out. If the resident δ·bid was current
+        before it, name the ad's row for the next event's re-read and
+        take the click's count along, so that event re-reads one row
+        instead of rebuilding the vector. Otherwise — or when the mirror
+        has no live row for the ad (a retired ad's row is dead and
+        unnamed) — nothing changes, and the next event rebuilds."""
+        resident = self._resident if self._vector else None
+        if resident is None or resident[2] != writes_before:
+            return
+        try:
+            row = self._compact.row_of(ad_id)
+        except IndexError_:
+            return
+        key, at, _, bid, stale = resident
+        stale.append(row)
+        self._resident = (key, at, writes_after, bid, stale)
 
     def _cut(
         self,
@@ -537,7 +555,7 @@ class Personalizer:
                 # and dropped. Re-read its slate's rows, the only ones it
                 # can have moved (same arithmetic as the full build, so the
                 # vectors equal a rebuild's), and drop the rows it retired.
-                stale.append(slate_rows)
+                stale.extend(slate_rows.tolist())
                 if position < count:
                     bid[slate_rows] = scoring.fanout_bid_block(
                         cache, timestamp, slate_rows

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -212,8 +213,11 @@ class StaticRowCache:
         self._time_rows = np.zeros(0, dtype=np.int64)
         self._time_start = np.zeros(0, dtype=np.float64)
         self._time_end = np.zeros(0, dtype=np.float64)
+        # Every window end (start or end hour), ascending and distinct.
+        self._time_ends: list[float] = []
         # Full-corpus targeting results, all dropped when the row space
-        # changes (sync): the time mask of the event timestamp, and per
+        # changes (sync): the time mask of the window-end interval holding
+        # the last event's hour, and per
         # location (keyed by coordinates) only what depends on it — the
         # matched geo rows and their best falloff, a few per cent of the
         # rows — over a shared dense base.
@@ -322,6 +326,7 @@ class StaticRowCache:
         self._time_end = np.fromiter(
             (rec[2] for rec in windows), dtype=np.float64, count=len(windows)
         )
+        self._time_ends = sorted({hour for _, *ends in windows for hour in ends})
         self._flat_dirty = False
 
     def geo_hits(
@@ -423,31 +428,41 @@ class StaticRowCache:
         return hit_rows[starts], np.maximum.reduceat(falloff, starts)
 
     def time_keep_full(self, timestamp: float) -> np.ndarray:
-        """Time-window predicate over every row, cached for the event
-        timestamp (one fan-out shares it across followers and probes)."""
+        """Time-window predicate over every row, read-only.
+
+        Every window compares the hour of day against its two ends
+        (``start <= hour``, ``hour < end``), so the mask is constant
+        between two consecutive window ends: it is cached for the
+        interval ``[ends[i - 1], ends[i])`` that holds the hour, and
+        rebuilt (:meth:`_time_keep`) only when an event's hour falls in
+        another — or when the row space changes (:meth:`sync`).
+        """
+        self._flatten()
+        interval = bisect_right(self._time_ends, (timestamp % SECONDS_PER_DAY) / 3600.0)
         cached = self._full_time
-        if cached is not None and cached[0] == timestamp:
+        if cached is not None and cached[0] == interval:
             return cached[1]
+        keep = self._time_keep(timestamp)
+        self._full_time = (interval, keep)
+        return keep
+
+    def _time_keep(self, timestamp: float) -> np.ndarray:
+        """The time-window predicate at ``timestamp`` over every row,
+        computed afresh."""
         size = self._synced_rows
         time_mask = self._time_targeted[:size]
         if not time_mask.any():
-            keep = np.ones(size, dtype=bool)
-        else:
-            self._flatten()
-            hour = (timestamp % SECONDS_PER_DAY) / 3600.0
-            start = self._time_start
-            end = self._time_end
-            inside = np.where(
-                start < end,
-                (start <= hour) & (hour < end),
-                (hour >= start) | (hour < end),
-            )
-            matched = (
-                np.bincount(self._time_rows[inside], minlength=size) > 0
-            )
-            keep = matched | ~time_mask
-        self._full_time = (timestamp, keep)
-        return keep
+            return np.ones(size, dtype=bool)
+        hour = (timestamp % SECONDS_PER_DAY) / 3600.0
+        start = self._time_start
+        end = self._time_end
+        inside = np.where(
+            start < end,
+            (start <= hour) & (hour < end),
+            (hour >= start) | (hour < end),
+        )
+        matched = np.bincount(self._time_rows[inside], minlength=size) > 0
+        return matched | ~time_mask
 
 
 #: Budget of the per-location targeting cache in stored ``(row, falloff)``
@@ -456,7 +471,6 @@ class StaticRowCache:
 _GEO_CACHE_PAIRS = 1 << 20
 _GEO_ENTRY_PAIRS = 32
 _NO_MATCHES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-_NO_ROWS = _NO_MATCHES[0]
 
 
 def _grown(array: np.ndarray, size: int, dtype) -> np.ndarray:
@@ -597,28 +611,21 @@ class ScoringModel:
 
     # -- block (vectorized) evaluation ---------------------------------------
 
-    def _bid_block(
-        self,
-        cache: StaticRowCache,
-        timestamp: float,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`bid_score` over a row block (same op order);
-        ``rows=None`` is every synced row."""
-        if rows is None:
-            rows = slice(None)
-        bid = cache.bids[rows]
+    def _bid_block(self, cache: StaticRowCache, timestamp: float) -> np.ndarray:
+        """Vectorized :meth:`bid_score` over every synced row (same op
+        order)."""
+        bid = cache.bids
         max_bid = self._corpus.max_bid
         if max_bid <= 0.0:
             return np.zeros(bid.shape[0], dtype=np.float64)
         bid = bid / max_bid
         if self._budget_manager is not None:
             bid = bid * self._budget_manager.pacing_block(
-                cache.pacing_slots[rows], timestamp
+                cache.pacing_slots, timestamp
             )
         if self._ctr_estimator is not None:
             bid = bid * (
-                self._ctr_estimator.quality_block(cache.quality_slots[rows])
+                self._ctr_estimator.quality_block(cache.quality_slots)
                 / QUALITY_CAP
             )
         return bid
@@ -628,34 +635,70 @@ class ScoringModel:
         cache: StaticRowCache,
         timestamp: float,
         rows: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> np.ndarray | list[float]:
         """Delta-weighted bid term, shared across a fan-out.
 
         The bid is the only user-independent static, so one full row
-        vector serves every follower of an event; with ``rows`` it is
-        re-read at just those rows — elementwise the same arithmetic, so
-        writing the result back over the full vector equals rebuilding it.
+        vector (:meth:`_bid_block`, the array kernel) serves every
+        follower of an event. With ``rows`` it is re-read at just those
+        rows — a slate's ≤ k, or the few an event names — as a list of
+        floats in ``rows`` order: the kernel's operations in its order,
+        one element at a time (a Python float is the same IEEE double, so
+        each comes out bit for bit), since on a dozen rows numpy's
+        per-call cost outweighs the arithmetic. Writing it back over the
+        full vector equals rebuilding it. A factor the kernel skips (no
+        budget manager, no estimator) is a multiply by 1.0 here, which
+        changes no double.
         """
         cache.sync(self._budget_manager, self._ctr_estimator)
-        return self.weights.delta * self._bid_block(cache, timestamp, rows)
+        delta = self.weights.delta
+        if rows is None:
+            return delta * self._bid_block(cache, timestamp)
+        bids = cache.bids[rows].tolist()
+        max_bid = self._corpus.max_bid
+        if max_bid <= 0.0:
+            return [delta * 0.0] * len(bids)
+        budget, ctr = self._budget_manager, self._ctr_estimator
+        pacing = (
+            budget.pacing_floats(cache.pacing_slots[rows], timestamp)
+            if budget is not None
+            else repeat(1.0)
+        )
+        quality = (
+            ctr.quality_floats(cache.quality_slots[rows])
+            if ctr is not None
+            else repeat(QUALITY_CAP)
+        )
+        # A loop, not a comprehension: before Python 3.12 a comprehension
+        # is a function call of its own, and this runs once a delivery.
+        values = []
+        for bid, paced, rated in zip(bids, pacing, quality):
+            values.append(delta * (bid / max_bid * paced * (rated / QUALITY_CAP)))
+        return values
 
     def paced_rows(
         self,
         cache: StaticRowCache,
         timestamp: float,
         rows: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> list[int]:
         """The rows of ``rows`` (every synced row by default) whose
         :meth:`fanout_bid_block` value can still change after
         ``timestamp`` with nothing written: those paced ahead of schedule
         (:meth:`BudgetManager.ahead_of_schedule`), the bid term's only
-        time-dependent factor. Ascending when ``rows`` is."""
+        time-dependent factor. Ascending when ``rows`` is; listed rows
+        are tested as floats (:meth:`BudgetManager.ahead_flags`)."""
         budget = self._budget_manager
         if budget is None:
-            return _NO_ROWS
+            return []
         if rows is None:
-            return budget.ahead_of_schedule(cache.pacing_slots, timestamp).nonzero()[0]
-        return rows[budget.ahead_of_schedule(cache.pacing_slots[rows], timestamp)]
+            return (
+                budget.ahead_of_schedule(cache.pacing_slots, timestamp)
+                .nonzero()[0]
+                .tolist()
+            )
+        ahead = budget.ahead_flags(cache.pacing_slots[rows], timestamp)
+        return [row for row, paced in zip(rows.tolist(), ahead) if paced]
 
     def bid_writes(self) -> int:
         """Monotone count of writes to the state behind the bid term

@@ -1,9 +1,9 @@
 """Property tests: a served slate charged and recorded in columns equals
 the scalar references entry by entry.
 
-The engine prices a slate with :func:`~repro.ads.auction.gsp_prices`,
-debits it with :meth:`~repro.ads.budget.BudgetManager.charge_block` and
-records its impressions with
+The engine prices a slate with :func:`~repro.ads.auction.gsp_prices`
+and debits it with :meth:`~repro.ads.budget.BudgetManager.charge_block`,
+both on Python floats, and records its impressions with
 :meth:`~repro.ads.ctr.CtrEstimator.record_impressions`. Each must leave
 exactly what :func:`~repro.ads.auction.run_gsp_auction`,
 :meth:`~repro.ads.budget.BudgetManager.charge` and
@@ -110,9 +110,9 @@ class TestGspPrices:
         outcome = run_gsp_auction(
             AdCorpus(ads), [ad.ad_id for ad in ads], reserve_price=reserve
         )
-        prices = gsp_prices(np.array(bids, dtype=np.float64), reserve)
-        assert prices.tolist() == list(outcome.prices)
-        assert sum(prices.tolist()) == outcome.revenue
+        prices = gsp_prices(bids, reserve)
+        assert prices == list(outcome.prices)
+        assert sum(prices) == outcome.revenue
 
 
 class TestChargeBlock:
@@ -134,10 +134,7 @@ class TestChargeBlock:
             ad_of = dict(zip(slots, slate))
             try:
                 if blocked:
-                    budget.charge_block(
-                        np.array(slots, dtype=np.int64),
-                        np.array(prices, dtype=np.float64),
-                    )
+                    budget.charge_block(slots, prices)
                 else:
                     self.sequential(budget, slots, prices, ad_of)
                 error = None
@@ -160,20 +157,21 @@ class TestChargeBlock:
         # Restoring ad 2 at its cap retired it.
         assert not corpus.is_active(2)
         with pytest.raises(BudgetError, match="ad 2 is already exhausted"):
-            budget.charge_block(
-                np.array([budget.slot_of(1), budget.slot_of(2)]), np.array([1.0, 1.0])
-            )
+            budget.charge_block([budget.slot_of(1), budget.slot_of(2)], [1.0, 1.0])
         assert budget.state(1).spent == 2.0 and log == [1]
 
 
 class TestChargeStage:
     """The stage on a slate with rows, and on one looked up entry by
     entry, equals the reference: the live entries through the auction,
-    then one budget ``charge`` each."""
+    then one budget ``charge`` each — retired entries, uncapped ads (slot
+    0) and a live ad whose spend reached its cap behind the books' back
+    (the reference's ``BudgetError`` at that entry, after the ones ahead
+    of it are charged) included."""
 
     @PROPERTY_SETTINGS
-    @given(drawn=books(), reserve=RESERVES)
-    def test_equal_to_the_reference(self, drawn, reserve):
+    @given(drawn=books(), reserve=RESERVES, overdrawn=st.booleans())
+    def test_equal_to_the_reference(self, drawn, reserve, overdrawn):
         ads, slate_ids, spend, retired, _ = drawn
         slate = Slate.of(ScoredAd(ad_id, 1.0, 0.5, 0.5) for ad_id in slate_ids)
         # Rows in reverse ad order, so a row is not a position.
@@ -181,12 +179,25 @@ class TestChargeStage:
         results = []
         for leg in ("reference", "looked up", "rows"):
             corpus, budget, log = build(ads, spend, retired)
+            capped = [
+                ad_id
+                for ad_id in slate_ids
+                if corpus.is_active(ad_id) and budget.state(ad_id) is not None
+            ]
+            if overdrawn and capped:
+                # Exhausted on the books, yet still serving.
+                slot = budget.slot_of(capped[-1])
+                budget._spent[slot] = budget._budget[slot]
+            error = None
             if leg == "reference":
                 live = [ad_id for ad_id in slate_ids if corpus.is_active(ad_id)]
                 outcome = run_gsp_auction(corpus, live, reserve_price=reserve)
-                for ad_id, price in zip(outcome.ad_ids, outcome.prices):
-                    budget.charge(ad_id, price)
-                results.append((outcome.revenue, ledger(budget, log)))
+                try:
+                    for ad_id, price in zip(outcome.ad_ids, outcome.prices):
+                        budget.charge(ad_id, price)
+                except BudgetError as exc:
+                    error = str(exc)
+                results.append((error, outcome.revenue, ledger(budget, log)))
                 continue
             alive = np.zeros(len(ads), dtype=bool)
             columns = SimpleNamespace(
@@ -207,8 +218,12 @@ class TestChargeStage:
             rows = None
             if leg == "rows":
                 rows = np.array([row_of[ad_id] for ad_id in slate_ids])
-            revenue = GspChargeStage(services, columns).charge(slate, 0.0, rows)
-            results.append((revenue, ledger(budget, log)))
+            revenue = results[0][1]
+            try:
+                revenue = GspChargeStage(services, columns).charge(slate, 0.0, rows)
+            except BudgetError as exc:
+                error = str(exc)
+            results.append((error, revenue, ledger(budget, log)))
         assert results[1] == results[0]
         assert results[2] == results[0]
 

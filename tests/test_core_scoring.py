@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ads.ad import Ad
@@ -252,7 +253,8 @@ class TestProbeHelpers:
 
 
 class TestBidBlockSeam:
-    """``_bid_block`` against the scalar ``bid_score``, elementwise and
+    """``_bid_block`` against the scalar ``bid_score``, and the listed-row
+    re-read against it, elementwise and
     bit for bit, on engines whose books, evidence and row space have all
     moved: charged CTR-fed serving, a mid-run launch (row append), enough
     retirements for a compaction (generation bump, rows reassigned) and a
@@ -274,8 +276,8 @@ class TestBidBlockSeam:
             assert full.tolist() == [
                 scoring.bid_score(ad_id, timestamp) for ad_id in ad_ids
             ]
-            block = scoring._bid_block(cache, timestamp, rows)
-            assert block.tolist() == full[rows].tolist()
+            block = scoring.fanout_bid_block(cache, timestamp, rows)
+            assert block == (scoring.weights.delta * full)[rows].tolist()
         # Not vacuous: the dynamic half (pacing · quality / cap) took
         # rewarded and penalised values, and throttling bit at 60 s.
         normalized = cache.bids / engine.corpus.max_bid
@@ -465,3 +467,171 @@ class TestTargetingCache:
         assert (none[0] == cache._geo_base[0]).all()
         assert not np.shares_memory(none[0], cache._geo_base[0])
         assert cache._geo_base[0].any() and cache._geo_base[1].any()
+
+
+class TestListedRowsAreTheFullBuild:
+    """The listed-row re-read — ``fanout_bid_block`` and ``paced_rows``
+    with ``rows``, one pass over Python floats — equals the array kernel's
+    full build at those rows, byte for byte, over every state the bid
+    term's factors can be in: zero spend, spend exactly on schedule,
+    ahead of it, at and past the cap; pacing on, off or no budget
+    manager; no estimator, a discounted one, quality past the cap; and a
+    ``max_bid`` of 0."""
+
+    DAY = 86_400.0
+    BIDS = st.sampled_from([0.005, 0.3, 1.0, 1.7, 4.0])
+    SPEND = st.sampled_from(["zero", "on schedule", "ahead", "at cap", "over"])
+    EVIDENCE = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (3.0, 1.0), (1.0, 5.0), (40.0, 3.0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        pacing=st.sampled_from(["on", "off", "none"]),
+        ctr=st.sampled_from(["none", "plain", "discounted"]),
+        empty=st.booleans(),
+        delta=st.sampled_from([0.25, 1.0, 0.7]),
+        timestamp=st.sampled_from([0.0, 3_600.0, 43_200.0, 61_000.0, 86_400.0, 2e5]),
+    )
+    def test_equal_bytes(self, data, pacing, ctr, empty, delta, timestamp):
+        from types import SimpleNamespace
+
+        from repro.ads.ctr import CtrEstimator
+
+        count = data.draw(st.integers(min_value=1, max_value=12))
+        ads = [
+            Ad(
+                ad_id=10 + index,
+                advertiser="a",
+                text="x",
+                terms={"x": 1.0},
+                bid=data.draw(self.BIDS),
+                budget=data.draw(st.sampled_from([None, 1.0, 2.5, 10.0])),
+            )
+            for index in range(count)
+        ]
+        corpus = AdCorpus(ads)
+        budget = None
+        if pacing != "none":
+            budget = BudgetManager(
+                corpus, campaign_end=self.DAY, pacing_enabled=pacing == "on"
+            )
+            elapsed = min(1.0, timestamp / self.DAY)
+            for ad in ads:
+                if ad.budget is None:
+                    continue
+                expected = ad.budget * elapsed
+                budget._spent[budget.slot_of(ad.ad_id)] = {
+                    "zero": 0.0,
+                    "on schedule": expected,
+                    "ahead": expected + (ad.budget - expected) / 3.0,
+                    "at cap": ad.budget,
+                    "over": ad.budget * 1.5,
+                }[data.draw(self.SPEND)]
+        estimator = None
+        if ctr != "none":
+            estimator = CtrEstimator(discount=0.9 if ctr == "discounted" else 1.0)
+            for ad in ads:
+                estimator.restore(ad.ad_id, *data.draw(self.EVIDENCE))
+                for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                    estimator.record_impression(ad.ad_id)
+        # Rows in a drawn order, so a row is not an ad's position.
+        order = data.draw(st.permutations(range(count)))
+        cache = SimpleNamespace(
+            bids=np.array([ads[i].bid for i in order]),
+            pacing_slots=np.array(
+                [budget.slot_of(ads[i].ad_id) if budget else 0 for i in order],
+                dtype=np.int64,
+            ),
+            quality_slots=np.array(
+                [estimator.slot_of(ads[i].ad_id) if estimator else 0 for i in order],
+                dtype=np.int64,
+            ),
+            sync=lambda budget, ctr: None,
+        )
+        scoring = ScoringModel(
+            SimpleNamespace(max_bid=0.0 if empty else corpus.max_bid),
+            ScoringWeights(delta=delta),
+            budget_manager=budget,
+            ctr_estimator=estimator,
+        )
+        rows = np.array(
+            sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1))),
+            dtype=np.int64,
+        )
+        full = scoring.fanout_bid_block(cache, timestamp)
+        listed = scoring.fanout_bid_block(cache, timestamp, rows)
+        assert np.array(listed, dtype=np.float64).tobytes() == full[rows].tobytes()
+        named = set(rows.tolist())
+        assert scoring.paced_rows(cache, timestamp, rows) == [
+            row for row in scoring.paced_rows(cache, timestamp) if row in named
+        ]
+
+
+class TestTheTimeMaskFollowsWindowEnds:
+    """``StaticRowCache.time_keep_full`` is cached per interval between
+    two consecutive window ends: a sorted stream across midnight, with a
+    launch and a step back in time, reads a mask equal byte for byte to
+    a fresh computation at every event, and rebuilds it exactly when the
+    event's hour falls in another interval or the row space grew."""
+
+    WINDOWS = [(9.0, 17.0), (22.0, 3.5), (23.25, 0.75), (0.5, 6.0), (16.0, 23.0)]
+
+    def test_a_stream_across_midnight(self):
+        from repro.ads.targeting import SECONDS_PER_DAY
+        from repro.core.scoring import StaticRowCache
+        from repro.index.compact import CompactIndex
+        from repro.index.inverted import AdInvertedIndex
+
+        def ad(ad_id, *windows):
+            return Ad(
+                ad_id=ad_id,
+                advertiser="a",
+                text="x",
+                terms={"x": 1.0},
+                bid=1.0,
+                targeting=TargetingSpec(
+                    time_windows=tuple(TimeWindow(s, e) for s, e in windows)
+                ),
+            )
+
+        corpus = AdCorpus(
+            [ad(index, window) for index, window in enumerate(self.WINDOWS)]
+            + [ad(90, (1.0, 2.0), (12.0, 13.0)), ad(91)]
+        )
+        compact = CompactIndex.shared(AdInvertedIndex.from_corpus(corpus, subscribe=True))
+        cache = StaticRowCache(corpus, compact)
+        rebuilds = []
+        build = cache._time_keep
+        cache._time_keep = lambda timestamp: rebuilds.append(timestamp) or build(timestamp)
+
+        # 20:00 on day 0 to 05:00 on day 1 every seven minutes; a launch
+        # at the tenth event and, at the fortieth, a step back of 3 hours.
+        stream = [72_000.0 + 420.0 * step for step in range(78)]
+        stream.insert(40, stream[39] - 10_800.0)
+        expected, last = 0, None
+        for position, timestamp in enumerate(stream):
+            grown = position == 10
+            if grown:
+                corpus.add(ad(92, (23.5, 1.25)))
+            cache.sync(None, None)
+            ends = sorted(
+                {
+                    hour
+                    for spec in (a.targeting for a in corpus.active_ads())
+                    for window in spec.time_windows
+                    for hour in (window.start_hour, window.end_hour)
+                }
+            )
+            interval = bisect.bisect_right(
+                ends, (timestamp % SECONDS_PER_DAY) / 3600.0
+            )
+            expected += grown or interval != last
+            last = interval
+            fresh = StaticRowCache(corpus, compact)
+            fresh.sync(None, None)
+            assert cache.time_keep_full(timestamp).tobytes() == (
+                fresh.time_keep_full(timestamp).tobytes()
+            )
+            assert len(rebuilds) == expected
+        # Cached on most events, rebuilt at every end crossed.
+        assert 12 < len(rebuilds) < len(stream) // 2
