@@ -661,7 +661,8 @@ class DeliveryPipeline:
         — the batch-amortisation point for profile and location access.
 
         Span emission, each span once through the engine's seam at the
-        event's stream time: one ``candidate`` span per event, then one
+        event's stream time: one ``candidate`` span per event that probes
+        (every event with a follower, and every event under QoS), then one
         ``personalize``/``charge``/``feedback`` span each plus one wrapping
         ``delivery`` span per follower — or, when only a request tracer
         listens (the seam is not ``fine``), one coarse ``delivery`` span
@@ -681,6 +682,12 @@ class DeliveryPipeline:
         # shed / degrade decisions below are stamped on it.
         active = services.request_tracer.current
         at = event.timestamp
+        qos = services.qos
+        if not followers and qos is None:
+            # Nobody to serve: the probe would feed no slate. (Under QoS
+            # the zero-delivery admission below still runs: it moves the
+            # value average and the bucket's clock.)
+            return []
 
         if timing:
             span_started = perf_counter()
@@ -694,7 +701,6 @@ class DeliveryPipeline:
         # QoS consultation, once per batch: admission (value-aware shed)
         # and the current degradation rung. `services.qos is None` is the
         # default — that single check is the whole disabled-path cost.
-        qos = services.qos
         degrading = False
         degraded_slate: Slate | None = None
         if qos is not None and qos.active:

@@ -36,11 +36,14 @@ It serves a fan-out in *runs*. While deliveries write (spend, CTR
 evidence) a run is one follower, scored over the full row space. While
 they do not — no callback, or the last delivery left
 :meth:`ScoringModel.bid_writes` where it was — every follower left is
-cut ahead as one (followers × message rows) block plus a flat tail of
-the profile rows outside the message (:meth:`Personalizer._cut_block`):
-the same arithmetic elementwise, so the same slates bit for bit, at
-some sixty numpy calls per block instead of some thirty-five per
-follower.
+cut ahead in blocks (:meth:`Personalizer._cut_block`): the message is
+scored once as every follower without a profile match or a circle there
+sees it, each follower only at its own few corrections to that base,
+and the profile rows outside the message only where a bound says they
+can reach the follower's k-th score. The same arithmetic elementwise,
+so the same slates bit for bit, at some hundred and fifty numpy calls
+a block (none of them follower × message sized) instead of some
+thirty-five per follower.
 """
 
 from __future__ import annotations
@@ -75,30 +78,28 @@ class PersonalizedSlate:
     fell_back: bool
 
 
-#: Followers × message rows of one block cut ahead. A block's fixed cost
-#: (≈ 120 µs of numpy calls) is shared by its followers and its arrays
-#: are transient, so this trades speed for peak memory: on
-#: ``fanout_batch`` (|M| ≈ 200, EXPERIMENTS.md "E2E-21") 2¹⁴ read +4.6 %
-#: deliveries/s over 2¹³ at +0.4 % peak RSS, 2¹⁵ +6.3 % at +2.7 %,
-#: 2¹⁷ +7.4 % at +11.6 % — the last step whose gain the run-to-run
-#: spread resolves for memory inside it.
-_BLOCK_CELLS = 1 << 14
+#: Cells one block cut ahead may stack: per follower, ``k`` rows of the
+#: shared base plus its profile rows and geo hits (what the block's
+#: arrays grow with; nothing in it is followers × message rows). A
+#: block's fixed cost is shared by its followers and its arrays are
+#: transient, so this trades speed for peak memory: on ``fanout_batch``
+#: (≈ 167 cells a follower, EXPERIMENTS.md "E2E-36") 2¹⁵ reads the
+#: parent's peak RSS, 2¹⁶ +1.5 MB, 2¹⁷ +5 MB and no cap +10 MB, for
+#: throughput the run-to-run spread does not tell apart.
+_BLOCK_CELLS = 1 << 15
 _NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
 
 
-def _stacked(
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-follower ``(rows, values)`` pairs as one flat ``(follower,
-    rows, values)`` triple, followers ascending."""
-    owner = np.repeat(
-        np.arange(len(parts)), [rows.shape[0] for rows, _ in parts]
-    )
-    return (
-        owner,
-        np.concatenate([rows for rows, _ in parts]),
-        np.concatenate([values for _, values in parts]),
-    )
+def _first_k(
+    owner: np.ndarray, score: np.ndarray, ad_ids: np.ndarray, count: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``count`` followers' first ``k`` entries under the shared
+    tie rule (-score, ad id): their indices, grouped by follower in
+    order, and how many each follower has."""
+    order = np.lexsort((ad_ids, -score, owner))
+    kept = np.bincount(owner, minlength=count)
+    rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(kept) - kept, kept)
+    return order[rank < k], np.minimum(kept, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,15 +437,16 @@ class Personalizer:
         scores a follower over the full row space; when there is no
         callback, or the previous delivery wrote nothing
         (:meth:`ScoringModel.bid_writes` did not move across ``served``),
-        every follower left — up to ``_BLOCK_CELLS`` followers × message
-        rows — is cut ahead by one :meth:`_cut_block` and handed out in
-        order. So with a callback the first follower of an event always
-        goes alone (that is how the kernel learns whether deliveries
-        write), and a result is handed over before the next *run* is cut,
-        not before the next follower's slate is. If a delivery inside a
-        block does write, the slates cut ahead of it are dropped and the
-        loop goes on one follower at a time until a delivery is clean
-        again, so the next follower always sees what the last one wrote.
+        every follower left — as many as stack ``_BLOCK_CELLS`` cells
+        (:meth:`_block`) — is cut ahead by one :meth:`_cut_block` and
+        handed out in order. So with a callback the first follower of an
+        event always goes alone (that is how the kernel learns whether
+        deliveries write), and a result is handed over before the next
+        *run* is cut, not before the next follower's slate is. If a
+        delivery inside a block does write, the slates cut ahead of it are
+        dropped and the loop goes on one follower at a time until a
+        delivery is clean again, so the next follower always sees what the
+        last one wrote.
         ``cut(size)`` is told each run's size before its first delivery
         is handed out (the pipeline shares the cut's time over the run's
         spans).
@@ -500,15 +502,9 @@ class Personalizer:
         # tell: the followers left may be cut ahead, together.
         clean = served is None
         while position < count:
-            run = 1
-            if clean:
-                run = min(
-                    count - position,
-                    max(_BLOCK_CELLS // max(message_rows.shape[0], 1), 1),
-                )
-            if run > 1:
+            if clean and count - position > 1:
                 cuts = self._cut_block(
-                    followers[position : position + run],
+                    *self._block(followers, position, generation, k),
                     message_rows[message_member[message_rows]],
                     content,
                     bid,
@@ -568,9 +564,63 @@ class Personalizer:
             self._resident = (key, timestamp, scoring.bid_writes(), bid, stale)
         return results
 
+    def _block(
+        self,
+        followers: list[tuple[int | None, SparseVector, int, GeoPoint | None]],
+        position: int,
+        generation: int,
+        k: int,
+    ) -> tuple[list, tuple, tuple]:
+        """The followers from ``position`` on that the next block cuts,
+        with what the run of one looks up for each — its profile gather
+        and its geo hits — stacked as flat ``(follower, rows, values)``
+        triples, followers ascending. A follower stacks ``k`` cells of the
+        shared base plus its profile rows and hits; a block takes
+        followers while they stack at most ``_BLOCK_CELLS`` cells — always
+        at least one, and never all but the last, who would be left to a
+        run of one."""
+        cache = self._static_cache
+        profile_rows, profile_dots, profile_counts = [], [], []
+        hit_rows, hit_falloffs, hit_counts = [], [], []
+        cells = 0
+        last = len(followers) - 1
+        for index in range(position, last + 1):
+            user_id, profile_vec, profile_epoch, location = followers[index]
+            rows, dots = (
+                self._profile_gather(user_id, profile_vec, profile_epoch, generation)
+                if profile_vec
+                else _NO_ROWS
+            )
+            matched, falloff = cache.geo_hits(location)
+            cells += k + rows.shape[0] + matched.shape[0]
+            if profile_counts and cells > _BLOCK_CELLS and index < last:
+                break
+            profile_rows.append(rows)
+            profile_dots.append(dots)
+            profile_counts.append(rows.shape[0])
+            hit_rows.append(matched)
+            hit_falloffs.append(falloff)
+            hit_counts.append(matched.shape[0])
+        members = np.arange(len(profile_counts))
+        return (
+            followers[position : position + members.shape[0]],
+            (
+                np.repeat(members, profile_counts),
+                np.concatenate(profile_rows),
+                np.concatenate(profile_dots),
+            ),
+            (
+                np.repeat(members, hit_counts),
+                np.concatenate(hit_rows),
+                np.concatenate(hit_falloffs),
+            ),
+        )
+
     def _cut_block(
         self,
         followers: list[tuple[int | None, SparseVector, int, GeoPoint | None]],
+        profiles: tuple[np.ndarray, np.ndarray, np.ndarray],
+        hits: tuple[np.ndarray, np.ndarray, np.ndarray],
         message_rows: np.ndarray,
         content: np.ndarray,
         bid: np.ndarray,
@@ -579,30 +629,29 @@ class Personalizer:
     ) -> list[tuple[Slate, np.ndarray]]:
         """``(slate, its rows)`` for each of ``followers``, cut together:
         what the run of one serves each of them while nothing is written
-        in between — the same elementwise arithmetic on a (followers ×
-        message rows) block plus a flat tail of the profile rows outside
-        the message, and one top-``k`` under the shared tie rule."""
+        in between, from their stacked profile gathers and geo hits
+        (:meth:`_block`).
+
+        A message row scores the same for every follower that has no
+        profile match and no circle hit at it, so the message is scored
+        once — the *base* — and each follower only at its own few
+        *corrections*; the profile rows outside the message (the *tail*)
+        are scored only where a bound says they can reach the follower's
+        slate. The same elementwise arithmetic as the run of one, and one
+        top-``k`` under the shared tie rule."""
         scoring = self._scoring
+        weights = scoring.weights
         compact = self._compact
         cache = self._static_cache
-        generation = compact.generation
         num_rows = compact.num_rows
+        ad_ids = compact.ad_ids
         count, width = len(followers), message_rows.shape[0]
-        # The one pass in Python only looks up what the run of one reads.
-        profiles, hits = [], []
-        for user_id, profile_vec, profile_epoch, location in followers:
-            profiles.append(
-                self._profile_gather(user_id, profile_vec, profile_epoch, generation)
-                if profile_vec
-                else _NO_ROWS
-            )
-            hits.append(cache.geo_hits(location))
-        p_owner, p_rows, p_dots = _stacked(profiles)
+        p_owner, p_rows, p_dots = profiles
         # Cached gathers outlive retirements (see ``_alive_only``).
         live = compact.alive[p_rows]
         if not live.all():
             p_owner, p_rows, p_dots = p_owner[live], p_rows[live], p_dots[live]
-        h_owner, h_rows, h_falloff = _stacked(hits)
+        h_owner, h_rows, h_falloff = hits
         # Row -> column of the block; back at -1 before anything else can
         # run (a delivery's callback may re-enter the kernel).
         if self._column.shape[0] < num_rows:
@@ -613,89 +662,138 @@ class Personalizer:
             p_column, h_column = column[p_rows], column[h_rows]
         finally:
             column[message_rows] = -1
-
         p_in, h_in = p_column >= 0, h_column >= 0
-        affinity = np.zeros((count, width), dtype=np.float64)
-        affinity[p_owner[p_in], p_column[p_in]] = p_dots[p_in]
-        # The targeting of a user inside no circle, then each follower's
-        # own circles: a hit is kept if its time window is open.
+
+        # The base: the message rows as a follower with no profile match
+        # and inside no circle scores them (affinity 0, the no-circle
+        # targeting), kept where that targeting and the time window let
+        # them through — so never a geo-targeted row — and sorted once by
+        # (-score, ad id).
         base_keep, base_proximity = cache.geo_base()
         open_now = time_keep[message_rows]
-        hit = (h_owner[h_in], h_column[h_in])
-        keep = (base_keep[message_rows] & open_now)[None, :].repeat(count, axis=0)
-        keep[hit] = open_now[hit[1]]
-        proximity = base_proximity[message_rows][None, :].repeat(count, axis=0)
-        proximity[hit] = h_falloff[h_in]
-        message_content = content[message_rows]
-        static, score = scoring.fanout_scores(
-            message_content, affinity, proximity, bid[message_rows]
+        m_content, m_bid = content[message_rows], bid[message_rows]
+        m_proximity = base_proximity[message_rows]
+        m_keep = base_keep[message_rows] & open_now
+        base = m_keep.nonzero()[0]
+        b_static, b_score = scoring.fanout_scores(
+            m_content[base], 0.0, m_proximity[base], m_bid[base]
         )
+        order = np.lexsort((ad_ids[message_rows[base]], -b_score))
+        base, b_static, b_score = base[order], b_static[order], b_score[order]
+
+        # The corrections: the cells (follower, column) where a follower
+        # differs from the base — its profile rows and its hits inside the
+        # message. A profile cell scores its affinity; a hit its falloff,
+        # and is kept if its time window is open.
+        stride = max(width, 1)
+        p_keys = p_owner[p_in] * stride + p_column[p_in]
+        h_keys = h_owner[h_in] * stride + h_column[h_in]
+        keys = np.concatenate([p_keys, h_keys])
+        keys.sort()
+        if keys.shape[0] > 1:
+            # A profile row the follower also has a circle at: one cell.
+            distinct = np.ones(keys.shape[0], dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
+        c_owner, c_column = np.divmod(keys, stride)
+        c_affinity = np.zeros(keys.shape[0], dtype=np.float64)
+        c_affinity[np.searchsorted(keys, p_keys)] = p_dots[p_in]
+        c_proximity, c_keep = m_proximity[c_column], m_keep[c_column]
+        at_hit = np.searchsorted(keys, h_keys)
+        c_proximity[at_hit] = h_falloff[h_in]
+        c_keep[at_hit] = open_now[h_column[h_in]]
+        c_static, c_score = scoring.fanout_scores(
+            m_content[c_column], c_affinity, c_proximity, m_bid[c_column]
+        )
+
+        # A follower's message candidates: its kept corrections and the
+        # base's first k rows less the ones it corrects — among them, its
+        # best k message rows. A correction never moves a row behind where
+        # the base ranks it (a hit is never a base row, and affinity is at
+        # least 0: a gather refuses negative weights), so nobody's best k
+        # reach past the base's k-th row.
+        prefix = min(k, base.shape[0])
+        b_owner = np.repeat(np.arange(count), prefix)
+        b_at = np.tile(np.arange(prefix), count)
+        if keys.shape[0]:
+            b_keys = b_owner * stride + base[b_at]
+            at = np.searchsorted(keys, b_keys)
+            at[at == keys.shape[0]] = 0
+            uncorrected = keys[at] != b_keys
+            b_owner, b_at = b_owner[uncorrected], b_at[uncorrected]
+        owner = np.concatenate([b_owner, c_owner[c_keep]])
+        col = np.concatenate([base[b_at], c_column[c_keep]])
+        static = np.concatenate([b_static[b_at], c_static[c_keep]])
+        score = np.concatenate([b_score[b_at], c_score[c_keep]])
+        rows, content = message_rows[col], m_content[col]
+        top, taken = _first_k(owner, score, ad_ids[rows], count, k)
         # Each follower's k-th best message-row score bounds its overall
         # k-th from below (-inf under k kept rows): only rows reaching it
         # can make the slate.
         floor = np.full(count, -np.inf)
-        if width > k:
-            masked = np.where(keep, score, -np.inf)
-            floor = np.partition(masked, width - k, axis=1)[:, width - k]
-            keep &= masked >= floor[:, None]
-        owner, col = np.nonzero(keep)
-        rows, content = message_rows[col], message_content[col]
-        static, score = static[owner, col], score[owner, col]
+        full = taken == k
+        floor[full] = score[top[(np.cumsum(taken) - 1)[full]]]
+        owner, rows, content = owner[top], rows[top], content[top]
+        static, score = static[top], score[top]
 
-        if scoring.weights.beta > 0.0 and not p_in.all():
-            # The tail: profile rows outside the message are scored too
-            # (content is exactly 0 there). Their targeting is read at
-            # those rows: the no-circle values, overwritten where the
-            # follower's own hits have the row (both key lists ascend).
-            p_out, h_out = ~p_in, ~h_in
-            t_owner, t_rows = p_owner[p_out], p_rows[p_out]
-            t_keep, t_proximity = base_keep[t_rows], base_proximity[t_rows]
-            hit_keys = h_owner[h_out] * num_rows + h_rows[h_out]
-            if hit_keys.shape[0]:
-                keys = t_owner * num_rows + t_rows
-                at_hit = np.searchsorted(hit_keys, keys)
-                at_hit[at_hit == hit_keys.shape[0]] = 0
-                found = hit_keys[at_hit] == keys
-                t_keep[found] = True
-                t_proximity[found] = h_falloff[h_out][at_hit[found]]
-            t_keep &= time_keep[t_rows]
-            t_static, t_score = scoring.fanout_scores(
-                0.0, p_dots[p_out], t_proximity, bid[t_rows]
-            )
-            t_keep &= t_score >= floor[t_owner]
-            owner = np.concatenate([owner, t_owner[t_keep]])
-            rows = np.concatenate([rows, t_rows[t_keep]])
-            content = np.concatenate(
-                [content, np.zeros(owner.shape[0] - col.shape[0])]
-            )
-            static = np.concatenate([static, t_static[t_keep]])
-            score = np.concatenate([score, t_score[t_keep]])
-
-        # One sort for the block; the first k of each follower's group.
-        ad_ids = compact.ad_ids[rows]
-        order = np.lexsort((ad_ids, -score, owner))
-        kept = np.bincount(owner, minlength=count)
-        rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(kept) - kept, kept)
-        top = order[rank < k]
-        rows, ad_ids = rows[top], ad_ids[top]
-        score, content, static = score[top], content[top], static[top]
-        # A follower's slate is a slice of the block's columns.
-        cuts = []
-        start = 0
-        for stop in np.cumsum(np.minimum(kept, k)).tolist():
-            cuts.append(
-                (
-                    Slate(
-                        ad_ids[start:stop],
-                        score[start:stop],
-                        content[start:stop],
-                        static[start:stop],
-                    ),
-                    rows[start:stop],
+        if weights.beta > 0.0 and not p_in.all():
+            # The tail: profile rows outside the message (content exactly
+            # 0, but β·affinity can carry them into a slate). Proximity is
+            # at most 1, and IEEE × and + are monotone, so a row whose
+            # β·affinity + γ + bid is below the floor scores below it too;
+            # only the rows that reach it are joined and scored.
+            p_bid = bid[p_rows]
+            reach = weights.beta * p_dots + weights.gamma + p_bid >= floor[p_owner]
+            reach &= ~p_in
+            reach = reach.nonzero()[0]
+            if reach.shape[0]:
+                t_owner, t_rows = p_owner[reach], p_rows[reach]
+                t_dots, t_bid = p_dots[reach], p_bid[reach]
+                # Their targeting is read at those rows: the no-circle
+                # values, overwritten where the follower's own hits have
+                # the row (both key lists ascend; a hit inside the message
+                # meets no tail row).
+                t_keep, t_proximity = base_keep[t_rows], base_proximity[t_rows]
+                if h_rows.shape[0]:
+                    hit_keys = h_owner * num_rows + h_rows
+                    t_keys = t_owner * num_rows + t_rows
+                    at = np.searchsorted(hit_keys, t_keys)
+                    at[at == hit_keys.shape[0]] = 0
+                    found = hit_keys[at] == t_keys
+                    t_keep[found] = True
+                    t_proximity[found] = h_falloff[at[found]]
+                t_keep &= time_keep[t_rows]
+                t_static, t_score = scoring.fanout_scores(
+                    0.0, t_dots, t_proximity, t_bid
                 )
+                t_keep &= t_score >= floor[t_owner]
+                if t_keep.any():
+                    owner = np.concatenate([owner, t_owner[t_keep]])
+                    rows = np.concatenate([rows, t_rows[t_keep]])
+                    content = np.concatenate(
+                        [content, np.zeros(owner.shape[0] - content.shape[0])]
+                    )
+                    static = np.concatenate([static, t_static[t_keep]])
+                    score = np.concatenate([score, t_score[t_keep]])
+                    top, taken = _first_k(owner, score, ad_ids[rows], count, k)
+                    rows, content = rows[top], content[top]
+                    static, score = static[top], score[top]
+
+        # A follower's slate is a slice of the block's columns.
+        ad_ids = ad_ids[rows]
+        stops = np.cumsum(taken).tolist()
+        return [
+            (
+                Slate(
+                    ad_ids[start:stop],
+                    score[start:stop],
+                    content[start:stop],
+                    static[start:stop],
+                ),
+                rows[start:stop],
             )
-            start = stop
-        return cuts
+            for start, stop in zip([0, *stops], stops)
+        ]
 
     def exact_slate(
         self,

@@ -717,8 +717,9 @@ class ScoringModel:
         bid: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(static, score)`` of the rows a cut scores — one follower's
-        kept rows, a (followers × message rows) block (``content`` and
-        ``bid`` broadcast along it) or a block's flat tail.
+        kept rows, or a block's shared message base, its followers'
+        corrections or its tail (``content`` and ``affinity`` may be
+        scalars).
 
         ``proximity`` is what :meth:`StaticRowCache.targeting_full`
         gives at those rows, ``bid`` what :meth:`fanout_bid_block` does;

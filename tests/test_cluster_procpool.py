@@ -437,7 +437,12 @@ class TestWorkerProtocolInProcess:
     def test_shard_host_handles_core_ops(self, tiny_workload):
         host = ShardHost(self.bootstrap(tiny_workload))
         assert host.handle("ping", None) == "pong"
-        post = tiny_workload.posts[0]
+        # A post with a follower on this shard: one with none runs no probe.
+        post = next(
+            post
+            for post in tiny_workload.posts
+            if host.engine.graph.followers(post.author_id)
+        )
         event = host.engine.make_event(
             post.author_id, post.text, post.timestamp, msg_id=5
         )
@@ -447,7 +452,8 @@ class TestWorkerProtocolInProcess:
         assert position == 7 and result.msg_id == 5
         report = host.handle("report", None)
         assert report["stats"].posts == 1
-        assert report["stats"].shared_probes >= 1
+        assert report["stats"].shared_probes == 1
+        assert result.num_deliveries >= 1
         assert report["tracer"] is None and report["metrics"] is None
         state = host.handle("state", None)
         assert state["next_msg_id"] == 6

@@ -1127,3 +1127,35 @@ class TestTheBidTermStaysResident:
         engine.ctr.record_click(clicked)  # behind the kernel's back
         engine.record_click(next(iter(engine.corpus.active_ids())))
         assert peek()[0] and not peek()[1]
+
+
+class TestAPostThatReachesNobody:
+    """A post with no follower to serve runs no probe — unless a QoS
+    controller is attached, whose zero-delivery admission still moves the
+    bucket's clock and the value average."""
+
+    @staticmethod
+    def lonely_post(workload):
+        return next(
+            post for post in workload.posts if not workload.graph.fanout(post.author_id)
+        )
+
+    @pytest.mark.parametrize("searcher", ["ta", "vector"])
+    def test_no_probe_without_qos(self, tiny_workload, searcher):
+        engine = charged_engine(tiny_workload, searcher=searcher)
+        post = self.lonely_post(tiny_workload)
+        result = engine.post(post.author_id, post.text, post.timestamp)
+        assert result.num_deliveries == 0
+        assert engine.stats.posts == 1 and engine.stats.shared_probes == 0
+
+    def test_qos_still_admits_it(self, tiny_workload):
+        from repro.qos import AdmissionController, QosController
+
+        qos = QosController(
+            admission=AdmissionController(rate_per_s=1.0, burst_s=60.0)
+        )
+        engine = charged_engine(tiny_workload, qos=qos)
+        post = self.lonely_post(tiny_workload)
+        engine.post(post.author_id, post.text, post.timestamp)
+        assert engine.stats.shared_probes == 1
+        assert qos.admission.state_dict()["last_at"] == post.timestamp

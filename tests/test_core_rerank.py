@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.ads.corpus import AdCorpus
@@ -755,3 +756,109 @@ class TestServedCallback:
 
         assert self.fan_out(engine, message, followers, served) == expected
         assert inner[0] and inner[2:] == inner[:2] * (len(followers) - 1)
+
+
+class TestBlockScoresOnlyWhereFollowersDiffer:
+    """The block scores the message once — the base — and each follower
+    only at its own corrections and at the tail rows that can reach its
+    floor; what it serves is still each follower's own cut, field for
+    field."""
+
+    K = 10
+
+    @staticmethod
+    def kernel(ads, **weights):
+        from repro.core.config import ScoringWeights
+
+        corpus = AdCorpus(ads)
+        config = EngineConfig(searcher="vector", weights=ScoringWeights(**weights))
+        return Personalizer(
+            EngineServices(
+                config=config,
+                corpus=corpus,
+                index=AdInvertedIndex.from_corpus(corpus),
+                scoring=ScoringModel(corpus, config.weights),
+            )
+        )
+
+    @staticmethod
+    def cut_alone(personalizer, message, followers, k):
+        return [
+            personalizer.slate_batch(None, message, [follower], 500.0, k)[0]
+            for follower in followers
+        ]
+
+    def test_cells_scored_per_block_follower(self, monkeypatch):
+        """A wide message (|M| = 200) and sixty followers, one block: it
+        scores 35.53 cells a follower as measured — the base's 154 rows
+        once, 1,978 corrections (a profile on the message's topic corrects
+        dozens of its rows) and no tail row past the bound — where a
+        (followers × message rows) block scores |M| a follower and more."""
+        rng = random.Random(5)
+        space = TopicSpace(4, 300)
+        ads, _ = generate_ads(
+            800, space, rng, geo_targeted_fraction=0.1, time_targeted_fraction=0.2
+        )
+        personalizer = self.kernel(ads)
+        message = random_message(space, rng)
+        followers = mixed_followers(space, rng, count=60)
+        scored, widths = [], []
+        cut_block = Personalizer._cut_block
+        fanout_scores = ScoringModel.fanout_scores
+
+        def counting(scoring, content, affinity, proximity, bid):
+            cells = np.broadcast(np.asarray(content), affinity, proximity, bid)
+            scored.append(cells.size)
+            return fanout_scores(scoring, content, affinity, proximity, bid)
+
+        def spying(kernel, block_followers, profiles, hits, message_rows, *args):
+            widths.append((len(block_followers), message_rows.shape[0]))
+            with monkeypatch.context() as patched:
+                patched.setattr(ScoringModel, "fanout_scores", counting)
+                return cut_block(
+                    kernel, block_followers, profiles, hits, message_rows, *args
+                )
+
+        monkeypatch.setattr(Personalizer, "_cut_block", spying)
+        together = personalizer.slate_batch(None, message, followers, 500.0, self.K)
+        monkeypatch.undo()
+        assert together == self.cut_alone(personalizer, message, followers, self.K)
+        assert sum(count for count, _ in widths) == len(followers)
+        assert min(width for _, width in widths) >= 100
+        assert sum(scored) / len(followers) <= 35.53 * 1.1
+
+    def test_a_tail_row_tied_at_the_floor_is_served(self):
+        """A tail ad (a profile match outside the message) that scores
+        exactly what the follower's k-th message row scores, and wins the
+        tie on its lower id: the bound must let it through at ``==``, and
+        with γ in it. A second follower's profile raises the message's
+        best row, whose base copy must then leave its candidates; a third
+        is served the base's first k rows."""
+        from repro.ads.ad import Ad
+
+        levels = [(9.0, 3.0), (8.0, 3.0), (7.0, 3.0), (6.0, 3.0), (5.0, 3.0)]
+        message = {"m": 1.0}
+        followers = [
+            (10, {"p": 1.0}, 0, None),
+            (11, {"x0": 1.0}, 0, None),
+            (12, {}, 0, None),
+        ]
+        for k in (1, 2, 3):
+            in_message = [
+                Ad(100 + i, "brand", "m", {"m": a, f"x{i}": b}, bid=1.0)
+                for i, (a, b) in enumerate(levels)
+            ]
+            a, b = levels[k - 1]
+            twin = Ad(1, "brand", "p", {"p": a, "y": b}, bid=1.0)
+            others = [Ad(200 + i, "brand", "z", {"z": 1.0}, bid=1.0) for i in range(4)]
+            # α = β: the twin's β·affinity is the k-th row's α·content.
+            personalizer = self.kernel(in_message + [twin] + others, beta=1.0)
+            together = personalizer.slate_batch(None, message, followers, 500.0, k)
+            assert together == self.cut_alone(personalizer, message, followers, k)
+            tied, raised, plain = together
+            assert [entry.ad_id for entry in tied] == list(range(100, 99 + k)) + [1]
+            deeper = self.cut_alone(personalizer, message, followers[:1], k + 1)[0]
+            assert deeper[k].ad_id == 99 + k and deeper[k].score == tied[k - 1].score
+            assert [entry.ad_id for entry in raised] == list(range(100, 100 + k))
+            assert [entry.ad_id for entry in plain] == list(range(100, 100 + k))
+            assert raised[0].score > plain[0].score

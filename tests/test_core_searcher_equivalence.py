@@ -11,15 +11,21 @@ campaign churn, and with the profile dropped from the combined query
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ads.ad import Ad
 from repro.cluster import ProcessShardedEngine, ShardedEngine
+from repro.core import rerank
 from repro.core.config import EngineConfig, EngineMode, ScoringWeights
 from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.errors import ConfigError
 from repro.index.factory import SEARCHER_KINDS, make_searcher
+from repro.util.sparse import dot
 
 
 class TestFactory:
@@ -249,6 +255,12 @@ class TestHubFanoutInSeveralBlocks:
     """vector vs the TA oracle on a fan-out that exceeds the block's cell
     budget: ids and order equal, scores to 1e-6, on every topology."""
 
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        """A cell budget that splits the hub's fan-out into blocks of
+        ≈ 120 followers: several on one engine, and on each shard of two."""
+        monkeypatch.setattr(rerank, "_BLOCK_CELLS", 3_600)
+
     def test_single_engine(self, hub_workload, blocks):
         limit = len(hub_workload.posts)
         reference = _single_engine_outcomes(
@@ -291,3 +303,117 @@ class TestHubFanoutInSeveralBlocks:
             limit=limit,
         )
         assert_vector_parity(got, reference, flags=False)
+
+
+def _e2e_workloads():
+    """``benchmarks/e2e/workloads.py``: the benchmark's catalogs and
+    streams, built from the repository's own generators."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads",
+        Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py",
+    )
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up by name.
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestSteadySeed3409Swap:
+    """Where the two searchers part on the benchmark's ``steady`` stream at
+    seed 3409: its warm-up serves ``ta`` and ``vector`` the same slates up
+    to message 81's delivery to user 1138, whose nine first slots agree
+    and whose tenth holds ad 270 on ``ta`` and ad 1570 on ``vector``.
+
+    The two ads are a tie within the float32 mirror's precision: on the
+    float64 reference 270 leads by 3.5e-10, on the mirror 1570 leads by
+    7.5e-9, and the mirror misses each ad's reference score by more than
+    either gap (270 by 1.2e-8, 1570 by 4.0e-9)."""
+
+    @pytest.fixture(scope="class")
+    def at_the_swap(self):
+        """Both ads' scores, and the served slate, on each searcher in the
+        state just before that delivery is cut."""
+        workloads = _e2e_workloads()
+        inputs = workloads.build_inputs(workloads.SPECS["steady"], 3409)
+        swap = next(post for post in inputs.events if post.msg_id == 81)
+        read = {}
+        for searcher in ("ta", "vector"):
+            engine = workloads.build_backend(inputs, searcher=searcher)
+            for post in inputs.events[: inputs.events.index(swap)]:
+                engine.post(
+                    post.author_id, post.text, post.timestamp, msg_id=post.msg_id
+                )
+            event = engine.make_event(
+                swap.author_id, swap.text, swap.timestamp, msg_id=swap.msg_id
+            )
+            engine._ingest(event)
+            followers = sorted(engine.graph.followers(swap.author_id))
+            outcomes = engine.pipeline.deliver_batch(
+                event, followers[: followers.index(1138)]
+            )
+            services = engine.services
+            state = services.users.state(1138)
+            profile, profile_vec = services.profile_of(1138, state)
+            personalizer = engine.pipeline.personalize_stage._personalizer
+            if searcher == "ta":
+                served = personalizer.slate_for(
+                    engine.pipeline.candidate_stage.candidates_for(event),
+                    event.message_vec, 1138, profile_vec, profile.epoch,
+                    state.location, event.timestamp, 10,
+                ).slate
+                corpus = services.corpus
+                scores = {
+                    ad_id: services.scoring.evaluate(
+                        ad_id,
+                        dot(event.message_vec, corpus.get(ad_id).terms),
+                        profile_vec,
+                        state.location,
+                        event.timestamp,
+                    ).score
+                    for ad_id in (270, 1570)
+                }
+            else:
+                follower = [(1138, profile_vec, profile.epoch, state.location)]
+                served = personalizer.slate_batch(
+                    None, event.message_vec, follower, event.timestamp, 10
+                )[0]
+                deeper = personalizer.slate_batch(
+                    None, event.message_vec, follower, event.timestamp, 20
+                )[0]
+                scores = {entry.ad_id: entry.score for entry in deeper}
+            read[searcher] = (outcomes, served, scores[270], scores[1570])
+        return read
+
+    def test_everything_before_the_swap_agrees(self, at_the_swap):
+        ta_before, ta_slate = at_the_swap["ta"][:2]
+        vector_before, vector_slate = at_the_swap["vector"][:2]
+        assert [
+            (outcome.user_id, [entry.ad_id for entry in outcome.slate])
+            for outcome in ta_before
+        ] == [
+            (outcome.user_id, [entry.ad_id for entry in outcome.slate])
+            for outcome in vector_before
+        ]
+        assert [entry.ad_id for entry in ta_slate][:9] == [
+            entry.ad_id for entry in vector_slate
+        ][:9]
+        assert ta_slate[-1].ad_id == 270 and vector_slate[-1].ad_id == 1570
+        assert ta_slate[-1].score == at_the_swap["ta"][2]
+        assert vector_slate[-1].score == at_the_swap["vector"][3]
+
+    def test_the_swap_is_a_tie_within_the_mirror(self, at_the_swap):
+        _, _, ta_270, ta_1570 = at_the_swap["ta"]
+        _, _, vector_270, vector_1570 = at_the_swap["vector"]
+        assert ta_270 == 0.6392737765287646
+        assert ta_1570 == 0.6392737761760554
+        assert vector_270 == 0.6392737647427291
+        assert vector_1570 == 0.6392737722201073
+        # Each side ranks the other ad second, by less than the mirror
+        # moves either ad's score.
+        mirror_error = min(abs(vector_270 - ta_270), abs(vector_1570 - ta_1570))
+        assert 0 < ta_270 - ta_1570 < mirror_error
+        assert 0 < vector_1570 - vector_270 < 1e-8
+        assert max(abs(vector_270 - ta_270), abs(vector_1570 - ta_1570)) < 1e-6

@@ -95,15 +95,19 @@ def test_every_sink_counts_each_span_once(tiny_workload, backend):
 
 def test_a_request_tracer_alone_gets_coarse_spans(tiny_workload):
     """The granularity rule: without a stage tracer or a registry, a
-    segment carries the event's ``candidate`` span and one ``delivery``
-    span standing for the whole fan-out."""
+    segment carries the event's ``candidate`` span (a post that reaches no
+    follower runs no probe) and one ``delivery`` span standing for the
+    whole fan-out."""
     request_tracer = RequestTracer(sample_rate=1.0, seed=3)
     engine = build(tiny_workload, "single", request_tracer=request_tracer)
-    for post in tiny_workload.posts[:LIMIT]:
+    posts = tiny_workload.posts[:LIMIT]
+    for post in posts:
         engine.post(post.author_id, post.text, post.timestamp)
     traced = segment_spans(request_tracer.retained)
     assert set(traced) == {"candidate", "delivery"}
-    assert traced["candidate"] == LIMIT
+    assert traced["candidate"] == sum(
+        1 for post in posts if tiny_workload.graph.fanout(post.author_id)
+    )
     assert traced["delivery"] == engine.stats.deliveries
 
 

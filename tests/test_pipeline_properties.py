@@ -242,7 +242,7 @@ def _unit(words) -> dict[str, float]:
 
 
 @settings(
-    max_examples=60,
+    max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -253,20 +253,28 @@ def _unit(words) -> dict[str, float]:
     message_words=st.sampled_from([0, 2, 12]),
     retire=st.sampled_from([0, 12]),
     cells=st.sampled_from([64, 1 << 14]),
+    kind=st.sampled_from(["mixed", "bare", "in_message"]),
+    hour=st.sampled_from([None, 2.5, 9.0, 21.5]),
 )
 def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
-    seed, beta, k, message_words, retire, cells
+    seed, beta, k, message_words, retire, cells, kind, hour
 ):
     """``slate_batch(followers)`` with nobody writing in between — the
-    block, a (followers × message rows) matrix plus a flat tail — against
-    the same followers cut one call each, ``==`` on every field of every
-    slate entry: ids, order, ``score``, ``content``, ``static``.
+    block: a shared message base, each follower's corrections and a tail
+    cut at its floor — against the same followers cut one call each,
+    ``==`` on every field of every slate entry: ids, order, ``score``,
+    ``content``, ``static``.
     Drawn over geo-targeted and time-windowed ads, β on and off, ``k``
     above and below the message's match count, an empty message,
     followers with no profile / one disjoint from the message / one that
     overlaps it, known and unknown locations, an anonymous follower, rows
     retired under gathers cached before, and a cell budget small enough to
-    split the fan-out over several blocks."""
+    split the fan-out over several blocks. ``kind`` draws fan-outs that
+    are all ``bare`` (no profile, no location: the base alone) or all
+    ``in_message`` (profiles on the message's own words, every follower
+    located: many corrections, and circle hits inside the message), and
+    ``hour`` pins the time of day, so hits fall at windows both open and
+    closed."""
     rng = random.Random(seed)
     space = TopicSpace(4, 300)
     ads, _ = generate_ads(
@@ -290,7 +298,9 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
         shape = user_id % 4
         words = (
             []
-            if shape == 0
+            if shape == 0 or kind == "bare"
+            else list(message) + space.sample_words(topic, 4, rng)
+            if kind == "in_message"
             else space.sample_words((topic + 1) % space.num_topics, 12, rng)
             if shape == 1
             else list(message)[:3] + space.sample_words(topic, 8, rng)
@@ -298,13 +308,17 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
         home = rng.choice(CITIES).center
         location = (
             None
-            if user_id % 5 == 0
+            if kind == "bare" or (user_id % 5 == 0 and kind == "mixed")
             else GeoPoint(
                 home.lat + rng.uniform(-0.05, 0.05), home.lon + rng.uniform(-0.05, 0.05)
             )
         )
         followers.append((None if user_id == 7 else user_id, _unit(words), 0, location))
-    timestamp = rng.uniform(0.0, 86_400.0)
+    timestamp = (
+        rng.uniform(0.0, 86_400.0)
+        if hour is None
+        else rng.randrange(3) * 86_400.0 + hour * 3_600.0
+    )
 
     def served(fan_out):
         return personalizer.slate_batch(None, message, fan_out, timestamp, k)
@@ -320,11 +334,13 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
         assert sum(len(call.args[0]) for call in blocks.call_args_list) == len(
             followers
         )
-        if cells == 64 and message_words == 12:
+        # A follower stacks k cells plus its profile rows and hits: bare
+        # followers k alone, everyone else dozens.
+        if cells == 64 and (kind != "bare" or len(followers) * k > cells):
             assert blocks.call_count > 1
         with mock.patch.object(personalizer, "_cut_block") as blocks:
             assert together == [served([follower])[0] for follower in followers]
         assert not blocks.called
     assert (personalizer._column == -1).all()
-    if message_words == 12 or beta:
+    if message_words == 12 or (beta and kind != "bare"):
         assert any(together)
