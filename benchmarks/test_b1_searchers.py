@@ -19,6 +19,7 @@ import pytest
 
 from conftest import save_table, workload_with
 from repro.index.brute import exact_topk
+from repro.index.compact import CompactIndex
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
@@ -64,14 +65,14 @@ def test_b1_searchers(benchmark, strategy):
     else:
         searcher = {
             "ta": ThresholdSearcher(index),
-            "vector": VectorSearcher(index),
+            "vector": VectorSearcher(CompactIndex(corpus)),
         }[strategy]
 
         def run():
             results = [searcher.search(query, K) for query in queries]
             return results
 
-        run()  # warm once to read instrumentation (and build the mirror)
+        run()  # warm once to read instrumentation
         evaluations = searcher.last_evaluations
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

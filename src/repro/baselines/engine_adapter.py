@@ -10,7 +10,7 @@ from repro.core.config import EngineConfig
 from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
-from repro.index.inverted import AdInvertedIndex
+from repro.index.factory import make_index
 from repro.util.sparse import SparseVector
 
 
@@ -22,7 +22,7 @@ class SystemRecommender(SlateRecommender):
     def __init__(self, state: BaselineState, config: EngineConfig | None = None) -> None:
         self._state = state
         self._config = config or EngineConfig(weights=state.weights)
-        self._index = AdInvertedIndex.from_corpus(state.corpus, subscribe=True)
+        self._index = make_index(self._config.searcher, state.corpus)
         self._scoring = ScoringModel(state.corpus, self._config.weights)
         self._candidate_gen = SharedCandidateGenerator(
             self._index, self._config.overfetch, searcher=self._config.searcher

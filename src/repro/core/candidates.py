@@ -3,7 +3,7 @@
 A post that fans out to F followers needs F slates, but the content
 affinity between the message and any ad is identical across all of them.
 The generator therefore runs **one** content-only probe per message (the
-configured searcher: TA, or a gather over the numpy mirror),
+configured searcher: TA, or a gather over the compact arrays),
 over-fetching ``overfetch >= k`` candidates, and every delivery reuses the
 result. The probe's cut-off score (the weakest fetched candidate) is what
 lets each delivery *certify* that its personalised top-k could not contain
@@ -17,17 +17,15 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.index.compact import CompactIndex
-from repro.index.factory import make_searcher
-from repro.index.inverted import AdInvertedIndex
+from repro.index.factory import SearchIndex, make_searcher
 from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector
 
 
 class CandidateBlock(NamedTuple):
     """The vector probe kept as arrays for the kernel: the message's
-    :meth:`CompactIndex.gather`, in the row space of the mirror at ``key``
-    = ``(generation, num_rows)``. While the mirror still reads that key no
+    :meth:`CompactIndex.gather`, in the row space of the index at ``key``
+    = ``(generation, num_rows)``. While the index still reads that key no
     row was renumbered or added, so the block minus the rows retired since
     equals a fresh gather; else stale. A tuple, like every record a
     fan-out makes: no Python ``__init__`` on the delivery path.
@@ -47,12 +45,14 @@ class CandidateSet:
     0.0 when it did not (then every content-matching ad is present and
     outsiders have zero content affinity by the relevance floor).
     ``block`` is the vector probe again, as arrays for the kernel (``None``
-    from other searchers and on hand-built sets).
+    from other searchers and on hand-built sets: only :meth:`of_block`
+    sets one).
 
     A vector probe (:meth:`of_block`) keeps only the block: the kernel
-    reads nothing else, so the K′ cut that makes ``entries`` / ``cutoff`` /
-    ``complete`` waits for their first reader — admission's value bound,
-    the candidates-only rung, ``len()``, INCREMENTAL — and is then kept.
+    reads nothing else, so the K′ cut waits for its first reader: as rows
+    (:meth:`top_rows`, admission's value bound) or boxed, as ``entries`` /
+    ``cutoff`` / ``complete`` (the candidates-only rung, ``len()``,
+    INCREMENTAL), which are then kept.
     Equality compares those three (the block restates them), so ``==``
     forces the cut on both sides.
     """
@@ -64,9 +64,8 @@ class CandidateSet:
         entries: tuple[tuple[int, float], ...],
         cutoff: float,
         complete: bool,
-        block: CandidateBlock | None = None,
     ) -> None:
-        self.block = block
+        self.block = None
         self._cut = (entries, cutoff, complete)
         self._uncut = None
 
@@ -75,21 +74,31 @@ class CandidateSet:
         cls, block: CandidateBlock, ad_ids: np.ndarray, depth: int
     ) -> "CandidateSet":
         """The top-``depth`` of a vector probe, cut when first read.
-        ``ad_ids`` is the mirror's row → ad id view as of the probe: rows
-        the mirror renumbers or appends later never write into it."""
+        ``ad_ids`` is the index's row → ad id view as of the probe: rows
+        the index renumbers or appends later never write into it."""
         candidates = cls.__new__(cls)
         candidates.block = block
         candidates._cut = None
         candidates._uncut = (ad_ids, depth)
         return candidates
 
+    def _order(self) -> np.ndarray:
+        """A vector probe's K′ cut as positions in its block."""
+        ad_ids, depth = self._uncut
+        return topk_order(self.block.dots, ad_ids[self.block.rows], depth)
+
+    def top_rows(self) -> np.ndarray:
+        """A vector probe's K′ cut as index rows, best first: the rows
+        ``entries`` names, in its order, with nothing boxed."""
+        return self.block.rows[self._order()]
+
     def _read(self) -> tuple[tuple[tuple[int, float], ...], float, bool]:
         cut = self._cut
         if cut is None:
             ad_ids, depth = self._uncut
+            chosen = self._order()
             dots = self.block.dots
             matched = ad_ids[self.block.rows]
-            chosen = topk_order(dots, matched, depth)
             entries = tuple(zip(matched[chosen].tolist(), dots[chosen].tolist()))
             complete = len(entries) < depth
             cut = self._cut = (
@@ -132,14 +141,15 @@ class SharedCandidateGenerator:
     """Runs the shared content probe for each posted message."""
 
     def __init__(
-        self, index: AdInvertedIndex, overfetch: int, *, searcher: str = "ta"
+        self, index: SearchIndex, overfetch: int, *, searcher: str = "ta"
     ) -> None:
+        """``index`` is the ``searcher`` kind's own (``make_index``)."""
         if overfetch < 1:
             raise ConfigError(f"overfetch must be >= 1, got {overfetch}")
-        # The vector probe reads the mirror itself: it keeps the gather
+        # The vector probe reads the arrays itself: it keeps the gather
         # and cuts K′ on arrays, where a searcher would box every entry.
         vector = searcher == "vector"
-        self._compact = CompactIndex.shared(index) if vector else None
+        self._compact = index if vector else None
         self._searcher = None if vector else make_searcher(searcher, index)
         self.kind = searcher
         self.overfetch = overfetch

@@ -38,7 +38,7 @@ from repro.core.services import EngineServices, EngineStats, UserState, UserStat
 from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
 from repro.graph.social import SocialGraph
-from repro.index.inverted import AdInvertedIndex
+from repro.index.factory import SearchIndex, make_index
 from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics, counted
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
 from repro.obs.tracer import NoopTracer, StageTracer
@@ -124,7 +124,7 @@ class AdEngine:
             campaign_end=config.campaign_duration_s,
             pacing_enabled=config.pacing_enabled,
         )
-        index = AdInvertedIndex.from_corpus(corpus, subscribe=True)
+        index = make_index(config.searcher, corpus)
         ctr = (
             CtrEstimator(
                 prior_ctr=config.ctr_prior,
@@ -213,7 +213,9 @@ class AdEngine:
         return self.services.graph
 
     @property
-    def index(self) -> AdInvertedIndex:
+    def index(self) -> SearchIndex:
+        """The engine's one index: the posting-list dict on ``ta``, the
+        compact arrays on ``vector`` (which builds no dict index)."""
         return self.services.index
 
     @property

@@ -234,7 +234,9 @@ class IncrementalTopK:
             # Content as every other arrival reports it: ``dot_with``
             # scales after the sum, ``raw_vector`` per term, and the two
             # differ in the last ulp.
-            content = self.context.dot_with(self.index.ad_terms(scored.ad_id))
+            content = self.context.dot_with(
+                self.scoring.corpus.get(scored.ad_id).terms
+            )
             slate.append(
                 ScoredAd(
                     ad_id=scored.ad_id,

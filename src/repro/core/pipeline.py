@@ -17,7 +17,7 @@ systems use):
 
 The last two work in columns: a slate is a
 :class:`~repro.core.scoring.Slate`, the cut's own arrays, and the
-kernel's travels with its mirror rows, so a slate's prices, debits and
+kernel's travels with its index rows, so a slate's prices, debits and
 impressions are array operations over its ≤ k entries.
 
 :class:`DeliveryPipeline` wires the stages over one
@@ -93,7 +93,7 @@ class DeliveryResult(NamedTuple):
 
 class PersonalizedDelivery(NamedTuple):
     """What a :class:`PersonalizeStage` reports back to the pipeline:
-    the kernel adds the slate's mirror rows, entry for entry, so charge
+    the kernel adds the slate's index rows, entry for entry, so charge
     and feedback read their columns there (None elsewhere)."""
 
     slate: Slate
@@ -155,7 +155,7 @@ class PersonalizeStage(Protocol):
 @runtime_checkable
 class ChargeStage(Protocol):
     """Price and debit one served slate; returns revenue collected.
-    ``rows`` are the slate's mirror rows when the kernel cut it."""
+    ``rows`` are the slate's index rows when the kernel cut it."""
 
     def charge(
         self, slate: Slate, timestamp: float, rows: np.ndarray | None = None
@@ -571,13 +571,17 @@ class DeliveryPipeline:
         personalize: PersonalizeStage,
         charge: ChargeStage,
         feedback: FeedbackStage,
+        row_cache: StaticRowCache | None = None,
     ) -> None:
+        """``row_cache`` is the kernel's (None on the ``ta`` reference):
+        admission's value bound reads a vector probe's K′ cut there."""
         self.services = services
         self.vectorize_stage = vectorize
         self.candidate_stage = candidates
         self.personalize_stage = personalize
         self.charge_stage = charge
         self.feedback_stage = feedback
+        self._row_cache = row_cache
         # Kind-attributed twin of the "candidate" span (None = no probe).
         self._probe_span = getattr(candidates, "span_name", None)
         # Learner-attributed twin of the "personalize" span (None = static).
@@ -604,6 +608,7 @@ class DeliveryPipeline:
             personalize=make_personalize_stage(services, personalizer),
             charge=make_charge_stage(services, personalizer.row_cache),
             feedback=make_feedback_stage(services, personalizer.row_cache),
+            row_cache=personalizer.row_cache,
         )
 
     def vectorize(self, text: str) -> MutableSparseVector:
@@ -648,6 +653,18 @@ class DeliveryPipeline:
             if len(slate) >= k:
                 break
         return Slate.of(slate)
+
+    def _value_bound(self, candidates: CandidateSet | None) -> float:
+        """Admission's value bound for one event's slates:
+        :func:`slate_value_bound`, read off a vector probe's arrays when
+        there is one (its K′ cut as rows, the alive bits and the row
+        cache's bids: no pair boxed, no corpus lookup per entry). Called
+        right after the probe, before anything can renumber its rows."""
+        services = self.services
+        cache = self._row_cache
+        if cache is None or candidates is None or candidates.block is None:
+            return slate_value_bound(candidates, services.corpus, services.config.k)
+        return cache.value_bound(candidates.top_rows(), services.config.k)
 
     def deliver_batch(
         self, event: PostEvent, followers, *, candidates_only: bool = False
@@ -704,9 +721,7 @@ class DeliveryPipeline:
         degrading = False
         degraded_slate: Slate | None = None
         if qos is not None and qos.active:
-            value = qos.delivery_value(
-                slate_value_bound(candidates, services.corpus, services.config.k)
-            )
+            value = qos.delivery_value(self._value_bound(candidates))
             decision = qos.admit(at, len(followers), value)
             if decision.shed:
                 # All deliveries of one event carry the same value bound,

@@ -30,7 +30,7 @@ already cover every row a slate can contain, so it cuts the exact top-k
 of those rows directly — no union, no certificate, no fallback, and
 nothing that ``exact_fallback`` or a QoS rung could switch (DESIGN.md
 "Personalize kernel" has the measurements behind that). It is the only
-exact cut on the mirror: :meth:`Personalizer.exact_slate` on the vector
+exact cut on the arrays: :meth:`Personalizer.exact_slate` on the vector
 searcher is the kernel with no shared probe and one anonymous follower.
 It serves a fan-out in *runs*. While deliveries write (spend, CTR
 evidence) a run is one follower, scored over the full row space. While
@@ -60,7 +60,6 @@ from repro.core.services import EngineServices
 from repro.core.static_list import GlobalStaticTopList
 from repro.errors import IndexError_
 from repro.geo.point import GeoPoint
-from repro.index.compact import CompactIndex
 from repro.index.factory import make_searcher
 from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector, dot
@@ -125,11 +124,11 @@ class Personalizer:
         self._exact_fallback = config.exact_fallback
         self._profile_searcher = make_searcher(config.searcher, index)
         self._profile_cache: dict[int, _ProfileCandidates] = {}
-        # Vector mode: the whole path runs on the compact mirror through
+        # Vector mode: the whole path runs on the compact index through
         # one kernel, slate_batch.
         self._vector = config.searcher == "vector"
         if self._vector:
-            self._compact = CompactIndex.shared(index)
+            self._compact = index
             self._static_cache = StaticRowCache(scoring.corpus, self._compact)
             # Per-user raw profile gathers, keyed by (profile epoch,
             # corpus adds, generation).
@@ -272,7 +271,7 @@ class Personalizer:
             fell_back=True,
         )
 
-    # -- the vector (compact-mirror) delivery path ---------------------------
+    # -- the vector (compact-index) delivery path ---------------------------
 
     def _profile_gather(
         self,
@@ -283,7 +282,7 @@ class Personalizer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw profile gather ``(rows, dots)`` over the full index.
 
-        Cached until the user posts again, ads are added, or the mirror
+        Cached until the user posts again, ads are added, or the index
         compacts; dead rows are re-masked by the caller at use time, so
         retirements do not invalidate (affinities never change). The
         anonymous follower (``user_id`` None) has no epoch to key on and
@@ -365,7 +364,7 @@ class Personalizer:
         evidence, outside any fan-out. If the resident δ·bid was current
         before it, name the ad's row for the next event's re-read and
         take the click's count along, so that event re-reads one row
-        instead of rebuilding the vector. Otherwise — or when the mirror
+        instead of rebuilding the vector. Otherwise — or when the index
         has no live row for the ad (a retired ad's row is dead and
         unnamed) — nothing changes, and the next event rebuilds."""
         resident = self._resident if self._vector else None
@@ -430,7 +429,7 @@ class Personalizer:
         fallback — so a result is the bare slate, with no flags to carry.
 
         Each slate is handed to ``served(position, slate, rows)``, in
-        order, ``rows`` being the mirror rows of its entries (what the
+        order, ``rows`` being the index rows of its entries (what the
         :attr:`row_cache` columns are indexed by): the pipeline charges
         and feeds back inside it, from those columns. No slate is cut
         across a write. The fan-out is served in *runs*: a run of one
@@ -474,7 +473,7 @@ class Personalizer:
         cache = self._static_cache
 
         # The per-event pieces (content, bid, time mask, membership) are
-        # vectors over the full row space of the mirror — scatters and
+        # vectors over the full row space of the index — scatters and
         # mask writes are direct row indexing, no unions — and so is a
         # run of one: 1-D boolean masks plus float math on the kept
         # subset. Only a block leaves it, for the message's rows, so no

@@ -229,7 +229,7 @@ class StaticRowCache:
         self._full_time: tuple[float, np.ndarray] | None = None
 
     def sync(self, budget: BudgetManager | None, ctr: CtrEstimator | None) -> None:
-        """Extend the row arrays to the mirror's row space; new rows look
+        """Extend the row arrays to the index's row space; new rows look
         their slots up in the scoring model's ``budget`` / ``ctr``."""
         compact = self._compact
         compacted = self._generation != compact.generation
@@ -290,9 +290,30 @@ class StaticRowCache:
         self._synced_rows = num_rows
 
     def live(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each of ``rows`` still holds an active ad: the mirror's
+        """Whether each of ``rows`` still holds an active ad: the index's
         alive bit, which a retirement clears without renumbering."""
         return self._compact.alive[rows]
+
+    def value_bound(self, rows: np.ndarray, k: int) -> float:
+        """:func:`~repro.qos.admission.slate_value_bound` over ``rows``
+        (index rows, best first, in the current row space): the bids of
+        the first ``k`` live ones, added left to right from 0.0 as the
+        per-entry loop adds them (a plain loop: ``sum`` over floats is
+        compensated on newer Pythons). A row launched since the last
+        :meth:`sync` has no bid here yet and reads its ad's."""
+        compact = self._compact
+        live = rows[compact.alive[rows]][:k].tolist()
+        synced = (
+            self._synced_rows if self._generation == compact.generation else 0
+        )
+        bids, corpus, ad_ids = self.bids, self._corpus, compact.ad_ids
+        total = 0.0
+        for row in live:
+            total += (
+                float(bids[row]) if row < synced
+                else corpus.get(int(ad_ids[row])).bid
+            )
+        return total
 
     def _flatten(self) -> None:
         if not self._flat_dirty:

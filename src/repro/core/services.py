@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # heavyweight imports only needed for annotations
     from repro.core.incremental import IncrementalTopK
     from repro.core.scoring import ScoringModel
     from repro.graph.social import SocialGraph
-    from repro.index.inverted import AdInvertedIndex
+    from repro.index.factory import SearchIndex
     from repro.learn.linucb import LinUcbLearner
     from repro.profiles.profile import ProfileStore, UserProfile
     from repro.qos.controller import QosController
@@ -130,7 +130,10 @@ class EngineServices:
 
     config: EngineConfig
     corpus: "AdCorpus"
-    index: "AdInvertedIndex"
+    # The engine's one index, of ``config.searcher``'s kind
+    # (``index.factory.make_index``): the posting-list dict on ``ta``, the
+    # compact arrays on ``vector``.
+    index: "SearchIndex"
     scoring: "ScoringModel"
     graph: "SocialGraph | None" = None
     budget: "BudgetManager | None" = None

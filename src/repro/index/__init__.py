@@ -1,4 +1,4 @@
-"""Top-k ad retrieval: inverted index, TA reference and numpy mirror."""
+"""Top-k ad retrieval: inverted index, TA reference and compact numpy index."""
 
 from repro.index.brute import exact_topk
 from repro.index.compact import CompactIndex, IdInterner

@@ -1,14 +1,17 @@
-"""Compact numpy mirror of the inverted index: the vectorized hot path.
+"""The vector engine's one index: the corpus's active ads as flat numpy
+posting arrays.
 
-:class:`AdInvertedIndex` stores postings as Python dicts and per-entry
-method calls — ideal for incremental maintenance, hopeless for throughput
-(F3 shows a single shard collapsing to a few hundred deliveries/s at 8000
-ads). :class:`CompactIndex` mirrors the same logical content into flat
-arrays that one numpy gather can traverse:
+The ``ta`` reference's :class:`~repro.index.inverted.AdInvertedIndex`
+stores postings as Python dicts and per-entry method calls — hopeless
+for throughput (F3 shows a single shard collapsing to a few hundred
+deliveries/s at 8000 ads). :class:`CompactIndex` holds every active ad's
+term vector in flat arrays that one numpy gather can traverse, built and
+kept current from the :class:`~repro.ads.corpus.AdCorpus` itself:
 
 * **Interned ids** — terms get stable ``int32`` ids from an
   :class:`IdInterner` (never reassigned, so term-space dense vectors stay
-  valid across rebuilds); ads get dense *row* numbers.
+  valid across rebuilds); ads get dense *row* numbers, ascending by ad id
+  at every build.
 * **One flat posting block** — every posting as ``(int64 row, float64
   weight)``, sorted by (term id, row), plus a ``(start, length)`` pair per
   term id; the weight is the float32-rounded value, widened once at build
@@ -23,16 +26,15 @@ arrays that one numpy gather can traverse:
   lives in exactly one segment. The tail is folded into the base at
   compaction, or once it passes a fixed fraction of the base.
 
-Synchronisation uses the same subscription idiom the index itself uses
-against the corpus: the mirror registers add/remove listeners and applies
-adds eagerly (cheap — the tail is short). Removals are O(1): the
-row's ``alive`` bit is cleared and the posting entries are left in place,
-masked out at gather time. When the dead fraction crosses
-``rebuild_dead_fraction`` the whole mirror is compacted from the source
-index — rows are reassigned, ``generation`` is bumped so row-keyed caches
-invalidate, and term ids are preserved. Results are exact at every point
-in between; the threshold only bounds wasted memory and gather width
-under sliding-window churn.
+Synchronisation is the corpus's listener idiom: the index registers
+``on_add`` / ``on_retire`` and applies adds eagerly (cheap — the tail is
+short). Retirements are O(1): the row's ``alive`` bit is cleared and the
+posting entries are left in place, masked out at gather time. When the
+dead fraction crosses ``rebuild_dead_fraction`` the arrays are compacted
+from the corpus's active ads — rows are reassigned, ``generation`` is
+bumped so row-keyed caches invalidate, and term ids are preserved.
+Results are exact at every point in between; the threshold only bounds
+wasted memory and gather width under sliding-window churn.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.ads.ad import Ad
+from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError, IndexError_
-from repro.index.inverted import AdInvertedIndex
 
 
 class IdInterner:
@@ -95,6 +98,9 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
+# What a gather matching nothing returns (never written to).
+_NO_MATCH = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
 # Every add rebuilds the tail (cost: the tail) and a fold rebuilds the
 # base with it, so the tail is folded once it passes this fraction of
 # the base: geometric, like ``_grow`` — a posting is copied O(1) times
@@ -104,7 +110,7 @@ _TAIL_FOLD_FRACTION = 8
 
 
 class _Postings:
-    """One segment of the mirror: postings as one flat block.
+    """One segment of the index: postings as one flat block.
 
     ``rows`` / ``weights`` are sorted by (term id, row); term ``tid``
     owns ``[starts[tid], starts[tid] + lengths[tid])``. Weights are
@@ -135,11 +141,11 @@ class _Postings:
 
 
 class CompactIndex:
-    """Array-backed mirror of one :class:`AdInvertedIndex`."""
+    """Flat posting arrays over one corpus's active ads, fed by it."""
 
     def __init__(
         self,
-        index: AdInvertedIndex,
+        corpus: AdCorpus,
         *,
         rebuild_dead_fraction: float = 0.25,
         min_rebuild_dead: int = 64,
@@ -153,7 +159,7 @@ class CompactIndex:
             raise ConfigError(
                 f"min_rebuild_dead must be >= 1, got {min_rebuild_dead}"
             )
-        self._index = index
+        self._corpus = corpus
         self._rebuild_dead_fraction = rebuild_dead_fraction
         self._min_rebuild_dead = min_rebuild_dead
         self.terms = IdInterner()
@@ -169,20 +175,7 @@ class CompactIndex:
         # appended to the base ``_rebuild`` built.
         self._segments: tuple[_Postings, ...]
         self._rebuild()
-        index.subscribe(on_add=self._on_add, on_remove=self._on_remove)
-
-    @classmethod
-    def shared(cls, index: AdInvertedIndex) -> "CompactIndex":
-        """The per-index shared mirror (created on first request).
-
-        Every reader of the same index (the probe, the personalize kernel,
-        each VectorSearcher) must reuse one mirror. The index owns it, so
-        the pair dies together; a module-level registry keyed weakly by
-        the index would pin both, because the mirror references its key.
-        """
-        if index.compact_mirror is None:
-            index.compact_mirror = cls(index)
-        return index.compact_mirror
+        corpus.subscribe(on_add=self._on_add, on_retire=self._on_retire)
 
     # -- read side -----------------------------------------------------------
 
@@ -264,7 +257,7 @@ class CompactIndex:
                 tid_list.append(tid)
                 qweight_list.append(qweight)
         if not tid_list:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+            return _NO_MATCH
         tids = np.array(tid_list, dtype=np.int64)
         qweights = np.array(qweight_list, dtype=np.float64)
         row_parts: list[np.ndarray] = []
@@ -283,6 +276,10 @@ class CompactIndex:
         # A row lives in one segment, so base-then-tail keeps each row's
         # products in query-term order.
         rows = np.concatenate(row_parts)
+        if not rows.shape[0]:
+            # Every slice empty (a compaction dropped the terms' ads):
+            # ``bincount`` would hand back integer counts.
+            return _NO_MATCH
         size = self._num_rows
         scores = np.bincount(rows, weights=np.concatenate(product_parts), minlength=size)
         matched = np.zeros(size, dtype=bool)
@@ -307,12 +304,13 @@ class CompactIndex:
         self._rebuild()
         return True
 
-    def _on_add(self, ad_id: int, terms: Mapping[str, float]) -> None:
+    def _on_add(self, ad: Ad) -> None:
+        ad_id, terms = ad.ad_id, ad.terms
         if ad_id in self._row_of:
-            # ``_on_remove`` unmaps a retired id, so a mapped id is a live
-            # ad added twice (the source index rejects that before
-            # notifying; another notifier may not).
-            raise IndexError_(f"ad {ad_id} already mirrored")
+            # ``_on_retire`` unmaps a retired id, so a mapped id is a live
+            # ad added twice (the corpus rejects that before notifying;
+            # another notifier may not).
+            raise IndexError_(f"ad {ad_id} already indexed")
         row = self._num_rows
         self._num_rows += 1
         self._ad_ids = _grow(self._ad_ids, self._num_rows)
@@ -344,72 +342,69 @@ class CompactIndex:
         merged = _Postings(*map(np.concatenate, zip(*columns)), num_terms)
         self._segments = (*kept, merged)
 
-    def _on_remove(self, ad_id: int, terms: Mapping[str, float]) -> None:
-        row = self._row_of.pop(ad_id, None)
+    def _on_retire(self, ad: Ad) -> None:
+        row = self._row_of.pop(ad.ad_id, None)
         if row is None or not self._alive[row]:
-            raise IndexError_(f"ad {ad_id} not mirrored")
+            raise IndexError_(f"ad {ad.ad_id} not indexed")
         self._alive[row] = False
         self._dead += 1
         # Posting entries stay in place (masked at gather time) until the
         # next compaction.
 
     def _rebuild(self) -> None:
-        """Rebuild every array from the source index, compacting rows.
+        """Rebuild every array from the corpus's active ads, compacting rows.
 
-        Term ids are preserved (the interner is append-only); row numbers
-        are reassigned in ascending ad-id order, and ``generation`` is
-        bumped so anything keyed by old rows re-derives itself.
+        Term ids are preserved (the interner is append-only; new terms
+        are interned in ad-id, then ``ad.terms``, order); row numbers are
+        reassigned in ascending ad-id order, and ``generation`` is bumped
+        so anything keyed by old rows re-derives itself.
         """
-        entries = sorted(self._index.items())
+        ads = list(self._corpus.active_ads())
         self.generation += 1
         self.rebuilds += 1
-        self._num_rows = len(entries)
+        num_rows = self._num_rows = len(ads)
         self._dead = 0
-        self._row_of = {ad_id: row for row, (ad_id, _) in enumerate(entries)}
-        self._ad_ids = np.fromiter(
-            (ad_id for ad_id, _ in entries), dtype=np.int64, count=len(entries)
-        )
-        self._alive = np.ones(self._num_rows, dtype=bool)
-
-        # One pass per *term* (not per posting): each posting list hands
-        # over its ids/weights as arrays, rows come from one searchsorted
-        # against the ascending ad-id axis, and the flat triplets become
-        # the one segment: the tail's ads are in the source index too.
+        ad_ids = [ad.ad_id for ad in ads]
+        self._row_of = dict(zip(ad_ids, range(num_rows)))
+        self._ad_ids = np.array(ad_ids, dtype=np.int64)
+        self._alive = np.ones(num_rows, dtype=bool)
         intern = self.terms.intern
-        tid_list: list[int] = []
+        tids: list[int] = []
+        weights: list[float] = []
         counts: list[int] = []
-        chunk_ids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        chunk_weights: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
-        for term, postings in self._index.term_items():
-            tid_list.append(intern(term))
-            ids, term_weights = postings.doc_arrays()
-            counts.append(ids.shape[0])
-            chunk_ids.append(ids)
-            chunk_weights.append(term_weights)
-        tids = np.repeat(
-            np.asarray(tid_list, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-        )
-        rows = np.searchsorted(self._ad_ids, np.concatenate(chunk_ids))
+        for ad in ads:
+            terms = ad.terms
+            counts.append(len(terms))
+            tids.extend(map(intern, terms))
+            weights.extend(terms.values())
         self._segments = (
-            _Postings(tids, rows, np.concatenate(chunk_weights), len(self.terms)),
+            _Postings(
+                np.array(tids, dtype=np.int64),
+                np.repeat(
+                    np.arange(num_rows, dtype=np.int64),
+                    np.array(counts, dtype=np.int64),
+                ),
+                np.array(weights, dtype=np.float64),
+                len(self.terms),
+            ),
         )
 
     # -- invariants (test support) -------------------------------------------
 
     def check_consistent(self) -> None:
-        """Assert the mirror matches the source index exactly.
+        """Assert the arrays hold the corpus's active ads exactly.
 
         Used by the churn property tests after every mutation and rebuild
         trigger; raises AssertionError on any divergence.
         """
-        index = self._index
+        corpus = self._corpus
         alive_ids = {
             int(self._ad_ids[row])
             for row in range(self._num_rows)
             if self._alive[row]
         }
-        assert alive_ids == {ad_id for ad_id, _ in index.items()}, (
-            "alive rows diverge from indexed ads"
+        assert alive_ids == set(corpus.active_ids()), (
+            "alive rows diverge from the corpus's active ads"
         )
         assert self._dead == self._num_rows - len(alive_ids)
         # Every segment is one tiled block, row-sorted inside each term's
@@ -442,7 +437,7 @@ class CompactIndex:
         for ad_id in alive_ids:
             row = self._row_of[ad_id]
             assert self._alive[row] and int(self._ad_ids[row]) == ad_id
-            expected = index.ad_terms(ad_id)
+            expected = corpus.get(ad_id).terms
             assert int(posting_counts[row]) == len(expected), (
                 f"row {row} has postings for terms ad {ad_id} lacks"
             )

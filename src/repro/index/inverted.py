@@ -1,4 +1,6 @@
-"""Term-partitioned inverted index over the ad corpus.
+"""Term-partitioned inverted index over the ad corpus: the ``ta``
+reference's index. A ``vector`` engine builds none of it; its one index
+is :class:`~repro.index.compact.CompactIndex`, fed by the corpus directly.
 
 The index stores each active ad's unit term vector across per-term posting
 lists, plus the forward (ad → terms) view the threshold algorithm's random
@@ -8,8 +10,6 @@ additions and budget-driven retirements are reflected immediately (the
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable, Mapping
 
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
@@ -23,18 +23,6 @@ class AdInvertedIndex:
     def __init__(self) -> None:
         self._postings: dict[str, PostingList] = {}
         self._ad_terms: dict[int, dict[str, float]] = {}
-        # Mutation listeners: (on_add, on_remove) pairs called with
-        # (ad_id, terms) after the index itself has applied the change.
-        # The compact numpy mirror (repro.index.compact) syncs through
-        # these, the same way the index itself syncs through corpus
-        # subscriptions.
-        self._listeners: list[tuple[
-            "Callable[[int, Mapping[str, float]], None] | None",
-            "Callable[[int, Mapping[str, float]], None] | None",
-        ]] = []
-        # The shared compact mirror (CompactIndex.shared), owned here so
-        # it lives exactly as long as this index.
-        self.compact_mirror = None
 
     @classmethod
     def from_corpus(cls, corpus: AdCorpus, *, subscribe: bool = True) -> "AdInvertedIndex":
@@ -62,15 +50,6 @@ class AdInvertedIndex:
 
     # -- mutation --------------------------------------------------------
 
-    def subscribe(
-        self,
-        *,
-        on_add: Callable[[int, Mapping[str, float]], None] | None = None,
-        on_remove: Callable[[int, Mapping[str, float]], None] | None = None,
-    ) -> None:
-        """Register mutation callbacks fired after each add/remove."""
-        self._listeners.append((on_add, on_remove))
-
     def add_ad(self, ad: Ad) -> None:
         if ad.ad_id in self._ad_terms:
             raise IndexError_(f"ad {ad.ad_id} already indexed")
@@ -80,11 +59,7 @@ class AdInvertedIndex:
                 postings = PostingList()
                 self._postings[term] = postings
             postings.add(ad.ad_id, weight)
-        terms = dict(ad.terms)
-        self._ad_terms[ad.ad_id] = terms
-        for on_add, _ in self._listeners:
-            if on_add is not None:
-                on_add(ad.ad_id, terms)
+        self._ad_terms[ad.ad_id] = dict(ad.terms)
 
     def remove_ad(self, ad: Ad) -> None:
         self.remove_ad_id(ad.ad_id)
@@ -98,9 +73,6 @@ class AdInvertedIndex:
             postings.remove(ad_id)
             if not len(postings):
                 del self._postings[term]
-        for _, on_remove in self._listeners:
-            if on_remove is not None:
-                on_remove(ad_id, terms)
 
     # -- read side -----------------------------------------------------------
 
@@ -129,10 +101,6 @@ class AdInvertedIndex:
         if terms is None:
             raise IndexError_(f"ad {ad_id} not indexed")
         return dict(terms)
-
-    def items(self):
-        """Iterate (ad_id, term vector) pairs; vectors must not be mutated."""
-        return self._ad_terms.items()
 
     def term_items(self):
         """Iterate (term, PostingList) pairs; lists must not be mutated."""

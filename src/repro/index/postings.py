@@ -2,9 +2,8 @@
 
 Each list keeps its entries in two orders:
 
-* **document order** (ascending ad id) — what membership tests, removals
-  and the compact mirror's bulk rebuild (:meth:`PostingList.doc_arrays`)
-  read;
+* **document order** (ascending ad id) — what membership tests and
+  removals read;
 * **impact order** (descending weight) — what the term-at-a-time threshold
   algorithm walks; rebuilt lazily after mutations since queries dominate.
 
@@ -14,8 +13,6 @@ Weights are strictly positive.
 from __future__ import annotations
 
 import bisect
-
-import numpy as np
 
 from repro.errors import IndexError_
 
@@ -86,14 +83,6 @@ class PostingList:
     def doc_ordered(self) -> list[tuple[int, float]]:
         """All postings as (ad_id, weight), ascending ad id (a copy)."""
         return list(zip(self._ids, self._weights))
-
-    def doc_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All postings as ``(ids, weights)`` arrays, ascending ad id
-        (copies) — the bulk form compact-mirror rebuilds consume."""
-        return (
-            np.asarray(self._ids, dtype=np.int64),
-            np.asarray(self._weights, dtype=np.float64),
-        )
 
     # -- impact-order access (threshold algorithm) ---------------------------
 

@@ -7,7 +7,7 @@ instead of per-posting Python: one
 :meth:`~repro.index.compact.CompactIndex.gather` plus one
 :func:`topk_order` cut. Every matching ad is "evaluated" by a fused
 multiply-add, so there is nothing to prune. Static-boosted, targeted
-top-k on the mirror is the personalize kernel's job
+top-k on the arrays is the personalize kernel's job
 (:meth:`repro.core.rerank.Personalizer.slate_batch`), which cuts with the
 same :func:`topk_order`.
 """
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.index.compact import CompactIndex
-from repro.index.inverted import AdInvertedIndex
 from repro.util.heap import TopKEntry
 
 
@@ -45,12 +44,10 @@ def topk_order(scores: np.ndarray, ad_ids: np.ndarray, k: int) -> np.ndarray:
 
 
 class VectorSearcher:
-    """Exact content top-k over a :class:`CompactIndex` mirror."""
+    """Exact content top-k over a :class:`CompactIndex`."""
 
-    def __init__(
-        self, index: AdInvertedIndex, *, compact: CompactIndex | None = None
-    ) -> None:
-        self._compact = compact if compact is not None else CompactIndex.shared(index)
+    def __init__(self, compact: CompactIndex) -> None:
+        self._compact = compact
         self.last_evaluations = 0
 
     def search(self, query: Mapping[str, float], k: int) -> list[TopKEntry]:

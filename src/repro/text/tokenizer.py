@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.text.stemmer import PorterStemmer
+from repro.text.stemmer import _MEMO_TOKENS, PorterStemmer
 from repro.text.stopwords import STOPWORDS
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
@@ -20,6 +20,8 @@ _TOKEN_RE = re.compile(r"[a-z][a-z0-9']*")
 # Squeeze letter elongations only ("soooo" → "soo"); digit runs are real
 # data (ids, years, the synthetic vocabulary) and must survive intact.
 _ELONGATION_RE = re.compile(r"([a-z])\1{2,}")
+# A token memo miss (``None`` is a remembered "filtered out").
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,10 @@ class Tokenizer:
 
     def __post_init__(self) -> None:
         self._stemmer = PorterStemmer()
+        # Raw token → its normalised form, or None when it is filtered
+        # out: a pure function of the token under ``config``, so bounded
+        # like the stemmer's memo.
+        self._memo: dict[str, str | None] = {}
 
     def tokenize(self, text: str) -> list[str]:
         """Normalise, split and filter ``text`` into topic-bearing tokens."""
@@ -57,18 +63,30 @@ class Tokenizer:
         lowered = _MENTION_RE.sub(" ", lowered)
         lowered = lowered.replace("#", " ")
         lowered = _ELONGATION_RE.sub(r"\1\1", lowered)
+        memo = self._memo
         tokens: list[str] = []
-        for match in _TOKEN_RE.finditer(lowered):
-            token = match.group(0).strip("'")
-            if len(token) < self.config.min_token_length:
-                continue
-            if not self.config.keep_stopwords and token in STOPWORDS:
-                continue
-            if self.config.stem:
-                token = self._stemmer.stem(token)
-            if len(token) >= self.config.min_token_length:
+        for raw in _TOKEN_RE.findall(lowered):
+            token = memo.get(raw, _UNSEEN)
+            if token is _UNSEEN:
+                if len(memo) >= _MEMO_TOKENS:
+                    memo.clear()
+                token = memo[raw] = self._normalise(raw)
+            if token is not None:
                 tokens.append(token)
         return tokens
+
+    def _normalise(self, raw: str) -> str | None:
+        """One matched token's strip, length, stopword and stemming
+        steps, un-memoised: the token to keep, or None."""
+        config = self.config
+        token = raw.strip("'")
+        if len(token) < config.min_token_length:
+            return None
+        if not config.keep_stopwords and token in STOPWORDS:
+            return None
+        if config.stem:
+            token = self._stemmer.stem(token)
+        return token if len(token) >= config.min_token_length else None
 
     def __call__(self, text: str) -> list[str]:
         return self.tokenize(text)

@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from repro.errors import ConfigError
+from repro.text.stemmer import _MEMO_TOKENS
 from repro.util.sparse import MutableSparseVector, l2_normalize
 
 
@@ -28,6 +29,9 @@ class TfidfVectorizer:
         self.min_df = min_df
         self._df: dict[str, int] = {}
         self._num_docs = 0
+        # term → idf, dropped whenever a fit moves the statistics: serving
+        # never refits, so a post's terms are nearly always here.
+        self._idf: dict[str, float] = {}
 
     @property
     def num_docs(self) -> int:
@@ -39,6 +43,7 @@ class TfidfVectorizer:
 
     def fit(self, documents: Iterable[Sequence[str]]) -> "TfidfVectorizer":
         """Learn document frequencies from tokenised documents."""
+        self._idf.clear()
         for tokens in documents:
             self._num_docs += 1
             for term in set(tokens):
@@ -47,16 +52,23 @@ class TfidfVectorizer:
 
     def partial_fit(self, tokens: Sequence[str]) -> None:
         """Fold one more document into the statistics (streaming fit)."""
+        self._idf.clear()
         self._num_docs += 1
         for term in set(tokens):
             self._df[term] = self._df.get(term, 0) + 1
 
     def idf(self, term: str) -> float:
         """Smoothed inverse document frequency of a term."""
-        df = self._df.get(term, 0)
-        if df < self.min_df:
-            df = 0
-        return math.log((1 + self._num_docs) / (1 + df)) + 1.0
+        memo = self._idf
+        idf = memo.get(term)
+        if idf is None:
+            df = self._df.get(term, 0)
+            if df < self.min_df:
+                df = 0
+            if len(memo) >= _MEMO_TOKENS:
+                memo.clear()
+            idf = memo[term] = math.log((1 + self._num_docs) / (1 + df)) + 1.0
+        return idf
 
     def document_frequency(self, term: str) -> int:
         return self._df.get(term, 0)

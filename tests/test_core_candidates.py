@@ -15,6 +15,7 @@ from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import ScoringWeights
 from repro.core.static_list import GlobalStaticTopList
 from repro.errors import ConfigError
+from repro.index.compact import CompactIndex
 from repro.index.inverted import AdInvertedIndex
 from tests.conftest import make_ads
 
@@ -27,6 +28,12 @@ def corpus() -> AdCorpus:
 @pytest.fixture()
 def index(corpus) -> AdInvertedIndex:
     return AdInvertedIndex.from_corpus(corpus)
+
+
+@pytest.fixture()
+def compact(corpus) -> CompactIndex:
+    """The vector probe's own index, built from and fed by the corpus."""
+    return CompactIndex(corpus)
 
 
 class TestSharedCandidates:
@@ -118,15 +125,16 @@ class TestVectorProbeMatchesTheOracle:
                {term: 1.0 for term in terms}, bid=1.0)
             for ad_id, terms in zip(ad_ids, shapes)
         ]
-        # The later half launches after the mirror was built, so rows are
+        # The later half launches after the arrays were built, so rows are
         # not in ad-id order.
         early = len(ads) // 2
         corpus = AdCorpus(ads[:early])
         index = AdInvertedIndex.from_corpus(corpus)
+        compact = CompactIndex(corpus)
         # ``override``: the QoS ladder's per-probe depth instead of the
         # configured over-fetch.
         configured = 7 if override else depth
-        vector = SharedCandidateGenerator(index, configured, searcher="vector")
+        vector = SharedCandidateGenerator(compact, configured, searcher="vector")
         oracle = SharedCandidateGenerator(index, configured, searcher="ta")
         for ad in ads[early:]:
             corpus.add(ad)
@@ -143,17 +151,16 @@ class TestVectorProbeMatchesTheOracle:
             assert mine - theirs == tolerance
         assert vector.last_probe_depth == oracle.last_probe_depth == depth
 
-        # The block restates the probe as arrays over the current mirror.
+        # The block restates the probe as arrays over the current index.
         assert want.block is None
         block = got.block
-        compact = index.compact_mirror
         assert block.key == (compact.generation, compact.num_rows)
         rows, dots = compact.gather(query)
         assert np.array_equal(block.rows, rows)
         assert np.array_equal(block.dots, dots)
 
-    def test_block_takes_no_part_in_equality(self, index):
-        vector = SharedCandidateGenerator(index, 10, searcher="vector")
+    def test_block_takes_no_part_in_equality(self, compact):
+        vector = SharedCandidateGenerator(compact, 10, searcher="vector")
         probed = vector.generate({"t0": 1.0, "t3": 0.5})
         assert probed.block is not None and probed._cut is None
         rebuilt = CandidateSet(probed.entries, probed.cutoff, probed.complete)
@@ -167,16 +174,15 @@ class TestVectorProbeMatchesTheOracle:
         assert again != vector.generate({"t1": 1.0})
 
     def test_the_cut_survives_what_happens_to_the_mirror_after_the_probe(
-        self, corpus, index
+        self, corpus, compact
     ):
         """K′ is cut when first read, from the probe's own arrays: a
         launch, a retirement and a compaction in between change nothing."""
-        vector = SharedCandidateGenerator(index, 5, searcher="vector")
+        vector = SharedCandidateGenerator(compact, 5, searcher="vector")
         query = {"t0": 1.0, "t3": 0.5}
         eager = vector.generate(query)
         expected = (eager.entries, eager.cutoff, eager.complete)
         late = vector.generate(query)
-        compact = index.compact_mirror
         generation = compact.generation
         donor = corpus.get(eager.entries[0][0])
         corpus.add(replace(donor, ad_id=5_000))

@@ -16,7 +16,7 @@ from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
 from repro.datagen.adgen import generate_ads
 from repro.datagen.topicspace import TopicSpace
-from repro.index.inverted import AdInvertedIndex
+from repro.index.factory import make_index
 from repro.profiles.context import FeedContext
 from repro.util.sparse import dot, l2_normalize
 from tests.helpers import assert_scores_match
@@ -27,8 +27,8 @@ def build_maintainer(seed: int = 0, num_ads: int = 120, **config_kwargs):
     space = TopicSpace(5, 700)
     ads, _ = generate_ads(num_ads, space, rng, geo_targeted_fraction=0.2)
     corpus = AdCorpus(ads)
-    index = AdInvertedIndex.from_corpus(corpus)
     config = EngineConfig(mode=EngineMode.INCREMENTAL, **config_kwargs)
+    index = make_index(config.searcher, corpus)
     scoring = ScoringModel(corpus, config.weights)
     services = EngineServices(
         config=config, corpus=corpus, index=index, scoring=scoring

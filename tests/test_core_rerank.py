@@ -16,7 +16,8 @@ from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
 from repro.datagen.adgen import generate_ads
 from repro.datagen.topicspace import TopicSpace
-from repro.index.inverted import AdInvertedIndex
+from repro.index.compact import CompactIndex
+from repro.index.factory import make_index
 from tests.helpers import assert_scores_match, oracle_slate_scores
 
 
@@ -25,8 +26,8 @@ def build_stack(num_ads: int = 150, seed: int = 0, **config_kwargs):
     space = TopicSpace(6, 800)
     ads, _ = generate_ads(num_ads, space, rng, geo_targeted_fraction=0.3)
     corpus = AdCorpus(ads)
-    index = AdInvertedIndex.from_corpus(corpus)
     config = EngineConfig(**config_kwargs)
+    index = make_index(config.searcher, corpus)
     scoring = ScoringModel(corpus, config.weights)
     services = EngineServices(
         config=config, corpus=corpus, index=index, scoring=scoring
@@ -776,7 +777,7 @@ class TestBlockScoresOnlyWhereFollowersDiffer:
             EngineServices(
                 config=config,
                 corpus=corpus,
-                index=AdInvertedIndex.from_corpus(corpus),
+                index=CompactIndex(corpus),
                 scoring=ScoringModel(corpus, config.weights),
             )
         )

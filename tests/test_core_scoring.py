@@ -364,15 +364,13 @@ class TestTargetingCache:
         from repro.datagen.adgen import generate_ads
         from repro.datagen.topicspace import TopicSpace
         from repro.index.compact import CompactIndex
-        from repro.index.inverted import AdInvertedIndex
 
         rng = random.Random(5)
         ads, _ = generate_ads(
             300, TopicSpace(6, 800), rng, geo_targeted_fraction=0.5
         )
         corpus = AdCorpus(ads)
-        index = AdInvertedIndex.from_corpus(corpus, subscribe=True)
-        cache = StaticRowCache(corpus, CompactIndex.shared(index))
+        cache = StaticRowCache(corpus, CompactIndex(corpus))
         cache.sync(None, None)
         # Users live where ads target: a jittered circle centre each.
         centres = [
@@ -580,7 +578,6 @@ class TestTheTimeMaskFollowsWindowEnds:
         from repro.ads.targeting import SECONDS_PER_DAY
         from repro.core.scoring import StaticRowCache
         from repro.index.compact import CompactIndex
-        from repro.index.inverted import AdInvertedIndex
 
         def ad(ad_id, *windows):
             return Ad(
@@ -598,7 +595,7 @@ class TestTheTimeMaskFollowsWindowEnds:
             [ad(index, window) for index, window in enumerate(self.WINDOWS)]
             + [ad(90, (1.0, 2.0), (12.0, 13.0)), ad(91)]
         )
-        compact = CompactIndex.shared(AdInvertedIndex.from_corpus(corpus, subscribe=True))
+        compact = CompactIndex(corpus)
         cache = StaticRowCache(corpus, compact)
         rebuilds = []
         build = cache._time_keep

@@ -37,10 +37,10 @@ class TestFactory:
             make_searcher("btree", index)
 
     def test_all_kinds_constructible(self, tiny_workload):
-        from repro.index.inverted import AdInvertedIndex
+        from repro.index.factory import make_index
 
-        index = AdInvertedIndex.from_corpus(tiny_workload.build_corpus())
         for kind in SEARCHER_KINDS:
+            index = make_index(kind, tiny_workload.build_corpus())
             searcher = make_searcher(kind, index)
             assert searcher.search({"w00010": 1.0}, 3) is not None
 
@@ -54,11 +54,11 @@ class TestFactory:
         assert all(repr(kind) in str(rejected.value) for kind in SEARCHER_KINDS)
 
     def test_vector_takes_no_static_or_filter(self, tiny_workload):
-        """The static-boosted exact cut on the mirror is the personalize
+        """The static-boosted exact cut on the arrays is the personalize
         kernel's, not a searcher's."""
-        from repro.index.inverted import AdInvertedIndex
+        from repro.index.compact import CompactIndex
 
-        index = AdInvertedIndex.from_corpus(tiny_workload.build_corpus())
+        index = CompactIndex(tiny_workload.build_corpus())
         for kwargs in (
             {"static_score": lambda ad_id: 0.1, "max_static": 0.1},
             {"filter_fn": lambda ad_id: True},

@@ -1,10 +1,13 @@
-"""Compact numpy mirror: interning, sync, rebuild policy, kernel parity.
+"""Compact numpy index: interning, corpus sync, rebuild policy, kernel
+parity.
 
-The mirror must match :class:`AdInvertedIndex` exactly at *every* point of
-an add/remove/expire churn sequence — rebuilds are a memory policy, never
-a correctness event. The hypothesis suites drive random churn and assert
-:meth:`CompactIndex.check_consistent` plus searcher-level parity after
-each step.
+The arrays are built from and fed by an :class:`AdCorpus`, and must hold
+its active ads exactly at *every* point of a launch/retire/expire churn
+sequence — rebuilds are a memory policy, never a correctness event. An
+:class:`AdInvertedIndex` over the same corpus is the oracle, never the
+source. The hypothesis suites drive random churn and assert
+:meth:`CompactIndex.check_consistent` plus posting-, gather- and
+searcher-level parity after each step.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ads.corpus import AdCorpus
-from repro.errors import ConfigError, IndexError_
+from repro.errors import ConfigError, CorpusError, IndexError_, UnknownAdError
 from repro.index.compact import CompactIndex, IdInterner, _Postings
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
@@ -77,12 +80,28 @@ def corrupt_base(compact, edit):
 
 
 def build_pair(seed: int = 0, num_ads: int = 40, **compact_kwargs):
-    """A populated (index, mirror) pair plus the backing ads."""
+    """The backing ads, their corpus, an oracle dict index fed by it and
+    the compact index built from it."""
     ads = make_ads(num_ads, seed=seed)
     corpus = AdCorpus(ads)
-    index = AdInvertedIndex.from_corpus(corpus, subscribe=False)
-    compact = CompactIndex(index, **compact_kwargs)
-    return ads, index, compact
+    index = AdInvertedIndex.from_corpus(corpus, subscribe=True)
+    compact = CompactIndex(corpus, **compact_kwargs)
+    return ads, corpus, index, compact
+
+
+def toggle(corpus: AdCorpus, pool: list, pick: int, next_id: int) -> int:
+    """Retire ``pool[pick]`` if it is live, launch it otherwise — under a
+    fresh id once its own was retired (a corpus never re-adds an id).
+    Returns the next fresh id."""
+    ad = pool[pick]
+    if ad.ad_id in corpus and corpus.is_active(ad.ad_id):
+        corpus.retire(ad.ad_id)
+        return next_id
+    if ad.ad_id in corpus:
+        ad = pool[pick] = replace(ad, ad_id=next_id)
+        next_id += 1
+    corpus.add(ad)
+    return next_id
 
 
 class TestInterner:
@@ -106,7 +125,7 @@ class TestInterner:
             interner.name_of(-1)
 
     def test_ids_survive_rebuild(self):
-        _, index, compact = build_pair()
+        _, _, index, compact = build_pair()
         before = {
             term: compact.terms.lookup(term)
             for term, _ in index.term_items()
@@ -118,59 +137,63 @@ class TestInterner:
 
 class TestConfigAndErrors:
     def test_bad_rebuild_fraction(self):
-        _, index, _ = build_pair()
+        _, corpus, _, _ = build_pair()
         with pytest.raises(ConfigError):
-            CompactIndex(index, rebuild_dead_fraction=0.0)
+            CompactIndex(corpus, rebuild_dead_fraction=0.0)
         with pytest.raises(ConfigError):
-            CompactIndex(index, rebuild_dead_fraction=1.5)
+            CompactIndex(corpus, rebuild_dead_fraction=1.5)
 
     def test_bad_min_rebuild_dead(self):
-        _, index, _ = build_pair()
+        _, corpus, _, _ = build_pair()
         with pytest.raises(ConfigError):
-            CompactIndex(index, min_rebuild_dead=0)
+            CompactIndex(corpus, min_rebuild_dead=0)
 
     def test_unknown_row_lookup(self):
-        _, _, compact = build_pair()
+        _, _, _, compact = build_pair()
         with pytest.raises(IndexError_):
             compact.row_of(999)
 
     def test_negative_query_weight_rejected(self):
-        _, _, compact = build_pair()
+        _, _, _, compact = build_pair()
         with pytest.raises(ConfigError):
             compact.gather({"t0": -0.5})
 
     def test_duplicate_and_missing_mirror_source_errors(self):
-        ads, index, compact = build_pair()
-        # The source index rejects before notifying listeners, so the
-        # mirror sees exactly one event per logical mutation.
-        with pytest.raises(IndexError_):
-            index.add_ad(ads[0])
-        with pytest.raises(IndexError_):
-            index.remove_ad_id(999)
+        ads, corpus, _, compact = build_pair()
+        # The corpus rejects before notifying listeners, so the index
+        # sees exactly one event per logical mutation.
+        with pytest.raises(CorpusError):
+            corpus.add(ads[0])
+        with pytest.raises(UnknownAdError):
+            corpus.retire(999)
+        corpus.retire(ads[1].ad_id)
+        with pytest.raises(CorpusError):
+            corpus.retire(ads[1].ad_id)
+        assert compact.num_alive == 39
         compact.check_consistent()
 
 
     def test_a_live_ad_mirrored_twice_is_an_index_error(self):
         # A second notifier (or a replayed add) gets the module's own
         # error — not a bare assert that ``python -O`` strips, leaving the
-        # ad mirrored under two rows.
-        ads, _, compact = build_pair()
-        with pytest.raises(IndexError_, match="already mirrored"):
-            compact._on_add(ads[0].ad_id, ads[0].terms)
+        # ad indexed under two rows.
+        ads, _, _, compact = build_pair()
+        with pytest.raises(IndexError_, match="already indexed"):
+            compact._on_add(ads[0])
         assert compact.num_rows == 40
         compact.check_consistent()
 
 
 class TestSync:
     def test_initial_build_is_consistent(self):
-        _, _, compact = build_pair()
+        _, _, _, compact = build_pair()
         compact.check_consistent()
         assert compact.num_alive == compact.num_rows == 40
 
     def test_check_consistent_catches_a_stray_posting(self):
         # A posting for a term the ad does not have: every expected term
         # still checks out, only the per-row posting count gives it away.
-        ads, index, compact = build_pair()
+        ads, _, index, compact = build_pair()
         row = compact.row_of(ads[0].ad_id)
         term = next(
             term for term, _ in index.term_items() if term not in ads[0].terms
@@ -186,7 +209,7 @@ class TestSync:
             compact.check_consistent()
 
     def test_check_consistent_catches_an_unsorted_slice(self):
-        _, _, compact = build_pair()
+        _, _, _, compact = build_pair()
         base = compact._segments[0]
         start = int(base.starts[int(np.argmax(base.lengths))])
         assert base.lengths.max() >= 2
@@ -195,8 +218,8 @@ class TestSync:
             compact.check_consistent()
 
     def test_check_consistent_catches_a_row_in_both_segments(self):
-        ads, index, compact = build_pair()
-        index.add_ad(make_ads(42, seed=3)[41])
+        _, corpus, _, compact = build_pair()
+        corpus.add(make_ads(42, seed=3)[41])
         compact.check_consistent()
         assert len(compact._segments) == 2
         # The newest base row's postings re-labelled as the tail's row.
@@ -211,32 +234,32 @@ class TestSync:
             compact.check_consistent()
 
     def test_remove_marks_dead_without_rebuild(self):
-        ads, index, compact = build_pair()
+        ads, corpus, _, compact = build_pair()
         generation = compact.generation
-        index.remove_ad_id(ads[0].ad_id)
+        corpus.retire(ads[0].ad_id)
         assert compact.generation == generation
         assert compact.num_alive == 39
         assert compact.dead_fraction == pytest.approx(1 / 40)
         compact.check_consistent()
 
     def test_add_appends_maximal_row(self):
-        ads, index, compact = build_pair(num_ads=10)
+        _, corpus, _, compact = build_pair(num_ads=10)
         extra = make_ads(12, seed=3)[11]
-        index.add_ad(extra)
+        corpus.add(extra)
         assert compact.row_of(extra.ad_id) == compact.num_rows - 1
         compact.check_consistent()
 
 
 class TestRebuildPolicy:
     def test_threshold_triggers_compaction(self):
-        ads, index, compact = build_pair(
+        ads, corpus, _, compact = build_pair(
             rebuild_dead_fraction=0.25, min_rebuild_dead=4
         )
         generation = compact.generation
         for ad in ads[:9]:
-            index.remove_ad_id(ad.ad_id)
+            corpus.retire(ad.ad_id)
             assert not compact.maybe_compact()
-        index.remove_ad_id(ads[9].ad_id)  # 10/40 = exactly the threshold
+        corpus.retire(ads[9].ad_id)  # 10/40 = exactly the threshold
         assert compact.maybe_compact()
         assert compact.generation == generation + 1
         assert compact.num_rows == compact.num_alive == 30
@@ -244,21 +267,21 @@ class TestRebuildPolicy:
         compact.check_consistent()
 
     def test_min_dead_floor_defers_small_indexes(self):
-        ads, index, compact = build_pair(
+        ads, corpus, _, compact = build_pair(
             num_ads=8, rebuild_dead_fraction=0.25, min_rebuild_dead=64
         )
         for ad in ads[:6]:
-            index.remove_ad_id(ad.ad_id)
+            corpus.retire(ad.ad_id)
         # 75% dead but below the absolute floor: no rebuild yet.
         assert not compact.maybe_compact()
         compact.check_consistent()
 
     def test_rows_reassigned_ascending_after_rebuild(self):
-        ads, index, compact = build_pair(
+        ads, corpus, _, compact = build_pair(
             rebuild_dead_fraction=0.1, min_rebuild_dead=1
         )
         for ad in ads[::2]:
-            index.remove_ad_id(ad.ad_id)
+            corpus.retire(ad.ad_id)
         compact.maybe_compact()
         ids = compact.ad_ids
         assert np.all(np.diff(ids) > 0)
@@ -266,15 +289,24 @@ class TestRebuildPolicy:
 
 
 class TestSharedMirrorLifetime:
-    def test_shared_is_one_mirror_per_index(self):
-        _, index, _ = build_pair()
-        assert CompactIndex.shared(index) is CompactIndex.shared(index)
-        _, other, _ = build_pair(seed=1)
-        assert CompactIndex.shared(other) is not CompactIndex.shared(index)
+    def test_a_vector_engine_holds_one_index(self, tiny_workload):
+        """The probe, the kernel and its row cache read the engine's one
+        index, which is the arrays (no dict index beside them)."""
+        from repro.core.config import EngineConfig
+        from repro.core.recommender import ContextAwareRecommender
+
+        engine = ContextAwareRecommender.from_workload(
+            tiny_workload, EngineConfig(searcher="vector")
+        ).engine
+        assert isinstance(engine.index, CompactIndex)
+        assert engine.services.index is engine.index
+        assert engine.candidate_gen._compact is engine.index
+        assert engine.personalizer._compact is engine.index
+        assert engine.personalizer.row_cache._compact is engine.index
 
     def test_dropped_engines_take_their_mirrors_along(self, tiny_workload):
         """Building and dropping engines must leave the heap flat: the
-        shared mirror (and the index it mirrors) dies with its engine."""
+        compact index dies with its engine."""
         import gc
 
         from repro.core.config import EngineConfig
@@ -306,7 +338,7 @@ class TestSharedMirrorLifetime:
 class TestKernels:
     def test_gather_matches_brute_dots(self):
         rng = random.Random(7)
-        ads, _, compact = build_pair(seed=7)
+        ads, _, _, compact = build_pair(seed=7)
         query = random_query(rng)
         rows, scores = compact.gather(query)
         by_id = {int(compact.ad_ids[row]): score
@@ -323,7 +355,7 @@ class TestKernels:
 
     def test_gather_twice_is_the_same_gather(self):
         rng = random.Random(3)
-        _, _, compact = build_pair(seed=3)
+        _, _, _, compact = build_pair(seed=3)
         query = random_query(rng)
         first = compact.gather(query)
         second = compact.gather(query)
@@ -350,12 +382,11 @@ def wide_query(rng: random.Random) -> dict[str, float]:
 
 
 def wide_pair(num_ads: int, seed: int = 0, **compact_kwargs):
-    """``num_ads`` wide ads mirrored as the base, and 60 more to launch."""
+    """``num_ads`` wide ads in a corpus and its compact index (their
+    base), and 60 more to launch."""
     pool = make_ads(num_ads + 60, seed=seed, terms_per_ad=WIDE)
-    index = AdInvertedIndex()
-    for ad in pool[:num_ads]:
-        index.add_ad(ad)
-    return pool, index, CompactIndex(index, **compact_kwargs)
+    corpus = AdCorpus(pool[:num_ads])
+    return pool, corpus, CompactIndex(corpus, **compact_kwargs)
 
 
 def c_calls(function, *args) -> int:
@@ -385,7 +416,7 @@ class TestGatherIsTheOracle:
 
     def test_every_stage_of_a_mirrors_life(self):
         rng = random.Random(11)
-        pool, index, compact = wide_pair(
+        pool, corpus, compact = wide_pair(
             30, rebuild_dead_fraction=0.3, min_rebuild_dead=3
         )
 
@@ -398,21 +429,21 @@ class TestGatherIsTheOracle:
         base = compact._segments[0]
         # Two launches land in the tail; one brings a term the base never
         # saw (an empty slice there, the whole match in the tail).
-        index.add_ad(pool[30])
-        index.add_ad(replace(pool[31], terms={**pool[31].terms, "fresh": 0.7}))
+        corpus.add(pool[30])
+        corpus.add(replace(pool[31], terms={**pool[31].terms, "fresh": 0.7}))
         assert len(compact._segments) == 2 and compact._segments[0] is base
         check()
         assert_gather_is_the_oracle(compact, {"fresh": 0.3})
         assert compact.gather({"fresh": 0.3})[0].tolist() == [31]
         # Retirements in the base and in the tail: masked, not removed.
-        index.remove_ad_id(pool[3].ad_id)
-        index.remove_ad_id(pool[30].ad_id)
+        corpus.retire(pool[3].ad_id)
+        corpus.retire(pool[30].ad_id)
         check()
         # The tail outgrows its share of the base and is folded: one
         # segment again, rows and generation untouched.
         generation, launched = compact.generation, 32
         while len(compact._segments) == 2:
-            index.add_ad(pool[launched])
+            corpus.add(pool[launched])
             launched += 1
         assert compact._segments[0] is not base
         assert compact.generation == generation
@@ -420,7 +451,7 @@ class TestGatherIsTheOracle:
         check()
         # Enough dead rows for a compaction: rows renumbered.
         for ad in pool[4:14]:
-            index.remove_ad_id(ad.ad_id)
+            corpus.retire(ad.ad_id)
         assert compact.maybe_compact() and compact.generation == generation + 1
         check()
 
@@ -433,18 +464,12 @@ class TestGatherIsTheOracle:
         """Random launches (tail, folds) and retirements (base and tail,
         compactions): consistent and equal to the oracle after each."""
         rng = random.Random(seed)
-        pool, index, compact = wide_pair(
+        pool, corpus, compact = wide_pair(
             10, seed=seed % 5, rebuild_dead_fraction=0.3, min_rebuild_dead=3
         )
-        present = {ad.ad_id for ad in pool[:10]}
+        next_id = len(pool)
         for pick in ops:
-            ad = pool[pick]
-            if ad.ad_id in present:
-                index.remove_ad_id(ad.ad_id)
-                present.discard(ad.ad_id)
-            else:
-                index.add_ad(ad)
-                present.add(ad.ad_id)
+            next_id = toggle(corpus, pool, pick, next_id)
             compact.maybe_compact()
             compact.check_consistent()
             assert_gather_is_the_oracle(compact, wide_query(rng))
@@ -456,12 +481,12 @@ class TestGatherIsTheOracle:
         oracle's."""
         rng = random.Random(5)
         pool = make_ads(4150, seed=5)
-        index = AdInvertedIndex.from_corpus(AdCorpus(pool[:4000]), subscribe=False)
-        compact = CompactIndex(index)
+        corpus = AdCorpus(pool[:4000])
+        compact = CompactIndex(corpus)
         base = compact._segments[0]
         rows, weights = base.rows, base.weights
         for ad in pool[4000:]:
-            index.add_ad(ad)
+            corpus.add(ad)
         assert len(compact._segments) == 2 and compact._segments[0] is base
         assert base.rows is rows and base.weights is weights
         assert compact._segments[1].rows.min() == 4000
@@ -474,8 +499,8 @@ class TestGatherIsTheOracle:
     def test_the_call_count_does_not_grow_with_the_query(self):
         """No per-term numpy work: a 40-term probe makes exactly the C
         calls a 4-term probe makes, over a mirror with a tail."""
-        pool, index, compact = wide_pair(40)
-        index.add_ad(pool[40])
+        pool, corpus, compact = wide_pair(40)
+        corpus.add(pool[40])
         assert len(compact._segments) == 2
         narrow = {term: 0.5 for term in WIDE_VOCABULARY[:4]}
         wide = {term: 0.5 for term in WIDE_VOCABULARY[:40]}
@@ -489,20 +514,20 @@ class TestVectorSearcherParity:
     def test_matches_ta(self, seed, k):
         rng, corpus, index = random_setup(seed)
         query = random_query(rng)
-        vector = VectorSearcher(index).search(query, k)
+        vector = VectorSearcher(CompactIndex(corpus)).search(query, k)
         oracle = ThresholdSearcher(index).search(query, k)
         assert_entry_parity(vector, oracle)
 
     def test_parity_survives_churn(self):
-        ads, index, compact = build_pair(
+        _, corpus, index, compact = build_pair(
             num_ads=30, rebuild_dead_fraction=0.2, min_rebuild_dead=2
         )
         rng = random.Random(9)
         pool = make_ads(60, seed=9)
-        searcher = VectorSearcher(index, compact=compact)
+        searcher = VectorSearcher(compact)
         for step, ad in enumerate(pool[30:]):
-            index.add_ad(ad)
-            index.remove_ad_id(pool[step].ad_id)  # sliding window
+            corpus.add(ad)
+            corpus.retire(pool[step].ad_id)  # sliding window
             query = random_query(rng)
             vector = searcher.search(query, 8)
             oracle = ThresholdSearcher(index).search(query, 8)
@@ -517,25 +542,19 @@ class TestChurnProperties:
         ops=st.lists(st.integers(0, 59), min_size=1, max_size=40),
     )
     def test_mirror_stays_consistent(self, seed, ops):
-        """Random add/remove churn: the mirror equals the source after
+        """Random launch/retire churn: the arrays equal the corpus after
         every mutation and across every rebuild trigger."""
         pool = make_ads(60, seed=seed % 7)
-        index = AdInvertedIndex()
+        corpus = AdCorpus()
         compact = CompactIndex(
-            index, rebuild_dead_fraction=0.3, min_rebuild_dead=3
+            corpus, rebuild_dead_fraction=0.3, min_rebuild_dead=3
         )
-        present: set[int] = set()
+        next_id = len(pool)
         for pick in ops:
-            ad = pool[pick]
-            if ad.ad_id in present:
-                index.remove_ad_id(ad.ad_id)
-                present.discard(ad.ad_id)
-            else:
-                index.add_ad(ad)
-                present.add(ad.ad_id)
+            next_id = toggle(corpus, pool, pick, next_id)
             compact.maybe_compact()
             compact.check_consistent()
-        assert compact.num_alive == len(present)
+        assert compact.num_alive == corpus.num_active
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -548,17 +567,17 @@ class TestChurnProperties:
         match brute-force dots against the live window at every step."""
         rng = random.Random(seed)
         pool = make_ads(window + steps, seed=seed % 5)
-        index = AdInvertedIndex()
+        corpus = AdCorpus()
         compact = CompactIndex(
-            index, rebuild_dead_fraction=0.25, min_rebuild_dead=2
+            corpus, rebuild_dead_fraction=0.25, min_rebuild_dead=2
         )
         live: list = []
         for ad in pool:
-            index.add_ad(ad)
+            corpus.add(ad)
             live.append(ad)
             if len(live) > window:
                 expired = live.pop(0)
-                index.remove_ad_id(expired.ad_id)
+                corpus.retire(expired.ad_id)
             compact.maybe_compact()
             query = random_query(rng)
             rows, scores = compact.gather(query)
@@ -578,3 +597,87 @@ class TestChurnProperties:
             for ad_id, score in expected.items():
                 assert got[ad_id] == pytest.approx(score, abs=1e-6)
         compact.check_consistent()
+
+
+def assert_postings_are_the_oracles(compact, index):
+    """Every term's live postings in the arrays are the oracle dict
+    index's: the same ads, each weight the float32 rounding of the
+    oracle's; a term the oracle no longer holds has no live posting."""
+    for term, _ in index.term_items():
+        assert term in compact.terms
+    ad_ids, alive = compact.ad_ids, compact.alive
+    for tid in range(len(compact.terms)):
+        term = compact.terms.name_of(tid)
+        rows, weights = compact.term_postings(term)
+        live = alive[rows]
+        got = dict(zip(ad_ids[rows[live]].tolist(), weights[live].tolist()))
+        postings = index.postings(term)
+        want = {
+            ad_id: float(np.float32(weight))
+            for ad_id, weight in (postings.doc_ordered() if postings else ())
+        }
+        assert got == want, term
+
+
+class TestCorpusFedArraysMatchTheDictIndex:
+    """A vector engine's one index against an :class:`AdInvertedIndex`
+    oracle over the same corpus, under the engine's own launches,
+    campaign ends and budget exhaustions, and compactions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["launch", "end", "exhaust", "compact"]),
+                st.integers(0, 10**6),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_churn_through_an_engine(self, seed, ops):
+        from repro.core.config import EngineConfig
+        from repro.core.engine import AdEngine
+        from repro.graph.social import SocialGraph
+        from repro.text.vectorizer import TfidfVectorizer
+
+        rng = random.Random(seed)
+        pool = [
+            replace(ad, budget=1.0)
+            for ad in make_ads(70, seed=seed % 7, terms_per_ad=5)
+        ]
+        rng.shuffle(pool)  # launches arrive in no id order
+        corpus = AdCorpus(pool[:20])
+        engine = AdEngine(
+            corpus,
+            SocialGraph(),
+            TfidfVectorizer(),
+            config=EngineConfig(searcher="vector"),
+        )
+        compact = engine.index
+        compact._min_rebuild_dead, compact._rebuild_dead_fraction = 3, 0.2
+        oracle = AdInvertedIndex.from_corpus(corpus, subscribe=True)
+        launched = 20
+        for op, pick in ops:
+            active = corpus.active_ids()
+            if op == "launch" and launched < len(pool):
+                engine.launch_campaign(pool[launched], 0.0)
+                launched += 1
+            elif op == "end" and active:
+                engine.end_campaign(active[pick % len(active)], 0.0)
+            elif op == "exhaust" and active:
+                assert engine.budget.charge(active[pick % len(active)], 1.0)
+            generation = compact.generation
+            if op == "compact":
+                compact._rebuild()
+            else:
+                compact.maybe_compact()
+            if compact.generation != generation:
+                # A compaction numbers the live rows by ascending ad id.
+                assert np.all(np.diff(compact.ad_ids) > 0)
+                assert bool(compact.alive.all())
+            compact.check_consistent()
+            assert_postings_are_the_oracles(compact, oracle)
+            for _ in range(3):
+                assert_gather_is_the_oracle(compact, random_query(rng))

@@ -11,7 +11,7 @@ from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError
 from repro.index.brute import exact_topk
-from repro.index.factory import SEARCHER_KINDS, make_searcher
+from repro.index.factory import SEARCHER_KINDS, make_index, make_searcher
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from tests.conftest import make_ads
@@ -23,28 +23,30 @@ class TestSearcherContract:
     """What every searcher kind promises, whatever its traversal."""
 
     def test_unindexed_terms_only(self, kind):
-        _, _, index = random_setup(0)
-        assert make_searcher(kind, index).search({"zzz": 1.0}, 5) == []
+        _, corpus, _ = random_setup(0)
+        searcher = make_searcher(kind, make_index(kind, corpus))
+        assert searcher.search({"zzz": 1.0}, 5) == []
 
     def test_zero_weights_skipped(self, kind):
-        _, _, index = random_setup(1)
-        searcher = make_searcher(kind, index)
+        _, corpus, _ = random_setup(1)
+        searcher = make_searcher(kind, make_index(kind, corpus))
         with_zero = searcher.search({"t0": 1.0, "t1": 0.0}, 5)
         without = searcher.search({"t0": 1.0}, 5)
         assert scores_of(with_zero) == scores_of(without)
 
     def test_results_sorted_desc(self, kind):
-        rng, _, index = random_setup(2)
-        results = make_searcher(kind, index).search(random_query(rng), 10)
+        rng, corpus, _ = random_setup(2)
+        searcher = make_searcher(kind, make_index(kind, corpus))
+        results = searcher.search(random_query(rng), 10)
         scores = [entry.score for entry in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_k_larger_than_matches(self, kind):
-        _, corpus, index = random_setup(3)
+        _, corpus, _ = random_setup(3)
         query = {"t0": 1.0}
-        got = make_searcher(kind, index).search(query, 1000)
+        got = make_searcher(kind, make_index(kind, corpus)).search(query, 1000)
         brute = exact_topk(corpus.active_ads(), query, 1000)
-        # To the vector mirror's float32 storage precision.
+        # To the vector index's float32 storage precision.
         assert [entry.score for entry in got] == pytest.approx(
             [entry.score for entry in brute], abs=1e-6
         )
@@ -59,7 +61,7 @@ class TestSearcherContract:
                {term: 1.0 for term in text.split()}, bid=1.0)
             for ad_id, text in shapes.items()
         ]
-        index = AdInvertedIndex.from_corpus(AdCorpus(ads))
+        index = make_index(kind, AdCorpus(ads))
         got = make_searcher(kind, index).search({"t0": 0.25, "t2": 0.25}, 4)
         assert [entry.item for entry in got] == [0, 2, 3, 1]
 

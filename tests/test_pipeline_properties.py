@@ -39,7 +39,7 @@ from repro.datagen.topicspace import TopicSpace
 from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.geo.point import GeoPoint
 from repro.geo.regions import CITIES
-from repro.index.inverted import AdInvertedIndex
+from repro.index.compact import CompactIndex
 from repro.util.sparse import l2_normalize
 
 MODES = st.sampled_from(list(EngineMode))
@@ -281,7 +281,7 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
         90, space, rng, geo_targeted_fraction=0.5, time_targeted_fraction=0.4
     )
     corpus = AdCorpus(ads)
-    index = AdInvertedIndex.from_corpus(corpus)
+    index = CompactIndex(corpus)
     config = EngineConfig(searcher="vector", weights=ScoringWeights(beta=beta))
     personalizer = Personalizer(
         EngineServices(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
@@ -148,3 +150,71 @@ class TestAdmissionController:
             b = restored.admit(now, count, value)
             assert (a.admitted, a.shed) == (b.admitted, b.shed)
         assert controller.state_dict() == restored.state_dict()
+
+
+class TestTheBoundReadOffTheProbesArrays:
+    """On the vector searcher admission reads the bound off the probe's
+    K′ cut as rows (:meth:`StaticRowCache.value_bound`); the per-entry
+    :func:`slate_value_bound` is its oracle: the very same double."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bids=st.lists(
+            st.floats(0.01, 10.0, allow_nan=False), min_size=1, max_size=30
+        ),
+        data=st.data(),
+        depth=st.integers(1, 12),
+        k=st.integers(1, 10),
+        compact_first=st.booleans(),
+    )
+    def test_equals_the_per_entry_bound(self, bids, data, depth, k, compact_first):
+        from repro.core.candidates import SharedCandidateGenerator
+        from repro.core.scoring import StaticRowCache
+        from repro.index.compact import CompactIndex
+
+        vocabulary = ["a", "b", "c", "d"]
+        ads = [
+            Ad(
+                ad_id=ad_id,
+                advertiser=f"a{ad_id}",
+                text="x",
+                terms={
+                    term: 1.0
+                    for term in data.draw(
+                        st.sets(st.sampled_from(vocabulary), min_size=1)
+                    )
+                },
+                bid=bid,
+            )
+            for ad_id, bid in enumerate(bids)
+        ]
+        # The tail launches after the row cache last synced: those rows
+        # have no bid in the cache yet.
+        synced = data.draw(st.integers(0, len(ads)))
+        corpus = AdCorpus(ads[:synced])
+        compact = CompactIndex(corpus)
+        cache = StaticRowCache(corpus, compact)
+        cache.sync(None, None)
+        for ad in ads[synced:]:
+            corpus.add(ad)
+        retire = data.draw(st.sets(st.sampled_from(range(len(ads)))))
+        before_probe = data.draw(st.sets(st.sampled_from(sorted(retire) or [0])))
+        for ad_id in sorted(retire & before_probe):
+            corpus.retire(ad_id)
+        if compact_first:
+            compact._rebuild()  # the cache's rows are another row space now
+        query = data.draw(
+            st.dictionaries(
+                st.sampled_from(vocabulary), st.sampled_from([0.25, 0.5, 1.0]),
+                min_size=1,
+            )
+        )
+        candidates = SharedCandidateGenerator(
+            compact, depth, searcher="vector"
+        ).generate(query)
+        # Retired between the probe and admission: dead rows in the cut.
+        for ad_id in sorted(retire - before_probe):
+            corpus.retire(ad_id)
+        got = cache.value_bound(candidates.top_rows(), k)
+        assert type(got) is float
+        assert got == slate_value_bound(candidates, corpus, k)

@@ -21,6 +21,7 @@ from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
 from repro.core.static_list import GlobalStaticTopList
 from repro.index.brute import exact_topk
+from repro.index.compact import CompactIndex
 from repro.index.inverted import AdInvertedIndex
 from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
@@ -36,6 +37,7 @@ class CorpusConsistencyMachine(RuleBasedStateMachine):
         self.rng = random.Random(1234)
         self.corpus = AdCorpus()
         self.index = AdInvertedIndex.from_corpus(self.corpus)
+        self.compact = CompactIndex(self.corpus)
         self.static_list = GlobalStaticTopList(
             self.corpus, ScoringWeights(), size=5
         )
@@ -92,8 +94,8 @@ class CorpusConsistencyMachine(RuleBasedStateMachine):
         reference = [entry.score for entry in brute]
         for searcher, tol in (
             (ThresholdSearcher(self.index), 1e-9),
-            # The mirror stores float32 weights.
-            (VectorSearcher(self.index), 1e-6),
+            # The compact index stores float32 weights.
+            (VectorSearcher(self.compact), 1e-6),
         ):
             scores = [entry.score for entry in searcher.search(query, k)]
             assert scores == pytest.approx(reference, abs=tol)
@@ -106,6 +108,10 @@ class CorpusConsistencyMachine(RuleBasedStateMachine):
         assert self.index.num_ads == len(active)
         for ad_id in active:
             assert ad_id in self.index
+
+    @invariant()
+    def compact_index_matches_corpus(self) -> None:
+        self.compact.check_consistent()
 
     @invariant()
     def postings_weights_match_ads(self) -> None:

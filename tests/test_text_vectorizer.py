@@ -100,3 +100,59 @@ class TestTransform:
         vec = vectorizer.transform(tokens)
         if vec:
             assert norm(vec) == pytest.approx(1.0)
+
+
+def unmemoised_transform(vectorizer: TfidfVectorizer, tokens) -> dict[str, float]:
+    """``transform`` with every idf recomputed from the document
+    frequencies: the oracle of the idf memo."""
+    from repro.util.sparse import l2_normalize
+
+    counts: dict[str, int] = {}
+    for term in tokens:
+        counts[term] = counts.get(term, 0) + 1
+    weighted = {}
+    for term, count in counts.items():
+        df = vectorizer.document_frequency(term)
+        if df < vectorizer.min_df:
+            df = 0
+        idf = math.log((1 + vectorizer.num_docs) / (1 + df)) + 1.0
+        weighted[term] = (1.0 + math.log(count)) * idf
+    return l2_normalize(weighted) if tokens else {}
+
+
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "zz"]), max_size=8)
+
+
+class TestTheIdfMemo:
+    @given(
+        min_df=st.integers(1, 3),
+        corpus=st.lists(token_lists, max_size=6),
+        posts=st.lists(token_lists, min_size=1, max_size=6),
+    )
+    def test_equals_the_unmemoised_path(self, min_df, corpus, posts):
+        vectorizer = TfidfVectorizer(min_df=min_df).fit(corpus)
+        for tokens in posts + posts:  # the second pass reads the memo
+            assert vectorizer.transform(tokens) == unmemoised_transform(
+                vectorizer, tokens
+            )
+
+    @given(
+        corpus=st.lists(token_lists, max_size=6),
+        tokens=token_lists.filter(bool),
+        refit=st.booleans(),
+    )
+    def test_a_fit_between_two_transforms_moves_the_idf(self, corpus, tokens, refit):
+        vectorizer = TfidfVectorizer().fit(corpus)
+        term = tokens[0]
+        before = vectorizer.idf(term)
+        vectorizer.transform(tokens)
+        if refit:
+            vectorizer.fit([[term]])
+        else:
+            vectorizer.partial_fit([term])
+        # One more document holding the term: N and df both grow by one.
+        df = vectorizer.document_frequency(term)
+        num_docs = vectorizer.num_docs
+        assert vectorizer.idf(term) == math.log((1 + num_docs) / (1 + df)) + 1.0
+        assert vectorizer.idf(term) < before or df == vectorizer.num_docs
+        assert vectorizer.transform(tokens) == unmemoised_transform(vectorizer, tokens)
