@@ -132,7 +132,7 @@ def test_f3_vector_gate(benchmark):
         _write_table()
         write_bench_json(_series, BENCH_FILE)
         # The tentpole claim: the compact numpy hot path multiplies the
-        # default engine's delivery throughput at the largest corpus.
+        # ``ta`` reference engine's delivery throughput at the largest corpus.
         assert speedup >= MIN_VECTOR_SPEEDUP, (
             f"vector speedup at {GATE_AD_COUNT} ads regressed to "
             f"{speedup:.2f}x (floor {MIN_VECTOR_SPEEDUP}x)"
@@ -140,7 +140,7 @@ def test_f3_vector_gate(benchmark):
 
 
 def vector_speedups(series: dict[tuple[str, int], float]) -> dict[int, float]:
-    """Per-corpus-size vector/default throughput ratio (machine-relative,
+    """Per-corpus-size vector/``ta`` throughput ratio (machine-relative,
     so trajectories compare across hosts)."""
     return {
         num_ads: series[("car-vector", num_ads)] / series[("car-shared", num_ads)]

@@ -18,7 +18,8 @@ def test_t2_parameters(benchmark, default_workload):
         return build_recommender(default_workload, config)
 
     recommender = benchmark.pedantic(construct, rounds=3, iterations=1)
-    assert recommender.engine.index.num_ads == default_workload.config.num_ads
+    # The default engine's one index is the vector kernel's arrays.
+    assert recommender.engine.index.num_alive == default_workload.config.num_ads
 
     table = ascii_table(
         ["parameter", "default"],

@@ -19,11 +19,19 @@ from repro.eval.report import ascii_table
 from repro.scenarios import ScenarioDriver, build_scenario_stream
 from repro.util.timers import LatencyRecorder
 
+#: The strategies of the paper's comparison, on the pure-Python reference
+#: (``searcher="ta"``) where CAR-share's certificate and fallback live.
 STRATEGIES = {
-    "car-shared (exact)": EngineConfig(mode=EngineMode.SHARED, exact_fallback=True),
-    "car-approx": EngineConfig(mode=EngineMode.SHARED, exact_fallback=False),
-    "car-incremental": EngineConfig(mode=EngineMode.INCREMENTAL, exact_fallback=True),
-    "per-delivery-probe": EngineConfig(mode=EngineMode.EXACT),
+    "car-shared (exact)": EngineConfig(
+        mode=EngineMode.SHARED, searcher="ta", exact_fallback=True
+    ),
+    "car-approx": EngineConfig(
+        mode=EngineMode.SHARED, searcher="ta", exact_fallback=False
+    ),
+    "car-incremental": EngineConfig(
+        mode=EngineMode.INCREMENTAL, searcher="ta", exact_fallback=True
+    ),
+    "per-delivery-probe": EngineConfig(mode=EngineMode.EXACT, searcher="ta"),
 }
 
 

@@ -8,7 +8,8 @@ regressed. The metric is named by the baseline's ``gate.metric`` section,
 so one script gates every trajectory file:
 
 * ``vector_speedup`` (``BENCH_f3_throughput.json``) — the vector
-  searcher's speedup over the default engine at the gate corpus size.
+  searcher's speedup over the ``ta`` reference engine (``car-shared``) at
+  the gate corpus size.
   Speedups are ratios of two runs on the *same* host, so the comparison
   is machine-insulated — a slower CI runner scales both sides equally.
 * ``ctr_lift`` (``BENCH_t8_ctr_lift.json``) — the LinUCB policy's replay

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -46,6 +47,9 @@ from repro.errors import ConfigError, ReproError
 from repro.eval.report import ascii_table
 from repro.index.factory import SEARCHER_KINDS
 from repro.io.serialize import load_workload, save_workload
+
+#: Where every engine flag's default comes from: one copy, the config's.
+_DEFAULTS = EngineConfig()
 
 
 def _add_generation_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,16 +192,17 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=[mode.value for mode in EngineMode],
-        default="shared",
+        default=_DEFAULTS.mode.value,
     )
     parser.add_argument(
         "--searcher",
         choices=list(SEARCHER_KINDS),
-        default="ta",
-        help="top-k searcher for every index probe: 'vector' runs the "
-        "compact numpy hot path, 'ta' is the pure-Python reference oracle",
+        default=_DEFAULTS.searcher,
+        help="top-k searcher for every index probe: 'vector' (the default) "
+        "runs the compact numpy hot path, 'ta' is the pure-Python "
+        "reference oracle",
     )
-    parser.add_argument("--k", type=int, default=10)
+    parser.add_argument("--k", type=int, default=_DEFAULTS.k)
     parser.add_argument("--limit", type=int, help="base-stream posts to drive")
     parser.add_argument(
         "--scenario",
@@ -315,7 +320,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         mode=EngineMode(args.mode),
         k=args.k,
         searcher=args.searcher,
-        exact_fallback=not args.approximate,
         # Click intents resolve against the served slates.
         collect_deliveries=any(isinstance(e, ScriptedClick) for e in events),
         charge_impressions=not args.no_charging,
@@ -480,29 +484,45 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _coerce_override(name: str, raw: str, current) -> object:
-    """Parse an ``--arm name=value`` string against the control config's
-    field type, so the treatment config stays validated."""
-    if isinstance(current, bool):
+def _coerce_override(name: str, raw: str) -> object:
+    """Parse an ``--arm name=value`` string by the field's declared type
+    in :class:`EngineConfig`, so the treatment config stays validated:
+    an Optional field also takes ``none``, a non-scalar field is refused,
+    and a value that does not parse is a usage error."""
+    known = typing.get_type_hints(EngineConfig)
+    if name not in known:
+        raise ConfigError(
+            f"--arm {name!r} is not an EngineConfig field; known: {sorted(known)}"
+        )
+    declared = known[name]
+    options = typing.get_args(declared)
+    if type(None) in options:
+        if raw.lower() == "none":
+            return None
+        (declared,) = [kind for kind in options if kind is not type(None)]
+    if declared is bool:
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"--arm {name} expects a boolean, got {raw!r}")
-    if isinstance(current, EngineMode):
-        return EngineMode(raw)
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
+    if declared not in (int, float, str, EngineMode):
+        raise ConfigError(
+            f"--arm {name} is a {declared.__name__}, which --arm cannot set"
+        )
+    try:
+        return declared(raw)
+    except ValueError:
+        raise ConfigError(
+            f"--arm {name} expects {declared.__name__}, got {raw!r}"
+        ) from None
 
 
 def _cmd_canary(args: argparse.Namespace) -> int:
     """Drive a canary A/B rollout over an adversarial stream and gate on
     the cohort's paired revenue/latency diff."""
-    from dataclasses import fields, replace
+    from dataclasses import replace
 
     from repro.scenarios import build_scenario_stream, run_canary
 
@@ -514,21 +534,13 @@ def _cmd_canary(args: argparse.Namespace) -> int:
         searcher=args.searcher,
         collect_deliveries=True,
     )
-    known = {spec.name for spec in fields(EngineConfig)}
     overrides: dict[str, object] = {}
     for item in args.arm or []:
         name, separator, raw = item.partition("=")
         if not separator:
             raise ConfigError(f"--arm expects NAME=VALUE, got {item!r}")
         name = name.strip()
-        if name not in known:
-            raise ConfigError(
-                f"--arm {name!r} is not an EngineConfig field; "
-                f"known: {sorted(known)}"
-            )
-        overrides[name] = _coerce_override(
-            name, raw.strip(), getattr(control, name)
-        )
+        overrides[name] = _coerce_override(name, raw.strip())
     treatment = replace(control, **overrides) if overrides else control
     stream = build_scenario_stream(
         workload,
@@ -755,18 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="drive a stream through a backend, observe, measure"
     )
     _add_backend_flags(replay)
-    replay.add_argument(
-        "--approximate",
-        action="store_true",
-        help="disable the exact fallback (production mode); read by the "
-        "'ta' reference and INCREMENTAL — the vector SHARED kernel cuts "
-        "the exact top-k and has no fallback to disable",
-    )
     replay.add_argument("--no-charging", action="store_true")
     replay.add_argument(
         "--personalize",
         choices=["static", "linucb"],
-        default="static",
+        default=_DEFAULTS.personalize,
         help="slate rerank strategy: 'linucb' layers a hybrid contextual "
         "bandit (one shared ridge model plus a smoothed per-ad CTR) over "
         "the mode's personalisation, learning online from click feedback "
@@ -775,14 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--alpha-ucb",
         type=float,
-        default=0.5,
+        default=_DEFAULTS.alpha_ucb,
         help="LinUCB exploration width; 0 disables the bonus entirely "
         "(the slate is then byte-identical to --personalize static)",
     )
     replay.add_argument(
         "--linucb-sync",
         type=float,
-        default=300.0,
+        default=_DEFAULTS.linucb_sync_interval_s,
         help="bandit sync-epoch length in stream seconds: updates fold "
         "into the serving snapshot at each epoch boundary",
     )

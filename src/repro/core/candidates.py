@@ -141,7 +141,7 @@ class SharedCandidateGenerator:
     """Runs the shared content probe for each posted message."""
 
     def __init__(
-        self, index: SearchIndex, overfetch: int, *, searcher: str = "ta"
+        self, index: SearchIndex, overfetch: int, *, searcher: str
     ) -> None:
         """``index`` is the ``searcher`` kind's own (``make_index``)."""
         if overfetch < 1:
@@ -153,22 +153,10 @@ class SharedCandidateGenerator:
         self._searcher = None if vector else make_searcher(searcher, index)
         self.kind = searcher
         self.overfetch = overfetch
-        # The last effective depth, which the engine's probe stage adds to
-        # its stats' ``probe_depth_total``.
-        self.last_probe_depth = 0
 
-    def generate(
-        self, message_vec: SparseVector, *, depth: int | None = None
-    ) -> CandidateSet:
-        """Content top-``overfetch`` for one message vector. ``depth``
-        overrides the configured over-fetch for this probe only (the QoS
-        ladder shrinks K′ under load); the cutoff certificate stays sound
-        at any depth — a shallower probe just certifies less often."""
-        if depth is None:
-            depth = self.overfetch
-        elif depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {depth}")
-        self.last_probe_depth = depth
+    def generate(self, message_vec: SparseVector) -> CandidateSet:
+        """Content top-``overfetch`` for one message vector."""
+        depth = self.overfetch
         compact = self._compact
         if compact is not None:
             compact.maybe_compact()

@@ -64,12 +64,12 @@ class EngineConfig:
     k: int = 10
     weights: ScoringWeights = field(default_factory=ScoringWeights)
     mode: EngineMode = EngineMode.SHARED
-    # Index strategy for every probe (one of SEARCHER_KINDS: "ta" |
-    # "vector"). Both are exact; "vector" serves every fan-out through
-    # the compact numpy kernel, which cuts the exact top-k directly (no
-    # union, certificate or fallback). "ta" stays the default as the
-    # pure-Python reference oracle.
-    searcher: str = "ta"
+    # Index strategy for every probe (one of SEARCHER_KINDS: "vector" |
+    # "ta"). Both are exact. "vector", the default, serves every fan-out
+    # through the compact numpy kernel, which cuts the exact top-k
+    # directly (no union, certificate or fallback). "ta" is the
+    # pure-Python reference oracle the kernel is tested against.
+    searcher: str = "vector"
     # Shared mode: how many candidates the per-message probe over-fetches.
     # Depths are tuned by experiment F6: shallow lists certify almost
     # nothing (constant fallbacks), ~80 drives the fallback rate near zero.

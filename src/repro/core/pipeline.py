@@ -188,9 +188,7 @@ class TextVectorizeStage:
 
 class SharedProbeStage:
     """One content probe per message, reused across the whole fan-out.
-
-    Under an attached QoS controller the probe depth follows the current
-    degradation rung (a shallower K′ is the ladder's cheapest rung)."""
+    The probe always cuts the configured K′: no QoS rung changes it."""
 
     def __init__(self, services: EngineServices, generator: SharedCandidateGenerator) -> None:
         self._services = services
@@ -201,17 +199,11 @@ class SharedProbeStage:
         self.span_name = f"candidate[{generator.kind}]"
 
     def candidates_for(self, event: PostEvent) -> CandidateSet:
-        services = self._services
         generator = self._generator
-        stats = services.stats
+        stats = self._services.stats
         stats.shared_probes += 1
-        qos = services.qos
-        depth = None
-        if qos is not None and qos.degrading:
-            depth = qos.probe_depth(generator.overfetch, services.config.k)
-        result = generator.generate(event.message_vec, depth=depth)
-        stats.probe_depth_total += generator.last_probe_depth
-        return result
+        stats.probe_depth_total += generator.overfetch
+        return generator.generate(event.message_vec)
 
 
 class NoProbeStage:
@@ -239,14 +231,14 @@ class _PerFollowerStage:
             )
 
 
-def _rung_knobs(services: EngineServices) -> tuple[int, bool]:
-    """(slate size, whether the certificate fallback may run) under the
-    current QoS rung — the configured values when undegraded."""
+def _slate_k(services: EngineServices) -> int:
+    """The slate size under the current QoS rung — the configured k
+    when undegraded."""
     qos = services.qos
     k = services.config.k
     if qos is not None and qos.degrading:
-        return qos.slate_k(k), qos.allow_fallback
-    return k, True
+        return qos.slate_k(k)
+    return k
 
 
 class KernelPersonalizeStage:
@@ -266,7 +258,7 @@ class KernelPersonalizeStage:
     def personalize_batch(
         self, event, candidates, resolved, served, *, cut=None
     ) -> None:
-        k, _ = _rung_knobs(self._services)
+        k = _slate_k(self._services)
         exact = self._exact
         self._personalizer.slate_batch(
             candidates,
@@ -299,8 +291,7 @@ class KernelPersonalizeStage:
 class SharedPersonalizeStage(_PerFollowerStage):
     """SHARED mode on the ``ta`` reference: union-score the three
     candidate sources per follower, certify, and fall back to one exact
-    probe when certification fails (the QoS rung may shrink k and
-    suppress the fallback probe)."""
+    probe when certification fails (the QoS rung may shrink k)."""
 
     def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
         self._services = services
@@ -309,7 +300,7 @@ class SharedPersonalizeStage(_PerFollowerStage):
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        k, allow_fallback = _rung_knobs(self._services)
+        k = _slate_k(self._services)
         result = self._personalizer.slate_for(
             candidates,
             event.message_vec,
@@ -319,7 +310,6 @@ class SharedPersonalizeStage(_PerFollowerStage):
             state.location,
             event.timestamp,
             k,
-            allow_fallback=allow_fallback,
         )
         return PersonalizedDelivery(
             result.slate, result.certified, result.fell_back, False
@@ -375,7 +365,7 @@ class ExactPersonalizeStage(_PerFollowerStage):
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        k, _ = _rung_knobs(self._services)
+        k = _slate_k(self._services)
         slate = self._personalizer.exact_slate(
             event.message_vec,
             profile_vec,

@@ -28,7 +28,7 @@ trade-off.
 avoid: the message gather and each follower's cached profile gather
 already cover every row a slate can contain, so it cuts the exact top-k
 of those rows directly — no union, no certificate, no fallback, and
-nothing that ``exact_fallback`` or a QoS rung could switch (DESIGN.md
+nothing that ``exact_fallback`` could switch (DESIGN.md
 "Personalize kernel" has the measurements behind that). It is the only
 exact cut on the arrays: :meth:`Personalizer.exact_slate` on the vector
 searcher is the kernel with no shared probe and one anonymous follower.
@@ -211,17 +211,10 @@ class Personalizer:
         location: GeoPoint | None,
         timestamp: float,
         k: int,
-        *,
-        allow_fallback: bool = True,
     ) -> PersonalizedSlate:
-        """Union-score, certify, and fall back if needed.
-
-        ``allow_fallback=False`` suppresses the certificate-fallback
-        exact probe for this delivery even when the engine is configured
-        with ``exact_fallback`` — the QoS ladder's serve-approximate
-        rung — and the slate is served as-is, certified or not. On the
-        vector searcher this is the kernel on one follower, which has no
-        fallback to suppress.
+        """Union-score, certify, and fall back if needed (when the engine
+        is configured with ``exact_fallback``). On the vector searcher
+        this is the kernel on one follower, which has no fallback.
         """
         if self._vector:
             slate = self.slate_batch(
@@ -263,7 +256,7 @@ class Personalizer:
             + self._static_list.cutoff()
         )
         certified = len(slate) == k and slate[-1].score >= certificate
-        if certified or not (self._exact_fallback and allow_fallback):
+        if certified or not self._exact_fallback:
             return PersonalizedSlate(slate=slate, certified=certified, fell_back=False)
         return PersonalizedSlate(
             slate=self.exact_slate(message_vec, profile_vec, location, timestamp, k),

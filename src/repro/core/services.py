@@ -51,8 +51,8 @@ class EngineStats:
     impressions: int = 0
     revenue: float = 0.0
     shared_probes: int = 0
-    # Sum of effective probe depths (K′ after any QoS shrink) across all
-    # shared probes — divide by shared_probes for the mean depth the T3
+    # Sum of probe depths (the configured K′) across all shared probes —
+    # divide by shared_probes for the mean depth the T3
     # probe-vs-personalize attribution reports.
     probe_depth_total: int = 0
     certified_deliveries: int = 0

@@ -9,8 +9,8 @@ p99 and recorded the breaches. This package closes the loop:
   :class:`AdmissionController` in front of the delivery fan-out with
   value-aware shedding (lowest expected-revenue deliveries drop first);
 * :mod:`repro.qos.degrade` — a :class:`DegradationLadder` of ordered,
-  reversible fidelity rungs (shrink over-fetch → shrink slate → serve
-  approximate → candidates-only scoring → shed);
+  reversible fidelity rungs (shrink slate → candidates-only scoring →
+  shed);
 * :mod:`repro.qos.controller` — the :class:`QosController` that consumes
   :class:`~repro.obs.health.HealthMonitor` grades with its own
   hysteresis and steps the ladder;

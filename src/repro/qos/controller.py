@@ -77,18 +77,8 @@ class QosController:
         """Whether the pipeline must consult QoS on this batch at all."""
         return self.admission is not None or self.ladder.degraded
 
-    def probe_depth(self, base_overfetch: int, k: int) -> int:
-        """The shared probe's over-fetch under the current rung (never
-        below the slate size it must feed)."""
-        depth = int(base_overfetch * self.rung.overfetch_scale)
-        return max(self.slate_k(k), min(depth, base_overfetch), 1)
-
     def slate_k(self, base_k: int) -> int:
         return max(1, int(base_k * self.rung.k_scale))
-
-    @property
-    def allow_fallback(self) -> bool:
-        return self.rung.exact_fallback
 
     @property
     def candidates_only(self) -> bool:

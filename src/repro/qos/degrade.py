@@ -3,16 +3,13 @@
 Production feed stacks degrade ranking depth under load instead of
 falling over (cf. Gunosy's immediate-personalization architecture). Each
 :class:`Rung` names one reversible fidelity trade the pipeline knows how
-to honour, cheapest-loss first:
+to honour, cheapest-loss first, and each rung of the default ladder
+trades something on the default engine (the vector kernel):
 
-1. shrink the shared probe's over-fetch K′ (fewer candidates scored);
-2. shrink the served slate k (fewer ads priced and observed);
-3. serve approximate — skip the certificate-fallback exact probes (on
-   the vector SHARED kernel, which cuts the exact top-k and has no
-   fallback, this rung serves what rung 2 serves);
-4. candidates-only scoring — serve the shared probe's top-k directly,
-   skipping per-user union scoring entirely (profile-less);
-5. shed — drop a fraction of deliveries outright at admission.
+1. shrink the served slate k (fewer ads priced and observed);
+2. candidates-only scoring — serve the shared probe's top-k directly,
+   skipping per-user scoring entirely (profile-less);
+3. shed — drop a fraction of deliveries outright at admission.
 
 The :class:`DegradationLadder` holds the ordered rungs, the current
 position, and a floor (the deepest rung the operator allows). Movement
@@ -31,21 +28,16 @@ __all__ = ["DEFAULT_LADDER", "DegradationLadder", "Rung"]
 
 @dataclass(frozen=True, slots=True)
 class Rung:
-    """One fidelity level. Scales multiply the configured knobs; flags
-    switch whole mechanisms off. Rung 0 must be full fidelity."""
+    """One fidelity level. ``k_scale`` multiplies the configured slate
+    size; the flags switch whole mechanisms off. Rung 0 must be full
+    fidelity."""
 
     name: str
-    overfetch_scale: float = 1.0
     k_scale: float = 1.0
-    exact_fallback: bool = True
     candidates_only: bool = False
     shed_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.overfetch_scale <= 1.0:
-            raise ConfigError(
-                f"overfetch_scale must be in (0, 1], got {self.overfetch_scale}"
-            )
         if not 0.0 < self.k_scale <= 1.0:
             raise ConfigError(f"k_scale must be in (0, 1], got {self.k_scale}")
         if not 0.0 <= self.shed_fraction < 1.0:
@@ -57,40 +49,16 @@ class Rung:
     def degraded(self) -> bool:
         """Whether serving under this rung loses any fidelity."""
         return (
-            self.overfetch_scale < 1.0
-            or self.k_scale < 1.0
-            or not self.exact_fallback
-            or self.candidates_only
-            or self.shed_fraction > 0.0
+            self.k_scale < 1.0 or self.candidates_only or self.shed_fraction > 0.0
         )
 
 
 #: The default ladder, cheapest revenue loss first (see module docstring).
 DEFAULT_LADDER: tuple[Rung, ...] = (
     Rung("full"),
-    Rung("overfetch-half", overfetch_scale=0.5),
-    Rung("slate-half", overfetch_scale=0.5, k_scale=0.5),
-    Rung(
-        "approximate",
-        overfetch_scale=0.5,
-        k_scale=0.5,
-        exact_fallback=False,
-    ),
-    Rung(
-        "candidates-only",
-        overfetch_scale=0.25,
-        k_scale=0.5,
-        exact_fallback=False,
-        candidates_only=True,
-    ),
-    Rung(
-        "shed",
-        overfetch_scale=0.25,
-        k_scale=0.5,
-        exact_fallback=False,
-        candidates_only=True,
-        shed_fraction=0.5,
-    ),
+    Rung("slate-half", k_scale=0.5),
+    Rung("candidates-only", k_scale=0.5, candidates_only=True),
+    Rung("shed", k_scale=0.5, candidates_only=True, shed_fraction=0.5),
 )
 
 
@@ -168,15 +136,32 @@ class DegradationLadder:
     def state_dict(self) -> dict:
         return {
             "index": self._index,
+            "rung": self.rung.name,
             "degrade_steps": self.degrade_steps,
             "recover_steps": self.recover_steps,
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore a position. The rung's name must match the rung at
+        that index, so a checkpoint from another ladder never restores
+        as a different trade; a state without a name (written before
+        names were recorded) restores only at rung 0, where every ladder
+        is full fidelity."""
         index = int(state["index"])
         if not 0 <= index <= self._floor:
             raise ConfigError(
                 f"checkpointed rung {index} is outside [0, floor {self._floor}]"
+            )
+        name = state.get("rung")
+        if name is None and index != 0:
+            raise ConfigError(
+                f"checkpointed rung {index} carries no name; only rung 0 "
+                f"restores without one"
+            )
+        if name is not None and name != self._rungs[index].name:
+            raise ConfigError(
+                f"checkpointed rung {index} is {name!r}, but this ladder's "
+                f"rung {index} is {self._rungs[index].name!r}"
             )
         self._index = index
         self.degrade_steps = int(state["degrade_steps"])

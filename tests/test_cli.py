@@ -155,13 +155,33 @@ class TestReplay:
         assert len(rows["ta"]) == 4
         assert rows["vector"] == rows["ta"]
 
-    def test_approximate_flag(self, capsys):
-        code = main(
-            ["replay", *FAST, "--limit", "10", "--approximate", "--no-charging"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fallback rate | 0" in out
+    def test_the_default_searcher_is_the_kernel(self, capsys):
+        """No ``--searcher`` replays the vector kernel: the summary says
+        so, and prints ``--searcher vector``'s rows."""
+        rows = {}
+        for name, flags in (("default", []), ("vector", ["--searcher", "vector"])):
+            assert main(["replay", *FAST, "--limit", "15", *flags]) == 0
+            out = capsys.readouterr().out
+            assert re.search(r"^searcher +\| vector", out, re.MULTILINE)
+            rows[name] = summary_rows(out)
+        assert len(rows["default"]) == 4
+        assert rows["default"] == rows["vector"]
+
+    @pytest.mark.parametrize("command", ["replay", "canary"])
+    def test_engine_flag_defaults_are_the_configs(self, command):
+        """One copy of each default: the engine flags read
+        :class:`EngineConfig`'s own."""
+        from repro.core.config import EngineConfig
+
+        args = build_parser().parse_args([command])
+        config = EngineConfig()
+        assert args.mode == config.mode.value
+        assert args.searcher == config.searcher
+        assert args.k == config.k
+        if command == "replay":
+            assert args.personalize == config.personalize
+            assert args.alpha_ucb == config.alpha_ucb
+            assert args.linucb_sync == config.linucb_sync_interval_s
 
     def test_replay_personalize_choices(self):
         with pytest.raises(SystemExit):
@@ -574,6 +594,42 @@ class TestCanary:
         code = main(self.BASE + ["--arm", "charge_impressions=maybe"])
         assert code == 2
         assert "expects a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arm, codes, said",
+        [
+            (
+                ["context_max_age_s=600", "--mode", "incremental"],
+                (0, 1),  # a verdict, either way
+                "context_max_age_s=600.0",
+            ),
+            (["weights=1"], (2,), "--arm cannot set"),
+            (["k=abc"], (2,), "--arm k expects int, got 'abc'"),
+            (["mode=bogus"], (2,), "--arm mode expects EngineMode, got 'bogus'"),
+        ],
+        ids=["optional-float", "non-scalar", "bad-int", "bad-enum"],
+    )
+    def test_arm_coerces_by_the_declared_field_type(
+        self, arm, codes, said, capsys
+    ):
+        """A value is parsed by the field's declared type, not by the
+        control's current value; what cannot be parsed is a usage error
+        (exit 2), never a traceback or a failed verdict."""
+        override, *flags = arm
+        code = main(self.BASE + ["--arm", override, *flags])
+        assert code in codes
+        captured = capsys.readouterr()
+        if code == 2:
+            assert said in captured.err
+            assert "canary verdict" not in captured.out
+        else:
+            assert said in captured.out
+            assert "canary verdict" in captured.out
+
+    def test_arm_optional_field_takes_none(self, capsys):
+        code = main(self.BASE + ["--arm", "profile_half_life_s=none"])
+        assert code == 0
+        assert "profile_half_life_s=None" in capsys.readouterr().out
 
     def test_canary_on_sharded_backend(self, capsys):
         code = main(self.BASE + ["--shards", "2"])

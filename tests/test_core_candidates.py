@@ -39,45 +39,35 @@ def compact(corpus) -> CompactIndex:
 class TestSharedCandidates:
     def test_overfetch_validation(self, index):
         with pytest.raises(ConfigError):
-            SharedCandidateGenerator(index, 0)
+            SharedCandidateGenerator(index, 0, searcher="ta")
 
     def test_entries_sorted_desc(self, index):
-        generator = SharedCandidateGenerator(index, 10)
+        generator = SharedCandidateGenerator(index, 10, searcher="ta")
         result = generator.generate({"t0": 1.0, "t3": 0.5})
         scores = [score for _, score in result.entries]
         assert scores == sorted(scores, reverse=True)
 
     def test_cutoff_is_last_score_when_full(self, corpus, index):
-        generator = SharedCandidateGenerator(index, 3)
+        generator = SharedCandidateGenerator(index, 3, searcher="ta")
         result = generator.generate({"t0": 1.0})
         if len(result) == 3:
             assert result.cutoff == result.entries[-1][1]
             assert not result.complete
 
     def test_cutoff_zero_when_incomplete(self, index):
-        generator = SharedCandidateGenerator(index, 10_000)
+        generator = SharedCandidateGenerator(index, 10_000, searcher="ta")
         result = generator.generate({"t0": 1.0})
         assert result.complete
         assert result.cutoff == 0.0
 
     def test_empty_message(self, index):
-        generator = SharedCandidateGenerator(index, 10)
+        generator = SharedCandidateGenerator(index, 10, searcher="ta")
         result = generator.generate({})
         assert len(result) == 0
         assert result.complete
 
-    def test_probe_counter(self, index):
-        """The generator keeps the last probe's depth only: the engine's
-        stats count probes and their depths (``shared_probes``,
-        ``probe_depth_total``)."""
-        generator = SharedCandidateGenerator(index, 10)
-        generator.generate({"t0": 1.0})
-        assert generator.last_probe_depth == 10
-        generator.generate({"t1": 1.0}, depth=3)
-        assert generator.last_probe_depth == 3
-
     def test_ad_ids_order_matches_entries(self, index):
-        generator = SharedCandidateGenerator(index, 10)
+        generator = SharedCandidateGenerator(index, 10, searcher="ta")
         result = generator.generate({"t0": 1.0, "t1": 1.0})
         assert result.ad_ids() == [ad_id for ad_id, _ in result.entries]
 
@@ -111,9 +101,8 @@ class TestVectorProbeMatchesTheOracle:
         ids=st.data(),
         query=queries,
         depth=st.integers(min_value=1, max_value=40),
-        override=st.booleans(),
     )
-    def test_entries_cutoff_and_block(self, shapes, ids, query, depth, override):
+    def test_entries_cutoff_and_block(self, shapes, ids, query, depth):
         ad_ids = ids.draw(
             st.lists(
                 st.integers(min_value=0, max_value=999),
@@ -131,16 +120,12 @@ class TestVectorProbeMatchesTheOracle:
         corpus = AdCorpus(ads[:early])
         index = AdInvertedIndex.from_corpus(corpus)
         compact = CompactIndex(corpus)
-        # ``override``: the QoS ladder's per-probe depth instead of the
-        # configured over-fetch.
-        configured = 7 if override else depth
-        vector = SharedCandidateGenerator(compact, configured, searcher="vector")
-        oracle = SharedCandidateGenerator(index, configured, searcher="ta")
+        vector = SharedCandidateGenerator(compact, depth, searcher="vector")
+        oracle = SharedCandidateGenerator(index, depth, searcher="ta")
         for ad in ads[early:]:
             corpus.add(ad)
-        kwargs = {"depth": depth} if override else {}
-        got = vector.generate(query, **kwargs)
-        want = oracle.generate(query, **kwargs)
+        got = vector.generate(query)
+        want = oracle.generate(query)
 
         assert got.ad_ids() == want.ad_ids()
         assert got.complete == want.complete
@@ -149,7 +134,6 @@ class TestVectorProbeMatchesTheOracle:
         assert got.cutoff - want.cutoff == tolerance
         for (_, mine), (_, theirs) in zip(got.entries, want.entries):
             assert mine - theirs == tolerance
-        assert vector.last_probe_depth == oracle.last_probe_depth == depth
 
         # The block restates the probe as arrays over the current index.
         assert want.block is None

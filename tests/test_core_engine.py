@@ -43,7 +43,10 @@ class TestSharedModeExactness:
         """Replaying real posts, every delivery's slate must equal an
         independent full-scan oracle that mirrors profile evolution."""
         engine = build_engine(
-            tiny_workload, charge_impressions=False, exact_fallback=True
+            tiny_workload,
+            searcher="ta",
+            charge_impressions=False,
+            exact_fallback=True,
         )
         oracle_profiles = ProfileStore(engine.config.profile_half_life_s)
         weights = engine.config.weights
@@ -118,7 +121,7 @@ class TestChargingAndBudgets:
             graph=workload.graph,
             vectorizer=workload.vectorizer,
             tokenizer=workload.tokenizer,
-            config=EngineConfig(),
+            config=EngineConfig(searcher="ta"),
         )
         for user in workload.users:
             engine.register_user(user.user_id, user.home)

@@ -79,7 +79,7 @@ def oracle_incremental_scores(corpus, weights, context, profile_vec, location, t
 class TestExactness:
     @pytest.mark.parametrize("seed", range(5))
     def test_slate_matches_oracle_after_every_arrival(self, seed):
-        stack = build_maintainer(seed=seed)
+        stack = build_maintainer(seed=seed, searcher="ta")
         rng, space, corpus, config, scoring, maintainer, generator = stack
         profile_vec: dict[str, float] = {}
         profile_epoch = 0
@@ -152,7 +152,7 @@ class TestVectorRefreshIsTheKernel:
         rng, space, *_, maintainer, generator = build_maintainer(
             seed=5, searcher="vector"
         )
-        *_, reference, reference_generator = build_maintainer(seed=5)
+        *_, reference, reference_generator = build_maintainer(seed=5, searcher="ta")
         profile_vec: dict[str, float] = {}
         profile_epoch = 0
         t = 0.0

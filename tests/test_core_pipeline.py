@@ -52,7 +52,7 @@ class TestGoldenModeParity:
     @pytest.mark.parametrize("mode", list(EngineMode))
     def test_mode_matches_golden(self, golden_workload, mode):
         golden = json.loads(GOLDEN_PATH.read_text())[mode.value]
-        config = EngineConfig(mode=mode, charge_impressions=False)
+        config = EngineConfig(mode=mode, searcher="ta", charge_impressions=False)
         rec = ContextAwareRecommender.from_workload(golden_workload, config)
         for post, expected in zip(golden_workload.posts[:30], golden):
             result = rec.post(
@@ -75,7 +75,9 @@ class TestStageSelection:
         return ContextAwareRecommender.from_workload(workload, config).engine
 
     def test_shared_mode_stages(self, tiny_workload):
-        engine = self._engine(tiny_workload, mode=EngineMode.SHARED)
+        engine = self._engine(
+            tiny_workload, mode=EngineMode.SHARED, searcher="ta"
+        )
         assert isinstance(engine.pipeline.candidate_stage, SharedProbeStage)
         assert isinstance(
             engine.pipeline.personalize_stage, SharedPersonalizeStage
@@ -89,7 +91,7 @@ class TestStageSelection:
         )
 
     def test_exact_mode_stages(self, tiny_workload):
-        engine = self._engine(tiny_workload, mode=EngineMode.EXACT)
+        engine = self._engine(tiny_workload, mode=EngineMode.EXACT, searcher="ta")
         assert isinstance(engine.pipeline.candidate_stage, NoProbeStage)
         assert isinstance(engine.pipeline.personalize_stage, ExactPersonalizeStage)
 

@@ -56,7 +56,9 @@ def random_profile(space: TopicSpace, rng: random.Random) -> dict[str, float]:
 class TestExactSlate:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_oracle(self, seed):
-        rng, space, corpus, _, config, _, personalizer, _ = build_stack(seed=seed)
+        rng, space, corpus, _, config, _, personalizer, _ = build_stack(
+            seed=seed, searcher="ta"
+        )
         message = random_message(space, rng)
         profile = random_profile(space, rng)
         slate = personalizer.exact_slate(message, profile, None, 1000.0, config.k)
@@ -66,7 +68,9 @@ class TestExactSlate:
         assert_scores_match([scored.score for scored in slate], expected)
 
     def test_empty_message_serves_profile_matches(self):
-        rng, space, corpus, _, config, _, personalizer, _ = build_stack(seed=1)
+        rng, space, corpus, _, config, _, personalizer, _ = build_stack(
+            seed=1, searcher="ta"
+        )
         profile = random_profile(space, rng)
         slate = personalizer.exact_slate({}, profile, None, 0.0, config.k)
         expected = oracle_slate_scores(
@@ -80,7 +84,7 @@ class TestSlateForWithFallback:
     def test_always_exact(self, seed):
         """With exact_fallback on, every slate (certified or not) must match
         the oracle."""
-        stack = build_stack(seed=seed, exact_fallback=True)
+        stack = build_stack(seed=seed, searcher="ta", exact_fallback=True)
         rng, space, corpus, _, config, _, personalizer, generator = stack
         for trial in range(5):
             message = random_message(space, rng)
@@ -100,7 +104,11 @@ class TestSlateForWithFallback:
         """Whenever certification fires, the slate was computed WITHOUT the
         exact probe and must still equal the oracle."""
         stack = build_stack(
-            seed=3, exact_fallback=False, overfetch=60, static_candidates=60
+            seed=3,
+            searcher="ta",
+            exact_fallback=False,
+            overfetch=60,
+            static_candidates=60,
         )
         rng, space, corpus, _, config, _, personalizer, generator = stack
         certified_seen = 0
@@ -124,7 +132,7 @@ class TestSlateForWithFallback:
 
 class TestApproximateMode:
     def test_no_fallback_flag(self):
-        stack = build_stack(seed=2, exact_fallback=False)
+        stack = build_stack(seed=2, searcher="ta", exact_fallback=False)
         rng, space, _, _, config, _, personalizer, generator = stack
         message = random_message(space, rng)
         candidates = generator.generate(message)
@@ -134,7 +142,7 @@ class TestApproximateMode:
         assert not result.fell_back
 
     def test_approximate_slate_is_subset_of_union_sources(self):
-        stack = build_stack(seed=4, exact_fallback=False)
+        stack = build_stack(seed=4, searcher="ta", exact_fallback=False)
         rng, space, _, _, config, _, personalizer, generator = stack
         message = random_message(space, rng)
         profile = random_profile(space, rng)
@@ -475,13 +483,10 @@ class TestKernelSelfConsistency:
             assert together == personalizer.slate_batch(
                 without_block(candidates), message, followers, 500.0, k
             )
-            # ``allow_fallback`` is the reference's: inert on the kernel,
+            # ``exact_fallback`` is the reference's: inert on the kernel,
             # whose every slate is certified and none a fallback.
             one_each = [
-                personalizer.slate_for(
-                    candidates, message, *follower, 500.0, k,
-                    allow_fallback=exact_fallback,
-                )
+                personalizer.slate_for(candidates, message, *follower, 500.0, k)
                 for follower in followers
             ]
             assert all(each.certified and not each.fell_back for each in one_each)
@@ -504,7 +509,7 @@ class TestKernelSelfConsistency:
         weights = ScoringWeights(beta=beta)
         stack = build_stack(seed=7, searcher="vector", weights=weights)
         rng, space, _, _, config, _, personalizer, generator = stack
-        *_, reference, _ = build_stack(seed=7, weights=weights)
+        *_, reference, _ = build_stack(seed=7, searcher="ta", weights=weights)
         followers = mixed_followers(space, rng)
         profile_only = 0
         for _ in range(6):
@@ -540,7 +545,7 @@ class TestKernelSelfConsistency:
         it serves what the reference does, as a run of one, and leaves
         every user's cached profile gather as it found it."""
         engine = engine_for(tiny_workload, searcher="vector")
-        reference = engine_for(tiny_workload)
+        reference = engine_for(tiny_workload, searcher="ta")
         posts = tiny_workload.posts
         for post in posts[:40]:
             for each in (engine, reference):
@@ -580,30 +585,15 @@ class TestKernelSelfConsistency:
         assert not engine.personalizer._profile_gather_cache
 
     def test_no_certificate_setting_changes_what_is_served(self, tiny_workload):
-        """``exact_fallback=False``, one-deep profile and static sources,
-        or a controller parked on a rung that only suppresses the fallback:
-        the charged engine serves, and books, what full fidelity does."""
-        from repro.qos.controller import QosController
-        from repro.qos.degrade import DegradationLadder, Rung
-
-        parked = QosController(
-            ladder=DegradationLadder(
-                (Rung("full"), Rung("approximate", exact_fallback=False))
-            )
-        )
-        assert parked.ladder.degrade() and not parked.allow_fallback
+        """``exact_fallback=False`` with one-deep profile and static
+        sources: the charged engine serves, and books, what full fidelity
+        does."""
         served = []
-        for config_kwargs, qos in (
-            ({}, None),
-            (
-                dict(exact_fallback=False, profile_candidates=1, static_candidates=1),
-                None,
-            ),
-            ({}, parked),
+        for config_kwargs in (
+            {},
+            dict(exact_fallback=False, profile_candidates=1, static_candidates=1),
         ):
-            engine = engine_for(
-                tiny_workload, qos=qos, searcher="vector", **config_kwargs
-            )
+            engine = engine_for(tiny_workload, searcher="vector", **config_kwargs)
             served.append(
                 [
                     (d.user_id, d.slate, d.certified, d.fell_back, d.revenue)
@@ -614,10 +604,9 @@ class TestKernelSelfConsistency:
                 ]
             )
             assert engine.stats.fallback_deliveries == 0
-        full, approximate, on_the_rung = served
+        full, approximate = served
         assert len(full) > 40 and any(slate for _, slate, *_ in full)
         assert approximate == full
-        assert on_the_rung == full
 
 
 class TestServedCallback:

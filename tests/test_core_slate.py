@@ -33,7 +33,7 @@ PRODUCERS = {
         (268, 2318, "1efa927f4dc7c8b4"),
     ),
     "incremental": (
-        dict(mode=EngineMode.INCREMENTAL),
+        dict(searcher="ta", mode=EngineMode.INCREMENTAL),
         (268, 2578, "7f6f3dfa113d8697"),
     ),
     # Candidates-only serving, as a failover shard does it.

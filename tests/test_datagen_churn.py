@@ -126,7 +126,7 @@ class TestEngineChurn:
         from tests.helpers import assert_scores_match, oracle_slate_scores
 
         recommender = ContextAwareRecommender.from_workload(
-            tiny_workload, EngineConfig(charge_impressions=False)
+            tiny_workload, EngineConfig(searcher="ta", charge_impressions=False)
         )
         engine = recommender.engine
         schedule = generate_churn(

@@ -87,6 +87,7 @@ class TestRoundTrip:
                 tiny_workload.graph,
                 tiny_workload.vectorizer,
                 tokenizer=tiny_workload.tokenizer,
+                config=EngineConfig(searcher="ta"),
             )
             for user in tiny_workload.users:
                 engine.register_user(user.user_id, user.home)

@@ -22,6 +22,7 @@ from repro.obs.health import HealthState
 from repro.obs.registry import MetricsRegistry
 from repro.qos.admission import AdmissionController
 from repro.qos.controller import QosController
+from repro.qos.degrade import DEFAULT_LADDER
 from repro.scenarios import ScenarioDriver
 from tests.conftest import workload_events
 
@@ -360,5 +361,44 @@ class TestRungsOnTheBatchedPath:
                 len(d.slate) <= int(k * rung.k_scale) for d in served[index]
             )
             assert all(d.degraded == rung.degraded for d in served[index])
-            if not rung.exact_fallback:
-                assert not any(d.fell_back for d in served[index])
+
+
+class TestEveryRungTradesSomething:
+    """On the default engine — the vector kernel, charged — each rung of
+    the default ladder serves different slates than the rung above it,
+    or sheds more: a rung that serves what its predecessor serves would
+    spend the controller's ``degrade_after`` intervals for nothing."""
+
+    @staticmethod
+    def parked_at(workload, index):
+        """The default engine under a controller parked on rung
+        ``index``, driven over the workload's fixed stream."""
+        controller = QosController()
+        for _ in range(index):
+            assert controller.ladder.degrade()
+        engine = engine_for(workload, EngineMode.SHARED, qos=controller)
+        assert engine.config.searcher == "vector"
+        _, _, results = drive(engine, workload)
+        # What was served, not how it was flagged: every rung below full
+        # marks its deliveries degraded.
+        slates = [
+            (d.user_id, [(s.ad_id, s.score) for s in d.slate])
+            for r in results
+            for d in r.deliveries
+        ]
+        return slates, engine.stats.deliveries_shed
+
+    @pytest.mark.parametrize(
+        "index",
+        range(1, len(DEFAULT_LADDER)),
+        ids=[
+            f"{upper.name}>{deeper.name}"
+            for upper, deeper in zip(DEFAULT_LADDER, DEFAULT_LADDER[1:])
+        ],
+    )
+    def test_a_deeper_rung_serves_differently_or_sheds_more(
+        self, workload, index
+    ):
+        upper_slates, upper_shed = self.parked_at(workload, index - 1)
+        slates, shed = self.parked_at(workload, index)
+        assert slates != upper_slates or shed > upper_shed

@@ -27,15 +27,13 @@ class TestRung:
 
     def test_default_ladder_monotonically_loses_fidelity(self):
         for shallower, deeper in zip(DEFAULT_LADDER, DEFAULT_LADDER[1:]):
-            assert deeper.overfetch_scale <= shallower.overfetch_scale
             assert deeper.k_scale <= shallower.k_scale
-            assert shallower.exact_fallback or not deeper.exact_fallback
             assert deeper.candidates_only or not shallower.candidates_only
             assert deeper.shed_fraction >= shallower.shed_fraction
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            Rung("bad", overfetch_scale=0.0)
+            Rung("bad", k_scale=0.0)
         with pytest.raises(ConfigError):
             Rung("bad", k_scale=1.5)
         with pytest.raises(ConfigError):
@@ -67,6 +65,39 @@ class TestLadder:
         with pytest.raises(ConfigError):
             DegradationLadder(floor=len(DEFAULT_LADDER))
 
+    @pytest.mark.parametrize("index", range(len(DEFAULT_LADDER)))
+    def test_every_rung_round_trips(self, index):
+        ladder = DegradationLadder()
+        for _ in range(index):
+            ladder.degrade()
+        state = ladder.state_dict()
+        assert state["rung"] == DEFAULT_LADDER[index].name
+        restored = DegradationLadder()
+        restored.load_state(state)
+        assert restored.rung == ladder.rung
+        assert restored.state_dict() == state
+
+    def test_checkpoint_without_a_rung_name_restores_only_at_rung_zero(self):
+        """A state recorded before rungs were named: index 1 was the
+        since-removed ``overfetch-half``, and must not come back as
+        whatever rung 1 is now."""
+        parent_shaped = {"index": 1, "degrade_steps": 1, "recover_steps": 0}
+        with pytest.raises(ConfigError, match="carries no name"):
+            DegradationLadder().load_state(parent_shaped)
+        ladder = DegradationLadder()
+        ladder.load_state({"index": 0, "degrade_steps": 1, "recover_steps": 1})
+        assert ladder.index == 0
+
+    def test_checkpoint_rejects_a_rung_name_that_does_not_match(self):
+        state = {
+            "index": 1,
+            "rung": "overfetch-half",
+            "degrade_steps": 1,
+            "recover_steps": 0,
+        }
+        with pytest.raises(ConfigError, match="'slate-half'"):
+            DegradationLadder().load_state(state)
+
     def test_checkpoint_rejects_index_beyond_floor(self):
         deep = DegradationLadder()
         deep.degrade()
@@ -95,15 +126,12 @@ class TestControllerHysteresis:
         assert controller.observe(HealthState.OK) == -1
         assert controller.rung_index == 0
 
-    def test_probe_depth_and_slate_k_floors(self):
+    def test_slate_k_floors(self):
         controller = QosController(degrade_after=1)
         for _ in range(4):
             controller.observe(HealthState.OVERLOADED)
-        # candidates-only rung: overfetch 0.25, k 0.5
+        # the deepest rung: k 0.5, never below one ad
         assert controller.slate_k(10) == 5
-        assert controller.probe_depth(80, 10) == 20
-        # depth can never fall below the slate it must feed, or 1
-        assert controller.probe_depth(2, 10) == 5
         assert controller.slate_k(1) == 1
 
 
