@@ -18,9 +18,10 @@ a gain is *claimable* when the change wins at least nine tenths of at
 least ten pairs and the medians differ by more than the parent's
 interquartile range. Beside it, whether the change's median is within the
 metric's ``BENCHMARK.json`` bound of the parent's (the no-regression
-rule). It also says whether every run passed its output checks and
-whether the two sides' output digests matched in every pair — and exits
-non-zero if not. Timings are never gated here. After each workload's
+rule). It also says whether every run wrote its result record (a run
+that wrote none — its checkout crashed — is reported FAILED and its pair
+left out), passed its output checks, and matched the other side's output
+digest in its pair — and exits non-zero if not. Timings are never gated here. After each workload's
 table comes every run made, one markdown row per pair: the seed, the side
 that ran first, each metric parent / change, ``failed`` and the digests.
 Several workloads (the no-regression sweep every change owes) are
@@ -44,16 +45,23 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
-def run_side(checkout: Path, workload: str, scale: str, seed: int, out: Path) -> dict:
-    """One untraced run of ``checkout``'s own harness; its result record."""
+def run_side(
+    checkout: Path, workload: str, scale: str, seed: int, out: Path
+) -> dict | None:
+    """One untraced run of ``checkout``'s own harness; its result record,
+    or None if the run wrote none (it crashed)."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload, "--seed", str(seed), "--trace", "0",
         "--scale", scale, "--out", str(out),
     ]
+    record = out / f"{workload}.json"
+    # A record left by an earlier sweep into the same --out must not
+    # stand in for this run's.
+    record.unlink(missing_ok=True)
     # A failed output check exits non-zero but still writes its record.
     subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL, check=False)
-    return json.loads((out / f"{workload}.json").read_text())
+    return json.loads(record.read_text()) if record.exists() else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -125,18 +133,31 @@ def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
     headline = metrics[0]["name"]
     records: dict[str, list[dict]] = {side: [] for side in SIDES}
     seeds, firsts = [], []
+    unwritten = 0
     for pair in range(args.pairs):
         seed = args.first_seed + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        runs = {
+            side: run_side(
+                checkouts[side], workload, args.scale, seed,
+                out / workload / f"seed{seed}" / side,
+            )
+            for side in order
+        }
+        missing = [side for side in SIDES if runs[side] is None]
+        if missing:
+            # Counted as failed; the pair stays out of the table.
+            unwritten += 1
+            print(
+                f"{workload} pair {pair + 1}/{args.pairs} seed {seed}: FAILED, "
+                f"no result record from {' and '.join(missing)}",
+                flush=True,
+            )
+            continue
         seeds.append(seed)
         firsts.append(order[0])
-        for side in order:
-            records[side].append(
-                run_side(
-                    checkouts[side], workload, args.scale, seed,
-                    out / workload / f"seed{seed}" / side,
-                )
-            )
+        for side in SIDES:
+            records[side].append(runs[side])
         latest = [records[side][-1] for side in SIDES]
         digests = " / ".join(run["digest"] for run in latest)
         readings = " / ".join(
@@ -148,7 +169,14 @@ def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
             flush=True,
         )
 
-    print(f"== {workload} ({args.scale}), {args.pairs} pair(s)")
+    print(f"== {workload} ({args.scale}), {len(seeds)} pair(s)")
+    written = not unwritten
+    print(
+        f"[{'ok' if written else 'FAILED'}] every run wrote its result record"
+        + ("" if written else f" ({unwritten} pair(s) without)")
+    )
+    if not seeds:
+        return False
     for metric in metrics:
         values = {
             side: [run["end_to_end"][metric["name"]]["value"] for run in records[side]]
@@ -164,7 +192,7 @@ def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
     print(f"[{'ok' if same else 'FAILED'}] digests equal in every pair")
     print(f"\nEvery run of {workload} (parent / change):\n")
     print("\n".join(run_rows(seeds, firsts, records, metrics)), flush=True)
-    return correct and same
+    return written and correct and same
 
 
 def main(argv=None) -> int:

@@ -174,93 +174,102 @@ class StaticRowCache:
     row-indexed arrays: the raw bid (normalised against the live
     ``max_bid`` at evaluation time, matching
     :meth:`~repro.ads.corpus.AdCorpus.normalized_bid`), per-row targeting
-    masks, and the targeting geometry itself — every circle as a flat
-    ``(row, lat, lon, radius)`` record and every time window as a flat
-    ``(row, start, end)`` record, both kept sorted by row so a block's
-    circles are one ``searchsorted`` gather away. That lets
+    masks, and the targeting geometry itself. Every circle is a flat
+    ``(row, centre, radius)`` record, rows ascending, over a table of
+    interned centres: the benchmark catalog's 1,183 circles sit on 12
+    centres, so a location costs one haversine per centre
+    (:meth:`_centre_distances`) and a gather. Every time window is two
+    *steps* — its start opens it, its end closes it — in flat arrays
+    sorted by hour, so the time mask advances across the ends an event's
+    hour crossed instead of being rebuilt. That lets
     :meth:`targeting_full` / :meth:`time_keep_full` evaluate the geo/time
-    predicate and the proximity score over every row with one vectorized
-    haversine instead of per-ad Python calls. Next to the bids it keeps
-    each row's slot in the budget manager's and the CTR estimator's
-    dense state arrays, so the dynamic half of the bid term is a gather
+    predicate and the proximity score over every row with a few numpy
+    calls instead of per-ad Python calls. Next to the bids it keeps each
+    row's slot in the budget manager's and the CTR estimator's dense
+    state arrays, so the dynamic half of the bid term is a gather
     (:meth:`ScoringModel._bid_block`) and a served slate's charge and
     feedback are gathers at its rows; a slot belongs to an ad for life,
-    so the maps never go stale between syncs. Synced lazily: a compaction
-    (generation bump) resets the arrays, appended rows extend them.
+    so the maps never go stale between syncs.
+
+    Synced lazily, and the state follows the stream: appended rows
+    (a launch) extend the arrays by their own records, and every
+    targeting result kept so far is extended rather than dropped; a
+    compaction (generation bump) renumbers the rows and drops it all.
     """
 
     def __init__(self, corpus: AdCorpus, compact: "CompactIndex") -> None:
         self._corpus = corpus
         self._compact = compact
         self._generation = -1
+        self._clear()
+
+    def _clear(self) -> None:
+        """Every row array empty, every targeting result dropped."""
         self._synced_rows = 0
         self.bids = np.zeros(0, dtype=np.float64)
         self.pacing_slots = np.zeros(0, dtype=np.int64)
         self.quality_slots = np.zeros(0, dtype=np.int64)
         self._geo_targeted = np.zeros(0, dtype=bool)
         self._time_targeted = np.zeros(0, dtype=bool)
-        # Flat targeting geometry, staged in lists (append-friendly) and
-        # flattened to arrays on demand. Row tags are ascending because
-        # sync always visits rows in order.
-        self._geo_stage: list[tuple[int, float, float, float]] = []
-        self._time_stage: list[tuple[int, float, float]] = []
-        self._flat_dirty = True
-        self._geo_rows = np.zeros(0, dtype=np.int64)
-        self._geo_lat = np.zeros(0, dtype=np.float64)
-        self._geo_lon = np.zeros(0, dtype=np.float64)
-        self._geo_cos = np.zeros(0, dtype=np.float64)
-        self._geo_radius = np.zeros(0, dtype=np.float64)
-        self._time_rows = np.zeros(0, dtype=np.int64)
-        self._time_start = np.zeros(0, dtype=np.float64)
-        self._time_end = np.zeros(0, dtype=np.float64)
-        # Every window end (start or end hour), ascending and distinct.
-        self._time_ends: list[float] = []
-        # Full-corpus targeting results, all dropped when the row space
-        # changes (sync): the time mask of the window-end interval holding
-        # the last event's hour, and per
-        # location (keyed by coordinates) only what depends on it — the
-        # matched geo rows and their best falloff, a few per cent of the
-        # rows — over a shared dense base.
+        # Circle centres, interned by coordinates: latitude and longitude
+        # in radians and the latitude's cosine, computed once a centre.
+        self._centres: dict[tuple[float, float], int] = {}
+        self._centre_lat = np.zeros(0, dtype=np.float64)
+        self._centre_lon = np.zeros(0, dtype=np.float64)
+        self._centre_cos = np.zeros(0, dtype=np.float64)
+        # Circles in row order: row, centre index, radius.
+        self._circle_rows = np.zeros(0, dtype=np.int64)
+        self._circle_centre = np.zeros(0, dtype=np.int64)
+        self._circle_radius = np.zeros(0, dtype=np.float64)
+        # Window steps by hour ascending: the hours (a list, for bisect),
+        # each step's row and +1 (a start) or -1 (an end); and per row,
+        # its windows that wrap past midnight, open at hour 0.
+        self._step_hours: list[float] = []
+        self._step_rows = np.zeros(0, dtype=np.int64)
+        self._step_deltas = np.zeros(0, dtype=np.int64)
+        self._wrapping = np.zeros(0, dtype=np.int64)
+        # Per location (keyed by coordinates), only what depends on it —
+        # the matched geo rows and their best falloff, a few per cent of
+        # the rows — over a shared dense base. ``_geo_hits`` covers every
+        # circle, so a read is one lookup; a launch with circles moves
+        # its entries to ``_geo_behind`` and the next read of each
+        # extends it by the circles past ``_geo_covered[key]``.
         self._geo_hits: dict[
             tuple[float, float] | None, tuple[np.ndarray, np.ndarray]
         ] = {}
+        self._geo_behind: dict[
+            tuple[float, float] | None, tuple[np.ndarray, np.ndarray]
+        ] = {}
+        self._geo_covered: dict[tuple[float, float] | None, int] = {}
         self._geo_hits_stored = 0
         self._geo_base: tuple[np.ndarray, np.ndarray] | None = None
-        self._full_time: tuple[float, np.ndarray] | None = None
+        # The last time mask: (step position of its hour, the mask, each
+        # row's open windows).
+        self._full_time: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def sync(self, budget: BudgetManager | None, ctr: CtrEstimator | None) -> None:
         """Extend the row arrays to the index's row space; new rows look
         their slots up in the scoring model's ``budget`` / ``ctr``."""
         compact = self._compact
-        compacted = self._generation != compact.generation
-        if compacted:
+        if self._generation != compact.generation:
             self._generation = compact.generation
-            self._synced_rows = 0
-            self.bids = np.zeros(compact.num_rows, dtype=np.float64)
-            self.pacing_slots = np.zeros(compact.num_rows, dtype=np.int64)
-            self.quality_slots = np.zeros(compact.num_rows, dtype=np.int64)
-            self._geo_targeted = np.zeros(compact.num_rows, dtype=bool)
-            self._time_targeted = np.zeros(compact.num_rows, dtype=bool)
-            self._geo_stage = []
-            self._time_stage = []
-            self._flat_dirty = True
-        num_rows = compact.num_rows
-        if self._synced_rows >= num_rows and not compacted:
+            self._clear()
+        first, num_rows = self._synced_rows, compact.num_rows
+        if first >= num_rows:
             return
-        self._geo_hits.clear()
-        self._geo_hits_stored = 0
-        self._geo_base = self._full_time = None
-        if self.bids.shape[0] < num_rows:
-            self.bids = _grown(self.bids, num_rows, np.float64)
-            self.pacing_slots = _grown(self.pacing_slots, num_rows, np.int64)
-            self.quality_slots = _grown(
-                self.quality_slots, num_rows, np.int64
-            )
-            self._geo_targeted = _grown(self._geo_targeted, num_rows, bool)
-            self._time_targeted = _grown(self._time_targeted, num_rows, bool)
+        self.bids = _grown(self.bids, num_rows, np.float64)
+        self.pacing_slots = _grown(self.pacing_slots, num_rows, np.int64)
+        self.quality_slots = _grown(self.quality_slots, num_rows, np.int64)
+        self._geo_targeted = _grown(self._geo_targeted, num_rows, bool)
+        self._time_targeted = _grown(self._time_targeted, num_rows, bool)
+        self._wrapping = _grown(self._wrapping, num_rows, np.int64)
         corpus = self._corpus
         ad_ids = compact.ad_ids
-        for row in range(self._synced_rows, num_rows):
+        centres = self._centres
+        known = len(centres)
+        circles: list[tuple[int, int, float]] = []
+        steps: list[tuple[float, int, int]] = []
+        for row in range(first, num_rows):
             ad = corpus.get(int(ad_ids[row]))
             self.bids[row] = ad.bid
             if budget is not None:
@@ -271,23 +280,60 @@ class StaticRowCache:
             if spec.circles:
                 self._geo_targeted[row] = True
                 for center, radius in spec.circles:
-                    self._geo_stage.append(
-                        (
-                            row,
-                            math.radians(center.lat),
-                            math.radians(center.lon),
-                            radius,
-                        )
+                    centre = centres.setdefault(
+                        (center.lat, center.lon), len(centres)
                     )
-                self._flat_dirty = True
+                    circles.append((row, centre, radius))
             if spec.time_windows:
                 self._time_targeted[row] = True
                 for window in spec.time_windows:
-                    self._time_stage.append(
-                        (row, window.start_hour, window.end_hour)
-                    )
-                self._flat_dirty = True
+                    steps.append((window.start_hour, row, 1))
+                    steps.append((window.end_hour, row, -1))
+                    if window.start_hour > window.end_hour:
+                        self._wrapping[row] += 1
         self._synced_rows = num_rows
+        if len(centres) > known:
+            lat, lon = zip(*list(centres)[known:])
+            lat = list(map(math.radians, lat))
+            self._centre_lat = np.append(self._centre_lat, lat)
+            self._centre_lon = np.append(
+                self._centre_lon, list(map(math.radians, lon))
+            )
+            self._centre_cos = np.append(self._centre_cos, list(map(math.cos, lat)))
+        if circles:
+            rows, centre, radius = zip(*circles)
+            self._circle_rows = np.append(self._circle_rows, rows)
+            self._circle_centre = np.append(self._circle_centre, centre)
+            self._circle_radius = np.append(self._circle_radius, radius)
+            # Every kept location now falls behind by these circles.
+            self._geo_behind.update(self._geo_hits)
+            self._geo_hits = {}
+        base = self._geo_base
+        if base is not None:
+            added = self._geo_targeted[first:]
+            self._geo_base = (
+                np.concatenate((base[0], ~added)),
+                np.concatenate((base[1], np.where(added, 0.0, 1.0))),
+            )
+        if steps:
+            # New ends change the step positions: merged in, and the next
+            # read rebuilds the mask.
+            hours, rows, deltas = zip(*steps)
+            hours = np.append(self._step_hours, hours)
+            order = np.argsort(hours, kind="stable")
+            self._step_hours = hours[order].tolist()
+            self._step_rows = np.append(self._step_rows, rows)[order]
+            self._step_deltas = np.append(self._step_deltas, deltas)[order]
+            self._full_time = None
+        elif self._full_time is not None:
+            # Rows without windows: open at every hour, none counted.
+            position, keep, open_windows = self._full_time
+            added = num_rows - first
+            self._full_time = (
+                position,
+                np.concatenate((keep, np.ones(added, dtype=bool))),
+                np.concatenate((open_windows, np.zeros(added, dtype=np.int64))),
+            )
 
     def live(self, rows: np.ndarray) -> np.ndarray:
         """Whether each of ``rows`` still holds an active ad: the index's
@@ -315,58 +361,33 @@ class StaticRowCache:
             )
         return total
 
-    def _flatten(self) -> None:
-        if not self._flat_dirty:
-            return
-        geo = self._geo_stage
-        self._geo_rows = np.fromiter(
-            (rec[0] for rec in geo), dtype=np.int64, count=len(geo)
-        )
-        self._geo_lat = np.fromiter(
-            (rec[1] for rec in geo), dtype=np.float64, count=len(geo)
-        )
-        self._geo_lon = np.fromiter(
-            (rec[2] for rec in geo), dtype=np.float64, count=len(geo)
-        )
-        self._geo_radius = np.fromiter(
-            (rec[3] for rec in geo), dtype=np.float64, count=len(geo)
-        )
-        self._geo_cos = np.cos(self._geo_lat)
-        # Latitude half-band (radians) per circle for the coarse prefilter:
-        # haversine distance >= R·|Δlat| exactly, so a circle whose center
-        # latitude is further than radius/R (plus 1% slack, orders of
-        # magnitude above float error) can never contain the user.
-        self._geo_band = self._geo_radius / EARTH_RADIUS_KM * 1.01
-        windows = self._time_stage
-        self._time_rows = np.fromiter(
-            (rec[0] for rec in windows), dtype=np.int64, count=len(windows)
-        )
-        self._time_start = np.fromiter(
-            (rec[1] for rec in windows), dtype=np.float64, count=len(windows)
-        )
-        self._time_end = np.fromiter(
-            (rec[2] for rec in windows), dtype=np.float64, count=len(windows)
-        )
-        self._time_ends = sorted({hour for _, *ends in windows for hour in ends})
-        self._flat_dirty = False
-
     def geo_hits(
         self, location: GeoPoint | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """What of the geo predicate depends on the location: ``(rows,
         best falloff)`` of the geo-targeted rows with a circle around it,
         rows ascending, read-only. Followers recur across events, so what
-        one haversine pass found (:meth:`_geo_matches`) is kept until the
-        row space changes."""
+        one pass found (:meth:`_geo_matches`) is kept until a compaction;
+        a launch's circles extend it at its next read
+        (:meth:`_geo_extend`)."""
         key = None if location is None else (location.lat, location.lon)
         hits = self._geo_hits.get(key)
         if hits is None:
-            hits = self._geo_matches(location)
-            stored = hits[0].shape[0] + _GEO_ENTRY_PAIRS
+            behind = self._geo_behind.pop(key, None)
+            if behind is None:
+                hits = self._geo_matches(location)
+                stored = hits[0].shape[0] + _GEO_ENTRY_PAIRS
+            else:
+                hits = self._geo_extend(location, behind, self._geo_covered[key])
+                stored = hits[0].shape[0] - behind[0].shape[0]
             if self._geo_hits_stored + stored > _GEO_CACHE_PAIRS:
                 self._geo_hits.clear()
+                self._geo_behind.clear()
+                self._geo_covered.clear()
                 self._geo_hits_stored = 0
+                stored = hits[0].shape[0] + _GEO_ENTRY_PAIRS
             self._geo_hits[key] = hits
+            self._geo_covered[key] = self._circle_rows.shape[0]
             self._geo_hits_stored += stored
         return hits
 
@@ -406,84 +427,110 @@ class StaticRowCache:
     def _geo_matches(
         self, location: GeoPoint | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The haversine pass: ``(rows, best falloff)`` of the geo-targeted
-        rows with a circle containing ``location`` (none for an unknown
-        location), rows ascending."""
+        """The pass from scratch: ``(rows, best falloff)`` of the
+        geo-targeted rows with a circle containing ``location`` (none for
+        an unknown location), rows ascending — one distance per centre,
+        gathered to the circles."""
         if location is None:
             return _NO_MATCHES
-        self._flatten()
+        distance = self._centre_distances(location, slice(None))
+        return _best_falloff(
+            self._circle_rows, distance[self._circle_centre], self._circle_radius
+        )
+
+    def _geo_extend(
+        self,
+        location: GeoPoint | None,
+        hits: tuple[np.ndarray, np.ndarray],
+        covered: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``hits``, which saw the first ``covered`` circles, extended by
+        the rest — one distance per centre among them. Those circles
+        belong to rows launched since, and an appended row is maximal, so
+        their matches follow the old ones."""
+        if location is None:
+            return hits
+        centre = self._circle_centre[covered:]
+        centres = np.unique(centre)
+        distance = self._centre_distances(location, centres)
+        rows, falloff = _best_falloff(
+            self._circle_rows[covered:],
+            distance[np.searchsorted(centres, centre)],
+            self._circle_radius[covered:],
+        )
+        if not rows.shape[0]:
+            return hits
+        return np.concatenate((hits[0], rows)), np.concatenate((hits[1], falloff))
+
+    def _centre_distances(
+        self, location: GeoPoint, centres: slice | np.ndarray
+    ) -> np.ndarray:
+        """Great-circle km from each of ``centres`` (a slice or index
+        array of the interned centres) to ``location``: the arithmetic of
+        :func:`repro.geo.point.haversine_km` in its operation order,
+        elementwise."""
         lat2 = math.radians(location.lat)
-        # Coarse prefilter: only circles whose latitude band contains
-        # the user can match. The surviving circles go through the
-        # exact haversine unchanged (subsetting does not perturb any
-        # float value), so results are identical to the full pass.
-        near = np.flatnonzero(np.abs(lat2 - self._geo_lat) <= self._geo_band)
-        if not near.shape[0]:
-            return _NO_MATCHES
-        # Same arithmetic, same operation order as
-        # repro.geo.point.haversine_km, elementwise.
         lon2 = math.radians(location.lon)
-        dlat = lat2 - self._geo_lat[near]
-        dlon = lon2 - self._geo_lon[near]
+        dlat = lat2 - self._centre_lat[centres]
+        dlon = lon2 - self._centre_lon[centres]
         sin_dlat = np.sin(dlat / 2.0)
         sin_dlon = np.sin(dlon / 2.0)
         h = (
             sin_dlat * sin_dlat
-            + self._geo_cos[near] * math.cos(lat2) * sin_dlon * sin_dlon
+            + self._centre_cos[centres] * math.cos(lat2) * sin_dlon * sin_dlon
         )
         h = np.minimum(1.0, np.maximum(0.0, h))
-        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-        radius = self._geo_radius[near]
-        inside = distance <= radius
-        hit_rows = self._geo_rows[near][inside]
-        if not hit_rows.shape[0]:
-            return _NO_MATCHES
-        falloff = 1.0 - distance[inside] / radius[inside]
-        # Circles are stored sorted by row, so matches group into runs:
-        # one reduceat takes each row's best circle (ufunc.at would be
-        # an order of magnitude slower).
-        boundary = np.empty(hit_rows.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(hit_rows[1:], hit_rows[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        return hit_rows[starts], np.maximum.reduceat(falloff, starts)
+        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 
     def time_keep_full(self, timestamp: float) -> np.ndarray:
         """Time-window predicate over every row, read-only.
 
         Every window compares the hour of day against its two ends
-        (``start <= hour``, ``hour < end``), so the mask is constant
-        between two consecutive window ends: it is cached for the
-        interval ``[ends[i - 1], ends[i])`` that holds the hour, and
-        rebuilt (:meth:`_time_keep`) only when an event's hour falls in
-        another — or when the row space changes (:meth:`sync`).
+        (``start <= hour``, ``hour < end``), so the mask changes only
+        where the hour crosses an end. Its *step position* — how many
+        ends lie at or before it — names the interval between two ends
+        that holds it. The same position reads the last mask; a later
+        one advances it across the ends crossed (:meth:`_time_step`) on
+        a copy; an earlier one (a step back, or a wrap past midnight),
+        the first read and a launch that brings windows rebuild it
+        (:meth:`_time_keep`).
         """
-        self._flatten()
-        interval = bisect_right(self._time_ends, (timestamp % SECONDS_PER_DAY) / 3600.0)
-        cached = self._full_time
-        if cached is not None and cached[0] == interval:
-            return cached[1]
-        keep = self._time_keep(timestamp)
-        self._full_time = (interval, keep)
+        position = bisect_right(
+            self._step_hours, (timestamp % SECONDS_PER_DAY) / 3600.0
+        )
+        last = self._full_time
+        if last is not None and last[0] == position:
+            return last[1]
+        if last is not None and last[0] < position:
+            keep, open_windows = self._time_step(*last, position)
+        else:
+            keep, open_windows = self._time_keep(position)
+        self._full_time = (position, keep, open_windows)
         return keep
 
-    def _time_keep(self, timestamp: float) -> np.ndarray:
-        """The time-window predicate at ``timestamp`` over every row,
-        computed afresh."""
+    def _time_step(
+        self, start: int, keep: np.ndarray, open_windows: np.ndarray, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The mask at step position ``start`` advanced to ``stop``: each
+        crossed step opens or closes one of its row's windows. The counts
+        are advanced in place; the mask, already handed out, is copied."""
+        rows = self._step_rows[start:stop]
+        np.add.at(open_windows, rows, self._step_deltas[start:stop])
+        keep = keep.copy()
+        keep[rows] = open_windows[rows] > 0
+        return keep, open_windows
+
+    def _time_keep(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        """The time-window predicate at step position ``position`` over
+        every row, and each row's open windows, computed afresh: at hour
+        0 just the windows that wrap past midnight are open, then every
+        step up to ``position`` applies."""
         size = self._synced_rows
-        time_mask = self._time_targeted[:size]
-        if not time_mask.any():
-            return np.ones(size, dtype=bool)
-        hour = (timestamp % SECONDS_PER_DAY) / 3600.0
-        start = self._time_start
-        end = self._time_end
-        inside = np.where(
-            start < end,
-            (start <= hour) & (hour < end),
-            (hour >= start) | (hour < end),
+        open_windows = self._wrapping[:size].copy()
+        np.add.at(
+            open_windows, self._step_rows[:position], self._step_deltas[:position]
         )
-        matched = np.bincount(self._time_rows[inside], minlength=size) > 0
-        return matched | ~time_mask
+        return (open_windows > 0) | ~self._time_targeted[:size], open_windows
 
 
 #: Budget of the per-location targeting cache in stored ``(row, falloff)``
@@ -492,6 +539,25 @@ class StaticRowCache:
 _GEO_CACHE_PAIRS = 1 << 20
 _GEO_ENTRY_PAIRS = 32
 _NO_MATCHES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
+
+def _best_falloff(
+    rows: np.ndarray, distance: np.ndarray, radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, best falloff)`` of the circles with ``distance <=
+    radius``, one entry a row. Circles are sorted by row, so matches group
+    into runs: one reduceat takes each row's best circle (ufunc.at would
+    be an order of magnitude slower)."""
+    inside = distance <= radius
+    hit_rows = rows[inside]
+    if not hit_rows.shape[0]:
+        return _NO_MATCHES
+    falloff = 1.0 - distance[inside] / radius[inside]
+    boundary = np.empty(hit_rows.shape[0], dtype=bool)
+    boundary[0] = True
+    np.not_equal(hit_rows[1:], hit_rows[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    return hit_rows[starts], np.maximum.reduceat(falloff, starts)
 
 
 def _grown(array: np.ndarray, size: int, dtype) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.ads.ad import Ad
 from repro.ads.budget import BudgetManager
@@ -424,10 +425,17 @@ class TestTargetingCache:
                 inside += bool(spec.circles and proximity[row] > 0.0)
         assert inside > 0
 
-    def test_a_launch_invalidates(self, stack):
+    def test_a_launch_extends(self, stack):
+        from repro.core.scoring import StaticRowCache
+
         corpus, cache, locations, passes = stack
         here = locations[0]
         keep, _ = cache.targeting_full(here)
+        distances = []
+        measure = cache._centre_distances
+        cache._centre_distances = lambda location, centres: distances.append(
+            centres
+        ) or measure(location, centres)
         corpus.add(
             Ad(
                 ad_id=900_000,
@@ -439,11 +447,23 @@ class TestTargetingCache:
             )
         )
         cache.sync(None, None)
-        assert not cache._geo_hits
+        # Kept, behind by the new circle, instead of dropped.
+        assert (here.lat, here.lon) in cache._geo_behind
         grown, proximity = cache.targeting_full(here)
-        assert len(passes) == 2
+        # No pass from scratch: one distance, to the new circle's centre.
+        assert len(passes) == 1
+        assert [centres.tolist() for centres in distances] == [
+            [cache._circle_centre[-1]]
+        ]
         assert grown.shape[0] == keep.shape[0] + 1
         assert grown[-1] and proximity[-1] == 1.0  # dead centre of the new circle
+        fresh = StaticRowCache(corpus, cache._compact)
+        fresh.sync(None, None)
+        for ours, theirs in zip(
+            (*cache.geo_hits(here), grown, proximity),
+            (*fresh.geo_hits(here), *fresh.targeting_full(here)),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_reads_cannot_corrupt_each_other(self, stack):
         _, cache, locations, _ = stack
@@ -566,11 +586,14 @@ class TestListedRowsAreTheFullBuild:
 
 
 class TestTheTimeMaskFollowsWindowEnds:
-    """``StaticRowCache.time_keep_full`` is cached per interval between
-    two consecutive window ends: a sorted stream across midnight, with a
-    launch and a step back in time, reads a mask equal byte for byte to
-    a fresh computation at every event, and rebuilds it exactly when the
-    event's hour falls in another interval or the row space grew."""
+    """``StaticRowCache.time_keep_full`` is kept per interval between two
+    consecutive window ends and stepped across the ends an event's hour
+    crossed: a sorted stream across midnight, with launches and a step
+    back in time, reads a mask equal byte for byte to a fresh
+    computation at every event. It is rebuilt only at the first read,
+    at a launch that brings windows and when the hour of day moves back
+    (the step back's return, and midnight); a launch without windows
+    grows it, and every other change of interval is a step."""
 
     WINDOWS = [(9.0, 17.0), (22.0, 3.5), (23.25, 0.75), (0.5, 6.0), (16.0, 23.0)]
 
@@ -597,19 +620,23 @@ class TestTheTimeMaskFollowsWindowEnds:
         )
         compact = CompactIndex(corpus)
         cache = StaticRowCache(corpus, compact)
-        rebuilds = []
-        build = cache._time_keep
-        cache._time_keep = lambda timestamp: rebuilds.append(timestamp) or build(timestamp)
+        rebuilds, steps = [], []
+        build, step = cache._time_keep, cache._time_step
+        cache._time_keep = lambda position: rebuilds.append(position) or build(position)
+        cache._time_step = lambda *args: steps.append(args) or step(*args)
 
         # 20:00 on day 0 to 05:00 on day 1 every seven minutes; a launch
-        # at the tenth event and, at the fortieth, a step back of 3 hours.
+        # with a window at the tenth event, one without at the twentieth
+        # and, at the fortieth, a step back of 3 hours.
         stream = [72_000.0 + 420.0 * step for step in range(78)]
         stream.insert(40, stream[39] - 10_800.0)
-        expected, last = 0, None
+        expected, stepped, last = 0, 0, None
         for position, timestamp in enumerate(stream):
-            grown = position == 10
-            if grown:
+            windowed = position == 10
+            if windowed:
                 corpus.add(ad(92, (23.5, 1.25)))
+            if position == 20:
+                corpus.add(ad(93))
             cache.sync(None, None)
             ends = sorted(
                 {
@@ -622,13 +649,184 @@ class TestTheTimeMaskFollowsWindowEnds:
             interval = bisect.bisect_right(
                 ends, (timestamp % SECONDS_PER_DAY) / 3600.0
             )
-            expected += grown or interval != last
+            rebuilt = last is None or windowed or interval < last
+            expected += rebuilt
+            stepped += not rebuilt and interval > last
             last = interval
             fresh = StaticRowCache(corpus, compact)
             fresh.sync(None, None)
             assert cache.time_keep_full(timestamp).tobytes() == (
                 fresh.time_keep_full(timestamp).tobytes()
             )
-            assert len(rebuilds) == expected
-        # Cached on most events, rebuilt at every end crossed.
-        assert 12 < len(rebuilds) < len(stream) // 2
+            assert (len(rebuilds), len(steps)) == (expected, stepped)
+        # The first read, the launch with a window, midnight, and the
+        # step back's return past it; every other change was a step.
+        assert len(rebuilds) == 4 and len(steps) == 11
+
+
+#: Where the state machine's circles sit and its readers live: three
+#: centres a few hundred km apart, so a reader can be inside several
+#: circles, and one far away.
+CENTRES = [
+    GeoPoint(51.5, -0.13),
+    GeoPoint(52.2, 0.12),
+    GeoPoint(48.86, 2.35),
+    GeoPoint(-33.9, 151.2),
+]
+#: Window ends, shared between windows so that ends coincide.
+HOURS = [0.0, 0.5, 3.0, 6.0, 9.5, 12.0, 17.0, 22.0, 23.5]
+
+
+class TargetingStateMachine(RuleBasedStateMachine):
+    """``StaticRowCache``'s targeting state follows a stream of launches
+    (with circles, windows, both or neither, at new and repeated
+    centres), retirements past the compaction threshold, reads at new,
+    repeated and unknown locations, and a clock that moves forward,
+    wraps midnight and steps back. After every step each read —
+    ``geo_hits``, ``targeting_full``, ``time_keep_full``, ``geo_base`` —
+    equals a freshly built cache's byte for byte, and the scalar
+    ``TargetingSpec`` predicates."""
+
+    @initialize()
+    def setup(self) -> None:
+        from repro.core.scoring import StaticRowCache
+        from repro.index.compact import CompactIndex
+
+        self.corpus = AdCorpus()
+        self.compact = CompactIndex(self.corpus, min_rebuild_dead=2)
+        self.cache = StaticRowCache(self.corpus, self.compact)
+        self.next_id = 0
+        self.timestamp = 8 * 3600.0
+        self.locations: list[GeoPoint | None] = [None]
+        self.add(((CENTRES[0], 120.0),), ((9.5, 17.0),))
+        self.add((), ((22.0, 3.0),))
+        self.add((), ())
+
+    def add(self, circles, windows) -> None:
+        self.corpus.add(
+            Ad(
+                ad_id=self.next_id,
+                advertiser="a",
+                text="x",
+                terms={"x": 1.0},
+                bid=1.0,
+                targeting=TargetingSpec(
+                    circles=tuple(circles),
+                    time_windows=tuple(TimeWindow(s, e) for s, e in windows),
+                ),
+            )
+        )
+        self.next_id += 1
+
+    @rule(
+        circles=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(CENTRES),
+                    st.builds(
+                        GeoPoint,
+                        st.floats(-60.0, 60.0),
+                        st.floats(-170.0, 170.0),
+                    ),
+                ),
+                st.sampled_from([30.0, 120.0, 400.0, 900.0]),
+            ),
+            max_size=3,
+        ),
+        windows=st.lists(
+            st.tuples(st.sampled_from(HOURS), st.sampled_from(HOURS)).filter(
+                lambda window: window[0] != window[1]
+            ),
+            max_size=2,
+        ),
+    )
+    def launch(self, circles, windows) -> None:
+        self.add(circles, windows)
+
+    @rule(data=st.data())
+    def retire(self, data) -> None:
+        active = sorted(self.corpus.active_ids())
+        if not active:
+            return
+        for ad_id in data.draw(st.sets(st.sampled_from(active), max_size=3)):
+            self.corpus.retire(ad_id)
+        self.compact.maybe_compact()
+
+    @rule(
+        data=st.data(),
+        location=st.one_of(
+            st.none(),
+            st.builds(
+                lambda centre, dlat, dlon: GeoPoint(
+                    centre.lat + dlat, centre.lon + dlon
+                ),
+                st.sampled_from(CENTRES),
+                st.floats(-3.0, 3.0),
+                st.floats(-3.0, 3.0),
+            ),
+        ),
+        again=st.booleans(),
+    )
+    def read(self, data, location, again) -> None:
+        if again:
+            location = data.draw(st.sampled_from(self.locations))
+        self.cache.sync(None, None)
+        self.cache.targeting_full(location)
+        self.locations.append(location)
+
+    @rule(seconds=st.floats(-12 * 3600.0, 30 * 3600.0))
+    def tick_by(self, seconds) -> None:
+        self.timestamp = max(0.0, self.timestamp + seconds)
+        self.cache.sync(None, None)
+        self.cache.time_keep_full(self.timestamp)
+
+    @rule(hour=st.sampled_from(HOURS), days=st.integers(0, 1))
+    def tick_to_an_end(self, hour, days) -> None:
+        from repro.ads.targeting import SECONDS_PER_DAY
+
+        day = self.timestamp // SECONDS_PER_DAY + days
+        self.timestamp = day * SECONDS_PER_DAY + hour * 3600.0
+        self.cache.sync(None, None)
+        self.cache.time_keep_full(self.timestamp)
+
+    @invariant()
+    def reads_equal_a_fresh_build(self) -> None:
+        import copy
+
+        from repro.core.scoring import StaticRowCache
+
+        # Reading syncs and fills the cache, so it is done on a copy:
+        # launches pile up between the machine's own reads.
+        probe = copy.deepcopy(self.cache)
+        probe.sync(None, None)
+        fresh = StaticRowCache(probe._corpus, probe._compact)
+        fresh.sync(None, None)
+
+        def same(ours, theirs):
+            for mine, expected in zip(ours, theirs, strict=True):
+                assert mine.dtype == expected.dtype
+                assert mine.tobytes() == expected.tobytes()
+
+        specs = [
+            probe._corpus.get(ad_id).targeting
+            for ad_id in probe._compact.ad_ids.tolist()
+        ]
+        for location in self.locations:
+            same(probe.geo_hits(location), fresh.geo_hits(location))
+            keep, proximity = probe.targeting_full(location)
+            same((keep, proximity), fresh.targeting_full(location))
+            for row, spec in enumerate(specs):
+                assert keep[row] == spec.matches_location(location)
+                assert proximity[row] == spec.proximity(location)
+        same(probe.geo_base(), fresh.geo_base())
+        time_keep = probe.time_keep_full(self.timestamp)
+        same((time_keep,), (fresh.time_keep_full(self.timestamp),))
+        assert time_keep.tolist() == [
+            spec.matches_time(self.timestamp) for spec in specs
+        ]
+
+
+TargetingStateMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestTargetingStateFollowsTheStream = TargetingStateMachine.TestCase

@@ -32,6 +32,8 @@ FAKE_RUN = textwrap.dedent(
         parser.add_argument(flag)
     args = parser.parse_args()
     side = json.loads(Path("side.json").read_text())
+    if side.get("crashes"):
+        raise SystemExit(1)
     seed = int(args.seed)
     record = {
         "digest": f"{side['name'] if side['differs'] else 'same'}{seed}",
@@ -58,14 +60,22 @@ def load_script():
     return module
 
 
-def checkout(root: Path, name: str, metrics: dict, *, differs=False, failed=0):
+def checkout(
+    root: Path, name: str, metrics: dict, *, differs=False, failed=0, crashes=False
+):
     harness = root / name / "benchmarks" / "e2e"
     harness.mkdir(parents=True)
     (harness / "run.py").write_text(FAKE_RUN)
     shutil.copy(REPO / "BENCHMARK.json", root / name / "BENCHMARK.json")
     (root / name / "side.json").write_text(
         json.dumps(
-            {"name": name, "metrics": metrics, "differs": differs, "failed": failed}
+            {
+                "name": name,
+                "metrics": metrics,
+                "differs": differs,
+                "failed": failed,
+                "crashes": crashes,
+            }
         )
     )
     return root / name
@@ -155,3 +165,46 @@ def test_a_mismatch_fails_and_a_failed_count_shows(tmp_path, capsys, broken):
         # own ``correct`` says whether a check failed.
         assert status == 0
         assert "| 0 / 3 |" in printed
+
+
+@pytest.mark.parametrize("reused", [True, False])
+def test_a_run_that_writes_nothing_fails(tmp_path, capsys, reused):
+    """A change checkout whose harness dies before writing reads as
+    FAILED — not as the record an earlier sweep left in ``--out``, and
+    not as a crash of the tool — and the sweep goes on to the next
+    workload."""
+    script = load_script()
+    out = tmp_path / "out"
+    args = [
+        "--parent", str(checkout(tmp_path, "parent", PARENT)),
+        "--change", str(checkout(tmp_path, "change", PARENT, crashes=True)),
+        "--workload", "steady", "sharded",
+        "--pairs", "2",
+    ]
+    if reused:
+        for workload in ("steady", "sharded"):
+            for seed in (101, 102):
+                stale = out / workload / f"seed{seed}" / "change"
+                stale.mkdir(parents=True)
+                (stale / f"{workload}.json").write_text(
+                    json.dumps(
+                        {
+                            "digest": f"same{seed}",
+                            "correct": True,
+                            "failed": 0,
+                            "end_to_end": {
+                                name: {"value": value}
+                                for name, value in PARENT.items()
+                            },
+                        }
+                    )
+                )
+        args += ["--out", str(out)]
+    status = script.main(args)
+    printed = capsys.readouterr().out
+    assert status == 1
+    assert printed.count("FAILED, no result record from change") == 4
+    assert printed.count(
+        "[FAILED] every run wrote its result record (2 pair(s) without)"
+    ) == 2
+    assert "same101" not in printed and "[ok]" not in printed
