@@ -2,7 +2,7 @@
 """Interleaved parent/change pairs of the whole-path benchmark.
 
     python scripts/e2e_pairs.py --parent DIR --change DIR --workload W [W ...]
-        --pairs N [--scale mini] [--first-seed S] [--out DIR]
+        --pairs N [--scale mini] [--first-seed S] [--out DIR] [--rows FILE]
 
 How a performance claim on ``benchmarks/e2e`` is measured (the
 choosing-metrics rule; what PRs 12, 14 and 16 each did by hand): N pairs
@@ -26,7 +26,10 @@ table comes every run made, one markdown row per pair: the seed, the side
 that ran first, each metric parent / change, ``failed`` and the digests.
 Several workloads (the no-regression sweep every change owes) are
 measured one after another, N pairs and one table each, under one exit
-status.
+status. ``--rows FILE`` keeps the runs as data too: as each pair ends,
+one JSON object per run is appended to FILE — the workload, the seed,
+the side, the side that ran first, the six metrics, ``failed`` and the
+digest (``null`` in all three for a run that wrote no record).
 """
 
 from __future__ import annotations
@@ -126,6 +129,28 @@ def run_rows(seeds: list[int], firsts: list[str], records, metrics) -> list[str]
     return rows
 
 
+def append_rows(
+    path: Path, workload: str, seed: int, first: str, runs: dict, metrics
+) -> None:
+    """One JSON line per run of a pair, appended to ``path``."""
+    with path.open("a") as rows:
+        for side in SIDES:
+            run = runs[side]
+            row = {"workload": workload, "seed": seed, "side": side, "first": first}
+            if run is None:
+                row.update(metrics=None, failed=None, digest=None)
+            else:
+                row.update(
+                    metrics={
+                        metric["name"]: run["end_to_end"][metric["name"]]["value"]
+                        for metric in metrics
+                    },
+                    failed=run["failed"],
+                    digest=run["digest"],
+                )
+            rows.write(json.dumps(row) + "\n")
+
+
 def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
     """``args.pairs`` interleaved pairs of one workload, their table and
     their runs; whether every run was correct and every pair's digests
@@ -144,6 +169,8 @@ def measure(workload: str, args, checkouts, metrics, out: Path) -> bool:
             )
             for side in order
         }
+        if args.rows is not None:
+            append_rows(args.rows, workload, seed, order[0], runs, metrics)
         missing = [side for side in SIDES if runs[side] is None]
         if missing:
             # Counted as failed; the pair stays out of the table.
@@ -207,6 +234,9 @@ def main(argv=None) -> int:
         help="pair i runs seed first-seed + i on both sides",
     )
     parser.add_argument("--out", type=Path, help="keep the result files here")
+    parser.add_argument(
+        "--rows", type=Path, help="append one JSON line per run to this file"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")

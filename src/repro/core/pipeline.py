@@ -91,6 +91,15 @@ class DeliveryResult(NamedTuple):
     revenue: float = 0.0
 
 
+class PersonalizedFanOut(NamedTuple):
+    """What a :class:`PersonalizeStage` returns for a fan-out served
+    without a callback: each follower's slate, in order, and how each was
+    produced — ``(certified, fell_back, exact)``, one triple a slate."""
+
+    slates: list[Slate]
+    flags: list[tuple[bool, bool, bool]]
+
+
 class PersonalizedDelivery(NamedTuple):
     """What a :class:`PersonalizeStage` reports back to the pipeline:
     the kernel adds the slate's index rows, entry for entry, so charge
@@ -139,17 +148,21 @@ class PersonalizeStage(Protocol):
         event: PostEvent,
         candidates: CandidateSet | None,
         resolved: list[tuple[int, UserState, UserProfile, SparseVector]],
-        served: Callable[[int, PersonalizedDelivery], None],
+        served: Callable[[int, PersonalizedDelivery], None] | None = None,
         *,
         cut: Callable[[int], None] | None = None,
-    ) -> None:
-        """One event's whole fan-out, in delivery order: each follower's
-        delivery is handed to ``served(position, delivery)`` — where the
-        pipeline charges it and feeds it back — and no slate is cut
-        across a write, so follower *i + 1* sees what follower *i*'s
-        delivery wrote. A stage that cuts several followers' slates
-        before handing out the first says so through ``cut(how many)``,
-        for whoever times deliveries."""
+    ) -> PersonalizedFanOut | None:
+        """One event's whole fan-out, in delivery order.
+
+        With ``served``, each follower's delivery is handed to
+        ``served(position, delivery)`` — where the pipeline charges it and
+        feeds it back — and no slate is cut across a write, so follower
+        *i + 1* sees what follower *i*'s delivery wrote; nothing is
+        returned. Without it — the pipeline's call when no stage writes
+        on delivery — the stage returns the fan-out's deliveries, in
+        order, as one :class:`PersonalizedFanOut`. A stage tells
+        ``cut(how many)`` the slates it cut at once, before handing out
+        the first of them, for whoever times deliveries."""
 
 
 @runtime_checkable
@@ -220,15 +233,27 @@ class _PerFollowerStage:
     at a time."""
 
     def personalize_batch(
-        self, event, candidates, resolved, served, *, cut=None
-    ) -> None:
-        for position, (user_id, state, profile, profile_vec) in enumerate(resolved):
-            served(
-                position,
-                self.personalize(
-                    event, candidates, user_id, state, profile, profile_vec
-                ),
-            )
+        self, event, candidates, resolved, served=None, *, cut=None
+    ) -> PersonalizedFanOut | None:
+        # Lazy: with a callback, each delivery is served before the next
+        # follower's is made.
+        deliveries = (
+            self.personalize(event, candidates, user_id, state, profile, profile_vec)
+            for user_id, state, profile, profile_vec in resolved
+        )
+        if served is not None:
+            for position, delivery in enumerate(deliveries):
+                served(position, delivery)
+            return None
+        kept = []
+        for delivery in deliveries:
+            if cut is not None:
+                cut(1)
+            kept.append(delivery)
+        return PersonalizedFanOut(
+            [delivery.slate for delivery in kept],
+            [delivery[1:4] for delivery in kept],
+        )
 
 
 def _slate_k(services: EngineServices) -> int:
@@ -256,11 +281,10 @@ class KernelPersonalizeStage:
         self._exact = exact
 
     def personalize_batch(
-        self, event, candidates, resolved, served, *, cut=None
-    ) -> None:
-        k = _slate_k(self._services)
+        self, event, candidates, resolved, served=None, *, cut=None
+    ) -> PersonalizedFanOut | None:
         exact = self._exact
-        self._personalizer.slate_batch(
+        slates = self._personalizer.slate_batch(
             candidates,
             event.message_vec,
             [
@@ -268,12 +292,17 @@ class KernelPersonalizeStage:
                 for user_id, state, profile, profile_vec in resolved
             ],
             event.timestamp,
-            k,
-            served=lambda position, slate, rows: served(
+            _slate_k(self._services),
+            served=None
+            if served is None
+            else lambda position, slate, rows: served(
                 position, PersonalizedDelivery(slate, True, False, exact, rows)
             ),
             cut=cut,
         )
+        if served is not None:
+            return None
+        return PersonalizedFanOut(slates, [(True, False, exact)] * len(slates))
 
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
@@ -656,12 +685,56 @@ class DeliveryPipeline:
             return slate_value_bound(candidates, services.corpus, services.config.k)
         return cache.value_bound(candidates.top_rows(), services.config.k)
 
+    def _delivery_writes(self) -> bool:
+        """Whether serving a delivery writes anything — spend, CTR
+        evidence, a learner's exposures — read off the wiring: a charge or
+        feedback stage that is not the disabled one, or a learner."""
+        return not (
+            isinstance(self.charge_stage, NoChargeStage)
+            and isinstance(self.feedback_stage, NoFeedbackStage)
+            and self.services.learner is None
+        )
+
+    def _book(
+        self, fan_out: PersonalizedFanOut, followers, degrading: bool
+    ) -> list[DeliveryResult]:
+        """A fan-out served without a callback, booked in one pass: every
+        counter ends where ``serve``'s per-delivery increments leave it
+        (an uncharged delivery's revenue, 0.0, moves no sum), and one
+        ``DeliveryResult`` a follower, boxed in C."""
+        stats = self.services.stats
+        slates, flags = fan_out
+        stats.deliveries += len(slates)
+        if degrading:
+            stats.deliveries_degraded += len(slates)
+        for flag in set(flags):
+            certified, fell_back, exact = flag
+            times = flags.count(flag)
+            if exact:
+                stats.exact_deliveries += times
+            if certified and not fell_back:
+                stats.certified_deliveries += times
+            elif fell_back:
+                stats.fallback_deliveries += times
+            elif not certified:
+                stats.approximate_deliveries += times
+        stats.impressions += sum(map(len, slates))
+        new = tuple.__new__
+        return [
+            new(DeliveryResult, (follower, slate, *flag, degrading, 0.0))
+            for follower, slate, flag in zip(followers, slates, flags)
+        ]
+
     def deliver_batch(
         self, event: PostEvent, followers, *, candidates_only: bool = False
     ) -> list[DeliveryResult]:
         """Fan one event out to ``followers``: one shared probe, then one
-        ``personalize_batch`` call that hands each follower's delivery
-        back for its charge → feedback pass before cutting the next.
+        ``personalize_batch`` call. When a delivery writes (a charge or
+        feedback stage that does something, or a learner: the wiring
+        says), the stage hands each follower's delivery back for its
+        charge → feedback pass before cutting the next. When none does,
+        the stage gets no callback and returns the whole fan-out, which
+        is booked in one pass: the same counters, results and spans.
 
         The per-follower state, profile and profile-vector lookups are
         done exactly once each here, so every stage receives them resolved
@@ -780,6 +853,8 @@ class DeliveryPipeline:
         # once: the look-ups up front, and the kernel's cut when it cuts
         # a run of followers ahead.
         resolve_share = share = 0.0
+        # Every cut as (slates, each one's share), for the one-pass booking.
+        cuts: list[tuple[int, float]] = []
         outcomes: list[DeliveryResult] = []
 
         def cut(size: int) -> None:
@@ -789,6 +864,7 @@ class DeliveryPipeline:
             now = perf_counter()
             share = resolve_share + (now - mark) / size
             mark = now
+            cuts.append((size, share))
 
         def serve(position: int, delivered: PersonalizedDelivery) -> None:
             """One follower's delivery: count → charge → feedback."""
@@ -840,13 +916,22 @@ class DeliveryPipeline:
                 emit("delivery", now - mark + share, at)
                 mark = now
 
+        writes = self._delivery_writes()
+        fan_out: PersonalizedFanOut | None = None
         if degraded_slate is not None:
-            shared = PersonalizedDelivery(degraded_slate, False, False, False)
-            for position in range(len(followers)):
-                serve(position, shared)
+            if writes:
+                shared = PersonalizedDelivery(degraded_slate, False, False, False)
+                for position in range(len(followers)):
+                    serve(position, shared)
+            else:
+                fan_out = PersonalizedFanOut(
+                    [degraded_slate] * len(followers),
+                    [(False, False, False)] * len(followers),
+                )
         elif followers:
             # One stage call per event, charged or not: the stage hands
-            # each follower's delivery to ``serve`` before it cuts the next.
+            # each follower's delivery to ``serve`` before it cuts the next,
+            # or, with nothing written on delivery, returns them all.
             resolved = []
             for follower in followers:
                 state = users.state(follower)
@@ -861,9 +946,28 @@ class DeliveryPipeline:
                 resolve_share = share = (now - mark) / len(resolved)
                 mark = now
                 hooks["cut"] = cut
-            self.personalize_stage.personalize_batch(
-                event, candidates, resolved, serve, **hooks
+            fan_out = self.personalize_stage.personalize_batch(
+                event, candidates, resolved, serve if writes else None, **hooks
             )
+        if fan_out is not None and fan_out.slates:
+            outcomes = self._book(fan_out, followers, degrading)
+            if fine:
+                if not cuts:
+                    # A stage that reported no cut made them all at once.
+                    cut(len(outcomes))
+                # Each delivery's spans, as ``serve`` emits them: its share
+                # of its cut and of the booking; nothing was charged or
+                # fed back.
+                booked = (perf_counter() - mark) / len(outcomes)
+                twin = self._personalize_span
+                for size, personalized in cuts:
+                    for _ in range(size):
+                        emit("personalize", personalized, at)
+                        if twin is not None:
+                            emit(twin, personalized, at)
+                        emit("charge", 0.0, at)
+                        emit("feedback", 0.0, at)
+                        emit("delivery", personalized + booked, at)
         if timing and not fine and outcomes:
             # A request tracer alone: one span stands for the fan-out.
             emit("delivery", perf_counter() - loop_started, at, len(outcomes))

@@ -34,9 +34,11 @@ exact cut on the arrays: :meth:`Personalizer.exact_slate` on the vector
 searcher is the kernel with no shared probe and one anonymous follower.
 It serves a fan-out in *runs*. While deliveries write (spend, CTR
 evidence) a run is one follower, scored over the full row space. While
-they do not — no callback, or the last delivery left
+they do not — no callback, which is how the pipeline calls it when no
+stage writes on delivery, or the last delivery left
 :meth:`ScoringModel.bid_writes` where it was — every follower left is
-cut ahead in blocks (:meth:`Personalizer._cut_block`): the message is
+cut ahead in blocks (:meth:`Personalizer._cut_block`), each slate a span
+of the block's columns: the message is
 scored once as every follower without a profile match or a circle there
 sees it, each follower only at its own few corrections to that base,
 and the profile rows outside the message only where a bound says they
@@ -80,11 +82,13 @@ class PersonalizedSlate:
 #: Cells one block cut ahead may stack: per follower, ``k`` rows of the
 #: shared base plus its profile rows and geo hits (what the block's
 #: arrays grow with; nothing in it is followers × message rows). A
-#: block's fixed cost is shared by its followers and its arrays are
-#: transient, so this trades speed for peak memory: on ``fanout_batch``
-#: (≈ 167 cells a follower, EXPERIMENTS.md "E2E-36") 2¹⁵ reads the
-#: parent's peak RSS, 2¹⁶ +1.5 MB, 2¹⁷ +5 MB and no cap +10 MB, for
-#: throughput the run-to-run spread does not tell apart.
+#: block's fixed cost is shared by its followers and its working arrays
+#: are transient (only its four slate columns outlive it), so this
+#: trades speed for peak memory: on ``fanout_batch`` at seed 7, with
+#: each slate a span of its block's columns (EXPERIMENTS.md "E2E-44",
+#: two runs each), 2¹⁵ reads 93.1 MB peak RSS, 2¹⁶ +1.3 MB, 2¹⁷
+#: +4.7 MB and no cap +10.6 MB, for throughput the run-to-run spread
+#: does not tell apart.
 _BLOCK_CELLS = 1 << 15
 _NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
 
@@ -421,27 +425,32 @@ class Personalizer:
         is the true top-``k`` by construction — certified, never a
         fallback — so a result is the bare slate, with no flags to carry.
 
-        Each slate is handed to ``served(position, slate, rows)``, in
-        order, ``rows`` being the index rows of its entries (what the
-        :attr:`row_cache` columns are indexed by): the pipeline charges
-        and feeds back inside it, from those columns. No slate is cut
-        across a write. The fan-out is served in *runs*: a run of one
-        scores a follower over the full row space; when there is no
-        callback, or the previous delivery wrote nothing
-        (:meth:`ScoringModel.bid_writes` did not move across ``served``),
-        every follower left — as many as stack ``_BLOCK_CELLS`` cells
-        (:meth:`_block`) — is cut ahead by one :meth:`_cut_block` and
-        handed out in order. So with a callback the first follower of an
-        event always goes alone (that is how the kernel learns whether
-        deliveries write), and a result is handed over before the next
-        *run* is cut, not before the next follower's slate is. If a
-        delivery inside a block does write, the slates cut ahead of it are
-        dropped and the loop goes on one follower at a time until a
-        delivery is clean again, so the next follower always sees what the
-        last one wrote.
-        ``cut(size)`` is told each run's size before its first delivery
-        is handed out (the pipeline shares the cut's time over the run's
-        spans).
+        The fan-out is served in *runs*: a run of one scores a follower
+        over the full row space; a block — as many followers as stack
+        ``_BLOCK_CELLS`` cells (:meth:`_block`) — is cut ahead by one
+        :meth:`_cut_block`, each slate a span of the block's columns.
+
+        Without ``served`` nothing is written in between, so every
+        follower, the first included, is cut in blocks (a lone follower
+        is a run of one) and the slates are returned; the pipeline calls
+        it so when no stage writes on delivery. With it, each slate is
+        handed to ``served(position, slate, rows)``, in order, ``rows``
+        being the index rows of its entries (what the :attr:`row_cache`
+        columns are indexed by): the pipeline charges and feeds back
+        inside it, from those columns, and no slate is cut across a
+        write. The first follower of an event goes alone — that is how
+        the kernel learns whether deliveries write — and when a delivery
+        wrote nothing (:meth:`ScoringModel.bid_writes` did not move
+        across ``served``) every follower left is cut ahead and handed
+        out in order, its rows sliced off the block's as it is served. So
+        a result is handed over before the next *run* is cut, not before
+        the next follower's slate is. If a delivery inside a block does
+        write, the slates cut ahead of it are dropped and the loop goes
+        on one follower at a time until a delivery is clean again, so the
+        next follower always sees what the last one wrote.
+        ``cut(size)`` is told each run's size once it is cut, before its
+        first delivery is handed out (the pipeline shares the cut's time
+        over the run's spans).
 
         The row vectors shared by the fan-out (content, time mask, message
         membership) are built once per event, and δ·bid is kept between
@@ -495,7 +504,7 @@ class Personalizer:
         clean = served is None
         while position < count:
             if clean and count - position > 1:
-                cuts = self._cut_block(
+                slates, rows, stops = self._cut_block(
                     *self._block(followers, position, generation, k),
                     message_rows[message_member[message_rows]],
                     content,
@@ -522,18 +531,26 @@ class Personalizer:
                 targeted, proximity = cache.targeting_full(location)
                 targeted &= time_keep
                 targeted &= member
-                cuts = [
-                    self._cut(
-                        content, affinity, proximity, bid, targeted.nonzero()[0], k
-                    )
-                ]
+                slate, rows = self._cut(
+                    content, affinity, proximity, bid, targeted.nonzero()[0], k
+                )
+                slates, stops = [slate], None
             if cut is not None:
-                cut(len(cuts))
-            for slate, slate_rows in cuts:
+                cut(len(slates))
+            if served is None:
+                results += slates
+                position += len(slates)
+                continue
+            # A block's rows are sliced per delivery, as it is served: a
+            # delivery that writes drops the rest unsliced.
+            spans = (
+                [rows]
+                if stops is None
+                else map(rows.__getitem__, map(slice, [0, *stops], stops))
+            )
+            for slate, slate_rows in zip(slates, spans):
                 results.append(slate)
                 position += 1
-                if served is None:
-                    continue
                 writes = scoring.bid_writes()
                 served(position - 1, slate, slate_rows)
                 clean = scoring.bid_writes() == writes
@@ -618,11 +635,13 @@ class Personalizer:
         bid: np.ndarray,
         time_keep: np.ndarray,
         k: int,
-    ) -> list[tuple[Slate, np.ndarray]]:
-        """``(slate, its rows)`` for each of ``followers``, cut together:
-        what the run of one serves each of them while nothing is written
-        in between, from their stacked profile gathers and geo hits
-        (:meth:`_block`).
+    ) -> tuple[list[Slate], np.ndarray, list[int]]:
+        """The slates of ``followers``, cut together: what the run of one
+        serves each of them while nothing is written in between, from
+        their stacked profile gathers and geo hits (:meth:`_block`). Each
+        slate is one span of the block's columns (:meth:`Slate.spans`);
+        the block's ``rows`` column and the spans' ``stops`` come with
+        them, so a served delivery's rows are ``rows[start:stop]``.
 
         A message row scores the same for every follower that has no
         profile match and no circle hit at it, so the message is scored
@@ -771,21 +790,9 @@ class Personalizer:
                     rows, content = rows[top], content[top]
                     static, score = static[top], score[top]
 
-        # A follower's slate is a slice of the block's columns.
-        ad_ids = ad_ids[rows]
+        # A follower's slate is its span of the block's columns.
         stops = np.cumsum(taken).tolist()
-        return [
-            (
-                Slate(
-                    ad_ids[start:stop],
-                    score[start:stop],
-                    content[start:stop],
-                    static[start:stop],
-                ),
-                rows[start:stop],
-            )
-            for start, stop in zip([0, *stops], stops)
-        ]
+        return Slate.spans(ad_ids[rows], score, content, static, stops), rows, stops
 
     def exact_slate(
         self,

@@ -51,18 +51,21 @@ class ScoredAd(NamedTuple):
 
 
 class Slate(Sequence):
-    """One served slate: the cut's four columns, read as an immutable
-    sequence of :class:`ScoredAd`.
+    """One served slate: four columns, read as an immutable sequence of
+    :class:`ScoredAd`.
 
     ``ad_ids`` (int64) and ``scores`` / ``contents`` / ``statics``
-    (float64) are arrays, entry for entry in slate order — the kernel's
-    own, handed over as cut (a block's slates are slices of the block's
-    columns), so they are shared and never written. An entry is boxed
-    only when something reads one: iteration and indexing box in C
-    (``tuple.__new__`` over the ``tolist()`` columns), while ``len``,
-    ``bool`` and slicing stay in arrays. Against a tuple of the same
-    entries a slate is ``==``, hashes and prints alike; it pickles as
-    four plain lists.
+    (float64) are arrays, entry for entry in slate order. A slate either
+    spans its own arrays — a run of one's cut, handed over as cut, read
+    as they are — or is one ``[start, stop)`` span of a block's four
+    columns (:meth:`spans`), shared with the block's other slates: it
+    holds no array of its own, and a column is a view made when something
+    reads it. Either way the arrays are shared and never written. An
+    entry is boxed only when something reads one: iteration and indexing
+    box in C (``tuple.__new__`` over the ``tolist()`` columns), while
+    ``len``, ``bool`` and slicing stay in arrays. Against a tuple of the
+    same entries a slate is ``==``, hashes and prints alike; it pickles
+    as four plain lists, its span's.
 
     It is not a tuple of entries on purpose: CPython stops tracking an
     *exact* tuple of untracked items at its first collection, but a
@@ -71,7 +74,8 @@ class Slate(Sequence):
     A slate is one tracked object over untracked arrays.
     """
 
-    __slots__ = ("ad_ids", "scores", "contents", "statics")
+    # ``_start`` is None when the slate spans its own arrays.
+    __slots__ = ("_ad_ids", "_scores", "_contents", "_statics", "_start", "_stop")
 
     def __new__(
         cls,
@@ -81,11 +85,37 @@ class Slate(Sequence):
         statics: np.ndarray,
     ) -> "Slate":
         slate = object.__new__(cls)
-        slate.ad_ids = ad_ids
-        slate.scores = scores
-        slate.contents = contents
-        slate.statics = statics
+        slate._ad_ids = ad_ids
+        slate._scores = scores
+        slate._contents = contents
+        slate._statics = statics
+        slate._start = slate._stop = None
         return slate
+
+    @staticmethod
+    def spans(
+        ad_ids: np.ndarray,
+        scores: np.ndarray,
+        contents: np.ndarray,
+        statics: np.ndarray,
+        stops: list[int],
+    ) -> list["Slate"]:
+        """One slate per span of a block's four columns, in order: the
+        first from 0 to ``stops[0]``, each next from where the last
+        stopped (``stops`` ascending). No array is made per slate."""
+        slates = []
+        new = object.__new__
+        start = 0
+        for stop in stops:
+            slate = new(Slate)
+            slate._ad_ids = ad_ids
+            slate._scores = scores
+            slate._contents = contents
+            slate._statics = statics
+            slate._start = start
+            slate._stop = start = stop
+            slates.append(slate)
+        return slates
 
     @staticmethod
     def of(entries: Iterable[ScoredAd]) -> "Slate":
@@ -94,8 +124,31 @@ class Slate(Sequence):
         columns = tuple(zip(*entries))
         return _columns_slate(*columns) if columns else EMPTY_SLATE
 
+    @property
+    def ad_ids(self) -> np.ndarray:
+        start = self._start
+        return self._ad_ids if start is None else self._ad_ids[start : self._stop]
+
+    @property
+    def scores(self) -> np.ndarray:
+        start = self._start
+        return self._scores if start is None else self._scores[start : self._stop]
+
+    @property
+    def contents(self) -> np.ndarray:
+        start = self._start
+        return (
+            self._contents if start is None else self._contents[start : self._stop]
+        )
+
+    @property
+    def statics(self) -> np.ndarray:
+        start = self._start
+        return self._statics if start is None else self._statics[start : self._stop]
+
     def __len__(self) -> int:
-        return len(self.ad_ids)
+        start = self._start
+        return len(self._ad_ids) if start is None else self._stop - start
 
     def __iter__(self) -> Iterator[ScoredAd]:
         return map(

@@ -503,14 +503,13 @@ class TestUnchargedFanoutPaysNoPatching:
         # space (nothing launches or retires), never a row re-read —
         # nothing is written and, with no spend, nothing is paced.
         assert reads == [None] and fanned_out > 1
-        # The first follower goes alone (the kernel learns that nothing is
-        # written); everyone after is cut ahead in one block, which reads
-        # no dense targeting pair — unless only one is left.
-        assert blocks == [size - 1 for size in fan_outs if size > 2]
+        # Nothing is written on delivery, so the kernel gets no callback:
+        # every follower of an event, the first included, is cut ahead in
+        # one block, which reads no dense targeting pair. A run of one is
+        # a post with one follower.
+        assert blocks == [size for size in fan_outs if size > 1]
         assert len(blocks) > 3
-        assert len(one_follower_cuts) == sum(min(size, 2) for size in fan_outs) - len(
-            blocks
-        )
+        assert len(one_follower_cuts) == fan_outs.count(1)
 
 
 class TestOneGatherPerPost:
@@ -683,8 +682,7 @@ class TestDeliverySpansStayPerDelivery:
         assert spans.of["delivery"] == [1.0] * len(outcomes)
 
     def test_a_cut_made_for_many_is_shared_out(self, tiny_workload, monkeypatch):
-        """Uncharged, the kernel cuts the followers after the first ahead
-        in one block. A clock that only the cuts move — a second per
+        """Uncharged, the kernel cuts every follower ahead in one block. A clock that only the cuts move — a second per
         follower cut, so a block of n takes n seconds before its first
         delivery is handed out — must read one second on every span: the
         first follower of a block does not carry the block."""
@@ -731,7 +729,7 @@ class TestDeliverySpansStayPerDelivery:
             key=lambda post: len(tiny_workload.graph.followers(post.author_id)),
         )
         outcomes = fan_out(engine, post, one_call=True)
-        assert blocks == [len(outcomes) - 1] and blocks[0] >= 3
+        assert blocks == [len(outcomes)] and blocks[0] >= 3
         assert spans["personalize"] == [1.0] * len(outcomes)
         assert spans["delivery"] == [1.0] * len(outcomes)
 
@@ -824,15 +822,26 @@ def wide_fanout_engine(workload, followers: int, **config_kwargs) -> AdEngine:
 class TestTheFanOutBoxesOnce:
     """A wide uncharged fan-out to followers the engine has seen before
     (a first sighting creates their ``UserProfile``) makes no Python-level
-    ``__init__`` and boxes no slate entry: each slate is the cut's columns
-    (a :class:`~repro.core.scoring.Slate`) and each delivery is one
-    ``DeliveryResult``, so a frozen dataclass or a per-entry ``ScoredAd``
-    cannot come back on this path unnoticed — nor can a retained delivery
-    that keeps more than its two records under the cyclic collector."""
+    ``__init__`` and boxes no slate entry: each slate is a span of its
+    block's columns (a :class:`~repro.core.scoring.Slate`) and each
+    delivery is one ``DeliveryResult``, so a frozen dataclass or a
+    per-entry ``ScoredAd`` cannot come back on this path unnoticed — nor
+    can a retained delivery that keeps more than its two records under
+    the cyclic collector, or arrays of its own. Nothing is written on
+    delivery, so no stage is called per delivery: the fan-out is booked
+    in one pass."""
 
     FOLLOWERS = 600
-    CALLS_PER_DELIVERY = 20
+    # ≈ 18.5 a delivery while each one went through the pipeline's
+    # callback (``serve``, its lambda, two ``bid_writes``, the stages'
+    # ``charge`` and ``observe_impressions``, a ``PersonalizedDelivery``);
+    # 9.5 booked in one pass. The budget is that plus 10 %.
+    CALLS_PER_DELIVERY = 10.4
     TRACKED_PER_DELIVERY = 2
+    # ≈ 936 bytes a kept delivery (≈ 9.7 entries) while its slate was
+    # four ndarray views; 535 as a span of its block's columns: its share
+    # of the columns, its ``Slate`` and its ``DeliveryResult``. Plus 10 %.
+    BYTES_PER_DELIVERY = 588
 
     def fan_out(self, workload):
         """A warm engine's fan-out, ready to deliver: ``(pipeline, event,
@@ -890,6 +899,40 @@ class TestTheFanOutBoxesOnce:
         assert codes.isdisjoint(boxing)
         assert all(type(delivery.slate) is Slate for delivery in delivered)
         assert entries() == before
+
+    def test_no_stage_is_called_per_delivery(self, tiny_workload):
+        from repro.core.pipeline import NoFeedbackStage, PersonalizedDelivery
+
+        codes = set()
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                codes.add(frame.f_code)
+
+        self.profiled(tiny_workload, profiler)
+        per_delivery = {
+            NoChargeStage.charge.__code__,
+            NoFeedbackStage.observe_impressions.__code__,
+            PersonalizedDelivery.__new__.__code__,
+        }
+        assert codes.isdisjoint(per_delivery)
+
+    def test_a_kept_delivery_holds_few_bytes(self, tiny_workload):
+        import tracemalloc
+
+        pipeline, event, followers = self.fan_out(tiny_workload)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            delivered = pipeline.deliver_batch(event, followers)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(delivered) == self.FOLLOWERS
+        assert sum(len(delivery.slate) for delivery in delivered) > self.FOLLOWERS
+        assert held <= self.BYTES_PER_DELIVERY * len(delivered)
 
     def test_a_kept_delivery_is_two_tracked_objects(self, tiny_workload):
         pipeline, event, followers = self.fan_out(tiny_workload)

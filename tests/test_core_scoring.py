@@ -142,6 +142,25 @@ def slate_of(entries) -> Slate:
     )
 
 
+def spanned_slate_of(entries) -> Slate:
+    """``entries`` as a block cut hands them over: one span of the block's
+    four columns, between two other followers' slates."""
+    before = [(800_000, 0.5, 0.25, 0.25)] * 2
+    after = [(800_002, -0.0, 0.0, -0.0)] * 3
+    block = slate_of(before + list(entries) + after)
+    stops = [2, 2 + len(entries), 5 + len(entries)]
+    first, slate, last = Slate.spans(
+        block.ad_ids, block.scores, block.contents, block.statics, stops
+    )
+    assert first == keyword_built(before) and last == keyword_built(after)
+    return slate
+
+
+#: Both ways a slate is handed over: its own arrays (a run of one) and a
+#: span of a block's columns.
+BUILDS = (slate_of, spanned_slate_of)
+
+
 def keyword_built(entries) -> tuple[ScoredAd, ...]:
     return tuple(
         ScoredAd(ad_id=ad_id, score=score, content=content, static=static)
@@ -178,10 +197,12 @@ class TestBoxedSlate:
 
 
 class TestSlateIsASequence:
-    """Over any columns a ``Slate`` and the tuple of its boxed entries
-    agree on every sequence operation a reader uses."""
+    """Over any columns — its own arrays or a span of a block's — a
+    ``Slate`` and the tuple of its boxed entries agree on every sequence
+    operation a reader uses."""
 
     @given(
+        build=st.sampled_from(BUILDS),
         entries=ENTRIES,
         index=st.integers(min_value=-14, max_value=13),
         bounds=st.tuples(
@@ -190,8 +211,10 @@ class TestSlateIsASequence:
             st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
         ),
     )
-    def test_agrees_with_the_tuple_of_its_entries(self, entries, index, bounds):
-        slate = slate_of(entries)
+    def test_agrees_with_the_tuple_of_its_entries(
+        self, build, entries, index, bounds
+    ):
+        slate = build(entries)
         built = keyword_built(entries)
         assert len(slate) == len(built) and bool(slate) == bool(built)
         assert list(slate) == list(built) and tuple(slate) == built
@@ -208,24 +231,44 @@ class TestSlateIsASequence:
         assert len(part) == len(built[slice(*bounds)])
 
     def test_unequal_slates_and_other_types(self):
-        slate = slate_of([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, 0.25)])
-        assert slate != slate[:1] and slate != slate_of([])
-        assert slate != list(slate) and slate != "slate"
-        assert slate_of([]) == () and not slate_of([])
+        for build in BUILDS:
+            slate = build([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, 0.25)])
+            assert slate != slate[:1] and slate != build([])
+            assert slate != list(slate) and slate != "slate"
+            assert build([]) == () and not build([])
+            assert slate == slate_of(slate) == spanned_slate_of(slate)
+
+    def test_columns_read_as_the_span(self):
+        for build in BUILDS:
+            slate = build([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, 0.25)])
+            assert slate.ad_ids.tolist() == [7, 3]
+            assert slate.scores.tolist() == [1.0, 0.5]
+            assert slate.contents.tolist() == [0.5, 0.25]
+            assert slate.statics.tolist() == [0.5, 0.25]
+            assert slate.ad_ids.dtype == np.int64
+            assert slate.scores.dtype == np.float64
 
     def test_pickles_as_four_plain_lists(self):
-        slate = slate_of([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, -0.0)])
-        _rebuild, columns = slate.__reduce__()
-        assert [type(column) for column in columns] == [list] * 4
-        assert columns[0] == [7, 3] and columns[3] == [0.5, -0.0]
-        back = pickle.loads(pickle.dumps(slate, protocol=pickle.HIGHEST_PROTOCOL))
-        assert back == slate and back is not slate
-        assert back.ad_ids.dtype == np.int64 and back.scores.dtype == np.float64
-        # Smaller on the wire than the tuple of entries it stands for.
-        wide = slate_of([(800_000 + i, 0.5, 0.25, 0.25) for i in range(10)])
-        assert len(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL)) < len(
-            pickle.dumps(tuple(wide), protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        for build in BUILDS:
+            slate = build([(7, 1.0, 0.5, 0.5), (3, 0.5, 0.25, -0.0)])
+            _rebuild, columns = slate.__reduce__()
+            assert [type(column) for column in columns] == [list] * 4
+            assert columns[0] == [7, 3] and columns[3] == [0.5, -0.0]
+            back = pickle.loads(
+                pickle.dumps(slate, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            assert back == slate and back is not slate
+            assert back.ad_ids.dtype == np.int64 and back.scores.dtype == np.float64
+            # Smaller on the wire than the tuple of entries it stands for,
+            # and no bigger for being a span.
+            wide = build([(800_000 + i, 0.5, 0.25, 0.25) for i in range(10)])
+            size = len(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL))
+            assert size < len(
+                pickle.dumps(tuple(wide), protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            assert size == len(
+                pickle.dumps(slate_of(wide), protocol=pickle.HIGHEST_PROTOCOL)
+            )
 
 
 class TestCombinedQuery:

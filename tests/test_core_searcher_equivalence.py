@@ -271,9 +271,10 @@ class TestHubFanoutInSeveralBlocks:
             hub_workload, "vector", EngineMode.SHARED, limit=limit
         )
         assert_vector_parity(got, reference, flags=False)
-        # The last post is the hub's: everyone else follows, the first of
-        # them went alone, and one block could not hold the rest.
-        cut_ahead = len(hub_workload.users) - 2
+        # The last post is the hub's: everyone else follows, all of them
+        # are cut ahead (uncharged, nothing is written on delivery), and
+        # one block could not hold them.
+        cut_ahead = len(hub_workload.users) - 1
         hub_blocks = []
         while sum(hub_blocks) < cut_ahead:
             hub_blocks.append(blocks.pop())

@@ -208,3 +208,57 @@ def test_a_run_that_writes_nothing_fails(tmp_path, capsys, reused):
         "[FAILED] every run wrote its result record (2 pair(s) without)"
     ) == 2
     assert "same101" not in printed and "[ok]" not in printed
+
+
+def test_rows_keep_every_run_as_data(tmp_path, capsys):
+    """``--rows`` appends one JSON line per run — a crashed run too, with
+    no metrics — and a second sweep appends to the same file."""
+    script = load_script()
+    rows = tmp_path / "pairs" / "runs.jsonl"
+    rows.parent.mkdir()
+    change = dict(PARENT, post_p99_ms=15.0)
+    common = ["--pairs", "2", "--first-seed", "7", "--rows", str(rows)]
+    assert script.main(
+        [
+            "--parent", str(checkout(tmp_path, "parent", PARENT)),
+            "--change", str(checkout(tmp_path, "change", change, failed=2)),
+            "--workload", "steady", "fanout_batch",
+            *common,
+        ]
+    ) == 0
+    assert script.main(
+        [
+            "--parent", str(tmp_path / "parent"),
+            "--change", str(checkout(tmp_path, "crashed", PARENT, crashes=True)),
+            "--workload", "sharded",
+            *common,
+        ]
+    ) == 1
+    capsys.readouterr()
+    lines = [json.loads(line) for line in rows.read_text().splitlines()]
+    assert len(lines) == 12
+    assert [(line["workload"], line["seed"], line["side"]) for line in lines[:4]] == [
+        ("steady", 7, "parent"),
+        ("steady", 7, "change"),
+        ("steady", 8, "parent"),
+        ("steady", 8, "change"),
+    ]
+    assert [line["first"] for line in lines[:4]] == [
+        "parent", "parent", "change", "change"
+    ]
+    assert lines[1] == {
+        "workload": "steady",
+        "seed": 7,
+        "side": "change",
+        "first": "parent",
+        "metrics": {name: value + 7 for name, value in change.items()},
+        "failed": 2,
+        "digest": "same7",
+    }
+    assert list(lines[0]["metrics"]) == list(PARENT)
+    assert {line["workload"] for line in lines[4:8]} == {"fanout_batch"}
+    crashed = [line for line in lines[8:] if line["side"] == "change"]
+    assert len(crashed) == 2 and all(
+        line["metrics"] is None and line["digest"] is None for line in crashed
+    )
+    assert all(line["metrics"] is not None for line in lines[8:] if line["side"] == "parent")

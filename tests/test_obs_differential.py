@@ -40,8 +40,8 @@ def workload():
     )
 
 
-def engine_for(workload, mode, tracer, *, metrics=None):
-    config = EngineConfig(mode=mode)
+def engine_for(workload, mode, tracer, *, metrics=None, charged=True):
+    config = EngineConfig(mode=mode, charge_impressions=charged)
     return AdEngine(
         corpus=workload.build_corpus(),
         graph=workload.graph,
@@ -98,11 +98,22 @@ def canonical(results) -> str:
     )
 
 
-@pytest.mark.parametrize("mode", list(EngineMode))
+#: Every mode charged, and uncharged: with nothing written on delivery
+#: the fan-out is served without a per-delivery callback and booked, its
+#: spans included, in one pass.
+TRACED_CONFIGS = [
+    *(pytest.param(mode, True, id=str(mode)) for mode in EngineMode),
+    *(pytest.param(mode, False, id=f"{mode}-uncharged") for mode in EngineMode),
+]
+
+
+@pytest.mark.parametrize("mode, charged", TRACED_CONFIGS)
 class TestTracerNeverPerturbs:
-    def test_identical_outcomes_and_counters(self, workload, mode):
-        noop_engine = engine_for(workload, mode, NoopTracer())
-        traced_engine = engine_for(workload, mode, RecordingTracer())
+    def test_identical_outcomes_and_counters(self, workload, mode, charged):
+        noop_engine = engine_for(workload, mode, NoopTracer(), charged=charged)
+        traced_engine = engine_for(
+            workload, mode, RecordingTracer(), charged=charged
+        )
         register_users(noop_engine, workload)
         register_users(traced_engine, workload)
 
@@ -120,9 +131,11 @@ class TestTracerNeverPerturbs:
         assert noop_engine.tracer.snapshot() == {}
         assert set(traced_engine.tracer.snapshot()) >= {"personalize", "delivery"}
 
-    def test_span_counts_reconcile_with_stream_counters(self, workload, mode):
+    def test_span_counts_reconcile_with_stream_counters(
+        self, workload, mode, charged
+    ):
         tracer = RecordingTracer()
-        engine = engine_for(workload, mode, tracer)
+        engine = engine_for(workload, mode, tracer, charged=charged)
         register_users(engine, workload)
         totals, _ = drive(engine, workload)
 

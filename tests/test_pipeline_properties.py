@@ -14,13 +14,15 @@ must always satisfy the pipeline's contract:
   CTR-fed or not, on the oracle and on the vector kernel;
 * the kernel's block — followers between which nothing is written, cut
   together — serves every follower what its own cut serves, field for
-  field.
+  field, and an uncharged fan-out handed to the kernel stage without a
+  callback is cut whole, its first follower included.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -31,6 +33,7 @@ import repro.core.rerank as rerank_module
 from repro.ads.corpus import AdCorpus
 from repro.core.config import EngineConfig, EngineMode, ScoringWeights
 from repro.core.engine import AdEngine
+from repro.core.pipeline import KernelPersonalizeStage
 from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
@@ -344,3 +347,110 @@ def test_a_block_cut_ahead_serves_what_one_cut_per_follower_serves(
     assert (personalizer._column == -1).all()
     if message_words == 12 or (beta and kind != "bare"):
         assert any(together)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    beta=st.sampled_from([0.0, 0.5]),
+    k=st.sampled_from([1, 3, 10]),
+    followers_n=st.sampled_from([1, 2, 9]),
+    retire=st.sampled_from([0, 12]),
+    cells=st.sampled_from([64, 1 << 14]),
+)
+def test_an_uncharged_fan_out_is_cut_whole(
+    seed, beta, k, followers_n, retire, cells
+):
+    """With no callback — the pipeline's call to the kernel stage when
+    nothing is written on delivery — every follower of the event, the
+    first included, is cut in blocks, and each slate equals, ``==`` on
+    every field (scores, contents and statics included), what the
+    callback path hands out (the first follower alone, the rest cut
+    ahead, each with its rows) and what ``slate_for`` serves that
+    follower alone. Drawn over followers with and without profiles,
+    located inside and outside circles, and rows retired under gathers
+    cached before."""
+    rng = random.Random(seed)
+    space = TopicSpace(4, 300)
+    ads, _ = generate_ads(
+        90, space, rng, geo_targeted_fraction=0.5, time_targeted_fraction=0.4
+    )
+    corpus = AdCorpus(ads)
+    index = CompactIndex(corpus)
+    config = EngineConfig(searcher="vector", k=k, weights=ScoringWeights(beta=beta))
+    services = EngineServices(
+        config=config,
+        corpus=corpus,
+        index=index,
+        scoring=ScoringModel(corpus, config.weights),
+    )
+    personalizer = Personalizer(services)
+    stage = KernelPersonalizeStage(services, personalizer, exact=False)
+    topic = rng.randrange(space.num_topics)
+    message = _unit(space.sample_words(topic, 6, rng))
+    followers = []
+    for user_id in range(followers_n):
+        words = (
+            []
+            if user_id % 3 == 0
+            else list(message)[:2] + space.sample_words(topic, 8, rng)
+        )
+        home = rng.choice(CITIES).center
+        location = (
+            None
+            if user_id % 4 == 1
+            else GeoPoint(
+                home.lat + rng.uniform(-0.05, 0.05), home.lon + rng.uniform(-0.05, 0.05)
+            )
+        )
+        followers.append((user_id, _unit(words), 0, location))
+    timestamp = rng.uniform(0.0, 86_400.0)
+    event = SimpleNamespace(message_vec=message, timestamp=timestamp)
+    resolved = [
+        (user_id, SimpleNamespace(location=location), SimpleNamespace(epoch=epoch), vec)
+        for user_id, vec, epoch, location in followers
+    ]
+
+    with mock.patch.object(rerank_module, "_BLOCK_CELLS", cells):
+        personalizer.slate_batch(None, message, followers, timestamp, k)
+        for ad_id in rng.sample(sorted(corpus.active_ids()), retire):
+            corpus.retire(ad_id)
+        with mock.patch.object(
+            personalizer, "_cut_block", wraps=personalizer._cut_block
+        ) as blocks:
+            whole, flags = stage.personalize_batch(event, None, resolved)
+        assert flags == [(True, False, False)] * followers_n
+        cut = [call.args[0] for call in blocks.call_args_list]
+        if followers_n > 1:
+            assert cut and cut[0][0] == followers[0]
+            assert sum(map(len, cut)) == followers_n
+        else:
+            assert not cut
+        handed = []
+        served = personalizer.slate_batch(
+            None,
+            message,
+            followers,
+            timestamp,
+            k,
+            served=lambda position, slate, rows: handed.append(
+                (position, slate, index.ad_ids[rows].tolist())
+            ),
+        )
+    assert whole == served
+    assert [position for position, _, _ in handed] == list(range(followers_n))
+    for (_, slate, ad_ids), expected in zip(handed, whole):
+        assert slate == expected and ad_ids == expected.ad_ids.tolist()
+    for follower, slate in zip(followers, whole):
+        user_id, profile_vec, epoch, location = follower
+        alone = personalizer.slate_for(
+            None, message, user_id, profile_vec, epoch, location, timestamp, k
+        )
+        assert alone.slate == slate
+    if retire:
+        retired = {ad.ad_id for ad in ads} - set(corpus.active_ids())
+        assert not retired & {entry.ad_id for slate in whole for entry in slate}
