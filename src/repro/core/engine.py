@@ -332,29 +332,28 @@ class AdEngine:
         """Publish a pre-vectorized event — the per-shard batch entry point
         the router uses so a post is vectorized once, not once per shard."""
         request_tracer = self.services.request_tracer
-        if not (request_tracer.enabled and event.trace is not None):
-            self._ingest(event)
-            followers = sorted(self.graph.followers(event.author_id))
-            outcomes = self.pipeline.deliver_batch(event, followers)
-            return self._assemble_result(event, outcomes)
-        segment = request_tracer.start(event.trace, "post")
+        segment = None
+        if request_tracer.enabled and event.trace is not None:
+            segment = request_tracer.start(event.trace, "post")
         try:
             self._ingest(event)
             followers = sorted(self.graph.followers(event.author_id))
             outcomes = self.pipeline.deliver_batch(event, followers)
             result = self._assemble_result(event, outcomes)
         except Exception as exc:
-            segment.mark_error(repr(exc))
-            request_tracer.finish(segment)
+            if segment is not None:
+                segment.mark_error(repr(exc))
+                request_tracer.finish(segment)
             raise
-        segment.set_attrs(
-            msg_id=event.msg_id,
-            author_id=event.author_id,
-            deliveries=result.num_deliveries,
-            shed=result.num_shed,
-            degraded=result.num_degraded,
-        )
-        request_tracer.finish(segment)
+        if segment is not None:
+            segment.set_attrs(
+                msg_id=event.msg_id,
+                author_id=event.author_id,
+                deliveries=result.num_deliveries,
+                shed=result.num_shed,
+                degraded=result.num_degraded,
+            )
+            request_tracer.finish(segment)
         return result
 
     def ingest_event(self, event: PostEvent) -> None:

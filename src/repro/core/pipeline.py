@@ -32,6 +32,7 @@ directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
@@ -77,7 +78,7 @@ class PostEvent:
 
 class DeliveryResult(NamedTuple):
     """One follower's slate for one event, plus how it was produced — the
-    one record a delivery travels in, from the pipeline's ``serve`` to
+    one record a delivery travels in, from the pipeline's booking pass to
     :attr:`~repro.core.engine.PostResult.deliveries` and across the
     cluster's RPC."""
 
@@ -92,24 +93,22 @@ class DeliveryResult(NamedTuple):
 
 
 class PersonalizedFanOut(NamedTuple):
-    """What a :class:`PersonalizeStage` returns for a fan-out served
-    without a callback: each follower's slate, in order, and how each was
-    produced — ``(certified, fell_back, exact)``, one triple a slate."""
+    """What every :class:`PersonalizeStage` returns for a fan-out: each
+    follower's slate, in order, and how each was produced —
+    ``(certified, fell_back, exact)``, one triple a slate."""
 
     slates: list[Slate]
     flags: list[tuple[bool, bool, bool]]
 
 
 class PersonalizedDelivery(NamedTuple):
-    """What a :class:`PersonalizeStage` reports back to the pipeline:
-    the kernel adds the slate's index rows, entry for entry, so charge
-    and feedback read their columns there (None elsewhere)."""
+    """What a stage's scalar ``personalize`` returns: one follower's
+    slate and how it was produced."""
 
     slate: Slate
     certified: bool
     fell_back: bool
     exact: bool
-    rows: np.ndarray | None = None
 
 
 # -- stage protocols ---------------------------------------------------------
@@ -148,21 +147,21 @@ class PersonalizeStage(Protocol):
         event: PostEvent,
         candidates: CandidateSet | None,
         resolved: list[tuple[int, UserState, UserProfile, SparseVector]],
-        served: Callable[[int, PersonalizedDelivery], None] | None = None,
+        write: Callable[[int, Slate, np.ndarray | None], None] | None = None,
         *,
         cut: Callable[[int], None] | None = None,
-    ) -> PersonalizedFanOut | None:
-        """One event's whole fan-out, in delivery order.
+    ) -> PersonalizedFanOut:
+        """One event's whole fan-out, returned in delivery order.
 
-        With ``served``, each follower's delivery is handed to
-        ``served(position, delivery)`` — where the pipeline charges it and
-        feeds it back — and no slate is cut across a write, so follower
-        *i + 1* sees what follower *i*'s delivery wrote; nothing is
-        returned. Without it — the pipeline's call when no stage writes
-        on delivery — the stage returns the fan-out's deliveries, in
-        order, as one :class:`PersonalizedFanOut`. A stage tells
-        ``cut(how many)`` the slates it cut at once, before handing out
-        the first of them, for whoever times deliveries."""
+        With ``write``, each follower's slate is also handed to
+        ``write(position, slate, rows)`` inside this call, in order —
+        where the pipeline charges it and feeds it back; ``rows`` are the
+        slate's index rows when the kernel cut it, None elsewhere — and
+        no slate is cut across a write, so follower *i + 1* sees what
+        follower *i*'s delivery wrote. The pipeline passes none when no
+        stage writes on delivery. A stage tells ``cut(how many)`` the
+        slates it cut at once, before handing out the first of them, for
+        whoever times deliveries."""
 
 
 @runtime_checkable
@@ -233,27 +232,18 @@ class _PerFollowerStage:
     at a time."""
 
     def personalize_batch(
-        self, event, candidates, resolved, served=None, *, cut=None
-    ) -> PersonalizedFanOut | None:
-        # Lazy: with a callback, each delivery is served before the next
-        # follower's is made.
-        deliveries = (
-            self.personalize(event, candidates, user_id, state, profile, profile_vec)
-            for user_id, state, profile, profile_vec in resolved
-        )
-        if served is not None:
-            for position, delivery in enumerate(deliveries):
-                served(position, delivery)
-            return None
-        kept = []
-        for delivery in deliveries:
+        self, event, candidates, resolved, write=None, *, cut=None
+    ) -> PersonalizedFanOut:
+        slates, flags = [], []
+        for position, follower in enumerate(resolved):
+            delivery = self.personalize(event, candidates, *follower)
             if cut is not None:
                 cut(1)
-            kept.append(delivery)
-        return PersonalizedFanOut(
-            [delivery.slate for delivery in kept],
-            [delivery[1:4] for delivery in kept],
-        )
+            if write is not None:
+                write(position, delivery.slate, None)
+            slates.append(delivery.slate)
+            flags.append(delivery[1:])
+        return PersonalizedFanOut(slates, flags)
 
 
 def _slate_k(services: EngineServices) -> int:
@@ -281,9 +271,8 @@ class KernelPersonalizeStage:
         self._exact = exact
 
     def personalize_batch(
-        self, event, candidates, resolved, served=None, *, cut=None
-    ) -> PersonalizedFanOut | None:
-        exact = self._exact
+        self, event, candidates, resolved, write=None, *, cut=None
+    ) -> PersonalizedFanOut:
         slates = self._personalizer.slate_batch(
             candidates,
             event.message_vec,
@@ -293,28 +282,18 @@ class KernelPersonalizeStage:
             ],
             event.timestamp,
             _slate_k(self._services),
-            served=None
-            if served is None
-            else lambda position, slate, rows: served(
-                position, PersonalizedDelivery(slate, True, False, exact, rows)
-            ),
+            served=write,
             cut=cut,
         )
-        if served is not None:
-            return None
-        return PersonalizedFanOut(slates, [(True, False, exact)] * len(slates))
+        return PersonalizedFanOut(slates, [(True, False, self._exact)] * len(slates))
 
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> PersonalizedDelivery:
-        delivered: list[PersonalizedDelivery] = []
-        self.personalize_batch(
-            event,
-            candidates,
-            [(user_id, state, profile, profile_vec)],
-            lambda _, delivery: delivered.append(delivery),
+        slates, flags = self.personalize_batch(
+            event, candidates, [(user_id, state, profile, profile_vec)]
         )
-        return delivered[0]
+        return PersonalizedDelivery(slates[0], *flags[0])
 
 
 class SharedPersonalizeStage(_PerFollowerStage):
@@ -696,12 +675,17 @@ class DeliveryPipeline:
         )
 
     def _book(
-        self, fan_out: PersonalizedFanOut, followers, degrading: bool
+        self,
+        fan_out: PersonalizedFanOut,
+        followers,
+        degrading: bool,
+        revenues: list[float],
     ) -> list[DeliveryResult]:
-        """A fan-out served without a callback, booked in one pass: every
-        counter ends where ``serve``'s per-delivery increments leave it
-        (an uncharged delivery's revenue, 0.0, moves no sum), and one
-        ``DeliveryResult`` a follower, boxed in C."""
+        """A fan-out's counters and results, booked in one pass: every
+        counter ends where per-delivery increments would leave it, and one
+        ``DeliveryResult`` a follower, boxed in C. ``revenues`` are what
+        each delivery's charge collected (empty when nothing was written:
+        each delivery's is then 0.0, which moves no sum)."""
         stats = self.services.stats
         slates, flags = fan_out
         stats.deliveries += len(slates)
@@ -719,22 +703,32 @@ class DeliveryPipeline:
             elif not certified:
                 stats.approximate_deliveries += times
         stats.impressions += sum(map(len, slates))
+        if revenues:
+            # Delivery by delivery, left to right: ``sum`` may compensate.
+            total = stats.revenue
+            for revenue in revenues:
+                total += revenue
+            stats.revenue = total
         new = tuple.__new__
         return [
-            new(DeliveryResult, (follower, slate, *flag, degrading, 0.0))
-            for follower, slate, flag in zip(followers, slates, flags)
+            new(DeliveryResult, (follower, slate, *flag, degrading, revenue))
+            for follower, slate, flag, revenue in zip(
+                followers, slates, flags, revenues or repeat(0.0)
+            )
         ]
 
     def deliver_batch(
         self, event: PostEvent, followers, *, candidates_only: bool = False
     ) -> list[DeliveryResult]:
         """Fan one event out to ``followers``: one shared probe, then one
-        ``personalize_batch`` call. When a delivery writes (a charge or
-        feedback stage that does something, or a learner: the wiring
-        says), the stage hands each follower's delivery back for its
-        charge → feedback pass before cutting the next. When none does,
-        the stage gets no callback and returns the whole fan-out, which
-        is booked in one pass: the same counters, results and spans.
+        ``personalize_batch`` call, which returns the whole fan-out. When
+        a delivery writes (a charge or feedback stage that does something,
+        or a learner: the wiring says), the stage hands each follower's
+        slate to a ``write`` callback — charge → feedback, nothing else —
+        before cutting the next; when none does, it gets no callback.
+        Either way, and for a candidates-only fan-out too, the counters,
+        the results and every fine span are booked afterwards in one pass
+        (:meth:`_book`).
 
         The per-follower state, profile and profile-vector lookups are
         done exactly once each here, so every stage receives them resolved
@@ -845,7 +839,7 @@ class DeliveryPipeline:
             active.flag("degraded")
 
         if timing:
-            # Where the previous follower's bookkeeping ended (for the first
+            # Where the previous delivery's write ended (for the first
             # follower, where the stage call began: its personalize span
             # carries the kernel's per-event set-up).
             mark = loop_started = perf_counter()
@@ -853,9 +847,28 @@ class DeliveryPipeline:
         # once: the look-ups up front, and the kernel's cut when it cuts
         # a run of followers ahead.
         resolve_share = share = 0.0
-        # Every cut as (slates, each one's share), for the one-pass booking.
-        cuts: list[tuple[int, float]] = []
-        outcomes: list[DeliveryResult] = []
+        # Each delivery's fine spans, (personalize, charge, feedback)
+        # seconds, and its revenue: what the booking pass reads.
+        spans: list[tuple[float, float, float]] = []
+        revenues: list[float] = []
+
+        def charge_and_observe(
+            position: int, slate: Slate, rows: np.ndarray | None
+        ) -> None:
+            """One delivery's writes, inside the stage's call."""
+            nonlocal mark
+            if fine:
+                started = perf_counter()
+                personalized = started - mark + share
+            revenues.append(charge(slate, at, rows))
+            if fine:
+                charged = perf_counter()
+            observe(slate, rows)
+            if fine:
+                mark = perf_counter()
+                spans.append((personalized, charged - started, mark - charged))
+
+        write = charge_and_observe if self._delivery_writes() else None
 
         def cut(size: int) -> None:
             """The stage cut ``size`` slates since the last delivery: the
@@ -864,74 +877,23 @@ class DeliveryPipeline:
             now = perf_counter()
             share = resolve_share + (now - mark) / size
             mark = now
-            cuts.append((size, share))
+            if write is None:
+                # Nothing is written: these are the next deliveries whole.
+                spans.extend([(share, 0.0, 0.0)] * size)
 
-        def serve(position: int, delivered: PersonalizedDelivery) -> None:
-            """One follower's delivery: count → charge → feedback."""
-            nonlocal mark
-            slate, certified, fell_back, exact, rows = delivered
-            if fine:
-                span_started = perf_counter()
-                elapsed = span_started - mark + share
-                emit("personalize", elapsed, at)
-                if self._personalize_span is not None:
-                    emit(self._personalize_span, elapsed, at)
-            stats.deliveries += 1
-            if degrading:
-                stats.deliveries_degraded += 1
-            if exact:
-                stats.exact_deliveries += 1
-            if certified and not fell_back:
-                stats.certified_deliveries += 1
-            elif fell_back:
-                stats.fallback_deliveries += 1
-            elif not certified:
-                stats.approximate_deliveries += 1
-            impressions = len(slate)
-            revenue = charge(slate, event.timestamp, rows)
-            if fine:
-                now = perf_counter()
-                emit("charge", now - span_started, at)
-                span_started = now
-            observe(slate, rows)
-            if fine:
-                emit("feedback", perf_counter() - span_started, at)
-            stats.impressions += impressions
-            stats.revenue += revenue
-            outcomes.append(
-                DeliveryResult(
-                    followers[position],
-                    slate,
-                    certified,
-                    fell_back,
-                    exact,
-                    degrading,
-                    revenue,
-                )
-            )
-            if fine:
-                # The whole pass, bookkeeping included: ``delivery`` spans
-                # tile the fan-out, each a little over its three stages.
-                now = perf_counter()
-                emit("delivery", now - mark + share, at)
-                mark = now
-
-        writes = self._delivery_writes()
         fan_out: PersonalizedFanOut | None = None
         if degraded_slate is not None:
-            if writes:
-                shared = PersonalizedDelivery(degraded_slate, False, False, False)
+            fan_out = PersonalizedFanOut(
+                [degraded_slate] * len(followers),
+                [(False, False, False)] * len(followers),
+            )
+            if write is not None:
                 for position in range(len(followers)):
-                    serve(position, shared)
-            else:
-                fan_out = PersonalizedFanOut(
-                    [degraded_slate] * len(followers),
-                    [(False, False, False)] * len(followers),
-                )
+                    write(position, degraded_slate, None)
         elif followers:
             # One stage call per event, charged or not: the stage hands
-            # each follower's delivery to ``serve`` before it cuts the next,
-            # or, with nothing written on delivery, returns them all.
+            # each follower's slate to ``write`` before it cuts the next,
+            # and returns them all.
             resolved = []
             for follower in followers:
                 state = users.state(follower)
@@ -947,27 +909,27 @@ class DeliveryPipeline:
                 mark = now
                 hooks["cut"] = cut
             fan_out = self.personalize_stage.personalize_batch(
-                event, candidates, resolved, serve if writes else None, **hooks
+                event, candidates, resolved, write, **hooks
             )
+        outcomes: list[DeliveryResult] = []
         if fan_out is not None and fan_out.slates:
-            outcomes = self._book(fan_out, followers, degrading)
+            outcomes = self._book(fan_out, followers, degrading, revenues)
             if fine:
-                if not cuts:
+                if not spans:
                     # A stage that reported no cut made them all at once.
                     cut(len(outcomes))
-                # Each delivery's spans, as ``serve`` emits them: its share
-                # of its cut and of the booking; nothing was charged or
-                # fed back.
+                # Each delivery's spans: its share of its cut, its writes
+                # and its share of whatever followed the last of them —
+                # so ``delivery`` spans tile the fan-out.
                 booked = (perf_counter() - mark) / len(outcomes)
                 twin = self._personalize_span
-                for size, personalized in cuts:
-                    for _ in range(size):
-                        emit("personalize", personalized, at)
-                        if twin is not None:
-                            emit(twin, personalized, at)
-                        emit("charge", 0.0, at)
-                        emit("feedback", 0.0, at)
-                        emit("delivery", personalized + booked, at)
+                for personalized, charged, fed in spans:
+                    emit("personalize", personalized, at)
+                    if twin is not None:
+                        emit(twin, personalized, at)
+                    emit("charge", charged, at)
+                    emit("feedback", fed, at)
+                    emit("delivery", personalized + charged + fed + booked, at)
         if timing and not fine and outcomes:
             # A request tracer alone: one span stands for the fan-out.
             emit("delivery", perf_counter() - loop_started, at, len(outcomes))

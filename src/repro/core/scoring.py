@@ -55,12 +55,12 @@ class Slate(Sequence):
     :class:`ScoredAd`.
 
     ``ad_ids`` (int64) and ``scores`` / ``contents`` / ``statics``
-    (float64) are arrays, entry for entry in slate order. A slate either
-    spans its own arrays — a run of one's cut, handed over as cut, read
-    as they are — or is one ``[start, stop)`` span of a block's four
-    columns (:meth:`spans`), shared with the block's other slates: it
-    holds no array of its own, and a column is a view made when something
-    reads it. Either way the arrays are shared and never written. An
+    (float64) are arrays, entry for entry in slate order. A slate is one
+    ``[start, stop)`` span of four columns: a block's (:meth:`spans`),
+    shared with the block's other slates, or its own — ``Slate(...)``
+    over four arrays is the span ``[0, n)`` of them. It makes no array
+    of its own: a column is a view made when something reads it, and the
+    columns are shared and never written. An
     entry is boxed only when something reads one: iteration and indexing
     box in C (``tuple.__new__`` over the ``tolist()`` columns), while
     ``len``, ``bool`` and slicing stay in arrays. Against a tuple of the
@@ -74,7 +74,6 @@ class Slate(Sequence):
     A slate is one tracked object over untracked arrays.
     """
 
-    # ``_start`` is None when the slate spans its own arrays.
     __slots__ = ("_ad_ids", "_scores", "_contents", "_statics", "_start", "_stop")
 
     def __new__(
@@ -89,7 +88,8 @@ class Slate(Sequence):
         slate._scores = scores
         slate._contents = contents
         slate._statics = statics
-        slate._start = slate._stop = None
+        slate._start = 0
+        slate._stop = len(ad_ids)
         return slate
 
     @staticmethod
@@ -126,29 +126,22 @@ class Slate(Sequence):
 
     @property
     def ad_ids(self) -> np.ndarray:
-        start = self._start
-        return self._ad_ids if start is None else self._ad_ids[start : self._stop]
+        return self._ad_ids[self._start : self._stop]
 
     @property
     def scores(self) -> np.ndarray:
-        start = self._start
-        return self._scores if start is None else self._scores[start : self._stop]
+        return self._scores[self._start : self._stop]
 
     @property
     def contents(self) -> np.ndarray:
-        start = self._start
-        return (
-            self._contents if start is None else self._contents[start : self._stop]
-        )
+        return self._contents[self._start : self._stop]
 
     @property
     def statics(self) -> np.ndarray:
-        start = self._start
-        return self._statics if start is None else self._statics[start : self._stop]
+        return self._statics[self._start : self._stop]
 
     def __len__(self) -> int:
-        start = self._start
-        return len(self._ad_ids) if start is None else self._stop - start
+        return self._stop - self._start
 
     def __iter__(self) -> Iterator[ScoredAd]:
         return map(
@@ -519,21 +512,25 @@ class StaticRowCache:
         self, location: GeoPoint, centres: slice | np.ndarray
     ) -> np.ndarray:
         """Great-circle km from each of ``centres`` (a slice or index
-        array of the interned centres) to ``location``: the arithmetic of
-        :func:`repro.geo.point.haversine_km` in its operation order,
-        elementwise."""
+        array of the interned centres) to ``location``:
+        :func:`repro.geo.point.haversine_km`'s arithmetic, with its
+        ``math`` functions, centre by centre — numpy's ``arcsin`` can part
+        from ``math.asin`` by an ulp, and a proximity with it. A cold
+        location pays this once per centre (a dozen on the catalog)."""
         lat2 = math.radians(location.lat)
         lon2 = math.radians(location.lon)
-        dlat = lat2 - self._centre_lat[centres]
-        dlon = lon2 - self._centre_lon[centres]
-        sin_dlat = np.sin(dlat / 2.0)
-        sin_dlon = np.sin(dlon / 2.0)
-        h = (
-            sin_dlat * sin_dlat
-            + self._centre_cos[centres] * math.cos(lat2) * sin_dlon * sin_dlon
-        )
-        h = np.minimum(1.0, np.maximum(0.0, h))
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+        cos_lat2 = math.cos(lat2)
+        halves = []
+        for lat1, lon1, cos_lat1 in zip(
+            self._centre_lat[centres].tolist(),
+            self._centre_lon[centres].tolist(),
+            self._centre_cos[centres].tolist(),
+        ):
+            sin_dlat = math.sin((lat2 - lat1) / 2.0)
+            sin_dlon = math.sin((lon2 - lon1) / 2.0)
+            h = sin_dlat * sin_dlat + cos_lat1 * cos_lat2 * sin_dlon * sin_dlon
+            halves.append(math.asin(math.sqrt(min(1.0, max(0.0, h)))))
+        return 2.0 * EARTH_RADIUS_KM * np.array(halves, dtype=np.float64)
 
     def time_keep_full(self, timestamp: float) -> np.ndarray:
         """Time-window predicate over every row, read-only.

@@ -54,7 +54,7 @@ from repro.errors import ConfigError
 from repro.obs.tracer import NO_SEAM
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.pipeline import PersonalizedDelivery
+    from repro.core.pipeline import PersonalizedDelivery, PersonalizedFanOut
     from repro.core.services import EngineServices
 
 __all__ = [
@@ -436,7 +436,10 @@ class LinUcbRerankStage:
     (the kernel's slate rows with it), then
     records the exposure as pending updates — per follower, between the
     base stage cutting the slate and the pipeline charging it, on the
-    scalar and the fan-out entry point alike.
+    scalar and the fan-out entry point alike. Recording an exposure is a
+    write, so the base stage's fan-out always gets the wrapper's own
+    ``write``, which passes each re-scored slate on to the pipeline's
+    (if any); the returned fan-out carries the re-scored slates.
     """
 
     span_name = "personalize[linucb]"
@@ -449,46 +452,44 @@ class LinUcbRerankStage:
     def personalize(
         self, event, candidates, user_id, state, profile, profile_vec
     ) -> "PersonalizedDelivery":
-        return self._reranked(
-            event,
-            user_id,
-            self._base.personalize(
-                event, candidates, user_id, state, profile, profile_vec
-            ),
+        delivery = self._base.personalize(
+            event, candidates, user_id, state, profile, profile_vec
         )
+        slate, _ = self._reranked(event, user_id, delivery.slate, None)
+        return delivery._replace(slate=slate)
 
     def personalize_batch(
-        self, event, candidates, resolved, served, *, cut=None
-    ) -> None:
-        self._base.personalize_batch(
-            event,
-            candidates,
-            resolved,
-            lambda position, delivered: served(
-                position,
-                self._reranked(event, resolved[position][0], delivered),
-            ),
-            cut=cut,
+        self, event, candidates, resolved, write=None, *, cut=None
+    ) -> "PersonalizedFanOut":
+        slates = []
+
+        def reranked(position: int, slate: Slate, rows) -> None:
+            slate, rows = self._reranked(event, resolved[position][0], slate, rows)
+            slates.append(slate)
+            if write is not None:
+                write(position, slate, rows)
+
+        fan_out = self._base.personalize_batch(
+            event, candidates, resolved, reranked, cut=cut
         )
+        return fan_out._replace(slates=slates)
 
     def _reranked(
-        self, event, user_id: int, delivered: "PersonalizedDelivery"
-    ) -> "PersonalizedDelivery":
+        self, event, user_id: int, slate: Slate, rows: np.ndarray | None
+    ) -> tuple[Slate, np.ndarray | None]:
+        """``slate`` re-scored and its exposure recorded, with its index
+        rows (None without the kernel) following its entries."""
         qos = self._services.qos
         if qos is not None and qos.degrading:
             # Ladder rung active: serve the static CTR slate untouched and
             # learn nothing from degraded traffic.
-            return delivered
-        slate = delivered.slate
+            return slate, rows
         if not slate:
-            return delivered
+            return slate, rows
         learner = self._learner
         reranked, features, order = learner.rerank(slate)
-        if order is not None:
+        if order is not None and rows is not None:
             # The kernel's rows follow their entries through the re-sort.
-            rows = delivered.rows
-            delivered = delivered._replace(
-                slate=reranked, rows=None if rows is None else rows[order]
-            )
+            rows = rows[order]
         learner.observe_slate(event.msg_id, user_id, reranked, features)
-        return delivered
+        return reranked, rows

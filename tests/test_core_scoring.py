@@ -530,6 +530,39 @@ class TestTargetingCache:
         assert cache._geo_base[0].any() and cache._geo_base[1].any()
 
 
+class TestTheCacheReadsTheOracleDistance:
+    """A cold location's distance to a circle centre is
+    :func:`~repro.geo.point.haversine_km`'s, ``math.asin`` included. At
+    this point, 300 km from the centre, numpy's ``arcsin`` parts from it
+    by an ulp, and the cached proximity from ``TargetingSpec.proximity``
+    with it."""
+
+    def test_an_ulp_apart_point_reads_the_oracle(self):
+        from repro.core.scoring import StaticRowCache
+        from repro.index.compact import CompactIndex
+
+        spec = TargetingSpec(circles=((GeoPoint(48.86, 2.35), 400.0),))
+        corpus = AdCorpus(
+            [
+                Ad(
+                    ad_id=0,
+                    advertiser="a",
+                    text="x",
+                    terms={"x": 1.0},
+                    bid=1.0,
+                    targeting=spec,
+                )
+            ]
+        )
+        cache = StaticRowCache(corpus, CompactIndex(corpus))
+        cache.sync(None, None)
+        location = GeoPoint(46.091151679384474, 1.1985028549566854)
+        keep, proximity = cache.targeting_full(location)
+        rows, falloff = cache.geo_hits(location)
+        assert keep.tolist() == [True] and rows.tolist() == [0]
+        assert proximity.tolist() == falloff.tolist() == [spec.proximity(location)]
+
+
 class TestListedRowsAreTheFullBuild:
     """The listed-row re-read — ``fanout_bid_block`` and ``paced_rows``
     with ``rows``, one pass over Python floats — equals the array kernel's
