@@ -106,7 +106,7 @@ def main() -> None:
 
     print("\nProfiles after the session (top interests):")
     for user_id, name in USERS.items():
-        interests = engine.profiles.get_or_create(user_id).top_interests(3)
+        interests = engine.services.users.state(user_id).profile.top_interests(3)
         rendered = ", ".join(f"{term}={weight:.2f}" for term, weight in interests)
         print(f"  {name:<5} {rendered or '(never posted)'}")
 

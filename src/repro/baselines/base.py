@@ -16,13 +16,13 @@ import abc
 from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
 from repro.geo.point import GeoPoint
-from repro.profiles.profile import ProfileStore
-from repro.util.sparse import MutableSparseVector, SparseVector
+from repro.profiles.profile import UserProfile
+from repro.util.sparse import SparseVector
 
 
 class BaselineState:
     """Read/write state shared by the scan-style baselines: the corpus, the
-    users' (home) locations and an independent profile store."""
+    users' (home) locations and their own interest profiles."""
 
     def __init__(
         self,
@@ -35,13 +35,18 @@ class BaselineState:
         self.corpus = corpus
         self.locations = dict(locations)
         self.weights = weights or ScoringWeights()
-        self.profiles = ProfileStore(profile_half_life_s)
+        self.profile_half_life_s = profile_half_life_s
+        self._profiles: dict[int, UserProfile] = {}
 
     def location_of(self, user_id: int) -> GeoPoint | None:
         return self.locations.get(user_id)
 
-    def profile_vector(self, user_id: int) -> MutableSparseVector:
-        return self.profiles.get_or_create(user_id).vector()
+    def profile(self, user_id: int) -> UserProfile:
+        """The user's profile, created empty on first sight."""
+        profile = self._profiles.get(user_id)
+        if profile is None:
+            profile = self._profiles[user_id] = UserProfile(self.profile_half_life_s)
+        return profile
 
     def eligible(self, ad_id: int, user_id: int, timestamp: float) -> bool:
         """Active + targeting predicate, shared by every baseline."""

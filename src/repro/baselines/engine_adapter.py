@@ -56,12 +56,12 @@ class SystemRecommender(SlateRecommender):
         k: int,
     ) -> list[int]:
         state = self._state
-        profile = state.profiles.get_or_create(user_id)
+        profile = state.profile(user_id)
         result = self._personalizer.slate_for(
             self._candidates_for(msg_id, message_vec),
             message_vec,
             user_id,
-            profile.vector(),
+            profile.unit,
             profile.epoch,
             state.location_of(user_id),
             timestamp,
@@ -72,4 +72,4 @@ class SystemRecommender(SlateRecommender):
     def observe_post(
         self, author_id: int, message_vec: SparseVector, timestamp: float
     ) -> None:
-        self._state.profiles.get_or_create(author_id).update(message_vec, timestamp)
+        self._state.profile(author_id).update(message_vec, timestamp)

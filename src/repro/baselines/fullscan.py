@@ -33,7 +33,7 @@ class FullScanRecommender(SlateRecommender):
         state = self._state
         weights = state.weights
         location = state.location_of(user_id)
-        profile_vec = state.profile_vector(user_id)
+        profile_vec = state.profile(user_id).unit
         heap = BoundedTopK(k)
         for ad in state.corpus.active_ads():
             content = dot(message_vec, ad.terms)
@@ -54,4 +54,4 @@ class FullScanRecommender(SlateRecommender):
     def observe_post(
         self, author_id: int, message_vec: SparseVector, timestamp: float
     ) -> None:
-        self._state.profiles.get_or_create(author_id).update(message_vec, timestamp)
+        self._state.profile(author_id).update(message_vec, timestamp)

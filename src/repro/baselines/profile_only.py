@@ -26,7 +26,7 @@ class ProfileOnlyRecommender(SlateRecommender):
         k: int,
     ) -> list[int]:
         state = self._state
-        profile_vec = state.profile_vector(user_id)
+        profile_vec = state.profile(user_id).unit
         if not profile_vec:
             return []
         heap = BoundedTopK(k)
@@ -42,4 +42,4 @@ class ProfileOnlyRecommender(SlateRecommender):
     def observe_post(
         self, author_id: int, message_vec: SparseVector, timestamp: float
     ) -> None:
-        self._state.profiles.get_or_create(author_id).update(message_vec, timestamp)
+        self._state.profile(author_id).update(message_vec, timestamp)

@@ -42,7 +42,6 @@ from repro.index.factory import SearchIndex, make_index
 from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics, counted
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
 from repro.obs.tracer import NoopTracer, StageTracer
-from repro.profiles.profile import ProfileStore
 from repro.qos.controller import QosController
 from repro.stream.clock import SimClock
 from repro.text.tokenizer import Tokenizer
@@ -146,10 +145,9 @@ class AdEngine:
             scoring=scoring,
             graph=graph,
             budget=budget,
-            profiles=ProfileStore(config.profile_half_life_s),
             ctr=ctr,
             clock=SimClock(),
-            users=UserStateStore(graph),
+            users=UserStateStore(graph, config.profile_half_life_s),
             tracer=tracer or NoopTracer(),
             metrics=metrics if metrics is not None else NULL_METRICS,
             request_tracer=(
@@ -225,10 +223,6 @@ class AdEngine:
     @property
     def scoring(self) -> ScoringModel:
         return self.services.scoring
-
-    @property
-    def profiles(self) -> ProfileStore:
-        return self.services.profiles
 
     @property
     def ctr(self) -> CtrEstimator | None:
@@ -441,11 +435,9 @@ class AdEngine:
             # this (auto_sync off) — their router coordinates the fold.
             learner.maybe_sync(event.timestamp)
         self._next_msg_id = max(self._next_msg_id, event.msg_id + 1)
-        author_state = self._state(event.author_id)
-        self.profiles.get_or_create(event.author_id).update(
+        self._state(event.author_id).profile.update(
             event.message_vec, event.timestamp
         )
-        author_state.profile_vec_epoch = -1  # invalidate cache
         self.stats.posts += 1
 
     def _assemble_result(
@@ -530,10 +522,9 @@ class AdEngine:
         """One-off exact slate for a (user, message) pair — a read-only query
         that does not touch profiles, contexts or budgets."""
         state = self._state(user_id)
-        _, profile_vec = self.services.profile_of(user_id, state)
         return self.personalizer.exact_slate(
             self.vectorize(text),
-            profile_vec,
+            state.profile.unit,
             state.location,
             timestamp,
             self.config.k,

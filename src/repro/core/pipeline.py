@@ -23,9 +23,9 @@ impressions are array operations over its ≤ k entries.
 :class:`DeliveryPipeline` wires the stages over one
 :class:`~repro.core.services.EngineServices` and exposes the batch entry
 point :meth:`DeliveryPipeline.deliver_batch`: one :class:`PostEvent` in,
-one :class:`DeliveryResult` per follower out, with the shared probe and
-the per-follower profile-vector/location lookups amortised across the
-whole fan-out. The sharded router and the replay driver drive batches
+one :class:`DeliveryResult` per follower out, with the shared probe
+amortised across the whole fan-out and each follower resolved with one
+state lookup. The sharded router and the replay driver drive batches
 directly; :class:`~repro.core.engine.AdEngine` survives as a thin facade.
 """
 
@@ -48,7 +48,6 @@ from repro.core.services import EngineServices, UserState
 from repro.errors import ConfigError
 from repro.obs.trace import TraceContext
 from repro.obs.tracer import Seam
-from repro.profiles.profile import UserProfile
 from repro.qos.admission import slate_value_bound
 from repro.stream.clock import SimClock
 from repro.text.tokenizer import Tokenizer
@@ -138,20 +137,19 @@ class PersonalizeStage(Protocol):
         candidates: CandidateSet | None,
         user_id: int,
         state: UserState,
-        profile: UserProfile,
-        profile_vec: SparseVector,
     ) -> PersonalizedDelivery: ...
 
     def personalize_batch(
         self,
         event: PostEvent,
         candidates: CandidateSet | None,
-        resolved: list[tuple[int, UserState, UserProfile, SparseVector]],
+        resolved: list[tuple[int, UserState]],
         write: Callable[[int, Slate, np.ndarray | None], None] | None = None,
         *,
         cut: Callable[[int], None] | None = None,
     ) -> PersonalizedFanOut:
-        """One event's whole fan-out, returned in delivery order.
+        """One event's whole fan-out, ``resolved`` as ``(user_id, state)``
+        per follower, returned in delivery order.
 
         With ``write``, each follower's slate is also handed to
         ``write(position, slate, rows)`` inside this call, in order —
@@ -277,8 +275,8 @@ class KernelPersonalizeStage:
             candidates,
             event.message_vec,
             [
-                (user_id, profile_vec, profile.epoch, state.location)
-                for user_id, state, profile, profile_vec in resolved
+                (user_id, state.profile.unit, state.profile.epoch, state.location)
+                for user_id, state in resolved
             ],
             event.timestamp,
             _slate_k(self._services),
@@ -288,10 +286,10 @@ class KernelPersonalizeStage:
         return PersonalizedFanOut(slates, [(True, False, self._exact)] * len(slates))
 
     def personalize(
-        self, event, candidates, user_id, state, profile, profile_vec
+        self, event, candidates, user_id, state
     ) -> PersonalizedDelivery:
         slates, flags = self.personalize_batch(
-            event, candidates, [(user_id, state, profile, profile_vec)]
+            event, candidates, [(user_id, state)]
         )
         return PersonalizedDelivery(slates[0], *flags[0])
 
@@ -306,15 +304,15 @@ class SharedPersonalizeStage(_PerFollowerStage):
         self._personalizer = personalizer
 
     def personalize(
-        self, event, candidates, user_id, state, profile, profile_vec
+        self, event, candidates, user_id, state
     ) -> PersonalizedDelivery:
         k = _slate_k(self._services)
         result = self._personalizer.slate_for(
             candidates,
             event.message_vec,
             user_id,
-            profile_vec,
-            profile.epoch,
+            state.profile.unit,
+            state.profile.epoch,
             state.location,
             event.timestamp,
             k,
@@ -342,7 +340,7 @@ class IncrementalPersonalizeStage(_PerFollowerStage):
         return state.incremental
 
     def personalize(
-        self, event, candidates, user_id, state, profile, profile_vec
+        self, event, candidates, user_id, state
     ) -> PersonalizedDelivery:
         maintainer = self._maintainer_of(user_id, state)
         before = maintainer.stats.refreshes
@@ -351,8 +349,8 @@ class IncrementalPersonalizeStage(_PerFollowerStage):
             event.timestamp,
             event.message_vec,
             candidates,
-            profile_vec,
-            profile.epoch,
+            state.profile.unit,
+            state.profile.epoch,
             state.location,
         )
         refreshed = maintainer.stats.refreshes > before
@@ -371,12 +369,12 @@ class ExactPersonalizeStage(_PerFollowerStage):
         self._personalizer = personalizer
 
     def personalize(
-        self, event, candidates, user_id, state, profile, profile_vec
+        self, event, candidates, user_id, state
     ) -> PersonalizedDelivery:
         k = _slate_k(self._services)
         slate = self._personalizer.exact_slate(
             event.message_vec,
-            profile_vec,
+            state.profile.unit,
             state.location,
             event.timestamp,
             k,
@@ -730,9 +728,8 @@ class DeliveryPipeline:
         the results and every fine span are booked afterwards in one pass
         (:meth:`_book`).
 
-        The per-follower state, profile and profile-vector lookups are
-        done exactly once each here, so every stage receives them resolved
-        — the batch-amortisation point for profile and location access.
+        Each follower's state — profile, location, feed context — is
+        looked up exactly once here, so every stage receives it resolved.
 
         Span emission, each span once through the engine's seam at the
         event's stream time: one ``candidate`` span per event that probes
@@ -744,8 +741,7 @@ class DeliveryPipeline:
         """
         services = self.services
         stats = services.stats
-        users = services.users
-        profile_of = services.profile_of
+        state_of = services.users.state
         charge = self.charge_stage.charge
         observe = self.feedback_stage.observe_impressions
         seam = services.seam
@@ -894,10 +890,7 @@ class DeliveryPipeline:
             # One stage call per event, charged or not: the stage hands
             # each follower's slate to ``write`` before it cuts the next,
             # and returns them all.
-            resolved = []
-            for follower in followers:
-                state = users.state(follower)
-                resolved.append((follower, state, *profile_of(follower, state)))
+            resolved = [(follower, state_of(follower)) for follower in followers]
             hooks = {}
             if fine:
                 # The look-ups above are per-follower work done up front:

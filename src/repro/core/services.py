@@ -3,7 +3,7 @@
 Every delivery stage — vectorization, the shared probe, the three
 personalisation strategies, GSP charging, CTR feedback — used to reach for
 a loose bag of attributes threaded ad-hoc through ``AdEngine``
-(``corpus``/``index``/``budget``/``scoring``/``profiles``/``ctr``/clock).
+(``corpus``/``index``/``budget``/``scoring``/``ctr``/clock).
 :class:`EngineServices` names that bag once so stages, the checkpoint
 layer and the facade all share one wiring point.
 
@@ -26,7 +26,7 @@ from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
 from repro.obs.tracer import NoopTracer, Seam, StageTracer
 from repro.profiles.context import FeedContext
-from repro.util.sparse import MutableSparseVector
+from repro.profiles.profile import UserProfile
 
 if TYPE_CHECKING:  # heavyweight imports only needed for annotations
     from repro.ads.budget import BudgetManager
@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # heavyweight imports only needed for annotations
     from repro.graph.social import SocialGraph
     from repro.index.factory import SearchIndex
     from repro.learn.linucb import LinUcbLearner
-    from repro.profiles.profile import ProfileStore, UserProfile
     from repro.qos.controller import QosController
     from repro.stream.clock import SimClock
 
@@ -84,25 +83,32 @@ class EngineStats:
 
 @dataclass
 class UserState:
-    """Everything the engine remembers about one user."""
+    """Everything the engine remembers about one user: one record, so a
+    follower's profile, location and feed context resolve in one lookup."""
 
+    profile: UserProfile
     location: GeoPoint | None = None
     context: FeedContext | None = None
     incremental: "IncrementalTopK | None" = None
-    profile_vec_epoch: int = -1
-    profile_vec: MutableSparseVector = field(default_factory=dict)
 
 
 class UserStateStore:
-    """Per-user mutable state, keyed by user id and guarded by the graph."""
+    """Per-user mutable state, keyed by user id and guarded by the graph.
+    A state is created with an empty profile of ``profile_half_life_s``."""
 
-    def __init__(self, graph: "SocialGraph") -> None:
+    def __init__(
+        self, graph: "SocialGraph", profile_half_life_s: float | None
+    ) -> None:
         self._graph = graph
+        self._half_life_s = profile_half_life_s
         self._states: dict[int, UserState] = {}
 
     def register(self, user_id: int) -> UserState:
         """Create (or fetch) a state slot without a graph membership check."""
-        return self._states.setdefault(user_id, UserState())
+        state = self._states.get(user_id)
+        if state is None:
+            state = self._states[user_id] = UserState(UserProfile(self._half_life_s))
+        return state
 
     def state(self, user_id: int) -> UserState:
         """The user's state; unknown users (absent from the graph) raise."""
@@ -110,8 +116,7 @@ class UserStateStore:
         if state is None:
             if not self._graph.has_user(user_id):
                 raise UnknownUserError(user_id)
-            state = UserState()
-            self._states[user_id] = state
+            state = self.register(user_id)
         return state
 
     def items(self):
@@ -137,7 +142,6 @@ class EngineServices:
     scoring: "ScoringModel"
     graph: "SocialGraph | None" = None
     budget: "BudgetManager | None" = None
-    profiles: "ProfileStore | None" = None
     ctr: "CtrEstimator | None" = None
     clock: "SimClock | None" = None
     users: UserStateStore | None = None
@@ -173,17 +177,3 @@ class EngineServices:
                 max_age_s=self.config.context_max_age_s,
             )
         return state.context
-
-    def profile_of(
-        self, user_id: int, state: UserState
-    ) -> "tuple[UserProfile, MutableSparseVector]":
-        """One lookup for (profile, normalised vector), epoch-cached.
-
-        The batch fan-out calls this once per follower per message; the
-        vector is rebuilt only when the profile's epoch moved.
-        """
-        profile = self.profiles.get_or_create(user_id)
-        if state.profile_vec_epoch != profile.epoch:
-            state.profile_vec = profile.vector()
-            state.profile_vec_epoch = profile.epoch
-        return profile, state.profile_vec

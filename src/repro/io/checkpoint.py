@@ -43,15 +43,17 @@ from repro.core.engine import AdEngine
 from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
 from repro.profiles.context import FeedContext
+from repro.profiles.profile import UserProfile
+from repro.util.sparse import l2_normalize
 
 _FORMAT_VERSION = 1
 
 
-def _profile_state(profile) -> dict[str, Any]:
+def _profile_state(profile: UserProfile) -> dict[str, Any]:
     return {
         "weights": profile._weights,
         "last_t": profile._last_t,
-        "epoch": profile._epoch,
+        "epoch": profile.epoch,
     }
 
 
@@ -81,11 +83,11 @@ def engine_state_dict(engine: AdEngine) -> dict[str, Any]:
             record["context_last_t"] = state.context.last_update
         users[str(user_id)] = record
 
-    profiles: dict[str, Any] = {}
-    for user_id in engine.profiles.users():
-        profile = engine.profiles.get_or_create(user_id)
-        if not profile.is_empty:
-            profiles[str(user_id)] = _profile_state(profile)
+    profiles: dict[str, Any] = {
+        str(user_id): _profile_state(state.profile)
+        for user_id, state in sorted(services.users.items())
+        if not state.profile.is_empty
+    }
 
     budgets = {
         str(ad_id): state.spent
@@ -201,12 +203,13 @@ def apply_engine_state(
             context.rebuild()
 
     for user_id_str, profile_state in payload["profiles"].items():
-        profile = engine.profiles.get_or_create(int(user_id_str))
+        profile = services.users.register(int(user_id_str)).profile
         profile._weights = {
             term: weight for term, weight in profile_state["weights"].items()
         }
         profile._last_t = profile_state["last_t"]
-        profile._epoch = profile_state["epoch"]
+        profile.epoch = profile_state["epoch"]
+        profile.unit = l2_normalize(profile._weights)
 
     if payload["ctr"] is not None:
         if engine.ctr is None:

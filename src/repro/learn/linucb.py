@@ -450,11 +450,9 @@ class LinUcbRerankStage:
         self._learner = services.learner
 
     def personalize(
-        self, event, candidates, user_id, state, profile, profile_vec
+        self, event, candidates, user_id, state
     ) -> "PersonalizedDelivery":
-        delivery = self._base.personalize(
-            event, candidates, user_id, state, profile, profile_vec
-        )
+        delivery = self._base.personalize(event, candidates, user_id, state)
         slate, _ = self._reranked(event, user_id, delivery.slate, None)
         return delivery._replace(slate=slate)
 

@@ -4,8 +4,12 @@ A profile accumulates the term vectors of everything a user posts, with
 exponential half-life decay so stale interests fade. Because the engine
 only ever consumes the *normalised* profile vector, decay between updates
 cancels out under normalisation — the profile therefore only needs to apply
-decay when new mass arrives, making updates O(profile size) and reads
-O(profile size) with no background sweeps.
+decay when new mass arrives, and keeps that normalised vector (``unit``)
+beside the weights, recomputed by each update: updates are O(profile size)
+and reads are one attribute, with no background sweeps.
+
+Each user's profile lives on their :class:`~repro.core.services.UserState`,
+so a follower's state and interests resolve in one lookup.
 """
 
 from __future__ import annotations
@@ -17,9 +21,14 @@ from repro.util.sparse import MutableSparseVector, SparseVector, l2_normalize
 
 
 class UserProfile:
-    """Exponentially-decayed accumulator of a user's posted content."""
+    """Exponentially-decayed accumulator of a user's posted content.
 
-    __slots__ = ("_epoch", "_last_t", "_weights", "half_life_s", "prune_below")
+    ``epoch`` counts the updates (caches keyed on it never go stale) and
+    ``unit`` is the unit-L2 interest vector (empty while the profile is);
+    both move only in :meth:`update` — and when a checkpoint restores the
+    weights."""
+
+    __slots__ = ("_last_t", "_weights", "epoch", "half_life_s", "prune_below", "unit")
 
     def __init__(
         self,
@@ -35,12 +44,8 @@ class UserProfile:
         self.prune_below = prune_below
         self._weights: MutableSparseVector = {}
         self._last_t = 0.0
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Bumped on every update; caches keyed on it never go stale."""
-        return self._epoch
+        self.epoch = 0
+        self.unit: MutableSparseVector = {}
 
     @property
     def last_update(self) -> float:
@@ -60,7 +65,8 @@ class UserProfile:
         vector is added, so more recent posts dominate. Out-of-order events
         (timestamp slightly before the last update) are treated as
         simultaneous rather than rejected — feed streams are only loosely
-        ordered.
+        ordered. Uniform decay since the last update cancels under
+        normalisation, so ``unit`` is exact at any read time.
         """
         if scale <= 0.0:
             raise ConfigError(f"scale must be positive, got {scale}")
@@ -78,43 +84,9 @@ class UserProfile:
         self._last_t = max(self._last_t, timestamp)
         for term, weight in vec.items():
             self._weights[term] = self._weights.get(term, 0.0) + scale * weight
-        self._epoch += 1
-
-    def vector(self) -> MutableSparseVector:
-        """Unit-L2 interest vector (empty dict while the profile is empty).
-
-        Uniform decay since the last update cancels under normalisation, so
-        this is exact at any read time.
-        """
-        return l2_normalize(self._weights)
+        self.unit = l2_normalize(self._weights)
+        self.epoch += 1
 
     def top_interests(self, limit: int = 10) -> list[tuple[str, float]]:
         """Heaviest normalised terms, for inspection and examples."""
-        vector = self.vector()
-        return sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
-
-
-class ProfileStore:
-    """Lazily-created profiles for all registered users."""
-
-    def __init__(self, half_life_s: float | None = 6 * 3600.0) -> None:
-        if half_life_s is not None and half_life_s <= 0.0:
-            raise ConfigError(f"half_life_s must be positive or None, got {half_life_s}")
-        self.half_life_s = half_life_s
-        self._profiles: dict[int, UserProfile] = {}
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __contains__(self, user_id: int) -> bool:
-        return user_id in self._profiles
-
-    def get_or_create(self, user_id: int) -> UserProfile:
-        profile = self._profiles.get(user_id)
-        if profile is None:
-            profile = UserProfile(self.half_life_s)
-            self._profiles[user_id] = profile
-        return profile
-
-    def users(self) -> list[int]:
-        return sorted(self._profiles)
+        return sorted(self.unit.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]

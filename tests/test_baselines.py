@@ -42,7 +42,7 @@ class TestFullScan:
         post, vec = message
         recommender = FullScanRecommender(state)
         recommender.observe_post(3, vec, post.timestamp)
-        assert not state.profiles.get_or_create(3).is_empty
+        assert not state.profile(3).is_empty
 
     def test_targeting_respected(self, state, message):
         post, vec = message
@@ -106,7 +106,7 @@ class TestProfileOnly:
         recommender = ProfileOnlyRecommender(state)
         recommender.observe_post(0, vec, post.timestamp)
         slate = recommender.slate(0, post.msg_id, {}, post.timestamp, 10)
-        profile = state.profile_vector(0)
+        profile = state.profile(0).unit
         for ad_id in slate:
             assert dot(profile, state.corpus.get(ad_id).terms) > 0.0
 

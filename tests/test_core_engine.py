@@ -3,6 +3,8 @@ budget integration, location handling, stats bookkeeping."""
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
 from repro.core.config import EngineConfig, EngineMode
@@ -10,7 +12,7 @@ from repro.core.engine import AdEngine
 from repro.core.recommender import ContextAwareRecommender
 from repro.errors import ConfigError, UnknownUserError
 from repro.geo.point import GeoPoint
-from repro.profiles.profile import ProfileStore
+from repro.profiles.profile import UserProfile
 from tests.helpers import assert_scores_match, oracle_slate_scores
 
 
@@ -48,21 +50,20 @@ class TestSharedModeExactness:
             charge_impressions=False,
             exact_fallback=True,
         )
-        oracle_profiles = ProfileStore(engine.config.profile_half_life_s)
+        half_life = engine.config.profile_half_life_s
+        oracle_profiles = defaultdict(lambda: UserProfile(half_life))
         weights = engine.config.weights
         checked = 0
         for post in tiny_workload.posts[:25]:
             vec = engine.vectorize(post.text)
-            oracle_profiles.get_or_create(post.author_id).update(
-                vec, post.timestamp
-            )
+            oracle_profiles[post.author_id].update(vec, post.timestamp)
             expected_by_user = {}
             for follower in tiny_workload.graph.followers(post.author_id):
                 expected_by_user[follower] = oracle_slate_scores(
                     engine.corpus,
                     weights,
                     vec,
-                    oracle_profiles.get_or_create(follower).vector(),
+                    oracle_profiles[follower].unit,
                     engine.location_of(follower),
                     post.timestamp,
                     engine.config.k,

@@ -469,12 +469,10 @@ class TestEveryStageKeepsTheFanOutProtocol:
                 )
                 engine.ingest_event(event)
                 services = engine.services
-                resolved = []
-                for follower in sorted(engine.graph.followers(post.author_id)):
-                    state = services.users.state(follower)
-                    resolved.append(
-                        (follower, state, *services.profile_of(follower, state))
-                    )
+                resolved = [
+                    (follower, services.users.state(follower))
+                    for follower in sorted(engine.graph.followers(post.author_id))
+                ]
                 fan_outs.append(
                     engine.pipeline.personalize_stage.personalize_batch(
                         event,
@@ -757,13 +755,14 @@ class TestDeliverySpansStayPerDelivery:
         # A clock only the look-ups move: one second per follower.
         clock = [0.0]
         monkeypatch.setattr(pipeline_module, "perf_counter", lambda: clock[0])
-        profile_of = engine.services.profile_of
+        users = engine.services.users
+        state_of = users.state
 
-        def slow_profile_of(user_id, state):
+        def slow_state_of(user_id):
             clock[0] += 1.0
-            return profile_of(user_id, state)
+            return state_of(user_id)
 
-        engine.services.profile_of = slow_profile_of
+        users.state = slow_state_of
         post = max(
             tiny_workload.posts,
             key=lambda post: len(tiny_workload.graph.followers(post.author_id)),
@@ -913,10 +912,11 @@ def wide_fanout_engine(workload, followers: int, **config_kwargs) -> AdEngine:
 
 class TestTheFanOutBoxesOnce:
     """A wide uncharged fan-out to followers the engine has seen before
-    (a first sighting creates their ``UserProfile``) makes no Python-level
-    ``__init__`` and boxes no slate entry: each slate is a span of its
-    block's columns (a :class:`~repro.core.scoring.Slate`) and each
-    delivery is one ``DeliveryResult``, so a frozen dataclass or a
+    (a first sighting creates their ``UserState`` and, on it, their
+    ``UserProfile``) makes no Python-level ``__init__`` and boxes no slate
+    entry: each slate is a span of its block's columns (a
+    :class:`~repro.core.scoring.Slate`) and each delivery is one
+    ``DeliveryResult``, so a frozen dataclass or a
     per-entry ``ScoredAd`` cannot come back on this path unnoticed — nor
     can a retained delivery that keeps more than its two records under
     the cyclic collector, or arrays of its own. Nothing is written on
@@ -927,8 +927,10 @@ class TestTheFanOutBoxesOnce:
     # ≈ 18.5 a delivery while each one went through the pipeline's
     # per-delivery callback (its lambda, two ``bid_writes``, the stages'
     # ``charge`` and ``observe_impressions``, a ``PersonalizedDelivery``);
-    # 9.5 booked in one pass. The budget is that plus 10 %.
-    CALLS_PER_DELIVERY = 10.4
+    # 9.5 booked in one pass; 5.5 with the profile on the follower's
+    # state (one ``users.state`` a follower, no profile store, no epoch
+    # property, no vector cache). The budget is that plus 10 %.
+    CALLS_PER_DELIVERY = 6.0
     TRACKED_PER_DELIVERY = 2
     # ≈ 936 bytes a kept delivery (≈ 9.7 entries) while its slate was
     # four ndarray views; 535 as a span of its block's columns: its share
@@ -1052,9 +1054,11 @@ class TestAChargedDeliveryIsColumns:
     # with its own calls; ≈ 46.7 with the slate's rows re-read through
     # numpy's Python-level wrappers; 41.7 as floats; 38.7 with the
     # callback only charging and feeding back, the delivery booked with
-    # the rest of the fan-out. The budget is that plus 10 %, so a return
-    # to per-op array re-reads or to booking per delivery fails it.
-    CALLS_PER_DELIVERY = 42.6
+    # the rest of the fan-out; 34.7 with the profile on the follower's
+    # state. The budget is that plus 10 %, so a return to per-op array
+    # re-reads, to booking per delivery or to a separate profile look-up
+    # fails it.
+    CALLS_PER_DELIVERY = 38.2
 
     def test_few_calls_per_charged_delivery(self, tiny_workload):
         engine = wide_fanout_engine(

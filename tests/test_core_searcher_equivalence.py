@@ -357,7 +357,8 @@ class TestSteadySeed3409Swap:
             )
             services = engine.services
             state = services.users.state(1138)
-            profile, profile_vec = services.profile_of(1138, state)
+            profile = state.profile
+            profile_vec = profile.unit
             personalizer = engine.pipeline.personalize_stage._personalizer
             if searcher == "ta":
                 served = personalizer.slate_for(

@@ -122,7 +122,9 @@ class TestEngineChurn:
     def test_replay_with_interleaved_churn_stays_exact(self, tiny_workload):
         """Slates must equal the full-scan oracle even while the corpus
         churns between posts."""
-        from repro.profiles.profile import ProfileStore
+        from collections import defaultdict
+
+        from repro.profiles.profile import UserProfile
         from tests.helpers import assert_scores_match, oracle_slate_scores
 
         recommender = ContextAwareRecommender.from_workload(
@@ -138,7 +140,8 @@ class TestEngineChurn:
             duration_s=tiny_workload.config.duration_s,
         )
         churn_events = schedule.events()
-        oracle_profiles = ProfileStore(engine.config.profile_half_life_s)
+        half_life = engine.config.profile_half_life_s
+        oracle_profiles = defaultdict(lambda: UserProfile(half_life))
         cursor = 0
         for post in tiny_workload.posts[:25]:
             while cursor < len(churn_events) and churn_events[cursor][0] <= post.timestamp:
@@ -149,13 +152,13 @@ class TestEngineChurn:
                     engine.end_campaign(event.ad_id, event.timestamp)
                 cursor += 1
             vec = engine.vectorize(post.text)
-            oracle_profiles.get_or_create(post.author_id).update(vec, post.timestamp)
+            oracle_profiles[post.author_id].update(vec, post.timestamp)
             expected = {
                 follower: oracle_slate_scores(
                     engine.corpus,
                     engine.config.weights,
                     vec,
-                    oracle_profiles.get_or_create(follower).vector(),
+                    oracle_profiles[follower].unit,
                     engine.location_of(follower),
                     post.timestamp,
                     engine.config.k,

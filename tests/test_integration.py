@@ -143,6 +143,6 @@ class TestSmallWorldRegression:
             assert delivery.slate[0].ad_id == 1  # the coffee ad
 
     def test_profile_accumulates_author_interests(self, scenario):
-        profile = scenario.profiles.get_or_create(0)
+        profile = scenario.services.users.state(0).profile
         interests = dict(profile.top_interests(10))
         assert any("volleyball" in term or "espresso" in term for term in interests)

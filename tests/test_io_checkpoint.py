@@ -119,8 +119,8 @@ class TestRoundTrip:
         load_checkpoint(path, restored)
         assert restored.location_of(0) == GeoPoint(12.0, 34.0)
         author = tiny_workload.posts[0].author_id
-        assert restored.profiles.get_or_create(author).vector() == pytest.approx(
-            original.profiles.get_or_create(author).vector()
+        assert restored.services.users.state(author).profile.unit == pytest.approx(
+            original.services.users.state(author).profile.unit
         )
 
 

@@ -411,7 +411,12 @@ def test_an_uncharged_fan_out_is_cut_whole(
     timestamp = rng.uniform(0.0, 86_400.0)
     event = SimpleNamespace(message_vec=message, timestamp=timestamp)
     resolved = [
-        (user_id, SimpleNamespace(location=location), SimpleNamespace(epoch=epoch), vec)
+        (
+            user_id,
+            SimpleNamespace(
+                location=location, profile=SimpleNamespace(epoch=epoch, unit=vec)
+            ),
+        )
         for user_id, vec, epoch, location in followers
     ]
 
