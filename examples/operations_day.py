@@ -53,7 +53,6 @@ def main() -> None:
 
     cursor = 0
     half = len(workload.posts) // 2
-    checkpoint_path = Path(tempfile.mkdtemp()) / "engine.ckpt.json"
 
     for position, post in enumerate(workload.posts):
         while cursor < len(churn_events) and churn_events[cursor][0] <= post.timestamp:
@@ -79,11 +78,13 @@ def main() -> None:
                 )
 
         if position == half:
-            save_checkpoint(checkpoint_path, engine)
-            print(f"[{post.timestamp/3600:05.2f}h] checkpoint written "
-                  f"({checkpoint_path.stat().st_size/1024:.0f} KiB) — simulating crash...")
-            engine = build_engine(workload)
-            load_checkpoint(checkpoint_path, engine)
+            with tempfile.TemporaryDirectory() as directory:
+                checkpoint_path = Path(directory) / "engine.ckpt.json"
+                save_checkpoint(checkpoint_path, engine)
+                print(f"[{post.timestamp/3600:05.2f}h] checkpoint written "
+                      f"({checkpoint_path.stat().st_size/1024:.0f} KiB) — simulating crash...")
+                engine = build_engine(workload)
+                load_checkpoint(checkpoint_path, engine)
             print(f"          restored: {engine.stats.posts} posts, "
                   f"revenue {engine.stats.revenue:.1f} carried over")
 

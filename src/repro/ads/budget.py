@@ -49,9 +49,6 @@ class BudgetState:
         fraction = (timestamp - self.campaign_start) / span
         return min(1.0, max(0.0, fraction))
 
-    def spend_fraction(self) -> float:
-        return min(1.0, self.spent / self.budget)
-
     def pacing_multiplier(self, timestamp: float) -> float:
         """Throttle factor in (0, 1].
 

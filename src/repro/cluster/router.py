@@ -187,11 +187,16 @@ def merge_cluster_stats(
 
     Delivery-side counters are partitioned across shards and sum
     losslessly; ``posts`` must come from the router (per-shard posts
-    double-count fan-out amplification); ``retired_ads`` is a broadcast
-    event every shard observes on its own corpus copy, so the max — not
-    the sum — is the logical count. ``baseline`` is a restored
-    checkpoint's ``stats`` payload: restored shards restart their own
-    counters from zero, and the baseline keeps cluster totals continuous.
+    double-count fan-out amplification). ``retired_ads`` is the max over
+    shards, which counts an ended campaign once: an end is broadcast, and
+    every shard retires the ad on its own corpus copy. An exhaustion is
+    not broadcast. Each shard retires an ad only when its own copy of the
+    budget runs out, so the count misses ads whose summed spend passed
+    their budget on no single shard: on the ``sharded`` e2e workload at
+    seed 7 it reads 0 while one ad ends over budget (ROADMAP item 1).
+    ``baseline`` is a restored checkpoint's ``stats`` payload: restored
+    shards restart their own counters from zero, and the baseline keeps
+    cluster totals continuous.
     """
     merged = EngineStats(posts=posts_routed)
     for stats in shard_stats:

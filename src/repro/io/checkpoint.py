@@ -262,11 +262,20 @@ def merge_shard_states(
     The merge relies on the routing invariants of the user-sharded
     deployment: every shard that a user's posts touch includes the user's
     home shard, so the home shard's copy of a profile (and the only copy
-    of a feed context) is exactly the single-engine state; budgets and CTR
-    evidence are disjoint per delivering shard and sum losslessly; the
-    clock is the max watermark any shard reached. ``posts_routed`` is the
-    router's own post count — per-shard ``posts`` counters double-count
-    fan-out amplification and cannot be summed.
+    of a feed context) is exactly the single-engine state; CTR impressions
+    are partitioned (each shard serves its own residents) and sum, while
+    clicks are broadcast and take the max; the clock is the max watermark
+    any shard reached. ``posts_routed`` is the router's own post count —
+    per-shard ``posts`` counters double-count fan-out amplification and
+    cannot be summed.
+
+    Budgets are not partitioned: each shard charges its own copy of every
+    capped ad's budget, and the merge sums the copies' spend, so a merged
+    ad can stand over its budget. On the ``sharded`` e2e workload at seed
+    7 one ad ends at 1.06× its budget, and the cluster spends 16,618
+    against the single engine's 16,430; under ``budget-burst`` the worst
+    ad reaches 2× on two shards and 4× on four. ROADMAP item 1 (one ad
+    ledger across shards) is the fix.
 
     The result is shard-count-agnostic: it can be applied to a single
     engine or redistributed across any number of shards.

@@ -106,9 +106,6 @@ class TraceContext:
     parent_span_id: int
     sampled: bool
 
-    def hex(self) -> str:
-        return f"{self.trace_id:016x}"
-
 
 @dataclass(slots=True)
 class Span:
