@@ -1,17 +1,11 @@
-"""Differential proof that the multiprocess backend is the same engine.
+"""The multiprocess backend: crash safety, checkpoints, the worker protocol.
 
-``ProcessShardedEngine`` must be indistinguishable — byte for byte — from
-the in-process ``ShardedEngine`` it mirrors, and both must match a single
-``AdEngine`` up to float-summation order. The suite drives all three
-topologies over identical streams in every engine mode (pacing off — the
-pacing multiplier legitimately depends on per-manager observed spend) and
-asserts:
+That ``ProcessShardedEngine`` serves byte for byte what the in-process
+``ShardedEngine`` serves, and what a single ``AdEngine`` serves up to
+float-summation order — slates, revenue, counters and telemetry
+roll-ups, posted one at a time or batched, in every engine mode — is
+asserted by ``tests/test_conformance.py``. What stays here:
 
-* slates, revenue and counters: procpool vs in-process strict ``==``
-  (the results crossed a pickle boundary, so this is bit-equality),
-  vs the single engine via ``pytest.approx``;
-* ``post_batch`` equals the in-process batched run exactly;
-* telemetry roll-ups (tracer span counts, metric counters) agree;
 * a SIGKILLed worker surfaces as ``WorkerCrashError`` (a ``StreamError``)
   instead of a hang, and ``close()`` always reaps children;
 * a checkpoint taken mid-run restores into a pool with a *different*
@@ -35,182 +29,16 @@ import pytest
 from repro.cluster import ProcessShardedEngine, ShardedEngine
 from repro.cluster.procpool import ShardHost, WorkerBootstrap, serve
 from repro.cluster.rpc import ChannelClosed, channel_pair
-from repro.core.config import EngineConfig, EngineMode
-from repro.core.engine import AdEngine
+from repro.core.config import EngineConfig
+from repro.core.recommender import ContextAwareRecommender
 from repro.errors import ConfigError, StreamError, WorkerCrashError
+from tests.conftest import LINUCB, PARITY, drive_clicking, merged_slates
 
 LIMIT = 14
-MODES = [EngineMode.SHARED, EngineMode.INCREMENTAL, EngineMode.EXACT]
 
 
-def config_for(mode: EngineMode = EngineMode.SHARED) -> EngineConfig:
-    return EngineConfig(mode=mode, pacing_enabled=False)
-
-
-def plain_engine(workload, config: EngineConfig) -> AdEngine:
-    engine = AdEngine(
-        corpus=workload.build_corpus(),
-        graph=workload.graph,
-        vectorizer=workload.vectorizer,
-        tokenizer=workload.tokenizer,
-        config=config,
-    )
-    for user in workload.users:
-        engine.register_user(user.user_id, user.home)
-    return engine
-
-
-def merged_slates(results) -> dict[int, list[tuple[int, float]]]:
-    """user → slate across one post's routed results (any topology)."""
-    if not isinstance(results, list):
-        results = [results]
-    return {
-        delivery.user_id: [(s.ad_id, s.score) for s in delivery.slate]
-        for result in results
-        for delivery in result.deliveries
-    }
-
-
-class TestDifferentialParity:
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_three_topologies_agree(self, tiny_workload, mode, num_shards):
-        """procpool == sharded exactly; both == single engine to float
-        tolerance, post by post, in every engine mode."""
-        config = config_for(mode)
-        posts = tiny_workload.posts[:LIMIT]
-        sharded = ShardedEngine(tiny_workload, num_shards, config=config)
-        single = plain_engine(tiny_workload, config)
-        with ProcessShardedEngine(
-            tiny_workload, num_shards, config=config
-        ) as pool:
-            for post in posts:
-                pool_results = pool.post(
-                    post.author_id, post.text, post.timestamp
-                )
-                shard_results = sharded.post(
-                    post.author_id, post.text, post.timestamp
-                )
-                single_result = single.post(
-                    post.author_id, post.text, post.timestamp
-                )
-                # Bit-parity with the in-process router: the results
-                # crossed a pickle boundary, so == means identical bytes.
-                assert pool_results == shard_results
-                assert merged_slates(pool_results) == {
-                    user: [(ad, pytest.approx(score)) for ad, score in slate]
-                    for user, slate in merged_slates(single_result).items()
-                }
-                assert sum(r.revenue for r in pool_results) == pytest.approx(
-                    single_result.revenue
-                )
-            # Counter reconciliation across all three topologies.
-            pool_stats = pool.cluster_stats()
-            shard_stats = sharded.cluster_stats()
-            assert pool_stats == shard_stats
-            assert pool_stats.posts == single.stats.posts == len(posts)
-            assert pool_stats.deliveries == single.stats.deliveries
-            assert pool_stats.impressions == single.stats.impressions
-            assert pool_stats.revenue == pytest.approx(single.stats.revenue)
-            assert pool_stats.revenue > 0.0
-            assert pool.amplification() == sharded.amplification()
-
-    def test_post_batch_matches_in_process_batch(self, tiny_workload):
-        config = config_for()
-        posts = tiny_workload.posts[:LIMIT]
-        sharded = ShardedEngine(tiny_workload, 3, config=config)
-        expected = sharded.post_batch(posts)
-        with ProcessShardedEngine(tiny_workload, 3, config=config) as pool:
-            assert pool.post_batch(posts) == expected
-
-    def test_checkin_and_campaign_ops_broadcast(self, tiny_workload):
-        """Geo updates and campaign churn reach every worker and produce
-        the same downstream slates as the in-process router."""
-        from dataclasses import replace
-
-        from repro.geo.point import GeoPoint
-
-        config = config_for()
-        posts = tiny_workload.posts[:LIMIT]
-        new_ad = replace(tiny_workload.ads[0], ad_id=999_001)
-        sharded = ShardedEngine(tiny_workload, 3, config=config)
-        with ProcessShardedEngine(tiny_workload, 3, config=config) as pool:
-            for engine in (sharded, pool):
-                engine.checkin(posts[0].author_id, GeoPoint(1.0, 2.0), 0.0)
-                engine.launch_campaign(new_ad, posts[0].timestamp)
-                engine.end_campaign(tiny_workload.ads[1].ad_id, posts[0].timestamp)
-            expected = [
-                sharded.post(p.author_id, p.text, p.timestamp) for p in posts
-            ]
-            got = [
-                pool.post(p.author_id, p.text, p.timestamp) for p in posts
-            ]
-            assert got == expected
-
-
-class TestTelemetryRollup:
-    def test_tracer_and_metrics_merge_matches_in_process(self, tiny_workload):
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.tracer import RecordingTracer
-
-        config = config_for()
-        posts = tiny_workload.posts[:LIMIT]
-        sharded = ShardedEngine(
-            tiny_workload,
-            3,
-            config=config,
-            tracer=RecordingTracer(),
-            metrics=MetricsRegistry(window_s=120.0),
-        )
-        with ProcessShardedEngine(
-            tiny_workload,
-            3,
-            config=config,
-            tracer=RecordingTracer(),
-            metrics=MetricsRegistry(window_s=120.0),
-        ) as pool:
-            for post in posts:
-                sharded.post(post.author_id, post.text, post.timestamp)
-                pool.post(post.author_id, post.text, post.timestamp)
-            spans = lambda report: {k: v.spans for k, v in report.items()}  # noqa: E731
-            assert spans(pool.stage_report()) == spans(sharded.stage_report())
-            assert [
-                spans(report) for report in pool.stage_report_by_shard()
-            ] == [spans(report) for report in sharded.stage_report_by_shard()]
-            for name in ("posts", "deliveries", "impressions", "revenue"):
-                assert pool.metrics.counter(name) == sharded.metrics.counter(
-                    name
-                )
-            assert pool.load_imbalance() == sharded.load_imbalance()
-            assert [s.deliveries for s in pool.stats_by_shard()] == [
-                s.deliveries for s in sharded.stats_by_shard()
-            ]
-
-    def test_qos_ledger_reconciles_across_workers(self, tiny_workload):
-        """Per-worker QoS copies: the rolled-up ledger must stay exact —
-        attempted == admitted + shed, and the engine-side counters agree
-        with the controllers' books."""
-        from repro.qos import AdmissionController, DegradationLadder, QosController
-
-        qos = QosController(
-            ladder=DegradationLadder(),
-            admission=AdmissionController(rate_per_s=0.05, burst_s=1.0),
-        )
-        with ProcessShardedEngine(
-            tiny_workload, 3, config=config_for(), qos=qos
-        ) as pool:
-            for post in tiny_workload.posts[:LIMIT]:
-                pool.post(post.author_id, post.text, post.timestamp)
-            summary = pool.qos_summary()
-            stats = pool.cluster_stats()
-            assert summary is not None
-            assert summary["attempted"] == summary["admitted"] + summary["shed"]
-            assert stats.deliveries_shed == summary["shed"]
-            assert stats.attempted_deliveries == summary["attempted"]
-            assert stats.deliveries_shed > 0  # the tiny rate really shed
-            assert stats.revenue_shed_upper_bound == pytest.approx(
-                summary["revenue_shed_upper_bound"]
-            )
+def config_for() -> EngineConfig:
+    return EngineConfig(pacing_enabled=False)
 
 
 class TestCrashSafety:
@@ -276,7 +104,7 @@ class TestCheckpointRoundTrip:
         cut = LIMIT // 2
         path = tmp_path / "cluster.ckpt"
 
-        single = plain_engine(tiny_workload, config)
+        single = ContextAwareRecommender.from_workload(tiny_workload, config).engine
         single_results = [
             single.post(p.author_id, p.text, p.timestamp) for p in posts
         ]
@@ -336,65 +164,21 @@ class TestCheckpointRoundTrip:
 class TestLearnerCheckpoint:
     """LinUCB state survives the pool checkpoint, at any worker count."""
 
-    @staticmethod
-    def linucb_config() -> EngineConfig:
-        return EngineConfig(
-            pacing_enabled=False,
-            ctr_feedback=False,
-            collect_deliveries=True,
-            personalize="linucb",
-            alpha_ucb=0.4,
-            linucb_sync_interval_s=3600.0,
-        )
-
-    @staticmethod
-    def drive(engine, posts, *, is_cluster: bool):
-        """Posts + deterministic (order-independent) clicks; scored slates."""
-        import hashlib
-
-        slates = []
-        for post in posts:
-            results = engine.post(post.author_id, post.text, post.timestamp)
-            if not is_cluster:
-                results = [results]
-            for result in results:
-                for delivery in result.deliveries:
-                    slates.append(
-                        (
-                            delivery.user_id,
-                            tuple(
-                                (s.ad_id, s.score) for s in delivery.slate
-                            ),
-                        )
-                    )
-                    for slot, scored in enumerate(delivery.slate):
-                        key = (
-                            f"{result.msg_id}:{delivery.user_id}:"
-                            f"{scored.ad_id}:{slot}"
-                        ).encode()
-                        if hashlib.sha256(key).digest()[0] < 64:
-                            engine.record_click(
-                                scored.ad_id,
-                                user_id=delivery.user_id,
-                                slot_index=slot,
-                            )
-        return sorted(slates)
-
     def test_learner_restores_into_fewer_workers_and_single(
         self, tiny_workload, tmp_path
     ):
         """Save under 3 workers mid-run; a 2-worker pool and a single
         engine restored from the file continue with identical slates."""
-        config = self.linucb_config()
+        config = EngineConfig(**PARITY, **LINUCB)
         posts = tiny_workload.posts
         cut = len(posts) // 2
         path = tmp_path / "learner.ckpt"
 
         with ProcessShardedEngine(tiny_workload, 3, config=config) as writer:
-            self.drive(writer, posts[:cut], is_cluster=True)
+            drive_clicking(writer, posts[:cut])
             state = writer.state_dict()
             writer.checkpoint(path)
-            tail = self.drive(writer, posts[cut:], is_cluster=True)
+            tail = drive_clicking(writer, posts[cut:])
 
         # The payload carries the snapshot plus open-epoch residue.
         assert state["learn"] is not None
@@ -402,21 +186,21 @@ class TestLearnerCheckpoint:
 
         with ProcessShardedEngine(tiny_workload, 2, config=config) as reader:
             reader.restore(path)
-            assert self.drive(reader, posts[cut:], is_cluster=True) == tail
+            assert drive_clicking(reader, posts[cut:]) == tail
 
-        single = plain_engine(tiny_workload, config)
+        single = ContextAwareRecommender.from_workload(tiny_workload, config).engine
         from repro.io.checkpoint import load_checkpoint
 
         load_checkpoint(path, single)
-        assert self.drive(single, posts[cut:], is_cluster=False) == tail
+        assert drive_clicking(single, posts[cut:]) == tail
 
     def test_state_dict_learn_matches_in_process(self, tiny_workload):
-        config = self.linucb_config()
+        config = EngineConfig(**PARITY, **LINUCB)
         posts = tiny_workload.posts[:LIMIT]
         sharded = ShardedEngine(tiny_workload, 3, config=config)
-        self.drive(sharded, posts, is_cluster=True)
+        drive_clicking(sharded, posts)
         with ProcessShardedEngine(tiny_workload, 3, config=config) as pool:
-            self.drive(pool, posts, is_cluster=True)
+            drive_clicking(pool, posts)
             assert pool.state_dict()["learn"] == sharded.state_dict()["learn"]
 
 
@@ -467,7 +251,7 @@ class TestWorkerProtocolInProcess:
         bootstrap = WorkerBootstrap(
             shard=0,
             num_shards=1,
-            config=TestLearnerCheckpoint.linucb_config(),
+            config=EngineConfig(**PARITY, **LINUCB),
             workload=dc_replace(
                 tiny_workload, posts=[], post_topics={}, checkins=[]
             ),

@@ -5,7 +5,9 @@ which builds the cluster router over in-process shards and over worker
 processes in turn. The router is one class, so what these pin is the
 seam underneath it: whatever a transport does with ``submit``/``collect``,
 the cluster must agree with a single engine, survive a failing request,
-and round-trip its checkpoint into the *other* transport.
+and round-trip its checkpoint into the *other* transport. Slates,
+revenue, stats and the learner's epoch folds over whole streams are the
+backend axis of ``tests/test_conformance.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import pytest
 from repro.cluster import ProcessShardedEngine, ShardedEngine
 from repro.cluster.rpc import channel_pair
 from repro.core.config import EngineConfig
+from repro.core.recommender import ContextAwareRecommender
 from repro.errors import UnknownAdError, UnknownUserError, WorkerCrashError
 from repro.geo.point import GeoPoint
-from tests.test_cluster_procpool import merged_slates as slates
-from tests.test_learn_differential import LINUCB, PARITY, build_single, drive
+from tests.conftest import merged_slates
 
 LIMIT = 14
 CONFIG = EngineConfig(pacing_enabled=False)
@@ -28,45 +30,20 @@ CONFIG = EngineConfig(pacing_enabled=False)
 
 def assert_matches_single(routed, reference) -> None:
     """Routed results equal the single engine's up to float-sum order."""
-    assert slates(routed) == {
+    assert merged_slates(routed) == {
         user: [(ad, pytest.approx(score)) for ad, score in slate]
-        for user, slate in slates(reference).items()
+        for user, slate in merged_slates(reference).items()
     }
     assert sum(r.revenue for r in routed) == pytest.approx(reference.revenue)
 
 
 class TestParityWithSingleEngine:
-    @pytest.mark.parametrize("entry", ["post", "post_batch"])
-    def test_slates_revenue_and_stats(self, tiny_workload, router, entry):
-        posts = tiny_workload.posts[:LIMIT]
-        cluster = router(tiny_workload, 3, config=CONFIG)
-        single = build_single(tiny_workload, CONFIG)
-        if entry == "post":
-            routed = [
-                cluster.post(p.author_id, p.text, p.timestamp) for p in posts
-            ]
-        else:
-            routed = cluster.post_batch(posts)
-        for post, results in zip(posts, routed):
-            assert_matches_single(
-                results, single.post(post.author_id, post.text, post.timestamp)
-            )
-        stats = cluster.cluster_stats()
-        assert stats.posts == single.stats.posts == LIMIT
-        assert stats.deliveries == single.stats.deliveries
-        assert stats.impressions == single.stats.impressions
-        assert stats.revenue == pytest.approx(single.stats.revenue)
-        assert stats.revenue > 0.0
-        by_shard = cluster.stats_by_shard()
-        assert sum(shard.deliveries for shard in by_shard) == stats.deliveries
-        assert sum(shard.users for shard in by_shard) == len(tiny_workload.users)
-
     def test_broadcast_ops_reach_every_shard(self, tiny_workload, router):
         posts = tiny_workload.posts[:LIMIT]
         new_ad = replace(tiny_workload.ads[0], ad_id=999_001)
         ended = tiny_workload.ads[1].ad_id
         cluster = router(tiny_workload, 3, config=CONFIG)
-        single = build_single(tiny_workload, CONFIG)
+        single = ContextAwareRecommender.from_workload(tiny_workload, CONFIG).engine
         for engine in (cluster, single):
             engine.checkin(posts[0].author_id, GeoPoint(1.0, 2.0), 0.0)
             engine.launch_campaign(new_ad, posts[0].timestamp)
@@ -89,18 +66,6 @@ class TestParityWithSingleEngine:
             cluster.record_click(ad_id)
         assert cluster.state_dict()["ctr"][str(ad_id)][1] == 4
 
-    def test_learner_epoch_folds(self, tiny_workload, router):
-        """The router-coordinated cluster fold leaves every transport with
-        the single engine's slates *and* learner state."""
-        config = EngineConfig(**PARITY, **LINUCB)
-        single = build_single(tiny_workload, config)
-        expected = drive(single, tiny_workload.posts, is_cluster=False)
-        cluster = router(tiny_workload, 3, config=config)
-        assert drive(cluster, tiny_workload.posts, is_cluster=True) == expected
-        learn = cluster.state_dict()["learn"]
-        assert learn == single.services.learner.state_dict()
-        assert learn["epoch"] > 0 and learn["arms"]
-
 
 class TestCheckpoint:
     def test_restores_into_the_other_transport_and_shard_count(
@@ -111,7 +76,7 @@ class TestCheckpoint:
         posts = tiny_workload.posts[:LIMIT]
         cut = LIMIT // 2
         path = tmp_path / "cluster.ckpt"
-        single = build_single(tiny_workload, CONFIG)
+        single = ContextAwareRecommender.from_workload(tiny_workload, CONFIG).engine
         reference = [single.post(p.author_id, p.text, p.timestamp) for p in posts]
 
         writer = router(tiny_workload, 3, config=CONFIG)

@@ -1,4 +1,7 @@
-"""Tests for the user-sharded deployment simulation."""
+"""Tests for the user-sharded deployment simulation: routing and
+scale-out metrics. That any shard count serves the single engine's
+slates and revenue, posted one at a time or batched, is
+``tests/test_conformance.py``'s."""
 
 from __future__ import annotations
 
@@ -80,80 +83,6 @@ class TestRouting:
         for result, shard in touched:
             for delivery in result.deliveries:
                 assert sharded.shard_of(delivery.user_id) == shard
-
-
-class TestShardParity:
-    """Sharding is a routing concern only: any shard count must produce
-    the same slates and the same total revenue as one engine.
-
-    Pacing is disabled because the pacing multiplier depends on *observed*
-    per-manager spend, which legitimately differs between one global
-    budget manager and per-shard replicas.
-    """
-
-    @staticmethod
-    def _plain_engine(workload):
-        from repro.core.engine import AdEngine
-
-        engine = AdEngine(
-            corpus=workload.build_corpus(),
-            graph=workload.graph,
-            vectorizer=workload.vectorizer,
-            tokenizer=workload.tokenizer,
-            config=EngineConfig(pacing_enabled=False),
-        )
-        for user in workload.users:
-            engine.register_user(user.user_id, user.home)
-        return engine
-
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_slates_and_revenue_match_single_engine(
-        self, tiny_workload, num_shards
-    ):
-        sharded = ShardedEngine(
-            tiny_workload,
-            num_shards,
-            config=EngineConfig(pacing_enabled=False),
-        )
-        plain = self._plain_engine(tiny_workload)
-        for post in tiny_workload.posts[:30]:
-            shard_results = sharded.post(
-                post.author_id, post.text, post.timestamp
-            )
-            plain_result = plain.post(post.author_id, post.text, post.timestamp)
-            sharded_slates = {
-                delivery.user_id: [
-                    (scored.ad_id, pytest.approx(scored.score))
-                    for scored in delivery.slate
-                ]
-                for result in shard_results
-                for delivery in result.deliveries
-            }
-            plain_slates = {
-                delivery.user_id: [
-                    (scored.ad_id, scored.score) for scored in delivery.slate
-                ]
-                for delivery in plain_result.deliveries
-            }
-            assert sharded_slates == plain_slates
-            assert sum(
-                result.revenue for result in shard_results
-            ) == pytest.approx(plain_result.revenue)
-        total = sharded.cluster_stats().revenue
-        assert total == pytest.approx(plain.stats.revenue)
-        assert total > 0.0
-
-    def test_post_batch_equals_post_sequence(self, tiny_workload):
-        batched = build(tiny_workload, 3)
-        sequential = build(tiny_workload, 3)
-        posts = tiny_workload.posts[:20]
-        batch_results = batched.post_batch(posts)
-        seq_results = [
-            sequential.post(post.author_id, post.text, post.timestamp)
-            for post in posts
-        ]
-        assert batch_results == seq_results
-        assert batched.amplification() == sequential.amplification()
 
 
 class TestScaleOutMetrics:

@@ -29,7 +29,7 @@ from repro.core.recommender import ContextAwareRecommender
 from repro.obs.registry import STATS_COUNTERS, MetricsRegistry
 from repro.obs.trace import RequestTracer
 from repro.obs.tracer import RecordingTracer
-from tests.test_learn_differential import LINUCB, PARITY, build_single, drive
+from tests.conftest import LINUCB, PARITY, drive_clicking
 
 LIMIT = 24
 CONFIG = EngineConfig(pacing_enabled=False)
@@ -140,8 +140,8 @@ LEARNING = EngineConfig(**PARITY, **{**LINUCB, "linucb_sync_interval_s": 600.0})
 @pytest.fixture(scope="module")
 def one_learner(tiny_workload) -> dict:
     """What one engine's learner reads after the stream."""
-    single = build_single(tiny_workload, LEARNING)
-    drive(single, tiny_workload.posts, is_cluster=False)
+    single = ContextAwareRecommender.from_workload(tiny_workload, LEARNING).engine
+    drive_clicking(single, tiny_workload.posts)
     counters, gauges = single.services.learner.telemetry()
     assert counters["linucb_syncs"] > 1 and gauges["linucb_arms"] > 0
     return {**counters, **gauges}
@@ -158,7 +158,7 @@ def test_linucb_metrics_read_one_shard_not_a_sum(
     with CLUSTERS[transport](
         tiny_workload, shards, config=LEARNING, metrics=MetricsRegistry()
     ) as cluster:
-        drive(cluster, tiny_workload.posts, is_cluster=True)
+        drive_clicking(cluster, tiny_workload.posts)
         snapshot = cluster.metrics.snapshot()
     read = {**snapshot.counters, **snapshot.gauges}
     assert {name: read[name] for name in one_learner} == one_learner

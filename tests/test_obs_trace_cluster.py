@@ -1,11 +1,11 @@
-"""Distributed-tracing integration tests across the three topologies.
+"""Distributed-tracing integration tests across the cluster topologies.
 
-Three claims: (1) attaching a ``RequestTracer`` never perturbs delivery
-output — traced and untraced runs are equal, single/sharded/procpool
-alike; (2) the invisible control paths (dispatch retries, failover
+Two claims: (1) the invisible control paths (dispatch retries, failover
 redirects, duplicate suppression, worker crashes) produce their promised
-spans; (3) the flight recorder's black box survives a SIGKILL and
+spans; (2) the flight recorder's black box survives a SIGKILL and
 ``repro trace`` renders the in-flight request's critical path from it.
+That attaching a ``RequestTracer`` never perturbs delivery output is a
+rider of ``tests/test_conformance.py``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.cluster import ProcessShardedEngine, ShardedEngine
-from repro.core.config import EngineConfig, EngineMode
-from repro.core.engine import AdEngine
+from repro.cluster import ProcessShardedEngine
+from repro.core.config import EngineConfig
 from repro.errors import WorkerCrashError
 from repro.obs.recorder import read_flight_dump, write_flight_dump
 from repro.obs.trace import RequestTracer, group_traces
@@ -29,70 +28,12 @@ from tests.conftest import router_factory
 LIMIT = 14
 
 
-def config_for(mode: EngineMode = EngineMode.SHARED) -> EngineConfig:
-    return EngineConfig(mode=mode, pacing_enabled=False)
+def config_for() -> EngineConfig:
+    return EngineConfig(pacing_enabled=False)
 
 
 def tracer_for(process: str = "main") -> RequestTracer:
     return RequestTracer(sample_rate=1.0, seed=7, process=process)
-
-
-def plain_engine(workload, config, *, request_tracer=None) -> AdEngine:
-    engine = AdEngine(
-        corpus=workload.build_corpus(),
-        graph=workload.graph,
-        vectorizer=workload.vectorizer,
-        tokenizer=workload.tokenizer,
-        config=config,
-        request_tracer=request_tracer,
-    )
-    for user in workload.users:
-        engine.register_user(user.user_id, user.home)
-    return engine
-
-
-class TestTracingNeverPerturbs:
-    """Traced vs untraced runs must be *equal*, not merely close: the
-    tracer only observes, so results that crossed the same code path
-    carry identical floats."""
-
-    def test_single_engine_outputs_identical(self, tiny_workload):
-        config = config_for()
-        traced = plain_engine(tiny_workload, config, request_tracer=tracer_for())
-        untraced = plain_engine(tiny_workload, config)
-        for post in tiny_workload.posts[:LIMIT]:
-            a = traced.post(post.author_id, post.text, post.timestamp)
-            b = untraced.post(post.author_id, post.text, post.timestamp)
-            assert a == b
-        assert traced.stats == untraced.stats
-        assert traced.request_tracer.finished >= LIMIT
-
-    def test_sharded_outputs_identical(self, tiny_workload):
-        config = config_for()
-        traced = ShardedEngine(
-            tiny_workload, 3, config=config, request_tracer=tracer_for("router")
-        )
-        untraced = ShardedEngine(tiny_workload, 3, config=config)
-        for post in tiny_workload.posts[:LIMIT]:
-            assert traced.post(
-                post.author_id, post.text, post.timestamp
-            ) == untraced.post(post.author_id, post.text, post.timestamp)
-        assert traced.cluster_stats() == untraced.cluster_stats()
-        assert traced.request_traces(), "full sampling must retain segments"
-
-    def test_procpool_outputs_identical(self, tiny_workload):
-        config = config_for()
-        untraced = ShardedEngine(tiny_workload, 2, config=config)
-        with ProcessShardedEngine(
-            tiny_workload, 2, config=config, request_tracer=tracer_for("router")
-        ) as pool:
-            for post in tiny_workload.posts[:LIMIT]:
-                # The untraced in-process router is the bit-parity
-                # reference the seed's own tests hold procpool to.
-                assert pool.post(
-                    post.author_id, post.text, post.timestamp
-                ) == untraced.post(post.author_id, post.text, post.timestamp)
-            assert pool.cluster_stats() == untraced.cluster_stats()
 
 
 class TestShardedFaultSpans:

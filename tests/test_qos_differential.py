@@ -1,22 +1,21 @@
-"""Differential tests: the QoS control plane is disabled by default.
+"""Differential tests for an active QoS control plane.
 
-An engine with no controller — or with a passive one (no admission, rung
-0) — must be byte-identical to the pre-QoS engine in every mode and
-under sharding. With an active controller attached, every shed delivery
-must reconcile exactly across the engine stats, the stream counters and
-the metrics registry, and the reported revenue-shed bound must actually
-bound the revenue lost to shedding.
+That no controller, or a passive one (no admission, rung 0), serves what
+the bare engine serves — in every mode, on every backend — and that an
+admission controller's ledger reconciles with the stats and the registry
+are cells of ``tests/test_conformance.py``. What stays here: the
+reported revenue-shed bound actually bounds the revenue lost to
+shedding, a ladder stepped through the router keeps the books, and every
+rung trades something on both the batched and the per-follower path.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cluster.sharded import ShardedEngine
-from repro.core.config import EngineConfig, EngineMode
-from repro.core.engine import AdEngine
+from repro.core.config import EngineConfig
+from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.workload import WorkloadConfig, generate_workload
 from repro.obs.health import HealthState
 from repro.obs.registry import MetricsRegistry
@@ -42,112 +41,18 @@ def workload():
     )
 
 
-def engine_for(workload, mode, *, qos=None, metrics=None, config=None):
-    config = config or EngineConfig(mode=mode)
-    engine = AdEngine(
-        corpus=workload.build_corpus(),
-        graph=workload.graph,
-        vectorizer=workload.vectorizer,
-        tokenizer=workload.tokenizer,
-        config=config,
-        metrics=metrics,
-        qos=qos,
-    )
-    for user in workload.users:
-        engine.register_user(user.user_id, user.home)
-    return engine
-
-
 def drive(engine, workload):
-    """Replay the workload's posts and check-ins; returns the totals, the
-    summed per-post revenue-shed bound and every per-post result."""
+    """Replay the workload's posts and check-ins; returns the totals and
+    every per-post result."""
     results: list = []
     driver = ScenarioDriver(
         engine, workload, on_result=lambda msg_id, parts: results.extend(parts)
     )
     totals = driver.run(workload_events(workload))
-    return totals, sum(r.revenue_shed for r in results), results
-
-
-def canonical(results) -> str:
-    return json.dumps(
-        [
-            {
-                "msg_id": r.msg_id,
-                "revenue": round(r.revenue, 12),
-                "deliveries": [
-                    {
-                        "user": d.user_id,
-                        "slate": [(s.ad_id, round(s.score, 12)) for s in d.slate],
-                        "certified": d.certified,
-                        "fell_back": d.fell_back,
-                        "exact": d.exact,
-                        "degraded": d.degraded,
-                    }
-                    for d in r.deliveries
-                ],
-            }
-            for r in results
-        ],
-        sort_keys=True,
-    )
-
-
-@pytest.mark.parametrize("mode", list(EngineMode))
-class TestDisabledByDefault:
-    """No controller and a passive controller are both exact no-ops."""
-
-    def test_passive_controller_is_byte_identical(self, workload, mode):
-        bare = engine_for(workload, mode)
-        # A controller with no admission that never observes a grade sits
-        # at rung 0 and must never touch the data path.
-        passive = engine_for(workload, mode, qos=QosController())
-
-        bare_totals, bare_shed, bare_results = drive(bare, workload)
-        passive_totals, passive_shed, passive_results = drive(passive, workload)
-
-        assert not passive.qos.active
-        assert canonical(bare_results) == canonical(passive_results)
-        assert bare_totals.deliveries == passive_totals.deliveries
-        assert bare.stats.revenue == pytest.approx(
-            passive.stats.revenue, abs=1e-12
-        )
-        for engine, totals, revenue_shed in (
-            (bare, bare_totals, bare_shed),
-            (passive, passive_totals, passive_shed),
-        ):
-            assert engine.stats.deliveries_shed == 0
-            assert engine.stats.deliveries_degraded == 0
-            assert engine.stats.revenue_shed_upper_bound == 0.0
-            assert engine.stats.attempted_deliveries == engine.stats.deliveries
-            assert totals.shed == 0
-            assert totals.degraded == 0
-            assert revenue_shed == 0.0
-
-
-class TestShardedDisabledByDefault:
-    def test_passive_controller_parity_under_sharding(self, workload):
-        config = EngineConfig(pacing_enabled=False)
-        bare = ShardedEngine(workload, 3, config=config)
-        passive = ShardedEngine(
-            workload, 3, config=config, qos=QosController()
-        )
-        for post in workload.posts[:40]:
-            bare_results = bare.post(post.author_id, post.text, post.timestamp)
-            passive_results = passive.post(
-                post.author_id, post.text, post.timestamp
-            )
-            assert canonical(bare_results) == canonical(passive_results)
-        stats = passive.cluster_stats()
-        assert stats.deliveries_shed == 0
-        assert stats.deliveries_degraded == 0
+    return totals, results
 
 
 class TestActiveControllerReconciles:
-    #: Charging/pacing off so the only effect of shedding is the shed
-    #: deliveries themselves — the precondition for the revenue bound.
-    CONFIG = EngineConfig(charge_impressions=False, pacing_enabled=False)
-
     def controller(self):
         # ~1 token per 2 stream-seconds: far below the workload's fan-out,
         # so the bucket sheds on most posts.
@@ -155,60 +60,19 @@ class TestActiveControllerReconciles:
             admission=AdmissionController(rate_per_s=0.5, burst_s=2.0)
         )
 
-    def test_every_counter_reconciles(self, workload):
-        registry = MetricsRegistry(window_s=3600.0)
-        controller = self.controller()
-        engine = engine_for(
-            workload,
-            EngineMode.SHARED,
-            qos=controller,
-            metrics=registry,
-            config=self.CONFIG,
-        )
-        totals, revenue_shed, results = drive(engine, workload)
-        stats = engine.stats
-
-        assert stats.deliveries_shed > 0
-        assert stats.deliveries > 0
-        # The ledger: every attempted delivery is either served or shed.
-        assert stats.attempted_deliveries == stats.deliveries + stats.deliveries_shed
-        # Stream counters mirror the engine stats exactly.
-        assert totals.deliveries == stats.deliveries
-        assert totals.shed == stats.deliveries_shed
-        assert revenue_shed == pytest.approx(
-            stats.revenue_shed_upper_bound, abs=1e-9
-        )
-        # So does the registry.
-        assert registry.counter("deliveries") == stats.deliveries
-        assert registry.counter("deliveries_shed") == stats.deliveries_shed
-        assert registry.counter("revenue_shed_upper_bound") == pytest.approx(
-            stats.revenue_shed_upper_bound, abs=1e-9
-        )
-        # And the admission controller's own books balance.
-        admission = controller.admission
-        assert admission.attempted == admission.admitted + admission.shed
-        assert admission.shed == stats.deliveries_shed
-        # Per-post results agree with the run totals.
-        assert sum(r.num_shed for r in results) == stats.deliveries_shed
-        assert sum(r.num_deliveries for r in results) == stats.deliveries
-
     def test_revenue_shed_bound_actually_bounds_the_loss(self, workload):
         # Charging ON so deliveries actually earn revenue; pacing off so
         # the served deliveries score identically in both runs.
         config = EngineConfig(pacing_enabled=False)
-        bare = engine_for(workload, EngineMode.SHARED, config=config)
-        shed = engine_for(
-            workload,
-            EngineMode.SHARED,
-            qos=self.controller(),
-            config=config,
-        )
+        bare = ContextAwareRecommender.from_workload(workload, config).engine
+        shed = ContextAwareRecommender.from_workload(
+            workload, config, qos=self.controller()
+        ).engine
         drive(bare, workload)
         drive(shed, workload)
         lost = bare.stats.revenue - shed.stats.revenue
         assert lost > 0.0  # the run really shed revenue-bearing deliveries
         assert lost <= shed.stats.revenue_shed_upper_bound + 1e-9
-
 
     def test_a_ladder_stepped_through_the_router_reconciles(self, workload):
         """The closed loop's cluster leg: ``Router.observe_health`` steps
@@ -259,10 +123,10 @@ class TestDegradedRunCountsAndFlags:
         for _ in range(4):
             controller.observe(HealthState.OVERLOADED)
         assert controller.candidates_only
-        engine = engine_for(
-            workload, EngineMode.SHARED, qos=controller, metrics=registry
-        )
-        totals, _, results = drive(engine, workload)
+        engine = ContextAwareRecommender.from_workload(
+            workload, qos=controller, metrics=registry
+        ).engine
+        totals, results = drive(engine, workload)
         stats = engine.stats
 
         assert stats.deliveries > 0
@@ -298,12 +162,12 @@ class TestRungsOnTheBatchedPath:
         )
 
     def test_every_rung_matches_one_follower_at_a_time(self, workload):
-        batched = engine_for(
-            workload, EngineMode.SHARED, qos=QosController(), config=self.CONFIG
-        )
-        single = engine_for(
-            workload, EngineMode.SHARED, qos=QosController(), config=self.CONFIG
-        )
+        batched = ContextAwareRecommender.from_workload(
+            workload, self.CONFIG, qos=QosController()
+        ).engine
+        single = ContextAwareRecommender.from_workload(
+            workload, self.CONFIG, qos=QosController()
+        ).engine
         stage = batched.pipeline.personalize_stage
         kernel_calls: list[tuple[int, int]] = []  # (rung, fan-out)
         original = stage.personalize_batch
@@ -376,9 +240,9 @@ class TestEveryRungTradesSomething:
         controller = QosController()
         for _ in range(index):
             assert controller.ladder.degrade()
-        engine = engine_for(workload, EngineMode.SHARED, qos=controller)
+        engine = ContextAwareRecommender.from_workload(workload, qos=controller).engine
         assert engine.config.searcher == "vector"
-        _, _, results = drive(engine, workload)
+        _, results = drive(engine, workload)
         # What was served, not how it was flagged: every rung below full
         # marks its deliveries degraded.
         slates = [
