@@ -18,12 +18,12 @@ import random
 import pytest
 
 from conftest import save_table, workload_with
-from repro.index.brute import exact_topk
-from repro.index.compact import CompactIndex
-from repro.index.inverted import AdInvertedIndex
-from repro.index.threshold import ThresholdSearcher
-from repro.index.vector import VectorSearcher
 from repro.eval.report import ascii_table
+from repro.index.compact import CompactIndex
+from repro.index.vector import VectorSearcher
+from repro.reference.brute import exact_topk
+from repro.reference.inverted import AdInvertedIndex
+from repro.reference.threshold import ThresholdSearcher
 
 K = 10
 NUM_QUERIES = 80

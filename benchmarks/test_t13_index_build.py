@@ -6,7 +6,7 @@ import pytest
 
 from conftest import save_table, workload_with
 from repro.eval.report import ascii_table
-from repro.index.inverted import AdInvertedIndex
+from repro.reference.inverted import AdInvertedIndex
 
 #: Import-checked by the tier-1 smoke driver; too heavy to mini-run.
 SMOKE_MINI = False

@@ -1,6 +1,7 @@
 """Adapter exposing the engine's shared-candidate pipeline through the
 baseline interface, so the *system* sits in the same effectiveness tables
-as its baselines and is driven by the same harness."""
+as its baselines and is driven by the same harness. The system is the
+serving kernel: the ``ta`` reference is its oracle, not a baseline."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from repro.core.config import EngineConfig
 from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
-from repro.index.factory import make_index
+from repro.errors import ConfigError
+from repro.index.compact import CompactIndex
 from repro.util.sparse import SparseVector
 
 
@@ -22,10 +24,12 @@ class SystemRecommender(SlateRecommender):
     def __init__(self, state: BaselineState, config: EngineConfig | None = None) -> None:
         self._state = state
         self._config = config or EngineConfig(weights=state.weights)
-        self._index = make_index(self._config.searcher, state.corpus)
+        if self._config.searcher != "vector":
+            raise ConfigError("the system recommender serves the vector kernel")
+        self._index = CompactIndex(state.corpus)
         self._scoring = ScoringModel(state.corpus, self._config.weights)
         self._candidate_gen = SharedCandidateGenerator(
-            self._index, self._config.overfetch, searcher=self._config.searcher
+            self._index, self._config.overfetch
         )
         # A ranking-only services slice: no graph, budgets or clock — the
         # baseline harness owns profile/location state itself.
@@ -57,17 +61,14 @@ class SystemRecommender(SlateRecommender):
     ) -> list[int]:
         state = self._state
         profile = state.profile(user_id)
-        result = self._personalizer.slate_for(
+        (slate,) = self._personalizer.slate_batch(
             self._candidates_for(msg_id, message_vec),
             message_vec,
-            user_id,
-            profile.unit,
-            profile.epoch,
-            state.location_of(user_id),
+            [(user_id, profile.unit, profile.epoch, state.location_of(user_id))],
             timestamp,
             k,
         )
-        return result.slate.ad_ids.tolist()
+        return slate.ad_ids.tolist()
 
     def observe_post(
         self, author_id: int, message_vec: SparseVector, timestamp: float

@@ -2,22 +2,22 @@
 
 * :mod:`repro.core.scoring` — the ranking function and its upper bounds;
 * :mod:`repro.core.candidates` — per-message shared candidate generation;
-* :mod:`repro.core.rerank` — per-delivery personalisation with a
-  certify-or-fallback exactness guarantee;
-* :mod:`repro.core.incremental` — standing per-user top-k maintained
-  incrementally as the feed window slides;
+* :mod:`repro.core.rerank` — the personalize kernel: every follower's
+  exact top-k in one call per event;
 * :mod:`repro.core.services` — the shared :class:`EngineServices` context
   every stage draws from;
 * :mod:`repro.core.pipeline` — the staged delivery pipeline (vectorize →
   candidates → personalize → charge → feedback) with batch fan-out;
 * :mod:`repro.core.engine` — the stream-facing engine facade;
 * :mod:`repro.core.recommender` — the public facade.
+
+The paper's certify-or-fallback and incremental algorithms, the oracle
+the kernel is held to, are in :mod:`repro.reference`.
 """
 
 from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import EngineConfig, EngineMode, ScoringWeights
 from repro.core.engine import AdEngine, DeliveryResult, PostResult
-from repro.core.incremental import IncrementalTopK
 from repro.core.pipeline import (
     CandidateStage,
     ChargeStage,
@@ -45,7 +45,6 @@ __all__ = [
     "EngineServices",
     "EngineStats",
     "FeedbackStage",
-    "IncrementalTopK",
     "Personalizer",
     "PersonalizeStage",
     "PostEvent",

@@ -2,12 +2,12 @@
 
 A post that fans out to F followers needs F slates, but the content
 affinity between the message and any ad is identical across all of them.
-The generator therefore runs **one** content-only probe per message (the
-configured searcher: TA, or a gather over the compact arrays),
-over-fetching ``overfetch >= k`` candidates, and every delivery reuses the
-result. The probe's cut-off score (the weakest fetched candidate) is what
-lets each delivery *certify* that its personalised top-k could not contain
-any ad outside the shared set — see :mod:`repro.core.rerank`.
+The generator therefore runs **one** content-only probe per message (a
+gather over the compact arrays, kept for the kernel), over-fetching
+``overfetch >= k`` candidates, and every delivery reuses the result. The
+probe's cut-off score (the weakest fetched candidate) is what lets the
+reference *certify* a personalised top-k (:mod:`repro.reference.rerank`,
+whose TA twin of this generator builds the same :class:`CandidateSet`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.index.factory import SearchIndex, make_searcher
+from repro.index.compact import CompactIndex
 from repro.index.vector import topk_order
 from repro.util.sparse import SparseVector
 
@@ -45,8 +45,8 @@ class CandidateSet:
     0.0 when it did not (then every content-matching ad is present and
     outsiders have zero content affinity by the relevance floor).
     ``block`` is the vector probe again, as arrays for the kernel (``None``
-    from other searchers and on hand-built sets: only :meth:`of_block`
-    sets one).
+    from the TA probe and on hand-built sets: only :meth:`of_block` sets
+    one).
 
     A vector probe (:meth:`of_block`) keeps only the block: the kernel
     reads nothing else, so the K′ cut waits for its first reader: as rows
@@ -138,38 +138,24 @@ class CandidateSet:
 
 
 class SharedCandidateGenerator:
-    """Runs the shared content probe for each posted message."""
+    """Runs the shared content probe for each posted message. It reads
+    the arrays itself: it keeps the gather and cuts K′ on arrays, where a
+    searcher would box every entry."""
 
-    def __init__(
-        self, index: SearchIndex, overfetch: int, *, searcher: str
-    ) -> None:
-        """``index`` is the ``searcher`` kind's own (``make_index``)."""
+    kind = "vector"
+
+    def __init__(self, index: CompactIndex, overfetch: int) -> None:
         if overfetch < 1:
             raise ConfigError(f"overfetch must be >= 1, got {overfetch}")
-        # The vector probe reads the arrays itself: it keeps the gather
-        # and cuts K′ on arrays, where a searcher would box every entry.
-        vector = searcher == "vector"
-        self._compact = index if vector else None
-        self._searcher = None if vector else make_searcher(searcher, index)
-        self.kind = searcher
+        self._compact = index
         self.overfetch = overfetch
 
     def generate(self, message_vec: SparseVector) -> CandidateSet:
         """Content top-``overfetch`` for one message vector."""
-        depth = self.overfetch
         compact = self._compact
-        if compact is not None:
-            compact.maybe_compact()
-            rows, dots = compact.gather(message_vec)
-            key = (compact.generation, compact.num_rows)
-            return CandidateSet.of_block(
-                CandidateBlock(key, rows, dots), compact.ad_ids, depth
-            )
-        results = self._searcher.search(message_vec, depth)
-        entries = tuple((entry.item, entry.score) for entry in results)
-        complete = len(entries) < depth
-        return CandidateSet(
-            entries=entries,
-            cutoff=0.0 if complete else entries[-1][1],
-            complete=complete,
+        compact.maybe_compact()
+        rows, dots = compact.gather(message_vec)
+        key = (compact.generation, compact.num_rows)
+        return CandidateSet.of_block(
+            CandidateBlock(key, rows, dots), compact.ad_ids, self.overfetch
         )

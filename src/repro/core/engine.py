@@ -10,10 +10,9 @@ follower's feed receives it and gets an ad slate), :meth:`post_event`
 :meth:`checkin` (location update) and :meth:`slate_for_message` (one-off
 exact query, used by examples and the effectiveness harness).
 
-Mode dispatch (:class:`~repro.core.config.EngineMode` — SHARED /
-INCREMENTAL / EXACT) lives entirely in the pipeline's
-``PersonalizeStage`` implementations, selected once at wiring time; the
-facade's delivery path is mode-free.
+The searcher kind picks the index (:func:`~repro.index.factory.make_index`)
+and, with the :class:`~repro.core.config.EngineMode`, what serves
+(:func:`_wire`), once at wiring time: the delivery path is mode-free.
 """
 
 from __future__ import annotations
@@ -27,9 +26,16 @@ from repro.ads.ctr import CtrEstimator
 from repro.core.candidates import SharedCandidateGenerator
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.pipeline import (
+    CtrFeedbackStage,
     DeliveryPipeline,
     DeliveryResult,
+    GspChargeStage,
+    KernelPersonalizeStage,
+    NoChargeStage,
+    NoFeedbackStage,
+    NoProbeStage,
     PostEvent,
+    SharedProbeStage,
     TextVectorizeStage,
 )
 from repro.core.rerank import Personalizer
@@ -38,7 +44,8 @@ from repro.core.services import EngineServices, EngineStats, UserState, UserStat
 from repro.errors import ConfigError
 from repro.geo.point import GeoPoint
 from repro.graph.social import SocialGraph
-from repro.index.factory import SearchIndex, make_index
+from repro.index.factory import make_index
+from repro.index.vector import VectorSearcher
 from repro.obs.registry import NULL_METRICS, MetricsRegistry, NullMetrics, counted
 from repro.obs.trace import NOOP_REQUEST_TRACER, NoopRequestTracer, RequestTracer
 from repro.obs.tracer import NoopTracer, StageTracer
@@ -77,6 +84,68 @@ class PostResult:
     num_shed: int = 0
     num_degraded: int = 0
     revenue_shed: float = 0.0
+
+
+def _wire(services: EngineServices, vectorize: TextVectorizeStage) -> tuple:
+    """The probe, the personalizer and the pipeline that serve
+    ``services.config``, over the index its searcher kind built. SHARED
+    and EXACT on ``vector`` are the kernel's; ``ta`` is the reference's
+    (:mod:`repro.reference`, imported only here), and so is INCREMENTAL,
+    which on ``vector`` draws candidates from vector probes and refreshes
+    from the kernel's one-follower exact cut."""
+    config = services.config
+    mode = config.mode
+    index = services.index
+    depth = config.overfetch if mode is EngineMode.SHARED else config.shadow_size
+    if config.searcher == "vector":
+        generator = SharedCandidateGenerator(index, depth)
+        personalizer = Personalizer(services)
+    if config.searcher == "vector" and mode is not EngineMode.INCREMENTAL:
+        stage = KernelPersonalizeStage(
+            services, personalizer, exact=mode is EngineMode.EXACT
+        )
+    else:
+        from repro import reference
+
+        if config.searcher == "ta":
+            generator = reference.ThresholdCandidateGenerator(index, depth)
+            personalizer = sources = reference.ReferencePersonalizer(services)
+        else:
+            sources = reference.CandidateSources(services, VectorSearcher(index))
+        if mode is EngineMode.INCREMENTAL:
+            stage = reference.IncrementalPersonalizeStage(
+                services, personalizer, sources
+            )
+        elif mode is EngineMode.EXACT:
+            stage = reference.ExactPersonalizeStage(services, personalizer)
+        else:
+            stage = reference.SharedPersonalizeStage(services, personalizer)
+    if services.learner is not None:
+        from repro.learn.linucb import LinUcbRerankStage
+
+        stage = LinUcbRerankStage(services, stage)
+    row_cache = personalizer.row_cache
+    return generator, personalizer, DeliveryPipeline(
+        services,
+        vectorize=vectorize,
+        candidates=(
+            NoProbeStage()
+            if mode is EngineMode.EXACT
+            else SharedProbeStage(services, generator)
+        ),
+        personalize=stage,
+        charge=(
+            GspChargeStage(services, row_cache)
+            if config.charge_impressions
+            else NoChargeStage()
+        ),
+        feedback=(
+            CtrFeedbackStage(services, row_cache)
+            if services.ctr is not None
+            else NoFeedbackStage()
+        ),
+        row_cache=row_cache,
+    )
 
 
 class AdEngine:
@@ -172,20 +241,8 @@ class AdEngine:
             services.metrics.read_from(
                 lambda: counted(stats, learner.telemetry() if learner else None)
             )
-        probe_depth = (
-            config.overfetch
-            if config.mode is EngineMode.SHARED
-            else config.shadow_size
-        )
-        self.candidate_gen = SharedCandidateGenerator(
-            index, probe_depth, searcher=config.searcher
-        )
-        self.personalizer = Personalizer(self.services)
-        self.pipeline = DeliveryPipeline.for_services(
-            self.services,
-            vectorize=TextVectorizeStage(self.vectorizer, self.tokenizer),
-            candidate_generator=self.candidate_gen,
-            personalizer=self.personalizer,
+        self.candidate_gen, self.personalizer, self.pipeline = _wire(
+            services, TextVectorizeStage(self.vectorizer, self.tokenizer)
         )
         self._next_msg_id = 0
         # Ads launched after construction (checkpoints must replay them,
@@ -211,7 +268,7 @@ class AdEngine:
         return self.services.graph
 
     @property
-    def index(self) -> SearchIndex:
+    def index(self):
         """The engine's one index: the posting-list dict on ``ta``, the
         compact arrays on ``vector`` (which builds no dict index)."""
         return self.services.index
@@ -403,26 +460,17 @@ class AdEngine:
             request_tracer.finish(segment)
         return result
 
-    def post_batch(
-        self, posts: Iterable, *, results: bool = True
-    ) -> list[PostResult]:
+    def post_batch(self, posts: Iterable) -> list[PostResult]:
         """Publish a timestamp-ordered batch of posts (objects with
-        ``author_id``/``text``/``timestamp`` and optional ``msg_id``).
+        ``author_id``/``text``/``timestamp``), each as :meth:`post` would:
+        the engine mints every message id, as a router's batch does.
 
         The harness-facing bulk entry point: one facade call per batch
         instead of one per post.
         """
-        collected: list[PostResult] = []
-        for post in posts:
-            result = self.post(
-                post.author_id,
-                post.text,
-                post.timestamp,
-                msg_id=getattr(post, "msg_id", None),
-            )
-            if results:
-                collected.append(result)
-        return collected
+        return [
+            self.post(post.author_id, post.text, post.timestamp) for post in posts
+        ]
 
     def _ingest(self, event: PostEvent) -> None:
         """Stream bookkeeping for one event: clock, id watermark, author

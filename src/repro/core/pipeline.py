@@ -7,11 +7,11 @@ systems use):
 * :class:`VectorizeStage` — text → unit sparse vector, once per message;
 * :class:`CandidateStage` — the per-message shared content probe (or
   nothing, for the per-delivery EXACT baseline);
-* :class:`PersonalizeStage` — per-follower slate construction; each
-  :class:`~repro.core.config.EngineMode` (and, for SHARED and EXACT, the
-  searcher: the ``ta`` reference bodies or the numpy kernel) is an
-  implementation selected at wiring time, so the fan-out loop has no
-  mode branches;
+* :class:`PersonalizeStage` — per-follower slate construction: the
+  kernel's :class:`KernelPersonalizeStage`, or one of the reference's
+  per-follower stages (:mod:`repro.reference`), chosen once by
+  the engine (:class:`~repro.core.engine.AdEngine`), so the fan-out loop
+  has no mode or searcher branches;
 * :class:`ChargeStage` — GSP pricing + budget debit per served slate;
 * :class:`FeedbackStage` — impression bookkeeping for the CTR estimator.
 
@@ -34,18 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from time import perf_counter
-from typing import Callable, NamedTuple, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.ads.auction import gsp_prices
 from repro.core.candidates import CandidateSet, SharedCandidateGenerator
-from repro.core.config import EngineMode
-from repro.core.incremental import IncrementalTopK
-from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoredAd, Slate, StaticRowCache
 from repro.core.services import EngineServices, UserState
-from repro.errors import ConfigError
 from repro.obs.trace import TraceContext
 from repro.obs.tracer import Seam
 from repro.qos.admission import slate_value_bound
@@ -53,6 +49,9 @@ from repro.stream.clock import SimClock
 from repro.text.tokenizer import Tokenizer
 from repro.text.vectorizer import TfidfVectorizer
 from repro.util.sparse import MutableSparseVector, SparseVector
+
+if TYPE_CHECKING:  # annotation only: the pipeline loads without the kernel
+    from repro.core.rerank import Personalizer
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,26 +224,7 @@ class NoProbeStage:
         return None
 
 
-class _PerFollowerStage:
-    """A stage whose fan-out is its scalar ``personalize``, one follower
-    at a time."""
-
-    def personalize_batch(
-        self, event, candidates, resolved, write=None, *, cut=None
-    ) -> PersonalizedFanOut:
-        slates, flags = [], []
-        for position, follower in enumerate(resolved):
-            delivery = self.personalize(event, candidates, *follower)
-            if cut is not None:
-                cut(1)
-            if write is not None:
-                write(position, delivery.slate, None)
-            slates.append(delivery.slate)
-            flags.append(delivery[1:])
-        return PersonalizedFanOut(slates, flags)
-
-
-def _slate_k(services: EngineServices) -> int:
+def slate_k(services: EngineServices) -> int:
     """The slate size under the current QoS rung — the configured k
     when undegraded."""
     qos = services.qos
@@ -279,7 +259,7 @@ class KernelPersonalizeStage:
                 for user_id, state in resolved
             ],
             event.timestamp,
-            _slate_k(self._services),
+            slate_k(self._services),
             served=write,
             cut=cut,
         )
@@ -292,94 +272,6 @@ class KernelPersonalizeStage:
             event, candidates, [(user_id, state)]
         )
         return PersonalizedDelivery(slates[0], *flags[0])
-
-
-class SharedPersonalizeStage(_PerFollowerStage):
-    """SHARED mode on the ``ta`` reference: union-score the three
-    candidate sources per follower, certify, and fall back to one exact
-    probe when certification fails (the QoS rung may shrink k)."""
-
-    def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
-        self._services = services
-        self._personalizer = personalizer
-
-    def personalize(
-        self, event, candidates, user_id, state
-    ) -> PersonalizedDelivery:
-        k = _slate_k(self._services)
-        result = self._personalizer.slate_for(
-            candidates,
-            event.message_vec,
-            user_id,
-            state.profile.unit,
-            state.profile.epoch,
-            state.location,
-            event.timestamp,
-            k,
-        )
-        return PersonalizedDelivery(
-            result.slate, result.certified, result.fell_back, False
-        )
-
-
-class IncrementalPersonalizeStage(_PerFollowerStage):
-    """INCREMENTAL mode: fold the arrival into the user's standing top-k."""
-
-    def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
-        self._services = services
-        self._personalizer = personalizer
-
-    def _maintainer_of(self, user_id: int, state: UserState) -> IncrementalTopK:
-        if state.incremental is None:
-            state.incremental = IncrementalTopK(
-                user_id=user_id,
-                context=self._services.context_of(state),
-                services=self._services,
-                personalizer=self._personalizer,
-            )
-        return state.incremental
-
-    def personalize(
-        self, event, candidates, user_id, state
-    ) -> PersonalizedDelivery:
-        maintainer = self._maintainer_of(user_id, state)
-        before = maintainer.stats.refreshes
-        slate = maintainer.on_arrival(
-            event.msg_id,
-            event.timestamp,
-            event.message_vec,
-            candidates,
-            state.profile.unit,
-            state.profile.epoch,
-            state.location,
-        )
-        refreshed = maintainer.stats.refreshes > before
-        if refreshed:
-            self._services.stats.incremental_refreshes += 1
-        return PersonalizedDelivery(slate, not refreshed, refreshed, False)
-
-
-class ExactPersonalizeStage(_PerFollowerStage):
-    """EXACT mode on the ``ta`` reference: one exact combined-query probe
-    per delivery (the strong baseline). Deliveries count as ``exact``,
-    never as fallbacks."""
-
-    def __init__(self, services: EngineServices, personalizer: Personalizer) -> None:
-        self._services = services
-        self._personalizer = personalizer
-
-    def personalize(
-        self, event, candidates, user_id, state
-    ) -> PersonalizedDelivery:
-        k = _slate_k(self._services)
-        slate = self._personalizer.exact_slate(
-            event.message_vec,
-            state.profile.unit,
-            state.location,
-            event.timestamp,
-            k,
-        )
-        return PersonalizedDelivery(slate, True, False, True)
 
 
 class GspChargeStage:
@@ -470,65 +362,6 @@ class NoFeedbackStage:
         return None
 
 
-# -- stage selection ---------------------------------------------------------
-
-_PERSONALIZE_STAGES: dict[EngineMode, type] = {
-    EngineMode.SHARED: SharedPersonalizeStage,
-    EngineMode.INCREMENTAL: IncrementalPersonalizeStage,
-    EngineMode.EXACT: ExactPersonalizeStage,
-}
-
-
-def make_personalize_stage(
-    services: EngineServices, personalizer: Personalizer
-) -> PersonalizeStage:
-    """The mode's :class:`PersonalizeStage` (on the vector searcher SHARED
-    and EXACT share the kernel's) — the only mode dispatch on the delivery
-    path, resolved once at wiring time."""
-    mode = services.config.mode
-    stage_cls = _PERSONALIZE_STAGES.get(mode)
-    if stage_cls is None:
-        raise ConfigError(f"unknown engine mode: {mode!r}")
-    if services.config.searcher == "vector" and mode is not EngineMode.INCREMENTAL:
-        stage = KernelPersonalizeStage(
-            services, personalizer, exact=mode is EngineMode.EXACT
-        )
-    else:
-        stage = stage_cls(services, personalizer)
-    if services.learner is not None:
-        # Deferred import: repro.learn sits above the core pipeline.
-        from repro.learn.linucb import LinUcbRerankStage
-
-        stage = LinUcbRerankStage(services, stage)
-    return stage
-
-
-def make_candidate_stage(
-    services: EngineServices, generator: SharedCandidateGenerator
-) -> CandidateStage:
-    if services.config.mode is EngineMode.EXACT:
-        return NoProbeStage()
-    return SharedProbeStage(services, generator)
-
-
-def make_charge_stage(
-    services: EngineServices, columns: StaticRowCache | None = None
-) -> ChargeStage:
-    """``columns`` are what the kernel's slate rows index (None without
-    the kernel)."""
-    if not services.config.charge_impressions:
-        return NoChargeStage()
-    return GspChargeStage(services, columns)
-
-
-def make_feedback_stage(
-    services: EngineServices, columns: StaticRowCache | None = None
-) -> FeedbackStage:
-    if services.ctr is None:
-        return NoFeedbackStage()
-    return CtrFeedbackStage(services, columns)
-
-
 def vectorize_spanned(
     stage: VectorizeStage, seam: Seam, text: str, clock: SimClock | None
 ) -> MutableSparseVector:
@@ -586,26 +419,6 @@ class DeliveryPipeline:
         # (deliveries shed, revenue upper bound given up). Reset on read.
         self._batch_shed = 0
         self._batch_revenue_shed = 0.0
-
-    @classmethod
-    def for_services(
-        cls,
-        services: EngineServices,
-        *,
-        vectorize: VectorizeStage,
-        candidate_generator: SharedCandidateGenerator,
-        personalizer: Personalizer,
-    ) -> "DeliveryPipeline":
-        """Default wiring: stages selected from ``services.config``."""
-        return cls(
-            services,
-            vectorize=vectorize,
-            candidates=make_candidate_stage(services, candidate_generator),
-            personalize=make_personalize_stage(services, personalizer),
-            charge=make_charge_stage(services, personalizer.row_cache),
-            feedback=make_feedback_stage(services, personalizer.row_cache),
-            row_cache=personalizer.row_cache,
-        )
 
     def vectorize(self, text: str) -> MutableSparseVector:
         services = self.services
@@ -733,7 +546,8 @@ class DeliveryPipeline:
 
         Span emission, each span once through the engine's seam at the
         event's stream time: one ``candidate`` span per event that probes
-        (every event with a follower, and every event under QoS), then one
+        (every event with a follower, and every event under admission
+        control), then one
         ``personalize``/``charge``/``feedback`` span each plus one wrapping
         ``delivery`` span per follower — or, when only a request tracer
         listens (the seam is not ``fine``), one coarse ``delivery`` span
@@ -753,10 +567,10 @@ class DeliveryPipeline:
         active = services.request_tracer.current
         at = event.timestamp
         qos = services.qos
-        if not followers and qos is None:
-            # Nobody to serve: the probe would feed no slate. (Under QoS
-            # the zero-delivery admission below still runs: it moves the
-            # value average and the bucket's clock.)
+        if not followers and (qos is None or qos.admission is None):
+            # Nobody to serve: the probe would feed no slate. (Under an
+            # admission controller the zero-delivery admission below still
+            # runs: it moves the value average and the bucket's clock.)
             return []
 
         if timing:

@@ -1,37 +1,12 @@
-"""Per-delivery personalisation: CAR-share in the reference, one exact
-cut in the kernel.
+"""Per-delivery personalisation: the serving kernel's one exact cut.
 
-**The ``ta`` reference** (:meth:`Personalizer.slate_for`'s pure-Python
-body) is the paper's algorithm. The additive score has three sources of
-mass, and each gets its own candidate list with a proven cutoff on what
-any *excluded* ad could carry:
+The message gather and each follower's cached profile gather cover every
+row a slate can contain, so :meth:`Personalizer.slate_batch` cuts the
+exact top-k of those rows directly: no union, certificate or fallback
+(DESIGN.md "Personalize kernel"). :meth:`Personalizer.exact_slate` is
+that cut with no shared probe and one anonymous follower. The paper's
+CAR-share over TA probes (:mod:`repro.reference.rerank`) is its oracle.
 
-1. **content** — the per-message shared probe (computed once per post,
-   reused across the fan-out): excluded ads have content <= ``c1``;
-2. **profile** — a per-user probe over the ad index with the user's
-   interest vector as the query, cached until the user posts again or ads
-   are added: excluded ads have profile affinity <= ``c2``;
-3. **geo+bid** — the global prefix of ads by ``gamma + delta·bid_norm``
-   (user-independent, maintained incrementally): excluded ads carry at most
-   ``c3`` of geo+bid mass.
-
-A delivery exactly scores the union of the three lists (a few dozen ads —
-no index probe beyond the amortised/cached ones) and takes the top-k. Any
-ad outside the union scores at most ``alpha·c1 + beta·c2 + c3``, so when
-the personalised k-th score reaches that bound the slate is provably the
-true top-k. Otherwise the engine either falls back to one exact
-combined-query TA probe (``exact_fallback=True``) or serves the
-approximate slate, as production systems do; experiment F6 measures the
-trade-off.
-
-**The vector kernel** (:meth:`Personalizer.slate_batch`) has no probe to
-avoid: the message gather and each follower's cached profile gather
-already cover every row a slate can contain, so it cuts the exact top-k
-of those rows directly — no union, no certificate, no fallback, and
-nothing that ``exact_fallback`` could switch (DESIGN.md
-"Personalize kernel" has the measurements behind that). It is the only
-exact cut on the arrays: :meth:`Personalizer.exact_slate` on the vector
-searcher is the kernel with no shared probe and one anonymous follower.
 It serves a fan-out in *runs*. While deliveries write (spend, CTR
 evidence) a run is one follower, scored over the full row space. While
 they do not — no callback, which is how the pipeline calls it when no
@@ -51,33 +26,16 @@ thirty-five per follower.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.core.scoring import EMPTY_SLATE, ScoredAd, Slate, StaticRowCache
+from repro.core.scoring import EMPTY_SLATE, Slate, StaticRowCache
 from repro.core.services import EngineServices
-from repro.core.static_list import GlobalStaticTopList
 from repro.errors import IndexError_
 from repro.geo.point import GeoPoint
-from repro.index.factory import make_searcher
 from repro.index.vector import topk_order
-from repro.util.sparse import SparseVector, dot
-
-
-@dataclass(frozen=True, slots=True)
-class PersonalizedSlate:
-    """One user's slate plus how it was produced — what
-    :meth:`Personalizer.slate_for` returns. Only the ``ta`` reference can
-    leave a slate uncertified or fall back; the kernel hands over bare
-    slates."""
-
-    slate: Slate
-    certified: bool
-    fell_back: bool
-
+from repro.util.sparse import SparseVector
 
 #: Cells one block cut ahead may stack: per follower, ``k`` rows of the
 #: shared base plus its profile rows and geo hits (what the block's
@@ -105,170 +63,30 @@ def _first_k(
     return order[rank < k], np.minimum(kept, k)
 
 
-@dataclass(frozen=True, slots=True)
-class _ProfileCandidates:
-    """Cached per-user profile-probe results."""
-
-    profile_epoch: int
-    corpus_add_epoch: int
-    entries: tuple[tuple[int, float], ...]  # (ad_id, profile affinity)
-    cutoff: float  # bound on the affinity of any ad not in entries
-
-
 class Personalizer:
-    """Turns shared candidates into per-user slates."""
+    """Turns a shared probe into every follower's exact slate, on the
+    compact index."""
 
     def __init__(self, services: EngineServices) -> None:
         scoring = services.scoring
-        index = services.index
-        config = services.config
         self._scoring = scoring
-        self._index = index
-        self._config = config
-        self._exact_fallback = config.exact_fallback
-        self._profile_searcher = make_searcher(config.searcher, index)
-        self._profile_cache: dict[int, _ProfileCandidates] = {}
-        # Vector mode: the whole path runs on the compact index through
-        # one kernel, slate_batch.
-        self._vector = config.searcher == "vector"
-        if self._vector:
-            self._compact = index
-            self._static_cache = StaticRowCache(scoring.corpus, self._compact)
-            # Per-user raw profile gathers, keyed by (profile epoch,
-            # corpus adds, generation).
-            self._profile_gather_cache: dict[int, tuple] = {}
-            # Row -> column of the block being built; -1 everywhere
-            # outside ``_cut_block``.
-            self._column = np.full(0, -1, dtype=np.int64)
-            # The δ·bid vector kept between events (``_event_bid``):
-            # (key, read at, bid_writes, vector, rows to re-read), checked
-            # out while a ``slate_batch`` call runs.
-            self._resident: tuple | None = None
-            # ``slate_batch`` calls so far: one that sees the count move
-            # across its run had another inside it.
-            self._calls = 0
-
-    @property
-    def row_cache(self) -> StaticRowCache | None:
-        """The row-indexed columns the kernel scores from and a served
-        slate's rows index (None on the ``ta`` reference)."""
-        return self._static_cache if self._vector else None
-
-    # -- candidate sources (the ``ta`` reference and INCREMENTAL) -------------
-
-    @cached_property
-    def _static_list(self) -> GlobalStaticTopList:
-        """Built, and subscribed to the corpus, by its first reader: an
-        engine that never reads the prefix (vector SHARED, EXACT) never
-        pays a launch or a retirement to keep it sorted."""
-        return GlobalStaticTopList(
-            self._scoring.corpus, self._scoring.weights, self._config.static_candidates
-        )
-
-    def static_candidate_ids(self) -> list[int]:
-        """The global geo+bid candidate prefix (third source)."""
-        return self._static_list.candidate_ids()
-
-    def static_cutoff(self) -> float:
-        """Geo+bid mass bound for ads outside that prefix."""
-        return self._static_list.cutoff()
-
-    def profile_candidates(
-        self, user_id: int, profile_vec: SparseVector, profile_epoch: int
-    ) -> _ProfileCandidates:
-        """Per-user profile probe, cached by (profile epoch, corpus adds).
-
-        Retirements do NOT invalidate the cache: affinities never change and
-        retired entries are dropped at evaluation time, so the cutoff stays
-        an upper bound. Additions do invalidate it (a new ad could beat the
-        cutoff).
-        """
-        corpus_epoch = self._scoring.corpus.add_epoch
-        cached = self._profile_cache.get(user_id)
-        if (
-            cached is not None
-            and cached.profile_epoch == profile_epoch
-            and cached.corpus_add_epoch == corpus_epoch
-        ):
-            return cached
-        depth = self._config.profile_candidates
-        results = self._profile_searcher.search(profile_vec, depth)
-        entries = tuple((entry.item, entry.score) for entry in results)
-        candidates = _ProfileCandidates(
-            profile_epoch=profile_epoch,
-            corpus_add_epoch=corpus_epoch,
-            entries=entries,
-            cutoff=0.0 if len(entries) < depth else entries[-1][1],
-        )
-        self._profile_cache[user_id] = candidates
-        return candidates
-
-    # -- the delivery path ------------------------------------------------------
-
-    def slate_for(
-        self,
-        candidates: CandidateSet,
-        message_vec: SparseVector,
-        user_id: int,
-        profile_vec: SparseVector,
-        profile_epoch: int,
-        location: GeoPoint | None,
-        timestamp: float,
-        k: int,
-    ) -> PersonalizedSlate:
-        """Union-score, certify, and fall back if needed (when the engine
-        is configured with ``exact_fallback``). On the vector searcher
-        this is the kernel on one follower, which has no fallback.
-        """
-        if self._vector:
-            slate = self.slate_batch(
-                candidates,
-                message_vec,
-                [(user_id, profile_vec, profile_epoch, location)],
-                timestamp,
-                k,
-            )[0]
-            return PersonalizedSlate(slate, True, False)
-        scoring = self._scoring
-        corpus = scoring.corpus
-        profile_cands = self.profile_candidates(user_id, profile_vec, profile_epoch)
-
-        content_of: dict[int, float] = dict(candidates.entries)
-        union: set[int] = set(content_of)
-        union.update(ad_id for ad_id, _ in profile_cands.entries)
-        union.update(self._static_list.candidate_ids())
-
-        scored: list[ScoredAd] = []
-        for ad_id in union:
-            content = content_of.get(ad_id)
-            if content is None:
-                if not corpus.is_active(ad_id):
-                    continue
-                content = dot(message_vec, corpus.get(ad_id).terms)
-            evaluated = scoring.evaluate(
-                ad_id, content, profile_vec, location, timestamp
-            )
-            if evaluated is not None:
-                scored.append(evaluated)
-        scored.sort(key=lambda entry: (-entry.score, entry.ad_id))
-        slate = Slate.of(scored[:k])
-
-        weights = scoring.weights
-        certificate = (
-            weights.alpha * candidates.cutoff
-            + weights.beta * profile_cands.cutoff
-            + self._static_list.cutoff()
-        )
-        certified = len(slate) == k and slate[-1].score >= certificate
-        if certified or not self._exact_fallback:
-            return PersonalizedSlate(slate=slate, certified=certified, fell_back=False)
-        return PersonalizedSlate(
-            slate=self.exact_slate(message_vec, profile_vec, location, timestamp, k),
-            certified=True,
-            fell_back=True,
-        )
-
-    # -- the vector (compact-index) delivery path ---------------------------
+        self._compact = services.index
+        # The row-indexed columns the kernel scores from and a served
+        # slate's rows index.
+        self.row_cache = StaticRowCache(scoring.corpus, self._compact)
+        # Per-user raw profile gathers, keyed by (profile epoch,
+        # corpus adds, generation).
+        self._profile_gather_cache: dict[int, tuple] = {}
+        # Row -> column of the block being built; -1 everywhere
+        # outside ``_cut_block``.
+        self._column = np.full(0, -1, dtype=np.int64)
+        # The δ·bid vector kept between events (``_event_bid``):
+        # (key, read at, bid_writes, vector, rows to re-read), checked
+        # out while a ``slate_batch`` call runs.
+        self._resident: tuple | None = None
+        # ``slate_batch`` calls so far: one that sees the count move
+        # across its run had another inside it.
+        self._calls = 0
 
     def _profile_gather(
         self,
@@ -364,7 +182,7 @@ class Personalizer:
         instead of rebuilding the vector. Otherwise — or when the index
         has no live row for the ad (a retired ad's row is dead and
         unnamed) — nothing changes, and the next event rebuilds."""
-        resident = self._resident if self._vector else None
+        resident = self._resident
         if resident is None or resident[2] != writes_before:
             return
         try:
@@ -415,13 +233,13 @@ class Personalizer:
 
         ``followers`` is ``(user_id, profile_vec, profile_epoch,
         location)`` per follower; a ``user_id`` of None is an anonymous
-        follower whose profile gather is not cached. Vector mode only —
-        the numpy kernel: the probe's message gather (``candidates.block``;
-        gathered here when there was no shared probe — ``candidates`` is
-        None — or its block is stale) plus one cached profile gather per
-        follower cover every row any slate can contain, so the rows an
-        exact combined-query probe would walk — message ∪ profile matches
-        under the targeting mask — are scored and cut once. Every slate
+        follower whose profile gather is not cached. The probe's message
+        gather (``candidates.block``; gathered here when there was no
+        shared probe — ``candidates`` is None — or its block is stale)
+        plus one cached profile gather per follower cover every row any
+        slate can contain, so the rows an exact combined-query probe would
+        walk — message ∪ profile matches under the targeting mask — are
+        scored and cut once. Every slate
         is the true top-``k`` by construction — certified, never a
         fallback — so a result is the bare slate, with no flags to carry.
 
@@ -472,7 +290,7 @@ class Personalizer:
         # With β = 0 the combined query is the message alone: a profile
         # match is no reason to be scored.
         profile_rows_join = scoring.weights.beta > 0.0
-        cache = self._static_cache
+        cache = self.row_cache
 
         # The per-event pieces (content, bid, time mask, membership) are
         # vectors over the full row space of the index — scatters and
@@ -588,7 +406,7 @@ class Personalizer:
         followers while they stack at most ``_BLOCK_CELLS`` cells — always
         at least one, and never all but the last, who would be left to a
         run of one."""
-        cache = self._static_cache
+        cache = self.row_cache
         profile_rows, profile_dots, profile_counts = [], [], []
         hit_rows, hit_falloffs, hit_counts = [], [], []
         cells = 0
@@ -653,7 +471,7 @@ class Personalizer:
         scoring = self._scoring
         weights = scoring.weights
         compact = self._compact
-        cache = self._static_cache
+        cache = self.row_cache
         num_rows = compact.num_rows
         ad_ids = compact.ad_ids
         count, width = len(followers), message_rows.shape[0]
@@ -802,34 +620,8 @@ class Personalizer:
         timestamp: float,
         k: int,
     ) -> Slate:
-        """One guaranteed-exact top-k for a (message, profile) pair. On
-        the vector searcher that is the kernel — no shared probe, one
-        anonymous follower; on ``ta`` one combined-query probe (also the
-        per-delivery baseline: the reference's EngineMode.EXACT routes
-        every delivery here)."""
-        if self._vector:
-            return self.slate_batch(
-                None, message_vec, [(None, profile_vec, 0, location)], timestamp, k
-            )[0]
-        scoring = self._scoring
-        query = scoring.combined_query(message_vec, profile_vec)
-        searcher = make_searcher(
-            self._config.searcher,
-            self._index,
-            static_score=scoring.probe_static_fn(location, timestamp),
-            max_static=scoring.max_probe_static,
-            filter_fn=scoring.targeting_filter(location, timestamp),
-        )
-        slate: list[ScoredAd] = []
-        for entry in searcher.search(query, k):
-            ad_terms = self._index.ad_terms(entry.item)
-            content = dot(message_vec, ad_terms)
-            slate.append(
-                ScoredAd(
-                    ad_id=entry.item,
-                    score=entry.score,
-                    content=content,
-                    static=entry.score - scoring.weights.alpha * content,
-                )
-            )
-        return Slate.of(slate)
+        """One guaranteed-exact top-k for a (message, profile) pair: the
+        kernel with no shared probe and one anonymous follower."""
+        return self.slate_batch(
+            None, message_vec, [(None, profile_vec, 0, location)], timestamp, k
+        )[0]

@@ -8,8 +8,8 @@ a loose bag of attributes threaded ad-hoc through ``AdEngine``
 layer and the facade all share one wiring point.
 
 Only ``config``/``corpus``/``index``/``scoring`` are mandatory: the
-ranking layer (:class:`~repro.core.rerank.Personalizer`,
-:class:`~repro.core.incremental.IncrementalTopK`) runs off those four,
+ranking layer (:class:`~repro.core.rerank.Personalizer` and the
+reference's personalizer and incremental maintainer) runs off those four,
 which is how the baseline adapter and the unit tests build partial stacks
 without a graph, budgets or a clock.
 """
@@ -32,10 +32,8 @@ if TYPE_CHECKING:  # heavyweight imports only needed for annotations
     from repro.ads.budget import BudgetManager
     from repro.ads.corpus import AdCorpus
     from repro.ads.ctr import CtrEstimator
-    from repro.core.incremental import IncrementalTopK
     from repro.core.scoring import ScoringModel
     from repro.graph.social import SocialGraph
-    from repro.index.factory import SearchIndex
     from repro.learn.linucb import LinUcbLearner
     from repro.qos.controller import QosController
     from repro.stream.clock import SimClock
@@ -89,7 +87,8 @@ class UserState:
     profile: UserProfile
     location: GeoPoint | None = None
     context: FeedContext | None = None
-    incremental: "IncrementalTopK | None" = None
+    # INCREMENTAL's standing slate (the reference's ``IncrementalTopK``).
+    incremental: object | None = None
 
 
 class UserStateStore:
@@ -138,7 +137,7 @@ class EngineServices:
     # The engine's one index, of ``config.searcher``'s kind
     # (``index.factory.make_index``): the posting-list dict on ``ta``, the
     # compact arrays on ``vector``.
-    index: "SearchIndex"
+    index: object
     scoring: "ScoringModel"
     graph: "SocialGraph | None" = None
     budget: "BudgetManager | None" = None
@@ -156,7 +155,7 @@ class EngineServices:
     # per batch); a QosController gates admission and degradation rungs.
     qos: "QosController | None" = None
     # Online-learning rerank. None unless config.personalize == "linucb";
-    # when set, make_personalize_stage wraps the mode's stage with the
+    # when set, the engine's wiring wraps the mode's stage with the
     # LinUCB rerank and record_click() routes rewards here.
     learner: "LinUcbLearner | None" = None
     # The instrumentation seam: one ``emit`` per span, to every sink above

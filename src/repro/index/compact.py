@@ -1,7 +1,7 @@
 """The vector engine's one index: the corpus's active ads as flat numpy
 posting arrays.
 
-The ``ta`` reference's :class:`~repro.index.inverted.AdInvertedIndex`
+The ``ta`` reference's :class:`~repro.reference.inverted.AdInvertedIndex`
 stores postings as Python dicts and per-entry method calls — hopeless
 for throughput (F3 shows a single shard collapsing to a few hundred
 deliveries/s at 8000 ads). :class:`CompactIndex` holds every active ad's

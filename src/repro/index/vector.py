@@ -1,6 +1,6 @@
 """Vectorized content probe over the compact posting arrays.
 
-Same contract as :class:`~repro.index.threshold.ThresholdSearcher` with
+Same contract as :class:`~repro.reference.threshold.ThresholdSearcher` with
 no static and no filter — exact ``dot(query, ·)`` top-k under the
 engine-wide tie rule (score desc, ad id asc) — but the traversal is numpy
 instead of per-posting Python: one

@@ -66,23 +66,25 @@ def small_corpus() -> AdCorpus:
     return AdCorpus(make_ads(30))
 
 
+#: The generator config of ``tiny_workload``.
+TINY_WORKLOAD = WorkloadConfig(
+    num_users=40,
+    num_ads=120,
+    num_posts=80,
+    num_topics=8,
+    vocab_size=1200,
+    follows_per_user=5,
+    seed=11,
+)
+
+
 @pytest.fixture(scope="session")
 def tiny_workload():
     """A session-cached tiny workload for integration-style tests.
 
     Treat as read-only: take fresh corpora via ``build_corpus()``.
     """
-    return generate_workload(
-        WorkloadConfig(
-            num_users=40,
-            num_ads=120,
-            num_posts=80,
-            num_topics=8,
-            vocab_size=1200,
-            follows_per_user=5,
-            seed=11,
-        )
-    )
+    return generate_workload(TINY_WORKLOAD)
 
 
 def workload_events(workload, *, limit_posts=None):

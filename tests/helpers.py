@@ -13,7 +13,7 @@ import random
 from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
 from repro.geo.point import GeoPoint
-from repro.index.inverted import AdInvertedIndex
+from repro.reference.inverted import AdInvertedIndex
 from repro.util.sparse import SparseVector, dot
 from tests.conftest import make_ads
 

@@ -319,19 +319,10 @@ def test_a_rider_never_perturbs(
     assert ridden.canonical == bare.canonical
     assert ridden.totals.canonical() == bare.totals.canonical()
     assert ridden.totals.rows() == bare.totals.rows()
-    ridden_stats = ridden.stats
     if identity == "qos":
-        # Passive: rung 0, nothing admitted or shed. An attached controller,
-        # even this one, also probes the posts that reach nobody: more
-        # probes, the same deliveries.
+        # Passive: rung 0, nothing admitted or shed.
         assert (ridden.qos["rung"], ridden.qos["attempted"]) == (0, 0)
-        assert ridden.stats.shared_probes >= bare.stats.shared_probes
-        ridden_stats = replace(
-            ridden.stats,
-            shared_probes=bare.stats.shared_probes,
-            probe_depth_total=bare.stats.probe_depth_total,
-        )
-    assert ridden_stats == bare.stats
+    assert ridden.stats == bare.stats
     assert bare.totals.clicks > 0 and bare.totals.launches > 0
     # The rider really rode, and the bare run carried none of it.
     assert bare.stages == {} and bare.counters is None and bare.finished == 0
@@ -419,11 +410,10 @@ def test_an_engine_batch_serves_and_books_as_single_posts(
 ):
     """A bare engine's own ``post_batch`` (a router batches through its
     shards' hosts instead) serves what one post at a time serves, and
-    books its spans the same. It keeps a scripted post's msg id, which
-    ``post`` does not take, so the results are compared by slate."""
+    books its spans the same."""
     batched = serve("storm", "engine-batch16", "shared", rider="tracer")
     single = serve("storm", "engine", "shared")
-    assert batched.slates() == single.slates()
+    assert batched.canonical == single.canonical
     assert batched.totals.canonical() == single.totals.canonical()
     assert batched.stats == single.stats
     assert_books(tiny_workload, streams["storm"], batched, k=EngineConfig().k)

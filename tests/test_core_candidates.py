@@ -13,10 +13,13 @@ from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.core.candidates import CandidateSet, SharedCandidateGenerator
 from repro.core.config import ScoringWeights
-from repro.core.static_list import GlobalStaticTopList
 from repro.errors import ConfigError
 from repro.index.compact import CompactIndex
-from repro.index.inverted import AdInvertedIndex
+from repro.reference import (
+    AdInvertedIndex,
+    GlobalStaticTopList,
+    ThresholdCandidateGenerator,
+)
 from tests.conftest import make_ads
 
 
@@ -39,35 +42,35 @@ def compact(corpus) -> CompactIndex:
 class TestSharedCandidates:
     def test_overfetch_validation(self, index):
         with pytest.raises(ConfigError):
-            SharedCandidateGenerator(index, 0, searcher="ta")
+            ThresholdCandidateGenerator(index, 0)
 
     def test_entries_sorted_desc(self, index):
-        generator = SharedCandidateGenerator(index, 10, searcher="ta")
+        generator = ThresholdCandidateGenerator(index, 10)
         result = generator.generate({"t0": 1.0, "t3": 0.5})
         scores = [score for _, score in result.entries]
         assert scores == sorted(scores, reverse=True)
 
     def test_cutoff_is_last_score_when_full(self, corpus, index):
-        generator = SharedCandidateGenerator(index, 3, searcher="ta")
+        generator = ThresholdCandidateGenerator(index, 3)
         result = generator.generate({"t0": 1.0})
         if len(result) == 3:
             assert result.cutoff == result.entries[-1][1]
             assert not result.complete
 
     def test_cutoff_zero_when_incomplete(self, index):
-        generator = SharedCandidateGenerator(index, 10_000, searcher="ta")
+        generator = ThresholdCandidateGenerator(index, 10_000)
         result = generator.generate({"t0": 1.0})
         assert result.complete
         assert result.cutoff == 0.0
 
     def test_empty_message(self, index):
-        generator = SharedCandidateGenerator(index, 10, searcher="ta")
+        generator = ThresholdCandidateGenerator(index, 10)
         result = generator.generate({})
         assert len(result) == 0
         assert result.complete
 
     def test_ad_ids_order_matches_entries(self, index):
-        generator = SharedCandidateGenerator(index, 10, searcher="ta")
+        generator = ThresholdCandidateGenerator(index, 10)
         result = generator.generate({"t0": 1.0, "t1": 1.0})
         assert result.ad_ids() == [ad_id for ad_id, _ in result.entries]
 
@@ -120,8 +123,8 @@ class TestVectorProbeMatchesTheOracle:
         corpus = AdCorpus(ads[:early])
         index = AdInvertedIndex.from_corpus(corpus)
         compact = CompactIndex(corpus)
-        vector = SharedCandidateGenerator(compact, depth, searcher="vector")
-        oracle = SharedCandidateGenerator(index, depth, searcher="ta")
+        vector = SharedCandidateGenerator(compact, depth)
+        oracle = ThresholdCandidateGenerator(index, depth)
         for ad in ads[early:]:
             corpus.add(ad)
         got = vector.generate(query)
@@ -144,7 +147,7 @@ class TestVectorProbeMatchesTheOracle:
         assert np.array_equal(block.dots, dots)
 
     def test_block_takes_no_part_in_equality(self, compact):
-        vector = SharedCandidateGenerator(compact, 10, searcher="vector")
+        vector = SharedCandidateGenerator(compact, 10)
         probed = vector.generate({"t0": 1.0, "t3": 0.5})
         assert probed.block is not None and probed._cut is None
         rebuilt = CandidateSet(probed.entries, probed.cutoff, probed.complete)
@@ -162,7 +165,7 @@ class TestVectorProbeMatchesTheOracle:
     ):
         """K′ is cut when first read, from the probe's own arrays: a
         launch, a retirement and a compaction in between change nothing."""
-        vector = SharedCandidateGenerator(compact, 5, searcher="vector")
+        vector = SharedCandidateGenerator(compact, 5)
         query = {"t0": 1.0, "t3": 0.5}
         eager = vector.generate(query)
         expected = (eager.entries, eager.cutoff, eager.complete)

@@ -10,14 +10,20 @@ import pytest
 from repro.ads.corpus import AdCorpus
 from repro.core.candidates import SharedCandidateGenerator
 from repro.core.config import EngineConfig, EngineMode
-from repro.core.incremental import IncrementalTopK
 from repro.core.rerank import Personalizer
 from repro.core.scoring import ScoringModel
 from repro.core.services import EngineServices
 from repro.datagen.adgen import generate_ads
 from repro.datagen.topicspace import TopicSpace
 from repro.index.factory import make_index
+from repro.index.vector import VectorSearcher
 from repro.profiles.context import FeedContext
+from repro.reference import (
+    CandidateSources,
+    IncrementalTopK,
+    ReferencePersonalizer,
+    ThresholdCandidateGenerator,
+)
 from repro.util.sparse import dot, l2_normalize
 from tests.helpers import assert_scores_match
 
@@ -33,7 +39,15 @@ def build_maintainer(seed: int = 0, num_ads: int = 120, **config_kwargs):
     services = EngineServices(
         config=config, corpus=corpus, index=index, scoring=scoring
     )
-    personalizer = Personalizer(services)
+    # The engine's wiring: the reference alone on ``ta``; on ``vector``
+    # the kernel's probe and exact cut beside the reference's sources.
+    if config.searcher == "ta":
+        personalizer = sources = ReferencePersonalizer(services)
+        generator = ThresholdCandidateGenerator(index, config.shadow_size)
+    else:
+        personalizer = Personalizer(services)
+        sources = CandidateSources(services, VectorSearcher(index))
+        generator = SharedCandidateGenerator(index, config.shadow_size)
     context = FeedContext(
         window_size=config.window_size,
         half_life_s=config.context_half_life_s,
@@ -43,9 +57,7 @@ def build_maintainer(seed: int = 0, num_ads: int = 120, **config_kwargs):
         context=context,
         services=services,
         personalizer=personalizer,
-    )
-    generator = SharedCandidateGenerator(
-        index, config.shadow_size, searcher=config.searcher
+        sources=sources,
     )
     return rng, space, corpus, config, scoring, maintainer, generator
 
@@ -134,25 +146,29 @@ class TestExactness:
 class TestVectorRefreshIsTheKernel:
     def test_no_boosted_searcher_and_the_reference_slates(self, monkeypatch):
         """A refresh on the vector searcher is ``exact_slate`` — the
-        kernel — plus the shadow's content probe: no searcher is handed a
-        static or a filter callable, and every standing slate is the
-        ``ta`` maintainer's to the mirror's storage precision."""
-        import repro.core.incremental as incremental_module
-        import repro.core.rerank as rerank_module
-        from repro.index.factory import make_searcher
+        kernel — plus the shadow's content probe on the vector searcher:
+        no TA searcher is built, and every standing slate is the ``ta``
+        maintainer's to the mirror's storage precision."""
+        import repro.reference.rerank as rerank_module
 
-        built = []
+        built, cuts = [], []
+        searcher_cls = rerank_module.ThresholdSearcher
+        exact_slate = Personalizer.exact_slate
 
-        def spying(kind, index, **kwargs):
-            built.append((kind, kwargs))
-            return make_searcher(kind, index, **kwargs)
+        def building(*args, **kwargs):
+            built.append(kwargs)
+            return searcher_cls(*args, **kwargs)
 
-        for module in (incremental_module, rerank_module):
-            monkeypatch.setattr(module, "make_searcher", spying)
+        def cutting(personalizer, *args):
+            cuts.append(args)
+            return exact_slate(personalizer, *args)
+
+        monkeypatch.setattr(rerank_module, "ThresholdSearcher", building)
+        monkeypatch.setattr(Personalizer, "exact_slate", cutting)
         rng, space, *_, maintainer, generator = build_maintainer(
             seed=5, searcher="vector"
         )
-        *_, reference, reference_generator = build_maintainer(seed=5, searcher="ta")
+        arrivals = []
         profile_vec: dict[str, float] = {}
         profile_epoch = 0
         t = 0.0
@@ -162,24 +178,28 @@ class TestVectorRefreshIsTheKernel:
             if rng.random() < 0.3:  # the user posts: the next arrival refreshes
                 profile_vec = message(space, rng)
                 profile_epoch += 1
-            got = maintainer.on_arrival(
-                msg_id, t, vec, generator.generate(vec),
-                profile_vec, profile_epoch, None,
+            arrivals.append((msg_id, t, vec, profile_vec, profile_epoch))
+        got = [
+            maintainer.on_arrival(
+                msg_id, t, vec, generator.generate(vec), profile, epoch, None
             )
+            for msg_id, t, vec, profile, epoch in arrivals
+        ]
+        assert not built and len(cuts) == maintainer.stats.refreshes
+        *_, reference, reference_generator = build_maintainer(seed=5, searcher="ta")
+        for (msg_id, t, vec, profile, epoch), slate in zip(arrivals, got):
             want = reference.on_arrival(
                 msg_id, t, vec, reference_generator.generate(vec),
-                profile_vec, profile_epoch, None,
+                profile, epoch, None,
             )
-            assert [scored.ad_id for scored in got] == [
+            assert [scored.ad_id for scored in slate] == [
                 scored.ad_id for scored in want
             ]
-            for mine, ref in zip(got, want):
+            for mine, ref in zip(slate, want):
                 assert mine.score == pytest.approx(ref.score, abs=1e-6)
                 assert mine.content == pytest.approx(ref.content, abs=1e-6)
                 assert mine.static == pytest.approx(ref.static, abs=1e-6)
         assert maintainer.stats.refreshes == reference.stats.refreshes > 5
-        on_vector = [kwargs for kind, kwargs in built if kind == "vector"]
-        assert on_vector and not any(on_vector)
 
 
 class TestRetirementHandling:

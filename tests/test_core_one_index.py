@@ -20,9 +20,9 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.recommender import ContextAwareRecommender
 from repro.index.compact import CompactIndex
-from repro.index.inverted import AdInvertedIndex
-from repro.index.postings import PostingList
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
+from repro.reference.inverted import AdInvertedIndex
+from repro.reference.postings import PostingList
 from repro.scenarios.base import build_scenario_stream
 from repro.scenarios.canary import build_backend
 from repro.scenarios.driver import ScenarioDriver

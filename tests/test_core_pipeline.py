@@ -14,16 +14,19 @@ import pytest
 from repro.core.config import EngineConfig, EngineMode
 from repro.core.engine import AdEngine
 from repro.core.pipeline import (
-    ExactPersonalizeStage,
-    IncrementalPersonalizeStage,
     KernelPersonalizeStage,
     NoChargeStage,
     NoProbeStage,
-    SharedPersonalizeStage,
     SharedProbeStage,
 )
 from repro.core.recommender import ContextAwareRecommender
 from repro.datagen.workload import WorkloadConfig, generate_workload
+from repro.reference import (
+    ExactPersonalizeStage,
+    GlobalStaticTopList,
+    IncrementalPersonalizeStage,
+    SharedPersonalizeStage,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_mode_slates.json"
 
@@ -350,7 +353,7 @@ class TestChargedFanoutInOneCall:
             lambda engine, ad: ad in engine.personalizer.static_candidate_ids(),
             **knobs,
         )
-        before = {}
+        before, prefixes = {}, {}
 
         def prepare(engine):
             state = engine.budget.state(ad_id)
@@ -360,10 +363,12 @@ class TestChargedFanoutInOneCall:
             assert ad_id in dict(engine.candidate_gen.generate(message_vec).entries)
             row = personalizer._compact.row_of(ad_id)
             assert row in personalizer._compact.gather(message_vec)[0]
-            assert ad_id in personalizer.static_candidate_ids()
-            before[engine] = (
-                personalizer.static_candidate_ids(), personalizer.static_cutoff()
+            # The reference's prefix, kept beside the kernel on its corpus.
+            prefix = prefixes[engine] = GlobalStaticTopList(
+                engine.corpus, engine.scoring.weights, knobs["static_candidates"]
             )
+            assert ad_id in prefix.candidate_ids()
+            before[engine] = (prefix.candidate_ids(), prefix.cutoff())
 
         served = self.run_three_ways(tiny_workload, position, prepare, **knobs)
         outcomes, ledger, engine = served["together"]
@@ -372,9 +377,8 @@ class TestChargedFanoutInOneCall:
         assert not engine.corpus.is_active(ad_id)
         assert all(ad_id not in {s.ad_id for s in o.slate} for o in outcomes[1:])
         ids, cutoff = before[engine]
-        personalizer = engine.personalizer
-        assert set(personalizer.static_candidate_ids()) - set(ids)
-        assert personalizer.static_cutoff() < cutoff
+        assert set(prefixes[engine].candidate_ids()) - set(ids)
+        assert prefixes[engine].cutoff() < cutoff
         # Teeth: without the patch the exhausted ad is served again.
         assert served["unpatched"][0] != outcomes
         # And the oracle agrees on who was served what.
@@ -575,7 +579,7 @@ class TestUnchargedFanoutPaysNoPatching:
         rec = ContextAwareRecommender.from_workload(tiny_workload, config)
         reads = patch_reads(rec.engine)
         blocks = block_cuts(rec.engine)
-        cache = rec.engine.personalizer._static_cache
+        cache = rec.engine.personalizer.row_cache
         one_follower_cuts = []
         targeting_full = cache.targeting_full
 
@@ -687,11 +691,11 @@ class TestOneGatherPerPost:
         and certificate. The kernel reads neither, so a vector SHARED
         engine never builds the list — no launch or retirement pays to
         keep it sorted — and never probes a profile; ``ta`` does both."""
-        import repro.core.rerank as rerank_module
+        import repro.reference.rerank as rerank_module
 
         built, probed = [], []
         static_list_cls = rerank_module.GlobalStaticTopList
-        profile_candidates = rerank_module.Personalizer.profile_candidates
+        profile_candidates = rerank_module.CandidateSources.profile_candidates
 
         def building(*args):
             built.append(args)
@@ -703,7 +707,7 @@ class TestOneGatherPerPost:
 
         monkeypatch.setattr(rerank_module, "GlobalStaticTopList", building)
         monkeypatch.setattr(
-            rerank_module.Personalizer, "profile_candidates", probing
+            rerank_module.CandidateSources, "profile_candidates", probing
         )
         engine = charged_engine(tiny_workload, searcher=searcher)
         retire = [ad.ad_id for ad in engine.corpus.active_ads()][:5]
@@ -1105,7 +1109,7 @@ def peek_resident_bid(engine, timestamp):
     reads = patch_reads(engine)
     try:
         bid, _ = personalizer._event_bid(
-            personalizer._static_cache,
+            personalizer.row_cache,
             timestamp,
             (compact.generation, compact.num_rows, engine.corpus.max_bid),
         )
@@ -1166,7 +1170,7 @@ class TestTheBidTermStaysResident:
         tally = {"peeks": 0, "reread": 0, "mismatched": 0}
 
         def peek(engine, timestamp):
-            cache = engine.personalizer._static_cache
+            cache = engine.personalizer.row_cache
             if cache.bids.shape[0] == 0:
                 return  # the kernel has not run yet
             bid, reread = peek_resident_bid(engine, timestamp)
@@ -1246,7 +1250,7 @@ class TestTheBidTermStaysResident:
         )
 
         def peek():
-            cache = personalizer._static_cache
+            cache = personalizer.row_cache
             bid, reread = peek_resident_bid(engine, now)
             fresh = engine.services.scoring.fanout_bid_block(cache, now)
             return bid.tobytes() == fresh.tobytes(), reread

@@ -18,6 +18,12 @@ from repro.datagen.adgen import generate_ads
 from repro.datagen.topicspace import TopicSpace
 from repro.index.compact import CompactIndex
 from repro.index.factory import make_index
+from repro.index.vector import VectorSearcher
+from repro.reference import (
+    CandidateSources,
+    ReferencePersonalizer,
+    ThresholdCandidateGenerator,
+)
 from tests.helpers import assert_scores_match, oracle_slate_scores
 
 
@@ -32,10 +38,12 @@ def build_stack(num_ads: int = 150, seed: int = 0, **config_kwargs):
     services = EngineServices(
         config=config, corpus=corpus, index=index, scoring=scoring
     )
-    personalizer = Personalizer(services)
-    generator = SharedCandidateGenerator(
-        index, config.overfetch, searcher=config.searcher
-    )
+    if config.searcher == "ta":
+        personalizer = ReferencePersonalizer(services)
+        generator = ThresholdCandidateGenerator(index, config.overfetch)
+    else:
+        personalizer = Personalizer(services)
+        generator = SharedCandidateGenerator(index, config.overfetch)
     return rng, space, corpus, index, config, scoring, personalizer, generator
 
 
@@ -159,18 +167,26 @@ class TestApproximateMode:
         assert {scored.ad_id for scored in result.slate} <= allowed
 
 
+def profile_sources(seed: int):
+    """A vector stack and the reference's candidate sources over it, as
+    INCREMENTAL on ``vector`` wires them."""
+    rng, space, corpus, index, config, scoring, *_ = build_stack(seed=seed)
+    services = EngineServices(
+        config=config, corpus=corpus, index=index, scoring=scoring
+    )
+    return rng, space, corpus, CandidateSources(services, VectorSearcher(index))
+
+
 class TestProfileCandidateCache:
     def test_cache_hit_on_same_epochs(self):
-        stack = build_stack(seed=5)
-        rng, space, _, _, _, _, personalizer, _ = stack
+        rng, space, _, personalizer = profile_sources(5)
         profile = random_profile(space, rng)
         first = personalizer.profile_candidates(7, profile, 3)
         second = personalizer.profile_candidates(7, profile, 3)
         assert first is second
 
     def test_invalidated_by_profile_epoch(self):
-        stack = build_stack(seed=5)
-        rng, space, _, _, _, _, personalizer, _ = stack
+        rng, space, _, personalizer = profile_sources(5)
         profile = random_profile(space, rng)
         first = personalizer.profile_candidates(7, profile, 3)
         second = personalizer.profile_candidates(7, profile, 4)
@@ -179,8 +195,7 @@ class TestProfileCandidateCache:
     def test_invalidated_by_corpus_add(self):
         from repro.ads.ad import Ad
 
-        stack = build_stack(seed=5)
-        rng, space, corpus, _, _, _, personalizer, _ = stack
+        rng, space, corpus, personalizer = profile_sources(5)
         profile = random_profile(space, rng)
         first = personalizer.profile_candidates(7, profile, 3)
         corpus.add(
@@ -444,8 +459,7 @@ def mixed_followers(space, rng, count=12):
 
 class TestKernelSelfConsistency:
     """The vector kernel on a whole fan-out equals itself called once per
-    follower — ``slate_for`` is the latter — when nothing is written in
-    between (tests/test_core_pipeline.py covers the charged fan-out). And
+    follower when nothing is written in between (tests/test_core_pipeline.py covers the charged fan-out). And
     it has one cut, the exact one: what shapes CAR-share's union,
     certificate and fallback in the ``ta`` reference shapes nothing here."""
 
@@ -483,14 +497,8 @@ class TestKernelSelfConsistency:
             assert together == personalizer.slate_batch(
                 without_block(candidates), message, followers, 500.0, k
             )
-            # ``exact_fallback`` is the reference's: inert on the kernel,
-            # whose every slate is certified and none a fallback.
-            one_each = [
-                personalizer.slate_for(candidates, message, *follower, 500.0, k)
-                for follower in followers
-            ]
-            assert all(each.certified and not each.fell_back for each in one_each)
-            assert together == [each.slate for each in one_each]
+            # ``exact_fallback`` and the source depths are the reference's:
+            # inert on the kernel.
             assert together == full_personalizer.slate_batch(
                 full_generator.generate(message), message, followers, 500.0, k
             )
@@ -632,9 +640,9 @@ class TestServedCallback:
         )
         assert seen == list(enumerate(results))
         assert results == [
-            personalizer.slate_for(
-                candidates, message, *follower, 500.0, config.k
-            ).slate
+            personalizer.slate_batch(
+                candidates, message, [follower], 500.0, config.k
+            )[0]
             for follower in followers
         ]
         assert any(results)

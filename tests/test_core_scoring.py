@@ -307,7 +307,7 @@ class TestBidBlockSeam:
     @staticmethod
     def assert_block_is_scalar(engine, now: float) -> np.ndarray:
         scoring = engine.scoring
-        cache = engine.personalizer._static_cache
+        cache = engine.personalizer.row_cache
         compact = engine.personalizer._compact
         compact.maybe_compact()
         cache.sync(engine.budget, engine.ctr)

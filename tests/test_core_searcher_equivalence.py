@@ -30,7 +30,7 @@ from repro.util.sparse import dot
 
 class TestFactory:
     def test_unknown_kind_rejected(self, tiny_workload):
-        from repro.index.inverted import AdInvertedIndex
+        from repro.reference.inverted import AdInvertedIndex
 
         index = AdInvertedIndex.from_corpus(tiny_workload.build_corpus())
         with pytest.raises(ConfigError):
@@ -52,22 +52,6 @@ class TestFactory:
         with pytest.raises(ConfigError) as rejected:
             EngineConfig(searcher="wand")
         assert all(repr(kind) in str(rejected.value) for kind in SEARCHER_KINDS)
-
-    def test_vector_takes_no_static_or_filter(self, tiny_workload):
-        """The static-boosted exact cut on the arrays is the personalize
-        kernel's, not a searcher's."""
-        from repro.index.compact import CompactIndex
-
-        index = CompactIndex(tiny_workload.build_corpus())
-        for kwargs in (
-            {"static_score": lambda ad_id: 0.1, "max_static": 0.1},
-            {"filter_fn": lambda ad_id: True},
-        ):
-            with pytest.raises(ConfigError) as rejected:
-                make_searcher("vector", index, **kwargs)
-            assert all(
-                repr(kind) in str(rejected.value) for kind in SEARCHER_KINDS
-            )
 
 
 def _delivery_outcomes(deliveries, collected):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
-from repro.core.static_list import GlobalStaticTopList
+from repro.reference.static_list import GlobalStaticTopList
 
 # Few distinct bids, so ties and repeats of the maximum are common.
 BIDS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 7.0])

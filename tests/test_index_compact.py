@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError, CorpusError, IndexError_, UnknownAdError
 from repro.index.compact import CompactIndex, IdInterner, _Postings
-from repro.index.inverted import AdInvertedIndex
-from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
+from repro.reference.inverted import AdInvertedIndex
+from repro.reference.threshold import ThresholdSearcher
 from tests.conftest import make_ads
 from tests.helpers import random_query, random_setup
 

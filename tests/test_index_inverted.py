@@ -6,7 +6,7 @@ import pytest
 
 from repro.ads.corpus import AdCorpus
 from repro.errors import IndexError_
-from repro.index.inverted import AdInvertedIndex
+from repro.reference.inverted import AdInvertedIndex
 from tests.conftest import make_ads
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import IndexError_
-from repro.index.postings import PostingList
+from repro.reference.postings import PostingList
 
 
 @pytest.fixture()

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.ads.ad import Ad
 from repro.ads.corpus import AdCorpus
 from repro.errors import ConfigError
-from repro.index.brute import exact_topk
 from repro.index.factory import SEARCHER_KINDS, make_index, make_searcher
-from repro.index.inverted import AdInvertedIndex
-from repro.index.threshold import ThresholdSearcher
+from repro.reference.brute import exact_topk
+from repro.reference.inverted import AdInvertedIndex
+from repro.reference.threshold import ThresholdSearcher
 from tests.conftest import make_ads
 from tests.helpers import random_query, random_setup, scores_of
 

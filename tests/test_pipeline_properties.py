@@ -370,8 +370,8 @@ def test_an_uncharged_fan_out_is_cut_whole(
     first included, is cut in blocks, and each slate equals, ``==`` on
     every field (scores, contents and statics included), what the
     callback path hands out (the first follower alone, the rest cut
-    ahead, each with its rows) and what ``slate_for`` serves that
-    follower alone. Drawn over followers with and without profiles,
+    ahead, each with its rows) and what the kernel serves that follower
+    alone. Drawn over followers with and without profiles,
     located inside and outside circles, and rows retired under gathers
     cached before."""
     rng = random.Random(seed)
@@ -451,11 +451,8 @@ def test_an_uncharged_fan_out_is_cut_whole(
     for (_, slate, ad_ids), expected in zip(handed, whole):
         assert slate == expected and ad_ids == expected.ad_ids.tolist()
     for follower, slate in zip(followers, whole):
-        user_id, profile_vec, epoch, location = follower
-        alone = personalizer.slate_for(
-            None, message, user_id, profile_vec, epoch, location, timestamp, k
-        )
-        assert alone.slate == slate
+        (alone,) = personalizer.slate_batch(None, message, [follower], timestamp, k)
+        assert alone == slate
     if retire:
         retired = {ad.ad_id for ad in ads} - set(corpus.active_ids())
         assert not retired & {entry.ad_id for slate in whole for entry in slate}

@@ -209,9 +209,7 @@ class TestTheBoundReadOffTheProbesArrays:
                 min_size=1,
             )
         )
-        candidates = SharedCandidateGenerator(
-            compact, depth, searcher="vector"
-        ).generate(query)
+        candidates = SharedCandidateGenerator(compact, depth).generate(query)
         # Retired between the probe and admission: dead rows in the cut.
         for ad_id in sorted(retire - before_probe):
             corpus.retire(ad_id)

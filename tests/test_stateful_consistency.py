@@ -19,12 +19,12 @@ from repro.ads.ad import Ad
 from repro.ads.budget import BudgetManager
 from repro.ads.corpus import AdCorpus
 from repro.core.config import ScoringWeights
-from repro.core.static_list import GlobalStaticTopList
-from repro.index.brute import exact_topk
 from repro.index.compact import CompactIndex
-from repro.index.inverted import AdInvertedIndex
-from repro.index.threshold import ThresholdSearcher
 from repro.index.vector import VectorSearcher
+from repro.reference.brute import exact_topk
+from repro.reference.inverted import AdInvertedIndex
+from repro.reference.static_list import GlobalStaticTopList
+from repro.reference.threshold import ThresholdSearcher
 
 _TERMS = [f"t{i}" for i in range(10)]
 
